@@ -3,10 +3,11 @@
 //! per-tuple work.
 //!
 //! We register 1..64 top-URL CQs over the same stream (identical grouping,
-//! varying windows), feed an identical clickstream with sharing ON and
-//! OFF, and report wall-clock throughput and per-tuple cost. Unshared
-//! cost must grow ~linearly with the CQ count; shared cost must stay
-//! near-flat.
+//! varying windows), feed an identical clickstream with sharing ON (one
+//! pooled slice store) and OFF (one private store per CQ — the same
+//! mechanism, N members of one pool vs N pools of one), and report
+//! wall-clock throughput and per-tuple cost. Unshared cost must grow
+//! ~linearly with the CQ count; shared cost must stay near-flat.
 
 #![deny(unsafe_code)]
 

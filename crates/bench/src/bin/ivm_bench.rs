@@ -8,10 +8,12 @@
 //! slice partial and a close merges ~60 slice partials — near-O(delta)
 //! instead of O(window).
 //!
-//! Both configurations run with sharing ablated so the comparison
-//! isolates the delta-processing path: the baseline is
-//! `DbOptions::without_sharing().without_ivm()` (the unshared re-eval
-//! executor), the candidate is `without_sharing()` alone. The run
+//! Both configurations run with pooling ablated so the comparison
+//! isolates the delta-processing path on a store with one member: the
+//! baseline is `DbOptions::without_sharing().without_ivm()` (the
+//! re-evaluation executor), the candidate is `without_sharing()` alone
+//! (a private slice store — the same mechanism the default options pool
+//! across CQs). The run
 //! verifies through `streamrel_metrics` that the candidate actually
 //! lowered the CQ (`ivm.lowered` = 1) — the floor is only meaningful on
 //! an eligible plan — records `BENCH_ivm.json`, and fails (non-zero

@@ -449,7 +449,7 @@ const CQ_SPEC: SweepSpec = SweepSpec {
 // ---- IVM sweep: delta state crashed mid-slice ------------------------------
 
 fn ivm_options() -> DbOptions {
-    // Sharing ablated so the standing query lowers to the IVM path.
+    // Pooling ablated: the standing query runs on a private slice store.
     cq_options().without_sharing()
 }
 

@@ -9,7 +9,9 @@
 //!   bound) and windows that can never close are *rejected* with a
 //!   structured [`Error::Check`] carrying a fix hint; shapes that are
 //!   legal but costly (shared-grid mismatches, sorts over raw stream
-//!   tuples) produce *warnings* surfaced through `EXPLAIN CHECK`.
+//!   tuples) produce *warnings* surfaced through `EXPLAIN CHECK`. The
+//!   execution path it reports comes from the same placement decision
+//!   registration acts on ([`streamrel_cq::shared::place`]).
 //!   The same pass computes a conservative per-plan state-size bound.
 //!
 //! * **Level 2 — source lint** ([`lint`]): a self-hosted, dependency-free
@@ -37,7 +39,8 @@ pub mod lock_graph_gen {
 }
 
 use std::sync::Arc;
-use streamrel_cq::shared::{extract_shape, SharedRegistry};
+use streamrel_cq::shared::{place, Placement, SharedRegistry};
+use streamrel_ivm::{gcd, IvmProgram};
 use streamrel_sql::plan::LogicalPlan;
 use streamrel_sql::WindowSpec;
 use streamrel_types::relation::Relation;
@@ -121,11 +124,12 @@ pub struct StateBudget {
 /// the byte bound is reported but never enforced.
 #[derive(Default)]
 pub struct CheckContext<'a> {
-    /// Whether shared slice aggregation is enabled engine-wide.
+    /// Whether slice stores are pooled across CQs engine-wide.
     pub sharing: bool,
-    /// Whether incremental view maintenance is enabled engine-wide.
+    /// Whether lowered plans run on slice stores at all (off: every CQ
+    /// re-evaluates).
     pub ivm: bool,
-    /// The live shared-slice registry, for grid-compatibility checks.
+    /// The live registry of pooled stores, for grid-compatibility checks.
     pub registry: Option<&'a SharedRegistry>,
     /// The cross-CQ standing-state budget, when one is configured.
     pub budget: Option<StateBudget>,
@@ -146,11 +150,11 @@ pub struct CheckReport {
     /// arrival rate (time windows, slices, unbounded scans).
     pub state_bound_bytes: Option<u64>,
     /// Execution path the CQ takes at each window close: `"ivm"` when the
-    /// plan lowers to incremental view maintenance, `"reeval"` for
+    /// plan lowers onto a slice store (pooled or private), `"reeval"` for
     /// per-window re-evaluation, `"-"` for snapshot queries.
     pub path: &'static str,
-    /// Why IVM lowering fell back (continuous `"reeval"` plans only);
-    /// stable reason text from the lowering pass.
+    /// Why the plan re-evaluates (continuous `"reeval"` plans only);
+    /// stable reason text from the placement decision.
     pub ivm_fallback: Option<&'static str>,
 }
 
@@ -273,9 +277,24 @@ pub fn check_plan(plan: &LogicalPlan, ctx: &CheckContext) -> CheckReport {
     let mut findings = Vec::new();
     classify(plan, Enclosing::None, &mut findings);
     window_shape_rules(plan, &mut findings);
-    shared_grid_rule(plan, ctx, &mut findings);
-    non_monotonic_rule(plan, &mut findings);
     let continuous = plan.is_continuous();
+    // The decision registration acts on, made once: it answers both the
+    // path and the shared-grid rule.
+    let placement = continuous.then(|| place(plan, ctx.sharing, ctx.ivm, ctx.registry));
+    let (path, ivm_fallback) = match &placement {
+        None => ("-", None),
+        Some(Placement::Reeval(reason)) => ("reeval", Some(*reason)),
+        Some(Placement::Sliced {
+            program,
+            grid_mismatch,
+        }) => {
+            if let Some(width) = grid_mismatch {
+                findings.push(shared_grid_finding(program, *width));
+            }
+            ("ivm", None)
+        }
+    };
+    non_monotonic_rule(plan, &mut findings);
     let state_bound_bytes = state_bound_bytes(plan);
     if continuous {
         budget_rule(state_bound_bytes, ctx, &mut findings);
@@ -284,22 +303,9 @@ pub fn check_plan(plan: &LogicalPlan, ctx: &CheckContext) -> CheckReport {
         Severity::Reject => 0,
         Severity::Warn => 1,
     });
-    let (path, ivm_fallback) = if !continuous {
-        ("-", None)
-    } else if !ctx.ivm {
-        (
-            "reeval",
-            Some("incremental view maintenance disabled by engine options"),
-        )
-    } else {
-        match streamrel_ivm::fallback_reason(plan) {
-            None => ("ivm", None),
-            Some(reason) => ("reeval", Some(reason)),
-        }
-    };
     let mut state_bound = state_bound(plan);
     if path == "ivm" {
-        // The IVM path never buffers window tuples: standing state is the
+        // A slice store never buffers window tuples: standing state is the
         // per-slice partials, bounded by distinct keys — not arrival rate.
         state_bound.push_str(
             "; ivm: buffered tuples replaced by per-slice aggregate \
@@ -475,53 +481,27 @@ fn window_shape_rules(plan: &LogicalPlan, out: &mut Vec<Finding>) {
     }
 }
 
-fn gcd(a: i64, b: i64) -> i64 {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
-    }
-}
-
-/// Rule `shared-grid-mismatch` (warn): the plan is shareable and sharing
-/// is on, but an existing shared group for the same shape already runs
-/// on a slice grid this window's gcd cannot join — the CQ would silently
-/// run unshared.
-fn shared_grid_rule(plan: &LogicalPlan, ctx: &CheckContext, out: &mut Vec<Finding>) {
-    if !ctx.sharing {
-        return;
-    }
-    let Some(registry) = ctx.registry else { return };
-    let Some((shape, _)) = extract_shape(plan) else {
-        return;
-    };
-    let windows = plan.stream_scans();
-    let Some((stream, WindowSpec::Time { visible, advance })) = windows.first() else {
-        return;
-    };
-    if *visible <= 0 || *advance <= 0 {
-        return; // already rejected by the shape rules
-    }
-    let needed = gcd(*visible, *advance);
-    if let Some(width) = registry.slice_width_for(&shape) {
-        if needed % width != 0 {
-            out.push(Finding::warn(
-                "shared-grid-mismatch",
-                format!(
-                    "an existing shared group over `{stream}` slices at {} \
-                     but this window's grid is {}; the group cannot \
-                     re-slice with data present, so this CQ runs unshared",
-                    format_interval(width),
-                    format_interval(needed)
-                ),
-                format!(
-                    "align VISIBLE/ADVANCE to multiples of the group's \
-                     slice width ({})",
-                    format_interval(width)
-                ),
-            ));
-        }
-    }
+/// Rule `shared-grid-mismatch` (warn): the plan lowers and pooling is
+/// on, but the live pooled store for the same shape already holds data on
+/// a slice grid this window's gcd cannot divide into — the CQ silently
+/// gets a private store, folding every tuple a second time.
+fn shared_grid_finding(program: &IvmProgram, width: i64) -> Finding {
+    Finding::warn(
+        "shared-grid-mismatch",
+        format!(
+            "an existing shared group over `{}` slices at {} but this \
+             window's grid is {}; the group cannot re-slice with data \
+             present, so this CQ runs on a private slice store",
+            program.shape.prefix().stream,
+            format_interval(width),
+            format_interval(gcd(program.visible, program.advance))
+        ),
+        format!(
+            "align VISIBLE/ADVANCE to multiples of the group's slice \
+             width ({})",
+            format_interval(width)
+        ),
+    )
 }
 
 /// Rule `non-monotonic-op` (warn): `ORDER BY` / `DISTINCT` applied to raw
@@ -904,7 +884,7 @@ mod tests {
         assert!(paths.windows(2).all(|w| w[0] == w[1]));
     }
 
-    fn check_with_ivm(sql: &str) -> CheckReport {
+    fn check_with(sql: &str, sharing: bool, ivm: bool) -> CheckReport {
         let stmt = parse_statement(sql).expect("parse");
         let Statement::Select(q) = stmt else {
             panic!("not a select")
@@ -913,10 +893,15 @@ mod tests {
         check_plan(
             &analyzed.plan,
             &CheckContext {
-                ivm: true,
+                sharing,
+                ivm,
                 ..CheckContext::default()
             },
         )
+    }
+
+    fn check_with_ivm(sql: &str) -> CheckReport {
+        check_with(sql, false, true)
     }
 
     #[test]
@@ -949,6 +934,20 @@ mod tests {
             .rows()
             .iter()
             .any(|r| r[0] == Value::text("info") && r[1] == Value::text("ivm-fallback")));
+    }
+
+    #[test]
+    fn path_follows_the_exactness_predicate_for_float_aggregates() {
+        // A float AVG merges inexactly: sliced only where stores pool
+        // (the default options), re-evaluated on a private store.
+        let sql = "select avg(bytes * 0.5) mean from hits \
+                   <visible '60 seconds' advance '1 second'>";
+        let pooled = check_with(sql, true, true);
+        assert_eq!(pooled.path, "ivm");
+        assert_eq!(pooled.ivm_fallback, None);
+        let private = check_with(sql, false, true);
+        assert_eq!(private.path, "reeval");
+        assert!(private.ivm_fallback.unwrap().contains("float sum/avg"));
     }
 
     #[test]

@@ -18,10 +18,11 @@ use parking_lot::{Mutex, MutexGuard};
 use streamrel_check::{check_plan, CheckContext, StateBudget};
 use streamrel_cq::recovery::{load_watermark, save_watermark_txn};
 use streamrel_cq::{
-    ContinuousQuery, CqOutput, CqStats, ReorderBuffer, SharedRegistry, WindowTask, WorkerPool,
+    shared::GroupRef, ContinuousQuery, CqOutput, CqStats, ReorderBuffer, SharedRegistry,
+    WindowTask, WorkerPool,
 };
 use streamrel_exec::{execute, ExecContext, ExecMetrics};
-use streamrel_obs::{Counter, Gauge};
+use streamrel_obs::{Counter, Gauge, IvmMetrics};
 use streamrel_sql::analyzer::Analyzer;
 use streamrel_sql::ast::{ChannelMode, ColumnDef, Expr, ObjectKind, Query, ShowKind, Statement};
 use streamrel_sql::parser::{parse_statement, parse_statements};
@@ -118,11 +119,12 @@ struct ChannelDef {
 // lock-order: catalog < state < g < subs
 //
 // The `Db::catalog` mutex (DDL state) is acquired before any shard's
-// `state` lock; shard state precedes shared-group mutexes (`g`, via
-// `SharedRegistry`), which precede the client `subs` table. A group lock
-// is never held while acquiring shard state (the registry releases each
-// group guard before returning). streamrel-lint checks every function in
-// this file against this order.
+// `state` lock; shard state precedes slice-store mutexes (`g`: a
+// `SharedGroup`, pooled via `SharedRegistry` or private to one CQ), which
+// precede the client `subs` table. A store lock is never held while
+// acquiring shard state (the registry releases each store guard before
+// returning). streamrel-lint checks every function in this file against
+// this order.
 
 /// Catalog and DDL state: everything that is *not* on the per-tuple hot
 /// path. Stream/derived declarations, views, channel definitions, the
@@ -174,7 +176,9 @@ struct DbMetrics {
     check_budget_rejected: Arc<Counter>,
     /// Warnings attached to admitted plans.
     check_warned: Arc<Counter>,
-    /// Admitted continuous plans the check classified as IVM-lowerable.
+    /// Stream tuples folded into slice stores (once per store, not per CQ).
+    ivm_delta_rows: Arc<Counter>,
+    /// Admitted continuous plans the check placed on a slice store.
     check_ivm_lowered: Arc<Counter>,
     /// Admitted continuous plans that fall back to re-evaluation.
     check_ivm_fallback: Arc<Counter>,
@@ -194,6 +198,7 @@ impl DbMetrics {
             check_rejected: registry.counter("check.rejected"),
             check_budget_rejected: registry.counter("check.budget_rejected"),
             check_warned: registry.counter("check.warned"),
+            ivm_delta_rows: IvmMetrics::register(registry).delta_rows,
             check_ivm_lowered: registry.counter("check.ivm_lowered"),
             check_ivm_fallback: registry.counter("check.ivm_fallback"),
             exec: ExecMetrics::register(registry),
@@ -685,26 +690,25 @@ impl Db {
         Ok(report.state_bound_bytes.unwrap_or(0))
     }
 
-    /// Charge an admitted CQ's state share to the budget ledger.
-    fn charge_state(catalog: &mut Catalog, cq_id: u64, bytes: u64) {
-        catalog.admitted_state_bytes += bytes;
-        catalog.cq_state_bytes.insert(cq_id, bytes);
-    }
-
-    /// Release a torn-down CQ's state share back to the budget ledger.
-    fn release_state(catalog: &mut Catalog, cq_id: u64) {
+    /// Release a torn-down CQ's state share back to the budget ledger
+    /// and, if it was the last member of a pooled slice store, drop that
+    /// store from the registry.
+    fn release_cq(catalog: &mut Catalog, cq_id: u64, emptied: Option<GroupRef>) {
         if let Some(bytes) = catalog.cq_state_bytes.remove(&cq_id) {
             catalog.admitted_state_bytes = catalog.admitted_state_bytes.saturating_sub(bytes);
         }
+        if let Some(g) = emptied {
+            catalog.registry.forget(&g);
+        }
     }
 
-    /// Release several torn-down CQs' budget shares. Callers must hold
-    /// no shard state lock: this takes the catalog, and the declared
-    /// order is catalog < state.
-    fn release_removed(&self, removed: Vec<u64>) {
+    /// [`Db::release_cq`] for several torn-down CQs. Callers must hold no
+    /// shard state lock: this takes the catalog, and the declared order
+    /// is catalog < state.
+    fn release_removed(&self, removed: Vec<(u64, Option<GroupRef>)>) {
         let mut catalog = self.catalog.lock();
-        for id in removed {
-            Self::release_state(&mut catalog, id);
+        for (id, emptied) in removed {
+            Self::release_cq(&mut catalog, id, emptied);
         }
     }
 
@@ -895,77 +899,21 @@ impl Db {
             ));
         }
         let state_bytes = self.admit_plan(&catalog, &analyzed.plan)?;
-        let mut cq = ContinuousQuery::new(
+        let cq = ContinuousQuery::new(
             key.clone(),
             &analyzed,
             self.engine.clone(),
             self.options.consistency,
         )?;
-        // Slice sharing applies to base-stream aggregates only: derived
-        // streams deliver whole result batches, not tuples.
-        let upstream = cq.stream().to_ascii_lowercase();
-        let upstream_is_base = catalog.streams.contains_key(&upstream);
-        if self.options.sharing && upstream_is_base {
-            cq.try_share(&mut catalog.registry);
-        }
-        // Sharing won, or the shape didn't share: try delta processing
-        // next. A shared CQ already folds each tuple once per group.
-        if self.options.ivm && upstream_is_base && !cq.is_shared() {
-            cq.try_lower_ivm();
-        }
-        let out_schema = analyzed.plan.schema();
-        let cqtime = find_cq_close_column(&analyzed.plan);
-        let shard_idx = if let Some(s) = catalog.streams.get(&upstream) {
-            s.shard
-        } else if let Some(d) = catalog.deriveds.get(&upstream) {
-            d.shard
-        } else {
-            return Err(Error::stream(format!("unknown stream `{}`", cq.stream())));
+        let decl = StreamDecl {
+            schema: analyzed.plan.schema(),
+            cqtime: find_cq_close_column(&analyzed.plan),
         };
-        let cq_id = catalog.next_cq;
-        catalog.next_cq += 1;
-        Self::charge_state(&mut catalog, cq_id, state_bytes);
-        catalog.deriveds.insert(
-            key.clone(),
-            CatDerived {
-                decl: StreamDecl {
-                    schema: out_schema,
-                    cqtime,
-                },
-                shard: shard_idx,
-                cq_id,
-            },
-        );
-        // Mirror the (possibly new) shared groups into the owning shard
-        // so the ingest hot path folds tuples without the catalog lock.
-        let groups = if upstream_is_base {
-            catalog.registry.groups_on_stream(&upstream)
-        } else {
-            Vec::new()
-        };
-        let shard = shard_at(&catalog, shard_idx)?;
-        let hist = self
-            .engine
-            .metrics()
-            .histogram(&format!("cq.close_us.{key}"));
-        {
-            let mut state = shard.state.lock();
-            if let Some(rt) = state.streams.get_mut(&upstream) {
-                rt.groups = groups;
-            }
-            state.cqs.insert(
-                cq_id,
-                CqEntry {
-                    cq,
-                    sink: Sink::Derived(key.clone()),
-                    close_hist: hist,
-                },
-            );
-            attach_cq(&mut state, &upstream, cq_id)?;
-            state
-                .deriveds
-                .insert(key.clone(), DerivedRuntime::default());
-        }
+        let (cq_id, shard) =
+            self.register_cq(&mut catalog, cq, Sink::Derived(key.clone()), state_bytes)?;
+        catalog
+            .deriveds
+            .insert(key.clone(), CatDerived { decl, shard, cq_id });
         if persist {
             self.persist_ddl(&mut catalog, "derived", &key, sql)?;
         }
@@ -1079,7 +1027,7 @@ impl Db {
         if let Some(d) = catalog.deriveds.get(key) {
             let cq_id = d.cq_id;
             let shard = shard_at(&catalog, d.shard)?;
-            {
+            let emptied = {
                 let mut state = shard.state.lock();
                 let has_deps = state
                     .deriveds
@@ -1092,17 +1040,10 @@ impl Db {
                     )));
                 }
                 state.deriveds.remove(key);
-                state.cqs.remove(&cq_id);
-                // Detach from upstream lists.
-                for s in state.streams.values_mut() {
-                    s.cq_ids.retain(|&id| id != cq_id);
-                }
-                for rt in state.deriveds.values_mut() {
-                    rt.downstream_cqs.retain(|&id| id != cq_id);
-                }
-            }
+                detach_cq(&mut state, cq_id)
+            };
             catalog.deriveds.remove(key);
-            Self::release_state(&mut catalog, cq_id);
+            Self::release_cq(&mut catalog, cq_id, emptied);
             self.engine.metrics().remove(&format!("cq.close_us.{key}"));
             self.unpersist_ddl(&mut catalog, "derived", key)?;
             return Ok(ExecResult::Dropped(name.to_string()));
@@ -1249,57 +1190,16 @@ impl Db {
         let state_bytes = self.admit_plan(&catalog, &analyzed.plan)?;
         let sub_id = SubscriptionId(catalog.next_sub);
         catalog.next_sub += 1;
-        let mut cq = ContinuousQuery::new(
+        let cq = ContinuousQuery::new(
             format!("sub_{}", sub_id.0),
             &analyzed,
             self.engine.clone(),
             self.options.consistency,
         )?;
-        let upstream = cq.stream().to_ascii_lowercase();
-        let upstream_is_base = catalog.streams.contains_key(&upstream);
-        if self.options.sharing && upstream_is_base {
-            cq.try_share(&mut catalog.registry);
-        }
-        if self.options.ivm && upstream_is_base && !cq.is_shared() {
-            cq.try_lower_ivm();
-        }
-        let shard_idx = if let Some(s) = catalog.streams.get(&upstream) {
-            s.shard
-        } else if let Some(d) = catalog.deriveds.get(&upstream) {
-            d.shard
-        } else {
-            return Err(Error::stream(format!("unknown stream `{}`", cq.stream())));
-        };
-        let cq_id = catalog.next_cq;
-        catalog.next_cq += 1;
-        Self::charge_state(&mut catalog, cq_id, state_bytes);
-        catalog.sub_shard.insert(sub_id, shard_idx);
+        let sink = Sink::Clients(vec![sub_id]);
+        let (cq_id, shard) = self.register_cq(&mut catalog, cq, sink, state_bytes)?;
+        catalog.sub_shard.insert(sub_id, shard);
         catalog.sub_cq.insert(sub_id, cq_id);
-        let groups = if upstream_is_base {
-            catalog.registry.groups_on_stream(&upstream)
-        } else {
-            Vec::new()
-        };
-        let shard = shard_at(&catalog, shard_idx)?;
-        let hist = self
-            .engine
-            .metrics()
-            .histogram(&format!("cq.close_us.sub_{}", sub_id.0));
-        {
-            let mut state = shard.state.lock();
-            if let Some(rt) = state.streams.get_mut(&upstream) {
-                rt.groups = groups;
-            }
-            state.cqs.insert(
-                cq_id,
-                CqEntry {
-                    cq,
-                    sink: Sink::Clients(vec![sub_id]),
-                    close_hist: hist,
-                },
-            );
-            attach_cq(&mut state, &upstream, cq_id)?;
-        }
         drop(catalog);
         self.subs.lock().insert(
             sub_id,
@@ -1307,6 +1207,65 @@ impl Db {
                 .with_depth_gauge(self.metrics.sub_queue_depth.clone()),
         );
         Ok(ExecResult::Subscribed(sub_id))
+    }
+
+    /// Register an admitted CQ in its upstream's shard — the one path both
+    /// `CREATE STREAM … AS` and a subscribing `SELECT` take. The CQ is
+    /// placed first (slice-store membership or a re-evaluation buffer),
+    /// its state share charged, and then, under the shard lock, its store
+    /// is mirrored into the upstream's runtime so ingest folds each tuple
+    /// into it once. Returns the CQ id and the shard index.
+    fn register_cq(
+        &self,
+        catalog: &mut Catalog,
+        mut cq: ContinuousQuery,
+        sink: Sink,
+        state_bytes: u64,
+    ) -> Result<(u64, usize)> {
+        let upstream = cq.stream().to_ascii_lowercase();
+        let shard_idx = match (
+            catalog.streams.get(&upstream),
+            catalog.deriveds.get(&upstream),
+        ) {
+            (Some(s), _) => s.shard,
+            (None, Some(d)) => d.shard,
+            (None, None) => return Err(Error::stream(format!("unknown stream `{}`", cq.stream()))),
+        };
+        let shard = shard_at(catalog, shard_idx)?;
+        let store = cq.place(
+            self.options.sharing,
+            self.options.ivm,
+            &mut catalog.registry,
+        );
+        let cq_id = catalog.next_cq;
+        catalog.next_cq += 1;
+        catalog.admitted_state_bytes += state_bytes;
+        catalog.cq_state_bytes.insert(cq_id, state_bytes);
+        let close_hist = self
+            .engine
+            .metrics()
+            .histogram(&format!("cq.close_us.{}", cq.name()));
+        let mut state = shard.state.lock();
+        if let (Some(store), Some(rt)) = (store, state.streams.get_mut(&upstream)) {
+            if !rt.groups.iter().any(|g| Arc::ptr_eq(g, &store)) {
+                rt.groups.push(store);
+            }
+        }
+        if let Sink::Derived(name) = &sink {
+            state
+                .deriveds
+                .insert(name.clone(), DerivedRuntime::default());
+        }
+        state.cqs.insert(
+            cq_id,
+            CqEntry {
+                cq,
+                sink,
+                close_hist,
+            },
+        );
+        attach_cq(&mut state, &upstream, cq_id)?;
+        Ok((cq_id, shard_idx))
     }
 
     /// Attach a new subscription to the CQ behind `primary`, sharing its
@@ -1398,16 +1357,9 @@ impl Db {
                     }
                 }
             }
-            for &id in &ids {
-                state.cqs.remove(&id);
-                for s in state.streams.values_mut() {
-                    s.cq_ids.retain(|&c| c != id);
-                }
-                for d in state.deriveds.values_mut() {
-                    d.downstream_cqs.retain(|&c| c != id);
-                }
-            }
-            ids
+            ids.into_iter()
+                .map(|id| (id, detach_cq(&mut state, id)))
+                .collect::<Vec<_>>()
         };
         self.release_removed(removed);
         // Undelivered results leave the depth gauge with the subscription
@@ -1638,7 +1590,7 @@ impl Db {
         }
         self.metrics.tuples_in.add(released.len() as u64);
 
-        let (raw_channels, groups, cqtime, cq_ids) = {
+        let (raw_channels, groups, cq_ids) = {
             let rt = state
                 .streams
                 .get(key)
@@ -1646,7 +1598,6 @@ impl Db {
             (
                 rt.raw_channels.clone(),
                 rt.groups.clone(),
-                rt.decl.cqtime,
                 rt.cq_ids.clone(),
             )
         };
@@ -1664,24 +1615,22 @@ impl Db {
             self.metrics.rows_archived.add(n);
         }
 
-        // Shared groups: fold each tuple once per group.
+        // Slice stores: fold each tuple once per store, however many CQs
+        // read it.
         for g in &groups {
             let mut g = g.lock();
-            for r in &released {
-                g.on_tuple(r)?;
-            }
+            let before = g.store().delta_rows();
+            let folded = released.iter().try_for_each(|r| g.on_tuple(r));
+            self.metrics
+                .ivm_delta_rows
+                .add(g.store().delta_rows() - before);
+            folded?;
         }
 
-        // Per-CQ window staging. Shared CQs take the timestamp-only fast
-        // path: the group already aggregated each tuple once. If staging
+        // Per-CQ window staging: a re-evaluating CQ buffers each tuple, a
+        // sliced one only advances its window boundaries. If staging
         // fails mid-way, whatever was staged so far is still evaluated
         // and delivered before the error surfaces (no silent drops).
-        let timestamps: Option<Vec<i64>> = cqtime.map(|c| {
-            released
-                .iter()
-                .map(|r| r[c].as_timestamp().unwrap_or(i64::MIN))
-                .collect()
-        });
         let mut staged: Vec<(u64, Vec<WindowTask>)> = Vec::new();
         let mut stage_err: Option<Error> = None;
         'cqs: for id in cq_ids {
@@ -1690,29 +1639,13 @@ impl Db {
                 .get_mut(&id)
                 .ok_or_else(|| Error::stream(format!("cq {id} not registered")))?;
             let mut tasks = Vec::new();
-            if entry.cq.is_shared() {
-                let ts_list = timestamps
-                    .as_ref()
-                    .ok_or_else(|| Error::stream("shared CQ without CQTIME"))?;
-                for &ts in ts_list {
-                    match entry.cq.stage_note_shared(ts) {
-                        Ok(t) => tasks.extend(t),
-                        Err(e) => {
-                            staged.push((id, std::mem::take(&mut tasks)));
-                            stage_err = Some(e);
-                            break 'cqs;
-                        }
-                    }
-                }
-            } else {
-                for r in &released {
-                    match entry.cq.stage_tuple(r.clone()) {
-                        Ok(t) => tasks.extend(t),
-                        Err(e) => {
-                            staged.push((id, std::mem::take(&mut tasks)));
-                            stage_err = Some(e);
-                            break 'cqs;
-                        }
+            for r in &released {
+                match entry.cq.stage_tuple(r) {
+                    Ok(t) => tasks.extend(t),
+                    Err(e) => {
+                        staged.push((id, std::mem::take(&mut tasks)));
+                        stage_err = Some(e);
+                        break 'cqs;
                     }
                 }
             }
@@ -1959,6 +1892,24 @@ fn attach_cq(state: &mut ShardState, upstream: &str, cq_id: u64) -> Result<()> {
         return Ok(());
     }
     Err(Error::stream(format!("unknown stream `{upstream}`")))
+}
+
+/// Tear a CQ out of its shard: off its upstream's lists, out of its slice
+/// store. Returns the store when the CQ was its last member — it is
+/// already gone from the shard, and the caller drops it from the registry.
+fn detach_cq(state: &mut ShardState, cq_id: u64) -> Option<GroupRef> {
+    let entry = state.cqs.remove(&cq_id)?;
+    for s in state.streams.values_mut() {
+        s.cq_ids.retain(|&id| id != cq_id);
+    }
+    for d in state.deriveds.values_mut() {
+        d.downstream_cqs.retain(|&id| id != cq_id);
+    }
+    let emptied = entry.cq.leave()?;
+    for s in state.streams.values_mut() {
+        s.groups.retain(|g| !Arc::ptr_eq(g, &emptied));
+    }
+    Some(emptied)
 }
 
 struct ProviderView<'a> {

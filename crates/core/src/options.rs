@@ -10,12 +10,14 @@ use crate::subscription::{OverflowPolicy, DEFAULT_SUB_CAPACITY};
 /// points; the alternatives exist for the ablation experiments.
 #[derive(Debug, Clone, Copy)]
 pub struct DbOptions {
-    /// Pool compatible aggregate CQs into shared slice groups (§2.2
-    /// "Jellybean processing"). Ablated by experiment E3.
+    /// Pool CQs whose lowered shapes agree into one slice store per shape
+    /// (§2.2 "Jellybean processing"); off, every lowered CQ gets a private
+    /// store. Ablated by experiment E3.
     pub sharing: bool,
-    /// Lower eligible unshared CQs to incremental view maintenance (delta
-    /// processing instead of per-window re-evaluation). Sharing takes
-    /// precedence where both apply. Ablated by the `ivm_bench` baseline.
+    /// Keep the window state of every plan that lowers on a slice store
+    /// (delta processing instead of per-window re-evaluation); off, every
+    /// CQ re-evaluates a raw window buffer — the reference path the
+    /// equivalence suites and the `ivm_bench` baseline compare against.
     pub ivm: bool,
     /// Snapshot policy for table reads inside CQs (window consistency, §4).
     /// Ablated by experiment E8.
@@ -74,14 +76,14 @@ impl Default for DbOptions {
 }
 
 impl DbOptions {
-    /// Disable CQ sharing (ablation baseline).
+    /// Disable store pooling: private slice stores (ablation baseline).
     pub fn without_sharing(mut self) -> DbOptions {
         self.sharing = false;
         self
     }
 
-    /// Disable incremental view maintenance (ablation baseline: every
-    /// window close re-evaluates the full plan).
+    /// Disable slice stores altogether (the reference path: every window
+    /// close re-evaluates the full plan, whatever `sharing` says).
     pub fn without_ivm(mut self) -> DbOptions {
         self.ivm = false;
         self

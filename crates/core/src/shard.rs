@@ -18,7 +18,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use streamrel_cq::{ContinuousQuery, ReorderBuffer, SharedGroup};
+use streamrel_cq::shared::GroupRef;
+use streamrel_cq::{ContinuousQuery, ReorderBuffer};
 use streamrel_obs::Histogram;
 use streamrel_sql::ast::ChannelMode;
 
@@ -65,10 +66,12 @@ pub(crate) struct StreamRuntime {
     pub cq_ids: Vec<u64>,
     /// Channels archiving raw tuples.
     pub raw_channels: Vec<ChannelSink>,
-    /// Distinct shared groups fed by this stream (mirrored from the
-    /// catalog's `SharedRegistry` at share time), so the ingest hot path
-    /// folds tuples without touching the catalog lock.
-    pub groups: Vec<Arc<Mutex<SharedGroup>>>,
+    /// The distinct slice stores fed by this stream — pooled ones (also in
+    /// the catalog's `SharedRegistry`) and private ones — each held here
+    /// from its first member's registration until its last member leaves,
+    /// so the ingest hot path folds every tuple into every store exactly
+    /// once without touching the catalog lock.
+    pub groups: Vec<GroupRef>,
 }
 
 /// Runtime state of one derived stream (rooted at a base stream in the

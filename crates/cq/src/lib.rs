@@ -4,9 +4,11 @@
 //! over a stream: the window machinery ([`window`]) turns the unbounded
 //! stream into a sequence of finite relations (Figure 1 / RSTREAM), the
 //! runtime ([`runtime`]) executes the plan once per window — reusing
-//! `streamrel-exec`'s ordinary operators, per §4 — and the sharing layer
-//! ([`shared`]) collapses the per-tuple work of many aggregate CQs into one
-//! pass ("Jellybean processing", §2.2, refs [4, 12]).
+//! `streamrel-exec`'s ordinary operators, per §4 — and every plan that
+//! lowers keeps its window state on a `streamrel-ivm` slice store, whose
+//! membership ([`shared`]) pools CQs that differ only in their windows so
+//! the per-tuple work of many CQs collapses into one pass ("Jellybean
+//! processing", §2.2, refs [4, 12]).
 //!
 //! Window consistency (§4, ref \[6]) lives in [`consistency`]: table reads
 //! inside a CQ see one MVCC snapshot pinned per window, so concurrent

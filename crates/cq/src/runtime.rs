@@ -9,20 +9,19 @@
 //! yields a [`CqOutput`]; the concatenation of outputs is the CQ's result
 //! stream (§3.1: "a query that produces a stream never ends").
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use streamrel_exec::{execute, ExecContext, RelationSource};
-use streamrel_ivm::{lower, IvmState, JoinDelta, Lowering, WindowOutput, IVM_INPUT};
-use streamrel_obs::{Counter, Gauge, IvmMetrics};
+use streamrel_ivm::{WindowOutput, IVM_INPUT};
+use streamrel_obs::{Gauge, IvmMetrics};
 use streamrel_sql::analyzer::AnalyzedQuery;
 use streamrel_sql::plan::{LogicalPlan, WindowSpec};
 use streamrel_storage::{Snapshot, StorageEngine};
-use streamrel_types::{Error, Relation, Result, Row, Timestamp};
+use streamrel_types::{Error, Relation, Result, Row, Timestamp, Value};
 
 use crate::consistency::{ConsistencyMode, SnapshotSource};
-use crate::shared::{extract_shape, MemberId, SharedGroup, SharedRegistry, SHARED_INPUT};
+use crate::shared::{place, GroupRef, MemberId, Placement, SharedRegistry};
 use crate::window::{ClosedWindow, WindowBuffer};
 
 /// One window's result.
@@ -45,20 +44,19 @@ pub struct CqOutput {
 /// to apply stats and emit the `cq.close` trace event deterministically.
 pub struct WindowTask {
     plan: LogicalPlan,
-    /// Stream name bound to the window relation (`SHARED_INPUT` for the
-    /// post-aggregation plan of a shared CQ).
+    /// Stream name bound to the window relation ([`IVM_INPUT`] for the
+    /// post-anchor plan of a sliced CQ).
     input: String,
-    rel: Relation,
+    /// The window relation. A stream-table join delta resolves its match
+    /// counts against the same snapshot the post-plan reads, so it is
+    /// finalized in [`WindowTask::run`], not at staging time.
+    rel: WindowOutput,
     close: Timestamp,
     engine: Arc<StorageEngine>,
     consistency: ConsistencyMode,
     /// Snapshot pinned at CQ start (`QueryStart` mode only);
     /// `WindowBoundary` pins fresh at run time.
     snapshot: Option<Snapshot>,
-    /// IVM stream-table join delta: match counts must resolve against the
-    /// same snapshot the post-plan reads, so finalize happens here, not at
-    /// staging time.
-    delta: Option<Box<JoinDelta>>,
 }
 
 impl WindowTask {
@@ -67,13 +65,10 @@ impl WindowTask {
         self.close
     }
 
-    /// Rows in the staged window relation (for trace accounting). For an
-    /// IVM join task this is the staged delta entry count.
+    /// Rows in the staged window relation (for trace accounting). For a
+    /// join delta this is the staged entry count.
     pub fn input_rows(&self) -> usize {
-        match &self.delta {
-            Some(d) => d.len(),
-            None => self.rel.len(),
-        }
+        self.rel.len()
     }
 
     /// Evaluate the staged window. Side-effect free: reads only the
@@ -88,12 +83,12 @@ impl WindowTask {
             ),
         };
         let finalized;
-        let input_rel = match &self.delta {
-            Some(d) => {
-                finalized = d.finalize(&source as &dyn RelationSource)?;
+        let input_rel = match &self.rel {
+            WindowOutput::Ready(rel) => rel,
+            WindowOutput::NeedsTable(delta) => {
+                finalized = delta.finalize(&source as &dyn RelationSource)?;
                 &finalized
             }
-            None => &self.rel,
         };
         let ctx = ExecContext::window(
             &source as &dyn RelationSource,
@@ -126,39 +121,22 @@ pub struct CqStats {
     pub rows_out: u64,
 }
 
-/// How the CQ computes window results.
+/// Where a window's tuples live until close.
 pub enum ExecMode {
     /// Buffer raw tuples per window; run the whole plan at each close.
     Unshared { buffer: WindowBuffer },
-    /// Aggregate into shared slices; at close, compose the aggregate
-    /// output from slices and run only the post-aggregation plan.
-    Shared {
-        group: Arc<Mutex<SharedGroup>>,
+    /// Member of a slice store: whoever feeds the stream folds each tuple
+    /// into the store once; this CQ only tracks its window boundaries,
+    /// composes the anchor output from slices at each close, and runs the
+    /// post-anchor plan over it.
+    Sliced {
+        group: GroupRef,
         member: MemberId,
         post_plan: LogicalPlan,
-        visible: i64,
         advance: i64,
         next_close: Option<Timestamp>,
-        max_ts: Timestamp,
-    },
-    /// Maintain incremental operator state per tuple (delta processing);
-    /// at close, compose the anchor output from slices and run only the
-    /// post-anchor plan. Unlike `Shared`, the state is private to this CQ
-    /// and the CQ folds tuples itself in `stage_tuple`.
-    Ivm {
-        /// Boxed: slice maps dwarf every other variant's footprint.
-        state: Box<IvmState>,
-        post_plan: LogicalPlan,
-        visible: i64,
-        advance: i64,
-        next_close: Option<Timestamp>,
-        max_ts: Timestamp,
-        /// `ivm.delta.rows` counter (cached: no registry lookup per tuple).
-        delta_rows: Arc<Counter>,
-        /// `ivm.state.bytes` gauge, refreshed at close boundaries.
+        /// `ivm.state.bytes` gauge, settled at close boundaries.
         state_bytes: Arc<Gauge>,
-        /// Rows already reported to `delta_rows`.
-        reported: u64,
     },
 }
 
@@ -250,197 +228,133 @@ impl ContinuousQuery {
         self.stats
     }
 
-    /// True if this CQ runs in shared-slice mode.
-    pub fn is_shared(&self) -> bool {
-        matches!(self.mode, ExecMode::Shared { .. })
-    }
-
-    /// True if this CQ maintains incremental (IVM) state.
-    pub fn is_ivm(&self) -> bool {
-        matches!(self.mode, ExecMode::Ivm { .. })
-    }
-
-    /// Approximate bytes of live IVM state (0 in other modes).
-    pub fn ivm_state_bytes(&self) -> usize {
+    /// The slice store (behind its membership) this CQ is a member of, if
+    /// it is sliced. Whoever feeds the CQ folds each tuple into each
+    /// distinct store once.
+    pub fn group(&self) -> Option<&GroupRef> {
         match &self.mode {
-            ExecMode::Ivm { state, .. } => state.state_bytes(),
-            _ => 0,
+            ExecMode::Sliced { group, .. } => Some(group),
+            ExecMode::Unshared { .. } => None,
         }
     }
 
-    /// Attempt to lower this CQ to incremental view maintenance. Returns
-    /// true on success. Must be called before any tuple flows, and after
-    /// [`ContinuousQuery::try_share`] — a shared CQ already processes
-    /// tuples once per *group*, which dominates per-CQ IVM state.
-    /// Bumps `ivm.lowered` / `ivm.fallback` and records the decision (and
-    /// any fallback reason) on the trace ring.
-    pub fn try_lower_ivm(&mut self) -> bool {
-        if self.stats.tuples_in > 0 || self.is_shared() || self.is_ivm() {
-            return false;
+    /// Decide where this CQ's window state lives ([`place`]) and act on
+    /// it: a plan that lowers becomes a member of a slice store — the
+    /// pooled store for its shape under `sharing`, else a private one —
+    /// and the store is returned so the caller can feed it; any other
+    /// plan keeps its re-evaluation buffer. Must be called before any
+    /// tuple flows. Bumps `ivm.lowered` / `ivm.fallback` and records the
+    /// decision (and any fallback reason) on the trace ring.
+    pub fn place(
+        &mut self,
+        sharing: bool,
+        ivm: bool,
+        registry: &mut SharedRegistry,
+    ) -> Option<GroupRef> {
+        if self.stats.tuples_in > 0 || self.group().is_some() {
+            return None;
         }
-        let WindowSpec::Time { visible, advance } = self.window else {
-            return false;
-        };
         let metrics = IvmMetrics::register(self.engine.metrics());
-        match lower(&self.plan) {
-            Lowering::Lowered(p) => {
-                metrics.lowered.inc();
-                self.engine.metrics().trace().record(
-                    "cq.ivm",
-                    &self.name,
-                    format!("visible={visible} advance={advance}"),
-                    0,
-                );
-                self.mode = ExecMode::Ivm {
-                    state: Box::new(IvmState::new(&p)),
-                    post_plan: p.post_plan,
-                    visible: p.visible,
-                    advance: p.advance,
-                    next_close: None,
-                    max_ts: i64::MIN,
-                    delta_rows: metrics.delta_rows,
-                    state_bytes: metrics.state_bytes,
-                    reported: 0,
-                };
-                true
+        let trace = self.engine.metrics().trace();
+        match place(&self.plan, sharing, ivm, Some(registry)) {
+            Placement::Reeval(reason) => {
+                if ivm {
+                    metrics.fallback.inc();
+                    trace.record("cq.ivm.fallback", &self.name, reason.to_string(), 0);
+                }
+                None
             }
-            Lowering::Fallback(reason) => {
-                metrics.fallback.inc();
-                self.engine.metrics().trace().record(
-                    "cq.ivm.fallback",
+            Placement::Sliced {
+                program,
+                grid_mismatch,
+            } => {
+                let (group, member, pooled) =
+                    registry.join(&program, sharing && grid_mismatch.is_none());
+                metrics.lowered.inc();
+                trace.record(
+                    if pooled { "cq.share" } else { "cq.ivm" },
                     &self.name,
-                    reason.to_string(),
+                    format!("visible={} advance={}", program.visible, program.advance),
                     0,
                 );
-                false
+                self.mode = ExecMode::Sliced {
+                    group: group.clone(),
+                    member,
+                    post_plan: program.post_plan,
+                    advance: program.advance,
+                    next_close: None,
+                    state_bytes: metrics.state_bytes,
+                };
+                Some(group)
             }
         }
     }
 
-    /// Attempt to convert this CQ to shared-slice execution through the
-    /// registry. Returns true on success. Must be called before any tuple
-    /// flows (re-slicing live groups is refused).
-    pub fn try_share(&mut self, registry: &mut SharedRegistry) -> bool {
-        if self.stats.tuples_in > 0 {
-            return false;
-        }
-        let WindowSpec::Time { visible, advance } = self.window else {
-            return false;
-        };
-        let Some((shape, post_plan)) = extract_shape(&self.plan) else {
-            return false;
-        };
-        let group = registry.group_for(shape);
-        let member = match group.lock().register(visible, advance) {
-            Ok(m) => m,
-            Err(_) => return false,
-        };
-        self.mode = ExecMode::Shared {
+    /// Leave the slice store (the CQ is being torn down): this member's
+    /// window stops pinning the store's eviction horizon. Returns the
+    /// store when this was its last member, so the caller can drop it
+    /// from the registry and the shard.
+    pub fn leave(&self) -> Option<GroupRef> {
+        let ExecMode::Sliced {
             group,
             member,
-            post_plan,
-            visible,
-            advance,
-            next_close: None,
-            max_ts: i64::MIN,
+            state_bytes,
+            ..
+        } = &self.mode
+        else {
+            return None;
         };
-        self.engine.metrics().trace().record(
-            "cq.share",
-            &self.name,
-            format!("visible={visible} advance={advance}"),
-            0,
-        );
-        true
+        let mut g = group.lock();
+        let last = g.leave(*member);
+        state_bytes.add(g.settle_bytes());
+        last.then(|| group.clone())
     }
 
-    /// In shared mode, the group the CQ belongs to (the orchestrator feeds
-    /// tuples to each distinct group once).
-    pub fn shared_group(&self) -> Option<Arc<Mutex<SharedGroup>>> {
-        match &self.mode {
-            ExecMode::Shared { group, .. } => Some(group.clone()),
-            _ => None,
-        }
-    }
-
-    /// Push one tuple.
-    ///
-    /// Unshared mode: the tuple is buffered and any windows it closes are
-    /// executed. Shared mode: the tuple is assumed already folded into the
-    /// group by the orchestrator (once per group!); this call only advances
-    /// this member's window boundaries.
-    pub fn on_tuple(&mut self, row: Row) -> Result<Vec<CqOutput>> {
-        let tasks = self.stage_tuple(row)?;
-        self.run_staged(tasks)
-    }
-
-    /// Stage the windows one tuple closes, without evaluating them.
-    pub fn stage_tuple(&mut self, row: Row) -> Result<Vec<WindowTask>> {
+    /// Stage the windows one tuple closes, without evaluating them. A
+    /// re-evaluating CQ buffers the tuple (cloning a borrowed one); a
+    /// sliced CQ reads only its timestamp — its store already holds it.
+    pub fn stage_tuple<'r>(&mut self, row: impl Into<Cow<'r, [Value]>>) -> Result<Vec<WindowTask>> {
+        let row = row.into();
         self.stats.tuples_in += 1;
         match &mut self.mode {
             ExecMode::Unshared { buffer } => {
-                let closes = buffer.push(row)?;
+                let closes = buffer.push(row.into_owned())?;
                 self.stage_closed(closes)
             }
-            ExecMode::Shared { .. } => {
-                let ts = match self.cqtime {
-                    Some(i) => row
-                        .get(i)
-                        .ok_or_else(|| Error::stream("row too short for CQTIME"))?
-                        .as_timestamp()?,
-                    None => return Err(Error::stream("shared CQ requires CQTIME")),
-                };
-                self.stage_shared(ts)
-            }
-            ExecMode::Ivm { .. } => {
-                let ts = match self.cqtime {
-                    Some(i) => row
-                        .get(i)
-                        .ok_or_else(|| Error::stream("row too short for CQTIME"))?
-                        .as_timestamp()?,
-                    None => return Err(Error::stream("incremental CQ requires CQTIME")),
-                };
-                self.stage_ivm(Some(row), ts)
+            ExecMode::Sliced { .. } => {
+                let ts = self
+                    .cqtime
+                    .and_then(|i| row.get(i))
+                    .ok_or_else(|| Error::stream("sliced CQ row has no CQTIME"))?
+                    .as_timestamp()?;
+                self.stage_sliced(ts)
             }
         }
     }
 
-    /// Shared-mode fast path: the orchestrator already folded the tuple
-    /// into the group; this member only needs the timestamp to advance its
-    /// window boundaries. Avoids cloning the row once per member CQ.
-    pub fn note_shared_tuple(&mut self, ts: Timestamp) -> Result<Vec<CqOutput>> {
-        let tasks = self.stage_note_shared(ts)?;
-        self.run_staged(tasks)
-    }
-
-    /// Staging form of [`ContinuousQuery::note_shared_tuple`].
-    pub fn stage_note_shared(&mut self, ts: Timestamp) -> Result<Vec<WindowTask>> {
-        debug_assert!(self.is_shared());
-        self.stats.tuples_in += 1;
-        self.stage_shared(ts)
-    }
-
-    /// Advance event time without a tuple (heartbeat / punctuation).
-    pub fn on_heartbeat(&mut self, ts: Timestamp) -> Result<Vec<CqOutput>> {
-        let tasks = self.stage_heartbeat(ts)?;
-        self.run_staged(tasks)
-    }
-
-    /// Stage the windows a heartbeat closes, without evaluating them.
+    /// Stage the windows a heartbeat (punctuation: event time advancing
+    /// without a tuple) closes, without evaluating them.
     pub fn stage_heartbeat(&mut self, ts: Timestamp) -> Result<Vec<WindowTask>> {
         match &mut self.mode {
             ExecMode::Unshared { buffer } => {
                 let closes = buffer.advance_to(ts);
                 self.stage_closed(closes)
             }
-            ExecMode::Shared { .. } => self.stage_shared(ts),
-            ExecMode::Ivm { .. } => self.stage_ivm(None, ts),
+            ExecMode::Sliced { .. } => self.stage_sliced(ts),
         }
     }
 
-    /// Push an upstream result batch (CQ over a derived stream).
+    /// Push an upstream result batch (CQ over a derived stream) and
+    /// evaluate the windows it closes inline — the serial cascade.
     pub fn on_batch(&mut self, close: Timestamp, rows: Vec<Row>) -> Result<Vec<CqOutput>> {
         let tasks = self.stage_batch(close, rows)?;
-        self.run_staged(tasks)
+        let mut outputs = Vec::with_capacity(tasks.len());
+        for task in tasks {
+            let out = task.run()?;
+            self.finish_window(task.input_rows(), &out);
+            outputs.push(out);
+        }
+        Ok(outputs)
     }
 
     /// Stage the windows an upstream result batch closes.
@@ -451,13 +365,10 @@ impl ContinuousQuery {
                 let closes = buffer.push_batch(close, rows);
                 self.stage_closed(closes)
             }
-            ExecMode::Shared { .. } => Err(Error::stream(
-                "shared mode does not consume derived batches",
-            )),
             // Unreachable in practice: the lowering pass refuses derived
-            // streams, so a batch-fed CQ never enters IVM mode.
-            ExecMode::Ivm { .. } => Err(Error::stream(
-                "incremental mode does not consume derived batches",
+            // streams, so a batch-fed CQ is never sliced.
+            ExecMode::Sliced { .. } => Err(Error::stream(
+                "a sliced CQ does not consume derived batches",
             )),
         }
     }
@@ -478,17 +389,6 @@ impl ContinuousQuery {
         );
     }
 
-    /// Inline evaluation of staged tasks (the serial path).
-    fn run_staged(&mut self, tasks: Vec<WindowTask>) -> Result<Vec<CqOutput>> {
-        let mut outputs = Vec::with_capacity(tasks.len());
-        for task in tasks {
-            let out = task.run()?;
-            self.finish_window(task.input_rows(), &out);
-            outputs.push(out);
-        }
-        Ok(outputs)
-    }
-
     /// Resume after recovery: windows closing at or before `watermark`
     /// were already emitted (their results live in the Active Table).
     /// The next close is re-aligned to the advance grid in both modes —
@@ -499,29 +399,21 @@ impl ContinuousQuery {
         let next = match &mut self.mode {
             ExecMode::Unshared { buffer } => {
                 buffer.resume_after(watermark);
-                None
+                buffer.next_close()
             }
-            ExecMode::Shared {
+            ExecMode::Sliced {
                 next_close,
                 advance,
-                max_ts,
-                ..
-            }
-            | ExecMode::Ivm {
-                next_close,
-                advance,
-                max_ts,
                 ..
             } => {
                 *next_close = Some(crate::window::align_next_close(watermark, *advance));
-                *max_ts = (*max_ts).max(watermark);
                 *next_close
             }
         };
         self.engine.metrics().trace().record(
             "cq.resume",
             &self.name,
-            match next.or_else(|| self.next_close_hint()) {
+            match next {
                 Some(c) => format!("watermark={watermark} next_close={c}"),
                 None => format!("watermark={watermark}"),
             },
@@ -529,150 +421,53 @@ impl ContinuousQuery {
         );
     }
 
-    /// The next close boundary, if already fixed (trace/debug only).
-    fn next_close_hint(&self) -> Option<Timestamp> {
-        match &self.mode {
-            ExecMode::Unshared { buffer } => buffer.next_close(),
-            ExecMode::Shared { next_close, .. } | ExecMode::Ivm { next_close, .. } => *next_close,
-        }
-    }
-
-    /// Stage shared-mode windows up to `ts`. The aggregate relation is
-    /// composed from slices *at staging time* (under the group lock, so
-    /// member progress and eviction stay ordered); only the post-plan
-    /// execution is deferred to the task.
-    fn stage_shared(&mut self, ts: Timestamp) -> Result<Vec<WindowTask>> {
-        // Collect the boundary crossings first (cheap, per tuple), and
-        // only clone the execution state when a window actually closed.
-        let (group, member, post_plan, closes) = match &mut self.mode {
-            ExecMode::Shared {
-                group,
-                member,
-                post_plan,
-                advance,
-                next_close,
-                max_ts,
-                ..
-            } => {
-                *max_ts = (*max_ts).max(ts);
-                let a = *advance;
-                let mut boundary = match *next_close {
-                    Some(c) => c,
-                    None => (ts.div_euclid(a) + 1) * a,
-                };
-                if boundary > ts {
-                    *next_close = Some(boundary);
-                    return Ok(Vec::new());
-                }
-                let mut closes = Vec::new();
-                while boundary <= ts {
-                    closes.push(boundary);
-                    boundary += a;
-                }
-                *next_close = Some(boundary);
-                (group.clone(), *member, post_plan.clone(), closes)
-            }
-            _ => unreachable!(),
+    /// Stage a sliced CQ's windows up to `ts`. The anchor output is
+    /// composed from slices *at staging time* (under the store lock, so
+    /// member progress and eviction stay ordered); only the post-plan —
+    /// and a join delta's match counting, which needs the boundary
+    /// snapshot — is deferred to the task. Composing after the fold is
+    /// safe: closes are slice boundaries, so a tuple at `ts >= close`
+    /// lands in a slice outside the `[close - visible, close)` range.
+    fn stage_sliced(&mut self, ts: Timestamp) -> Result<Vec<WindowTask>> {
+        let ExecMode::Sliced {
+            group,
+            member,
+            post_plan,
+            advance,
+            next_close,
+            state_bytes,
+        } = &mut self.mode
+        else {
+            unreachable!("stage_sliced on a re-evaluating CQ");
         };
-        let mut tasks = Vec::with_capacity(closes.len());
-        for close in closes {
-            let agg_rel = {
-                let mut g = group.lock();
-                let rel = g.window_result(member, close)?;
-                g.member_progress(member, close + self.advance_of());
+        let a = *advance;
+        let mut boundary = next_close.unwrap_or_else(|| (ts.div_euclid(a) + 1) * a);
+        // The per-tuple path: no boundary crossed, nothing to lock or clone.
+        if boundary > ts {
+            *next_close = Some(boundary);
+            return Ok(Vec::new());
+        }
+        let mut staged = Vec::new();
+        {
+            let mut g = group.lock();
+            while boundary <= ts {
+                staged.push((boundary, g.window_result(*member, boundary)?));
+                boundary += a;
+                // The horizon follows the *next* window's low edge,
+                // matching the re-evaluation buffer's eviction rule.
+                g.member_progress(*member, boundary);
                 g.evict();
-                rel
-            };
-            tasks.push(self.make_task(post_plan.clone(), SHARED_INPUT.to_string(), agg_rel, close));
-        }
-        Ok(tasks)
-    }
-
-    /// Stage IVM-mode windows up to `ts`, folding `row` (if any) into the
-    /// slice state first. Fold-before-close is safe for the same reason it
-    /// is in shared mode: closes are slice boundaries, so a tuple at
-    /// `ts >= close` lands in a slice outside the `[close - visible,
-    /// close)` compose range. Aggregate/DISTINCT anchors compose at staging
-    /// time (`Ready`); stream-table join anchors defer match counting to
-    /// the task (`NeedsTable`), where the boundary snapshot is pinned.
-    fn stage_ivm(&mut self, row: Option<Row>, ts: Timestamp) -> Result<Vec<WindowTask>> {
-        let (post_plan, staged) = match &mut self.mode {
-            ExecMode::Ivm {
-                state,
-                post_plan,
-                visible,
-                advance,
-                next_close,
-                max_ts,
-                delta_rows,
-                state_bytes,
-                reported,
-            } => {
-                if let Some(r) = &row {
-                    state.on_tuple(r)?;
-                    let folded = state.delta_rows();
-                    delta_rows.add(folded - *reported);
-                    *reported = folded;
-                }
-                *max_ts = (*max_ts).max(ts);
-                let a = *advance;
-                let mut boundary = match *next_close {
-                    Some(c) => c,
-                    None => (ts.div_euclid(a) + 1) * a,
-                };
-                if boundary > ts {
-                    *next_close = Some(boundary);
-                    return Ok(Vec::new());
-                }
-                let mut staged = Vec::new();
-                while boundary <= ts {
-                    let out = state.window_result(boundary)?;
-                    // Horizon of the *next* window: its low edge is
-                    // (boundary + advance) - visible, matching the
-                    // unshared buffer's eviction rule.
-                    state.evict(boundary + a - *visible);
-                    staged.push((boundary, out));
-                    boundary += a;
-                }
-                *next_close = Some(boundary);
-                state_bytes.set(state.state_bytes() as i64);
-                (post_plan.clone(), staged)
             }
-            _ => unreachable!(),
-        };
-        let mut tasks = Vec::with_capacity(staged.len());
-        for (close, out) in staged {
-            match out {
-                WindowOutput::Ready(rel) => {
-                    tasks.push(self.make_task(
-                        post_plan.clone(),
-                        IVM_INPUT.to_string(),
-                        rel,
-                        close,
-                    ));
-                }
-                WindowOutput::NeedsTable(delta) => {
-                    let schema = stream_scan_schema(&post_plan)
-                        .ok_or_else(|| Error::stream("ivm post-plan lost its delta scan"))?;
-                    let mut task = self.make_task(
-                        post_plan.clone(),
-                        IVM_INPUT.to_string(),
-                        Relation::empty(schema),
-                        close,
-                    );
-                    task.delta = Some(delta);
-                    tasks.push(task);
-                }
-            }
+            state_bytes.add(g.settle_bytes());
         }
-        Ok(tasks)
-    }
-
-    fn advance_of(&self) -> i64 {
-        match self.window {
-            WindowSpec::Time { advance, .. } => advance,
-            _ => 0,
-        }
+        *next_close = Some(boundary);
+        let post_plan = post_plan.clone();
+        Ok(staged
+            .into_iter()
+            .map(|(close, rel)| {
+                self.make_task(post_plan.clone(), IVM_INPUT.to_string(), rel, close)
+            })
+            .collect())
     }
 
     /// Stage unshared windows: each closed window's rows become a task.
@@ -684,7 +479,7 @@ impl ContinuousQuery {
             .ok_or_else(|| Error::stream("plan lost its stream scan"))?;
         let mut tasks = Vec::with_capacity(closes.len());
         for cw in closes {
-            let rel = Relation::new(schema.clone(), cw.rows);
+            let rel = WindowOutput::Ready(Relation::new(schema.clone(), cw.rows));
             tasks.push(self.make_task(self.plan.clone(), self.stream.clone(), rel, cw.close));
         }
         Ok(tasks)
@@ -694,7 +489,7 @@ impl ContinuousQuery {
         &self,
         plan: LogicalPlan,
         input: String,
-        rel: Relation,
+        rel: WindowOutput,
         close: Timestamp,
     ) -> WindowTask {
         WindowTask {
@@ -705,7 +500,6 @@ impl ContinuousQuery {
             engine: self.engine.clone(),
             consistency: self.consistency,
             snapshot: self.start_snapshot.clone(),
-            delta: None,
         }
     }
 }
@@ -790,6 +584,47 @@ mod tests {
 
     fn tup(url: &str, ts: i64) -> Row {
         row![url, Value::Timestamp(ts)]
+    }
+
+    /// The one test driver: feed the CQ the way the engine does — fold
+    /// the tuple into its slice store (if it has one), stage — and run
+    /// the staged tasks inline.
+    trait Drive {
+        fn on_tuple(&mut self, row: Row) -> Result<Vec<CqOutput>>;
+        fn on_heartbeat(&mut self, ts: Timestamp) -> Result<Vec<CqOutput>>;
+    }
+
+    impl Drive for ContinuousQuery {
+        fn on_tuple(&mut self, row: Row) -> Result<Vec<CqOutput>> {
+            if let Some(group) = self.group() {
+                group.lock().on_tuple(&row)?;
+            }
+            let tasks = self.stage_tuple(row)?;
+            run_staged(self, tasks)
+        }
+
+        fn on_heartbeat(&mut self, ts: Timestamp) -> Result<Vec<CqOutput>> {
+            let tasks = self.stage_heartbeat(ts)?;
+            run_staged(self, tasks)
+        }
+    }
+
+    fn run_staged(cq: &mut ContinuousQuery, tasks: Vec<WindowTask>) -> Result<Vec<CqOutput>> {
+        let mut outputs = Vec::with_capacity(tasks.len());
+        for task in tasks {
+            let out = task.run()?;
+            cq.finish_window(task.input_rows(), &out);
+            outputs.push(out);
+        }
+        Ok(outputs)
+    }
+
+    /// Place `cq` on a slice store: pooled through `registry`, or private.
+    fn sliced(mut cq: ContinuousQuery, sharing: bool) -> ContinuousQuery {
+        assert!(cq
+            .place(sharing, true, &mut SharedRegistry::new())
+            .is_some());
+        cq
     }
 
     #[test]
@@ -914,62 +749,45 @@ mod tests {
     }
 
     #[test]
-    fn shared_mode_matches_unshared_results() {
+    fn sliced_mode_matches_reeval_results() {
         let (p, e) = setup();
         let sql = "SELECT url, count(*) c FROM url_stream \
                    <VISIBLE '2 minutes' ADVANCE '1 minute'> GROUP BY url \
                    ORDER BY c DESC, url";
-        let mut unshared = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary);
-        let mut shared = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary);
-        let mut registry = SharedRegistry::new();
-        assert!(shared.try_share(&mut registry));
-        assert!(shared.is_shared());
-        let group = shared.shared_group().unwrap();
-
-        let tuples: Vec<Row> = (0..300)
-            .map(|i| tup(if i % 3 == 0 { "/a" } else { "/b" }, i * 1_000_000))
+        for sharing in [true, false] {
+            let mut reeval = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary);
+            let cq = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary);
+            let mut sliced = sliced(cq, sharing);
+            let mut out_r = Vec::new();
+            let mut out_s = Vec::new();
+            for i in 0..300 {
+                let t = tup(if i % 3 == 0 { "/a" } else { "/b" }, i * 1_000_000);
+                out_r.extend(reeval.on_tuple(t.clone()).unwrap());
+                out_s.extend(sliced.on_tuple(t).unwrap());
+            }
+            assert!(!out_r.is_empty());
+            assert_eq!(out_r.len(), out_s.len());
+            for (r, s) in out_r.iter().zip(&out_s) {
+                assert_eq!(r.close, s.close);
+                assert_eq!(r.relation.rows(), s.relation.rows(), "at close {}", r.close);
+            }
+        }
+        assert_eq!(e.metrics().counter("ivm.lowered").get(), 2);
+        let kinds: Vec<String> = e
+            .metrics()
+            .trace()
+            .dump()
+            .into_iter()
+            .map(|ev| ev.kind)
             .collect();
-        let mut out_u = Vec::new();
-        let mut out_s = Vec::new();
-        for t in tuples {
-            out_u.extend(unshared.on_tuple(t.clone()).unwrap());
-            // Orchestrator folds the tuple into the group once...
-            group.lock().on_tuple(&t).unwrap();
-            // ...then advances the member.
-            out_s.extend(shared.on_tuple(t).unwrap());
-        }
-        assert_eq!(out_u.len(), out_s.len());
-        for (u, s) in out_u.iter().zip(&out_s) {
-            assert_eq!(u.close, s.close);
-            assert_eq!(u.relation.rows(), s.relation.rows(), "at close {}", u.close);
-        }
-    }
-
-    #[test]
-    fn ivm_mode_matches_unshared_results() {
-        let (p, e) = setup();
-        let sql = "SELECT url, count(*) c FROM url_stream \
-                   <VISIBLE '2 minutes' ADVANCE '1 minute'> GROUP BY url \
-                   ORDER BY c DESC, url";
-        let mut reeval = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary);
-        let mut ivm = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary);
-        assert!(ivm.try_lower_ivm());
-        assert!(ivm.is_ivm());
-
-        let mut out_r = Vec::new();
-        let mut out_i = Vec::new();
-        for i in 0..300 {
-            let t = tup(if i % 3 == 0 { "/a" } else { "/b" }, i * 1_000_000);
-            out_r.extend(reeval.on_tuple(t.clone()).unwrap());
-            out_i.extend(ivm.on_tuple(t).unwrap());
-        }
-        assert_eq!(out_r.len(), out_i.len());
-        for (r, i) in out_r.iter().zip(&out_i) {
-            assert_eq!(r.close, i.close);
-            assert_eq!(r.relation.rows(), i.relation.rows(), "at close {}", r.close);
-        }
-        assert_eq!(e.metrics().counter("ivm.lowered").get(), 1);
-        assert!(e.metrics().counter("ivm.delta.rows").get() >= 300);
+        assert!(
+            kinds.iter().any(|k| k == "cq.share"),
+            "pooled placement traced"
+        );
+        assert!(
+            kinds.iter().any(|k| k == "cq.ivm"),
+            "private placement traced"
+        );
     }
 
     #[test]
@@ -986,8 +804,10 @@ mod tests {
                    <VISIBLE '2 minutes' ADVANCE '1 minute'> s \
                    JOIN url_dim d ON s.url = d.url GROUP BY s.url";
         let mut reeval = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary);
-        let mut ivm = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary);
-        assert!(ivm.try_lower_ivm());
+        let mut ivm = sliced(
+            make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary),
+            false,
+        );
 
         let mut out_r = Vec::new();
         let mut out_i = Vec::new();
@@ -1013,20 +833,6 @@ mod tests {
     }
 
     #[test]
-    fn ivm_resume_realigns_next_close() {
-        let (p, e) = setup();
-        let sql = "SELECT url, count(*) c FROM url_stream \
-                   <TUMBLING '1 minute'> GROUP BY url";
-        let mut cq = make_cq(&p, e, sql, ConsistencyMode::WindowBoundary);
-        assert!(cq.try_lower_ivm());
-        cq.resume_after(5 * MINUTES + 17);
-        cq.on_tuple(tup("/a", 5 * MINUTES + 30_000_000)).unwrap();
-        let outs = cq.on_heartbeat(7 * MINUTES).unwrap();
-        let closes: Vec<Timestamp> = outs.iter().map(|o| o.close).collect();
-        assert_eq!(closes, vec![6 * MINUTES, 7 * MINUTES]);
-    }
-
-    #[test]
     fn ineligible_plan_does_not_lower_and_counts_fallback() {
         let (p, e) = setup();
         let mut cq = make_cq(
@@ -1035,8 +841,12 @@ mod tests {
             "SELECT url FROM url_stream <TUMBLING '1 minute'> WHERE url LIKE '/a%'",
             ConsistencyMode::WindowBoundary,
         );
-        assert!(!cq.try_lower_ivm());
-        assert!(!cq.is_ivm());
+        let mut registry = SharedRegistry::new();
+        // With IVM off the plan is never even considered: no counter.
+        assert!(cq.place(true, false, &mut registry).is_none());
+        assert_eq!(e.metrics().counter("ivm.fallback").get(), 0);
+        assert!(cq.place(true, true, &mut registry).is_none());
+        assert!(cq.group().is_none() && registry.is_empty());
         assert_eq!(e.metrics().counter("ivm.fallback").get(), 1);
         let events = e.metrics().trace().dump();
         assert!(events.iter().any(|ev| ev.kind == "cq.ivm.fallback"));
@@ -1047,28 +857,32 @@ mod tests {
     }
 
     #[test]
-    fn shared_cq_refuses_ivm_lowering() {
+    fn placement_is_decided_once_and_leave_empties_the_store() {
         let (p, e) = setup();
         let sql = "SELECT url, count(*) c FROM url_stream \
                    <TUMBLING '1 minute'> GROUP BY url";
-        let mut cq = make_cq(&p, e, sql, ConsistencyMode::WindowBoundary);
         let mut registry = SharedRegistry::new();
-        assert!(cq.try_share(&mut registry));
-        assert!(!cq.try_lower_ivm(), "sharing wins over per-CQ IVM state");
-        assert!(cq.is_shared());
-    }
-
-    #[test]
-    fn non_aggregate_plan_cannot_share() {
-        let (p, e) = setup();
-        let mut cq = make_cq(
-            &p,
-            e,
-            "SELECT url FROM url_stream <TUMBLING '1 minute'> WHERE url LIKE '/a%'",
-            ConsistencyMode::WindowBoundary,
+        let mut a = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary);
+        let mut b = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary);
+        let store = a.place(true, true, &mut registry).unwrap();
+        assert!(Arc::ptr_eq(
+            &store,
+            &b.place(true, true, &mut registry).unwrap()
+        ));
+        assert!(
+            a.place(true, true, &mut registry).is_none(),
+            "already placed"
         );
-        let mut registry = SharedRegistry::new();
-        assert!(!cq.try_share(&mut registry));
+        assert_eq!(e.metrics().counter("ivm.lowered").get(), 2);
+
+        a.on_tuple(tup("/a", 5)).unwrap();
+        a.on_heartbeat(MINUTES).unwrap();
+        assert!(e.metrics().gauge("ivm.state.bytes").get() > 0);
+        assert!(a.leave().is_none(), "a sibling still reads the store");
+        let emptied = b.leave().expect("last member out");
+        assert!(Arc::ptr_eq(&emptied, &store));
+        assert_eq!(store.lock().store().slice_count(), 0);
+        assert_eq!(e.metrics().gauge("ivm.state.bytes").get(), 0);
     }
 
     #[test]
@@ -1089,10 +903,10 @@ mod tests {
 
     #[test]
     fn resume_after_unaligned_watermark_realigns_both_modes() {
-        // Regression: shared-mode resume used to set next_close to
-        // watermark + advance, drifting every later close off the advance
-        // grid when the recovered watermark was unaligned (mid-window
-        // crash). Both modes must round UP to the next multiple.
+        // Regression: sliced resume used to set next_close to watermark +
+        // advance, drifting every later close off the advance grid when
+        // the recovered watermark was unaligned (mid-window crash). Both
+        // modes must round UP to the next multiple.
         let (p, e) = setup();
         let sql = "SELECT url, count(*) c FROM url_stream \
                    <TUMBLING '1 minute'> GROUP BY url";
@@ -1104,22 +918,18 @@ mod tests {
         let closes: Vec<Timestamp> = outs.iter().map(|o| o.close).collect();
         assert_eq!(closes, vec![6 * MINUTES, 7 * MINUTES]);
 
-        let mut shared = make_cq(&p, e, sql, ConsistencyMode::WindowBoundary);
-        let mut registry = SharedRegistry::new();
-        assert!(shared.try_share(&mut registry));
+        let mut shared = sliced(make_cq(&p, e, sql, ConsistencyMode::WindowBoundary), true);
         shared.resume_after(unaligned);
-        let group = shared.shared_group().unwrap();
         let mut outs = Vec::new();
         for i in 0..3 {
             let t = tup("/a", 5 * MINUTES + 30_000_000 + i * MINUTES);
-            group.lock().on_tuple(&t).unwrap();
             outs.extend(shared.on_tuple(t).unwrap());
         }
         let closes: Vec<Timestamp> = outs.iter().map(|o| o.close).collect();
         assert_eq!(
             closes,
             vec![6 * MINUTES, 7 * MINUTES],
-            "shared-mode closes must stay on the advance grid after resume"
+            "sliced closes must stay on the advance grid after resume"
         );
     }
 
@@ -1145,18 +955,13 @@ mod tests {
     }
 
     #[test]
-    fn shared_cq_stats_track_tuples_and_windows() {
+    fn sliced_cq_stats_track_tuples_and_windows() {
         let (p, e) = setup();
         let sql = "SELECT url, count(*) c FROM url_stream \
                    <TUMBLING '1 minute'> GROUP BY url";
-        let mut cq = make_cq(&p, e, sql, ConsistencyMode::WindowBoundary);
-        let mut registry = SharedRegistry::new();
-        assert!(cq.try_share(&mut registry));
-        let group = cq.shared_group().unwrap();
+        let mut cq = sliced(make_cq(&p, e, sql, ConsistencyMode::WindowBoundary), true);
         for i in 0..10 {
-            let t = tup("/a", i);
-            group.lock().on_tuple(&t).unwrap();
-            cq.on_tuple(t).unwrap();
+            cq.on_tuple(tup("/a", i)).unwrap();
         }
         let outs = cq.on_heartbeat(MINUTES).unwrap();
         assert_eq!(outs.len(), 1);

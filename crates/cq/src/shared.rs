@@ -1,174 +1,88 @@
-//! Shared slice-based aggregation — the paper's "Jellybean processing"
-//! (§2.2) and its refs \[4] (resource sharing in sliding-window aggregates)
-//! and \[12] (on-the-fly sharing for streamed aggregation).
+//! Slice-store membership — the paper's "Jellybean processing" (§2.2)
+//! and its refs \[4] (resource sharing in sliding-window aggregates) and
+//! \[12] (on-the-fly sharing for streamed aggregation).
 //!
-//! Many aggregate CQs over the same stream with the same filter, grouping
-//! and aggregate functions — but *different windows* — share one pass over
-//! the data: time is cut into slices of width `gcd(all VISIBLEs and
-//! ADVANCEs)`, one partial accumulator set is maintained per (slice,
-//! group), and each query's window result is composed by *merging* the
-//! slices it covers. Each arriving tuple is therefore aggregated once,
-//! regardless of how many CQs are registered: per-tuple cost is O(1) in
-//! the number of queries, which experiment E3 measures.
+//! Every lowered CQ is a *member* of a slice store
+//! ([`streamrel_ivm::IvmState`]): CQs whose lowered shapes agree — same
+//! stream, prefix ops and anchor, *different windows* — pool into one
+//! store, so each arriving tuple is folded once regardless of how many
+//! CQs are registered (per-tuple cost O(1) in the number of queries,
+//! which experiment E3 measures). A [`SharedGroup`] is that membership and
+//! nothing else: the member windows, the gcd slice width across them, and
+//! the slowest member's eviction horizon. The slices, the per-tuple fold
+//! and the slice-merge compose are the store's. With pooling off, or for
+//! a window a live store's grid cannot take, the pool has one member.
 //!
 //! Concurrency: a [`SharedGroup`] is owned by an `Arc<Mutex<_>>` held by
-//! the registry and by every member CQ's shard. Its declared place in
-//! the engine-wide lock order is the `g` slot of `db.rs`'s
-//! `catalog < state < g < subs`: a group lock is only ever taken after
-//! the catalog or shard-state lock and is never held across any other
-//! acquisition.
+//! the registry (pooled stores), by its stream's shard and by every
+//! member CQ. Its declared place in the engine-wide lock order is the `g`
+//! slot of `db.rs`'s `catalog < state < g < subs`: a group lock is only
+//! ever taken after the catalog or shard-state lock and is never held
+//! across any other acquisition.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::sync::Arc;
 
-use streamrel_exec::expr::{eval, eval_predicate, EvalContext};
-use streamrel_exec::Accumulator;
-use streamrel_sql::plan::{AggSpec, BoundExpr, LogicalPlan, SchemaRef, WindowSpec};
-use streamrel_types::{Error, Interval, Relation, Result, Row, Timestamp, Value};
+use parking_lot::Mutex;
 
-/// The shareable fragment of an aggregate CQ plan: everything at or below
-/// the Aggregate node.
-#[derive(Debug, Clone)]
-pub struct SharedShape {
-    /// Source stream name.
-    pub stream: String,
-    /// Stream schema (Aggregate input).
-    pub input_schema: SchemaRef,
-    /// CQTIME column position in the stream.
-    pub cqtime: usize,
-    /// Optional pre-aggregation filter.
-    pub filter: Option<BoundExpr>,
-    /// Group-by expressions over the stream row.
-    pub group_exprs: Vec<BoundExpr>,
-    /// Aggregate functions.
-    pub aggs: Vec<AggSpec>,
-    /// Output schema of the Aggregate node (`[groups..., aggs...]`).
-    pub agg_schema: SchemaRef,
-}
+use streamrel_ivm::{gcd, lower_with, IvmProgram, IvmShape, IvmState, Lowering, WindowOutput};
+use streamrel_sql::plan::LogicalPlan;
+use streamrel_types::{Error, Interval, Result, Row, Timestamp};
 
-impl SharedShape {
-    /// Stable fingerprint used to pool compatible queries.
-    pub fn fingerprint(&self) -> String {
-        format!(
-            "{}|{:?}|{:?}|{:?}",
-            self.stream.to_ascii_lowercase(),
-            self.filter,
-            self.group_exprs,
-            self.aggs
-        )
+/// Split a CQ plan into the shape a pooled store maintains plus the
+/// *post-plan* that consumes the composed anchor output — [`lower_with`]
+/// under pooling. `None` when the plan does not lower.
+pub fn extract_shape(plan: &LogicalPlan) -> Option<(IvmShape, LogicalPlan)> {
+    match lower_with(plan, true) {
+        Lowering::Lowered(p) => Some((p.shape, p.post_plan)),
+        Lowering::Fallback(_) => None,
     }
 }
 
-/// Try to split a CQ plan into a [`SharedShape`] plus a *post-plan* that
-/// consumes the Aggregate output. The post-plan's leaf is a `StreamScan`
-/// on the synthetic name [`SHARED_INPUT`]; at window close the runtime
-/// feeds it the relation composed from slices.
-///
-/// Returns `None` when the plan is not shareable: no aggregation, a
-/// non-trivial pipeline below the Aggregate, a row/slice window, or
-/// `cq_close(*)` used below the Aggregate (its value is unknown at slice
-/// time).
-pub fn extract_shape(plan: &LogicalPlan) -> Option<(SharedShape, LogicalPlan)> {
-    fn rewrite(plan: &LogicalPlan, found: &mut Option<SharedShape>) -> Option<LogicalPlan> {
-        match plan {
-            LogicalPlan::Aggregate {
-                input,
-                group_exprs,
-                aggs,
-                schema,
-            } => {
-                // Input must be StreamScan or Filter(StreamScan).
-                let (filter, scan) = match input.as_ref() {
-                    LogicalPlan::Filter { input, predicate } => {
-                        (Some(predicate.clone()), input.as_ref())
-                    }
-                    other => (None, other),
-                };
-                let LogicalPlan::StreamScan {
-                    stream,
-                    schema: in_schema,
-                    window,
-                    cqtime,
-                    ..
-                } = scan
-                else {
-                    return None;
-                };
-                let WindowSpec::Time { .. } = window else {
-                    return None;
-                };
-                let cqtime = (*cqtime)?;
-                // cq_close below the Aggregate cannot be sliced.
-                if filter.as_ref().is_some_and(BoundExpr::uses_cq_close)
-                    || group_exprs.iter().any(BoundExpr::uses_cq_close)
-                    || aggs
-                        .iter()
-                        .any(|a| a.arg.as_ref().is_some_and(BoundExpr::uses_cq_close))
-                {
-                    return None;
-                }
-                if found.is_some() {
-                    return None; // two aggregates: not shareable
-                }
-                *found = Some(SharedShape {
-                    stream: stream.clone(),
-                    input_schema: in_schema.clone(),
-                    cqtime,
-                    filter,
-                    group_exprs: group_exprs.clone(),
-                    aggs: aggs.clone(),
-                    agg_schema: schema.clone(),
-                });
-                Some(LogicalPlan::StreamScan {
-                    stream: SHARED_INPUT.to_string(),
-                    schema: schema.clone(),
-                    window: *window,
-                    cqtime: None,
-                    derived: false,
-                })
+/// `EXPLAIN CHECK`'s fallback reason when `DbOptions::ivm` is off.
+const REASON_DISABLED: &str = "incremental view maintenance disabled by engine options";
+
+/// Where a continuous plan's window state lives.
+pub enum Placement {
+    /// A raw window buffer, re-evaluated at each close; carries the stable
+    /// fallback reason.
+    Reeval(&'static str),
+    /// Slice-store membership.
+    Sliced {
+        /// The lowered program.
+        program: Box<IvmProgram>,
+        /// Slice width of the live pooled store this window cannot divide
+        /// into; the CQ then gets a private store.
+        grid_mismatch: Option<Interval>,
+    },
+}
+
+/// The one placement decision, shared by registration and `EXPLAIN
+/// CHECK`: `ivm` off means pure re-evaluation; otherwise every plan that
+/// lowers is sliced — pooled by shape fingerprint under `sharing`, on a
+/// private store without it.
+pub fn place(
+    plan: &LogicalPlan,
+    sharing: bool,
+    ivm: bool,
+    registry: Option<&SharedRegistry>,
+) -> Placement {
+    if !ivm {
+        return Placement::Reeval(REASON_DISABLED);
+    }
+    match lower_with(plan, sharing) {
+        Lowering::Fallback(reason) => Placement::Reeval(reason),
+        Lowering::Lowered(program) => {
+            let grid_mismatch = match registry {
+                Some(r) if sharing => r.grid_mismatch(&program),
+                _ => None,
+            };
+            Placement::Sliced {
+                program,
+                grid_mismatch,
             }
-            LogicalPlan::Filter { input, predicate } => Some(LogicalPlan::Filter {
-                input: Box::new(rewrite(input, found)?),
-                predicate: predicate.clone(),
-            }),
-            LogicalPlan::Project {
-                input,
-                exprs,
-                schema,
-            } => Some(LogicalPlan::Project {
-                input: Box::new(rewrite(input, found)?),
-                exprs: exprs.clone(),
-                schema: schema.clone(),
-            }),
-            LogicalPlan::Sort { input, keys } => Some(LogicalPlan::Sort {
-                input: Box::new(rewrite(input, found)?),
-                keys: keys.clone(),
-            }),
-            LogicalPlan::Limit { input, n } => Some(LogicalPlan::Limit {
-                input: Box::new(rewrite(input, found)?),
-                n: *n,
-            }),
-            LogicalPlan::Distinct { input } => Some(LogicalPlan::Distinct {
-                input: Box::new(rewrite(input, found)?),
-            }),
-            // Joins above the aggregate would need the aggregate on one
-            // side; keep those unshared for now.
-            _ => None,
         }
     }
-    let mut found = None;
-    let post = rewrite(plan, &mut found)?;
-    found.map(|s| (s, post))
-}
-
-/// Synthetic stream name the post-plan scans.
-pub const SHARED_INPUT: &str = "__shared_agg";
-
-/// Per-slice partial aggregation state.
-#[derive(Debug, Default)]
-struct SliceState {
-    groups: HashMap<Vec<Value>, Vec<Accumulator>>,
-    /// First-seen order for deterministic output.
-    order: Vec<Vec<Value>>,
 }
 
 /// Registered window requirements of one member query.
@@ -182,196 +96,124 @@ struct Member {
 /// Identifier of a member within its group.
 pub type MemberId = usize;
 
-/// One pool of compatible aggregate CQs sharing slice partials.
+/// The membership of one slice store: which windows it serves.
 pub struct SharedGroup {
-    shape: SharedShape,
-    slice_width: Interval,
-    slices: BTreeMap<Timestamp, SliceState>,
-    members: Vec<Member>,
-    /// Tuples folded in (shared work happens once, so this counts the
-    /// group's total per-tuple aggregation work).
-    pub tuples_processed: u64,
-}
-
-fn gcd(a: i64, b: i64) -> i64 {
-    let (mut a, mut b) = (a.abs(), b.abs());
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
+    store: IvmState,
+    /// Slot per [`MemberId`]; `None` once that member has left.
+    members: Vec<Option<Member>>,
+    /// Store bytes already reported to the `ivm.state.bytes` gauge.
+    reported_bytes: i64,
 }
 
 impl SharedGroup {
     /// New group for a shape; slice width starts unconstrained and is
     /// fixed by the first member.
-    pub fn new(shape: SharedShape) -> SharedGroup {
+    pub fn new(shape: IvmShape) -> SharedGroup {
         SharedGroup {
-            shape,
-            slice_width: 0,
-            slices: BTreeMap::new(),
+            store: IvmState::for_shape(shape),
             members: Vec::new(),
-            tuples_processed: 0,
+            reported_bytes: 0,
         }
     }
 
-    /// The shared shape.
-    pub fn shape(&self) -> &SharedShape {
-        &self.shape
+    /// The slice store (shape, width, slice count, fold and byte counts).
+    pub fn store(&self) -> &IvmState {
+        &self.store
     }
 
-    /// Current slice width (µs).
-    pub fn slice_width(&self) -> Interval {
-        self.slice_width
-    }
-
-    /// Number of live slices.
-    pub fn slice_count(&self) -> usize {
-        self.slices.len()
+    /// The slice width the store needs with a `(visible, advance)` member
+    /// added: the gcd across all member windows.
+    fn width_with(&self, visible: Interval, advance: Interval) -> Interval {
+        gcd(self.store.slice_width(), gcd(visible, advance))
     }
 
     /// Register a member window. Fails if data already flowed and the new
-    /// member needs finer slices than the group maintains (the caller then
-    /// runs that query unshared).
+    /// member needs finer slices than the store maintains (the caller
+    /// then gives that query a private store).
     pub fn register(&mut self, visible: Interval, advance: Interval) -> Result<MemberId> {
-        let needed = gcd(visible, advance);
-        let new_width = if self.slice_width == 0 {
-            needed
-        } else {
-            gcd(self.slice_width, needed)
-        };
-        if new_width != self.slice_width && !self.slices.is_empty() {
-            return Err(Error::stream(
-                "cannot re-slice a shared group that already holds data",
-            ));
-        }
-        self.slice_width = new_width;
-        self.members.push(Member {
+        self.store.reslice(self.width_with(visible, advance))?;
+        self.members.push(Some(Member {
             visible,
             next_close: None,
-        });
+        }));
         Ok(self.members.len() - 1)
     }
 
-    /// Fold one stream tuple into its slice (called once per tuple for the
-    /// whole group — this is where the sharing pays off).
-    pub fn on_tuple(&mut self, row: &Row) -> Result<()> {
-        debug_assert!(self.slice_width > 0, "no members registered");
-        let ectx = EvalContext::default();
-        if let Some(f) = &self.shape.filter {
-            if !eval_predicate(f, row, &ectx)? {
-                return Ok(());
-            }
+    /// Remove a member: its window no longer pins the eviction horizon.
+    /// Returns true when it was the last one — the store is then emptied,
+    /// and the caller drops it from the registry and the shard.
+    pub fn leave(&mut self, member: MemberId) -> bool {
+        self.members[member] = None;
+        let last = self.members.iter().all(Option::is_none);
+        if last {
+            self.store.evict(Timestamp::MAX);
+        } else {
+            self.evict();
         }
-        let ts = row
-            .get(self.shape.cqtime)
-            .ok_or_else(|| Error::stream("row too short for CQTIME"))?
-            .as_timestamp()?;
-        let slice_start = ts.div_euclid(self.slice_width) * self.slice_width;
-        let key: Vec<Value> = self
-            .shape
-            .group_exprs
-            .iter()
-            .map(|e| eval(e, row, &ectx))
-            .collect::<Result<_>>()?;
-        let aggs = &self.shape.aggs;
-        let slice = self.slices.entry(slice_start).or_default();
-        let accs = match slice.groups.get_mut(&key) {
-            Some(a) => a,
-            None => {
-                slice.order.push(key.clone());
-                slice
-                    .groups
-                    .entry(key.clone())
-                    .or_insert_with(|| aggs.iter().map(Accumulator::new).collect())
-            }
-        };
-        for (acc, spec) in accs.iter_mut().zip(aggs) {
-            match &spec.arg {
-                Some(arg) => {
-                    let v = eval(arg, row, &ectx)?;
-                    acc.update(Some(&v))?;
-                }
-                None => acc.update(None)?,
-            }
-        }
-        self.tuples_processed += 1;
-        Ok(())
+        last
     }
 
-    /// Compose the Aggregate-output relation for a member's window
-    /// `[close - visible, close)` by merging covered slices.
-    pub fn window_result(&mut self, member: MemberId, close: Timestamp) -> Result<Relation> {
-        let visible = self.members[member].visible;
-        let lo = close - visible;
-        let mut merged: HashMap<Vec<Value>, Vec<Accumulator>> = HashMap::new();
-        let mut order: Vec<Vec<Value>> = Vec::new();
-        for (_, slice) in self.slices.range(lo..close) {
-            for key in &slice.order {
-                let partial = &slice.groups[key];
-                match merged.get_mut(key) {
-                    Some(accs) => {
-                        for (a, p) in accs.iter_mut().zip(partial) {
-                            a.merge(p)?;
-                        }
-                    }
-                    None => {
-                        order.push(key.clone());
-                        merged.insert(key.clone(), partial.clone());
-                    }
-                }
-            }
-        }
-        let mut rel = Relation::empty(self.shape.agg_schema.clone());
-        if merged.is_empty() && self.shape.group_exprs.is_empty() {
-            // Global aggregate over an empty window: defaults row.
-            let row: Row = self
-                .shape
-                .aggs
-                .iter()
-                .map(|s| Accumulator::new(s).finish())
-                .collect();
-            rel.push(row);
-            return Ok(rel);
-        }
-        for key in order {
-            let accs = &merged[&key];
-            let mut row = key;
-            row.extend(accs.iter().map(Accumulator::finish));
-            rel.push(row);
-        }
-        Ok(rel)
+    /// Fold one stream tuple into the store (called once per tuple for
+    /// the whole group — this is where the sharing pays off).
+    pub fn on_tuple(&mut self, row: &Row) -> Result<()> {
+        self.store.on_tuple(row)
+    }
+
+    /// Compose the anchor output for a member's window
+    /// `[close - visible, close)`.
+    pub fn window_result(&self, member: MemberId, close: Timestamp) -> Result<WindowOutput> {
+        let m = self.members[member]
+            .as_ref()
+            .ok_or_else(|| Error::stream("slice-store member already left"))?;
+        self.store.compose(close - m.visible, close)
     }
 
     /// Record a member's next close boundary (drives eviction).
     pub fn member_progress(&mut self, member: MemberId, next_close: Timestamp) {
-        self.members[member].next_close = Some(next_close);
+        if let Some(m) = &mut self.members[member] {
+            m.next_close = Some(next_close);
+        }
     }
 
     /// Drop slices no member's future window can reach. A member that has
     /// not yet reported any progress (`next_close == None`) may still need
     /// every slice, so eviction waits for it.
     pub fn evict(&mut self) {
-        let mut horizon = i64::MAX;
-        for m in &self.members {
+        let mut horizon = Timestamp::MAX;
+        for m in self.members.iter().flatten() {
             match m.next_close {
                 Some(c) => horizon = horizon.min(c - m.visible),
                 None => return,
             }
         }
-        if horizon != i64::MAX {
-            // BTreeMap::retain keeps it simple; slices are few.
-            self.slices
-                .retain(|start, _| start + self.slice_width > horizon);
+        if horizon != Timestamp::MAX {
+            self.store.evict(horizon);
         }
+    }
+
+    /// Change in store bytes since the last call: what the caller adds to
+    /// the `ivm.state.bytes` gauge, so the gauge sums over live stores.
+    pub fn settle_bytes(&mut self) -> i64 {
+        let now = self.store.state_bytes() as i64;
+        let delta = now - self.reported_bytes;
+        self.reported_bytes = now;
+        delta
     }
 }
 
-/// Registry pooling shared groups by shape fingerprint.
+/// A slice store and its membership, behind their `g` lock.
+pub type GroupRef = Arc<Mutex<SharedGroup>>;
+
+fn new_group(shape: IvmShape) -> GroupRef {
+    // Witness name matches db.rs's `// lock-order:` declaration, where
+    // this lock is acquired as `g`.
+    Arc::new(Mutex::named("core.g", SharedGroup::new(shape)))
+}
+
+/// Registry pooling slice stores by shape fingerprint.
 #[derive(Default)]
 pub struct SharedRegistry {
-    groups: HashMap<String, std::sync::Arc<parking_lot::Mutex<SharedGroup>>>,
+    groups: HashMap<String, GroupRef>,
 }
 
 impl SharedRegistry {
@@ -380,50 +222,52 @@ impl SharedRegistry {
         SharedRegistry::default()
     }
 
-    /// Get or create the group for a shape.
-    pub fn group_for(
-        &mut self,
-        shape: SharedShape,
-    ) -> std::sync::Arc<parking_lot::Mutex<SharedGroup>> {
-        let fp = shape.fingerprint();
+    /// Make `program`'s window a member of a store: the pooled store for
+    /// its shape (created on first use) when `pooled`, else — or when that
+    /// store's grid cannot take the window — a private one. Returns the
+    /// store, the member id, and whether the store is the pooled one.
+    pub fn join(&mut self, program: &IvmProgram, pooled: bool) -> (GroupRef, MemberId, bool) {
+        if pooled {
+            let g = self
+                .groups
+                .entry(program.shape.fingerprint())
+                .or_insert_with(|| new_group(program.shape.clone()))
+                .clone();
+            let joined = g.lock().register(program.visible, program.advance);
+            if let Ok(member) = joined {
+                return (g, member, true);
+            }
+        }
+        let g = new_group(program.shape.clone());
+        let member = g
+            .lock()
+            .register(program.visible, program.advance)
+            .expect("a fresh store takes any grid");
+        (g, member, false)
+    }
+
+    /// Drop a pooled store its last member has left. A store that gained
+    /// a member since (a registration raced the teardown) stays.
+    pub fn forget(&mut self, group: &GroupRef) {
         self.groups
-            .entry(fp)
-            .or_insert_with(|| {
-                // Witness name matches db.rs's `// lock-order:`
-                // declaration, where this lock is acquired as `g`.
-                std::sync::Arc::new(parking_lot::Mutex::named("core.g", SharedGroup::new(shape)))
-            })
-            .clone()
+            .retain(|_, g| !Arc::ptr_eq(g, group) || g.lock().members.iter().any(Option::is_some));
     }
 
-    /// All groups feeding from `stream`.
-    pub fn groups_on_stream(
-        &self,
-        stream: &str,
-    ) -> Vec<std::sync::Arc<parking_lot::Mutex<SharedGroup>>> {
-        self.groups
-            .values()
-            .filter(|g| g.lock().shape.stream.eq_ignore_ascii_case(stream))
-            .cloned()
-            .collect()
+    /// Slice width of the live pooled store `program` would join, when
+    /// that store's grid cannot take the program's window.
+    fn grid_mismatch(&self, program: &IvmProgram) -> Option<Interval> {
+        let g = self.groups.get(&program.shape.fingerprint())?;
+        let g = g.lock();
+        let needed = g.width_with(program.visible, program.advance);
+        (!g.store.can_reslice(needed)).then(|| g.store.slice_width())
     }
 
-    /// Slice width of the group a shape would pool with, if one exists
-    /// and has already fixed its grid. `streamrel-check` uses this at
-    /// registration to warn when a new member's window would not compose
-    /// from the existing slices (it then runs unshared).
-    pub fn slice_width_for(&self, shape: &SharedShape) -> Option<Interval> {
-        let g = self.groups.get(&shape.fingerprint())?;
-        let w = g.lock().slice_width;
-        (w > 0).then_some(w)
-    }
-
-    /// Number of distinct groups.
+    /// Number of pooled stores.
     pub fn len(&self) -> usize {
         self.groups.len()
     }
 
-    /// True if no groups exist.
+    /// True if no pooled stores exist.
     pub fn is_empty(&self) -> bool {
         self.groups.is_empty()
     }
@@ -432,43 +276,55 @@ impl SharedRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use streamrel_sql::plan::AggFunc;
+    use streamrel_ivm::{AggShape, StreamPrefix};
+    use streamrel_sql::plan::{AggFunc, AggSpec, BoundExpr};
     use streamrel_types::time::MINUTES;
-    use streamrel_types::{row, Column, DataType, Schema};
+    use streamrel_types::{row, Column, DataType, Schema, Value};
 
-    fn stream_schema() -> SchemaRef {
-        Arc::new(
-            Schema::new(vec![
-                Column::new("url", DataType::Text),
-                Column::not_null("atime", DataType::Timestamp),
-            ])
-            .unwrap(),
-        )
+    fn shape_on(stream: &str) -> IvmShape {
+        IvmShape::Agg {
+            prefix: StreamPrefix {
+                stream: stream.into(),
+                input_schema: Arc::new(
+                    Schema::new(vec![
+                        Column::new("url", DataType::Text),
+                        Column::not_null("atime", DataType::Timestamp),
+                    ])
+                    .unwrap(),
+                ),
+                cqtime: 1,
+                ops: vec![],
+            },
+            agg: AggShape {
+                group_exprs: vec![BoundExpr::Column {
+                    index: 0,
+                    ty: DataType::Text,
+                }],
+                aggs: vec![AggSpec {
+                    func: AggFunc::Count,
+                    arg: None,
+                    distinct: false,
+                    name: "count".into(),
+                    ty: DataType::Int,
+                }],
+                schema: Arc::new(Schema::new_unchecked(vec![
+                    Column::new("url", DataType::Text),
+                    Column::new("count", DataType::Int),
+                ])),
+            },
+        }
     }
 
-    fn shape() -> SharedShape {
-        let agg_schema = Arc::new(Schema::new_unchecked(vec![
-            Column::new("url", DataType::Text),
-            Column::new("count", DataType::Int),
-        ]));
-        SharedShape {
-            stream: "url_stream".into(),
-            input_schema: stream_schema(),
-            cqtime: 1,
-            filter: None,
-            group_exprs: vec![BoundExpr::Column {
-                index: 0,
-                ty: DataType::Text,
-            }],
-            aggs: vec![AggSpec {
-                func: AggFunc::Count,
-                arg: None,
-                distinct: false,
-                name: "count".into(),
-                ty: DataType::Int,
-            }],
-            agg_schema,
+    fn shape() -> IvmShape {
+        shape_on("url_stream")
+    }
+
+    fn program(visible: Interval, advance: Interval) -> IvmProgram {
+        IvmProgram {
+            shape: shape(),
+            post_plan: LogicalPlan::OneRow,
+            visible,
+            advance,
         }
     }
 
@@ -476,13 +332,20 @@ mod tests {
         row![url, Value::Timestamp(ts)]
     }
 
+    fn rows(out: WindowOutput) -> Vec<Row> {
+        match out {
+            WindowOutput::Ready(rel) => rel.rows().to_vec(),
+            WindowOutput::NeedsTable(_) => panic!("expected Ready output"),
+        }
+    }
+
     #[test]
     fn slice_width_is_gcd() {
         let mut g = SharedGroup::new(shape());
         g.register(5 * MINUTES, MINUTES).unwrap();
-        assert_eq!(g.slice_width(), MINUTES);
+        assert_eq!(g.store().slice_width(), MINUTES);
         g.register(10 * MINUTES, 2 * MINUTES).unwrap();
-        assert_eq!(g.slice_width(), MINUTES);
+        assert_eq!(g.store().slice_width(), MINUTES);
     }
 
     #[test]
@@ -490,33 +353,28 @@ mod tests {
         let mut g = SharedGroup::new(shape());
         g.register(4 * MINUTES, 2 * MINUTES).unwrap();
         g.on_tuple(&tup("/a", 10)).unwrap();
+        assert_eq!(g.width_with(3 * MINUTES, MINUTES), MINUTES);
         assert!(g.register(3 * MINUTES, MINUTES).is_err());
+        // A window the live grid divides into still joins.
+        assert!(g.register(8 * MINUTES, 4 * MINUTES).is_ok());
     }
 
     #[test]
-    fn window_result_merges_slices() {
+    fn each_member_composes_its_own_visible() {
         let mut g = SharedGroup::new(shape());
-        let m = g.register(2 * MINUTES, MINUTES).unwrap();
-        // Two tuples in slice [0,1min), one in [1min,2min).
+        let wide = g.register(2 * MINUTES, MINUTES).unwrap();
+        let narrow = g.register(MINUTES, MINUTES).unwrap();
         g.on_tuple(&tup("/a", 10)).unwrap();
         g.on_tuple(&tup("/a", 20)).unwrap();
         g.on_tuple(&tup("/b", MINUTES + 5)).unwrap();
-        let rel = g.window_result(m, 2 * MINUTES).unwrap();
-        assert_eq!(rel.len(), 2);
-        assert_eq!(rel.rows()[0], row!["/a", 2i64]);
-        assert_eq!(rel.rows()[1], row!["/b", 1i64]);
-        // Only the last minute:
-        let m1 = {
-            // member with 1-minute visible
-            let mut g2 = SharedGroup::new(shape());
-            let m1 = g2.register(MINUTES, MINUTES).unwrap();
-            g2.on_tuple(&tup("/a", 10)).unwrap();
-            g2.on_tuple(&tup("/b", MINUTES + 5)).unwrap();
-            let rel = g2.window_result(m1, 2 * MINUTES).unwrap();
-            assert_eq!(rel.rows(), &[row!["/b", 1i64]]);
-            m1
-        };
-        let _ = m1;
+        assert_eq!(
+            rows(g.window_result(wide, 2 * MINUTES).unwrap()),
+            vec![row!["/a", 2i64], row!["/b", 1i64]]
+        );
+        assert_eq!(
+            rows(g.window_result(narrow, 2 * MINUTES).unwrap()),
+            vec![row!["/b", 1i64]]
+        );
     }
 
     #[test]
@@ -528,26 +386,14 @@ mod tests {
         for i in 0..100 {
             g.on_tuple(&tup("/a", i)).unwrap();
         }
-        assert_eq!(g.tuples_processed, 100, "work is per tuple, not per CQ");
+        assert_eq!(g.store().delta_rows(), 100, "work is per tuple, not per CQ");
     }
 
-    #[test]
-    fn filter_applies_before_slicing() {
-        let mut s = shape();
-        s.filter = Some(BoundExpr::Like {
-            expr: Box::new(BoundExpr::Column {
-                index: 0,
-                ty: DataType::Text,
-            }),
-            pattern: Box::new(BoundExpr::Literal(Value::text("/a%"))),
-            negated: false,
-        });
-        let mut g = SharedGroup::new(s);
-        let m = g.register(MINUTES, MINUTES).unwrap();
-        g.on_tuple(&tup("/a1", 10)).unwrap();
-        g.on_tuple(&tup("/b1", 20)).unwrap();
-        let rel = g.window_result(m, MINUTES).unwrap();
-        assert_eq!(rel.rows(), &[row!["/a1", 1i64]]);
+    fn ten_minutes_of_data(g: &mut SharedGroup) {
+        for i in 0..10 {
+            g.on_tuple(&tup("/a", i * MINUTES + 1)).unwrap();
+        }
+        assert_eq!(g.store().slice_count(), 10);
     }
 
     #[test]
@@ -555,46 +401,69 @@ mod tests {
         let mut g = SharedGroup::new(shape());
         let fast = g.register(MINUTES, MINUTES).unwrap();
         let slow = g.register(10 * MINUTES, MINUTES).unwrap();
-        for i in 0..10 {
-            g.on_tuple(&tup("/a", i * MINUTES + 1)).unwrap();
-        }
-        assert_eq!(g.slice_count(), 10);
+        ten_minutes_of_data(&mut g);
         g.member_progress(fast, 10 * MINUTES);
         g.member_progress(slow, 10 * MINUTES);
         g.evict();
         // Slow member still needs [0, 10min): nothing evictable.
-        assert_eq!(g.slice_count(), 10);
+        assert_eq!(g.store().slice_count(), 10);
         g.member_progress(slow, 12 * MINUTES);
         g.evict();
         // Horizon = min(10-1, 12-10) = 2min → slices below 2min go.
-        assert_eq!(g.slice_count(), 8);
+        assert_eq!(g.store().slice_count(), 8);
     }
 
     #[test]
-    fn empty_global_aggregate_yields_defaults() {
-        let mut s = shape();
-        s.group_exprs.clear();
-        s.agg_schema = Arc::new(Schema::new_unchecked(vec![Column::new(
-            "count",
-            DataType::Int,
-        )]));
-        let mut g = SharedGroup::new(s);
-        let m = g.register(MINUTES, MINUTES).unwrap();
-        let rel = g.window_result(m, MINUTES).unwrap();
-        assert_eq!(rel.rows(), &[row![0i64]]);
+    fn departed_members_stop_pinning_the_horizon() {
+        let mut g = SharedGroup::new(shape());
+        let fast = g.register(MINUTES, MINUTES).unwrap();
+        let slow = g.register(10 * MINUTES, MINUTES).unwrap();
+        let silent = g.register(MINUTES, MINUTES).unwrap();
+        ten_minutes_of_data(&mut g);
+        g.member_progress(fast, 10 * MINUTES);
+        g.member_progress(slow, 10 * MINUTES);
+        // `silent` left before its first close, `slow` after one: neither
+        // may hold slices the survivor's next window cannot reach.
+        assert!(!g.leave(silent));
+        assert!(!g.leave(slow));
+        assert_eq!(g.store().slice_count(), 1);
+        assert!(g.window_result(slow, 10 * MINUTES).is_err());
+        // The last member takes the store's contents with it.
+        assert!(g.leave(fast));
+        assert_eq!(g.store().slice_count(), 0);
+        assert_eq!(g.store().state_bytes(), 0);
     }
 
     #[test]
-    fn registry_pools_by_fingerprint() {
+    fn registry_pools_by_fingerprint_and_forgets_empty_stores() {
         let mut reg = SharedRegistry::new();
-        let g1 = reg.group_for(shape());
-        let g2 = reg.group_for(shape());
+        let (g1, m1, pooled) = reg.join(&program(2 * MINUTES, MINUTES), true);
+        assert!(pooled);
+        let (g2, _, _) = reg.join(&program(4 * MINUTES, 2 * MINUTES), true);
         assert!(Arc::ptr_eq(&g1, &g2));
-        let mut other = shape();
-        other.stream = "other_stream".into();
-        let g3 = reg.group_for(other);
+        let mut other = program(MINUTES, MINUTES);
+        other.shape = shape_on("other_stream");
+        let (g3, _, _) = reg.join(&other, true);
         assert!(!Arc::ptr_eq(&g1, &g3));
         assert_eq!(reg.len(), 2);
-        assert_eq!(reg.groups_on_stream("url_stream").len(), 1);
+
+        // Pooling off, or a grid the live store cannot take: a private
+        // store the registry never sees.
+        let (p, _, pooled) = reg.join(&program(2 * MINUTES, MINUTES), false);
+        assert!(!pooled && !Arc::ptr_eq(&p, &g1));
+        g1.lock().on_tuple(&tup("/a", 10)).unwrap();
+        let fine = program(90 * 1_000_000, 30 * 1_000_000);
+        assert_eq!(reg.grid_mismatch(&fine), Some(MINUTES));
+        let (p, _, pooled) = reg.join(&fine, true);
+        assert!(!pooled && !Arc::ptr_eq(&p, &g1));
+        assert_eq!(reg.len(), 2);
+
+        // A store is forgotten only once its last member has left.
+        g1.lock().leave(m1);
+        reg.forget(&g1);
+        assert_eq!(reg.len(), 2);
+        g1.lock().leave(1);
+        reg.forget(&g1);
+        assert_eq!(reg.len(), 1);
     }
 }

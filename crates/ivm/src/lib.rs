@@ -1,29 +1,36 @@
-//! Incremental view maintenance (IVM) for continuous queries.
+//! Incremental view maintenance (IVM) for continuous queries: the
+//! lowering pass and the one slice store every lowered CQ runs on.
 //!
 //! The paper's §4 thesis is that continuous analytics should reuse
 //! relational machinery *incrementally*: a window produces a sequence of
 //! tables, and recomputing each table from scratch throws away the overlap
-//! between consecutive windows. This crate supplies the second execution
-//! mode that exploits that overlap, in the style of DBToaster's delta
-//! processing and Fegaras's incremental stream query processing:
+//! between consecutive windows — and its §2.2 "Jellybean processing" adds
+//! that many CQs should share one pass over the data. Both are the same
+//! move, in the style of DBToaster's delta processing: keep per-(slice,
+//! key) partials on the gcd(VISIBLE, ADVANCE) grid and merge them at
+//! close. This crate supplies it once:
 //!
-//! - [`lower`] is the planner pass: it inspects a bound continuous plan
-//!   and, when the plan is expressible, splits it into an incremental
-//!   *shape* (the state to maintain per tuple) plus a *post-plan* that
-//!   runs over the maintained operator output at window close. Plans it
-//!   cannot express fall back to per-window re-evaluation, each with a
-//!   stable reason string surfaced by `EXPLAIN CHECK`.
-//! - [`IvmState`] is the runtime state: per-slice delta hash aggregates
-//!   with mergeable partials (generalizing the shared "Jellybean" slices),
-//!   incremental filter/project, indexed incremental join state keyed by
-//!   join columns, and first-seen DISTINCT sets. Window close composes the
-//!   covered slices — a near-O(delta) merge — instead of re-running the
-//!   Volcano operators over every buffered row.
+//! - [`lower()`] / [`lower_with`] is the planner pass: it inspects a bound
+//!   continuous plan and, when the plan is expressible, splits it into an
+//!   incremental *shape* (the state to maintain per tuple) plus a
+//!   *post-plan* that runs over the maintained operator output at window
+//!   close. Plans it cannot express fall back to per-window
+//!   re-evaluation, each with a stable reason string surfaced by
+//!   `EXPLAIN CHECK`.
+//! - [`IvmState`] is the slice store: per-slice accumulator partials in
+//!   first-seen key order — group keys, (join key, group key) pairs or
+//!   DISTINCT rows — folded once per tuple behind an incremental
+//!   filter/project prefix. Window close composes the covered slices — a
+//!   near-O(delta) merge — for whichever window asks: the store's own, or
+//!   any member window of the pool `streamrel-cq`'s membership layer
+//!   builds over it.
 //!
 //! Byte-identical equivalence with re-evaluation is the contract: the
-//! lowering rules only admit shapes whose slice-merge is order-exact (see
-//! the fallback matrix in DESIGN.md §12), and `tests/ivm_equivalence.rs`
-//! proves the contract property-style, including across crash recovery.
+//! lowering rules only admit shapes whose slice-merge is order-exact, with
+//! one explicit exception for pooled stores (see the exactness predicate
+//! in DESIGN.md §12), and `tests/ivm_equivalence.rs` plus
+//! `tests/sharing_equivalence.rs` prove the contract property-style,
+//! including across crash recovery.
 
 #![deny(unsafe_code)]
 
@@ -31,7 +38,7 @@ pub mod lower;
 pub mod state;
 
 pub use lower::{
-    fallback_reason, lower, AggShape, IvmProgram, IvmShape, JoinShape, Lowering, RowOp,
-    StreamPrefix, IVM_INPUT,
+    lower, lower_with, AggShape, IvmProgram, IvmShape, JoinShape, Lowering, RowOp, StreamPrefix,
+    IVM_INPUT,
 };
-pub use state::{IvmState, JoinDelta, WindowOutput};
+pub use state::{gcd, IvmState, JoinDelta, WindowOutput};

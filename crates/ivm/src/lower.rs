@@ -9,12 +9,16 @@
 //! stream; at window close the runtime feeds it the relation composed
 //! from slice partials.
 //!
-//! The eligibility rules are deliberately conservative: every admitted
-//! shape must reproduce re-evaluation **byte-identically**, so anything
-//! whose slice-merge could reorder floating-point accumulation (float
-//! SUM/AVG, VARIANCE/STDDEV, float join keys) falls back. Each fallback
-//! carries a stable reason string that `EXPLAIN CHECK` surfaces and the
-//! `ivm.fallback` counter tallies.
+//! The eligibility rules are deliberately conservative: a shape lowered
+//! for a private store must reproduce re-evaluation **byte-identically**,
+//! so anything whose slice-merge could reorder floating-point accumulation
+//! (float SUM/AVG, VARIANCE/STDDEV, float join keys) falls back. The one
+//! exception is explicit: when stores are pooled across CQs
+//! ([`lower_with`]'s `pooled`), a plain aggregate over `[Filter]
+//! StreamScan` may carry such partials — one fold for N windows is the
+//! point of pooling, and its merge differs from re-evaluation only in
+//! float association order. Each fallback carries a stable reason string
+//! that `EXPLAIN CHECK` surfaces and the `ivm.fallback` counter tallies.
 
 use streamrel_exec::join::{extract_keys, flatten_and, shift_down};
 use streamrel_sql::plan::{AggFunc, AggSpec, BoundExpr, JoinKind, LogicalPlan, SchemaRef};
@@ -103,6 +107,52 @@ pub enum IvmShape {
     },
 }
 
+impl IvmShape {
+    /// The stream-side pipeline below the anchor.
+    pub fn prefix(&self) -> &StreamPrefix {
+        match self {
+            IvmShape::Agg { prefix, .. }
+            | IvmShape::JoinAgg { prefix, .. }
+            | IvmShape::Distinct { prefix, .. } => prefix,
+        }
+    }
+
+    /// Anchor output schema: what a composed window relation carries.
+    pub fn schema(&self) -> &SchemaRef {
+        match self {
+            IvmShape::Agg { agg, .. } | IvmShape::JoinAgg { agg, .. } => &agg.schema,
+            IvmShape::Distinct { schema, .. } => schema,
+        }
+    }
+
+    /// Stable fingerprint — stream, prefix ops, anchor — under which CQs
+    /// that differ only in their windows pool into one slice store.
+    pub fn fingerprint(&self) -> String {
+        let prefix = self.prefix();
+        let anchor = match self {
+            IvmShape::Agg { agg, .. } => format!("agg|{:?}|{:?}", agg.group_exprs, agg.aggs),
+            IvmShape::JoinAgg { join, agg, .. } => format!(
+                "join|{}|{:?}|{:?}|{:?}|{:?}|{:?}",
+                join.table.to_ascii_lowercase(),
+                join.left_key,
+                join.right_key,
+                join.table_filter,
+                agg.group_exprs,
+                agg.aggs
+            ),
+            IvmShape::Distinct { .. } => "distinct".to_string(),
+        };
+        // The composed relation carries the store's anchor schema, so two
+        // CQs that alias the anchor columns differently must not pool.
+        format!(
+            "{}|{:?}|{anchor}|{:?}",
+            prefix.stream.to_ascii_lowercase(),
+            prefix.ops,
+            self.schema()
+        )
+    }
+}
+
 /// A lowered continuous plan: the incremental shape plus the post-plan
 /// that consumes the composed anchor output at window close.
 #[derive(Debug, Clone)]
@@ -126,10 +176,19 @@ pub enum Lowering {
     Fallback(&'static str),
 }
 
-/// Lower a bound continuous plan, or report the fallback reason.
+/// Lower a bound continuous plan for a private store, or report the
+/// fallback reason: only order-exact merges are admitted.
 pub fn lower(plan: &LogicalPlan) -> Lowering {
+    lower_with(plan, false)
+}
+
+/// Lower a bound continuous plan, or report the fallback reason. With
+/// `pooled` (stores shared across CQs), a plain aggregate over `[Filter]
+/// StreamScan` may also keep float SUM/AVG and VARIANCE/STDDEV partials,
+/// whose slice merge is not order-exact.
+pub fn lower_with(plan: &LogicalPlan, pooled: bool) -> Lowering {
     let mut found: Option<(IvmShape, WindowSpec)> = None;
-    let post_plan = match rewrite(plan, &mut found) {
+    let post_plan = match rewrite(plan, pooled, &mut found) {
         Ok(p) => p,
         Err(reason) => return Lowering::Fallback(reason),
     };
@@ -145,16 +204,6 @@ pub fn lower(plan: &LogicalPlan) -> Lowering {
         // parse_stream_chain only admits time windows; defense in depth.
         Some(_) => Lowering::Fallback(REASON_WINDOW),
         None => Lowering::Fallback(REASON_NO_ANCHOR),
-    }
-}
-
-/// Why a plan does not lower, or `None` when it does. Admission checking
-/// (`streamrel-check`) uses this to report the chosen execution path
-/// without constructing runtime state.
-pub fn fallback_reason(plan: &LogicalPlan) -> Option<&'static str> {
-    match lower(plan) {
-        Lowering::Lowered(_) => None,
-        Lowering::Fallback(r) => Some(r),
     }
 }
 
@@ -182,6 +231,7 @@ const REASON_BELOW_ANCHOR: &str = "unsupported operator below the anchor";
 
 fn rewrite(
     plan: &LogicalPlan,
+    pooled: bool,
     found: &mut Option<(IvmShape, WindowSpec)>,
 ) -> Result<LogicalPlan, &'static str> {
     match plan {
@@ -194,7 +244,7 @@ fn rewrite(
             if found.is_some() {
                 return Err(REASON_TWO_ANCHORS);
             }
-            let (shape, window) = lower_aggregate(input, group_exprs, aggs, schema)?;
+            let (shape, window) = lower_aggregate(input, group_exprs, aggs, schema, pooled)?;
             *found = Some((shape, window));
             Ok(LogicalPlan::StreamScan {
                 stream: IVM_INPUT.to_string(),
@@ -209,7 +259,7 @@ fn rewrite(
                 // The aggregate below is the anchor; DISTINCT rides in the
                 // post-plan over its (small) output.
                 Ok(LogicalPlan::Distinct {
-                    input: Box::new(rewrite(input, found)?),
+                    input: Box::new(rewrite(input, pooled, found)?),
                 })
             } else {
                 if found.is_some() {
@@ -234,7 +284,7 @@ fn rewrite(
             }
         }
         LogicalPlan::Filter { input, predicate } => Ok(LogicalPlan::Filter {
-            input: Box::new(rewrite(input, found)?),
+            input: Box::new(rewrite(input, pooled, found)?),
             predicate: predicate.clone(),
         }),
         LogicalPlan::Project {
@@ -242,16 +292,16 @@ fn rewrite(
             exprs,
             schema,
         } => Ok(LogicalPlan::Project {
-            input: Box::new(rewrite(input, found)?),
+            input: Box::new(rewrite(input, pooled, found)?),
             exprs: exprs.clone(),
             schema: schema.clone(),
         }),
         LogicalPlan::Sort { input, keys } => Ok(LogicalPlan::Sort {
-            input: Box::new(rewrite(input, found)?),
+            input: Box::new(rewrite(input, pooled, found)?),
             keys: keys.clone(),
         }),
         LogicalPlan::Limit { input, n } => Ok(LogicalPlan::Limit {
-            input: Box::new(rewrite(input, found)?),
+            input: Box::new(rewrite(input, pooled, found)?),
             n: *n,
         }),
         LogicalPlan::Join { .. } => Err(REASON_JOIN_ABOVE),
@@ -326,23 +376,33 @@ fn parse_stream_chain(plan: &LogicalPlan) -> Result<(StreamPrefix, WindowSpec), 
     }
 }
 
-/// Per-aggregate eligibility: only order-insensitive-exact partials lower.
-/// Integer sums are exact; AVG keeps an f64 sum of integer-valued inputs,
-/// which is addition of exactly-representable values (≤ 2⁵³), so slice
-/// order cannot change the result. Float SUM/AVG and VARIANCE/STDDEV merge
-/// float partials whose rounding depends on association order — those
-/// re-evaluate.
-fn agg_eligible(spec: &AggSpec) -> Result<(), &'static str> {
+/// Per-aggregate eligibility. Integer sums are exact; AVG keeps an f64
+/// sum of integer-valued inputs, which is addition of exactly-representable
+/// values (≤ 2⁵³), so slice order cannot change the result. Float SUM/AVG
+/// and VARIANCE/STDDEV merge float partials whose rounding depends on
+/// association order — those lower only when `inexact_ok`.
+fn agg_eligible(spec: &AggSpec, inexact_ok: bool) -> Result<(), &'static str> {
     if spec.arg.as_ref().is_some_and(BoundExpr::uses_cq_close) {
         return Err(REASON_CQ_CLOSE);
     }
     let float_arg = matches!(spec.arg.as_ref().map(BoundExpr::ty), Some(DataType::Float));
     match spec.func {
-        AggFunc::Count | AggFunc::Min | AggFunc::Max => Ok(()),
-        AggFunc::Sum | AggFunc::Avg if float_arg => Err(REASON_FLOAT_AGG),
-        AggFunc::Sum | AggFunc::Avg => Ok(()),
-        AggFunc::Variance | AggFunc::Stddev => Err(REASON_VARIANCE),
+        AggFunc::Sum | AggFunc::Avg if float_arg && !inexact_ok => Err(REASON_FLOAT_AGG),
+        AggFunc::Variance | AggFunc::Stddev if !inexact_ok => Err(REASON_VARIANCE),
+        _ => Ok(()),
     }
+}
+
+/// The exactness predicate: a merge that is not order-exact is admitted
+/// only into pooled stores, and only for a plain aggregate over `[Filter]
+/// StreamScan` — the shape whose one-fold-for-N-windows saving pooling
+/// exists for.
+fn inexact_merge_ok(input: &LogicalPlan, pooled: bool) -> bool {
+    let scan = match input {
+        LogicalPlan::Filter { input, .. } => input.as_ref(),
+        other => other,
+    };
+    pooled && matches!(scan, LogicalPlan::StreamScan { .. })
 }
 
 fn lower_aggregate(
@@ -350,12 +410,14 @@ fn lower_aggregate(
     group_exprs: &[BoundExpr],
     aggs: &[AggSpec],
     schema: &SchemaRef,
+    pooled: bool,
 ) -> Result<(IvmShape, WindowSpec), &'static str> {
     if group_exprs.iter().any(BoundExpr::uses_cq_close) {
         return Err(REASON_CQ_CLOSE);
     }
+    let inexact_ok = inexact_merge_ok(input, pooled);
     for spec in aggs {
-        agg_eligible(spec)?;
+        agg_eligible(spec, inexact_ok)?;
     }
     let agg = AggShape {
         group_exprs: group_exprs.to_vec(),
@@ -524,6 +586,13 @@ mod tests {
     use streamrel_types::time::MINUTES;
     use streamrel_types::{Column, DataType, Schema, Value};
 
+    fn fallback_reason(plan: &LogicalPlan) -> Option<&'static str> {
+        match lower(plan) {
+            Lowering::Lowered(_) => None,
+            Lowering::Fallback(r) => Some(r),
+        }
+    }
+
     fn stream_schema() -> SchemaRef {
         Arc::new(
             Schema::new(vec![
@@ -648,6 +717,27 @@ mod tests {
             ty: DataType::Float,
         };
         assert_eq!(fallback_reason(&plan), Some(REASON_FLOAT_AGG));
+        // The exactness predicate: pooled stores take the inexact merge
+        // for a plain aggregate over [Filter] StreamScan...
+        assert!(matches!(lower_with(&plan, true), Lowering::Lowered(_)));
+        // ...but not above a projected prefix, where it stays exact-only.
+        let LogicalPlan::Aggregate { input, .. } = &mut plan else {
+            unreachable!()
+        };
+        let bare = std::mem::replace(input.as_mut(), LogicalPlan::OneRow);
+        **input = LogicalPlan::Project {
+            exprs: vec![col(0, DataType::Text), col(1, DataType::Timestamp)],
+            schema: stream_schema(),
+            input: Box::new(bare),
+        };
+        assert!(matches!(
+            lower_with(&plan, true),
+            Lowering::Fallback(REASON_FLOAT_AGG)
+        ));
+        let LogicalPlan::Aggregate { input, .. } = &mut plan else {
+            unreachable!()
+        };
+        **input = scan(time_window());
         // Integer SUM stays eligible.
         let LogicalPlan::Aggregate { aggs, .. } = &mut plan else {
             unreachable!()

@@ -1,29 +1,33 @@
-//! Per-CQ incremental operator state.
+//! The slice store: incremental operator state on the slice grid.
 //!
-//! Time is cut into slices of width `gcd(VISIBLE, ADVANCE)` — the same
-//! grid the shared "Jellybean" groups use — and each arriving tuple is
-//! folded into its slice's state: hash-aggregate partials, (join key,
-//! group key) partials, or a first-seen DISTINCT set. A window close
-//! composes the covered slices by *merging partials*, so its cost is
-//! proportional to the number of distinct keys touched since the previous
-//! close (the delta), not to the number of buffered rows.
+//! Time is cut into slices of width `gcd(VISIBLE, ADVANCE)` — across every
+//! window the store serves — and each arriving tuple is folded once into
+//! its slice: accumulator partials in first-seen key order, where the key
+//! is the group key (aggregates), the join key followed by the group key
+//! (stream-table join aggregates), or the whole row with no accumulators
+//! (DISTINCT). A window close composes the covered slices by *merging
+//! partials*, so its cost is proportional to the number of distinct keys
+//! touched since the previous close (the delta), not to the number of
+//! buffered rows — and N windows over one store cost one fold per tuple,
+//! the paper's "Jellybean processing" (§2.2).
 //!
-//! Order exactness: tuples reach the CQ in CQTIME order (the reorder
+//! Order exactness: tuples reach the store in CQTIME order (the reorder
 //! buffer sits upstream), slices are contiguous time ranges, and each
 //! slice records first-seen key order — so walking slices in time order
 //! and keys in slice order reproduces the *global* first-seen order that
 //! re-evaluation's hash aggregate produces. That argument, plus the
-//! lowering pass only admitting order-insensitive-exact accumulators, is
-//! what makes IVM output byte-identical to re-evaluation.
+//! lowering pass's exactness predicate, is what makes a store's output
+//! byte-identical to re-evaluation.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
 
 use streamrel_exec::expr::{eval, eval_predicate, EvalContext};
 use streamrel_exec::{Accumulator, RelationSource};
 use streamrel_sql::plan::{AggSpec, BoundExpr, SchemaRef};
 use streamrel_types::{Error, Relation, Result, Row, Timestamp, Value};
 
-use crate::lower::{AggShape, IvmProgram, IvmShape, RowOp, StreamPrefix};
+use crate::lower::{IvmProgram, IvmShape, RowOp};
 
 /// Result of composing a window from slices.
 pub enum WindowOutput {
@@ -33,6 +37,21 @@ pub enum WindowOutput {
     /// boundary snapshot inside the (pool-runnable) window task, so table
     /// visibility matches re-evaluation's consistency mode exactly.
     NeedsTable(Box<JoinDelta>),
+}
+
+impl WindowOutput {
+    /// Rows composed — for a join, the delta entries staged for finalize.
+    pub fn len(&self) -> usize {
+        match self {
+            WindowOutput::Ready(rel) => rel.len(),
+            WindowOutput::NeedsTable(delta) => delta.len(),
+        }
+    }
+
+    /// True when nothing was composed.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 /// The join-aggregate delta staged for one window close: slice-merged
@@ -117,8 +136,7 @@ impl JoinDelta {
             }
         }
 
-        let mut merged: HashMap<&[Value], Vec<Accumulator>> = HashMap::new();
-        let mut order: Vec<&[Value]> = Vec::new();
+        let mut merged = Merged::default();
         for (jk, gk, accs) in &self.entries {
             let m = counts.get(jk).copied().unwrap_or(0);
             if m == 0 {
@@ -128,35 +146,9 @@ impl JoinDelta {
             for a in &mut scaled {
                 a.scale(m)?;
             }
-            match merged.get_mut(gk.as_slice()) {
-                Some(existing) => {
-                    for (a, p) in existing.iter_mut().zip(&scaled) {
-                        a.merge(p)?;
-                    }
-                }
-                None => {
-                    order.push(gk.as_slice());
-                    merged.insert(gk.as_slice(), scaled);
-                }
-            }
+            merged.add(gk, Cow::Owned(scaled))?;
         }
-        let mut rel = Relation::empty(self.schema.clone());
-        if merged.is_empty() && self.global {
-            rel.push(
-                self.aggs
-                    .iter()
-                    .map(|s| Accumulator::new(s).finish())
-                    .collect(),
-            );
-            return Ok(rel);
-        }
-        for gk in order {
-            let accs = &merged[gk];
-            let mut row: Row = gk.to_vec();
-            row.extend(accs.iter().map(Accumulator::finish));
-            rel.push(row);
-        }
-        Ok(rel)
+        Ok(merged.into_relation(&self.schema, &self.aggs, self.global))
     }
 
     fn row_matches(&self, row: &Row, jk: &[Value], ectx: &EvalContext) -> Result<bool> {
@@ -175,30 +167,72 @@ impl JoinDelta {
     }
 }
 
-type PairKey = (Vec<Value>, Vec<Value>);
-
-enum SliceKind {
-    /// Aggregate partials keyed by group key.
-    Groups {
-        groups: HashMap<Vec<Value>, Vec<Accumulator>>,
-        order: Vec<Vec<Value>>,
-    },
-    /// Join-aggregate partials keyed by (join key, group key).
-    Pairs {
-        pairs: HashMap<PairKey, Vec<Accumulator>>,
-        order: Vec<PairKey>,
-    },
-    /// DISTINCT rows in first-seen order.
-    Rows { seen: HashSet<Row>, order: Vec<Row> },
+/// Accumulator partials merged by key, in first-seen key order — the one
+/// merge both a window compose (over slices) and a join finalize (over
+/// scaled pairs) perform. Keys are borrowed from the state being merged.
+#[derive(Default)]
+struct Merged<'a> {
+    partials: HashMap<&'a [Value], Vec<Accumulator>>,
+    order: Vec<&'a [Value]>,
 }
 
+impl<'a> Merged<'a> {
+    fn add(&mut self, key: &'a [Value], partial: Cow<'_, [Accumulator]>) -> Result<()> {
+        match self.partials.get_mut(key) {
+            Some(accs) => {
+                for (a, p) in accs.iter_mut().zip(partial.iter()) {
+                    a.merge(p)?;
+                }
+            }
+            None => {
+                self.order.push(key);
+                self.partials.insert(key, partial.into_owned());
+            }
+        }
+        Ok(())
+    }
+
+    /// Keys with their merged partials, in first-seen order.
+    fn into_entries(self) -> impl Iterator<Item = (&'a [Value], Vec<Accumulator>)> {
+        let Merged {
+            mut partials,
+            order,
+        } = self;
+        order
+            .into_iter()
+            .map(move |key| (key, partials.remove(key).unwrap_or_default()))
+    }
+
+    /// Emit `[key..., finished aggregates...]` rows. A `global` aggregate
+    /// (no GROUP BY) over nothing emits the defaults row, exactly as the
+    /// re-evaluated aggregate does.
+    fn into_relation(self, schema: &SchemaRef, aggs: &[AggSpec], global: bool) -> Relation {
+        let mut rel = Relation::empty(schema.clone());
+        if self.order.is_empty() && global {
+            rel.push(aggs.iter().map(|s| Accumulator::new(s).finish()).collect());
+            return rel;
+        }
+        for (key, accs) in self.into_entries() {
+            let mut row: Row = key.to_vec();
+            row.extend(accs.iter().map(Accumulator::finish));
+            rel.push(row);
+        }
+        rel
+    }
+}
+
+/// One slice: accumulator partials by key, in first-seen key order.
+#[derive(Default)]
 struct Slice {
     /// Approximate heap footprint (state-size accounting).
     bytes: usize,
-    kind: SliceKind,
+    partials: HashMap<Vec<Value>, Vec<Accumulator>>,
+    order: Vec<Vec<Value>>,
 }
 
-fn gcd(a: i64, b: i64) -> i64 {
+/// Slice width for one window: the grid on which both its VISIBLE and its
+/// ADVANCE are whole numbers of slices. The engine's only `gcd`.
+pub fn gcd(a: i64, b: i64) -> i64 {
     let (mut a, mut b) = (a.abs(), b.abs());
     while b != 0 {
         let t = a % b;
@@ -208,14 +242,11 @@ fn gcd(a: i64, b: i64) -> i64 {
     a
 }
 
-fn val_bytes(v: &Value) -> usize {
-    match v {
+fn key_bytes(vals: &[Value]) -> usize {
+    let val_bytes = |v: &Value| match v {
         Value::Text(s) => 24 + s.len(),
         _ => 16,
-    }
-}
-
-fn key_bytes(vals: &[Value]) -> usize {
+    };
     24 + vals.iter().map(val_bytes).sum::<usize>()
 }
 
@@ -223,28 +254,46 @@ fn key_bytes(vals: &[Value]) -> usize {
 /// accumulator grows beyond this; the bound is an estimate, not a ledger).
 const ACC_BYTES: usize = 64;
 
-/// Incremental state for one lowered CQ.
+/// The slice store for one lowered shape. It serves the window of the
+/// program it was built from, or — through [`IvmState::compose`] — any
+/// window whose VISIBLE and ADVANCE are multiples of its slice width.
 pub struct IvmState {
     shape: IvmShape,
     width: i64,
     visible: i64,
     slices: BTreeMap<Timestamp, Slice>,
+    bytes: usize,
     delta_rows: u64,
 }
 
 impl IvmState {
-    /// Fresh state for a lowered program.
+    /// Fresh store for a lowered program, on that program's own grid.
     pub fn new(program: &IvmProgram) -> IvmState {
+        let mut state = IvmState::for_shape(program.shape.clone());
+        state.width = gcd(program.visible, program.advance).max(1);
+        state.visible = program.visible;
+        state
+    }
+
+    /// Fresh store for a shape whose grid is not fixed yet: the caller
+    /// sets it with [`IvmState::reslice`] before the first tuple.
+    pub fn for_shape(shape: IvmShape) -> IvmState {
         IvmState {
-            shape: program.shape.clone(),
-            width: gcd(program.visible, program.advance).max(1),
-            visible: program.visible,
+            shape,
+            width: 0,
+            visible: 0,
             slices: BTreeMap::new(),
+            bytes: 0,
             delta_rows: 0,
         }
     }
 
-    /// Slice width (µs).
+    /// The shape this store maintains.
+    pub fn shape(&self) -> &IvmShape {
+        &self.shape
+    }
+
+    /// Slice width (µs); 0 until a grid is fixed.
     pub fn slice_width(&self) -> i64 {
         self.width
     }
@@ -261,22 +310,33 @@ impl IvmState {
 
     /// Approximate bytes held across live slices.
     pub fn state_bytes(&self) -> usize {
-        self.slices.values().map(|s| s.bytes).sum()
+        self.bytes
     }
 
-    fn prefix(&self) -> &StreamPrefix {
-        match &self.shape {
-            IvmShape::Agg { prefix, .. }
-            | IvmShape::JoinAgg { prefix, .. }
-            | IvmShape::Distinct { prefix, .. } => prefix,
+    /// Whether the store can run at `width`: it already does, or it is
+    /// empty — partials already folded cannot be split onto a finer grid.
+    pub fn can_reslice(&self, width: i64) -> bool {
+        width == self.width || self.slices.is_empty()
+    }
+
+    /// Move the store to a new slice width ([`IvmState::can_reslice`]).
+    pub fn reslice(&mut self, width: i64) -> Result<()> {
+        if !self.can_reslice(width) {
+            return Err(Error::stream(
+                "cannot re-slice a slice store that already holds data",
+            ));
         }
+        self.width = width;
+        Ok(())
     }
 
-    /// Fold one stream tuple into its slice. The caller guarantees CQTIME
-    /// order (the reorder buffer sits upstream, as for shared groups).
+    /// Fold one stream tuple into its slice — once, however many windows
+    /// the store serves. The caller guarantees CQTIME order (the reorder
+    /// buffer sits upstream).
     pub fn on_tuple(&mut self, row: &Row) -> Result<()> {
+        debug_assert!(self.width > 0, "slice grid not fixed");
         let ectx = EvalContext::default();
-        let prefix = self.prefix();
+        let prefix = self.shape.prefix();
         let ts = row
             .get(prefix.cqtime)
             .ok_or_else(|| Error::stream("row too short for CQTIME"))?
@@ -284,240 +344,123 @@ impl IvmState {
         let Some(folded) = apply_ops(&prefix.ops, row, &ectx)? else {
             return Ok(());
         };
-        let slice_start = ts.div_euclid(self.width) * self.width;
-        let width = self.width;
-        match &self.shape {
-            IvmShape::Agg { agg, .. } => {
-                let key: Vec<Value> = agg
-                    .group_exprs
-                    .iter()
-                    .map(|e| eval(e, &folded, &ectx))
-                    .collect::<Result<_>>()?;
-                let slice = self.slices.entry(slice_start).or_insert_with(|| Slice {
-                    bytes: 0,
-                    kind: SliceKind::Groups {
-                        groups: HashMap::new(),
-                        order: Vec::new(),
-                    },
-                });
-                let SliceKind::Groups { groups, order } = &mut slice.kind else {
-                    return Err(Error::stream("ivm slice kind changed mid-stream"));
-                };
-                let accs = match groups.get_mut(&key) {
-                    Some(a) => a,
-                    None => {
-                        slice.bytes += key_bytes(&key) + ACC_BYTES * agg.aggs.len();
-                        order.push(key.clone());
-                        groups
-                            .entry(key)
-                            .or_insert_with(|| agg.aggs.iter().map(Accumulator::new).collect())
-                    }
-                };
-                update_accs(accs, &agg.aggs, &folded, &ectx)?;
+        // Keys are sized exactly: a first-seen key lives as long as its
+        // slice, and collecting through `Result` would over-allocate it.
+        let key_of = |join_key: &[BoundExpr], group_key: &[BoundExpr]| -> Result<Vec<Value>> {
+            let mut key = Vec::with_capacity(join_key.len() + group_key.len());
+            for e in join_key.iter().chain(group_key) {
+                key.push(eval(e, &folded, &ectx)?);
             }
+            Ok(key)
+        };
+        let (key, aggs): (Vec<Value>, &[AggSpec]) = match &self.shape {
+            IvmShape::Agg { agg, .. } => (key_of(&[], &agg.group_exprs)?, &agg.aggs),
             IvmShape::JoinAgg { join, agg, .. } => {
-                let jk: Vec<Value> = join
-                    .left_key
-                    .iter()
-                    .map(|e| eval(e, &folded, &ectx))
-                    .collect::<Result<_>>()?;
-                if jk.iter().any(Value::is_null) {
+                let key = key_of(&join.left_key, &agg.group_exprs)?;
+                if key[..join.left_key.len()].iter().any(Value::is_null) {
                     // NULL join keys never match: re-evaluation emits no
                     // joined row, so there is nothing to maintain.
                     return Ok(());
                 }
-                let gk: Vec<Value> = agg
-                    .group_exprs
-                    .iter()
-                    .map(|e| eval(e, &folded, &ectx))
-                    .collect::<Result<_>>()?;
-                let slice = self.slices.entry(slice_start).or_insert_with(|| Slice {
-                    bytes: 0,
-                    kind: SliceKind::Pairs {
-                        pairs: HashMap::new(),
-                        order: Vec::new(),
-                    },
-                });
-                let SliceKind::Pairs { pairs, order } = &mut slice.kind else {
-                    return Err(Error::stream("ivm slice kind changed mid-stream"));
-                };
-                let pair = (jk, gk);
-                let accs = match pairs.get_mut(&pair) {
-                    Some(a) => a,
-                    None => {
-                        slice.bytes +=
-                            key_bytes(&pair.0) + key_bytes(&pair.1) + ACC_BYTES * agg.aggs.len();
-                        order.push(pair.clone());
-                        pairs
-                            .entry(pair)
-                            .or_insert_with(|| agg.aggs.iter().map(Accumulator::new).collect())
-                    }
-                };
-                update_accs(accs, &agg.aggs, &folded, &ectx)?;
+                (key, &agg.aggs)
             }
-            IvmShape::Distinct { .. } => {
-                let slice = self.slices.entry(slice_start).or_insert_with(|| Slice {
-                    bytes: 0,
-                    kind: SliceKind::Rows {
-                        seen: HashSet::new(),
-                        order: Vec::new(),
-                    },
-                });
-                let SliceKind::Rows { seen, order } = &mut slice.kind else {
-                    return Err(Error::stream("ivm slice kind changed mid-stream"));
-                };
-                if seen.insert(folded.clone()) {
-                    slice.bytes += key_bytes(&folded);
-                    order.push(folded);
-                }
+            IvmShape::Distinct { .. } => (folded.to_vec(), &[]),
+        };
+        let slice_start = ts.div_euclid(self.width) * self.width;
+        let slice = self.slices.entry(slice_start).or_default();
+        let accs = match slice.partials.get_mut(&key) {
+            Some(a) => a,
+            None => {
+                let grew = key_bytes(&key) + ACC_BYTES * aggs.len();
+                slice.bytes += grew;
+                self.bytes += grew;
+                slice.order.push(key.clone());
+                slice
+                    .partials
+                    .entry(key)
+                    .or_insert_with(|| aggs.iter().map(Accumulator::new).collect())
+            }
+        };
+        for (acc, spec) in accs.iter_mut().zip(aggs) {
+            match &spec.arg {
+                Some(arg) => acc.update(Some(&eval(arg, &folded, &ectx)?))?,
+                None => acc.update(None)?,
             }
         }
-        let _ = width;
         self.delta_rows += 1;
         Ok(())
     }
 
-    /// Compose the anchor output for the window `[close - visible, close)`
-    /// by merging covered slices.
+    /// Compose the anchor output for this store's own window
+    /// `[close - visible, close)`.
     pub fn window_result(&self, close: Timestamp) -> Result<WindowOutput> {
-        let lo = close - self.visible;
-        match &self.shape {
-            IvmShape::Agg { agg, .. } => {
-                let mut merged: HashMap<&[Value], Vec<Accumulator>> = HashMap::new();
-                let mut order: Vec<&[Value]> = Vec::new();
-                for (_, slice) in self.slices.range(lo..close) {
-                    let SliceKind::Groups { groups, order: so } = &slice.kind else {
-                        return Err(Error::stream("ivm slice kind changed mid-stream"));
-                    };
-                    for key in so {
-                        let partial = &groups[key];
-                        match merged.get_mut(key.as_slice()) {
-                            Some(accs) => {
-                                for (a, p) in accs.iter_mut().zip(partial) {
-                                    a.merge(p)?;
-                                }
-                            }
-                            None => {
-                                order.push(key.as_slice());
-                                merged.insert(key.as_slice(), partial.clone());
-                            }
-                        }
-                    }
-                }
-                Ok(WindowOutput::Ready(compose_groups(agg, merged, order)?))
+        self.compose(close - self.visible, close)
+    }
+
+    /// Compose the anchor output for the window `[lo, close)` by merging
+    /// the slices it covers; both bounds must lie on the slice grid.
+    pub fn compose(&self, lo: Timestamp, close: Timestamp) -> Result<WindowOutput> {
+        let mut merged = Merged::default();
+        for slice in self.slices.range(lo..close).map(|(_, s)| s) {
+            for key in &slice.order {
+                merged.add(key, Cow::Borrowed(&slice.partials[key]))?;
             }
+        }
+        Ok(match &self.shape {
+            IvmShape::Agg { agg, .. } => WindowOutput::Ready(merged.into_relation(
+                &agg.schema,
+                &agg.aggs,
+                agg.group_exprs.is_empty(),
+            )),
             IvmShape::JoinAgg { join, agg, .. } => {
-                let mut merged: HashMap<&PairKey, Vec<Accumulator>> = HashMap::new();
-                let mut order: Vec<&PairKey> = Vec::new();
-                for (_, slice) in self.slices.range(lo..close) {
-                    let SliceKind::Pairs { pairs, order: so } = &slice.kind else {
-                        return Err(Error::stream("ivm slice kind changed mid-stream"));
-                    };
-                    for key in so {
-                        let partial = &pairs[key];
-                        match merged.get_mut(key) {
-                            Some(accs) => {
-                                for (a, p) in accs.iter_mut().zip(partial) {
-                                    a.merge(p)?;
-                                }
-                            }
-                            None => {
-                                order.push(key);
-                                merged.insert(key, partial.clone());
-                            }
-                        }
-                    }
-                }
-                let entries = order
-                    .into_iter()
-                    .map(|k| {
-                        let accs = merged.remove(k).unwrap_or_default();
-                        (k.0.clone(), k.1.clone(), accs)
-                    })
-                    .collect();
-                Ok(WindowOutput::NeedsTable(Box::new(JoinDelta {
+                let n = join.left_key.len();
+                WindowOutput::NeedsTable(Box::new(JoinDelta {
                     table: join.table.clone(),
                     table_filter: join.table_filter.clone(),
                     right_key: join.right_key.clone(),
                     index_column: join.index_column.clone(),
-                    entries,
+                    entries: merged
+                        .into_entries()
+                        .map(|(k, accs)| (k[..n].to_vec(), k[n..].to_vec(), accs))
+                        .collect(),
                     aggs: agg.aggs.clone(),
                     schema: agg.schema.clone(),
                     global: agg.group_exprs.is_empty(),
-                })))
+                }))
             }
             IvmShape::Distinct { schema, .. } => {
-                let mut seen: HashSet<&Row> = HashSet::new();
                 let mut rel = Relation::empty(schema.clone());
-                for (_, slice) in self.slices.range(lo..close) {
-                    let SliceKind::Rows { order, .. } = &slice.kind else {
-                        return Err(Error::stream("ivm slice kind changed mid-stream"));
-                    };
-                    for row in order {
-                        if seen.insert(row) {
-                            rel.push(row.clone());
-                        }
-                    }
+                for row in merged.order {
+                    rel.push(row.to_vec());
                 }
-                Ok(WindowOutput::Ready(rel))
+                WindowOutput::Ready(rel)
             }
-        }
+        })
     }
 
     /// Drop slices no future window can reach: every slice whose end is at
-    /// or before `horizon` (= next close − visible).
+    /// or before `horizon` (= the earliest next close − its visible).
     pub fn evict(&mut self, horizon: Timestamp) {
-        let width = self.width;
-        self.slices.retain(|start, _| start + width > horizon);
-    }
-}
-
-fn compose_groups(
-    agg: &AggShape,
-    merged: HashMap<&[Value], Vec<Accumulator>>,
-    order: Vec<&[Value]>,
-) -> Result<Relation> {
-    let mut rel = Relation::empty(agg.schema.clone());
-    if merged.is_empty() && agg.group_exprs.is_empty() {
-        // Global aggregate over an empty window: defaults row, exactly as
-        // the re-evaluated aggregate produces.
-        rel.push(
-            agg.aggs
-                .iter()
-                .map(|s| Accumulator::new(s).finish())
-                .collect(),
-        );
-        return Ok(rel);
-    }
-    for key in order {
-        let accs = &merged[key];
-        let mut row: Row = key.to_vec();
-        row.extend(accs.iter().map(Accumulator::finish));
-        rel.push(row);
-    }
-    Ok(rel)
-}
-
-fn update_accs(
-    accs: &mut [Accumulator],
-    specs: &[AggSpec],
-    row: &Row,
-    ectx: &EvalContext,
-) -> Result<()> {
-    for (acc, spec) in accs.iter_mut().zip(specs) {
-        match &spec.arg {
-            Some(arg) => {
-                let v = eval(arg, row, ectx)?;
-                acc.update(Some(&v))?;
+        let (width, mut freed) = (self.width, 0);
+        self.slices.retain(|start, slice| {
+            let keep = start + width > horizon;
+            if !keep {
+                freed += slice.bytes;
             }
-            None => acc.update(None)?,
-        }
+            keep
+        });
+        self.bytes -= freed;
     }
-    Ok(())
 }
 
-fn apply_ops(ops: &[RowOp], row: &Row, ectx: &EvalContext) -> Result<Option<Row>> {
-    let mut cur = row.clone();
+/// Run the prefix's filter/project chain over one tuple. The row is
+/// borrowed until a `Project` actually rewrites it.
+fn apply_ops<'r>(
+    ops: &[RowOp],
+    row: &'r Row,
+    ectx: &EvalContext,
+) -> Result<Option<Cow<'r, [Value]>>> {
+    let mut cur: Cow<'r, [Value]> = Cow::Borrowed(row);
     for op in ops {
         match op {
             RowOp::Filter(pred) => {
@@ -526,10 +469,12 @@ fn apply_ops(ops: &[RowOp], row: &Row, ectx: &EvalContext) -> Result<Option<Row>
                 }
             }
             RowOp::Project(exprs) => {
-                cur = exprs
-                    .iter()
-                    .map(|e| eval(e, &cur, ectx))
-                    .collect::<Result<_>>()?;
+                cur = Cow::Owned(
+                    exprs
+                        .iter()
+                        .map(|e| eval(e, &cur, ectx))
+                        .collect::<Result<_>>()?,
+                );
             }
         }
     }

@@ -328,19 +328,21 @@ pub fn metrics_schema() -> Schema {
     .expect("metrics schema is well-formed")
 }
 
-/// Arc-cached handles for the IVM subsystem's instruments.
+/// Arc-cached handles for the slice-store instruments.
 ///
-/// Registered once per lowering decision (get-or-create, like every
-/// registry access); the CQ runtime clones the per-tuple handles into
-/// each lowered CQ so delta accounting never touches the registry lock.
+/// Registered get-or-create, like every registry access: the CQ runtime
+/// bumps `lowered`/`fallback` once per placement decision and keeps the
+/// `state_bytes` handle in each sliced CQ; the ingest path holds
+/// `delta_rows`, so fold accounting never touches the registry lock.
 pub struct IvmMetrics {
-    /// CQs lowered to incremental view maintenance.
+    /// CQs placed on a slice store (pooled or private).
     pub lowered: Arc<Counter>,
     /// CQs that fell back to per-window re-evaluation.
     pub fallback: Arc<Counter>,
-    /// Stream tuples folded into IVM slice state.
+    /// Stream tuples folded into slice stores: once per store, however
+    /// many CQs read it.
     pub delta_rows: Arc<Counter>,
-    /// Approximate bytes of live IVM state across CQs.
+    /// Approximate bytes of live slice state, summed over stores.
     pub state_bytes: Arc<Gauge>,
 }
 

@@ -63,6 +63,10 @@ def need(field, want):
 # -- structural checks: exact on every machine -----------------------------
 if name == "BENCH_recovery_torture.json":
     need("failures", 0)
+elif name == "BENCH_race_torture.json":
+    need("failures", 0)
+    if fresh.get("chaos_points", 0) <= 0:
+        problems.append("chaos_points <= 0: the chaos injector never fired")
 elif name == "BENCH_federation_torture.json":
     need("divergences", 0)
 elif name == "BENCH_federation.json":

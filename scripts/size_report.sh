@@ -1,0 +1,53 @@
+#!/usr/bin/env bash
+# The three size numbers ROADMAP asks every PR to track: workspace
+# non-test Rust lines, named locks, and must-precede lock edges.
+#
+# Usage: scripts/size_report.sh [file.rs ...]
+#
+# Non-test lines of a source file are the lines before its first
+# top-level `#[cfg(test)]` (every test module in this workspace sits at
+# the end of its file); `tests/`, `benches/`, `examples/` and generated
+# `*.gen.rs` files are not counted at all. Lock and edge counts are read
+# from the generated `crates/check/src/lock_graph.gen.rs`.
+#
+# With file arguments, also prints each named file's non-test lines and
+# their sum, so a PR can quote "these files went from A to B".
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+non_test_lines() {
+    awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"
+}
+
+crate_lines() {
+    local total=0 f
+    while IFS= read -r f; do
+        total=$((total + $(non_test_lines "$f")))
+    done < <(find "$1/src" -name '*.rs' ! -name '*.gen.rs' | sort)
+    echo "$total"
+}
+
+total=0
+printf '%-28s %8s\n' "crate" "lines"
+for dir in . crates/* shims/*; do
+    [ -d "$dir/src" ] || continue
+    n=$(crate_lines "$dir")
+    total=$((total + n))
+    printf '%-28s %8d\n' "${dir#./}" "$n"
+done
+printf '%-28s %8d\n' "workspace non-test total" "$total"
+
+if [ "$#" -gt 0 ]; then
+    sum=0
+    for f in "$@"; do
+        n=$(non_test_lines "$f")
+        sum=$((sum + n))
+        printf '%-44s %8d\n' "$f" "$n"
+    done
+    printf '%-44s %8d\n' "named files total" "$sum"
+fi
+
+gen=crates/check/src/lock_graph.gen.rs
+section() { awk -v name="$1" '$0 ~ "static " name ":" { on = 1; next } on && /^\];/ { exit } on && /^    / { n++ } END { print n + 0 }' "$gen"; }
+printf '%-28s %8d\n' "named locks" "$(section GLOBAL_LOCK_ORDER)"
+printf '%-28s %8d\n' "must-precede edges" "$(section LOCK_MUST_PRECEDE)"

@@ -378,6 +378,13 @@ fn explain_check_report_is_byte_identical_embedded_and_remote() {
              <VISIBLE '2 minutes' ADVANCE '1 minute'> GROUP BY v",
             "ivm",
         ),
+        // Float AVG: an inexact merge, sliced because the default options
+        // pool stores — the path the engine actually runs it on.
+        (
+            "SELECT avg(v * 0.5) mean FROM events \
+             <VISIBLE '60 seconds' ADVANCE '1 second'>",
+            "ivm",
+        ),
         // ROWS window: re-evaluation, with an ivm-fallback info row.
         (
             "SELECT v FROM events <VISIBLE 10 ROWS ADVANCE 10 ROWS>",

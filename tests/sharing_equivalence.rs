@@ -84,3 +84,224 @@ proptest! {
         prop_assert_eq!(shared, unshared);
     }
 }
+
+// ---- pooling beyond plain aggregates, against the re-evaluation reference --
+
+const SECONDS: i64 = 1_000_000;
+
+/// The four sliding windows every pooled shape is registered under
+/// (VISIBLE, ADVANCE in seconds); their common slice grid is 1 s.
+const WINDOWS: [(i64, i64); 4] = [(60, 1), (120, 2), (180, 3), (300, 5)];
+
+/// (shape, CQ with `{w}` standing for the window clause). The first three
+/// could not pool before stores and membership were one mechanism:
+/// DISTINCT anchors, stream-table join aggregates and aggregates over a
+/// projected prefix were private-IVM-only. The last two always could.
+const SHAPES: &[(&str, &str)] = &[
+    ("distinct", "SELECT DISTINCT k FROM s {w}"),
+    (
+        "join-agg",
+        "SELECT e.k, count(*) c, sum(e.v) t FROM s {w} e \
+         JOIN dim d ON e.k = d.k GROUP BY e.k",
+    ),
+    (
+        "projected-prefix",
+        "SELECT k, sum(w) t FROM (SELECT k, v * 2 w FROM s {w}) p GROUP BY k",
+    ),
+    ("count-distinct", "SELECT count(distinct k) n FROM s {w}"),
+    (
+        "min-max",
+        "SELECT k, min(v) lo, max(v) hi FROM s {w} GROUP BY k",
+    ),
+];
+
+fn metric(db: &Db, name: &str) -> i64 {
+    let rel = db
+        .execute(&format!(
+            "SELECT value FROM streamrel_metrics WHERE name = '{name}'"
+        ))
+        .unwrap()
+        .rows();
+    rel.rows()
+        .first()
+        .and_then(|r| r.first())
+        .and_then(|v| v.as_int().ok())
+        .unwrap_or(0)
+}
+
+/// Run every shape under every window over `tuples` (`(key, value, ts)`,
+/// arrival order), updating `dim` mid-stream, and return each
+/// subscription's canonical window sequence plus the database.
+fn run_pooled_shapes(opts: DbOptions, tuples: &[(u8, i64, i64)]) -> (Vec<String>, Db) {
+    let db = Db::in_memory(opts.with_slack(5 * SECONDS));
+    db.execute("CREATE STREAM s (k varchar(4), v integer, ts timestamp CQTIME USER)")
+        .unwrap();
+    db.execute("CREATE TABLE dim (k varchar(4), owner varchar(8))")
+        .unwrap();
+    db.execute("INSERT INTO dim VALUES ('k0', 'ann'), ('k1', 'bob'), ('k1', 'cy')")
+        .unwrap();
+    let mut subs = Vec::new();
+    for (_, cq) in SHAPES {
+        for (vis, adv) in WINDOWS {
+            let w = format!("<VISIBLE '{vis} seconds' ADVANCE '{adv} seconds'>");
+            subs.push(db.execute(&cq.replace("{w}", &w)).unwrap().subscription());
+        }
+    }
+    for (i, (key, v, ts)) in tuples.iter().enumerate() {
+        if i == tuples.len() / 2 {
+            // Between two closes: every later window boundary — and none
+            // before — must see the new matches (window consistency).
+            db.execute("INSERT INTO dim VALUES ('k2', 'dee'), ('k0', 'eve')")
+                .unwrap();
+        }
+        db.ingest(
+            "s",
+            vec![
+                Value::text(format!("k{}", key % 5)),
+                Value::Int(*v),
+                Value::Timestamp(*ts),
+            ],
+        )
+        .unwrap();
+    }
+    let last = tuples.iter().map(|t| t.2).max().unwrap_or(0);
+    db.heartbeat("s", last + 600 * SECONDS).unwrap();
+    let outs = subs
+        .into_iter()
+        .map(|sub| {
+            let mut out = String::new();
+            for o in db.poll(sub).unwrap() {
+                out.push_str(&format!("close={} {:?}\n", o.close, o.relation.schema()));
+                for r in o.relation.rows() {
+                    out.push_str(&format!("{r:?}\n"));
+                }
+            }
+            out
+        })
+        .collect();
+    (outs, db)
+}
+
+#[test]
+fn every_lowered_shape_pools_across_windows_and_matches_reeval() {
+    // 700 s of event time (past the widest window's eviction), irregular
+    // steps, and every seventh pair swapped so arrival order differs from
+    // CQTIME order inside the 5 s slack.
+    let mut ts = 0i64;
+    let mut tuples: Vec<(u8, i64, i64)> = (0..900i64)
+        .map(|i| {
+            ts += ((i * 7919) % 1500 + 50) * 1000;
+            ((i * 31 % 7) as u8, (i * 37) % 101 - 50, ts)
+        })
+        .collect();
+    for i in (1..tuples.len()).step_by(7) {
+        tuples.swap(i - 1, i);
+    }
+
+    let (pooled, db) = run_pooled_shapes(DbOptions::default(), &tuples);
+    let (reeval, reference) = run_pooled_shapes(
+        DbOptions::default().without_sharing().without_ivm(),
+        &tuples,
+    );
+    assert_eq!(pooled.len(), SHAPES.len() * WINDOWS.len());
+    for (i, (p, r)) in pooled.iter().zip(&reeval).enumerate() {
+        let (shape, (vis, adv)) = (SHAPES[i / WINDOWS.len()].0, WINDOWS[i % WINDOWS.len()]);
+        assert!(!r.is_empty(), "{shape} {vis}/{adv}: no windows emitted");
+        assert_eq!(
+            p, r,
+            "{shape} {vis}/{adv}: pooled output diverges from re-eval"
+        );
+    }
+
+    // Every CQ is sliced, and each tuple is folded once per store — one
+    // store per shape — not once per CQ.
+    let cqs = (SHAPES.len() * WINDOWS.len()) as i64;
+    assert_eq!(metric(&db, "ivm.lowered"), cqs);
+    assert_eq!(metric(&db, "ivm.fallback"), 0);
+    let tuples_in = metric(&db, "db.tuples_in");
+    assert!(tuples_in > 0);
+    assert_eq!(
+        metric(&db, "ivm.delta.rows"),
+        tuples_in * SHAPES.len() as i64,
+        "each tuple folds once per store"
+    );
+    assert_eq!(metric(&reference, "ivm.lowered"), 0);
+    assert_eq!(metric(&reference, "ivm.delta.rows"), 0);
+
+    // With pooling off every CQ still lowers, onto a store of its own.
+    let (private, db) = run_pooled_shapes(DbOptions::default().without_sharing(), &tuples);
+    assert_eq!(
+        private, reeval,
+        "private-store output diverges from re-eval"
+    );
+    assert_eq!(metric(&db, "ivm.delta.rows"), tuples_in * cqs);
+}
+
+// ---- membership: leaving a store --------------------------------------------
+
+/// One tuple per second on `s`, keys cycling, from `from` to `to` seconds.
+fn drive(db: &Db, from: i64, to: i64) {
+    for sec in from..to {
+        db.ingest(
+            "s",
+            vec![
+                Value::text(format!("k{}", sec % 4)),
+                Value::Timestamp(sec * SECONDS + 1),
+            ],
+        )
+        .unwrap();
+    }
+}
+
+/// Regression: `unsubscribe` used to drop the CQ but keep its member
+/// window in the shared group. A member that left before its first close
+/// blocked eviction outright, one that left later froze the horizon, and
+/// once the last member had gone the group kept folding every tuple into
+/// slices nobody would ever read or evict.
+#[test]
+fn unsubscribing_releases_slice_store_membership() {
+    const SURVIVOR: &str = "SELECT k, count(*) c FROM s \
+         <VISIBLE '60 seconds' ADVANCE '10 seconds'> GROUP BY k";
+    const LEAVER: &str = "SELECT k, count(*) c FROM s \
+         <VISIBLE '60 seconds' ADVANCE '20 seconds'> GROUP BY k";
+    // The sibling leaves before its first close (0 s) or after it (70 s).
+    for leave_at in [0, 70] {
+        let db = Db::in_memory(DbOptions::default());
+        db.execute("CREATE STREAM s (k varchar(4), ts timestamp CQTIME USER)")
+            .unwrap();
+        let survivor = db.execute(SURVIVOR).unwrap().subscription();
+        let leaver = db.execute(LEAVER).unwrap().subscription();
+        drive(&db, 0, leave_at);
+        db.unsubscribe(leaver).unwrap();
+        drive(&db, leave_at, 120);
+        // Steady state: the store holds the survivor's window and no more.
+        let steady = metric(&db, "ivm.state.bytes");
+        assert!(steady > 0, "leave_at={leave_at}: live store not accounted");
+
+        // 10× VISIBLE of further event time must not grow it.
+        drive(&db, 120, 720);
+        let later = metric(&db, "ivm.state.bytes");
+        assert!(
+            later <= steady * 3 / 2,
+            "leave_at={leave_at}: departed member still pins slices \
+             ({steady} -> {later} bytes)"
+        );
+        assert_eq!(db.poll(survivor).unwrap().len(), 71, "survivor undisturbed");
+
+        // The last member takes the store with it: nothing folds any more.
+        db.unsubscribe(survivor).unwrap();
+        assert_eq!(metric(&db, "ivm.state.bytes"), 0);
+        let folded = metric(&db, "ivm.delta.rows");
+        assert_eq!(folded, 720);
+        drive(&db, 720, 780);
+        assert_eq!(
+            metric(&db, "ivm.delta.rows"),
+            folded,
+            "dead store still fed"
+        );
+        // A later subscriber of the same shape starts a fresh store.
+        db.execute(SURVIVOR).unwrap();
+        drive(&db, 780, 790);
+        assert_eq!(metric(&db, "ivm.delta.rows"), folded + 10);
+    }
+}
