@@ -139,11 +139,8 @@ struct Catalog {
     /// never migrate; a dropped stream's shard slot stays (slots are
     /// cheap and ids must stay stable).
     shards: Vec<Arc<Shard>>,
-    /// Which shard hosts each client subscription's CQs.
-    sub_shard: HashMap<SubscriptionId, usize>,
-    /// Which CQ each client subscription is a member of. Primaries and
-    /// attached members ([`Db::subscribe_attach`]) map to the same CQ id.
-    sub_cq: HashMap<SubscriptionId, u64>,
+    /// Where each client subscription's CQ runs: (shard index, CQ id).
+    sub_home: HashMap<SubscriptionId, (usize, u64)>,
     /// Streams created so far (drives round-robin shard assignment).
     stream_seq: usize,
     next_cq: u64,
@@ -278,8 +275,7 @@ impl Db {
                     channels: HashMap::new(),
                     registry: SharedRegistry::new(),
                     shards: Vec::new(),
-                    sub_shard: HashMap::new(),
-                    sub_cq: HashMap::new(),
+                    sub_home: HashMap::new(),
                     stream_seq: 0,
                     next_cq: 1,
                     next_sub: 1,
@@ -331,8 +327,8 @@ impl Db {
     }
 
     /// Wakes whenever a client subscription receives a window result.
-    /// Blocking consumers (the network server's delivery threads) wait on
-    /// this instead of polling.
+    /// Blocking consumers park in [`ResultNotifier::wait_newer`]; the
+    /// network reactor registers a waker instead.
     pub fn notifier(&self) -> Arc<ResultNotifier> {
         self.notify.clone()
     }
@@ -384,12 +380,10 @@ impl Db {
 
     /// Drain pending window results for a subscription.
     ///
-    /// Results are stored shared ([`Arc<CqOutput>`] — one allocation per
-    /// closed window no matter how many subscriptions receive it); this
-    /// convenience form unwraps the sole reference (free for the common
-    /// single-subscriber case) or clones when other members still hold
-    /// the window. Fan-out consumers that only need read access should
-    /// use [`Db::poll_shared`] and skip the clone entirely.
+    /// Results are queued as [`Arc<CqOutput>`]; this convenience form
+    /// unwraps the reference (the queue held the only one). Consumers
+    /// that broadcast a window should use [`Db::poll_shared`] and share
+    /// the allocation.
     pub fn poll(&self, sub: SubscriptionId) -> Result<Vec<CqOutput>> {
         Ok(self
             .poll_shared(sub)?
@@ -399,35 +393,13 @@ impl Db {
     }
 
     /// Drain pending window results without copying the underlying
-    /// windows: each result is the same reference-counted allocation the
-    /// engine enqueued (and, under fan-out, the same one every other
-    /// member of the CQ receives).
+    /// windows: each result is the reference-counted allocation the
+    /// engine enqueued, ready to be shared across a fan-out.
     pub fn poll_shared(&self, sub: SubscriptionId) -> Result<Vec<Arc<CqOutput>>> {
         let mut subs = self.subs.lock();
         subs.get_mut(&sub)
             .map(Subscription::drain)
             .ok_or_else(|| Error::stream(format!("unknown subscription {sub:?}")))
-    }
-
-    /// Drain many subscriptions under **one** queue-table acquisition.
-    /// The i-th result corresponds to `ids[i]`; unknown (departed)
-    /// subscriptions yield an empty vec rather than an error.
-    ///
-    /// Atomicity is the point, not convenience: the engine offers a
-    /// closed window to every member of a fan-out group under a single
-    /// lock acquisition, so a caller that also drains under a single
-    /// acquisition observes each window on *all* of its subscriptions or
-    /// on none — never a partial cut. The network reactor relies on this
-    /// to encode each window exactly once per delivery sweep.
-    pub fn poll_shared_many(&self, ids: &[SubscriptionId]) -> Vec<Vec<Arc<CqOutput>>> {
-        let mut subs = self.subs.lock();
-        ids.iter()
-            .map(|id| {
-                subs.get_mut(id)
-                    .map(Subscription::drain)
-                    .unwrap_or_default()
-            })
-            .collect()
     }
 
     /// Push one tuple into a base stream (programmatic fast path; the SQL
@@ -699,16 +671,6 @@ impl Db {
         }
         if let Some(g) = emptied {
             catalog.registry.forget(&g);
-        }
-    }
-
-    /// [`Db::release_cq`] for several torn-down CQs. Callers must hold no
-    /// shard state lock: this takes the catalog, and the declared order
-    /// is catalog < state.
-    fn release_removed(&self, removed: Vec<(u64, Option<GroupRef>)>) {
-        let mut catalog = self.catalog.lock();
-        for (id, emptied) in removed {
-            Self::release_cq(&mut catalog, id, emptied);
         }
     }
 
@@ -1196,14 +1158,13 @@ impl Db {
             self.engine.clone(),
             self.options.consistency,
         )?;
-        let sink = Sink::Clients(vec![sub_id]);
-        let (cq_id, shard) = self.register_cq(&mut catalog, cq, sink, state_bytes)?;
-        catalog.sub_shard.insert(sub_id, shard);
-        catalog.sub_cq.insert(sub_id, cq_id);
+        let (cq_id, shard) =
+            self.register_cq(&mut catalog, cq, Sink::Client(sub_id), state_bytes)?;
+        catalog.sub_home.insert(sub_id, (shard, cq_id));
         drop(catalog);
         self.subs.lock().insert(
             sub_id,
-            Subscription::bounded(self.options.sub_queue_capacity, self.options.sub_overflow)
+            Subscription::bounded(self.options.sub_queue_capacity)
                 .with_depth_gauge(self.metrics.sub_queue_depth.clone()),
         );
         Ok(ExecResult::Subscribed(sub_id))
@@ -1268,100 +1229,25 @@ impl Db {
         Ok((cq_id, shard_idx))
     }
 
-    /// Attach a new subscription to the CQ behind `primary`, sharing its
-    /// window computation: the CQ runs once, and every closed window is
-    /// offered (reference-counted, not copied) to each member's own
-    /// bounded queue. This is the engine half of the network server's
-    /// serialize-once fan-out — N remote subscribers to one continuous
-    /// query cost one CQ runtime and one window allocation per close.
-    ///
-    /// The returned subscription is independent for delivery purposes:
-    /// it has its own queue, depth accounting and overflow policy, and
-    /// unsubscribing it never disturbs other members. The CQ itself is
-    /// torn down when its *last* member unsubscribes.
-    pub fn subscribe_attach(&self, primary: SubscriptionId) -> Result<SubscriptionId> {
-        let mut catalog = self.catalog.lock();
-        let shard_idx = *catalog
-            .sub_shard
-            .get(&primary)
-            .ok_or_else(|| Error::stream(format!("unknown subscription {primary:?}")))?;
-        let cq_id = *catalog
-            .sub_cq
-            .get(&primary)
-            .ok_or_else(|| Error::stream(format!("unknown subscription {primary:?}")))?;
-        let sub_id = SubscriptionId(catalog.next_sub);
-        catalog.next_sub += 1;
-        catalog.sub_shard.insert(sub_id, shard_idx);
-        catalog.sub_cq.insert(sub_id, cq_id);
-        let shard = shard_at(&catalog, shard_idx)?;
-        {
-            // Lock order: catalog < state (the file-level declaration).
-            let mut state = shard.state.lock();
-            match state.cqs.get_mut(&cq_id).map(|e| &mut e.sink) {
-                Some(Sink::Clients(members)) => members.push(sub_id),
-                _ => {
-                    // The primary unsubscribed between the catalog lookup
-                    // and here (or points at a derived-stream CQ, which
-                    // sub_cq never records). Roll back the reservation.
-                    catalog.sub_shard.remove(&sub_id);
-                    catalog.sub_cq.remove(&sub_id);
-                    return Err(Error::stream(format!("unknown subscription {primary:?}")));
-                }
-            }
-        }
-        drop(catalog);
-        self.subs.lock().insert(
-            sub_id,
-            Subscription::bounded(self.options.sub_queue_capacity, self.options.sub_overflow)
-                .with_depth_gauge(self.metrics.sub_queue_depth.clone()),
-        );
-        Ok(sub_id)
-    }
-
-    /// The CQ id a client subscription feeds from, if it is still live.
-    /// Two subscriptions report the same id exactly when they share one
-    /// CQ runtime (i.e. one was [`Db::subscribe_attach`]ed to the other).
-    pub fn subscription_cq(&self, sub: SubscriptionId) -> Option<u64> {
-        self.catalog.lock().sub_cq.get(&sub).copied()
-    }
-
     /// Terminate a continuous query / subscription (§3.1: "CQs run until
-    /// they are explicitly terminated").
-    ///
-    /// With fan-out ([`Db::subscribe_attach`]) a CQ may have several
-    /// member subscriptions; removing one only detaches it. The CQ
-    /// runtime — and its state-budget charge and close histogram — is
-    /// released when the last member leaves.
+    /// they are explicitly terminated"): tears down the subscription's
+    /// CQ and releases its state-budget charge and close histogram.
     pub fn unsubscribe(&self, sub: SubscriptionId) -> Result<()> {
         let mut catalog = self.catalog.lock();
-        let shard_idx = catalog
-            .sub_shard
+        let (shard_idx, cq_id) = catalog
+            .sub_home
             .remove(&sub)
             .ok_or_else(|| Error::stream(format!("unknown subscription {sub:?}")))?;
-        catalog.sub_cq.remove(&sub);
         self.engine
             .metrics()
             .remove(&format!("cq.close_us.sub_{}", sub.0));
         let shard = shard_at(&catalog, shard_idx)?;
-        drop(catalog);
-        let removed = {
+        let emptied = {
             let mut state = shard.state.lock();
-            // Detach this subscription from every client-sinked CQ; a CQ
-            // whose membership empties is torn down.
-            let mut ids: Vec<u64> = Vec::new();
-            for (id, e) in state.cqs.iter_mut() {
-                if let Sink::Clients(members) = &mut e.sink {
-                    members.retain(|&s| s != sub);
-                    if members.is_empty() {
-                        ids.push(*id);
-                    }
-                }
-            }
-            ids.into_iter()
-                .map(|id| (id, detach_cq(&mut state, id)))
-                .collect::<Vec<_>>()
+            detach_cq(&mut state, cq_id)
         };
-        self.release_removed(removed);
+        Self::release_cq(&mut catalog, cq_id, emptied);
+        drop(catalog);
         // Undelivered results leave the depth gauge with the subscription
         // (its Drop impl settles the account).
         self.subs.lock().remove(&sub);
@@ -1733,27 +1619,12 @@ impl Db {
                 entry.close_hist.observe_from(start);
             }
             let sink_target = match state.cqs.get(&cq_id).map(|e| &e.sink) {
-                Some(Sink::Clients(members)) => {
-                    // One allocation per closed window: every member's
-                    // queue holds the same Arc. All offers happen under a
-                    // single `subs` acquisition, so a notifier wakeup
-                    // (and hence one reactor sweep) observes either no
-                    // copy or every copy of this window — the invariant
-                    // the server's serialize-once encode cache relies on.
-                    let members = members.clone();
-                    let shared = Arc::new(out);
-                    let mut subs = self.subs.lock();
-                    let mut drops = 0;
-                    let mut offered = false;
-                    for s in &members {
-                        if let Some(sub) = subs.get_mut(s) {
-                            // The depth gauge is settled inside `offer`.
-                            drops += sub.offer(shared.clone());
-                            offered = true;
-                        }
+                Some(Sink::Client(sub)) => {
+                    // The depth gauge is settled inside `offer`.
+                    if let Some(queue) = self.subs.lock().get_mut(sub) {
+                        self.metrics.sub_drops.add(queue.offer(Arc::new(out)));
+                        published = true;
                     }
-                    self.metrics.sub_drops.add(drops);
-                    published |= offered;
                     continue;
                 }
                 Some(Sink::Derived(name)) => name.clone(),
@@ -2032,7 +1903,6 @@ fn reorder_columns(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::OverflowPolicy;
     use streamrel_types::row;
     use streamrel_types::time::MINUTES;
 
@@ -2643,126 +2513,43 @@ mod tests {
 
     /// The `db.sub_queue_depth` gauge must equal the sum of pending
     /// results across live subscriptions at all times — including after
-    /// forced overflow drops under both policies.
+    /// forced overflow drops.
     #[test]
     fn queue_depth_gauge_is_conserved_under_overflow() {
-        for policy in [OverflowPolicy::DropOldest, OverflowPolicy::DropNewest] {
-            let db = Db::in_memory(DbOptions::default().with_sub_queue(2, policy));
-            db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
-                .unwrap();
-            let a = db
-                .execute("SELECT count(*) c FROM s <TUMBLING '1 minute'>")
-                .unwrap()
-                .subscription();
-            let b = db
-                .execute("SELECT sum(v) t FROM s <TUMBLING '1 minute'>")
-                .unwrap()
-                .subscription();
-            let gauge = db.engine().metrics().gauge("db.sub_queue_depth");
-            let pending_sum = |db: &Db| {
-                let subs = db.subs.lock();
-                subs.values().map(|s| s.pending() as i64).sum::<i64>()
-            };
-            db.ingest("s", row![1i64, Value::Timestamp(1)]).unwrap();
-            // Close 5 windows against capacity-2 queues: 3 forced drops
-            // per subscription under either policy.
-            db.heartbeat("s", 5 * MINUTES).unwrap();
-            assert_eq!(db.stats().sub_drops, 6);
-            assert_eq!(gauge.get(), 4, "2 queues × capacity 2 ({policy:?})");
-            assert_eq!(gauge.get(), pending_sum(&db));
-            // Drain one sub: gauge follows.
-            assert_eq!(db.poll(a).unwrap().len(), 2);
-            assert_eq!(gauge.get(), pending_sum(&db));
-            assert_eq!(gauge.get(), 2);
-            // Overflow again on the other sub.
-            db.heartbeat("s", 8 * MINUTES).unwrap();
-            assert_eq!(gauge.get(), pending_sum(&db));
-            // Unsubscribing with results still queued settles the gauge.
-            db.unsubscribe(b).unwrap();
-            assert_eq!(gauge.get(), pending_sum(&db));
-            db.unsubscribe(a).unwrap();
-            assert_eq!(gauge.get(), 0, "all depth released ({policy:?})");
-        }
-    }
-
-    #[test]
-    fn attached_subscriptions_share_one_cq() {
-        let db = db();
+        let db = Db::in_memory(DbOptions::default().with_sub_queue(2));
         db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
             .unwrap();
-        let primary = db
-            .execute("SELECT sum(v) t, cq_close(*) w FROM s <TUMBLING '1 minute'>")
-            .unwrap()
-            .subscription();
-        let member = db.subscribe_attach(primary).unwrap();
-        assert_ne!(primary, member);
-        assert_eq!(
-            db.subscription_cq(primary),
-            db.subscription_cq(member),
-            "attach joins the primary's CQ, it does not start a new one"
-        );
-        let windows_before = db.stats().windows_out;
-        db.ingest("s", row![5i64, Value::Timestamp(1)]).unwrap();
-        db.heartbeat("s", MINUTES).unwrap();
-        // The CQ ran once; both members received that one window.
-        assert_eq!(db.stats().windows_out, windows_before + 1);
-        let a = db.poll_shared(primary).unwrap();
-        let b = db.poll_shared(member).unwrap();
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
-        assert!(
-            Arc::ptr_eq(&a[0], &b[0]),
-            "fan-out shares the window allocation, it does not copy"
-        );
-        assert_eq!(a[0].relation.rows()[0][0], Value::Int(5));
-    }
-
-    #[test]
-    fn attached_member_survives_primary_unsubscribe() {
-        let db = db();
-        db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
-            .unwrap();
-        let primary = db
+        let a = db
             .execute("SELECT count(*) c FROM s <TUMBLING '1 minute'>")
             .unwrap()
             .subscription();
-        let member = db.subscribe_attach(primary).unwrap();
-        db.unsubscribe(primary).unwrap();
-        assert!(db.poll(primary).is_err());
-        // The CQ keeps running for the surviving member.
-        db.ingest("s", row![1i64, Value::Timestamp(1)]).unwrap();
-        db.heartbeat("s", MINUTES).unwrap();
-        assert_eq!(db.poll(member).unwrap().len(), 1);
-        // Attaching to a departed subscription is an error.
-        assert!(db.subscribe_attach(primary).is_err());
-        // Last member out tears the CQ down and releases its budget.
-        db.unsubscribe(member).unwrap();
-        assert!(db.poll(member).is_err());
-        assert_eq!(db.catalog.lock().admitted_state_bytes, 0);
-    }
-
-    #[test]
-    fn attached_members_drop_independently_on_overflow() {
-        let db = Db::in_memory(DbOptions::default().with_sub_queue(2, OverflowPolicy::DropOldest));
-        db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
-            .unwrap();
-        let primary = db
-            .execute("SELECT count(*) c FROM s <TUMBLING '1 minute'>")
+        let b = db
+            .execute("SELECT sum(v) t FROM s <TUMBLING '1 minute'>")
             .unwrap()
             .subscription();
-        let member = db.subscribe_attach(primary).unwrap();
+        let gauge = db.engine().metrics().gauge("db.sub_queue_depth");
+        let pending_sum = |db: &Db| {
+            let subs = db.subs.lock();
+            subs.values().map(|s| s.pending() as i64).sum::<i64>()
+        };
         db.ingest("s", row![1i64, Value::Timestamp(1)]).unwrap();
-        // 5 closed windows against two capacity-2 queues: each member
-        // overflows on its own account (3 drops each), and the drained
-        // survivors are the same shared windows on both sides.
+        // Close 5 windows against capacity-2 queues: 3 forced drops
+        // per subscription.
         db.heartbeat("s", 5 * MINUTES).unwrap();
         assert_eq!(db.stats().sub_drops, 6);
-        let a = db.poll_shared(primary).unwrap();
-        let b = db.poll_shared(member).unwrap();
-        assert_eq!(a.len(), 2);
-        assert_eq!(b.len(), 2);
-        for (x, y) in a.iter().zip(&b) {
-            assert!(Arc::ptr_eq(x, y));
-        }
+        assert_eq!(gauge.get(), 4, "2 queues × capacity 2");
+        assert_eq!(gauge.get(), pending_sum(&db));
+        // Drain one sub: gauge follows.
+        assert_eq!(db.poll(a).unwrap().len(), 2);
+        assert_eq!(gauge.get(), pending_sum(&db));
+        assert_eq!(gauge.get(), 2);
+        // Overflow again on the other sub.
+        db.heartbeat("s", 8 * MINUTES).unwrap();
+        assert_eq!(gauge.get(), pending_sum(&db));
+        // Unsubscribing with results still queued settles the gauge.
+        db.unsubscribe(b).unwrap();
+        assert_eq!(gauge.get(), pending_sum(&db));
+        db.unsubscribe(a).unwrap();
+        assert_eq!(gauge.get(), 0, "all depth released");
     }
 }

@@ -38,6 +38,4 @@ mod subscription;
 pub use db::{Db, DbStats, ExecResult};
 pub use options::DbOptions;
 pub use script::split_statements;
-pub use subscription::{
-    OverflowPolicy, ResultNotifier, Subscription, SubscriptionId, Waker, DEFAULT_SUB_CAPACITY,
-};
+pub use subscription::{ResultNotifier, Subscription, SubscriptionId, Waker, DEFAULT_SUB_CAPACITY};

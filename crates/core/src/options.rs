@@ -4,7 +4,7 @@ use streamrel_cq::ConsistencyMode;
 use streamrel_storage::SyncMode;
 use streamrel_types::Interval;
 
-use crate::subscription::{OverflowPolicy, DEFAULT_SUB_CAPACITY};
+use crate::subscription::DEFAULT_SUB_CAPACITY;
 
 /// Tuning knobs for a [`crate::Db`]. The defaults are the paper's design
 /// points; the alternatives exist for the ablation experiments.
@@ -28,11 +28,8 @@ pub struct DbOptions {
     /// positive values insert a reorder buffer.
     pub slack: Interval,
     /// Max undelivered window results per subscription; a slow poller past
-    /// this bound loses windows per `sub_overflow` instead of growing
-    /// memory. The network server's backpressure rests on this.
+    /// this bound loses its oldest windows instead of growing memory.
     pub sub_queue_capacity: usize,
-    /// Which window result to sacrifice when a subscription queue is full.
-    pub sub_overflow: OverflowPolicy,
     /// Number of execution shards. `0` (the default) gives every base
     /// stream its own shard, so ingest on distinct streams never contends;
     /// `N > 0` fixes N shard domains and assigns streams round-robin
@@ -66,7 +63,6 @@ impl Default for DbOptions {
             sync: SyncMode::Flush,
             slack: 0,
             sub_queue_capacity: DEFAULT_SUB_CAPACITY,
-            sub_overflow: OverflowPolicy::DropOldest,
             shards: 0,
             pool_workers: None,
             wal_shards: 0,
@@ -108,9 +104,8 @@ impl DbOptions {
     }
 
     /// Bound each subscription's undelivered-results queue.
-    pub fn with_sub_queue(mut self, capacity: usize, overflow: OverflowPolicy) -> DbOptions {
+    pub fn with_sub_queue(mut self, capacity: usize) -> DbOptions {
         self.sub_queue_capacity = capacity;
-        self.sub_overflow = overflow;
         self
     }
 

@@ -30,12 +30,8 @@ use crate::subscription::SubscriptionId;
 pub(crate) enum Sink {
     /// Feed a derived stream's subscribers.
     Derived(String),
-    /// Queue for one or more client subscriptions sharing this CQ. The
-    /// first entry is the *primary* (the subscription `SELECT` returned);
-    /// later entries attached via [`crate::Db::subscribe_attach`]. Each
-    /// member has its own bounded queue; the CQ itself — window state,
-    /// close schedule, budget — runs once regardless of membership.
-    Clients(Vec<SubscriptionId>),
+    /// Queue for the client subscription this CQ was registered for.
+    Client(SubscriptionId),
 }
 
 /// A running CQ plus its delivery target.

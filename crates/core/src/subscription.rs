@@ -8,11 +8,12 @@
 //! available as soon as a client reconnects.
 //!
 //! The queue is **bounded**: a slow (or absent) poller cannot grow memory
-//! without limit. On overflow the configured [`OverflowPolicy`] decides
-//! which window result is sacrificed, and every drop is counted — both
-//! per subscription and in the aggregate [`crate::DbStats`]. This is the
-//! same mechanism the network server leans on for per-connection
-//! backpressure.
+//! without limit. On overflow the oldest queued result is sacrificed
+//! (fresh data wins) and every drop is counted — both per subscription
+//! and in the aggregate [`crate::DbStats`]. Every delivery stage uses the
+//! same [`Subscription`] queue: the engine per client subscription, the
+//! network server per wire member (its outboxes), the wire client per
+//! stream.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Weak};
@@ -26,32 +27,20 @@ use streamrel_obs::Gauge;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SubscriptionId(pub u64);
 
-/// What to do when a subscription queue is full and a new window closes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OverflowPolicy {
-    /// Drop the oldest queued window to make room (fresh data wins).
-    #[default]
-    DropOldest,
-    /// Drop the incoming window (history wins).
-    DropNewest,
-}
-
-/// Bounded queue of undelivered items for one consumer.
+/// Bounded drop-oldest queue of undelivered items for one consumer.
 ///
-/// The engine's subscription queues hold shared window results
-/// (`Arc<CqOutput>` — one CQ output fanned out to N subscribers is
-/// reference-counted, never deep-copied), but the machinery — capacity
-/// bound, [`OverflowPolicy`], delivered/dropped accounting, aggregate
-/// depth gauge — is item-agnostic: the network server instantiates the
-/// same type over encoded frames for its per-subscriber outboxes, and
-/// the client over decoded results, so every delivery stage in the
-/// system shares one conservation story (delivered + dropped + pending
-/// == offered).
+/// The engine's subscription queues hold window results as
+/// `Arc<CqOutput>` (a server fanning one out to N members shares the
+/// allocation, never deep-copies it), but the machinery — capacity
+/// bound, delivered/dropped accounting, aggregate depth gauge — is
+/// item-agnostic: the network server instantiates the same type over
+/// encoded frame bodies for its per-member outboxes, and the client
+/// over decoded results, so every delivery stage in the system shares
+/// one conservation story (delivered + dropped + pending == offered).
 #[derive(Debug)]
 pub struct Subscription<T = Arc<CqOutput>> {
     queue: VecDeque<T>,
     capacity: usize,
-    policy: OverflowPolicy,
     delivered: u64,
     dropped: u64,
     /// Aggregate depth gauge (`db.sub_queue_depth` for engine queues,
@@ -65,7 +54,7 @@ pub struct Subscription<T = Arc<CqOutput>> {
 
 impl<T> Default for Subscription<T> {
     fn default() -> Subscription<T> {
-        Subscription::bounded(DEFAULT_SUB_CAPACITY, OverflowPolicy::default())
+        Subscription::bounded(DEFAULT_SUB_CAPACITY)
     }
 }
 
@@ -74,11 +63,10 @@ pub const DEFAULT_SUB_CAPACITY: usize = 1024;
 
 impl<T> Subscription<T> {
     /// A queue holding at most `capacity` undelivered items.
-    pub fn bounded(capacity: usize, policy: OverflowPolicy) -> Subscription<T> {
+    pub fn bounded(capacity: usize) -> Subscription<T> {
         Subscription {
             queue: VecDeque::new(),
             capacity: capacity.max(1),
-            policy,
             delivered: 0,
             dropped: 0,
             depth_gauge: None,
@@ -100,25 +88,17 @@ impl<T> Subscription<T> {
     }
 
     /// Append an item. Returns the number of items dropped to honour the
-    /// capacity bound (0 or 1).
+    /// capacity bound (0 or 1): a full queue sacrifices its oldest item.
     pub fn offer(&mut self, out: T) -> u64 {
-        if self.queue.len() < self.capacity {
-            self.queue.push_back(out);
+        let full = self.queue.len() == self.capacity;
+        if full {
+            self.queue.pop_front();
+            self.dropped += 1;
+        } else {
             self.gauge_add(1);
-            return 0;
         }
-        self.dropped += 1;
-        match self.policy {
-            OverflowPolicy::DropOldest => {
-                // -1 for the sacrificed item, +1 for the enqueued one.
-                self.queue.pop_front();
-                self.gauge_add(-1);
-                self.queue.push_back(out);
-                self.gauge_add(1);
-            }
-            OverflowPolicy::DropNewest => {}
-        }
-        1
+        self.queue.push_back(out);
+        u64::from(full)
     }
 
     /// Drain all queued items.
@@ -176,11 +156,11 @@ pub type Waker = Arc<dyn Fn() + Send + Sync>;
 ///   with [`ResultNotifier::register_waker`] and gets called back on
 ///   each publish. Wakers are held weakly and pruned lazily, so a
 ///   departed reactor costs one dead slot, not a leak.
-// lock-order: generation < sub
+// lock-order: generation
 //
-// The notifier's generation lock is never taken while holding a
-// subscription queue lock. The wakers list lock is private to this
-// type, never nested with any other lock (wakers run after it is
+// The notifier's generation lock is a leaf: `Db::pump` releases the
+// `subs` table before publishing. The wakers list lock is private to
+// this type, never nested with any other lock (wakers run after it is
 // released), and so contributes no lock-graph edges.
 pub struct ResultNotifier {
     generation: Mutex<u64>,
@@ -294,8 +274,8 @@ mod tests {
     }
 
     #[test]
-    fn drop_oldest_keeps_freshest_windows() {
-        let mut s = Subscription::bounded(2, OverflowPolicy::DropOldest);
+    fn overflow_keeps_freshest_windows() {
+        let mut s = Subscription::bounded(2);
         assert_eq!(s.offer(out(1)) + s.offer(out(2)) + s.offer(out(3)), 1);
         let got = s.drain();
         assert_eq!(
@@ -307,19 +287,8 @@ mod tests {
     }
 
     #[test]
-    fn drop_newest_keeps_history() {
-        let mut s = Subscription::bounded(2, OverflowPolicy::DropNewest);
-        s.offer(out(1));
-        s.offer(out(2));
-        assert_eq!(s.offer(out(3)), 1);
-        let got = s.drain();
-        assert_eq!(got.iter().map(|o| o.close).collect::<Vec<_>>(), vec![1, 2]);
-        assert_eq!(s.dropped(), 1);
-    }
-
-    #[test]
     fn zero_capacity_is_clamped_to_one() {
-        let mut s = Subscription::bounded(0, OverflowPolicy::DropOldest);
+        let mut s = Subscription::bounded(0);
         assert_eq!(s.offer(out(1)), 0);
         assert_eq!(s.offer(out(2)), 1);
         assert_eq!(s.drain().len(), 1);
@@ -374,20 +343,14 @@ mod tests {
     proptest! {
         /// Every window offered is accounted for exactly once: delivered,
         /// dropped, or still queued — under any interleaving of offers and
-        /// drains, any capacity, and both overflow policies.
+        /// drains and any capacity.
         #[test]
         fn offers_are_conserved(
             capacity in 1usize..8,
-            drop_newest in any::<bool>(),
             // true = offer a window, false = drain the queue.
             ops in prop::collection::vec(any::<bool>(), 0..200),
         ) {
-            let policy = if drop_newest {
-                OverflowPolicy::DropNewest
-            } else {
-                OverflowPolicy::DropOldest
-            };
-            let mut s = Subscription::bounded(capacity, policy);
+            let mut s = Subscription::bounded(capacity);
             let mut offered = 0u64;
             for (i, op) in ops.into_iter().enumerate() {
                 if op {
@@ -408,39 +371,33 @@ mod tests {
     #[test]
     fn conservation_under_concurrent_offer_and_poll() {
         // The Db serializes access behind a mutex; model that contention
-        // directly: one thread offers, one drains, both policies.
-        for policy in [OverflowPolicy::DropOldest, OverflowPolicy::DropNewest] {
-            let sub = Arc::new(Mutex::new(Subscription::bounded(4, policy)));
-            let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
-            const OFFERS: u64 = 2_000;
-            let offerer = {
-                let (sub, done) = (sub.clone(), done.clone());
-                std::thread::spawn(move || {
-                    for i in 0..OFFERS {
-                        sub.lock().offer(out(i as i64));
-                    }
-                    done.store(true, std::sync::atomic::Ordering::Release);
-                })
-            };
-            let drainer = {
-                let (sub, done) = (sub.clone(), done.clone());
-                std::thread::spawn(move || loop {
-                    let finished = done.load(std::sync::atomic::Ordering::Acquire);
-                    sub.lock().drain();
-                    if finished {
-                        break;
-                    }
-                    std::thread::yield_now();
-                })
-            };
-            offerer.join().unwrap();
-            drainer.join().unwrap();
-            let s = sub.lock();
-            assert_eq!(
-                s.delivered() + s.dropped() + s.pending() as u64,
-                OFFERS,
-                "conservation violated under {policy:?}"
-            );
-        }
+        // directly: one thread offers, one drains.
+        let sub = Arc::new(Mutex::new(Subscription::bounded(4)));
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        const OFFERS: u64 = 2_000;
+        let offerer = {
+            let (sub, done) = (sub.clone(), done.clone());
+            std::thread::spawn(move || {
+                for i in 0..OFFERS {
+                    sub.lock().offer(out(i as i64));
+                }
+                done.store(true, std::sync::atomic::Ordering::Release);
+            })
+        };
+        let drainer = {
+            let (sub, done) = (sub.clone(), done.clone());
+            std::thread::spawn(move || loop {
+                let finished = done.load(std::sync::atomic::Ordering::Acquire);
+                sub.lock().drain();
+                if finished {
+                    break;
+                }
+                std::thread::yield_now();
+            })
+        };
+        offerer.join().unwrap();
+        drainer.join().unwrap();
+        let s = sub.lock();
+        assert_eq!(s.delivered() + s.dropped() + s.pending() as u64, OFFERS);
     }
 }

@@ -13,10 +13,9 @@
 //!
 //! Each subscription's client-side queue is **bounded**
 //! ([`ClientOptions`]), mirroring the server's outbox discipline: an
-//! application that stops consuming a stream sheds that stream's windows
-//! by the configured [`OverflowPolicy`] (observable via
-//! [`SubscriptionStream::dropped`]) instead of growing memory without
-//! limit. The reader decodes with the resumable [`FrameDecoder`], so a
+//! application that stops consuming a stream sheds that stream's oldest
+//! windows (observable via [`SubscriptionStream::dropped`]) instead of
+//! growing memory without limit. The reader decodes with the resumable [`FrameDecoder`], so a
 //! socket read timeout mid-frame never desyncs the stream.
 
 use std::fmt;
@@ -29,7 +28,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
-use streamrel_core::{OverflowPolicy, Subscription};
+use streamrel_core::Subscription;
 use streamrel_cq::CqOutput;
 use streamrel_types::{Relation, Row, Timestamp};
 
@@ -82,17 +81,15 @@ pub type NetResult<T> = Result<T, NetError>;
 pub struct ClientOptions {
     /// Per-subscription bound on windows buffered client-side awaiting
     /// consumption. Mirrors the server's queue discipline so a stalled
-    /// consumer sheds (counted) instead of allocating forever.
+    /// consumer sheds its oldest windows (counted) instead of allocating
+    /// forever.
     pub sub_queue_capacity: usize,
-    /// What an overflowing subscription queue sacrifices.
-    pub sub_overflow: OverflowPolicy,
 }
 
 impl Default for ClientOptions {
     fn default() -> ClientOptions {
         ClientOptions {
             sub_queue_capacity: streamrel_core::DEFAULT_SUB_CAPACITY,
-            sub_overflow: OverflowPolicy::DropOldest,
         }
     }
 }
@@ -110,10 +107,7 @@ struct SubQueue {
 impl SubQueue {
     fn new(opts: ClientOptions) -> Arc<SubQueue> {
         Arc::new(SubQueue {
-            q: Mutex::new(Subscription::bounded(
-                opts.sub_queue_capacity,
-                opts.sub_overflow,
-            )),
+            q: Mutex::new(Subscription::bounded(opts.sub_queue_capacity)),
             cv: Condvar::new(),
             closed: AtomicBool::new(false),
         })

@@ -13,26 +13,34 @@
 //!   poll wait immediately, and
 //! - a **fallback tick** bounding idle-reap and shutdown latency.
 //!
-//! **Serialize-once fan-out.** A continuous query with N subscribers
-//! (the [`FrameType::Attach`] frame joins an existing subscription's
-//! fan-out group) produces ONE encoded window body per close — the
-//! engine hands every member the same reference-counted window, the
-//! sweep encodes it once (`net.fanout.encodes` counts bodies, not
-//! deliveries) and each subscriber's outbox holds the shared bytes plus
-//! its own 8-byte id prefix. Delivery work scales with subscribers;
-//! serialization work scales with windows.
+//! **Fan-out groups.** The engine's contract is one CQ and one bounded
+//! queue per client subscription; who receives its windows is decided
+//! here and nowhere else. Each engine subscription has a *group* of wire
+//! members `(connection, wire id)`: a continuous `Query` or a
+//! `SubscribeFrom` starts a group of one, [`FrameType::Attach`] resolves
+//! any live member's id to its group and adds a member without
+//! registering anything with the engine, and the engine subscription is
+//! released when the last member leaves. Wire ids come from one reactor
+//! counter; the engine's ids never cross the wire.
 //!
-//! **Backpressure** is layered. The engine's bounded subscription queue
-//! is drained promptly by the sweep, so the shed point for a slow
-//! consumer moves to its per-subscription **outbox** — the same
-//! [`Subscription`] machinery (capacity, [`OverflowPolicy`], depth
-//! gauge `net.outbox.depth`) instantiated over encoded frames. A peer
-//! that stops reading altogether is disconnected once its write stalls
-//! longer than [`ServerOptions::write_timeout`]. Windows that were
-//! drained from the engine but never reached the socket — outbox
-//! residue, a half-written frame at socket death — are counted in
-//! `net.delivery_lost`, so windows_routed == sent + dropped + lost
-//! holds across connection death.
+//! **Serialize-once.** A sweep polls each group's engine queue once,
+//! encodes each window once (`net.fanout.encodes` counts bodies, not
+//! deliveries) and offers the shared bytes to every member's outbox.
+//! Serialization scales with windows, delivery with members, and a
+//! sweep that finds nothing closed costs one queue poll per group.
+//!
+//! **Backpressure** is per member: the sweep drains the engine queue
+//! promptly, so a slow consumer sheds at its **outbox** — the engine's
+//! bounded drop-oldest [`Subscription`] queue over frame bodies (gauge
+//! `net.outbox.depth`, sheds in `net.outbox_drops`). A connection's
+//! non-empty outboxes are served round-robin, one frame per turn. A
+//! peer that stops reading altogether is disconnected once its write
+//! stalls longer than [`ServerOptions::write_timeout`]. Windows routed
+//! to a member but never fully written — outbox residue, a half-written
+//! frame at socket death — and windows the engine still held for a
+//! group whose last member left are counted in `net.delivery_lost`, so
+//! windows_routed == sent + dropped + lost holds across connection
+//! death.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -43,8 +51,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use polling::{Event, Events, Poller};
-use streamrel_core::{Db, ExecResult, OverflowPolicy, Subscription, SubscriptionId};
-use streamrel_cq::CqOutput;
+use streamrel_core::{Db, ExecResult, Subscription, SubscriptionId};
 use streamrel_obs::{Counter, Gauge};
 
 use crate::frame::{Frame, FrameDecoder, FrameType, MAX_FRAME_LEN, PROTOCOL_VERSION};
@@ -57,31 +64,24 @@ pub struct ServerOptions {
     /// than this (with output pending) is disconnected and reaped
     /// instead of accumulating state forever.
     pub write_timeout: Duration,
-    /// Fallback poll timeout; bounds idle-reap and shutdown latency,
-    /// not delivery latency (deliveries are notifier-driven).
-    pub tick: Duration,
     /// Idle deadline. A connection that sends no frame for this long
     /// **and owns no subscriptions** is considered half-open and reaped;
     /// subscribers sit legitimately silent while results are pushed, so
     /// the deadline never applies to them. `None` (the default) waits
     /// forever.
     pub read_timeout: Option<Duration>,
-    /// Per-subscription outbox bound (encoded frames queued for one
-    /// subscriber). Overflow sheds per [`ServerOptions::outbox_overflow`]
-    /// and counts into `net.outbox_drops`.
+    /// Per-member outbox bound (encoded windows queued for one wire
+    /// subscription). Overflow sheds the oldest and counts into
+    /// `net.outbox_drops`.
     pub outbox_capacity: usize,
-    /// What an overflowing outbox sacrifices.
-    pub outbox_overflow: OverflowPolicy,
 }
 
 impl Default for ServerOptions {
     fn default() -> ServerOptions {
         ServerOptions {
             write_timeout: Duration::from_secs(5),
-            tick: Duration::from_millis(100),
             read_timeout: None,
             outbox_capacity: streamrel_core::DEFAULT_SUB_CAPACITY,
-            outbox_overflow: OverflowPolicy::DropOldest,
         }
     }
 }
@@ -115,18 +115,8 @@ impl Server {
         let addr = listener.local_addr()?;
         let poller = Arc::new(Poller::new()?);
         poller.add(&listener, Event::readable(LISTENER_KEY))?;
-        // Bridge engine publishes into poller wakeups: a window closing
-        // anywhere interrupts the poll wait. The waker holds only a weak
-        // poller reference's worth of work — one self-pipe write — and
-        // runs with no locks held on either side.
-        let waker: streamrel_core::Waker = {
-            let poller = poller.clone();
-            Arc::new(move || {
-                let _ = poller.notify();
-            })
-        };
-        db.notifier().register_waker(&waker);
         let shutdown = Arc::new(AtomicBool::new(false));
+        let notifier = db.notifier();
         let reactor = {
             let shutdown = shutdown.clone();
             let poller = poller.clone();
@@ -134,6 +124,24 @@ impl Server {
                 .name("streamrel-reactor".into())
                 .spawn(move || Reactor::new(db, listener, poller, opts).run(&shutdown))?
         };
+        // Bridge engine publishes into poller wakeups: a window closing
+        // on any other thread interrupts the poll wait. The waker does
+        // one self-pipe write and runs with no locks held on either
+        // side. A publish from the reactor's own thread (a wire ingest
+        // closing a window) needs no wakeup: the sweep that follows the
+        // frame in the same loop iteration delivers it. Nobody can be
+        // subscribed before this function returns the address, so
+        // registering after the spawn misses nothing.
+        let waker: streamrel_core::Waker = {
+            let poller = poller.clone();
+            let reactor = reactor.thread().id();
+            Arc::new(move || {
+                if thread::current().id() != reactor {
+                    let _ = poller.notify();
+                }
+            })
+        };
+        notifier.register_waker(&waker);
         Ok(Server {
             addr,
             shutdown,
@@ -172,19 +180,14 @@ impl Drop for Server {
 /// keys starting at 1.
 const LISTENER_KEY: usize = 0;
 
+/// Fallback poll timeout; bounds idle-reap and shutdown latency, not
+/// delivery latency (deliveries are notifier-driven).
+const TICK: Duration = Duration::from_millis(100);
+
 /// Monotonic connection ids, used both as poller keys and to key
 /// per-connection instruments (`net.conn.<id>.*`) so concurrent
 /// connections never share counters.
 static CONN_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// One encoded `WindowResult` awaiting delivery: the shared
-/// (serialize-once) body plus this subscriber's id. The frame header and
-/// id prefix are materialized at write time; the body bytes are the same
-/// allocation for every member of the fan-out group.
-struct OutFrame {
-    sub: u64,
-    body: Arc<Vec<u8>>,
-}
 
 /// Per-connection state machine. No locks anywhere: the reactor thread
 /// is the only owner.
@@ -194,10 +197,15 @@ struct Conn {
     /// Encoded reply/control frames, flushed ahead of window results so
     /// a `Subscribed` ack always precedes its first `WindowResult`.
     ctrl: VecDeque<Vec<u8>>,
-    /// Subscription ids owned by this connection, registration order.
-    subs: Vec<u64>,
-    /// Per-subscription bounded outboxes of encoded window frames.
-    outboxes: HashMap<u64, Subscription<OutFrame>>,
+    /// One bounded outbox per wire subscription on this connection,
+    /// keyed by wire id, holding encoded window bodies — the same
+    /// allocation for every member of a fan-out group. The frame header
+    /// and id prefix are composed at write time.
+    outboxes: HashMap<u64, Subscription<Arc<Vec<u8>>>>,
+    /// Wire ids whose outbox is non-empty, each listed once. The write
+    /// side serves the front and requeues it at the back while it has
+    /// more pending: round-robin, one frame per turn.
+    ready: VecDeque<u64>,
     /// The frame currently on the wire: `wbuf[wpos..]` remains to send.
     wbuf: Vec<u8>,
     wpos: usize,
@@ -222,16 +230,19 @@ struct NetMetrics {
     frames_in: Arc<Counter>,
     frames_out: Arc<Counter>,
     connections: Arc<Gauge>,
+    /// Live wire subscriptions (members summed over all groups).
+    subscriptions: Arc<Gauge>,
     idle_reaped: Arc<Counter>,
-    /// Window bodies serialized (once per closed window per sweep — NOT
-    /// per subscriber; that is the whole fan-out claim).
+    /// Window bodies serialized (once per closed window — NOT per
+    /// subscriber; that is the whole fan-out claim).
     fanout_encodes: Arc<Counter>,
     /// Sum of per-subscription outbox depths.
     outbox_depth: Arc<Gauge>,
     /// Window frames shed by a full outbox (slow consumer).
     outbox_drops: Arc<Counter>,
-    /// Window results drained from the engine but never fully written to
-    /// a socket: outbox residue and half-written frames at teardown.
+    /// Window results routed to a member but never fully written to its
+    /// socket: outbox residue, half-written frames and engine-queue
+    /// residue at teardown.
     delivery_lost: Arc<Counter>,
     /// Window frames fully handed to the kernel.
     windows_sent: Arc<Counter>,
@@ -252,6 +263,14 @@ struct Reactor {
     poller: Arc<Poller>,
     opts: ServerOptions,
     conns: HashMap<usize, Conn>,
+    /// Fan-out membership: the wire members `(connection, wire id)` of
+    /// each engine subscription, in join order. A group exists exactly
+    /// as long as it has a member.
+    groups: HashMap<SubscriptionId, Vec<(usize, u64)>>,
+    /// Which group each live wire id belongs to (what `Attach` resolves).
+    wire_ids: HashMap<u64, SubscriptionId>,
+    /// Next wire id; unique per server, never reused.
+    next_wire_id: u64,
     metrics: NetMetrics,
     registry: Arc<streamrel_obs::Registry>,
 }
@@ -268,6 +287,7 @@ impl Reactor {
             frames_in: registry.counter("net.frames_in"),
             frames_out: registry.counter("net.frames_out"),
             connections: registry.gauge("net.connections"),
+            subscriptions: registry.gauge("net.subscriptions"),
             idle_reaped: registry.counter("net.idle_reaped"),
             fanout_encodes: registry.counter("net.fanout.encodes"),
             outbox_depth: registry.gauge("net.outbox.depth"),
@@ -285,6 +305,9 @@ impl Reactor {
             poller,
             opts,
             conns: HashMap::new(),
+            groups: HashMap::new(),
+            wire_ids: HashMap::new(),
+            next_wire_id: 1,
             metrics,
             registry,
         }
@@ -294,7 +317,7 @@ impl Reactor {
         let mut events = Events::new();
         while !shutdown.load(Ordering::SeqCst) {
             events.clear();
-            let _ = self.poller.wait(&mut events, Some(self.opts.tick));
+            let _ = self.poller.wait(&mut events, Some(TICK));
             self.metrics.wakeups.inc();
             if shutdown.load(Ordering::SeqCst) {
                 break;
@@ -339,28 +362,8 @@ impl Reactor {
             if self.poller.add(&sock, Event::readable(key)).is_err() {
                 continue;
             }
-            let conn_prefix = format!("net.conn.{key}.");
             self.metrics.connections.add(1);
-            self.conns.insert(
-                key,
-                Conn {
-                    sock,
-                    decoder: FrameDecoder::new(),
-                    ctrl: VecDeque::new(),
-                    subs: Vec::new(),
-                    outboxes: HashMap::new(),
-                    wbuf: Vec::new(),
-                    wpos: 0,
-                    inflight_window: false,
-                    want_write: false,
-                    closing: false,
-                    last_activity: Instant::now(),
-                    stalled_since: None,
-                    conn_in: self.registry.counter(&format!("{conn_prefix}frames_in")),
-                    conn_out: self.registry.counter(&format!("{conn_prefix}frames_out")),
-                    conn_prefix,
-                },
-            );
+            self.conns.insert(key, Conn::new(sock, key, &self.registry));
         }
     }
 
@@ -494,8 +497,9 @@ impl Reactor {
         };
         let reply = match self.db.execute(&sql) {
             Ok(ExecResult::Rows(rel)) => Frame::new(FrameType::Rows, wire::encode_rows(&rel)),
-            Ok(ExecResult::Subscribed(SubscriptionId(id))) => {
-                return self.register_sub(key, id);
+            Ok(ExecResult::Subscribed(group)) => {
+                self.add_member(key, group);
+                return;
             }
             Ok(ExecResult::Created(name)) => ack("created", &name, 0),
             Ok(ExecResult::Dropped(name)) => ack("dropped", &name, 0),
@@ -507,40 +511,48 @@ impl Reactor {
         self.enqueue_ctrl(key, &reply);
     }
 
-    /// Join an existing subscription's fan-out group: the CQ keeps
-    /// running once; this connection gains a member id whose window
-    /// results are encoded from the same bytes as everyone else's.
+    /// Join the fan-out group of any live wire subscription. Membership
+    /// lives here, so nothing is registered with the engine: the CQ keeps
+    /// running once and its queue keeps being drained once. Windows that
+    /// closed before this frame was handled are first delivered to the
+    /// existing members, so the newcomer receives exactly the windows
+    /// that close after its `Subscribed` ack.
     fn handle_attach(&mut self, key: usize, payload: &[u8]) {
-        let primary = match wire::decode_attach(payload) {
+        let target = match wire::decode_attach(payload) {
             Ok(id) => id,
             Err(e) => return self.reply_error(key, &e.to_string()),
         };
-        match self.db.subscribe_attach(SubscriptionId(primary)) {
-            Ok(SubscriptionId(id)) => self.register_sub(key, id),
-            Err(e) => self.reply_error(key, &e.to_string()),
-        }
+        let live = self
+            .wire_ids
+            .get(&target)
+            .and_then(|g| Some((*g, self.groups.get(g)?)));
+        let Some((group, members)) = live else {
+            return self.reply_error(key, &format!("unknown subscription {target}"));
+        };
+        fan_out(&self.db, group, members, &mut self.conns, &self.metrics);
+        self.add_member(key, group);
     }
 
-    /// Ack a fresh subscription and wire up its delivery state. The ack
-    /// is enqueued before the id becomes sweep-visible, and `ctrl`
-    /// drains ahead of outboxes, so `Subscribed` always precedes the
-    /// first `WindowResult` on the wire.
-    fn register_sub(&mut self, key: usize, id: u64) {
-        if !self.conns.contains_key(&key) {
-            // Connection died while the statement ran; don't leak the CQ.
-            let _ = self.db.unsubscribe(SubscriptionId(id));
-            return;
-        }
+    /// Ack a new wire member of `group` on connection `key` and wire up
+    /// its delivery state; returns its wire id. `ctrl` drains ahead of
+    /// the outboxes, so `Subscribed` always precedes the member's first
+    /// `WindowResult` on the wire.
+    fn add_member(&mut self, key: usize, group: SubscriptionId) -> u64 {
+        let id = self.next_wire_id;
+        self.next_wire_id += 1;
         self.enqueue_ctrl(
             key,
             &Frame::new(FrameType::Subscribed, wire::encode_subscribed(id)),
         );
-        let outbox = Subscription::bounded(self.opts.outbox_capacity, self.opts.outbox_overflow)
+        let outbox = Subscription::bounded(self.opts.outbox_capacity)
             .with_depth_gauge(self.metrics.outbox_depth.clone());
         if let Some(conn) = self.conns.get_mut(&key) {
-            conn.subs.push(id);
             conn.outboxes.insert(id, outbox);
         }
+        self.groups.entry(group).or_default().push((key, id));
+        self.wire_ids.insert(id, group);
+        self.metrics.subscriptions.add(1);
+        id
     }
 
     /// Subscribe to a stream's pass-through window feed, replaying
@@ -561,10 +573,9 @@ impl Reactor {
             Err(e) => return self.reply_error(key, &e.to_string()),
         };
         let id = match self.db.subscribe_stream(&stream) {
-            Ok(SubscriptionId(id)) => id,
+            Ok(group) => self.add_member(key, group),
             Err(e) => return self.reply_error(key, &e.to_string()),
         };
-        self.register_sub(key, id);
         if from == i64::MIN {
             return; // live-only: nothing to resume
         }
@@ -623,71 +634,12 @@ impl Reactor {
         self.enqueue_ctrl(key, &Frame::new(FrameType::Error, wire::encode_error(msg)));
     }
 
-    /// Drain every subscription's engine queue into its outbox,
-    /// serializing each distinct window **once**.
-    ///
-    /// All queues are drained under one engine lock acquisition
-    /// ([`Db::poll_shared_many`]) and the engine offers each window to a
-    /// fan-out group's members under one acquisition too — so within a
-    /// sweep a window appears on all of its subscriptions or none, and
-    /// the identity cache (keyed by the shared allocation's address,
-    /// pinned live for the sweep) makes `net.fanout.encodes` count
-    /// windows, not windows × subscribers.
+    /// Deliver whatever closed since the last sweep: one queue poll per
+    /// group, nothing per member unless a window actually closed.
     fn sweep_deliveries(&mut self) {
-        if self.conns.is_empty() {
-            return;
+        for (group, members) in &self.groups {
+            fan_out(&self.db, *group, members, &mut self.conns, &self.metrics);
         }
-        let routes: Vec<(usize, u64)> = self
-            .conns
-            .iter()
-            .flat_map(|(key, c)| c.subs.iter().map(move |&s| (*key, s)))
-            .collect();
-        if routes.is_empty() {
-            return;
-        }
-        let ids: Vec<SubscriptionId> = routes.iter().map(|&(_, s)| SubscriptionId(s)).collect();
-        let drained = self.db.poll_shared_many(&ids);
-        // Cache key: address of the shared window allocation. Holding
-        // the Arc in the value pins the address, so a key can never be
-        // reused for a different window within this sweep.
-        #[allow(clippy::type_complexity)]
-        let mut cache: HashMap<*const CqOutput, (Arc<CqOutput>, Arc<Vec<u8>>)> = HashMap::new();
-        let mut outbox_drops = 0u64;
-        let mut oversized = 0u64;
-        for ((key, sub), outs) in routes.into_iter().zip(drained) {
-            if outs.is_empty() {
-                continue;
-            }
-            let Some(conn) = self.conns.get_mut(&key) else {
-                // Connection died between snapshot and drain: drained
-                // windows can no longer be delivered.
-                self.metrics.delivery_lost.add(outs.len() as u64);
-                continue;
-            };
-            let Some(outbox) = conn.outboxes.get_mut(&sub) else {
-                self.metrics.delivery_lost.add(outs.len() as u64);
-                continue;
-            };
-            for out in outs {
-                let body = match cache.entry(Arc::as_ptr(&out)) {
-                    std::collections::hash_map::Entry::Occupied(e) => e.get().1.clone(),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        self.metrics.fanout_encodes.inc();
-                        let body = Arc::new(wire::encode_window_body(&out));
-                        e.insert((out.clone(), body.clone()));
-                        body
-                    }
-                };
-                if body.len() as u64 + 10 > MAX_FRAME_LEN as u64 {
-                    // Unencodable frame; the window is gone either way.
-                    oversized += 1;
-                    continue;
-                }
-                outbox_drops += outbox.offer(OutFrame { sub, body });
-            }
-        }
-        self.metrics.outbox_drops.add(outbox_drops);
-        self.metrics.delivery_lost.add(oversized);
     }
 
     /// Flush pending output on every connection that has any.
@@ -725,7 +677,7 @@ impl Reactor {
                 conn.wbuf.clear();
                 conn.wpos = 0;
                 conn.inflight_window = false;
-                if !conn.materialize_next(&self.metrics) {
+                if !conn.materialize_next() {
                     // Nothing left to send: drop write interest.
                     if conn.want_write {
                         conn.want_write = false;
@@ -733,6 +685,9 @@ impl Reactor {
                     }
                     conn.stalled_since = None;
                     return true;
+                }
+                if conn.inflight_window {
+                    self.metrics.frames_out.inc();
                 }
             }
             match conn.sock.write(&conn.wbuf[conn.wpos..]) {
@@ -767,7 +722,7 @@ impl Reactor {
                 // A connection owning subscriptions sits legitimately
                 // silent while results are pushed; only sub-less
                 // connections are half-open candidates.
-                if conn.subs.is_empty()
+                if conn.outboxes.is_empty()
                     && !conn.closing
                     && now.duration_since(conn.last_activity) >= deadline
                 {
@@ -790,10 +745,11 @@ impl Reactor {
         }
     }
 
-    /// Unsubscribe everything this connection owns, accounting every
-    /// window that was drained from the engine but never fully written:
-    /// outbox residue, the half-written in-flight frame, and whatever
-    /// the engine still held for these subscriptions.
+    /// Remove this connection's members from their groups, accounting
+    /// every window that was routed to them but never fully written:
+    /// outbox residue and the half-written in-flight frame. A group left
+    /// without members releases its engine subscription, and whatever the
+    /// engine still held for it is lost too.
     fn reap_subs(&mut self, key: usize) {
         let Some(conn) = self.conns.get_mut(&key) else {
             return;
@@ -811,18 +767,29 @@ impl Reactor {
             conn.wpos = 0;
             conn.inflight_window = false;
         }
-        for (_, mut outbox) in conn.outboxes.drain() {
+        conn.ready.clear();
+        let mut left: Vec<SubscriptionId> = Vec::new();
+        for (id, outbox) in conn.outboxes.drain() {
+            // Dropping the outbox settles the depth gauge.
             lost += outbox.pending() as u64;
-            outbox.drain();
+            left.extend(self.wire_ids.remove(&id));
+            self.metrics.subscriptions.add(-1);
         }
-        let subs = std::mem::take(&mut conn.subs);
-        for id in subs {
-            // Windows still queued engine-side were routed to this
-            // subscriber and will now never be delivered.
-            if let Ok(outs) = self.db.poll_shared(SubscriptionId(id)) {
-                lost += outs.len() as u64;
+        // All of a connection's members go at once: one pass per group.
+        left.sort_unstable();
+        left.dedup();
+        for group in left {
+            let Some(members) = self.groups.get_mut(&group) else {
+                continue;
+            };
+            members.retain(|&(conn, _)| conn != key);
+            if members.is_empty() {
+                self.groups.remove(&group);
+                if let Ok(outs) = self.db.poll_shared(group) {
+                    lost += outs.len() as u64;
+                }
+                let _ = self.db.unsubscribe(group);
             }
-            let _ = self.db.unsubscribe(SubscriptionId(id));
         }
         self.metrics.delivery_lost.add(lost);
     }
@@ -842,44 +809,115 @@ impl Reactor {
 }
 
 impl Conn {
+    fn new(sock: TcpStream, key: usize, registry: &streamrel_obs::Registry) -> Conn {
+        let conn_prefix = format!("net.conn.{key}.");
+        Conn {
+            sock,
+            decoder: FrameDecoder::new(),
+            ctrl: VecDeque::new(),
+            outboxes: HashMap::new(),
+            ready: VecDeque::new(),
+            wbuf: Vec::new(),
+            wpos: 0,
+            inflight_window: false,
+            want_write: false,
+            closing: false,
+            last_activity: Instant::now(),
+            stalled_since: None,
+            conn_in: registry.counter(&format!("{conn_prefix}frames_in")),
+            conn_out: registry.counter(&format!("{conn_prefix}frames_out")),
+            conn_prefix,
+        }
+    }
+
     fn has_output(&self) -> bool {
-        self.wpos < self.wbuf.len()
-            || !self.ctrl.is_empty()
-            || self.outboxes.values().any(|o| o.pending() > 0)
+        self.wpos < self.wbuf.len() || !self.ctrl.is_empty() || !self.ready.is_empty()
+    }
+
+    /// Queue an encoded window for wire subscription `id`; returns how
+    /// many queued windows its outbox shed to stay within bounds.
+    fn offer(&mut self, id: u64, body: Arc<Vec<u8>>) -> u64 {
+        let Some(outbox) = self.outboxes.get_mut(&id) else {
+            return 0;
+        };
+        if outbox.pending() == 0 {
+            self.ready.push_back(id);
+        }
+        outbox.offer(body)
     }
 
     /// Load the next pending frame into `wbuf`. Control frames first
     /// (they are replies and subscription acks), then one window frame
-    /// per subscription in registration order. Returns false when there
-    /// is nothing to send.
-    fn materialize_next(&mut self, metrics: &NetMetrics) -> bool {
+    /// from the subscription at the head of the `ready` rotation.
+    /// Returns false when there is nothing to send.
+    fn materialize_next(&mut self) -> bool {
         if let Some(bytes) = self.ctrl.pop_front() {
             self.wbuf = bytes;
             return true;
         }
-        for &sub in &self.subs {
-            let Some(outbox) = self.outboxes.get_mut(&sub) else {
+        while let Some(id) = self.ready.pop_front() {
+            let Some(outbox) = self.outboxes.get_mut(&id) else {
                 continue;
             };
-            if let Some(frame) = outbox.pop() {
-                // [len u32][ver][ty][sub u64][body]; len counts
-                // everything after itself. The body bytes are the shared
-                // fan-out allocation — composed here, never re-encoded.
-                let len = (2 + 8 + frame.body.len()) as u32;
-                self.wbuf.reserve(4 + len as usize);
-                self.wbuf.extend_from_slice(&len.to_le_bytes());
-                self.wbuf.push(PROTOCOL_VERSION);
-                self.wbuf.push(FrameType::WindowResult as u8);
-                self.wbuf.extend_from_slice(&frame.sub.to_le_bytes());
-                self.wbuf.extend_from_slice(&frame.body);
-                self.inflight_window = true;
-                metrics.frames_out.inc();
-                self.conn_out.inc();
-                return true;
+            let Some(body) = outbox.pop() else {
+                continue;
+            };
+            if outbox.pending() > 0 {
+                self.ready.push_back(id);
             }
+            // [len u32][ver][ty][id u64][body]; len counts everything
+            // after itself. The body bytes are the shared fan-out
+            // allocation — composed here, never re-encoded.
+            let len = (2 + 8 + body.len()) as u32;
+            self.wbuf.reserve(4 + len as usize);
+            self.wbuf.extend_from_slice(&len.to_le_bytes());
+            self.wbuf.push(PROTOCOL_VERSION);
+            self.wbuf.push(FrameType::WindowResult as u8);
+            self.wbuf.extend_from_slice(&id.to_le_bytes());
+            self.wbuf.extend_from_slice(&body);
+            self.inflight_window = true;
+            self.conn_out.inc();
+            return true;
         }
         false
     }
+}
+
+/// Drain one group's engine queue, encode each window **once** and offer
+/// the shared body to every member's outbox.
+fn fan_out(
+    db: &Db,
+    group: SubscriptionId,
+    members: &[(usize, u64)],
+    conns: &mut HashMap<usize, Conn>,
+    metrics: &NetMetrics,
+) {
+    let outs = db.poll_shared(group).unwrap_or_default();
+    if outs.is_empty() {
+        return; // the common case: keep it free of per-member work
+    }
+    let mut bodies = Vec::with_capacity(outs.len());
+    for out in &outs {
+        metrics.fanout_encodes.inc();
+        let body = wire::encode_window_body(out);
+        if body.len() as u64 + 10 > MAX_FRAME_LEN as u64 {
+            // Unencodable frame; the window is gone for every member.
+            metrics.delivery_lost.add(members.len() as u64);
+        } else {
+            bodies.push(Arc::new(body));
+        }
+    }
+    let mut outbox_drops = 0u64;
+    for &(key, id) in members {
+        // A member leaves its group before its connection goes.
+        let Some(conn) = conns.get_mut(&key) else {
+            continue;
+        };
+        for body in &bodies {
+            outbox_drops += conn.offer(id, body.clone());
+        }
+    }
+    metrics.outbox_drops.add(outbox_drops);
 }
 
 fn ack(tag: &str, detail: &str, n: i64) -> Frame {
@@ -887,4 +925,37 @@ fn ack(tag: &str, detail: &str, n: i64) -> Frame {
         FrameType::Rows,
         wire::encode_rows(&wire::ack_relation(tag, detail, n)),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The write side's queue discipline: a subscription with a standing
+    /// backlog must not starve a later one on the same socket.
+    #[test]
+    fn backlogged_subscription_interleaves_with_later_ones() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let sock = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut conn = Conn::new(sock, 1, &streamrel_obs::Registry::new(0));
+        for id in [1, 2] {
+            conn.outboxes.insert(id, Subscription::bounded(8));
+        }
+        for body in ["a1", "a2", "a3"] {
+            assert_eq!(conn.offer(1, Arc::new(body.into())), 0);
+        }
+        conn.offer(2, Arc::new("b1".into()));
+
+        let mut served = Vec::new();
+        while conn.materialize_next() {
+            // [len u32][ver][ty][id u64][body]
+            let id = u64::from_le_bytes(conn.wbuf[6..14].try_into().unwrap());
+            let body = String::from_utf8_lossy(&conn.wbuf[14..]);
+            served.push(format!("{id}:{body}"));
+            conn.wbuf.clear();
+        }
+        // One frame per turn; each subscription's own order is untouched.
+        assert_eq!(served, ["1:a1", "2:b1", "1:a2", "1:a3"]);
+        assert!(!conn.has_output());
+    }
 }

@@ -8,7 +8,8 @@
 # Two kinds of checks:
 #   * structural — proof-shaped fields that must hold exactly on any
 #     machine: zero torture failures/divergences, row conservation,
-#     fan-out delivery counts. A violation is a correctness regression.
+#     fan-out delivery counts and linear registration cost. A violation
+#     is a correctness regression.
 #   * throughput — rates and speedup ratios compared against the
 #     committed baseline. CI machines jitter, so the band is wide:
 #     a fresh run must retain BENCH_CHECK_TOLERANCE (default 0.25) of
@@ -80,6 +81,17 @@ elif name == "BENCH_fanout.json":
             problems.append(
                 f"sweep subs={entry['subs']}: windows_sent "
                 f"{entry['windows_sent']}, want {want}"
+            )
+    # Registration must stay linear in members: per-member cost at the
+    # largest sweep point within 3x of the cost at 1000 (skipped when
+    # the sweep lacks either point).
+    by_subs = {e["subs"]: e["register_ms"] / e["subs"] for e in fresh.get("sweep", [])}
+    if 1000 in by_subs and max(by_subs) > 1000:
+        top = max(by_subs)
+        if by_subs[top] > 3 * by_subs[1000]:
+            problems.append(
+                f"register_ms/subs at {top} subscribers is "
+                f"{by_subs[top] / by_subs[1000]:.1f}x the figure at 1000, want <= 3x"
             )
 elif name == "BENCH_ingest_parallel.json":
     need("durable", True)

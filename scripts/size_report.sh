@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The three size numbers ROADMAP asks every PR to track: workspace
-# non-test Rust lines, named locks, and must-precede lock edges.
+# The four size numbers ROADMAP asks every PR to track: workspace
+# non-test Rust lines, named locks, must-precede lock edges, and
+# independently settable options.
 #
 # Usage: scripts/size_report.sh [file.rs ...]
 #
@@ -8,7 +9,10 @@
 # top-level `#[cfg(test)]` (every test module in this workspace sits at
 # the end of its file); `tests/`, `benches/`, `examples/` and generated
 # `*.gen.rs` files are not counted at all. Lock and edge counts are read
-# from the generated `crates/check/src/lock_graph.gen.rs`.
+# from the generated `crates/check/src/lock_graph.gen.rs`. Options are
+# the `pub` fields of `DbOptions`, `ServerOptions`, `ClientOptions` and
+# `BridgeOptions`; a field that nests another options struct
+# (`BridgeOptions::client`) is counted through that struct.
 #
 # With file arguments, also prints each named file's non-test lines and
 # their sum, so a PR can quote "these files went from A to B".
@@ -51,3 +55,21 @@ gen=crates/check/src/lock_graph.gen.rs
 section() { awk -v name="$1" '$0 ~ "static " name ":" { on = 1; next } on && /^\];/ { exit } on && /^    / { n++ } END { print n + 0 }' "$gen"; }
 printf '%-28s %8d\n' "named locks" "$(section GLOBAL_LOCK_ORDER)"
 printf '%-28s %8d\n' "must-precede edges" "$(section LOCK_MUST_PRECEDE)"
+
+option_fields() {
+    awk -v decl="pub struct $2 {" '
+        $0 == decl { on = 1; next }
+        on && /^}/ { exit }
+        on && /^    pub [a-z_]+:/ && $0 !~ /Options,$/ { n++ }
+        END { print n + 0 }' "$1"
+}
+options=0
+while read -r file name; do
+    options=$((options + $(option_fields "$file" "$name")))
+done <<'STRUCTS'
+crates/core/src/options.rs DbOptions
+crates/net/src/server.rs ServerOptions
+crates/net/src/client.rs ClientOptions
+crates/net/src/bridge.rs BridgeOptions
+STRUCTS
+printf '%-28s %8d\n' "settable options" "$options"

@@ -35,8 +35,8 @@
 #![deny(unsafe_code)]
 
 pub use streamrel_core::{
-    split_statements, Db, DbOptions, DbStats, ExecResult, OverflowPolicy, ResultNotifier,
-    Subscription, SubscriptionId,
+    split_statements, Db, DbOptions, DbStats, ExecResult, ResultNotifier, Subscription,
+    SubscriptionId,
 };
 
 /// Core data model (values, rows, schemas, relations, time).

@@ -12,14 +12,16 @@
 //! death (`net.delivery_lost`) — the three must sum to the windows its
 //! query closed.
 
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use streamrel::net::{wire, Client, ClientOptions, Frame, FrameType, Server, ServerOptions};
+use streamrel::net::{
+    wire, Client, ClientOptions, Frame, FrameDecoder, FrameType, Server, ServerOptions,
+};
 use streamrel::types::Value;
-use streamrel::{Db, DbOptions, ExecResult, OverflowPolicy};
+use streamrel::{Db, DbOptions, ExecResult};
 use streamrel_faults::chaos;
 
 const DDL: &str = "CREATE STREAM events (v integer, etime timestamp CQTIME USER)";
@@ -127,17 +129,25 @@ fn fanout_members_receive_byte_identical_windows_exactly_once() {
 
     // Three connections, multiple logical subscriptions multiplexed over
     // each: one primary plus two attached members per connection — seven
-    // streams total sharing ONE running query.
+    // streams total sharing ONE running query. Any living member's id
+    // names the group: the first attach per connection goes through the
+    // primary, the second through the member just created.
     let conns: Vec<Client> = (0..3).map(|_| Client::connect(addr).unwrap()).collect();
     let primary = conns[0].subscribe(CQ).unwrap();
     let mut streams = Vec::new();
     for conn in &conns {
-        for _ in 0..2 {
-            streams.push(conn.subscribe_attach(primary.id()).unwrap());
-        }
+        let via_primary = conn.subscribe_attach(primary.id()).unwrap();
+        streams.push(conn.subscribe_attach(via_primary.id()).unwrap());
+        streams.push(via_primary);
     }
     streams.push(primary);
-    assert_eq!(db.stats().live_subs, streams.len() as u64);
+    let mut ids: Vec<u64> = streams.iter().map(|s| s.id()).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), streams.len(), "wire ids are unique per server");
+    assert_eq!(metric(&db, "net.subscriptions"), Some(streams.len() as i64));
+    // Attach joins the group; it does not start a second query.
+    assert_eq!(db.stats().live_subs, 1);
 
     for w in 0..WINDOWS {
         admin.ingest_batch("events", &window_rows(w)).unwrap();
@@ -151,6 +161,7 @@ fn fanout_members_receive_byte_identical_windows_exactly_once() {
 
     // The server ran the query once and serialized each window once:
     // encodes == windows closed, NOT windows × subscribers.
+    assert_eq!(db.stats().windows_out, WINDOWS as u64);
     assert_eq!(metric(&db, "net.fanout.encodes"), Some(WINDOWS));
     await_metric(&db, "net.windows_sent", WINDOWS * streams.len() as i64);
     assert_eq!(metric(&db, "net.outbox_drops"), Some(0));
@@ -160,6 +171,9 @@ fn fanout_members_receive_byte_identical_windows_exactly_once() {
     for c in conns {
         c.close().unwrap();
     }
+    // Last member out releases the engine subscription and its query.
+    assert_eq!(metric(&db, "net.subscriptions"), Some(0));
+    assert_eq!(db.stats().live_subs, 0);
     admin.close().unwrap();
     server.shutdown();
 }
@@ -192,7 +206,7 @@ fn attached_members_survive_primary_death_mid_delivery() {
         .iter()
         .map(|c| c.subscribe_attach(primary_id).unwrap())
         .collect();
-    assert_eq!(db.stats().live_subs, 3);
+    assert_eq!(metric(&db, "net.subscriptions"), Some(3));
 
     // Window 1 flows to everyone, including the doomed primary.
     admin.ingest_batch("events", &window_rows(0)).unwrap();
@@ -206,11 +220,19 @@ fn attached_members_survive_primary_death_mid_delivery() {
     // Primary dies abruptly mid-stream. The query must keep running for
     // the attached members — only the dead subscription is reaped.
     drop(raw);
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while db.stats().live_subs != 2 {
-        assert!(Instant::now() < deadline, "dead primary never reaped");
-        std::thread::sleep(Duration::from_millis(10));
+    await_metric(&db, "net.subscriptions", 2);
+    assert_eq!(db.stats().live_subs, 1, "the query outlives its primary");
+
+    // The departed id no longer names the group: an error reply, not a
+    // disconnect. A living member's id does, and the late joiner sees
+    // only what closes after it joined.
+    match members[0].subscribe_attach(primary_id) {
+        Err(streamrel::net::NetError::Remote(msg)) => {
+            assert!(msg.contains("unknown subscription"), "{msg}")
+        }
+        other => panic!("attach to a departed id: {:?}", other.map(|s| s.id())),
     }
+    let late = members[0].subscribe_attach(streams[1].id()).unwrap();
 
     // Window 2 closes after the death; survivors still get the full,
     // byte-identical sequence.
@@ -219,10 +241,11 @@ fn attached_members_survive_primary_death_mid_delivery() {
     for stream in &streams {
         assert_eq!(collect_exactly(stream, reference.len()), reference);
     }
+    assert_eq!(collect_exactly(&late, 1), reference[1..]);
     // Each window was still encoded once, members or not.
     assert_eq!(metric(&db, "net.fanout.encodes"), Some(WINDOWS));
 
-    drop(streams);
+    drop((streams, late));
     for c in members {
         c.close().unwrap();
     }
@@ -289,6 +312,206 @@ fn fanout_is_byte_identical_under_chaos_schedules() {
     assert!(points > 0, "chaos injector never fired");
 }
 
+/// A raw-frame client: subscribes `sql` and hands back the socket, a
+/// resumable decoder for it, and the primary's wire id.
+fn raw_subscribe(addr: std::net::SocketAddr, sql: &str) -> (TcpStream, FrameDecoder, u64) {
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    Frame::new(FrameType::Query, wire::encode_query(sql))
+        .write_to(&mut raw)
+        .unwrap();
+    raw.flush().unwrap();
+    let mut decoder = FrameDecoder::new();
+    let ack = decoder.read_frame(&mut raw).unwrap().unwrap();
+    assert_eq!(ack.ty, FrameType::Subscribed);
+    let id = wire::decode_subscribed(&ack.payload).unwrap();
+    (raw, decoder, id)
+}
+
+/// Read frames until the socket has been quiet for one read timeout.
+fn read_until_quiet(raw: &mut TcpStream, decoder: &mut FrameDecoder) -> Vec<Frame> {
+    let mut frames = Vec::new();
+    loop {
+        match decoder.read_frame(raw) {
+            Ok(Some(frame)) => frames.push(frame),
+            Ok(None) => panic!("server hung up"),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return frames
+            }
+            Err(e) => panic!("socket error: {e}"),
+        }
+    }
+}
+
+/// The window results among `frames` addressed to wire id `id`.
+fn windows_for(frames: &[Frame], id: u64) -> Vec<(i64, Vec<u8>)> {
+    frames
+        .iter()
+        .filter(|f| f.ty == FrameType::WindowResult)
+        .map(|f| wire::decode_window_result(&f.payload).unwrap())
+        .filter(|(sub, _)| *sub == id)
+        .map(|(_, out)| canonical(out.close, &out.relation))
+        .collect()
+}
+
+#[test]
+fn pipelined_attach_joins_after_the_windows_already_closed() {
+    // Ingest + Heartbeat (closing window 0) + Attach leave the client in
+    // ONE write, so the reactor handles all three before its next
+    // delivery sweep: window 0 is still in the engine queue when the
+    // attach is processed. It closed before the newcomer's ack, so it
+    // belongs to the existing member only.
+    const WINDOWS: i64 = 2;
+    let reference = embedded_reference(WINDOWS);
+
+    let db = Arc::new(Db::in_memory(DbOptions::default()));
+    let server = Server::serve(db.clone(), "127.0.0.1:0").unwrap();
+    let admin = Client::connect(server.local_addr()).unwrap();
+    admin.execute(DDL).unwrap();
+
+    let (mut raw, mut decoder, primary) = raw_subscribe(server.local_addr(), CQ);
+    let mut burst = Vec::new();
+    for frame in [
+        Frame::new(
+            FrameType::Ingest,
+            wire::encode_ingest("events", &window_rows(0)),
+        ),
+        Frame::new(
+            FrameType::Heartbeat,
+            wire::encode_heartbeat("events", 60_000_000),
+        ),
+        Frame::new(FrameType::Attach, wire::encode_attach(primary)),
+    ] {
+        frame.write_to(&mut burst).unwrap();
+    }
+    raw.write_all(&burst).unwrap();
+    raw.flush().unwrap();
+
+    let first = read_until_quiet(&mut raw, &mut decoder);
+    let member = first
+        .iter()
+        .find(|f| f.ty == FrameType::Subscribed)
+        .map(|f| wire::decode_subscribed(&f.payload).unwrap())
+        .expect("attach was acked");
+    assert_ne!(member, primary);
+    assert_eq!(windows_for(&first, primary), reference[..1]);
+    assert_eq!(windows_for(&first, member), []);
+
+    // Window 1 closes after the ack: both members receive it.
+    admin.ingest_batch("events", &window_rows(1)).unwrap();
+    admin.heartbeat("events", 120_000_000).unwrap();
+    let second = read_until_quiet(&mut raw, &mut decoder);
+    assert_eq!(windows_for(&second, primary), reference[1..]);
+    assert_eq!(windows_for(&second, member), reference[1..]);
+    assert_eq!(metric(&db, "net.fanout.encodes"), Some(WINDOWS));
+
+    drop(raw);
+    admin.close().unwrap();
+    server.shutdown();
+}
+
+/// `WINDOWS` one-minute windows of `ROWS` kilobyte-payload rows each:
+/// large enough that a silent peer's kernel buffers fill and real
+/// backpressure (and real residue) builds up server-side.
+const FAT_DDL: &str =
+    "CREATE STREAM events (v integer, payload varchar(2048), etime timestamp CQTIME USER)";
+const FAT_CQ: &str = "SELECT v, payload FROM events <TUMBLING '1 minute'>";
+
+fn fat_window_rows(w: i64, rows: i64) -> Vec<Vec<Value>> {
+    let filler = "x".repeat(1024);
+    (0..rows)
+        .map(|i| {
+            vec![
+                Value::Int(w * rows + i),
+                Value::text(&filler),
+                Value::Timestamp(w * 60_000_000 + 10_000_000),
+            ]
+        })
+        .collect()
+}
+
+#[test]
+fn members_overflow_on_their_own_accounts() {
+    // Two members of one group behind a socket that stops reading: each
+    // member's bounded outbox sheds its own oldest windows, and what
+    // survives — on either member — is byte-identical to the embedded
+    // run and ends with the newest window.
+    const WINDOWS: i64 = 16;
+    const ROWS: i64 = 768;
+
+    let reference: Vec<(i64, Vec<u8>)> = {
+        let db = Db::in_memory(DbOptions::default());
+        db.execute(FAT_DDL).unwrap();
+        let sub = db.execute(FAT_CQ).unwrap().subscription();
+        for w in 0..WINDOWS {
+            db.ingest_batch("events", fat_window_rows(w, ROWS)).unwrap();
+            db.heartbeat("events", (w + 1) * 60_000_000).unwrap();
+        }
+        let outs = db.poll(sub).unwrap();
+        outs.iter()
+            .map(|o| canonical(o.close, &o.relation))
+            .collect()
+    };
+    assert_eq!(reference.len(), WINDOWS as usize);
+
+    let db = Arc::new(Db::in_memory(DbOptions::default()));
+    let opts = ServerOptions {
+        outbox_capacity: 2,
+        write_timeout: Duration::from_secs(30), // shed, don't disconnect
+        ..ServerOptions::default()
+    };
+    let server = Server::serve_with(db.clone(), "127.0.0.1:0", opts).unwrap();
+    let admin = Client::connect(server.local_addr()).unwrap();
+    admin.execute(FAT_DDL).unwrap();
+
+    let (mut raw, mut decoder, primary) = raw_subscribe(server.local_addr(), FAT_CQ);
+    Frame::new(FrameType::Attach, wire::encode_attach(primary))
+        .write_to(&mut raw)
+        .unwrap();
+    raw.flush().unwrap();
+    let ack = decoder.read_frame(&mut raw).unwrap().unwrap();
+    assert_eq!(ack.ty, FrameType::Subscribed);
+    let member = wire::decode_subscribed(&ack.payload).unwrap();
+
+    // Go silent while every window closes, then read what was kept.
+    for w in 0..WINDOWS {
+        admin
+            .ingest_batch("events", &fat_window_rows(w, ROWS))
+            .unwrap();
+        admin.heartbeat("events", (w + 1) * 60_000_000).unwrap();
+    }
+    let frames = read_until_quiet(&mut raw, &mut decoder);
+
+    let mut delivered = 0;
+    for id in [primary, member] {
+        let got = windows_for(&frames, id);
+        delivered += got.len() as i64;
+        assert!(got.len() < reference.len(), "member {id} never overflowed");
+        assert_eq!(got.last(), reference.last(), "member {id}: newest kept");
+        let mut rest = reference.iter();
+        for window in &got {
+            assert!(
+                rest.any(|r| r == window),
+                "member {id}: window {} out of order or not byte-identical",
+                window.0
+            );
+        }
+    }
+    // Every shed window is on exactly one member's account.
+    await_metric(&db, "net.windows_sent", delivered);
+    assert_eq!(
+        metric(&db, "net.outbox_drops"),
+        Some(2 * WINDOWS - delivered)
+    );
+    assert_eq!(metric(&db, "net.delivery_lost"), Some(0));
+    assert_eq!(metric(&db, "net.fanout.encodes"), Some(WINDOWS));
+
+    drop(raw);
+    admin.close().unwrap();
+    server.shutdown();
+}
+
 #[test]
 fn delivery_loss_is_conserved_across_socket_death() {
     // A subscriber that stops reading, then dies: every window its query
@@ -302,7 +525,6 @@ fn delivery_loss_is_conserved_across_socket_death() {
     let db = Arc::new(Db::in_memory(DbOptions::default()));
     let opts = ServerOptions {
         outbox_capacity: 2,
-        outbox_overflow: OverflowPolicy::DropOldest,
         write_timeout: Duration::from_secs(30), // let the drop, not the stall, kill it
         ..ServerOptions::default()
     };
@@ -310,35 +532,12 @@ fn delivery_loss_is_conserved_across_socket_death() {
     let addr = server.local_addr();
 
     let admin = Client::connect(addr).unwrap();
-    admin
-        .execute(
-            "CREATE STREAM events (v integer, payload varchar(2048), etime timestamp CQTIME USER)",
-        )
-        .unwrap();
+    admin.execute(FAT_DDL).unwrap();
 
     // Subscribe over a raw socket, consume the ack, then go silent.
-    let mut raw = TcpStream::connect(addr).unwrap();
-    Frame::new(
-        FrameType::Query,
-        wire::encode_query("SELECT v, payload FROM events <TUMBLING '1 minute'>"),
-    )
-    .write_to(&mut raw)
-    .unwrap();
-    raw.flush().unwrap();
-    let ack = Frame::read_from(&mut raw).unwrap().unwrap();
-    assert_eq!(ack.ty, FrameType::Subscribed);
-
-    let filler = "x".repeat(1024);
+    let (raw, _, _) = raw_subscribe(addr, FAT_CQ);
     for w in 0..WINDOWS {
-        let rows: Vec<Vec<Value>> = (0..ROWS_PER_WINDOW)
-            .map(|i| {
-                vec![
-                    Value::Int(w * ROWS_PER_WINDOW + i),
-                    Value::text(&filler),
-                    Value::Timestamp(w * 60_000_000 + 10_000_000),
-                ]
-            })
-            .collect();
+        let rows = fat_window_rows(w, ROWS_PER_WINDOW);
         admin.ingest_batch("events", &rows).unwrap();
         admin.heartbeat("events", (w + 1) * 60_000_000).unwrap();
     }
@@ -397,7 +596,6 @@ fn client_queue_is_bounded_with_visible_drops() {
         addr,
         ClientOptions {
             sub_queue_capacity: KEEP,
-            sub_overflow: OverflowPolicy::DropOldest,
         },
     )
     .unwrap();
@@ -421,7 +619,7 @@ fn client_queue_is_bounded_with_visible_drops() {
         std::thread::sleep(Duration::from_millis(10));
     }
 
-    // DropOldest keeps the newest windows: the tail of the reference.
+    // Overflow keeps the newest windows: the tail of the reference.
     let mut kept = Vec::new();
     while let Some(out) = stream.try_next() {
         kept.push(canonical(out.close, &out.relation));

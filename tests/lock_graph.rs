@@ -206,3 +206,37 @@ fn witness_panics_on_inverted_acquisition_naming_both_sites() {
     // The panic tells the reader where the order comes from.
     assert!(msg.contains("lock_graph.gen.rs"), "{msg}");
 }
+
+/// Every lock in the generated order exists: its name is the one passed
+/// to a `Mutex::named` / `RwLock::named` somewhere in the sources. A
+/// `// lock-order:` declaration naming a lock nobody constructs puts a
+/// node and edges in the graph that constrain nothing.
+#[test]
+fn every_ordered_lock_is_constructed_somewhere() {
+    fn collect_named(dir: &std::path::Path, names: &mut Vec<String>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                collect_named(&path, names);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let src = std::fs::read_to_string(&path).unwrap();
+                for after in src.split("::named(").skip(1) {
+                    if let Some(lit) = after.trim_start().strip_prefix('"') {
+                        names.extend(lit.split('"').next().map(str::to_string));
+                    }
+                }
+            }
+        }
+    }
+    let mut constructed = Vec::new();
+    collect_named(
+        &std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates"),
+        &mut constructed,
+    );
+    for name in streamrel_check::lock_graph_gen::GLOBAL_LOCK_ORDER {
+        assert!(
+            constructed.iter().any(|c| c == name),
+            "`{name}` is in GLOBAL_LOCK_ORDER but no lock is constructed under that name"
+        );
+    }
+}
