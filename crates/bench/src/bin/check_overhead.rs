@@ -6,9 +6,11 @@
 //! register subscriptions on connect, and DDL replay at recovery runs the
 //! gate for every persisted derived stream. This harness runs
 //! `check_plan` over a set of representative plan shapes (windowed scan,
-//! shared-shape aggregate, stream-table join, raw-stream sort, and a
-//! rejected unbounded plan) against a live shared registry, and fails if
-//! the mean per-plan analysis exceeds 1 ms.
+//! shared-shape aggregate, stream-table join, raw-stream sort, the same
+//! aggregate on a grid the live store cannot take, and a rejected
+//! unbounded plan) against the stream's live store set — one pooled
+//! store with data in it, as the engine hands `check_plan` under the
+//! shard lock — and fails if the mean per-plan analysis exceeds 1 ms.
 
 #![deny(unsafe_code)]
 
@@ -16,12 +18,13 @@ use std::sync::Arc;
 
 use streamrel_bench::{fmt_dur, scale, timed, ResultTable};
 use streamrel_check::{check_plan, CheckContext};
+use streamrel_cq::shared::{place, Advanced, Placement};
 use streamrel_cq::SharedRegistry;
 use streamrel_sql::analyzer::SchemaProvider;
 use streamrel_sql::plan::SchemaRef;
 use streamrel_sql::{parse_statement, Analyzer, LogicalPlan, RelKind, Statement};
 use streamrel_types::schema::{Column, Schema};
-use streamrel_types::DataType;
+use streamrel_types::{row, DataType, Value};
 
 /// Acceptance bound: mean analysis time per CQ registration.
 const MAX_PER_CQ_US: f64 = 1_000.0; // 1 ms
@@ -57,6 +60,9 @@ const QUERIES: &[&str] = &[
     "SELECT h.url, s.owner FROM hits <VISIBLE 100 ROWS ADVANCE 10 ROWS> h \
      JOIN sites s ON h.url = s.url",
     "SELECT url FROM hits <VISIBLE '2 minutes' ADVANCE '1 minute'> ORDER BY url",
+    // Same shape as the tumbling aggregate, finer grid: shared-grid-mismatch.
+    "SELECT url, count(*) c, sum(bytes) b FROM hits \
+     <VISIBLE '90 seconds' ADVANCE '30 seconds'> GROUP BY url",
     "SELECT url, count(*) c FROM hits GROUP BY url", // rejected: unbounded
 ];
 
@@ -74,7 +80,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("check_overhead: Level-1 admission analysis per CQ registration\n");
     let iters = 2_000 * scale();
     let plans: Vec<LogicalPlan> = QUERIES.iter().map(|q| plan_of(q)).collect();
-    let registry = SharedRegistry::new();
+    // `hits`' store set: the tumbling aggregate's pooled store, its
+    // one-minute grid pinned by a folded tuple.
+    let mut registry = SharedRegistry::default();
+    let Placement::Sliced { program, .. } = place(&plans[1], true, true, None) else {
+        panic!("the tumbling aggregate lowers");
+    };
+    registry.join(&program, true);
+    registry.advance(
+        &[row![Value::Timestamp(1), "/a", 10i64]],
+        None,
+        &mut Advanced::default(),
+    )?;
     let ctx = CheckContext {
         sharing: true,
         ivm: true,
@@ -88,6 +105,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .filter(|p| check_plan(p, &ctx).rejection().is_some())
         .count();
     assert_eq!(rejected, 1, "exactly one bench plan is unadmissible");
+    let mismatched = plans
+        .iter()
+        .flat_map(|p| check_plan(p, &ctx).findings)
+        .filter(|f| f.rule == "shared-grid-mismatch")
+        .count();
+    assert_eq!(mismatched, 1, "the live grid is what the rule reads");
 
     let (checks, total) = timed(|| {
         let mut n = 0u64;

@@ -129,7 +129,8 @@ pub struct CheckContext<'a> {
     /// Whether lowered plans run on slice stores at all (off: every CQ
     /// re-evaluates).
     pub ivm: bool,
-    /// The live registry of pooled stores, for grid-compatibility checks.
+    /// The live slice stores of the stream the plan scans, for
+    /// grid-compatibility checks.
     pub registry: Option<&'a SharedRegistry>,
     /// The cross-CQ standing-state budget, when one is configured.
     pub budget: Option<StateBudget>,

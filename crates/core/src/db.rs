@@ -15,17 +15,17 @@ use std::time::Instant;
 
 use parking_lot::{Mutex, MutexGuard};
 
-use streamrel_check::{check_plan, CheckContext, StateBudget};
+use streamrel_check::{check_plan, CheckContext, CheckReport, StateBudget};
 use streamrel_cq::recovery::{load_watermark, save_watermark_txn};
+use streamrel_cq::shared::Advanced;
 use streamrel_cq::{
-    shared::GroupRef, ContinuousQuery, CqOutput, CqStats, ReorderBuffer, SharedRegistry,
-    WindowTask, WorkerPool,
+    ContinuousQuery, CqOutput, CqStats, ReorderBuffer, SharedRegistry, WindowTask, WorkerPool,
 };
 use streamrel_exec::{execute, ExecContext, ExecMetrics};
 use streamrel_obs::{Counter, Gauge, IvmMetrics};
 use streamrel_sql::analyzer::Analyzer;
 use streamrel_sql::ast::{ChannelMode, ColumnDef, Expr, ObjectKind, Query, ShowKind, Statement};
-use streamrel_sql::parser::{parse_statement, parse_statements};
+use streamrel_sql::parser::parse_statement;
 use streamrel_sql::plan::{BoundExpr, LogicalPlan};
 use streamrel_storage::{Io, StdIo, StorageEngine};
 use streamrel_types::{Column, Error, Relation, Result, Row, Schema, Timestamp, Value};
@@ -116,25 +116,22 @@ struct ChannelDef {
     rows_written: Arc<AtomicU64>,
 }
 
-// lock-order: catalog < state < g < subs
+// lock-order: catalog < state < subs
 //
 // The `Db::catalog` mutex (DDL state) is acquired before any shard's
-// `state` lock; shard state precedes slice-store mutexes (`g`: a
-// `SharedGroup`, pooled via `SharedRegistry` or private to one CQ), which
-// precede the client `subs` table. A store lock is never held while
-// acquiring shard state (the registry releases each store guard before
-// returning). streamrel-lint checks every function in this file against
-// this order.
+// `state` lock, which covers everything a base stream runs on — reorder
+// buffer, slice stores, CQ runtimes — and precedes the client `subs`
+// table. streamrel-lint checks every function in this file against this
+// order.
 
 /// Catalog and DDL state: everything that is *not* on the per-tuple hot
-/// path. Stream/derived declarations, views, channel definitions, the
-/// slice-sharing registry, and the shard map itself.
+/// path. Stream/derived declarations, views, channel definitions and the
+/// shard map itself.
 struct Catalog {
     streams: HashMap<String, CatStream>,
     deriveds: HashMap<String, CatDerived>,
     views: HashMap<String, String>,
     channels: HashMap<String, ChannelDef>,
-    registry: SharedRegistry,
     /// The execution shards. Streams are assigned at CREATE time and
     /// never migrate; a dropped stream's shard slot stays (slots are
     /// cheap and ids must stay stable).
@@ -175,6 +172,8 @@ struct DbMetrics {
     check_warned: Arc<Counter>,
     /// Stream tuples folded into slice stores (once per store, not per CQ).
     ivm_delta_rows: Arc<Counter>,
+    /// Bytes held across live slice stores.
+    ivm_state_bytes: Arc<Gauge>,
     /// Admitted continuous plans the check placed on a slice store.
     check_ivm_lowered: Arc<Counter>,
     /// Admitted continuous plans that fall back to re-evaluation.
@@ -184,6 +183,7 @@ struct DbMetrics {
 
 impl DbMetrics {
     fn register(registry: &streamrel_obs::Registry) -> DbMetrics {
+        let ivm = IvmMetrics::register(registry);
         DbMetrics {
             tuples_in: registry.counter("db.tuples_in"),
             windows_out: registry.counter("db.windows_out"),
@@ -195,7 +195,8 @@ impl DbMetrics {
             check_rejected: registry.counter("check.rejected"),
             check_budget_rejected: registry.counter("check.budget_rejected"),
             check_warned: registry.counter("check.warned"),
-            ivm_delta_rows: IvmMetrics::register(registry).delta_rows,
+            ivm_delta_rows: ivm.delta_rows,
+            ivm_state_bytes: ivm.state_bytes,
             check_ivm_lowered: registry.counter("check.ivm_lowered"),
             check_ivm_fallback: registry.counter("check.ivm_fallback"),
             exec: ExecMetrics::register(registry),
@@ -228,16 +229,7 @@ impl Db {
     /// views, derived streams and channels, then restores each derived
     /// CQ's position from its Active-Table watermark (§4 recovery).
     pub fn open(dir: impl AsRef<Path>, options: DbOptions) -> Result<Db> {
-        let engine = Arc::new(StorageEngine::open_with_opts(
-            dir.as_ref(),
-            options.sync,
-            StdIo::shared(),
-            options.resolved_wal_shards(),
-        )?);
-        let db = Db::with_engine(engine, options);
-        db.replay_ddl()?;
-        db.restore_watermarks()?;
-        Ok(db)
+        Db::open_with_io(dir, options, StdIo::shared())
     }
 
     /// [`Db::open`] over an explicit storage [`Io`] implementation — the
@@ -273,7 +265,6 @@ impl Db {
                     deriveds: HashMap::new(),
                     views: HashMap::new(),
                     channels: HashMap::new(),
-                    registry: SharedRegistry::new(),
                     shards: Vec::new(),
                     sub_home: HashMap::new(),
                     stream_seq: 0,
@@ -361,21 +352,21 @@ impl Db {
         self.execute_stmt(stmt, sql, true)
     }
 
-    /// Execute a semicolon-separated script, returning the last result.
+    /// Execute a semicolon-separated script, returning every result. The
+    /// whole script is parsed before anything runs (a syntax error
+    /// executes nothing); each statement then runs — and, if DDL, persists
+    /// — under its own text, exactly as through [`Db::execute`].
     pub fn execute_script(&self, sql: &str) -> Result<Vec<ExecResult>> {
-        let stmts = parse_statements(sql)?;
-        let mut out = Vec::with_capacity(stmts.len());
-        for stmt in stmts {
-            // Re-render is lossy; persist the original only for
-            // single-statement DDL (scripts re-persist per statement by
-            // rendering). For simplicity persist the whole source per DDL
-            // statement is wrong, so scripts re-parse from stored text —
-            // store the statement's own text via Debug-free rendering is
-            // unavailable; instead persist the original sql only when the
-            // script has exactly one statement.
-            out.push(self.execute_stmt(stmt, sql, false)?);
-        }
-        Ok(out)
+        let pieces = crate::script::split_statements(sql);
+        let stmts = pieces
+            .iter()
+            .map(|piece| parse_statement(piece))
+            .collect::<Result<Vec<_>>>()?;
+        stmts
+            .into_iter()
+            .zip(&pieces)
+            .map(|(stmt, piece)| self.execute_stmt(stmt, piece, true))
+            .collect()
     }
 
     /// Drain pending window results for a subscription.
@@ -412,49 +403,21 @@ impl Db {
     /// Only the owning shard's lock is held: concurrent ingest into
     /// other streams proceeds in parallel.
     pub fn ingest_batch(&self, stream: &str, rows: Vec<Row>) -> Result<()> {
-        // One timestamp per ingest event; every window this batch closes
-        // measures its latency from here (arrival → result enqueued).
-        let start = Instant::now();
-        let key = stream.to_ascii_lowercase();
-        let shard = self.shard_of_stream(&key, stream)?;
-        let mut state = self.lock_shard(&shard);
-        self.ingest_sharded(&mut state, &key, rows, start)
+        self.ingest_sharded(stream, rows, None)
     }
 
-    /// Advance a stream's event time without data: closes due windows of
-    /// every CQ over the stream (punctuation / heartbeat).
+    /// Advance a stream's event time without data: releases what the
+    /// reorder buffer still holds up to `ts`, then closes the due windows
+    /// of every CQ over the stream (punctuation / heartbeat). To the
+    /// engine this is a batch of zero tuples plus a time bound, on the
+    /// same path as [`Db::ingest_batch`].
     ///
     /// If a CQ's window evaluation fails, results already produced by
     /// earlier CQs (and earlier windows of the failing CQ) are still
     /// delivered before the error is returned — an error in one plan
     /// never silently discards another CQ's output.
     pub fn heartbeat(&self, stream: &str, ts: Timestamp) -> Result<()> {
-        let start = Instant::now();
-        let key = stream.to_ascii_lowercase();
-        let shard = self.shard_of_stream(&key, stream)?;
-        let mut state = self.lock_shard(&shard);
-        let cq_ids = state
-            .streams
-            .get(&key)
-            .ok_or_else(|| Error::stream(format!("unknown stream `{stream}`")))?
-            .cq_ids
-            .clone();
-        let mut staged: Vec<(u64, Vec<WindowTask>)> = Vec::new();
-        let mut stage_err: Option<Error> = None;
-        for id in cq_ids {
-            let entry = state
-                .cqs
-                .get_mut(&id)
-                .ok_or_else(|| Error::stream(format!("cq {id} not registered")))?;
-            match entry.cq.stage_heartbeat(ts) {
-                Ok(tasks) => staged.push((id, tasks)),
-                Err(e) => {
-                    stage_err = Some(e);
-                    break;
-                }
-            }
-        }
-        self.eval_and_pump(&mut state, staged, stage_err, start)
+        self.ingest_sharded(stream, Vec::new(), Some(ts))
     }
 
     // ---- statement dispatch -------------------------------------------------
@@ -600,21 +563,40 @@ impl Db {
     /// with its fix hint, and the conservative state-size bound — without
     /// registering anything.
     fn explain_check(&self, query: &Query) -> Result<ExecResult> {
-        let report = {
-            let catalog = self.catalog.lock();
-            let provider = self.provider(&catalog);
-            let analyzed = Analyzer::new(&provider).analyze(query)?;
-            check_plan(
-                &analyzed.plan,
-                &CheckContext {
-                    sharing: self.options.sharing,
-                    ivm: self.options.ivm,
-                    registry: Some(&catalog.registry),
-                    budget: self.budget_context(&catalog),
-                },
-            )
-        };
+        let catalog = self.catalog.lock();
+        let analyzed = Analyzer::new(&self.provider(&catalog)).analyze(query)?;
+        let report = self.check(&catalog, &analyzed.plan);
         Ok(ExecResult::Rows(report.to_relation()))
+    }
+
+    /// Run the Level-1 analysis against the engine as it stands: the
+    /// options, the budget ledger and — under the owning shard's lock —
+    /// the live slice stores of the base stream the plan scans, so the
+    /// shared-grid rule sees the grid registration would.
+    fn check(&self, catalog: &Catalog, plan: &LogicalPlan) -> CheckReport {
+        // No stream is named "", so a snapshot plan finds no registry.
+        let scanned = plan
+            .stream_scans()
+            .first()
+            .map_or(String::new(), |(name, _)| name.to_ascii_lowercase());
+        let state = catalog
+            .streams
+            .get(&scanned)
+            .and_then(|s| catalog.shards.get(s.shard))
+            .map(|shard| shard.state.lock());
+        let registry = state
+            .as_ref()
+            .and_then(|state| state.streams.get(&scanned))
+            .map(|rt| &rt.stores);
+        check_plan(
+            plan,
+            &CheckContext {
+                sharing: self.options.sharing,
+                ivm: self.options.ivm,
+                registry,
+                budget: self.budget_context(catalog),
+            },
+        )
     }
 
     /// The live cross-CQ budget snapshot for one admission decision,
@@ -637,15 +619,7 @@ impl Db {
     /// for this CQ (its conservative bound, or 0 when unboundable —
     /// which only admits when no budget is configured).
     fn admit_plan(&self, catalog: &Catalog, plan: &LogicalPlan) -> Result<u64> {
-        let report = check_plan(
-            plan,
-            &CheckContext {
-                sharing: self.options.sharing,
-                ivm: self.options.ivm,
-                registry: Some(&catalog.registry),
-                budget: self.budget_context(catalog),
-            },
-        );
+        let report = self.check(catalog, plan);
         if let Some(err) = report.to_error() {
             if report.rejection().map(|f| f.rule) == Some("state-budget") {
                 self.metrics.check_budget_rejected.inc();
@@ -662,15 +636,10 @@ impl Db {
         Ok(report.state_bound_bytes.unwrap_or(0))
     }
 
-    /// Release a torn-down CQ's state share back to the budget ledger
-    /// and, if it was the last member of a pooled slice store, drop that
-    /// store from the registry.
-    fn release_cq(catalog: &mut Catalog, cq_id: u64, emptied: Option<GroupRef>) {
+    /// Release a torn-down CQ's state share back to the budget ledger.
+    fn release_cq(catalog: &mut Catalog, cq_id: u64) {
         if let Some(bytes) = catalog.cq_state_bytes.remove(&cq_id) {
             catalog.admitted_state_bytes = catalog.admitted_state_bytes.saturating_sub(bytes);
-        }
-        if let Some(g) = emptied {
-            catalog.registry.forget(&g);
         }
     }
 
@@ -806,7 +775,7 @@ impl Db {
                 reorder,
                 cq_ids: Vec::new(),
                 raw_channels: Vec::new(),
-                groups: Vec::new(),
+                stores: SharedRegistry::default(),
             },
         );
         if persist {
@@ -989,7 +958,7 @@ impl Db {
         if let Some(d) = catalog.deriveds.get(key) {
             let cq_id = d.cq_id;
             let shard = shard_at(&catalog, d.shard)?;
-            let emptied = {
+            {
                 let mut state = shard.state.lock();
                 let has_deps = state
                     .deriveds
@@ -1002,10 +971,10 @@ impl Db {
                     )));
                 }
                 state.deriveds.remove(key);
-                detach_cq(&mut state, cq_id)
-            };
+                self.detach_cq(&mut state, cq_id);
+            }
             catalog.deriveds.remove(key);
-            Self::release_cq(&mut catalog, cq_id, emptied);
+            Self::release_cq(&mut catalog, cq_id);
             self.engine.metrics().remove(&format!("cq.close_us.{key}"));
             self.unpersist_ddl(&mut catalog, "derived", key)?;
             return Ok(ExecResult::Dropped(name.to_string()));
@@ -1171,11 +1140,10 @@ impl Db {
     }
 
     /// Register an admitted CQ in its upstream's shard — the one path both
-    /// `CREATE STREAM … AS` and a subscribing `SELECT` take. The CQ is
-    /// placed first (slice-store membership or a re-evaluation buffer),
-    /// its state share charged, and then, under the shard lock, its store
-    /// is mirrored into the upstream's runtime so ingest folds each tuple
-    /// into it once. Returns the CQ id and the shard index.
+    /// `CREATE STREAM … AS` and a subscribing `SELECT` take. Its state
+    /// share is charged and then, under the shard lock, the CQ is placed —
+    /// a member of one of its stream's slice stores, or a re-evaluation
+    /// buffer — and attached. Returns the CQ id and the shard index.
     fn register_cq(
         &self,
         catalog: &mut Catalog,
@@ -1193,11 +1161,6 @@ impl Db {
             (None, None) => return Err(Error::stream(format!("unknown stream `{}`", cq.stream()))),
         };
         let shard = shard_at(catalog, shard_idx)?;
-        let store = cq.place(
-            self.options.sharing,
-            self.options.ivm,
-            &mut catalog.registry,
-        );
         let cq_id = catalog.next_cq;
         catalog.next_cq += 1;
         catalog.admitted_state_bytes += state_bytes;
@@ -1207,11 +1170,15 @@ impl Db {
             .metrics()
             .histogram(&format!("cq.close_us.{}", cq.name()));
         let mut state = shard.state.lock();
-        if let (Some(store), Some(rt)) = (store, state.streams.get_mut(&upstream)) {
-            if !rt.groups.iter().any(|g| Arc::ptr_eq(g, &store)) {
-                rt.groups.push(store);
-            }
-        }
+        cq.place(
+            self.options.sharing,
+            self.options.ivm,
+            stores_of(
+                &mut state.streams,
+                &upstream,
+                &mut SharedRegistry::default(),
+            ),
+        );
         if let Sink::Derived(name) = &sink {
             state
                 .deriveds
@@ -1229,6 +1196,24 @@ impl Db {
         Ok((cq_id, shard_idx))
     }
 
+    /// Tear a CQ out of its shard: off its upstream's lists and out of its
+    /// slice store, which goes with its last member.
+    fn detach_cq(&self, state: &mut ShardState, cq_id: u64) {
+        let Some(entry) = state.cqs.remove(&cq_id) else {
+            return;
+        };
+        for s in state.streams.values_mut() {
+            s.cq_ids.retain(|&id| id != cq_id);
+        }
+        for d in state.deriveds.values_mut() {
+            d.downstream_cqs.retain(|&id| id != cq_id);
+        }
+        let upstream = entry.cq.stream().to_ascii_lowercase();
+        if let (Some(slot), Some(rt)) = (entry.cq.slot(), state.streams.get_mut(&upstream)) {
+            self.metrics.ivm_state_bytes.add(rt.stores.leave(slot));
+        }
+    }
+
     /// Terminate a continuous query / subscription (§3.1: "CQs run until
     /// they are explicitly terminated"): tears down the subscription's
     /// CQ and releases its state-budget charge and close histogram.
@@ -1242,11 +1227,8 @@ impl Db {
             .metrics()
             .remove(&format!("cq.close_us.sub_{}", sub.0));
         let shard = shard_at(&catalog, shard_idx)?;
-        let emptied = {
-            let mut state = shard.state.lock();
-            detach_cq(&mut state, cq_id)
-        };
-        Self::release_cq(&mut catalog, cq_id, emptied);
+        self.detach_cq(&mut shard.state.lock(), cq_id);
+        Self::release_cq(&mut catalog, cq_id);
         drop(catalog);
         // Undelivered results leave the depth gauge with the subscription
         // (its Drop impl settles the account).
@@ -1434,64 +1416,62 @@ impl Db {
         shard.state.lock()
     }
 
-    fn ingest_sharded(
-        &self,
-        state: &mut ShardState,
-        key: &str,
-        rows: Vec<Row>,
-        start: Instant,
-    ) -> Result<()> {
-        let (schema, has_reorder) = {
-            let rt = state
-                .streams
-                .get(key)
-                .ok_or_else(|| Error::stream(format!("unknown stream `{key}`")))?;
-            (rt.decl.schema.clone(), rt.reorder.is_some())
-        };
+    /// Take one batch through a base stream's runtime: reorder → archive
+    /// → fold into the slice stores → close due windows → evaluate and
+    /// deliver. `bound` is a heartbeat's time; a heartbeat is the batch of
+    /// zero tuples, so tuples and punctuation share every step. Only the
+    /// owning shard's lock is held.
+    fn ingest_sharded(&self, stream: &str, rows: Vec<Row>, bound: Option<Timestamp>) -> Result<()> {
+        // One timestamp per ingest event; every window this batch closes
+        // measures its latency from here (arrival → result enqueued).
+        let start = Instant::now();
+        let key = stream.to_ascii_lowercase();
+        let shard = self.shard_of_stream(&key, stream)?;
+        let state = &mut *self.lock_shard(&shard);
+        let ShardState {
+            streams,
+            cqs,
+            domain,
+            ..
+        } = &mut *state;
+        let rt = streams
+            .get_mut(&key)
+            .ok_or_else(|| Error::stream(format!("unknown stream `{stream}`")))?;
         // Coerce rows against the stream schema (streams enforce their
         // declared types exactly like tables do).
-        let mut coerced = Vec::with_capacity(rows.len());
+        let mut released = Vec::with_capacity(rows.len());
         for r in rows {
-            coerced.push(schema.coerce_row(r)?);
+            released.push(rt.decl.schema.coerce_row(r)?);
         }
-        // Out-of-order slack.
-        let released = if has_reorder {
-            let rb = state
-                .streams
-                .get_mut(key)
-                .and_then(|s| s.reorder.as_mut())
-                .ok_or_else(|| Error::stream(format!("reorder buffer for `{key}` vanished")))?;
+        // Out-of-order slack. A heartbeat releases what the buffer holds
+        // up to its time before any window closes on it.
+        if let Some(rb) = &mut rt.reorder {
             let before = rb.late_drops();
-            let mut released = Vec::new();
-            for r in coerced {
-                released.extend(rb.push(r)?);
+            let mut ordered = Vec::new();
+            for r in released {
+                ordered.extend(rb.push(r)?);
+            }
+            if let Some(ts) = bound {
+                ordered.extend(rb.advance_to(ts));
             }
             self.metrics.late_drops.add(rb.late_drops() - before);
-            released
-        } else {
-            coerced
-        };
-        if released.is_empty() {
+            released = ordered;
+        }
+        if released.is_empty() && bound.is_none() {
             return Ok(());
         }
         self.metrics.tuples_in.add(released.len() as u64);
 
-        let (raw_channels, groups, cq_ids) = {
-            let rt = state
-                .streams
-                .get(key)
-                .ok_or_else(|| Error::stream(format!("unknown stream `{key}`")))?;
-            (
-                rt.raw_channels.clone(),
-                rt.groups.clone(),
-                rt.cq_ids.clone(),
-            )
+        // Raw archive channels (one transaction per batch; a heartbeat
+        // that released nothing archives nothing).
+        let archives = if released.is_empty() {
+            &[]
+        } else {
+            rt.raw_channels.as_slice()
         };
-
-        // Raw archive channels (one transaction per batch).
-        for ch in &raw_channels {
+        for ch in archives {
             let tid = self.engine.table_id(&ch.table)?;
-            let n = self.engine.with_txn_on(state.domain, |x| {
+            let n = self.engine.with_txn_on(*domain, |x| {
                 if ch.mode == ChannelMode::Replace {
                     self.engine.delete_all_visible(x, tid)?;
                 }
@@ -1502,40 +1482,31 @@ impl Db {
         }
 
         // Slice stores: fold each tuple once per store, however many CQs
-        // read it.
-        for g in &groups {
-            let mut g = g.lock();
-            let before = g.store().delta_rows();
-            let folded = released.iter().try_for_each(|r| g.on_tuple(r));
-            self.metrics
-                .ivm_delta_rows
-                .add(g.store().delta_rows() - before);
-            folded?;
-        }
+        // read it, then close every due window of every member.
+        let mut advanced = Advanced::default();
+        let mut stage_err = rt.stores.advance(&released, bound, &mut advanced).err();
+        self.metrics.ivm_delta_rows.add(advanced.delta_rows);
+        self.metrics.ivm_state_bytes.add(advanced.bytes);
 
-        // Per-CQ window staging: a re-evaluating CQ buffers each tuple, a
-        // sliced one only advances its window boundaries. If staging
-        // fails mid-way, whatever was staged so far is still evaluated
-        // and delivered before the error surfaces (no silent drops).
-        let mut staged: Vec<(u64, Vec<WindowTask>)> = Vec::new();
-        let mut stage_err: Option<Error> = None;
-        'cqs: for id in cq_ids {
-            let entry = state
-                .cqs
+        // Per-CQ window staging, in registration × close order: a sliced
+        // CQ wraps the windows its store just closed, a re-evaluating one
+        // buffers each tuple. If staging fails mid-way, whatever was
+        // staged so far is still evaluated and delivered before the error
+        // surfaces (no silent drops).
+        let mut staged: Vec<(u64, WindowTask)> = Vec::new();
+        for &id in &rt.cq_ids {
+            if stage_err.is_some() {
+                break;
+            }
+            let entry = cqs
                 .get_mut(&id)
                 .ok_or_else(|| Error::stream(format!("cq {id} not registered")))?;
             let mut tasks = Vec::new();
-            for r in &released {
-                match entry.cq.stage_tuple(r) {
-                    Ok(t) => tasks.extend(t),
-                    Err(e) => {
-                        staged.push((id, std::mem::take(&mut tasks)));
-                        stage_err = Some(e);
-                        break 'cqs;
-                    }
-                }
-            }
-            staged.push((id, tasks));
+            stage_err = entry
+                .cq
+                .stage(&released, bound, &mut advanced, &mut tasks)
+                .err();
+            staged.extend(tasks.into_iter().map(|t| (id, t)));
         }
         self.eval_and_pump(state, staged, stage_err, start)
     }
@@ -1550,24 +1521,15 @@ impl Db {
     fn eval_and_pump(
         &self,
         state: &mut ShardState,
-        staged: Vec<(u64, Vec<WindowTask>)>,
+        staged: Vec<(u64, WindowTask)>,
         stage_err: Option<Error>,
         start: Instant,
     ) -> Result<()> {
-        let mut flat: Vec<(u64, WindowTask)> = Vec::new();
-        for (id, tasks) in staged {
-            for t in tasks {
-                flat.push((id, t));
-            }
+        if staged.is_empty() {
+            return stage_err.map_or(Ok(()), Err);
         }
-        if flat.is_empty() {
-            return match stage_err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            };
-        }
-        let meta: Vec<(u64, usize)> = flat.iter().map(|(id, t)| (*id, t.input_rows())).collect();
-        let jobs: Vec<_> = flat.into_iter().map(|(_, t)| move || t.run()).collect();
+        let meta: Vec<(u64, usize)> = staged.iter().map(|(id, t)| (*id, t.input_rows())).collect();
+        let jobs: Vec<_> = staged.into_iter().map(|(_, t)| move || t.run()).collect();
         let results = self.pool.run_ordered(jobs);
         let mut emitted: Vec<(u64, CqOutput)> = Vec::new();
         let mut eval_err: Option<Error> = None;
@@ -1592,10 +1554,7 @@ impl Db {
             return Err(e);
         }
         pump_res?;
-        match stage_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        stage_err.map_or(Ok(()), Err)
     }
 
     /// Propagate CQ outputs through sinks: client queues, channels and
@@ -1715,9 +1674,12 @@ impl Db {
         for (name, shard_idx, cq_id) in entries {
             if let Some(wm) = load_watermark(&self.engine, &name)? {
                 let shard = shard_at(&catalog, shard_idx)?;
-                let mut state = shard.state.lock();
+                let state = &mut *shard.state.lock();
                 if let Some(entry) = state.cqs.get_mut(&cq_id) {
-                    entry.cq.resume_after(wm);
+                    let upstream = entry.cq.stream().to_ascii_lowercase();
+                    let mut none = SharedRegistry::default();
+                    let stores = stores_of(&mut state.streams, &upstream, &mut none);
+                    entry.cq.resume_after(wm, stores);
                 }
             }
         }
@@ -1765,22 +1727,17 @@ fn attach_cq(state: &mut ShardState, upstream: &str, cq_id: u64) -> Result<()> {
     Err(Error::stream(format!("unknown stream `{upstream}`")))
 }
 
-/// Tear a CQ out of its shard: off its upstream's lists, out of its slice
-/// store. Returns the store when the CQ was its last member — it is
-/// already gone from the shard, and the caller drops it from the registry.
-fn detach_cq(state: &mut ShardState, cq_id: u64) -> Option<GroupRef> {
-    let entry = state.cqs.remove(&cq_id)?;
-    for s in state.streams.values_mut() {
-        s.cq_ids.retain(|&id| id != cq_id);
+/// The slice stores of base stream `upstream`. CQs over a derived stream
+/// never lower, so for those the caller's empty set `none` stands in.
+fn stores_of<'a>(
+    streams: &'a mut HashMap<String, StreamRuntime>,
+    upstream: &str,
+    none: &'a mut SharedRegistry,
+) -> &'a mut SharedRegistry {
+    match streams.get_mut(upstream) {
+        Some(rt) => &mut rt.stores,
+        None => none,
     }
-    for d in state.deriveds.values_mut() {
-        d.downstream_cqs.retain(|&id| id != cq_id);
-    }
-    let emptied = entry.cq.leave()?;
-    for s in state.streams.values_mut() {
-        s.groups.retain(|g| !Arc::ptr_eq(g, &emptied));
-    }
-    Some(emptied)
 }
 
 struct ProviderView<'a> {
@@ -2286,9 +2243,10 @@ mod tests {
             assert_eq!(outs.len(), 2, "two windows closed");
             assert_eq!(outs[1].relation.rows()[0], row!["a", 120i64]);
         }
-        // Sharing pooled all four CQs into one group.
+        // Sharing pooled all four CQs into one store, owned by the stream.
         let catalog = db.catalog.lock();
-        assert_eq!(catalog.registry.len(), 1);
+        let state = catalog.shards[catalog.streams["s"].shard].state.lock();
+        assert_eq!(state.streams["s"].stores.len(), 1);
     }
 
     #[test]
@@ -2311,14 +2269,11 @@ mod tests {
             .unwrap();
         db.heartbeat("s", 2 * MINUTES).unwrap();
         assert_eq!(db.stats().late_drops, 1);
+        // The heartbeat releases the 80 s tuple the slack still held
+        // before it closes the second window.
         let outs = db.poll(sub).unwrap();
-        // Window 1 contains the 5 in-slack tuples... those ≤ 50s released
-        // when watermark passed; the 80s tuple is in window 2 but was held
-        // by slack until... heartbeat doesn't flush the reorder buffer, so
-        // count what arrived: window[0] has the first-minute tuples that
-        // were released.
-        assert!(!outs.is_empty());
-        assert_eq!(outs[0].relation.rows()[0], row![5i64]);
+        let counts: Vec<_> = outs.iter().map(|o| o.relation.rows()[0].clone()).collect();
+        assert_eq!(counts, vec![row![5i64], row![1i64]]);
     }
 
     #[test]

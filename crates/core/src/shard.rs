@@ -2,9 +2,10 @@
 //!
 //! The sharded core splits what used to be one `Mutex<Inner>` in two:
 //! catalog/DDL state stays behind the `Db`'s single catalog lock, while
-//! the *runtime* state of each base stream — its reorder buffer, the CQ
-//! runtimes rooted at it (including those over derived streams it feeds),
-//! and its channel sinks — lives in a [`Shard`] with its own lock.
+//! the *runtime* state of each base stream — its reorder buffer, its slice
+//! stores (held by value: a store has no lock of its own), the CQ runtimes
+//! rooted at it (including those over derived streams it feeds), and its
+//! channel sinks — lives in a [`Shard`] with its own lock.
 //! Ingest and heartbeat on distinct streams therefore never contend; the
 //! whole CQ DAG rooted at one base stream stays in one shard, so
 //! propagation (`pump`) never needs a second shard's lock.
@@ -18,8 +19,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use streamrel_cq::shared::GroupRef;
-use streamrel_cq::{ContinuousQuery, ReorderBuffer};
+use streamrel_cq::{ContinuousQuery, ReorderBuffer, SharedRegistry};
 use streamrel_obs::Histogram;
 use streamrel_sql::ast::ChannelMode;
 
@@ -62,12 +62,11 @@ pub(crate) struct StreamRuntime {
     pub cq_ids: Vec<u64>,
     /// Channels archiving raw tuples.
     pub raw_channels: Vec<ChannelSink>,
-    /// The distinct slice stores fed by this stream — pooled ones (also in
-    /// the catalog's `SharedRegistry`) and private ones — each held here
-    /// from its first member's registration until its last member leaves,
-    /// so the ingest hot path folds every tuple into every store exactly
-    /// once without touching the catalog lock.
-    pub groups: Vec<GroupRef>,
+    /// The slice stores reading this stream — pooled by shape and private
+    /// — each living from its first member's registration until its last
+    /// member leaves. Ingest folds every tuple into every store exactly
+    /// once; registration and `EXPLAIN CHECK` read the live grids here.
+    pub stores: SharedRegistry,
 }
 
 /// Runtime state of one derived stream (rooted at a base stream in the

@@ -92,6 +92,17 @@ impl ReorderBuffer {
         Ok(self.drain_ready())
     }
 
+    /// Explicit time progress (heartbeat / punctuation): event time has
+    /// reached `ts`, so the watermark rises to at least `ts` and every
+    /// held tuple at or below it is released, in time order — the caller
+    /// feeds them downstream *before* closing windows to `ts`. Tuples
+    /// older than `ts` that arrive afterwards are late.
+    pub fn advance_to(&mut self, ts: Timestamp) -> Vec<Row> {
+        let raised = ts.saturating_add(self.slack);
+        self.max_ts = Some(self.max_ts.map_or(raised, |m| m.max(raised)));
+        self.drain_ready()
+    }
+
     /// Current watermark: `max_ts - slack`.
     pub fn watermark(&self) -> Option<Timestamp> {
         self.max_ts.map(|m| m - self.slack)
@@ -175,6 +186,23 @@ mod tests {
         // 96 is within slack.
         b.push(tup(96)).unwrap();
         assert_eq!(b.late_drops(), 1);
+    }
+
+    #[test]
+    fn heartbeat_releases_held_tuples_and_makes_stragglers_late() {
+        let mut b = ReorderBuffer::new(0, 20);
+        for ts in [1, 5, 12] {
+            assert!(b.push(tup(ts)).unwrap().is_empty());
+        }
+        assert_eq!(ts_list(&b.advance_to(10)), vec![1, 5]);
+        assert_eq!(b.watermark(), Some(10));
+        // Below the punctuated time: late. At or above it: still admitted.
+        assert!(b.push(tup(9)).unwrap().is_empty());
+        assert_eq!(b.late_drops(), 1);
+        assert_eq!(ts_list(&b.push(tup(40)).unwrap()), vec![12]);
+        // A heartbeat behind the watermark changes nothing.
+        assert!(b.advance_to(15).is_empty());
+        assert_eq!(b.watermark(), Some(20));
     }
 
     #[test]

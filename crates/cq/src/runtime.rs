@@ -9,19 +9,18 @@
 //! yields a [`CqOutput`]; the concatenation of outputs is the CQ's result
 //! stream (§3.1: "a query that produces a stream never ends").
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use streamrel_exec::{execute, ExecContext, RelationSource};
 use streamrel_ivm::{WindowOutput, IVM_INPUT};
-use streamrel_obs::{Gauge, IvmMetrics};
+use streamrel_obs::IvmMetrics;
 use streamrel_sql::analyzer::AnalyzedQuery;
-use streamrel_sql::plan::{LogicalPlan, WindowSpec};
+use streamrel_sql::plan::{LogicalPlan, SchemaRef, WindowSpec};
 use streamrel_storage::{Snapshot, StorageEngine};
-use streamrel_types::{Error, Relation, Result, Row, Timestamp, Value};
+use streamrel_types::{Error, Relation, Result, Row, Timestamp};
 
 use crate::consistency::{ConsistencyMode, SnapshotSource};
-use crate::shared::{place, GroupRef, MemberId, Placement, SharedRegistry};
+use crate::shared::{place, Advanced, Placement, SharedRegistry, Slot};
 use crate::window::{ClosedWindow, WindowBuffer};
 
 /// One window's result.
@@ -125,19 +124,11 @@ pub struct CqStats {
 pub enum ExecMode {
     /// Buffer raw tuples per window; run the whole plan at each close.
     Unshared { buffer: WindowBuffer },
-    /// Member of a slice store: whoever feeds the stream folds each tuple
-    /// into the store once; this CQ only tracks its window boundaries,
-    /// composes the anchor output from slices at each close, and runs the
+    /// Member of a slice store in its stream's [`SharedRegistry`]: the
+    /// store folds each tuple once, keeps this member's close cursor and
+    /// composes the anchor output at each close; the CQ only runs the
     /// post-anchor plan over it.
-    Sliced {
-        group: GroupRef,
-        member: MemberId,
-        post_plan: LogicalPlan,
-        advance: i64,
-        next_close: Option<Timestamp>,
-        /// `ivm.state.bytes` gauge, settled at close boundaries.
-        state_bytes: Arc<Gauge>,
-    },
+    Sliced { slot: Slot, post_plan: LogicalPlan },
 }
 
 /// A running continuous query.
@@ -145,8 +136,9 @@ pub struct ContinuousQuery {
     name: String,
     plan: LogicalPlan,
     stream: String,
+    /// Schema of the stream scan: what a re-evaluated window relation has.
+    scan_schema: SchemaRef,
     window: WindowSpec,
-    cqtime: Option<usize>,
     engine: Arc<StorageEngine>,
     consistency: ConsistencyMode,
     /// Snapshot pinned at CQ start (QueryStart consistency mode only).
@@ -173,16 +165,16 @@ impl ContinuousQuery {
         analyzed.plan.visit(&mut |p| {
             if let LogicalPlan::StreamScan {
                 stream,
+                schema,
                 window,
                 cqtime,
                 derived,
-                ..
             } = p
             {
-                scan = Some((stream.clone(), *window, *cqtime, *derived));
+                scan = Some((stream.clone(), schema.clone(), *window, *cqtime, *derived));
             }
         });
-        let (stream, window, cqtime, derived) =
+        let (stream, scan_schema, window, cqtime, derived) =
             scan.ok_or_else(|| Error::stream("continuous plan has no stream scan"))?;
         let buffer = WindowBuffer::new(window, cqtime, derived)?;
         let start_snapshot = match consistency {
@@ -193,8 +185,8 @@ impl ContinuousQuery {
             name: name.into(),
             plan: analyzed.plan.clone(),
             stream,
+            scan_schema,
             window,
-            cqtime,
             engine,
             consistency,
             start_snapshot,
@@ -219,7 +211,7 @@ impl ContinuousQuery {
     }
 
     /// Output schema of each window result.
-    pub fn output_schema(&self) -> streamrel_sql::plan::SchemaRef {
+    pub fn output_schema(&self) -> SchemaRef {
         self.plan.schema()
     }
 
@@ -228,31 +220,35 @@ impl ContinuousQuery {
         self.stats
     }
 
-    /// The slice store (behind its membership) this CQ is a member of, if
-    /// it is sliced. Whoever feeds the CQ folds each tuple into each
-    /// distinct store once.
-    pub fn group(&self) -> Option<&GroupRef> {
+    /// Where this CQ's window state lives in its stream's registry, if it
+    /// is sliced.
+    pub fn slot(&self) -> Option<Slot> {
         match &self.mode {
-            ExecMode::Sliced { group, .. } => Some(group),
+            ExecMode::Sliced { slot, .. } => Some(*slot),
             ExecMode::Unshared { .. } => None,
         }
     }
 
+    /// The re-evaluation buffer; a sliced CQ has none.
+    fn buffer(&mut self) -> Result<&mut WindowBuffer> {
+        match &mut self.mode {
+            ExecMode::Unshared { buffer } => Ok(buffer),
+            ExecMode::Sliced { .. } => Err(Error::stream(
+                "a sliced CQ's windows close in its slice store",
+            )),
+        }
+    }
+
     /// Decide where this CQ's window state lives ([`place`]) and act on
-    /// it: a plan that lowers becomes a member of a slice store — the
-    /// pooled store for its shape under `sharing`, else a private one —
-    /// and the store is returned so the caller can feed it; any other
-    /// plan keeps its re-evaluation buffer. Must be called before any
-    /// tuple flows. Bumps `ivm.lowered` / `ivm.fallback` and records the
-    /// decision (and any fallback reason) on the trace ring.
-    pub fn place(
-        &mut self,
-        sharing: bool,
-        ivm: bool,
-        registry: &mut SharedRegistry,
-    ) -> Option<GroupRef> {
-        if self.stats.tuples_in > 0 || self.group().is_some() {
-            return None;
+    /// it: a plan that lowers becomes a member of a slice store in
+    /// `registry` (its stream's) — the pooled store for its shape under
+    /// `sharing`, else a private one; any other plan keeps its
+    /// re-evaluation buffer. Must be called before any tuple flows. Bumps
+    /// `ivm.lowered` / `ivm.fallback` and records the decision (and any
+    /// fallback reason) on the trace ring.
+    pub fn place(&mut self, sharing: bool, ivm: bool, registry: &mut SharedRegistry) {
+        if self.stats.tuples_in > 0 || self.slot().is_some() {
+            return;
         }
         let metrics = IvmMetrics::register(self.engine.metrics());
         let trace = self.engine.metrics().trace();
@@ -262,14 +258,11 @@ impl ContinuousQuery {
                     metrics.fallback.inc();
                     trace.record("cq.ivm.fallback", &self.name, reason.to_string(), 0);
                 }
-                None
             }
-            Placement::Sliced {
-                program,
-                grid_mismatch,
-            } => {
-                let (group, member, pooled) =
-                    registry.join(&program, sharing && grid_mismatch.is_none());
+            // A window the pooled store's grid cannot take (`grid_mismatch`)
+            // is the one `join` gives a private store.
+            Placement::Sliced { program, .. } => {
+                let (slot, pooled) = registry.join(&program, sharing);
                 metrics.lowered.inc();
                 trace.record(
                     if pooled { "cq.share" } else { "cq.ivm" },
@@ -278,76 +271,63 @@ impl ContinuousQuery {
                     0,
                 );
                 self.mode = ExecMode::Sliced {
-                    group: group.clone(),
-                    member,
+                    slot,
                     post_plan: program.post_plan,
-                    advance: program.advance,
-                    next_close: None,
-                    state_bytes: metrics.state_bytes,
                 };
-                Some(group)
             }
         }
     }
 
-    /// Leave the slice store (the CQ is being torn down): this member's
-    /// window stops pinning the store's eviction horizon. Returns the
-    /// store when this was its last member, so the caller can drop it
-    /// from the registry and the shard.
-    pub fn leave(&self) -> Option<GroupRef> {
-        let ExecMode::Sliced {
-            group,
-            member,
-            state_bytes,
-            ..
-        } = &self.mode
-        else {
-            return None;
-        };
-        let mut g = group.lock();
-        let last = g.leave(*member);
-        state_bytes.add(g.settle_bytes());
-        last.then(|| group.clone())
-    }
-
-    /// Stage the windows one tuple closes, without evaluating them. A
-    /// re-evaluating CQ buffers the tuple (cloning a borrowed one); a
-    /// sliced CQ reads only its timestamp — its store already holds it.
-    pub fn stage_tuple<'r>(&mut self, row: impl Into<Cow<'r, [Value]>>) -> Result<Vec<WindowTask>> {
-        let row = row.into();
+    /// Stage the windows one tuple closes, without evaluating them
+    /// (re-evaluating CQs only).
+    pub fn stage_tuple(&mut self, row: Row) -> Result<Vec<WindowTask>> {
+        let closes = self.buffer()?.push(row)?;
         self.stats.tuples_in += 1;
-        match &mut self.mode {
-            ExecMode::Unshared { buffer } => {
-                let closes = buffer.push(row.into_owned())?;
-                self.stage_closed(closes)
-            }
-            ExecMode::Sliced { .. } => {
-                let ts = self
-                    .cqtime
-                    .and_then(|i| row.get(i))
-                    .ok_or_else(|| Error::stream("sliced CQ row has no CQTIME"))?
-                    .as_timestamp()?;
-                self.stage_sliced(ts)
-            }
-        }
+        Ok(self.stage_closed(closes))
     }
 
-    /// Stage the windows a heartbeat (punctuation: event time advancing
-    /// without a tuple) closes, without evaluating them.
-    pub fn stage_heartbeat(&mut self, ts: Timestamp) -> Result<Vec<WindowTask>> {
-        match &mut self.mode {
-            ExecMode::Unshared { buffer } => {
-                let closes = buffer.advance_to(ts);
-                self.stage_closed(closes)
-            }
-            ExecMode::Sliced { .. } => self.stage_sliced(ts),
+    /// Stage, without evaluating them, the windows that one batch of the
+    /// stream's tuples — and, for a heartbeat (punctuation: event time
+    /// advancing without a tuple), the time `bound` — closes. `advanced`
+    /// is what the stream's stores did with the same batch: a sliced CQ
+    /// takes its composed windows from there, and only the post-plan —
+    /// and a join delta's match counting, which needs the boundary
+    /// snapshot — is deferred to the task; a re-evaluating CQ buffers the
+    /// tuples. On error `tasks` holds what was staged before it.
+    pub fn stage(
+        &mut self,
+        rows: &[Row],
+        bound: Option<Timestamp>,
+        advanced: &mut Advanced,
+        tasks: &mut Vec<WindowTask>,
+    ) -> Result<()> {
+        if let ExecMode::Sliced { slot, post_plan } = &self.mode {
+            self.stats.tuples_in += rows.len() as u64;
+            let windows = advanced.closed.remove(slot).unwrap_or_default();
+            tasks.extend(windows.into_iter().map(|(close, rel)| {
+                self.make_task(post_plan.clone(), IVM_INPUT.to_string(), rel, close)
+            }));
+            return Ok(());
         }
+        for row in rows {
+            tasks.extend(self.stage_tuple(row.clone())?);
+        }
+        if let Some(ts) = bound {
+            let closes = self.buffer()?.advance_to(ts);
+            tasks.extend(self.stage_closed(closes));
+        }
+        Ok(())
     }
 
     /// Push an upstream result batch (CQ over a derived stream) and
-    /// evaluate the windows it closes inline — the serial cascade.
+    /// evaluate the windows it closes inline — the serial cascade. The
+    /// lowering pass refuses derived streams, so a batch-fed CQ is never
+    /// sliced.
     pub fn on_batch(&mut self, close: Timestamp, rows: Vec<Row>) -> Result<Vec<CqOutput>> {
-        let tasks = self.stage_batch(close, rows)?;
+        let tuples = rows.len() as u64;
+        let closes = self.buffer()?.push_batch(close, rows);
+        self.stats.tuples_in += tuples;
+        let tasks = self.stage_closed(closes);
         let mut outputs = Vec::with_capacity(tasks.len());
         for task in tasks {
             let out = task.run()?;
@@ -355,22 +335,6 @@ impl ContinuousQuery {
             outputs.push(out);
         }
         Ok(outputs)
-    }
-
-    /// Stage the windows an upstream result batch closes.
-    pub fn stage_batch(&mut self, close: Timestamp, rows: Vec<Row>) -> Result<Vec<WindowTask>> {
-        self.stats.tuples_in += rows.len() as u64;
-        match &mut self.mode {
-            ExecMode::Unshared { buffer } => {
-                let closes = buffer.push_batch(close, rows);
-                self.stage_closed(closes)
-            }
-            // Unreachable in practice: the lowering pass refuses derived
-            // streams, so a batch-fed CQ is never sliced.
-            ExecMode::Sliced { .. } => Err(Error::stream(
-                "a sliced CQ does not consume derived batches",
-            )),
-        }
     }
 
     /// Apply a completed window to this CQ's counters and trace. Must be
@@ -394,21 +358,15 @@ impl ContinuousQuery {
     /// The next close is re-aligned to the advance grid in both modes —
     /// resuming at `watermark + advance` from an unaligned watermark
     /// would drift every subsequent close off the alignment invariant
-    /// (breaking slice sharing and `cq_close` equality joins).
-    pub fn resume_after(&mut self, watermark: Timestamp) {
+    /// (breaking slice sharing and `cq_close` equality joins). `registry`
+    /// is the one this CQ was placed in.
+    pub fn resume_after(&mut self, watermark: Timestamp, registry: &mut SharedRegistry) {
         let next = match &mut self.mode {
             ExecMode::Unshared { buffer } => {
                 buffer.resume_after(watermark);
                 buffer.next_close()
             }
-            ExecMode::Sliced {
-                next_close,
-                advance,
-                ..
-            } => {
-                *next_close = Some(crate::window::align_next_close(watermark, *advance));
-                *next_close
-            }
+            ExecMode::Sliced { slot, .. } => registry.resume_after(*slot, watermark),
         };
         self.engine.metrics().trace().record(
             "cq.resume",
@@ -421,68 +379,14 @@ impl ContinuousQuery {
         );
     }
 
-    /// Stage a sliced CQ's windows up to `ts`. The anchor output is
-    /// composed from slices *at staging time* (under the store lock, so
-    /// member progress and eviction stay ordered); only the post-plan —
-    /// and a join delta's match counting, which needs the boundary
-    /// snapshot — is deferred to the task. Composing after the fold is
-    /// safe: closes are slice boundaries, so a tuple at `ts >= close`
-    /// lands in a slice outside the `[close - visible, close)` range.
-    fn stage_sliced(&mut self, ts: Timestamp) -> Result<Vec<WindowTask>> {
-        let ExecMode::Sliced {
-            group,
-            member,
-            post_plan,
-            advance,
-            next_close,
-            state_bytes,
-        } = &mut self.mode
-        else {
-            unreachable!("stage_sliced on a re-evaluating CQ");
-        };
-        let a = *advance;
-        let mut boundary = next_close.unwrap_or_else(|| (ts.div_euclid(a) + 1) * a);
-        // The per-tuple path: no boundary crossed, nothing to lock or clone.
-        if boundary > ts {
-            *next_close = Some(boundary);
-            return Ok(Vec::new());
-        }
-        let mut staged = Vec::new();
-        {
-            let mut g = group.lock();
-            while boundary <= ts {
-                staged.push((boundary, g.window_result(*member, boundary)?));
-                boundary += a;
-                // The horizon follows the *next* window's low edge,
-                // matching the re-evaluation buffer's eviction rule.
-                g.member_progress(*member, boundary);
-                g.evict();
-            }
-            state_bytes.add(g.settle_bytes());
-        }
-        *next_close = Some(boundary);
-        let post_plan = post_plan.clone();
-        Ok(staged
-            .into_iter()
-            .map(|(close, rel)| {
-                self.make_task(post_plan.clone(), IVM_INPUT.to_string(), rel, close)
-            })
-            .collect())
-    }
-
     /// Stage unshared windows: each closed window's rows become a task.
-    fn stage_closed(&mut self, closes: Vec<ClosedWindow>) -> Result<Vec<WindowTask>> {
-        if closes.is_empty() {
-            return Ok(Vec::new());
-        }
-        let schema = stream_scan_schema(&self.plan)
-            .ok_or_else(|| Error::stream("plan lost its stream scan"))?;
+    fn stage_closed(&mut self, closes: Vec<ClosedWindow>) -> Vec<WindowTask> {
         let mut tasks = Vec::with_capacity(closes.len());
         for cw in closes {
-            let rel = WindowOutput::Ready(Relation::new(schema.clone(), cw.rows));
+            let rel = WindowOutput::Ready(Relation::new(self.scan_schema.clone(), cw.rows));
             tasks.push(self.make_task(self.plan.clone(), self.stream.clone(), rel, cw.close));
         }
-        Ok(tasks)
+        tasks
     }
 
     fn make_task(
@@ -502,16 +406,6 @@ impl ContinuousQuery {
             snapshot: self.start_snapshot.clone(),
         }
     }
-}
-
-fn stream_scan_schema(plan: &LogicalPlan) -> Option<streamrel_sql::plan::SchemaRef> {
-    let mut schema = None;
-    plan.visit(&mut |p| {
-        if let LogicalPlan::StreamScan { schema: s, .. } = p {
-            schema = Some(s.clone());
-        }
-    });
-    schema
 }
 
 #[cfg(test)]
@@ -569,62 +463,67 @@ mod tests {
         (Provider { rels }, engine)
     }
 
+    /// A CQ plus the store set of the stream it reads, fed the way the
+    /// engine feeds them: advance the stores over the batch, stage, run
+    /// the staged tasks inline.
+    struct Driven {
+        cq: ContinuousQuery,
+        stores: SharedRegistry,
+    }
+
+    impl Driven {
+        fn drive(&mut self, rows: &[Row], bound: Option<Timestamp>) -> Result<Vec<CqOutput>> {
+            let mut advanced = Advanced::default();
+            self.stores.advance(rows, bound, &mut advanced)?;
+            let mut tasks = Vec::new();
+            self.cq.stage(rows, bound, &mut advanced, &mut tasks)?;
+            let mut outputs = Vec::with_capacity(tasks.len());
+            for task in tasks {
+                let out = task.run()?;
+                self.cq.finish_window(task.input_rows(), &out);
+                outputs.push(out);
+            }
+            Ok(outputs)
+        }
+
+        fn on_tuple(&mut self, row: Row) -> Result<Vec<CqOutput>> {
+            self.drive(&[row], None)
+        }
+
+        fn on_heartbeat(&mut self, ts: Timestamp) -> Result<Vec<CqOutput>> {
+            self.drive(&[], Some(ts))
+        }
+
+        fn resume_after(&mut self, watermark: Timestamp) {
+            self.cq.resume_after(watermark, &mut self.stores);
+        }
+
+        /// Place the CQ on a slice store: pooled, or private.
+        fn sliced(mut self, sharing: bool) -> Driven {
+            self.cq.place(sharing, true, &mut self.stores);
+            assert!(self.cq.slot().is_some());
+            self
+        }
+    }
+
     fn make_cq(
         provider: &Provider,
         engine: Arc<StorageEngine>,
         sql: &str,
         mode: ConsistencyMode,
-    ) -> ContinuousQuery {
+    ) -> Driven {
         let Statement::Select(q) = parse_statement(sql).unwrap() else {
             panic!()
         };
         let analyzed = Analyzer::new(provider).analyze(&q).unwrap();
-        ContinuousQuery::new("test_cq", &analyzed, engine, mode).unwrap()
+        Driven {
+            cq: ContinuousQuery::new("test_cq", &analyzed, engine, mode).unwrap(),
+            stores: SharedRegistry::default(),
+        }
     }
 
     fn tup(url: &str, ts: i64) -> Row {
         row![url, Value::Timestamp(ts)]
-    }
-
-    /// The one test driver: feed the CQ the way the engine does — fold
-    /// the tuple into its slice store (if it has one), stage — and run
-    /// the staged tasks inline.
-    trait Drive {
-        fn on_tuple(&mut self, row: Row) -> Result<Vec<CqOutput>>;
-        fn on_heartbeat(&mut self, ts: Timestamp) -> Result<Vec<CqOutput>>;
-    }
-
-    impl Drive for ContinuousQuery {
-        fn on_tuple(&mut self, row: Row) -> Result<Vec<CqOutput>> {
-            if let Some(group) = self.group() {
-                group.lock().on_tuple(&row)?;
-            }
-            let tasks = self.stage_tuple(row)?;
-            run_staged(self, tasks)
-        }
-
-        fn on_heartbeat(&mut self, ts: Timestamp) -> Result<Vec<CqOutput>> {
-            let tasks = self.stage_heartbeat(ts)?;
-            run_staged(self, tasks)
-        }
-    }
-
-    fn run_staged(cq: &mut ContinuousQuery, tasks: Vec<WindowTask>) -> Result<Vec<CqOutput>> {
-        let mut outputs = Vec::with_capacity(tasks.len());
-        for task in tasks {
-            let out = task.run()?;
-            cq.finish_window(task.input_rows(), &out);
-            outputs.push(out);
-        }
-        Ok(outputs)
-    }
-
-    /// Place `cq` on a slice store: pooled through `registry`, or private.
-    fn sliced(mut cq: ContinuousQuery, sharing: bool) -> ContinuousQuery {
-        assert!(cq
-            .place(sharing, true, &mut SharedRegistry::new())
-            .is_some());
-        cq
     }
 
     #[test]
@@ -653,7 +552,7 @@ mod tests {
         assert_eq!(last.close, 3 * MINUTES);
         assert_eq!(last.relation.rows()[0], row!["/a", 6i64]);
         assert_eq!(last.relation.rows()[1], row!["/b", 3i64]);
-        assert_eq!(cq.stats().windows_out, 3);
+        assert_eq!(cq.cq.stats().windows_out, 3);
     }
 
     #[test]
@@ -757,7 +656,7 @@ mod tests {
         for sharing in [true, false] {
             let mut reeval = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary);
             let cq = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary);
-            let mut sliced = sliced(cq, sharing);
+            let mut sliced = cq.sliced(sharing);
             let mut out_r = Vec::new();
             let mut out_s = Vec::new();
             for i in 0..300 {
@@ -804,10 +703,7 @@ mod tests {
                    <VISIBLE '2 minutes' ADVANCE '1 minute'> s \
                    JOIN url_dim d ON s.url = d.url GROUP BY s.url";
         let mut reeval = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary);
-        let mut ivm = sliced(
-            make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary),
-            false,
-        );
+        let mut ivm = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary).sliced(false);
 
         let mut out_r = Vec::new();
         let mut out_i = Vec::new();
@@ -841,12 +737,11 @@ mod tests {
             "SELECT url FROM url_stream <TUMBLING '1 minute'> WHERE url LIKE '/a%'",
             ConsistencyMode::WindowBoundary,
         );
-        let mut registry = SharedRegistry::new();
         // With IVM off the plan is never even considered: no counter.
-        assert!(cq.place(true, false, &mut registry).is_none());
+        cq.cq.place(true, false, &mut cq.stores);
         assert_eq!(e.metrics().counter("ivm.fallback").get(), 0);
-        assert!(cq.place(true, true, &mut registry).is_none());
-        assert!(cq.group().is_none() && registry.is_empty());
+        cq.cq.place(true, true, &mut cq.stores);
+        assert!(cq.cq.slot().is_none() && cq.stores.is_empty());
         assert_eq!(e.metrics().counter("ivm.fallback").get(), 1);
         let events = e.metrics().trace().dump();
         assert!(events.iter().any(|ev| ev.kind == "cq.ivm.fallback"));
@@ -857,32 +752,29 @@ mod tests {
     }
 
     #[test]
-    fn placement_is_decided_once_and_leave_empties_the_store() {
+    fn placement_is_decided_once_and_the_last_leaver_takes_the_store() {
         let (p, e) = setup();
         let sql = "SELECT url, count(*) c FROM url_stream \
                    <TUMBLING '1 minute'> GROUP BY url";
-        let mut registry = SharedRegistry::new();
-        let mut a = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary);
+        let mut a = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary).sliced(true);
         let mut b = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary);
-        let store = a.place(true, true, &mut registry).unwrap();
-        assert!(Arc::ptr_eq(
-            &store,
-            &b.place(true, true, &mut registry).unwrap()
-        ));
-        assert!(
-            a.place(true, true, &mut registry).is_none(),
-            "already placed"
-        );
+        b.cq.place(true, true, &mut a.stores);
+        assert_eq!(a.cq.slot().unwrap().0, b.cq.slot().unwrap().0, "pooled");
+        a.cq.place(true, true, &mut a.stores);
+        assert_eq!(a.stores.len(), 1, "already placed");
         assert_eq!(e.metrics().counter("ivm.lowered").get(), 2);
 
         a.on_tuple(tup("/a", 5)).unwrap();
-        a.on_heartbeat(MINUTES).unwrap();
-        assert!(e.metrics().gauge("ivm.state.bytes").get() > 0);
-        assert!(a.leave().is_none(), "a sibling still reads the store");
-        let emptied = b.leave().expect("last member out");
-        assert!(Arc::ptr_eq(&emptied, &store));
-        assert_eq!(store.lock().store().slice_count(), 0);
-        assert_eq!(e.metrics().gauge("ivm.state.bytes").get(), 0);
+        assert_eq!(a.on_heartbeat(MINUTES).unwrap().len(), 1);
+        assert!(a.cq.stage_tuple(tup("/a", MINUTES)).is_err(), "no buffer");
+        assert_eq!(
+            a.stores.leave(a.cq.slot().unwrap()),
+            0,
+            "a sibling still reads the store"
+        );
+        assert_eq!(a.stores.len(), 1);
+        a.stores.leave(b.cq.slot().unwrap());
+        assert!(a.stores.is_empty());
     }
 
     #[test]
@@ -918,7 +810,7 @@ mod tests {
         let closes: Vec<Timestamp> = outs.iter().map(|o| o.close).collect();
         assert_eq!(closes, vec![6 * MINUTES, 7 * MINUTES]);
 
-        let mut shared = sliced(make_cq(&p, e, sql, ConsistencyMode::WindowBoundary), true);
+        let mut shared = make_cq(&p, e, sql, ConsistencyMode::WindowBoundary).sliced(true);
         shared.resume_after(unaligned);
         let mut outs = Vec::new();
         for i in 0..3 {
@@ -959,13 +851,13 @@ mod tests {
         let (p, e) = setup();
         let sql = "SELECT url, count(*) c FROM url_stream \
                    <TUMBLING '1 minute'> GROUP BY url";
-        let mut cq = sliced(make_cq(&p, e, sql, ConsistencyMode::WindowBoundary), true);
+        let mut cq = make_cq(&p, e, sql, ConsistencyMode::WindowBoundary).sliced(true);
         for i in 0..10 {
             cq.on_tuple(tup("/a", i)).unwrap();
         }
         let outs = cq.on_heartbeat(MINUTES).unwrap();
         assert_eq!(outs.len(), 1);
-        let st = cq.stats();
+        let st = cq.cq.stats();
         assert_eq!(st.tuples_in, 10);
         assert_eq!(st.windows_out, 1);
         assert_eq!(st.rows_out, 1);
@@ -980,10 +872,10 @@ mod tests {
             "SELECT url, count(*) hits FROM url_stream <TUMBLING '1 minute'> GROUP BY url",
             ConsistencyMode::WindowBoundary,
         );
-        let schema = cq.output_schema();
+        let schema = cq.cq.output_schema();
         assert_eq!(schema.column(0).name, "url");
         assert_eq!(schema.column(1).name, "hits");
-        assert_eq!(cq.stream(), "url_stream");
+        assert_eq!(cq.cq.stream(), "url_stream");
     }
 
     #[test]

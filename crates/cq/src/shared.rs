@@ -7,27 +7,28 @@
 //! stream, prefix ops and anchor, *different windows* — pool into one
 //! store, so each arriving tuple is folded once regardless of how many
 //! CQs are registered (per-tuple cost O(1) in the number of queries,
-//! which experiment E3 measures). A [`SharedGroup`] is that membership and
-//! nothing else: the member windows, the gcd slice width across them, and
-//! the slowest member's eviction horizon. The slices, the per-tuple fold
-//! and the slice-merge compose are the store's. With pooling off, or for
-//! a window a live store's grid cannot take, the pool has one member.
+//! which experiment E3 measures). A [`SharedGroup`] is that membership:
+//! the member windows, each member's close cursor, the gcd slice width
+//! across them, and the slowest member's eviction horizon. The slices,
+//! the per-tuple fold and the slice-merge compose are the store's. With
+//! pooling off, or for a window a live store's grid cannot take, the pool
+//! has one member.
 //!
-//! Concurrency: a [`SharedGroup`] is owned by an `Arc<Mutex<_>>` held by
-//! the registry (pooled stores), by its stream's shard and by every
-//! member CQ. Its declared place in the engine-wide lock order is the `g`
-//! slot of `db.rs`'s `catalog < state < g < subs`: a group lock is only
-//! ever taken after the catalog or shard-state lock and is never held
-//! across any other acquisition.
+//! Ownership: a [`SharedRegistry`] is the set of stores reading one base
+//! stream. The engine keeps it by value in that stream's runtime, under
+//! the shard lock that already covers the stream's reorder buffer and CQs
+//! — a store has no lock of its own, and a member CQ holds only its
+//! [`Slot`]. One call, [`SharedRegistry::advance`], takes a batch (or a
+//! heartbeat: no tuples and a time bound) through fold → close → evict
+//! for every store and every member.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::collections::{BTreeMap, HashMap};
 
 use streamrel_ivm::{gcd, lower_with, IvmProgram, IvmShape, IvmState, Lowering, WindowOutput};
 use streamrel_sql::plan::LogicalPlan;
 use streamrel_types::{Error, Interval, Result, Row, Timestamp};
+
+use crate::window::align_next_close;
 
 /// Split a CQ plan into the shape a pooled store maintains plus the
 /// *post-plan* that consumes the composed anchor output — [`lower_with`]
@@ -60,7 +61,8 @@ pub enum Placement {
 /// The one placement decision, shared by registration and `EXPLAIN
 /// CHECK`: `ivm` off means pure re-evaluation; otherwise every plan that
 /// lowers is sliced — pooled by shape fingerprint under `sharing`, on a
-/// private store without it.
+/// private store without it. `registry` is the live store set of the
+/// stream the plan scans.
 pub fn place(
     plan: &LogicalPlan,
     sharing: bool,
@@ -89,14 +91,20 @@ pub fn place(
 #[derive(Debug, Clone, Copy)]
 struct Member {
     visible: Interval,
-    /// The member's next close boundary (for eviction horizon).
+    advance: Interval,
+    /// The member's next close boundary — the only close cursor a sliced
+    /// CQ has. It follows the re-evaluation buffer's rule: `None` until
+    /// the first *tuple* after registration fixes the alignment (a
+    /// heartbeat alone never does); [`SharedRegistry::resume_after`]
+    /// re-aligns it.
     next_close: Option<Timestamp>,
 }
 
 /// Identifier of a member within its group.
 pub type MemberId = usize;
 
-/// The membership of one slice store: which windows it serves.
+/// The membership of one slice store: which windows it serves and where
+/// each stands.
 pub struct SharedGroup {
     store: IvmState,
     /// Slot per [`MemberId`]; `None` once that member has left.
@@ -116,11 +124,6 @@ impl SharedGroup {
         }
     }
 
-    /// The slice store (shape, width, slice count, fold and byte counts).
-    pub fn store(&self) -> &IvmState {
-        &self.store
-    }
-
     /// The slice width the store needs with a `(visible, advance)` member
     /// added: the gcd across all member windows.
     fn width_with(&self, visible: Interval, advance: Interval) -> Interval {
@@ -134,23 +137,18 @@ impl SharedGroup {
         self.store.reslice(self.width_with(visible, advance))?;
         self.members.push(Some(Member {
             visible,
+            advance,
             next_close: None,
         }));
         Ok(self.members.len() - 1)
     }
 
     /// Remove a member: its window no longer pins the eviction horizon.
-    /// Returns true when it was the last one — the store is then emptied,
-    /// and the caller drops it from the registry and the shard.
+    /// Returns true when it was the last one — the store is then empty.
     pub fn leave(&mut self, member: MemberId) -> bool {
         self.members[member] = None;
-        let last = self.members.iter().all(Option::is_none);
-        if last {
-            self.store.evict(Timestamp::MAX);
-        } else {
-            self.evict();
-        }
-        last
+        self.evict();
+        self.members.iter().all(Option::is_none)
     }
 
     /// Fold one stream tuple into the store (called once per tuple for
@@ -168,17 +166,59 @@ impl SharedGroup {
         self.store.compose(close - m.visible, close)
     }
 
-    /// Record a member's next close boundary (drives eviction).
-    pub fn member_progress(&mut self, member: MemberId, next_close: Timestamp) {
-        if let Some(m) = &mut self.members[member] {
-            m.next_close = Some(next_close);
+    /// Fold a batch of stream tuples (CQTIME order), then close every
+    /// window of every member due at the batch's newest timestamp or at
+    /// `bound` (a heartbeat), whichever is later, adding each to `out` in
+    /// close order under slot `(id, member)`; finally evict what no member
+    /// can reach. Composing after the fold is safe: closes are slice
+    /// boundaries, so a tuple at `ts >= close` lands in a slice outside
+    /// the `[close - visible, close)` range.
+    fn advance(
+        &mut self,
+        id: StoreId,
+        rows: &[Row],
+        bound: Option<Timestamp>,
+        out: &mut Advanced,
+    ) -> Result<()> {
+        let before = self.store.delta_rows();
+        let folded = rows.iter().try_for_each(|r| self.store.on_tuple(r));
+        out.delta_rows += self.store.delta_rows() - before;
+        folded?;
+        // The fold proved every row carries a timestamp.
+        let cqtime = self.store.shape().prefix().cqtime;
+        let ts_of = |r: &Row| r.get(cqtime).and_then(|v| v.as_timestamp().ok());
+        let first = rows.first().and_then(ts_of);
+        let Some(upto) = rows.iter().filter_map(ts_of).max().max(bound) else {
+            return Ok(());
+        };
+        for (member, m) in self.members.iter_mut().enumerate() {
+            let Some(m) = m else { continue };
+            if m.next_close.is_none() {
+                m.next_close = first.map(|ts| align_next_close(ts, m.advance));
+            }
+            let Some(close) = &mut m.next_close else {
+                continue;
+            };
+            while *close <= upto {
+                let window = self.store.compose(*close - m.visible, *close)?;
+                out.closed
+                    .entry((id, member))
+                    .or_default()
+                    .push((*close, window));
+                *close += m.advance;
+            }
         }
+        self.evict();
+        out.bytes += self.settle_bytes();
+        Ok(())
     }
 
-    /// Drop slices no member's future window can reach. A member that has
-    /// not yet reported any progress (`next_close == None`) may still need
-    /// every slice, so eviction waits for it.
-    pub fn evict(&mut self) {
+    /// Drop slices no member's future window can reach: the horizon is
+    /// the low edge of the slowest member's *next* window, matching the
+    /// re-evaluation buffer's eviction rule. A member whose alignment is
+    /// not fixed yet may still need every slice, so eviction waits for it;
+    /// with no member left, nothing is reachable.
+    fn evict(&mut self) {
         let mut horizon = Timestamp::MAX;
         for m in self.members.iter().flatten() {
             match m.next_close {
@@ -186,14 +226,12 @@ impl SharedGroup {
                 None => return,
             }
         }
-        if horizon != Timestamp::MAX {
-            self.store.evict(horizon);
-        }
+        self.store.evict(horizon);
     }
 
     /// Change in store bytes since the last call: what the caller adds to
     /// the `ivm.state.bytes` gauge, so the gauge sums over live stores.
-    pub fn settle_bytes(&mut self) -> i64 {
+    fn settle_bytes(&mut self) -> i64 {
         let now = self.store.state_bytes() as i64;
         let delta = now - self.reported_bytes;
         self.reported_bytes = now;
@@ -201,81 +239,128 @@ impl SharedGroup {
     }
 }
 
-/// A slice store and its membership, behind their `g` lock.
-pub type GroupRef = Arc<Mutex<SharedGroup>>;
+/// Identifier of a store within its stream's [`SharedRegistry`].
+pub type StoreId = u64;
 
-fn new_group(shape: IvmShape) -> GroupRef {
-    // Witness name matches db.rs's `// lock-order:` declaration, where
-    // this lock is acquired as `g`.
-    Arc::new(Mutex::named("core.g", SharedGroup::new(shape)))
+/// Where a sliced CQ's window state lives: its store and its member id.
+pub type Slot = (StoreId, MemberId);
+
+/// What one [`SharedRegistry::advance`] call did.
+#[derive(Default)]
+pub struct Advanced {
+    /// Tuples folded, summed over stores (the `ivm.delta.rows` counter).
+    pub delta_rows: u64,
+    /// Change in bytes held across stores (the `ivm.state.bytes` gauge).
+    pub bytes: i64,
+    /// The windows that closed, per member, in close order.
+    pub closed: HashMap<Slot, Vec<(Timestamp, WindowOutput)>>,
 }
 
-/// Registry pooling slice stores by shape fingerprint.
+/// The slice stores reading one base stream: pooled by shape fingerprint,
+/// plus the private ones.
 #[derive(Default)]
 pub struct SharedRegistry {
-    groups: HashMap<String, GroupRef>,
+    stores: BTreeMap<StoreId, SharedGroup>,
+    /// Shape fingerprint → the pooled store for that shape.
+    pooled: HashMap<String, StoreId>,
+    next_id: StoreId,
 }
 
 impl SharedRegistry {
-    /// Empty registry.
-    pub fn new() -> SharedRegistry {
-        SharedRegistry::default()
-    }
-
     /// Make `program`'s window a member of a store: the pooled store for
     /// its shape (created on first use) when `pooled`, else — or when that
     /// store's grid cannot take the window — a private one. Returns the
-    /// store, the member id, and whether the store is the pooled one.
-    pub fn join(&mut self, program: &IvmProgram, pooled: bool) -> (GroupRef, MemberId, bool) {
-        if pooled {
-            let g = self
-                .groups
-                .entry(program.shape.fingerprint())
-                .or_insert_with(|| new_group(program.shape.clone()))
-                .clone();
-            let joined = g.lock().register(program.visible, program.advance);
-            if let Ok(member) = joined {
-                return (g, member, true);
-            }
+    /// member's slot and whether its store is the pooled one.
+    pub fn join(&mut self, program: &IvmProgram, pooled: bool) -> (Slot, bool) {
+        if !pooled {
+            return (self.add_store(program), false);
         }
-        let g = new_group(program.shape.clone());
-        let member = g
-            .lock()
-            .register(program.visible, program.advance)
-            .expect("a fresh store takes any grid");
-        (g, member, false)
+        let key = program.shape.fingerprint();
+        let Some(&id) = self.pooled.get(&key) else {
+            let slot = self.add_store(program);
+            self.pooled.insert(key, slot.0);
+            return (slot, true);
+        };
+        let store = self.stores.get_mut(&id).expect("pooled stores are live");
+        match store.register(program.visible, program.advance) {
+            Ok(member) => ((id, member), true),
+            Err(_) => (self.add_store(program), false),
+        }
     }
 
-    /// Drop a pooled store its last member has left. A store that gained
-    /// a member since (a registration raced the teardown) stays.
-    pub fn forget(&mut self, group: &GroupRef) {
-        self.groups
-            .retain(|_, g| !Arc::ptr_eq(g, group) || g.lock().members.iter().any(Option::is_some));
+    /// A new store with `program`'s window as its first member.
+    fn add_store(&mut self, program: &IvmProgram) -> Slot {
+        let mut store = SharedGroup::new(program.shape.clone());
+        let member = store
+            .register(program.visible, program.advance)
+            .expect("a fresh store takes any grid");
+        self.next_id += 1;
+        self.stores.insert(self.next_id, store);
+        (self.next_id, member)
+    }
+
+    /// Remove a member; its store goes with its last member. Returns the
+    /// change in bytes held (for the `ivm.state.bytes` gauge).
+    pub fn leave(&mut self, (id, member): Slot) -> i64 {
+        let Some(store) = self.stores.get_mut(&id) else {
+            return 0;
+        };
+        let last = store.leave(member);
+        let bytes = store.settle_bytes();
+        if last {
+            self.stores.remove(&id);
+            self.pooled.retain(|_, pooled| *pooled != id);
+        }
+        bytes
+    }
+
+    /// Resume a member after recovery: windows closing at or before
+    /// `watermark` were already emitted, so its cursor moves to the next
+    /// boundary on its advance grid. Returns that boundary.
+    pub fn resume_after(&mut self, (id, member): Slot, watermark: Timestamp) -> Option<Timestamp> {
+        let m = self.stores.get_mut(&id)?.members[member].as_mut()?;
+        m.next_close = Some(align_next_close(watermark, m.advance));
+        m.next_close
+    }
+
+    /// Take one batch of the stream's tuples (CQTIME order) — or, with no
+    /// tuples and a `bound`, a heartbeat — through every store: fold,
+    /// close what is due, evict. On error `out` holds what was done
+    /// before it.
+    pub fn advance(
+        &mut self,
+        rows: &[Row],
+        bound: Option<Timestamp>,
+        out: &mut Advanced,
+    ) -> Result<()> {
+        self.stores
+            .iter_mut()
+            .try_for_each(|(id, store)| store.advance(*id, rows, bound, out))
     }
 
     /// Slice width of the live pooled store `program` would join, when
     /// that store's grid cannot take the program's window.
     fn grid_mismatch(&self, program: &IvmProgram) -> Option<Interval> {
-        let g = self.groups.get(&program.shape.fingerprint())?;
-        let g = g.lock();
+        let g = &self.stores[self.pooled.get(&program.shape.fingerprint())?];
         let needed = g.width_with(program.visible, program.advance);
         (!g.store.can_reslice(needed)).then(|| g.store.slice_width())
     }
 
-    /// Number of pooled stores.
+    /// Number of live stores.
     pub fn len(&self) -> usize {
-        self.groups.len()
+        self.stores.len()
     }
 
-    /// True if no pooled stores exist.
+    /// True if no stores exist.
     pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
+        self.stores.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use streamrel_ivm::{AggShape, StreamPrefix};
     use streamrel_sql::plan::{AggFunc, AggSpec, BoundExpr};
     use streamrel_types::time::MINUTES;
@@ -343,9 +428,9 @@ mod tests {
     fn slice_width_is_gcd() {
         let mut g = SharedGroup::new(shape());
         g.register(5 * MINUTES, MINUTES).unwrap();
-        assert_eq!(g.store().slice_width(), MINUTES);
+        assert_eq!(g.store.slice_width(), MINUTES);
         g.register(10 * MINUTES, 2 * MINUTES).unwrap();
-        assert_eq!(g.store().slice_width(), MINUTES);
+        assert_eq!(g.store.slice_width(), MINUTES);
     }
 
     #[test]
@@ -386,31 +471,64 @@ mod tests {
         for i in 0..100 {
             g.on_tuple(&tup("/a", i)).unwrap();
         }
-        assert_eq!(g.store().delta_rows(), 100, "work is per tuple, not per CQ");
+        assert_eq!(g.store.delta_rows(), 100, "work is per tuple, not per CQ");
+    }
+
+    /// Closes `advance` emits, as `(member, close)` in member × close order.
+    fn closes(g: &mut SharedGroup, rows: &[Row], bound: Option<Timestamp>) -> Vec<(usize, i64)> {
+        let mut out = Advanced::default();
+        g.advance(0, rows, bound, &mut out).unwrap();
+        let mut closes: Vec<_> = out
+            .closed
+            .iter()
+            .flat_map(|((_, m), w)| w.iter().map(|(close, _)| (*m, *close)))
+            .collect();
+        closes.sort();
+        closes
     }
 
     fn ten_minutes_of_data(g: &mut SharedGroup) {
-        for i in 0..10 {
-            g.on_tuple(&tup("/a", i * MINUTES + 1)).unwrap();
-        }
-        assert_eq!(g.store().slice_count(), 10);
+        let rows: Vec<Row> = (0..10).map(|i| tup("/a", i * MINUTES + 1)).collect();
+        closes(g, &rows, None);
     }
 
     #[test]
     fn eviction_respects_slowest_member() {
         let mut g = SharedGroup::new(shape());
-        let fast = g.register(MINUTES, MINUTES).unwrap();
-        let slow = g.register(10 * MINUTES, MINUTES).unwrap();
+        g.register(MINUTES, MINUTES).unwrap();
+        g.register(10 * MINUTES, MINUTES).unwrap();
+        // Both cursors stand at 10 min: the slow member's next window is
+        // [0, 10 min), so nothing is evictable.
         ten_minutes_of_data(&mut g);
-        g.member_progress(fast, 10 * MINUTES);
-        g.member_progress(slow, 10 * MINUTES);
-        g.evict();
-        // Slow member still needs [0, 10min): nothing evictable.
-        assert_eq!(g.store().slice_count(), 10);
-        g.member_progress(slow, 12 * MINUTES);
-        g.evict();
-        // Horizon = min(10-1, 12-10) = 2min → slices below 2min go.
-        assert_eq!(g.store().slice_count(), 8);
+        assert_eq!(g.store.slice_count(), 10);
+        // At 12 min the horizon is min(12-1, 12-10) = 2 min.
+        closes(&mut g, &[], Some(11 * MINUTES));
+        assert_eq!(g.store.slice_count(), 8);
+    }
+
+    #[test]
+    fn first_tuple_fixes_alignment_and_heartbeats_alone_do_not() {
+        let mut g = SharedGroup::new(shape());
+        let early = g.register(MINUTES, MINUTES).unwrap();
+        assert_eq!(closes(&mut g, &[], Some(3 * MINUTES)), vec![]);
+        // The tuple at 6 min aligns the cursor at 7 min — not at the
+        // heartbeat's 4 min — and a member that joins later aligns on the
+        // first tuple *it* sees.
+        assert_eq!(closes(&mut g, &[tup("/a", 6 * MINUTES)], None), vec![]);
+        let late = g.register(2 * MINUTES, 2 * MINUTES).unwrap();
+        assert_eq!(
+            closes(&mut g, &[], Some(7 * MINUTES)),
+            vec![(early, 7 * MINUTES)]
+        );
+        assert_eq!(
+            closes(&mut g, &[tup("/a", 9 * MINUTES + 1)], Some(10 * MINUTES)),
+            vec![
+                (early, 8 * MINUTES),
+                (early, 9 * MINUTES),
+                (early, 10 * MINUTES),
+                (late, 10 * MINUTES)
+            ]
+        );
     }
 
     #[test]
@@ -418,52 +536,56 @@ mod tests {
         let mut g = SharedGroup::new(shape());
         let fast = g.register(MINUTES, MINUTES).unwrap();
         let slow = g.register(10 * MINUTES, MINUTES).unwrap();
-        let silent = g.register(MINUTES, MINUTES).unwrap();
         ten_minutes_of_data(&mut g);
-        g.member_progress(fast, 10 * MINUTES);
-        g.member_progress(slow, 10 * MINUTES);
-        // `silent` left before its first close, `slow` after one: neither
-        // may hold slices the survivor's next window cannot reach.
+        // `silent` joins after the data and leaves before its first close,
+        // `slow` after nine: neither may hold slices the survivor's next
+        // window cannot reach.
+        let silent = g.register(MINUTES, MINUTES).unwrap();
         assert!(!g.leave(silent));
         assert!(!g.leave(slow));
-        assert_eq!(g.store().slice_count(), 1);
+        assert_eq!(g.store.slice_count(), 1);
         assert!(g.window_result(slow, 10 * MINUTES).is_err());
         // The last member takes the store's contents with it.
         assert!(g.leave(fast));
-        assert_eq!(g.store().slice_count(), 0);
-        assert_eq!(g.store().state_bytes(), 0);
+        assert_eq!(g.store.slice_count(), 0);
+        assert_eq!(g.store.state_bytes(), 0);
     }
 
     #[test]
-    fn registry_pools_by_fingerprint_and_forgets_empty_stores() {
-        let mut reg = SharedRegistry::new();
-        let (g1, m1, pooled) = reg.join(&program(2 * MINUTES, MINUTES), true);
+    fn registry_pools_by_fingerprint_and_drops_a_store_with_its_last_member() {
+        let mut reg = SharedRegistry::default();
+        let ((s1, m1), pooled) = reg.join(&program(2 * MINUTES, MINUTES), true);
         assert!(pooled);
-        let (g2, _, _) = reg.join(&program(4 * MINUTES, 2 * MINUTES), true);
-        assert!(Arc::ptr_eq(&g1, &g2));
+        let ((s2, m2), _) = reg.join(&program(4 * MINUTES, 2 * MINUTES), true);
+        assert_eq!(s1, s2);
         let mut other = program(MINUTES, MINUTES);
         other.shape = shape_on("other_stream");
-        let (g3, _, _) = reg.join(&other, true);
-        assert!(!Arc::ptr_eq(&g1, &g3));
+        let ((s3, _), _) = reg.join(&other, true);
+        assert_ne!(s1, s3);
         assert_eq!(reg.len(), 2);
 
         // Pooling off, or a grid the live store cannot take: a private
-        // store the registry never sees.
-        let (p, _, pooled) = reg.join(&program(2 * MINUTES, MINUTES), false);
-        assert!(!pooled && !Arc::ptr_eq(&p, &g1));
-        g1.lock().on_tuple(&tup("/a", 10)).unwrap();
+        // store.
+        let ((p, _), pooled) = reg.join(&program(2 * MINUTES, MINUTES), false);
+        assert!(!pooled && p != s1);
+        let mut out = Advanced::default();
+        reg.advance(&[tup("/a", 10)], None, &mut out).unwrap();
+        assert_eq!(out.delta_rows, 3, "one fold per store");
+        assert!(out.bytes > 0 && out.closed.is_empty());
         let fine = program(90 * 1_000_000, 30 * 1_000_000);
         assert_eq!(reg.grid_mismatch(&fine), Some(MINUTES));
-        let (p, _, pooled) = reg.join(&fine, true);
-        assert!(!pooled && !Arc::ptr_eq(&p, &g1));
-        assert_eq!(reg.len(), 2);
+        let ((q, _), pooled) = reg.join(&fine, true);
+        assert!(!pooled && q != s1);
+        assert_eq!(reg.len(), 4);
 
-        // A store is forgotten only once its last member has left.
-        g1.lock().leave(m1);
-        reg.forget(&g1);
-        assert_eq!(reg.len(), 2);
-        g1.lock().leave(1);
-        reg.forget(&g1);
-        assert_eq!(reg.len(), 1);
+        // A pooled store goes with its last member, and its bytes with it;
+        // the next member of that shape starts a fresh one.
+        assert_eq!(reg.leave((s1, m1)), 0);
+        assert_eq!(reg.len(), 4);
+        assert!(reg.leave((s1, m2)) < 0);
+        assert_eq!(reg.len(), 3);
+        assert_eq!(reg.grid_mismatch(&fine), None);
+        let ((s4, _), pooled) = reg.join(&fine, true);
+        assert!(pooled && s4 != s1);
     }
 }

@@ -3,7 +3,7 @@
 # non-test Rust lines, named locks, must-precede lock edges, and
 # independently settable options.
 #
-# Usage: scripts/size_report.sh [file.rs ...]
+# Usage: scripts/size_report.sh [--check] [file.rs ...]
 #
 # Non-test lines of a source file are the lines before its first
 # top-level `#[cfg(test)]` (every test module in this workspace sits at
@@ -16,8 +16,19 @@
 #
 # With file arguments, also prints each named file's non-test lines and
 # their sum, so a PR can quote "these files went from A to B".
+#
+# With --check, the four numbers are also compared against
+# scripts/size_baseline.txt (one `<number> <label>` line each) and the
+# script fails if any went up: like lint.allow, the baseline can only
+# shrink. A PR that lowers a number commits the lower baseline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+check=0
+if [ "${1:-}" = "--check" ]; then
+    check=1
+    shift
+fi
 
 non_test_lines() {
     awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"
@@ -53,8 +64,10 @@ fi
 
 gen=crates/check/src/lock_graph.gen.rs
 section() { awk -v name="$1" '$0 ~ "static " name ":" { on = 1; next } on && /^\];/ { exit } on && /^    / { n++ } END { print n + 0 }' "$gen"; }
-printf '%-28s %8d\n' "named locks" "$(section GLOBAL_LOCK_ORDER)"
-printf '%-28s %8d\n' "must-precede edges" "$(section LOCK_MUST_PRECEDE)"
+locks=$(section GLOBAL_LOCK_ORDER)
+edges=$(section LOCK_MUST_PRECEDE)
+printf '%-28s %8d\n' "named locks" "$locks"
+printf '%-28s %8d\n' "must-precede edges" "$edges"
 
 option_fields() {
     awk -v decl="pub struct $2 {" '
@@ -73,3 +86,21 @@ crates/net/src/client.rs ClientOptions
 crates/net/src/bridge.rs BridgeOptions
 STRUCTS
 printf '%-28s %8d\n' "settable options" "$options"
+
+if [ "$check" -eq 1 ]; then
+    failed=0
+    while read -r allowed label; do
+        case "$label" in
+            "workspace non-test total") now=$total ;;
+            "named locks") now=$locks ;;
+            "must-precede edges") now=$edges ;;
+            "settable options") now=$options ;;
+            *) echo "size_baseline.txt: unknown line \`$allowed $label\`" >&2; exit 2 ;;
+        esac
+        if [ "$now" -gt "$allowed" ]; then
+            echo "size check: $label went up: $allowed -> $now" >&2
+            failed=1
+        fi
+    done < scripts/size_baseline.txt
+    exit "$failed"
+fi

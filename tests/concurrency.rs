@@ -127,3 +127,87 @@ fn concurrent_subscribers_see_identical_streams() {
     assert_eq!(results[0].len(), 5);
     assert_eq!(results[0][0].1, 1000);
 }
+
+/// Store membership churns under ingest: while one thread feeds the
+/// stream, another keeps subscribing and unsubscribing CQs of one shape —
+/// a window the live pooled store's grid takes (joins it) and one it
+/// cannot (gets a private store). Stores live in the stream's shard, so
+/// every join, fold, close and leave serialises on that one lock; the lock
+/// witness checks the order of every acquisition on the way.
+#[test]
+fn store_membership_churns_under_ingest() {
+    const ROUNDS: usize = 40;
+    const SHAPE: &str = "SELECT k, count(*) c FROM s";
+    parking_lot::witness::enable();
+    let db = Arc::new(Db::in_memory(DbOptions::default()));
+    db.execute("CREATE STREAM s (k varchar(8), ts timestamp CQTIME USER)")
+        .unwrap();
+    let subscribe = |visible: i64, advance: i64| {
+        let window = format!("<VISIBLE '{visible} seconds' ADVANCE '{advance} seconds'>");
+        db.execute(&format!("{SHAPE} {window} GROUP BY k"))
+            .unwrap()
+            .subscription()
+    };
+    // 100 tuples per second of event time.
+    let tuple = |i: i64| {
+        vec![
+            Value::text(format!("k{}", i % 3)),
+            Value::Timestamp(i * 10_000),
+        ]
+    };
+    let assert_contiguous = |sub, advance: i64, what: &str| {
+        let closes: Vec<i64> = db.poll(sub).unwrap().iter().map(|o| o.close).collect();
+        assert!(!closes.is_empty(), "{what}: no window closed");
+        assert_eq!(closes[0] % (advance * 1_000_000), 0, "{what}: off its grid");
+        for pair in closes.windows(2) {
+            assert_eq!(pair[1] - pair[0], advance * 1_000_000, "{what}: {closes:?}");
+        }
+    };
+
+    // The pooled store's grid is fixed at 2 s once data has flowed.
+    let base = subscribe(4, 2);
+    db.ingest("s", tuple(0)).unwrap();
+    let churned = AtomicBool::new(false);
+    let (ingested, last_round) = std::thread::scope(|scope| {
+        let ingester = scope.spawn(|| {
+            let mut i = 1;
+            while !churned.load(Ordering::SeqCst) {
+                db.ingest("s", tuple(i)).unwrap();
+                i += 1;
+            }
+            i
+        });
+        let mut round = (subscribe(8, 4), subscribe(3, 1));
+        for _ in 1..ROUNDS {
+            // Leave only after the ingester has closed a window on each.
+            for sub in [round.0, round.1] {
+                while db.poll(sub).unwrap().is_empty() {
+                    std::thread::yield_now();
+                }
+                db.unsubscribe(sub).unwrap();
+            }
+            round = (subscribe(8, 4), subscribe(3, 1));
+        }
+        churned.store(true, Ordering::SeqCst);
+        (ingester.join().unwrap(), round)
+    });
+
+    // Quiescence: the survivors are `base` and the last round — one
+    // pooled store with two members, one private store — and each further
+    // tuple folds once per store.
+    let metrics = db.engine().metrics();
+    let folded = metrics.counter("ivm.delta.rows").get();
+    for i in ingested..ingested + 1_000 {
+        db.ingest("s", tuple(i)).unwrap();
+    }
+    assert_eq!(metrics.counter("ivm.delta.rows").get() - folded, 2 * 1_000);
+    assert_contiguous(base, 2, "base");
+    assert_contiguous(last_round.0, 4, "pooled late joiner");
+    assert_contiguous(last_round.1, 1, "private store");
+
+    for sub in [base, last_round.0, last_round.1] {
+        assert!(metrics.gauge("ivm.state.bytes").get() > 0);
+        db.unsubscribe(sub).unwrap();
+    }
+    assert_eq!(metrics.gauge("ivm.state.bytes").get(), 0);
+}

@@ -17,23 +17,21 @@ fn tmpdir(name: &str) -> PathBuf {
     dir
 }
 
-fn setup(db: &Db) {
-    db.execute("CREATE STREAM s (k varchar(16), ts timestamp CQTIME USER)")
-        .unwrap();
-    db.execute("CREATE TABLE agg (k varchar(16), c bigint, w timestamp)")
-        .unwrap();
-    db.execute(
-        "CREATE STREAM per_minute AS SELECT k, count(*) c, cq_close(*) w \
-         FROM s <TUMBLING '1 minute'> GROUP BY k",
-    )
-    .unwrap();
-    db.execute("CREATE CHANNEL ch FROM per_minute INTO agg APPEND")
-        .unwrap();
+const SETUP: [&str; 6] = [
+    "CREATE STREAM s (k varchar(16), ts timestamp CQTIME USER)",
+    "CREATE TABLE agg (k varchar(16), c bigint, w timestamp)",
+    "CREATE STREAM per_minute AS SELECT k, count(*) c, cq_close(*) w \
+     FROM s <TUMBLING '1 minute'> GROUP BY k",
+    "CREATE CHANNEL ch FROM per_minute INTO agg APPEND",
     // Raw archive for in-flight window rebuild.
-    db.execute("CREATE TABLE raw (k varchar(16), ts timestamp)")
-        .unwrap();
-    db.execute("CREATE CHANNEL raw_ch FROM s INTO raw APPEND")
-        .unwrap();
+    "CREATE TABLE raw (k varchar(16), ts timestamp)",
+    "CREATE CHANNEL raw_ch FROM s INTO raw APPEND",
+];
+
+fn setup(db: &Db) {
+    for ddl in SETUP {
+        db.execute(ddl).unwrap();
+    }
 }
 
 fn tup(k: &str, ts: i64) -> Vec<Value> {
@@ -166,36 +164,48 @@ fn checkpoint_shrinks_recovery_and_preserves_state() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// DDL persists the same whether each statement arrives through
+/// `execute` or the whole set through one `execute_script` (regression:
+/// scripts used to persist nothing, so a reopen lost every object).
 #[test]
 fn ddl_objects_survive_restart() {
-    let dir = tmpdir("ddl");
-    {
-        let db = Db::open(&dir, DbOptions::default()).unwrap();
-        setup(&db);
-        db.execute(
-            "CREATE VIEW busy AS SELECT k, c FROM per_minute <SLICES 1 WINDOWS> WHERE c > 1",
-        )
-        .unwrap();
-        db.execute("CREATE INDEX agg_by_k ON agg (k)").unwrap();
+    const EXTRA: [&str; 2] = [
+        "CREATE VIEW busy AS SELECT k, c FROM per_minute <SLICES 1 WINDOWS> WHERE c > 1",
+        "CREATE INDEX agg_by_k ON agg (k)",
+    ];
+    for script in [false, true] {
+        let dir = tmpdir(if script { "ddl-script" } else { "ddl" });
+        {
+            let db = Db::open(&dir, DbOptions::default()).unwrap();
+            if script {
+                let all = [&SETUP[..], &EXTRA[..]].concat().join(";\n");
+                assert_eq!(db.execute_script(&all).unwrap().len(), 8);
+            } else {
+                setup(&db);
+                for ddl in EXTRA {
+                    db.execute(ddl).unwrap();
+                }
+            }
+        }
+        {
+            let db = Db::open(&dir, DbOptions::default()).unwrap();
+            // All objects usable after restart.
+            db.ingest("s", tup("z", 1)).unwrap();
+            db.ingest("s", tup("z", 2)).unwrap();
+            let sub = db.execute("SELECT * FROM busy").unwrap().subscription();
+            db.heartbeat("s", MINUTES).unwrap();
+            let outs = db.poll(sub).unwrap();
+            assert_eq!(outs.len(), 1, "script={script}");
+            assert_eq!(
+                outs[0].relation.rows()[0],
+                vec![Value::text("z"), Value::Int(2)]
+            );
+            // Index survived (lookup path).
+            let idx = db.engine().index_on("agg", "k");
+            assert!(idx.is_some(), "index rebuilt on restart");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    {
-        let db = Db::open(&dir, DbOptions::default()).unwrap();
-        // All objects usable after restart.
-        db.ingest("s", tup("z", 1)).unwrap();
-        db.ingest("s", tup("z", 2)).unwrap();
-        let sub = db.execute("SELECT * FROM busy").unwrap().subscription();
-        db.heartbeat("s", MINUTES).unwrap();
-        let outs = db.poll(sub).unwrap();
-        assert_eq!(outs.len(), 1);
-        assert_eq!(
-            outs[0].relation.rows()[0],
-            vec![Value::text("z"), Value::Int(2)]
-        );
-        // Index survived (lookup path).
-        let idx = db.engine().index_on("agg", "k");
-        assert!(idx.is_some(), "index rebuilt on restart");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

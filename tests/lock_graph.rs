@@ -159,29 +159,29 @@ fn clean_graph_yields_topological_order_and_closure() {
 /// Inverting a `LOCK_MUST_PRECEDE` pair at runtime panics with a message
 /// naming both acquisition sites — the regression the witness exists to
 /// catch. Uses the real generated table, so this also pins the contract
-/// that `core.state < core.g` stays in the merged order.
+/// that `core.state < core.subs` stays in the merged order.
 #[test]
 fn witness_panics_on_inverted_acquisition_naming_both_sites() {
     let table = streamrel_check::lock_graph_gen::LOCK_MUST_PRECEDE;
     assert!(
-        table.contains(&("core.state", "core.g")),
-        "generated order lost the state < g edge; pick another pair"
+        table.contains(&("core.state", "core.subs")),
+        "generated order lost the state < subs edge; pick another pair"
     );
     parking_lot::witness::install_order(table);
     parking_lot::witness::enable();
 
-    let g = parking_lot::Mutex::named("core.g", ());
+    let subs = parking_lot::Mutex::named("core.subs", ());
     let state = parking_lot::Mutex::named("core.state", ());
 
-    // Correct order first: state then g is silent.
+    // Correct order first: state then subs is silent.
     {
         let _s = state.lock();
-        let _g = g.lock();
+        let _q = subs.lock();
     }
 
-    // Inverted order: acquiring `state` while holding `g` must panic.
+    // Inverted order: acquiring `state` while holding `subs` must panic.
     let err = catch_unwind(AssertUnwindSafe(|| {
-        let _held = g.lock();
+        let _held = subs.lock();
         let _bad = state.lock();
     }))
     .expect_err("inverted acquisition must trip the witness");
@@ -199,10 +199,10 @@ fn witness_panics_on_inverted_acquisition_naming_both_sites() {
         "{msg}"
     );
     assert!(
-        msg.contains("holding `core.g` acquired at tests/lock_graph.rs:"),
+        msg.contains("holding `core.subs` acquired at tests/lock_graph.rs:"),
         "{msg}"
     );
-    assert!(msg.contains("`core.state` < `core.g`"), "{msg}");
+    assert!(msg.contains("`core.state` < `core.subs`"), "{msg}");
     // The panic tells the reader where the order comes from.
     assert!(msg.contains("lock_graph.gen.rs"), "{msg}");
 }

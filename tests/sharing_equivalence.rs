@@ -305,3 +305,127 @@ fn unsubscribing_releases_slice_store_membership() {
         assert_eq!(metric(&db, "ivm.delta.rows"), folded + 10);
     }
 }
+
+// ---- punctuation travels the data path ---------------------------------------
+
+const MS: i64 = 1_000;
+
+/// One step of a fixed input: a tuple or a heartbeat, at a time in ms.
+#[derive(Clone, Copy)]
+enum Ev {
+    Tuple(i64),
+    Beat(i64),
+}
+
+/// Feed `events` to a 2 s / 1 s and a 4 s / 2 s `count(*)` (one pool under
+/// sharing) and return each one's `(close in s, count)` sequence, plus the
+/// tuples dropped as late.
+fn run_events(opts: DbOptions, events: &[Ev]) -> (Vec<Vec<(i64, i64)>>, u64) {
+    let db = Db::in_memory(opts);
+    db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
+        .unwrap();
+    let subs: Vec<_> = [(2, 1), (4, 2)]
+        .into_iter()
+        .map(|(vis, adv)| {
+            db.execute(&format!(
+                "SELECT count(*) c FROM s <VISIBLE '{vis} seconds' ADVANCE '{adv} seconds'>"
+            ))
+            .unwrap()
+            .subscription()
+        })
+        .collect();
+    for ev in events {
+        match *ev {
+            Ev::Tuple(ms) => db
+                .ingest("s", vec![Value::Int(1), Value::Timestamp(ms * MS)])
+                .unwrap(),
+            Ev::Beat(ms) => db.heartbeat("s", ms * MS).unwrap(),
+        }
+    }
+    let outs = subs
+        .into_iter()
+        .map(|sub| {
+            db.poll(sub)
+                .unwrap()
+                .into_iter()
+                .map(|o| (o.close / SECONDS, o.relation.rows()[0][0].as_int().unwrap()))
+                .collect()
+        })
+        .collect();
+    (outs, db.stats().late_drops)
+}
+
+/// Regression, two fixed inputs. (a) A heartbeat before the first tuple
+/// used to fix a sliced CQ's alignment (closes 4..8 s) where the
+/// re-evaluation buffer waits for the first tuple (7, 8 s). (b) Heartbeats
+/// bypassed the reorder buffer: the tuples slack still held appeared in no
+/// window, the sliced path skipped the closes before the heartbeat, and
+/// the re-evaluated path failed the next ingest as out of order.
+#[test]
+fn heartbeats_close_the_same_windows_on_every_path() {
+    use Ev::{Beat, Tuple};
+    struct Case {
+        input: &'static str,
+        slack_ms: i64,
+        events: &'static [Ev],
+        /// The 2 s / 1 s CQ's windows.
+        narrow: &'static [(i64, i64)],
+        late: u64,
+    }
+    let cases = [
+        Case {
+            input: "leading heartbeat",
+            slack_ms: 0,
+            events: &[Beat(3000), Tuple(6000), Beat(8000)],
+            narrow: &[(7, 1), (8, 1)],
+            late: 0,
+        },
+        Case {
+            input: "slack + interleaved heartbeats",
+            slack_ms: 2000,
+            events: &[
+                Tuple(100),
+                Tuple(500),
+                Tuple(1200),
+                Beat(3000),
+                Tuple(6000),
+                Tuple(2500), // behind the punctuated time: late
+                Beat(7000),
+                Tuple(7100),
+                Beat(9000),
+            ],
+            narrow: &[
+                (1, 2),
+                (2, 3),
+                (3, 1),
+                (4, 0),
+                (5, 0),
+                (6, 0),
+                (7, 1),
+                (8, 2),
+                (9, 1),
+            ],
+            late: 1,
+        },
+    ];
+    for Case {
+        input,
+        slack_ms,
+        events,
+        narrow,
+        late,
+    } in cases
+    {
+        let opts = || DbOptions::default().with_slack(slack_ms * MS);
+        let pooled = run_events(opts(), events);
+        assert_eq!(pooled.0[0], narrow, "{input}: pooled");
+        assert_eq!(pooled.1, late, "{input}: late drops");
+        let private = run_events(opts().without_sharing(), events);
+        assert_eq!(private, pooled, "{input}: private diverges from pooled");
+        let reeval = run_events(opts().without_sharing().without_ivm(), events);
+        assert_eq!(
+            reeval, pooled,
+            "{input}: re-evaluation diverges from pooled"
+        );
+    }
+}
