@@ -5,8 +5,12 @@
 //! (`<VISIBLE '2 minutes' ADVANCE '2 seconds'>`, 60 closes per window
 //! span). Under re-evaluation every close re-scans and re-folds the
 //! whole two-minute buffer; under IVM each tuple is folded once into its
-//! slice partial and a close merges ~60 slice partials — near-O(delta)
-//! instead of O(window).
+//! slice partial and a close slides the member's window view by the slice
+//! that enters and the one that leaves — O(delta), not O(window). That a
+//! close does not pay for width is measured too: the same query at
+//! VISIBLE ÷ ADVANCE = 6, 60 and 300, with `merges_per_close`
+//! (`ivm.compose.merges` ÷ closes, once the widest window has filled) —
+//! a count that repeats exactly on any host.
 //!
 //! Both configurations run with pooling ablated so the comparison
 //! isolates the delta-processing path on a store with one member: the
@@ -41,13 +45,22 @@ const STEP_US: i64 = 10_000;
 /// Rows ingested per `ingest_batch` call.
 const BATCH: usize = 500;
 
-const CQ: &str = "SELECT url, count(*) c FROM hits \
-                  <VISIBLE '2 minutes' ADVANCE '2 seconds'> GROUP BY url";
+/// VISIBLE ÷ ADVANCE of the close-cost sweep (ADVANCE stays 2 s).
+const RATIOS: [i64; 3] = [6, 60, 300];
 
-fn metric(db: &Db, name: &str) -> i64 {
+fn cq(ratio: i64) -> String {
+    let visible = 2 * ratio;
+    format!(
+        "SELECT url, count(*) c FROM hits \
+         <VISIBLE '{visible} seconds' ADVANCE '2 seconds'> GROUP BY url"
+    )
+}
+
+/// `column` (`value`, `sum`) of the instrument `name`.
+fn metric(db: &Db, name: &str, column: &str) -> i64 {
     let rel = db
         .execute(&format!(
-            "SELECT value FROM {}metrics WHERE name = '{name}'",
+            "SELECT {column} FROM {}metrics WHERE name = '{name}'",
             streamrel_obs::RESERVED_PREFIX
         ))
         .unwrap()
@@ -59,20 +72,32 @@ fn metric(db: &Db, name: &str) -> i64 {
         .unwrap_or(0)
 }
 
-/// Ingest `rows` tuples through the CQ; return
-/// (rows/s, windows closed, mean close latency in µs).
-fn run(opts: DbOptions, rows: usize) -> (f64, i64, f64) {
+/// Ingest `warm` untimed and then `rows` timed tuples through the CQ at
+/// VISIBLE ÷ ADVANCE = `ratio`; return (rows/s, windows closed, mean close
+/// latency in µs, key partials merged per close) over the timed part.
+fn run(opts: DbOptions, ratio: i64, warm: usize, rows: usize) -> (f64, i64, f64, f64) {
     let db = Db::in_memory(opts);
     db.execute("CREATE STREAM hits (url varchar(16), ts timestamp CQTIME USER)")
         .unwrap();
-    let sub = match db.execute(CQ).unwrap() {
+    let sub = match db.execute(&cq(ratio)).unwrap() {
         ExecResult::Subscribed(id) => id,
         other => panic!("expected a subscription, got {other:?}"),
     };
+    // The per-subscription close histogram (`value` is the close count,
+    // `sum` the total close time in µs) and the merge counter, so far.
+    let hist = format!("cq.close_us.sub_{}", sub.0);
+    let closed = |db: &Db| {
+        let merges = metric(db, "ivm.compose.merges", "value");
+        (metric(db, &hist, "value"), metric(db, &hist, "sum"), merges)
+    };
     let mut clock = 0i64;
-    let start = Instant::now();
-    let mut sent = 0usize;
+    let mut start = Instant::now();
+    let mut before = (0, 0, 0);
+    let (mut sent, rows) = (0usize, warm + rows);
     while sent < rows {
+        if sent == warm {
+            (start, before) = (Instant::now(), closed(&db));
+        }
         let n = BATCH.min(rows - sent);
         let batch: Vec<Vec<Value>> = (0..n)
             .map(|_| {
@@ -86,37 +111,28 @@ fn run(opts: DbOptions, rows: usize) -> (f64, i64, f64) {
         db.ingest_batch("hits", batch).unwrap();
         sent += n;
     }
-    let tps = sent as f64 / start.elapsed().as_secs_f64();
-    // The per-subscription close histogram: `value` is the close count,
-    // `sum` the total close time in µs.
-    let rel = db
-        .execute(&format!(
-            "SELECT value, sum FROM {}metrics WHERE name = 'cq.close_us.sub_{}'",
-            streamrel_obs::RESERVED_PREFIX,
-            sub.0
-        ))
-        .unwrap()
-        .rows();
-    let (closes, total_us) = rel
-        .rows()
-        .first()
-        .map(|r| {
-            (
-                r.first().and_then(|v| v.as_int().ok()).unwrap_or(0),
-                r.get(1).and_then(|v| v.as_int().ok()).unwrap_or(0),
-            )
-        })
-        .unwrap_or((0, 0));
-    let mean_close_us = total_us as f64 / closes.max(1) as f64;
-    (tps, closes, mean_close_us)
+    let tps = (sent - warm) as f64 / start.elapsed().as_secs_f64();
+    let after = closed(&db);
+    let closes = after.0 - before.0;
+    let per_close = |total: i64| total as f64 / closes.max(1) as f64;
+    (
+        tps,
+        closes,
+        per_close(after.1 - before.1),
+        per_close(after.2 - before.2),
+    )
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("ivm_bench: delta processing vs per-window re-evaluation\n");
     let rows = 40_000 * scale();
 
-    let (reeval_tps, reeval_closes, reeval_close_us) =
-        run(DbOptions::default().without_sharing().without_ivm(), rows);
+    let (reeval_tps, reeval_closes, reeval_close_us, _) = run(
+        DbOptions::default().without_sharing().without_ivm(),
+        60,
+        0,
+        rows,
+    );
 
     // Candidate run, with an engagement check: re-create the setup once
     // to confirm the CQ lowers before timing it.
@@ -124,14 +140,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let db = Db::in_memory(DbOptions::default().without_sharing());
         db.execute("CREATE STREAM hits (url varchar(16), ts timestamp CQTIME USER)")
             .unwrap();
-        db.execute(CQ).unwrap();
+        db.execute(&cq(60)).unwrap();
         assert_eq!(
-            metric(&db, "ivm.lowered"),
+            metric(&db, "ivm.lowered", "value"),
             1,
             "bench CQ must lower to the IVM path"
         );
     }
-    let (ivm_tps, ivm_closes, ivm_close_us) = run(DbOptions::default().without_sharing(), rows);
+    let ivm = || DbOptions::default().without_sharing();
+    let (ivm_tps, ivm_closes, ivm_close_us, _) = run(ivm(), 60, 0, rows);
+    // The close-cost sweep, timed once the widest window (600 s of 10 ms
+    // steps) has filled on every ratio.
+    let sweep: Vec<String> = RATIOS
+        .iter()
+        .map(|&ratio| {
+            let (_, _, close_us, merges) = run(ivm(), ratio, 62_000, rows / 2);
+            println!("VISIBLE/ADVANCE = {ratio}: {close_us:.0} us, {merges:.1} merges per close");
+            format!("{{\"ratio\": {ratio}, \"close_us\": {close_us:.1}, \"merges_per_close\": {merges:.1}}}")
+        })
+        .collect();
     let speedup = ivm_tps / reeval_tps;
     let close_speedup = reeval_close_us / ivm_close_us.max(1e-9);
 
@@ -161,7 +188,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          \"reeval_close_us\": {reeval_close_us:.1},\n  \
          \"ivm_close_us\": {ivm_close_us:.1},\n  \
          \"windows_closed\": {ivm_closes},\n  \"speedup\": {speedup:.3},\n  \
-         \"close_speedup\": {close_speedup:.3}\n}}\n"
+         \"close_speedup\": {close_speedup:.3},\n  \"sweep\": [{}]\n}}\n",
+        sweep.join(", ")
     );
     std::fs::write("BENCH_ivm.json", json)?;
     println!("recorded BENCH_ivm.json");

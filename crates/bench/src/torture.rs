@@ -453,17 +453,20 @@ fn ivm_options() -> DbOptions {
     cq_options().without_sharing()
 }
 
-/// A *sliding* grouped count (`VISIBLE 2m ADVANCE 1m`, slice width 1m):
-/// a crash lands mid-slice with partial aggregate state in memory, and
-/// recovery must refold the delta from the raw archive — including the
-/// already-archived minute before the watermark that the next window
-/// still sees.
+/// A *sliding* grouped count (`VISIBLE 3m ADVANCE 1m`, slice width 1m),
+/// closed from a window view that carries two slices across each close. A
+/// crash lands mid-slice with partial state in memory, or — in a close's
+/// archive write — after the view has emitted and retracted but before its
+/// window is durable (the store does no I/O between retract and evict).
+/// Recovery must refold the delta from the raw archive, including the two
+/// archived minutes before the watermark that the next window still
+/// sees, and rebuild the view from those slices.
 fn ivm_setup(db: &Db) -> Result<()> {
     db.execute("CREATE STREAM s (k varchar(16), ts timestamp CQTIME USER)")?;
     db.execute("CREATE TABLE agg (k varchar(16), c bigint, w timestamp)")?;
     db.execute(
         "CREATE STREAM winagg AS SELECT k, count(*) c, cq_close(*) w \
-         FROM s <VISIBLE '2 minutes' ADVANCE '1 minute'> GROUP BY k",
+         FROM s <VISIBLE '3 minutes' ADVANCE '1 minute'> GROUP BY k",
     )?;
     db.execute("CREATE CHANNEL ch FROM winagg INTO agg APPEND")?;
     db.execute("CREATE TABLE raw (k varchar(16), ts timestamp)")?;
@@ -474,7 +477,7 @@ fn ivm_setup(db: &Db) -> Result<()> {
 const IVM_SPEC: SweepSpec = SweepSpec {
     options: ivm_options,
     setup: ivm_setup,
-    replay_slack: MINUTE, // visible 2m - advance 1m
+    replay_slack: 2 * MINUTE, // visible 3m - advance 1m
     require_ivm: true,
 };
 

@@ -172,6 +172,8 @@ struct DbMetrics {
     check_warned: Arc<Counter>,
     /// Stream tuples folded into slice stores (once per store, not per CQ).
     ivm_delta_rows: Arc<Counter>,
+    /// Key partials merged or retracted at window closes.
+    ivm_compose_merges: Arc<Counter>,
     /// Bytes held across live slice stores.
     ivm_state_bytes: Arc<Gauge>,
     /// Admitted continuous plans the check placed on a slice store.
@@ -196,6 +198,7 @@ impl DbMetrics {
             check_budget_rejected: registry.counter("check.budget_rejected"),
             check_warned: registry.counter("check.warned"),
             ivm_delta_rows: ivm.delta_rows,
+            ivm_compose_merges: ivm.compose_merges,
             ivm_state_bytes: ivm.state_bytes,
             check_ivm_lowered: registry.counter("check.ivm_lowered"),
             check_ivm_fallback: registry.counter("check.ivm_fallback"),
@@ -773,6 +776,7 @@ impl Db {
             StreamRuntime {
                 decl,
                 reorder,
+                high_water: Timestamp::MIN,
                 cq_ids: Vec::new(),
                 raw_channels: Vec::new(),
                 stores: SharedRegistry::default(),
@@ -1457,8 +1461,30 @@ impl Db {
             self.metrics.late_drops.add(rb.late_drops() - before);
             released = ordered;
         }
+        // The stream's one ordering rule, for every consumer at once: with
+        // no slack to reorder in, the batch is cut at the first tuple older
+        // than one already taken — the prefix is processed, the error
+        // returned, nothing after it applied. It seals every slice a close
+        // has passed, which the slice stores' window views rely on.
+        let mut cut = None;
+        if let (None, Some(c)) = (&rt.reorder, rt.decl.cqtime) {
+            for (i, ts) in released.iter().map(|r| r[c].as_timestamp()).enumerate() {
+                let Ok(ts) = ts else { continue };
+                if ts < rt.high_water {
+                    cut = Some(Error::stream(format!(
+                        "out-of-order tuple: ts {ts} < watermark {} \
+                         (wrap the stream in a ReorderBuffer for slack)",
+                        rt.high_water
+                    )));
+                    released.truncate(i);
+                    break;
+                }
+                rt.high_water = ts;
+            }
+        }
+        rt.high_water = rt.high_water.max(bound.unwrap_or(Timestamp::MIN));
         if released.is_empty() && bound.is_none() {
-            return Ok(());
+            return cut.map_or(Ok(()), Err);
         }
         self.metrics.tuples_in.add(released.len() as u64);
 
@@ -1486,6 +1512,7 @@ impl Db {
         let mut advanced = Advanced::default();
         let mut stage_err = rt.stores.advance(&released, bound, &mut advanced).err();
         self.metrics.ivm_delta_rows.add(advanced.delta_rows);
+        self.metrics.ivm_compose_merges.add(advanced.merges);
         self.metrics.ivm_state_bytes.add(advanced.bytes);
 
         // Per-CQ window staging, in registration × close order: a sliced
@@ -1508,7 +1535,7 @@ impl Db {
                 .err();
             staged.extend(tasks.into_iter().map(|t| (id, t)));
         }
-        self.eval_and_pump(state, staged, stage_err, start)
+        self.eval_and_pump(state, staged, stage_err.or(cut), start)
     }
 
     /// Evaluate staged window tasks on the worker pool, then deliver.

@@ -22,6 +22,7 @@ use parking_lot::Mutex;
 use streamrel_cq::{ContinuousQuery, ReorderBuffer, SharedRegistry};
 use streamrel_obs::Histogram;
 use streamrel_sql::ast::ChannelMode;
+use streamrel_types::Timestamp;
 
 use crate::provider::StreamDecl;
 use crate::subscription::SubscriptionId;
@@ -58,6 +59,8 @@ pub(crate) struct ChannelSink {
 pub(crate) struct StreamRuntime {
     pub decl: StreamDecl,
     pub reorder: Option<ReorderBuffer>,
+    /// Newest CQTIME taken (tuple or heartbeat); ingest admits none older.
+    pub high_water: Timestamp,
     /// CQs consuming this stream directly, in registration order.
     pub cq_ids: Vec<u64>,
     /// Channels archiving raw tuples.

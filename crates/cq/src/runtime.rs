@@ -42,10 +42,11 @@ pub struct CqOutput {
 /// [`ContinuousQuery::finish_window`] with the result, in serial order,
 /// to apply stats and emit the `cq.close` trace event deterministically.
 pub struct WindowTask {
-    plan: LogicalPlan,
+    /// Shared with the CQ: staging a window copies no plan.
+    plan: Arc<LogicalPlan>,
     /// Stream name bound to the window relation ([`IVM_INPUT`] for the
     /// post-anchor plan of a sliced CQ).
-    input: String,
+    input: Arc<str>,
     /// The window relation. A stream-table join delta resolves its match
     /// counts against the same snapshot the post-plan reads, so it is
     /// finalized in [`WindowTask::run`], not at staging time.
@@ -126,16 +127,22 @@ pub enum ExecMode {
     Unshared { buffer: WindowBuffer },
     /// Member of a slice store in its stream's [`SharedRegistry`]: the
     /// store folds each tuple once, keeps this member's close cursor and
-    /// composes the anchor output at each close; the CQ only runs the
-    /// post-anchor plan over it.
-    Sliced { slot: Slot, post_plan: LogicalPlan },
+    /// window view and hands over the anchor output at each close; the CQ
+    /// only runs the post-anchor plan over it.
+    Sliced {
+        slot: Slot,
+        post_plan: Arc<LogicalPlan>,
+    },
 }
 
 /// A running continuous query.
 pub struct ContinuousQuery {
     name: String,
-    plan: LogicalPlan,
+    plan: Arc<LogicalPlan>,
     stream: String,
+    /// The name this CQ's tasks bind their window relation to: `stream`,
+    /// or [`IVM_INPUT`] once sliced.
+    input: Arc<str>,
     /// Schema of the stream scan: what a re-evaluated window relation has.
     scan_schema: SchemaRef,
     window: WindowSpec,
@@ -183,7 +190,8 @@ impl ContinuousQuery {
         };
         Ok(ContinuousQuery {
             name: name.into(),
-            plan: analyzed.plan.clone(),
+            plan: Arc::new(analyzed.plan.clone()),
+            input: stream.as_str().into(),
             stream,
             scan_schema,
             window,
@@ -270,9 +278,10 @@ impl ContinuousQuery {
                     format!("visible={} advance={}", program.visible, program.advance),
                     0,
                 );
+                self.input = IVM_INPUT.into();
                 self.mode = ExecMode::Sliced {
                     slot,
-                    post_plan: program.post_plan,
+                    post_plan: Arc::new(program.post_plan),
                 };
             }
         }
@@ -304,9 +313,8 @@ impl ContinuousQuery {
         if let ExecMode::Sliced { slot, post_plan } = &self.mode {
             self.stats.tuples_in += rows.len() as u64;
             let windows = advanced.closed.remove(slot).unwrap_or_default();
-            tasks.extend(windows.into_iter().map(|(close, rel)| {
-                self.make_task(post_plan.clone(), IVM_INPUT.to_string(), rel, close)
-            }));
+            let staged = windows.into_iter();
+            tasks.extend(staged.map(|(close, rel)| self.make_task(post_plan.clone(), rel, close)));
             return Ok(());
         }
         for row in rows {
@@ -384,21 +392,15 @@ impl ContinuousQuery {
         let mut tasks = Vec::with_capacity(closes.len());
         for cw in closes {
             let rel = WindowOutput::Ready(Relation::new(self.scan_schema.clone(), cw.rows));
-            tasks.push(self.make_task(self.plan.clone(), self.stream.clone(), rel, cw.close));
+            tasks.push(self.make_task(self.plan.clone(), rel, cw.close));
         }
         tasks
     }
 
-    fn make_task(
-        &self,
-        plan: LogicalPlan,
-        input: String,
-        rel: WindowOutput,
-        close: Timestamp,
-    ) -> WindowTask {
+    fn make_task(&self, plan: Arc<LogicalPlan>, rel: WindowOutput, close: Timestamp) -> WindowTask {
         WindowTask {
             plan,
-            input,
+            input: self.input.clone(),
             rel,
             close,
             engine: self.engine.clone(),

@@ -8,23 +8,32 @@
 //! store, so each arriving tuple is folded once regardless of how many
 //! CQs are registered (per-tuple cost O(1) in the number of queries,
 //! which experiment E3 measures). A [`SharedGroup`] is that membership:
-//! the member windows, each member's close cursor, the gcd slice width
-//! across them, and the slowest member's eviction horizon. The slices,
-//! the per-tuple fold and the slice-merge compose are the store's. With
-//! pooling off, or for a window a live store's grid cannot take, the pool
-//! has one member.
+//! the member windows, the gcd slice width across them, the slowest
+//! member's eviction horizon, and what each member owns — its close cursor
+//! and, for a sliding window, its running window view. The slices, the
+//! per-tuple fold, the view's add/retract and the slice merge it is
+//! rebuilt with are the store's. With pooling off, or for a window a live
+//! store's grid cannot take, the pool has one member.
+//!
+//! What a close costs: a member that holds a view pays for the keys of
+//! the slices that enter and leave its window and the rows it emits, not
+//! for VISIBLE ÷ width slices. A view is (re)built at the member's first
+//! close and after [`SharedRegistry::resume_after`]; tumbling members and
+//! stores with float sums keep none ([`IvmState::close_window`]).
 //!
 //! Ownership: a [`SharedRegistry`] is the set of stores reading one base
 //! stream. The engine keeps it by value in that stream's runtime, under
 //! the shard lock that already covers the stream's reorder buffer and CQs
 //! — a store has no lock of its own, and a member CQ holds only its
 //! [`Slot`]. One call, [`SharedRegistry::advance`], takes a batch (or a
-//! heartbeat: no tuples and a time bound) through fold → close → evict
-//! for every store and every member.
+//! heartbeat: no tuples and a time bound) through fold → close (add →
+//! emit → retract) → evict for every store and every member.
 
 use std::collections::{BTreeMap, HashMap};
 
-use streamrel_ivm::{gcd, lower_with, IvmProgram, IvmShape, IvmState, Lowering, WindowOutput};
+use streamrel_ivm::{
+    gcd, lower_with, IvmProgram, IvmShape, IvmState, Lowering, WindowOutput, WindowView,
+};
 use streamrel_sql::plan::LogicalPlan;
 use streamrel_types::{Error, Interval, Result, Row, Timestamp};
 
@@ -87,8 +96,7 @@ pub fn place(
     }
 }
 
-/// Registered window requirements of one member query.
-#[derive(Debug, Clone, Copy)]
+/// Registered window requirements of one member query, and where it stands.
 struct Member {
     visible: Interval,
     advance: Interval,
@@ -98,6 +106,8 @@ struct Member {
     /// heartbeat alone never does); [`SharedRegistry::resume_after`]
     /// re-aligns it.
     next_close: Option<Timestamp>,
+    /// What a sliding member carries from one close to the next.
+    view: Option<WindowView>,
 }
 
 /// Identifier of a member within its group.
@@ -139,6 +149,7 @@ impl SharedGroup {
             visible,
             advance,
             next_close: None,
+            view: None,
         }));
         Ok(self.members.len() - 1)
     }
@@ -146,7 +157,8 @@ impl SharedGroup {
     /// Remove a member: its window no longer pins the eviction horizon.
     /// Returns true when it was the last one — the store is then empty.
     pub fn leave(&mut self, member: MemberId) -> bool {
-        self.members[member] = None;
+        let left = self.members[member].take();
+        self.store.forget(left.and_then(|m| m.view));
         self.evict();
         self.members.iter().all(Option::is_none)
     }
@@ -166,29 +178,27 @@ impl SharedGroup {
         self.store.compose(close - m.visible, close)
     }
 
-    /// Fold a batch of stream tuples (CQTIME order), then close every
-    /// window of every member due at the batch's newest timestamp or at
-    /// `bound` (a heartbeat), whichever is later, adding each to `out` in
-    /// close order under slot `(id, member)`; finally evict what no member
-    /// can reach. Composing after the fold is safe: closes are slice
-    /// boundaries, so a tuple at `ts >= close` lands in a slice outside
-    /// the `[close - visible, close)` range.
+    /// Fold a batch of stream tuples (CQTIME order, `first` its oldest
+    /// timestamp), then close every window of every member due at `upto` —
+    /// the batch's newest timestamp or a heartbeat's bound, whichever is
+    /// later — adding each to `out` in close order under slot `(id,
+    /// member)`; finally evict what no member can reach. Closing after the
+    /// fold is safe: a tuple at `ts >= close` lands in a slice outside
+    /// `[close - visible, close)`, and the slices below a close are sealed
+    /// (the stream admits no tuple older than one it has taken).
     fn advance(
         &mut self,
         id: StoreId,
         rows: &[Row],
-        bound: Option<Timestamp>,
+        first: Option<Timestamp>,
+        upto: Option<Timestamp>,
         out: &mut Advanced,
     ) -> Result<()> {
-        let before = self.store.delta_rows();
+        let before = (self.store.delta_rows(), self.store.merges());
         let folded = rows.iter().try_for_each(|r| self.store.on_tuple(r));
-        out.delta_rows += self.store.delta_rows() - before;
+        out.delta_rows += self.store.delta_rows() - before.0;
         folded?;
-        // The fold proved every row carries a timestamp.
-        let cqtime = self.store.shape().prefix().cqtime;
-        let ts_of = |r: &Row| r.get(cqtime).and_then(|v| v.as_timestamp().ok());
-        let first = rows.first().and_then(ts_of);
-        let Some(upto) = rows.iter().filter_map(ts_of).max().max(bound) else {
+        let Some(upto) = upto else {
             return Ok(());
         };
         for (member, m) in self.members.iter_mut().enumerate() {
@@ -200,14 +210,17 @@ impl SharedGroup {
                 continue;
             };
             while *close <= upto {
-                let window = self.store.compose(*close - m.visible, *close)?;
+                let w = self
+                    .store
+                    .close_window(&mut m.view, m.visible, m.advance, *close)?;
                 out.closed
                     .entry((id, member))
                     .or_default()
-                    .push((*close, window));
+                    .push((*close, w));
                 *close += m.advance;
             }
         }
+        out.merges += self.store.merges() - before.1;
         self.evict();
         out.bytes += self.settle_bytes();
         Ok(())
@@ -250,6 +263,8 @@ pub type Slot = (StoreId, MemberId);
 pub struct Advanced {
     /// Tuples folded, summed over stores (the `ivm.delta.rows` counter).
     pub delta_rows: u64,
+    /// Key partials closes merged (the `ivm.compose.merges` counter).
+    pub merges: u64,
     /// Change in bytes held across stores (the `ivm.state.bytes` gauge).
     pub bytes: i64,
     /// The windows that closed, per member, in close order.
@@ -333,9 +348,18 @@ impl SharedRegistry {
         bound: Option<Timestamp>,
         out: &mut Advanced,
     ) -> Result<()> {
+        // Every store reads this one stream, in CQTIME order: the batch's
+        // oldest and newest timestamps are its first and last rows'.
+        let Some(any) = self.stores.values().next() else {
+            return Ok(());
+        };
+        let cqtime = any.store.shape().prefix().cqtime;
+        let ts_of = |r: &Row| r.get(cqtime).and_then(|v| v.as_timestamp().ok());
+        let first = rows.first().and_then(ts_of);
+        let upto = rows.last().and_then(ts_of).max(bound);
         self.stores
             .iter_mut()
-            .try_for_each(|(id, store)| store.advance(*id, rows, bound, out))
+            .try_for_each(|(id, store)| store.advance(*id, rows, first, upto, out))
     }
 
     /// Slice width of the live pooled store `program` would join, when
@@ -477,7 +501,10 @@ mod tests {
     /// Closes `advance` emits, as `(member, close)` in member × close order.
     fn closes(g: &mut SharedGroup, rows: &[Row], bound: Option<Timestamp>) -> Vec<(usize, i64)> {
         let mut out = Advanced::default();
-        g.advance(0, rows, bound, &mut out).unwrap();
+        let ts_of = |r: &Row| r[1].as_timestamp().unwrap();
+        let (first, last) = (rows.first().map(ts_of), rows.last().map(ts_of));
+        g.advance(0, rows, first, last.max(bound), &mut out)
+            .unwrap();
         let mut closes: Vec<_> = out
             .closed
             .iter()

@@ -5,10 +5,15 @@
 //! paper's shared "Jellybean" processing (§2.2, refs [4, 12]): the CQ layer
 //! keeps one partial accumulator per time slice and composes windows by
 //! merging slices, instead of re-aggregating raw rows per window per query.
+//!
+//! A sliding window keeps the *merged* state across closes
+//! ([`Accumulator::running`]): `merge` adds the partial of the slice that
+//! enters, [`Accumulator::retract`] takes the one that leaves back out.
 
-use std::collections::HashSet;
+use std::cmp::Ordering::{Greater, Less};
+use std::collections::{HashMap, VecDeque};
 
-use streamrel_types::{Error, Result, Value};
+use streamrel_types::{DataType, Error, Result, Value};
 
 use streamrel_sql::plan::{AggFunc, AggSpec};
 
@@ -16,9 +21,10 @@ use streamrel_sql::plan::{AggFunc, AggSpec};
 #[derive(Debug, Clone)]
 enum State {
     Count(i64),
+    /// `n` counts non-NULL inputs: retracted to zero, the sum is NULL again.
     SumInt {
         sum: i64,
-        any: bool,
+        n: i64,
     },
     SumFloat {
         sum: f64,
@@ -39,10 +45,78 @@ enum State {
         best: Option<Value>,
         is_min: bool,
     },
-    Distinct {
-        seen: HashSet<Value>,
-        func: AggFunc,
-    },
+    MinMaxRun(Box<Runs>),
+    Distinct(Box<DistinctSet>),
+}
+
+/// The values a DISTINCT aggregate has seen: value → (merged partials that
+/// hold it, first-seen rank). The count lets a partial be retracted, the
+/// rank lets `finish` add in first-seen order however the map iterates.
+#[derive(Debug, Clone)]
+struct DistinctSet {
+    seen: HashMap<Value, (u32, u64)>,
+    /// Rank the next unseen value takes.
+    next: u64,
+    func: AggFunc,
+}
+
+/// Running MIN/MAX over the partials merged and not yet retracted: the
+/// sliding-window-minimum deque. An entry is a candidate and the partials it
+/// stands for (its own and the worse ones before it); the front is the
+/// answer, and the earliest of equal values.
+#[derive(Debug, Clone)]
+struct Runs {
+    runs: VecDeque<(Option<Value>, u32)>,
+    is_min: bool,
+}
+
+impl Runs {
+    fn push(&mut self, new: &Option<Value>) {
+        let mut stands_for = 1;
+        while let Some((old, n)) = self.runs.back_mut() {
+            match (new, &*old) {
+                (Some(v), Some(o)) if identical(v, o) => {
+                    *n += stands_for;
+                    return;
+                }
+                (Some(v), Some(o)) if !beats(self.is_min, v, o) => break,
+                (None, Some(_)) => break,
+                _ => {
+                    stands_for += *n;
+                    self.runs.pop_back();
+                }
+            }
+        }
+        self.runs.push_back((new.clone(), stands_for));
+    }
+
+    fn best(&self) -> Option<&Value> {
+        self.runs.front().and_then(|(v, _)| v.as_ref())
+    }
+}
+
+/// Strictly better, so of equal values the first seen stays.
+fn beats(is_min: bool, new: &Value, old: &Value) -> bool {
+    let wanted = if is_min { Less } else { Greater };
+    new.sort_cmp(old) == wanted
+}
+
+fn offer(best: &mut Option<Value>, is_min: bool, v: &Value) {
+    if best.as_ref().is_none_or(|b| beats(is_min, v, b)) {
+        *best = Some(v.clone());
+    }
+}
+
+/// Equal *and* spelled alike (`0.0` equals `-0.0` and `1` equals `1.0`).
+fn identical(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        _ => std::mem::discriminant(a) == std::mem::discriminant(b) && a == b,
+    }
+}
+
+fn float_arg(spec: &AggSpec) -> bool {
+    matches!(spec.arg.as_ref().map(|a| a.ty()), Some(DataType::Float))
 }
 
 /// A running aggregate computation.
@@ -54,25 +128,43 @@ pub struct Accumulator {
 impl Accumulator {
     /// Fresh accumulator for an aggregate spec.
     pub fn new(spec: &AggSpec) -> Accumulator {
-        Accumulator::for_func(
-            spec.func,
-            spec.distinct,
-            spec.arg.is_some() && {
-                matches!(
-                    spec.arg.as_ref().map(|a| a.ty()),
-                    Some(streamrel_types::DataType::Float)
-                )
-            },
-        )
+        Accumulator::for_func(spec.func, spec.distinct, float_arg(spec))
+    }
+
+    /// Fresh accumulator for the merged state a sliding window keeps. It
+    /// differs from [`Accumulator::new`] for MIN/MAX, whose single best
+    /// value cannot forget: it takes whole partials, not inputs.
+    pub fn running(spec: &AggSpec) -> Accumulator {
+        match Accumulator::new(spec).state {
+            State::MinMax { is_min, .. } => {
+                let runs = VecDeque::new();
+                let state = State::MinMaxRun(Box::new(Runs { runs, is_min }));
+                Accumulator { state }
+            }
+            state => Accumulator { state },
+        }
+    }
+
+    /// Whether [`Accumulator::retract`] is exact for `spec`. Not for float
+    /// SUM/AVG and VARIANCE/STDDEV: subtract-on-evict float sums drift
+    /// without bound in a query that never ends. (AVG over integers sums
+    /// exactly representable values, like its merge.)
+    pub fn has_inverse(spec: &AggSpec) -> bool {
+        match spec.func {
+            AggFunc::Sum | AggFunc::Avg => !float_arg(spec),
+            AggFunc::Variance | AggFunc::Stddev => false,
+            AggFunc::Count | AggFunc::Min | AggFunc::Max => true,
+        }
     }
 
     /// Fresh accumulator by function; `float_arg` selects float summation.
     pub fn for_func(func: AggFunc, distinct: bool, float_arg: bool) -> Accumulator {
         let state = if distinct {
-            State::Distinct {
-                seen: HashSet::new(),
+            State::Distinct(Box::new(DistinctSet {
+                seen: HashMap::new(),
+                next: 0,
                 func,
-            }
+            }))
         } else {
             match func {
                 AggFunc::Count => State::Count(0),
@@ -80,27 +172,17 @@ impl Accumulator {
                     sum: 0.0,
                     any: false,
                 },
-                AggFunc::Sum => State::SumInt { sum: 0, any: false },
+                AggFunc::Sum => State::SumInt { sum: 0, n: 0 },
                 AggFunc::Avg => State::Avg { sum: 0.0, n: 0 },
-                AggFunc::Variance => State::Var {
+                AggFunc::Variance | AggFunc::Stddev => State::Var {
                     n: 0,
                     sum: 0.0,
                     sumsq: 0.0,
-                    stddev: false,
+                    stddev: func == AggFunc::Stddev,
                 },
-                AggFunc::Stddev => State::Var {
-                    n: 0,
-                    sum: 0.0,
-                    sumsq: 0.0,
-                    stddev: true,
-                },
-                AggFunc::Min => State::MinMax {
+                AggFunc::Min | AggFunc::Max => State::MinMax {
                     best: None,
-                    is_min: true,
-                },
-                AggFunc::Max => State::MinMax {
-                    best: None,
-                    is_min: false,
+                    is_min: func == AggFunc::Min,
                 },
             }
         };
@@ -110,64 +192,46 @@ impl Accumulator {
     /// Fold one input value in. `None` means a `count(*)` row (no
     /// argument); `Some(Null)` is skipped per SQL aggregate semantics.
     pub fn update(&mut self, arg: Option<&Value>) -> Result<()> {
-        match (&mut self.state, arg) {
-            (State::Count(n), None) => *n += 1,
-            (State::Count(n), Some(v)) => {
-                if !v.is_null() {
-                    *n += 1;
-                }
-            }
-            (_, None) => {
+        let Some(v) = arg else {
+            let State::Count(n) = &mut self.state else {
                 return Err(Error::analysis("aggregate requires an argument"));
+            };
+            *n += 1;
+            return Ok(());
+        };
+        if v.is_null() {
+            return Ok(());
+        }
+        match &mut self.state {
+            State::Count(n) => *n += 1,
+            State::SumInt { sum, n } => {
+                *sum = sum
+                    .checked_add(v.as_int()?)
+                    .ok_or_else(|| Error::Arithmetic("sum() integer overflow".into()))?;
+                *n += 1;
             }
-            (State::SumInt { sum, any }, Some(v)) => {
-                if !v.is_null() {
-                    *sum = sum
-                        .checked_add(v.as_int()?)
-                        .ok_or_else(|| Error::Arithmetic("sum() integer overflow".into()))?;
-                    *any = true;
-                }
+            State::SumFloat { sum, any } => {
+                *sum += v.as_float()?;
+                *any = true;
             }
-            (State::SumFloat { sum, any }, Some(v)) => {
-                if !v.is_null() {
-                    *sum += v.as_float()?;
-                    *any = true;
-                }
+            State::Avg { sum, n } => {
+                *sum += v.as_float()?;
+                *n += 1;
             }
-            (State::Avg { sum, n }, Some(v)) => {
-                if !v.is_null() {
-                    *sum += v.as_float()?;
-                    *n += 1;
-                }
+            State::Var { n, sum, sumsq, .. } => {
+                let x = v.as_float()?;
+                *n += 1;
+                *sum += x;
+                *sumsq += x * x;
             }
-            (State::Var { n, sum, sumsq, .. }, Some(v)) => {
-                if !v.is_null() {
-                    let x = v.as_float()?;
-                    *n += 1;
-                    *sum += x;
-                    *sumsq += x * x;
-                }
+            State::MinMax { best, is_min } => offer(best, *is_min, v),
+            State::MinMaxRun(_) => {
+                return Err(Error::analysis("a running min/max takes whole partials"))
             }
-            (State::MinMax { best, is_min }, Some(v)) => {
-                if !v.is_null() {
-                    let replace = match best {
-                        None => true,
-                        Some(b) => {
-                            if *is_min {
-                                v.sort_cmp(b).is_lt()
-                            } else {
-                                v.sort_cmp(b).is_gt()
-                            }
-                        }
-                    };
-                    if replace {
-                        *best = Some(v.clone());
-                    }
-                }
-            }
-            (State::Distinct { seen, .. }, Some(v)) => {
-                if !v.is_null() {
-                    seen.insert(v.clone());
+            State::Distinct(d) => {
+                if !d.seen.contains_key(v) {
+                    d.seen.insert(v.clone(), (1, d.next));
+                    d.next += 1;
                 }
             }
         }
@@ -178,11 +242,11 @@ impl Accumulator {
     pub fn merge(&mut self, other: &Accumulator) -> Result<()> {
         match (&mut self.state, &other.state) {
             (State::Count(a), State::Count(b)) => *a += b,
-            (State::SumInt { sum: a, any: aa }, State::SumInt { sum: b, any: ba }) => {
+            (State::SumInt { sum: a, n: an }, State::SumInt { sum: b, n: bn }) => {
                 *a = a
                     .checked_add(*b)
                     .ok_or_else(|| Error::Arithmetic("sum() integer overflow".into()))?;
-                *aa |= ba;
+                *an += bn;
             }
             (State::SumFloat { sum: a, any: aa }, State::SumFloat { sum: b, any: ba }) => {
                 *a += b;
@@ -210,31 +274,67 @@ impl Accumulator {
                 *asum += bsum;
                 *asq += bsq;
             }
-            (State::MinMax { best: a, is_min }, State::MinMax { best: b, .. }) => {
-                if let Some(bv) = b {
-                    let replace = match a {
-                        None => true,
-                        Some(av) => {
-                            if *is_min {
-                                bv.sort_cmp(av).is_lt()
-                            } else {
-                                bv.sort_cmp(av).is_gt()
-                            }
-                        }
-                    };
-                    if replace {
-                        *a = Some(bv.clone());
-                    }
-                }
+            (State::MinMax { best: a, is_min }, State::MinMax { best: Some(b), .. }) => {
+                offer(a, *is_min, b)
             }
-            (State::Distinct { seen: a, .. }, State::Distinct { seen: b, .. }) => {
-                a.extend(b.iter().cloned());
+            (State::MinMax { .. }, State::MinMax { best: None, .. }) => {}
+            // Reading a running state out as a plain partial.
+            (State::MinMax { best: a, is_min }, State::MinMaxRun(r)) => {
+                r.best().into_iter().for_each(|b| offer(a, *is_min, b))
+            }
+            (State::MinMaxRun(r), State::MinMax { best, .. }) => r.push(best),
+            (State::Distinct(a), State::Distinct(b)) => {
+                let a = &mut **a;
+                for (v, (n, rank)) in &b.seen {
+                    a.seen.entry(v.clone()).or_insert((0, a.next + rank)).0 += n;
+                }
+                a.next += b.next;
             }
             _ => {
                 return Err(Error::analysis(
                     "cannot merge accumulators of different kinds",
                 ))
             }
+        }
+        Ok(())
+    }
+
+    /// Take a partial that was merged into this state back out — exact
+    /// where [`Accumulator::has_inverse`] says so. Partials leave in the
+    /// order they were merged (a running MIN/MAX forgets its oldest).
+    pub fn retract(&mut self, leaving: &Accumulator) -> Result<()> {
+        match (&mut self.state, &leaving.state) {
+            (State::Count(a), State::Count(b)) => *a -= b,
+            (State::SumInt { sum: a, n: an }, State::SumInt { sum: b, n: bn }) => {
+                *a = a
+                    .checked_sub(*b)
+                    .ok_or_else(|| Error::Arithmetic("sum() integer overflow".into()))?;
+                *an -= bn;
+            }
+            (State::Avg { sum: a, n: an }, State::Avg { sum: b, n: bn }) => {
+                *a -= b;
+                *an -= bn;
+            }
+            (State::MinMaxRun(r), State::MinMax { .. }) => {
+                if let Some((_, n)) = r.runs.front_mut() {
+                    *n -= 1;
+                    if *n == 0 {
+                        r.runs.pop_front();
+                    }
+                }
+            }
+            (State::Distinct(a), State::Distinct(b)) => {
+                for (v, (n, _)) in &b.seen {
+                    let gone = a.seen.get_mut(v).is_some_and(|e| {
+                        e.0 = e.0.saturating_sub(*n);
+                        e.0 == 0
+                    });
+                    if gone {
+                        a.seen.remove(v);
+                    }
+                }
+            }
+            _ => return Err(Error::analysis("aggregate state has no exact inverse")),
         }
         Ok(())
     }
@@ -261,7 +361,7 @@ impl Accumulator {
                 *sum *= m as f64;
                 *sumsq *= m as f64;
             }
-            State::MinMax { .. } | State::Distinct { .. } => {}
+            State::MinMax { .. } | State::MinMaxRun(_) | State::Distinct(_) => {}
         }
         Ok(())
     }
@@ -271,8 +371,8 @@ impl Accumulator {
     pub fn finish(&self) -> Value {
         match &self.state {
             State::Count(n) => Value::Int(*n),
-            State::SumInt { sum, any } => {
-                if *any {
+            State::SumInt { sum, n } => {
+                if *n > 0 {
                     Value::Int(*sum)
                 } else {
                     Value::Null
@@ -307,69 +407,30 @@ impl Accumulator {
                 }
             }
             State::MinMax { best, .. } => best.clone().unwrap_or(Value::Null),
-            State::Distinct { seen, func } => match func {
-                AggFunc::Count => Value::Int(seen.len() as i64),
-                AggFunc::Sum => {
-                    if seen.is_empty() {
-                        return Value::Null;
-                    }
-                    let mut int_sum = 0i64;
-                    let mut float_sum = 0.0f64;
-                    let mut is_float = false;
-                    for v in seen {
-                        match v {
-                            Value::Int(i) => {
-                                int_sum = int_sum.wrapping_add(*i);
-                                float_sum += *i as f64;
-                            }
-                            Value::Float(f) => {
-                                is_float = true;
-                                float_sum += f;
-                            }
-                            _ => return Value::Null,
-                        }
-                    }
-                    if is_float {
-                        Value::Float(float_sum)
-                    } else {
-                        Value::Int(int_sum)
-                    }
-                }
-                AggFunc::Avg => {
-                    if seen.is_empty() {
-                        Value::Null
-                    } else {
-                        let sum: f64 = seen.iter().filter_map(|v| v.as_float().ok()).sum();
-                        Value::Float(sum / seen.len() as f64)
-                    }
-                }
-                AggFunc::Variance | AggFunc::Stddev => {
-                    if seen.len() < 2 {
-                        return Value::Null;
-                    }
-                    let xs: Vec<f64> = seen.iter().filter_map(|v| v.as_float().ok()).collect();
-                    let n = xs.len() as f64;
-                    let sum: f64 = xs.iter().sum();
-                    let sumsq: f64 = xs.iter().map(|x| x * x).sum();
-                    let var = ((sumsq - sum * sum / n) / (n - 1.0)).max(0.0);
-                    Value::Float(if *func == AggFunc::Stddev {
-                        var.sqrt()
-                    } else {
-                        var
-                    })
-                }
-                AggFunc::Min => seen
-                    .iter()
-                    .min_by(|a, b| a.sort_cmp(b))
-                    .cloned()
-                    .unwrap_or(Value::Null),
-                AggFunc::Max => seen
-                    .iter()
-                    .max_by(|a, b| a.sort_cmp(b))
-                    .cloned()
-                    .unwrap_or(Value::Null),
-            },
+            State::MinMaxRun(r) => r.best().cloned().unwrap_or(Value::Null),
+            State::Distinct(d) => d.finish(),
         }
+    }
+}
+
+impl DistinctSet {
+    /// DISTINCT is "dedupe, then aggregate": the plain aggregate over the
+    /// values in first-seen order — float addition is not associative, and
+    /// the map iterates in an order of its own.
+    fn finish(&self) -> Value {
+        if self.func == AggFunc::Count {
+            return Value::Int(self.seen.len() as i64);
+        }
+        let mut vals: Vec<(u64, &Value)> = self.seen.iter().map(|(v, e)| (e.1, v)).collect();
+        vals.sort_unstable_by_key(|(rank, _)| *rank);
+        let float = vals.iter().any(|(_, v)| matches!(v, Value::Float(_)));
+        let mut plain = Accumulator::for_func(self.func, false, float);
+        for (_, v) in vals {
+            if plain.update(Some(v)).is_err() {
+                return Value::Null;
+            }
+        }
+        plain.finish()
     }
 }
 
@@ -530,6 +591,166 @@ mod tests {
         let mut a = acc(AggFunc::Count);
         let b = acc(AggFunc::Sum);
         assert!(a.merge(&b).is_err());
+    }
+
+    #[test]
+    fn distinct_float_finish_is_first_seen_order() {
+        // Float addition is not associative and a hash map iterates in a
+        // per-instance order: every accumulator fed the same values must
+        // still finish with the same bits — the left-to-right sum.
+        let xs = [0.1, 0.2, 0.3, 1e16, -1e16, 0.7, 1e-3, 3.3, 1e15, 7.77];
+        for func in [
+            AggFunc::Sum,
+            AggFunc::Avg,
+            AggFunc::Variance,
+            AggFunc::Stddev,
+        ] {
+            let finish = |split: usize| {
+                let mut a = Accumulator::for_func(func, true, true);
+                let mut b = Accumulator::for_func(func, true, true);
+                for x in &xs[..split] {
+                    a.update(Some(&Value::Float(*x))).unwrap();
+                }
+                for x in &xs[split..] {
+                    b.update(Some(&Value::Float(*x))).unwrap();
+                }
+                a.merge(&b).unwrap();
+                match a.finish() {
+                    Value::Float(f) => f.to_bits(),
+                    other => panic!("{func:?}: {other:?}"),
+                }
+            };
+            let want = finish(xs.len());
+            for i in 0..50 {
+                assert_eq!(finish(i % xs.len()), want, "{func:?}, accumulator {i}");
+            }
+            if func == AggFunc::Sum {
+                let in_order = xs.iter().fold(0.0f64, |s, x| s + x);
+                assert_eq!(want, in_order.to_bits());
+            }
+        }
+    }
+
+    /// One partial per slice, built the way a slice store builds it.
+    fn partial(spec: &AggSpec, vals: &[Value]) -> Accumulator {
+        let mut a = Accumulator::new(spec);
+        for v in vals {
+            a.update(spec.arg.as_ref().map(|_| v)).unwrap();
+        }
+        a
+    }
+
+    #[test]
+    fn running_state_slides_like_a_fresh_merge() {
+        use streamrel_sql::plan::BoundExpr;
+        use streamrel_types::DataType;
+        // Slices with ties, NULLs, an all-NULL slice and an empty one;
+        // `0.0`/`-0.0` and repeated extremes exercise first-seen ties.
+        let slices: Vec<Vec<Value>> = [
+            vec![5.0, 3.0, 9.0],
+            vec![],
+            vec![3.0, f64::NAN],
+            vec![f64::NAN],
+            vec![-0.0, 7.0],
+            vec![0.0, 7.0],
+            vec![0.0],
+            vec![9.0, 9.0, 1.0],
+            vec![2.0],
+            vec![2.0, 8.0],
+        ]
+        .iter()
+        .map(|s| {
+            s.iter()
+                .map(|x| {
+                    if x.is_nan() {
+                        Value::Null
+                    } else {
+                        Value::Float(*x)
+                    }
+                })
+                .collect()
+        })
+        .collect();
+        let as_int = |s: &Vec<Value>| -> Vec<Value> {
+            s.iter()
+                .map(|v| v.as_float().map_or(Value::Null, |f| Value::Int(f as i64)))
+                .collect()
+        };
+        let arg = |ty| Some(BoundExpr::Column { index: 0, ty });
+        let mut specs = Vec::new();
+        for func in [
+            AggFunc::Count,
+            AggFunc::Sum,
+            AggFunc::Avg,
+            AggFunc::Min,
+            AggFunc::Max,
+        ] {
+            for distinct in [false, true] {
+                specs.push(AggSpec {
+                    func,
+                    arg: arg(DataType::Int),
+                    distinct,
+                    name: "a".into(),
+                    ty: DataType::Int,
+                });
+            }
+        }
+        for func in [AggFunc::Count, AggFunc::Min, AggFunc::Max] {
+            specs.push(AggSpec {
+                func,
+                arg: arg(DataType::Float),
+                distinct: false,
+                name: "a".into(),
+                ty: DataType::Float,
+            });
+        }
+        specs.push(AggSpec {
+            func: AggFunc::Count,
+            arg: None,
+            distinct: false,
+            name: "a".into(),
+            ty: DataType::Int,
+        });
+        for spec in &specs {
+            assert!(Accumulator::has_inverse(spec));
+            let float = spec.arg.as_ref().is_some_and(|a| a.ty() == DataType::Float);
+            let partials: Vec<Accumulator> = slices
+                .iter()
+                .map(|s| partial(spec, &if float { s.clone() } else { as_int(s) }))
+                .collect();
+            for width in 1..=4 {
+                let mut run = Accumulator::running(spec);
+                for hi in 0..partials.len() {
+                    run.merge(&partials[hi]).unwrap();
+                    let lo = (hi + 1).saturating_sub(width);
+                    let mut fresh = Accumulator::new(spec);
+                    for p in &partials[lo..=hi] {
+                        fresh.merge(p).unwrap();
+                    }
+                    let want = format!("{:?}", fresh.finish());
+                    assert_eq!(format!("{:?}", run.finish()), want, "{spec:?} {lo}..={hi}");
+                    // Read out as a plain partial (the join path).
+                    let mut plain = Accumulator::new(spec);
+                    plain.merge(&run).unwrap();
+                    assert_eq!(format!("{:?}", plain.finish()), want);
+                    if hi + 1 >= width {
+                        run.retract(&partials[lo]).unwrap();
+                    }
+                }
+            }
+        }
+        // Float sums and variances have no exact inverse.
+        let mut spec = specs[2].clone();
+        spec.arg = arg(DataType::Float);
+        assert!(!Accumulator::has_inverse(&spec));
+        spec.func = AggFunc::Variance;
+        spec.arg = arg(DataType::Int);
+        assert!(!Accumulator::has_inverse(&spec));
+        let mut var = acc(AggFunc::Variance);
+        assert!(var.retract(&acc(AggFunc::Variance)).is_err());
+        // A slice partial is three words: slices hold one per key per
+        // aggregate, so the set and deque states stay boxed.
+        assert!(std::mem::size_of::<Accumulator>() <= 32);
     }
 
     #[test]

@@ -41,4 +41,4 @@ pub use lower::{
     lower, lower_with, AggShape, IvmProgram, IvmShape, JoinShape, Lowering, RowOp, StreamPrefix,
     IVM_INPUT,
 };
-pub use state::{gcd, IvmState, JoinDelta, WindowOutput};
+pub use state::{gcd, IvmState, JoinDelta, WindowOutput, WindowView};

@@ -117,6 +117,14 @@ impl IvmShape {
         }
     }
 
+    /// The aggregates kept per key (none for DISTINCT).
+    pub fn aggs(&self) -> &[AggSpec] {
+        match self {
+            IvmShape::Agg { agg, .. } | IvmShape::JoinAgg { agg, .. } => &agg.aggs,
+            IvmShape::Distinct { .. } => &[],
+        }
+    }
+
     /// Anchor output schema: what a composed window relation carries.
     pub fn schema(&self) -> &SchemaRef {
         match self {

@@ -5,29 +5,40 @@
 //! its slice: accumulator partials in first-seen key order, where the key
 //! is the group key (aggregates), the join key followed by the group key
 //! (stream-table join aggregates), or the whole row with no accumulators
-//! (DISTINCT). A window close composes the covered slices by *merging
-//! partials*, so its cost is proportional to the number of distinct keys
-//! touched since the previous close (the delta), not to the number of
-//! buffered rows — and N windows over one store cost one fold per tuple,
-//! the paper's "Jellybean processing" (§2.2).
+//! (DISTINCT). N windows over one store cost one fold per tuple, the
+//! paper's "Jellybean processing" (§2.2).
 //!
-//! Order exactness: tuples reach the store in CQTIME order (the reorder
-//! buffer sits upstream), slices are contiguous time ranges, and each
-//! slice records first-seen key order — so walking slices in time order
-//! and keys in slice order reproduces the *global* first-seen order that
+//! What a close costs. A sliding member keeps its *running window view*
+//! ([`WindowView`]) and [`IvmState::close_window`] slides it: add the
+//! sealed slices that entered, emit, retract the slices that leave — work
+//! proportional to the keys of those slices plus the rows emitted,
+//! whatever VISIBLE ÷ width is. The stateless slice merge
+//! ([`IvmState::compose`]) is the *rebuild* primitive where nothing can be
+//! carried: `VISIBLE <= ADVANCE` (every tumbling window) and partials
+//! without an exact inverse (float SUM/AVG, VARIANCE/STDDEV). The view
+//! relies on slices being *sealed* — once a close has passed a slice no
+//! tuple is folded into it — which the engine enforces upstream, with one
+//! ordering rule per stream.
+//!
+//! Order exactness: tuples reach the store in CQTIME order, slices are
+//! contiguous time ranges, and each slice records first-seen key order —
+//! so walking slices in time order and keys in slice order (a merge), or
+//! sorting keys by the `(slice, position)` stamp of the first live slice
+//! that holds them (a view), reproduces the *global* first-seen order that
 //! re-evaluation's hash aggregate produces. That argument, plus the
 //! lowering pass's exactness predicate, is what makes a store's output
 //! byte-identical to re-evaluation.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use streamrel_exec::expr::{eval, eval_predicate, EvalContext};
 use streamrel_exec::{Accumulator, RelationSource};
-use streamrel_sql::plan::{AggSpec, BoundExpr, SchemaRef};
+use streamrel_sql::plan::BoundExpr;
 use streamrel_types::{Error, Relation, Result, Row, Timestamp, Value};
 
-use crate::lower::{IvmProgram, IvmShape, RowOp};
+use crate::lower::{AggShape, IvmProgram, IvmShape, JoinShape, RowOp};
 
 /// Result of composing a window from slices.
 pub enum WindowOutput {
@@ -57,18 +68,11 @@ impl WindowOutput {
 /// The join-aggregate delta staged for one window close: slice-merged
 /// partials keyed by join key, finalized against a table snapshot.
 pub struct JoinDelta {
-    table: String,
-    table_filter: Option<BoundExpr>,
-    right_key: Vec<BoundExpr>,
-    index_column: Option<String>,
+    join: JoinShape,
+    agg: AggShape,
     /// `(join key, group key, merged partials)` in global first-seen
     /// pair order.
     entries: Vec<(Vec<Value>, Vec<Value>, Vec<Accumulator>)>,
-    aggs: Vec<AggSpec>,
-    schema: SchemaRef,
-    /// Global aggregate (no GROUP BY): an empty result emits a defaults
-    /// row, like re-evaluation's aggregate over an empty join.
-    global: bool,
 }
 
 impl JoinDelta {
@@ -90,23 +94,24 @@ impl JoinDelta {
     /// match — the same order the re-evaluated hash aggregate sees.
     pub fn finalize(&self, source: &dyn RelationSource) -> Result<Relation> {
         let ectx = EvalContext::default();
+        let join = &self.join;
         let mut counts: HashMap<Vec<Value>, i64> = HashMap::new();
-        let indexed = match &self.index_column {
+        let indexed = match &join.index_column {
             // Probe-with-NULL is the engine's "does an index exist" idiom
             // (see try_index_join); NULL never matches any key.
             Some(col) => source
-                .index_lookup(&self.table, col, &Value::Null)?
+                .index_lookup(&join.table, col, &Value::Null)?
                 .is_some(),
             None => false,
         };
         if indexed {
-            let col = self.index_column.as_deref().unwrap_or_default();
+            let col = join.index_column.as_deref().unwrap_or_default();
             for (jk, _, _) in &self.entries {
                 if counts.contains_key(jk) {
                     continue;
                 }
                 let candidates = source
-                    .index_lookup(&self.table, col, &jk[0])?
+                    .index_lookup(&join.table, col, &jk[0])?
                     .unwrap_or_default();
                 let mut m = 0i64;
                 for row in &candidates {
@@ -117,14 +122,14 @@ impl JoinDelta {
                 counts.insert(jk.clone(), m);
             }
         } else {
-            let rel = source.scan_table(&self.table)?;
+            let rel = source.scan_table(&join.table)?;
             for row in rel.rows() {
-                if let Some(f) = &self.table_filter {
+                if let Some(f) = &join.table_filter {
                     if !eval_predicate(f, row, &ectx)? {
                         continue;
                     }
                 }
-                let rk: Vec<Value> = self
+                let rk: Vec<Value> = join
                     .right_key
                     .iter()
                     .map(|e| eval(e, row, &ectx))
@@ -148,16 +153,16 @@ impl JoinDelta {
             }
             merged.add(gk, Cow::Owned(scaled))?;
         }
-        Ok(merged.into_relation(&self.schema, &self.aggs, self.global))
+        Ok(agg_relation(&self.agg, merged.into_entries()))
     }
 
     fn row_matches(&self, row: &Row, jk: &[Value], ectx: &EvalContext) -> Result<bool> {
-        if let Some(f) = &self.table_filter {
+        if let Some(f) = &self.join.table_filter {
             if !eval_predicate(f, row, ectx)? {
                 return Ok(false);
             }
         }
-        for (e, want) in self.right_key.iter().zip(jk) {
+        for (e, want) in self.join.right_key.iter().zip(jk) {
             let got = eval(e, row, ectx)?;
             if got.is_null() || got != *want {
                 return Ok(false);
@@ -176,6 +181,10 @@ struct Merged<'a> {
     order: Vec<&'a [Value]>,
 }
 
+/// A key and its aggregate state at a close: owned plain partials from a
+/// merge, borrowed running state from a view.
+type Entry<'a> = (&'a [Value], Cow<'a, [Accumulator]>);
+
 impl<'a> Merged<'a> {
     fn add(&mut self, key: &'a [Value], partial: Cow<'_, [Accumulator]>) -> Result<()> {
         match self.partials.get_mut(key) {
@@ -193,32 +202,36 @@ impl<'a> Merged<'a> {
     }
 
     /// Keys with their merged partials, in first-seen order.
-    fn into_entries(self) -> impl Iterator<Item = (&'a [Value], Vec<Accumulator>)> {
-        let Merged {
-            mut partials,
-            order,
-        } = self;
-        order
-            .into_iter()
-            .map(move |key| (key, partials.remove(key).unwrap_or_default()))
+    fn into_entries(mut self) -> impl Iterator<Item = Entry<'a>> {
+        let order = self.order.into_iter();
+        order.map(move |key| {
+            (
+                key,
+                Cow::Owned(self.partials.remove(key).unwrap_or_default()),
+            )
+        })
     }
+}
 
-    /// Emit `[key..., finished aggregates...]` rows. A `global` aggregate
-    /// (no GROUP BY) over nothing emits the defaults row, exactly as the
-    /// re-evaluated aggregate does.
-    fn into_relation(self, schema: &SchemaRef, aggs: &[AggSpec], global: bool) -> Relation {
-        let mut rel = Relation::empty(schema.clone());
-        if self.order.is_empty() && global {
-            rel.push(aggs.iter().map(|s| Accumulator::new(s).finish()).collect());
-            return rel;
-        }
-        for (key, accs) in self.into_entries() {
-            let mut row: Row = key.to_vec();
-            row.extend(accs.iter().map(Accumulator::finish));
-            rel.push(row);
-        }
-        rel
+/// Emit `[key..., finished aggregates...]` rows in the order given. A
+/// global aggregate (no GROUP BY) over nothing emits the defaults row,
+/// exactly as the re-evaluated aggregate does.
+fn agg_relation<'a>(agg: &AggShape, entries: impl Iterator<Item = Entry<'a>>) -> Relation {
+    let mut rel = Relation::empty(agg.schema.clone());
+    for (key, accs) in entries {
+        let mut row: Row = key.to_vec();
+        row.extend(accs.iter().map(Accumulator::finish));
+        rel.push(row);
     }
+    if rel.is_empty() && agg.group_exprs.is_empty() {
+        rel.push(
+            agg.aggs
+                .iter()
+                .map(|s| Accumulator::new(s).finish())
+                .collect(),
+        );
+    }
+    rel
 }
 
 /// One slice: accumulator partials by key, in first-seen key order.
@@ -226,8 +239,31 @@ impl<'a> Merged<'a> {
 struct Slice {
     /// Approximate heap footprint (state-size accounting).
     bytes: usize,
-    partials: HashMap<Vec<Value>, Vec<Accumulator>>,
-    order: Vec<Vec<Value>>,
+    /// Key → its position in `entries`.
+    index: HashMap<Arc<[Value]>, u32>,
+    /// `(key, partials)` in first-seen order.
+    entries: Vec<(Arc<[Value]>, Vec<Accumulator>)>,
+}
+
+/// One key of a [`WindowView`], over the live slices that hold it.
+struct Live {
+    /// The key as its first live slice spells it: `0.0` and `-0.0` are one
+    /// group, and re-evaluation shows whichever the window saw first.
+    key: Arc<[Value]>,
+    accs: Vec<Accumulator>,
+    /// How many live slices hold the key; at zero it leaves the view.
+    slices: u32,
+    /// `(slice start, position in it)` in the first of them: emit order.
+    stamp: (Timestamp, u32),
+}
+
+/// A member's running window view: the merge of the slices its last
+/// window shares with its next one ([`IvmState::close_window`]).
+#[derive(Default)]
+pub struct WindowView {
+    keys: HashMap<Arc<[Value]>, Live>,
+    /// The close the view last emitted; it carries to `closed + ADVANCE`.
+    closed: Option<Timestamp>,
 }
 
 /// Slice width for one window: the grid on which both its VISIBLE and its
@@ -255,15 +291,23 @@ fn key_bytes(vals: &[Value]) -> usize {
 const ACC_BYTES: usize = 64;
 
 /// The slice store for one lowered shape. It serves the window of the
-/// program it was built from, or — through [`IvmState::compose`] — any
-/// window whose VISIBLE and ADVANCE are multiples of its slice width.
+/// program it was built from, or — through [`IvmState::compose`] and
+/// [`IvmState::close_window`] — any window whose VISIBLE and ADVANCE are
+/// multiples of its slice width.
 pub struct IvmState {
     shape: IvmShape,
+    /// Every aggregate has an exact inverse: sliding members keep views.
+    invertible: bool,
     width: i64,
     visible: i64,
     slices: BTreeMap<Timestamp, Slice>,
     bytes: usize,
+    /// Bytes held by the members' views.
+    view_bytes: usize,
     delta_rows: u64,
+    merges: u64,
+    /// Scratch for the key of the tuple being folded.
+    key: Vec<Value>,
 }
 
 impl IvmState {
@@ -279,12 +323,16 @@ impl IvmState {
     /// sets it with [`IvmState::reslice`] before the first tuple.
     pub fn for_shape(shape: IvmShape) -> IvmState {
         IvmState {
+            invertible: shape.aggs().iter().all(Accumulator::has_inverse),
             shape,
             width: 0,
             visible: 0,
             slices: BTreeMap::new(),
             bytes: 0,
+            view_bytes: 0,
             delta_rows: 0,
+            merges: 0,
+            key: Vec::new(),
         }
     }
 
@@ -308,9 +356,14 @@ impl IvmState {
         self.delta_rows
     }
 
-    /// Approximate bytes held across live slices.
+    /// Key partials closes added, retracted or rebuilt so far.
+    pub fn merges(&self) -> u64 {
+        self.merges
+    }
+
+    /// Approximate bytes held across live slices and member views.
     pub fn state_bytes(&self) -> usize {
-        self.bytes
+        self.bytes + self.view_bytes
     }
 
     /// Whether the store can run at `width`: it already does, or it is
@@ -344,44 +397,44 @@ impl IvmState {
         let Some(folded) = apply_ops(&prefix.ops, row, &ectx)? else {
             return Ok(());
         };
-        // Keys are sized exactly: a first-seen key lives as long as its
-        // slice, and collecting through `Result` would over-allocate it.
-        let key_of = |join_key: &[BoundExpr], group_key: &[BoundExpr]| -> Result<Vec<Value>> {
-            let mut key = Vec::with_capacity(join_key.len() + group_key.len());
-            for e in join_key.iter().chain(group_key) {
-                key.push(eval(e, &folded, &ectx)?);
-            }
-            Ok(key)
+        let (join_key, group_key): (&[BoundExpr], &[BoundExpr]) = match &self.shape {
+            IvmShape::Agg { agg, .. } => (&[], &agg.group_exprs),
+            IvmShape::JoinAgg { join, agg, .. } => (&join.left_key, &agg.group_exprs),
+            IvmShape::Distinct { .. } => (&[], &[]),
         };
-        let (key, aggs): (Vec<Value>, &[AggSpec]) = match &self.shape {
-            IvmShape::Agg { agg, .. } => (key_of(&[], &agg.group_exprs)?, &agg.aggs),
-            IvmShape::JoinAgg { join, agg, .. } => {
-                let key = key_of(&join.left_key, &agg.group_exprs)?;
-                if key[..join.left_key.len()].iter().any(Value::is_null) {
-                    // NULL join keys never match: re-evaluation emits no
-                    // joined row, so there is nothing to maintain.
-                    return Ok(());
-                }
-                (key, &agg.aggs)
-            }
-            IvmShape::Distinct { .. } => (folded.to_vec(), &[]),
-        };
+        // Built in a reused buffer: only a key new to its slice allocates.
+        let mut key = std::mem::take(&mut self.key);
+        key.clear();
+        for e in join_key.iter().chain(group_key) {
+            key.push(eval(e, &folded, &ectx)?);
+        }
+        if let IvmShape::Distinct { .. } = &self.shape {
+            key.extend_from_slice(&folded);
+        }
+        if key[..join_key.len()].iter().any(Value::is_null) {
+            // NULL join keys never match: re-evaluation emits no joined
+            // row, so there is nothing to maintain.
+            return Ok(());
+        }
+        let aggs = self.shape.aggs();
         let slice_start = ts.div_euclid(self.width) * self.width;
         let slice = self.slices.entry(slice_start).or_default();
-        let accs = match slice.partials.get_mut(&key) {
-            Some(a) => a,
+        let pos = match slice.index.get(&key[..]) {
+            Some(pos) => *pos as usize,
             None => {
                 let grew = key_bytes(&key) + ACC_BYTES * aggs.len();
                 slice.bytes += grew;
                 self.bytes += grew;
-                slice.order.push(key.clone());
-                slice
-                    .partials
-                    .entry(key)
-                    .or_insert_with(|| aggs.iter().map(Accumulator::new).collect())
+                // Shared by the slice's index, its entry and every view.
+                let key: Arc<[Value]> = key.as_slice().into();
+                slice.index.insert(key.clone(), slice.entries.len() as u32);
+                let fresh = aggs.iter().map(Accumulator::new).collect();
+                slice.entries.push((key, fresh));
+                slice.entries.len() - 1
             }
         };
-        for (acc, spec) in accs.iter_mut().zip(aggs) {
+        self.key = key;
+        for (acc, spec) in slice.entries[pos].1.iter_mut().zip(aggs) {
             match &spec.arg {
                 Some(arg) => acc.update(Some(&eval(arg, &folded, &ectx)?))?,
                 None => acc.update(None)?,
@@ -402,35 +455,40 @@ impl IvmState {
     pub fn compose(&self, lo: Timestamp, close: Timestamp) -> Result<WindowOutput> {
         let mut merged = Merged::default();
         for slice in self.slices.range(lo..close).map(|(_, s)| s) {
-            for key in &slice.order {
-                merged.add(key, Cow::Borrowed(&slice.partials[key]))?;
+            for (key, partial) in &slice.entries {
+                merged.add(key, Cow::Borrowed(partial))?;
             }
         }
+        self.output(merged.into_entries())
+    }
+
+    /// The anchor output over `entries`, keys in first-seen order.
+    fn output<'a>(&self, entries: impl Iterator<Item = Entry<'a>>) -> Result<WindowOutput> {
         Ok(match &self.shape {
-            IvmShape::Agg { agg, .. } => WindowOutput::Ready(merged.into_relation(
-                &agg.schema,
-                &agg.aggs,
-                agg.group_exprs.is_empty(),
-            )),
+            IvmShape::Agg { agg, .. } => WindowOutput::Ready(agg_relation(agg, entries)),
             IvmShape::JoinAgg { join, agg, .. } => {
                 let n = join.left_key.len();
-                WindowOutput::NeedsTable(Box::new(JoinDelta {
-                    table: join.table.clone(),
-                    table_filter: join.table_filter.clone(),
-                    right_key: join.right_key.clone(),
-                    index_column: join.index_column.clone(),
-                    entries: merged
-                        .into_entries()
-                        .map(|(k, accs)| (k[..n].to_vec(), k[n..].to_vec(), accs))
+                let plain = |accs: Cow<'_, [Accumulator]>| match accs {
+                    Cow::Owned(merged) => Ok(merged),
+                    // A view's running state, read out as plain partials.
+                    Cow::Borrowed(running) => (agg.aggs.iter().zip(running))
+                        .map(|(spec, r)| {
+                            let mut p = Accumulator::new(spec);
+                            p.merge(r).map(|()| p)
+                        })
                         .collect(),
-                    aggs: agg.aggs.clone(),
-                    schema: agg.schema.clone(),
-                    global: agg.group_exprs.is_empty(),
+                };
+                WindowOutput::NeedsTable(Box::new(JoinDelta {
+                    join: join.clone(),
+                    agg: agg.clone(),
+                    entries: entries
+                        .map(|(k, accs)| Ok((k[..n].to_vec(), k[n..].to_vec(), plain(accs)?)))
+                        .collect::<Result<_>>()?,
                 }))
             }
             IvmShape::Distinct { schema, .. } => {
                 let mut rel = Relation::empty(schema.clone());
-                for row in merged.order {
+                for (row, _) in entries {
                     rel.push(row.to_vec());
                 }
                 WindowOutput::Ready(rel)
@@ -438,18 +496,106 @@ impl IvmState {
         })
     }
 
+    /// Close the window `[close - visible, close)` of the member holding
+    /// `view`. A sliding window over invertible partials slides its view:
+    /// add the slices that entered since its last close, emit in first-seen
+    /// order, retract the slices the next window no longer covers; with no
+    /// view in hand for this close (the member's first, or its cursor
+    /// jumped) every slice the window covers is added. Otherwise the
+    /// window is merged afresh ([`IvmState::compose`]) and keeps no view;
+    /// nothing else decides. Every slice below `close` must be sealed.
+    pub fn close_window(
+        &mut self,
+        view: &mut Option<WindowView>,
+        visible: i64,
+        advance: i64,
+        close: Timestamp,
+    ) -> Result<WindowOutput> {
+        let lo = close - visible;
+        if visible <= advance || !self.invertible {
+            let rebuilt = self.slices.range(lo..close).map(|(_, s)| s.entries.len());
+            self.merges += rebuilt.sum::<usize>() as u64;
+            return self.compose(lo, close);
+        }
+        // On error the view is gone, and the next close rebuilds it.
+        let mut v = view.take().unwrap_or_default();
+        self.view_bytes -= v.keys.len() * self.live_bytes();
+        let mut from = close - advance;
+        if v.closed != Some(from) {
+            v.keys.clear();
+            from = lo;
+        }
+        let aggs = self.shape.aggs();
+        for (&start, slice) in self.slices.range(from..close) {
+            for (pos, (key, partial)) in slice.entries.iter().enumerate() {
+                let live = v.keys.entry(key.clone()).or_insert_with(|| Live {
+                    key: key.clone(),
+                    accs: aggs.iter().map(Accumulator::running).collect(),
+                    slices: 0,
+                    stamp: (start, pos as u32),
+                });
+                live.slices += 1;
+                for (a, p) in live.accs.iter_mut().zip(partial) {
+                    a.merge(p)?;
+                }
+            }
+            self.merges += slice.entries.len() as u64;
+        }
+        let mut lives: Vec<&Live> = v.keys.values().collect();
+        lives.sort_unstable_by_key(|l| l.stamp);
+        let out = self.output(lives.iter().map(|l| (&*l.key, Cow::Borrowed(&*l.accs))))?;
+        let unsealed = || Error::stream("a sealed slice changed under a window view");
+        for (&start, slice) in self.slices.range(lo..lo + advance) {
+            // Where a key's stamp moves to: mostly the very next slice.
+            let mut later = self.slices.range(start + 1..close);
+            let next = later.next();
+            for (key, partial) in &slice.entries {
+                let live = v.keys.get_mut(&**key).ok_or_else(unsealed)?;
+                if live.slices == 1 {
+                    v.keys.remove(&**key);
+                    continue;
+                }
+                live.slices -= 1;
+                for (a, p) in live.accs.iter_mut().zip(partial) {
+                    a.retract(p)?;
+                }
+                // The key's first live slice left: the next one that holds
+                // it now says where — and spelled how — it was first seen.
+                let (next, pos, spelled) = (next.into_iter().chain(later.clone()))
+                    .find_map(|(&s, later)| {
+                        let pos = *later.index.get(&**key)?;
+                        Some((s, pos, &later.entries[pos as usize].0))
+                    })
+                    .ok_or_else(unsealed)?;
+                live.stamp = (next, pos);
+                live.key = spelled.clone();
+            }
+            self.merges += slice.entries.len() as u64;
+        }
+        v.closed = Some(close);
+        self.view_bytes += v.keys.len() * self.live_bytes();
+        *view = Some(v);
+        Ok(out)
+    }
+
+    /// Rough footprint of one view key (the key itself is the slices').
+    fn live_bytes(&self) -> usize {
+        96 + ACC_BYTES * self.shape.aggs().len()
+    }
+
+    /// A member left: its view's bytes leave the store's account.
+    pub fn forget(&mut self, view: Option<WindowView>) {
+        self.view_bytes -= view.map_or(0, |v| v.keys.len()) * self.live_bytes();
+    }
+
     /// Drop slices no future window can reach: every slice whose end is at
     /// or before `horizon` (= the earliest next close − its visible).
     pub fn evict(&mut self, horizon: Timestamp) {
-        let (width, mut freed) = (self.width, 0);
-        self.slices.retain(|start, slice| {
-            let keep = start + width > horizon;
-            if !keep {
-                freed += slice.bytes;
-            }
-            keep
-        });
-        self.bytes -= freed;
+        // Cost follows what is dropped, not how many slices stay.
+        let first_kept = horizon.saturating_sub(self.width).saturating_add(1);
+        let kept = self.slices.split_off(&first_kept);
+        let dropped = std::mem::replace(&mut self.slices, kept);
+        self.bytes -= dropped.values().map(|s| s.bytes).sum::<usize>();
     }
 }
 
@@ -485,7 +631,7 @@ fn apply_ops<'r>(
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use streamrel_sql::plan::{AggFunc, LogicalPlan};
+    use streamrel_sql::plan::{AggFunc, AggSpec, LogicalPlan, SchemaRef};
     use streamrel_types::time::MINUTES;
     use streamrel_types::{row, Column, DataType, Schema};
 

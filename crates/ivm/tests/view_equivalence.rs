@@ -1,0 +1,277 @@
+//! View ≡ merge, as a property.
+//!
+//! A slice store closes a sliding member's window from its running view
+//! (add the entering slices, emit, retract the leaving ones) and keeps the
+//! stateless slice merge, `IvmState::compose`, as the rebuild primitive.
+//! This test drives one store per shape through random tuples — NULL
+//! arguments and keys, `0.0`/`-0.0` group keys, keys that vanish and
+//! reappear, gaps longer than VISIBLE closed by one heartbeat — with
+//! several members of different `(VISIBLE, ADVANCE)`, one that joins the
+//! live store mid-stream, one that leaves and one whose cursor jumps (a
+//! resume), and requires at every close that the view's output equals
+//! `compose(close - VISIBLE, close)` row for row, in order and spelled
+//! alike; once the last member has left, the store holds nothing.
+
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use proptest::prelude::*;
+use proptest::test_runner::Config;
+use streamrel_exec::source::MapSource;
+use streamrel_ivm::{lower_with, IvmShape, IvmState, Lowering, WindowOutput, WindowView};
+use streamrel_sql::analyzer::{Analyzer, RelKind, SchemaProvider};
+use streamrel_sql::ast::Statement;
+use streamrel_sql::parser::parse_statement;
+use streamrel_sql::plan::SchemaRef;
+use streamrel_types::{row, Column, DataType, Relation, Row, Schema, Value};
+
+const SEC: i64 = 1_000_000;
+
+struct Provider(HashMap<String, (SchemaRef, RelKind)>);
+
+impl SchemaProvider for Provider {
+    fn relation(&self, name: &str) -> Option<(SchemaRef, RelKind)> {
+        self.0.get(&name.to_ascii_lowercase()).cloned()
+    }
+}
+
+fn dims_schema() -> SchemaRef {
+    Arc::new(
+        Schema::new(vec![
+            Column::new("k", DataType::Text),
+            Column::new("w", DataType::Int),
+        ])
+        .unwrap(),
+    )
+}
+
+fn provider() -> Provider {
+    let stream = Arc::new(
+        Schema::new(vec![
+            Column::new("k", DataType::Text),
+            Column::new("v", DataType::Int),
+            Column::new("f", DataType::Float),
+            Column::not_null("ts", DataType::Timestamp),
+        ])
+        .unwrap(),
+    );
+    let mut rels = HashMap::new();
+    rels.insert("s".into(), (stream, RelKind::Stream { cqtime: Some(3) }));
+    rels.insert("dims".into(), (dims_schema(), RelKind::Table));
+    Provider(rels)
+}
+
+/// Every shape and every aggregate kind; the window in the text only has
+/// to lower, members bring their own. The last store holds float sums and
+/// a variance: no exact inverse, so it merges at every close.
+const QUERIES: &[&str] = &[
+    "SELECT k, count(*), count(v), sum(v), avg(v), min(v), max(v), min(f), max(f), \
+     count(distinct v), sum(distinct v), avg(distinct v), min(distinct v), max(distinct v) \
+     FROM s <VISIBLE '4 seconds' ADVANCE '1 second'> GROUP BY k",
+    "SELECT count(*), sum(v), avg(v), min(v), max(f), count(distinct k) \
+     FROM s <VISIBLE '4 seconds' ADVANCE '1 second'> WHERE v > -5",
+    "SELECT f, count(*), max(v) FROM s <VISIBLE '4 seconds' ADVANCE '1 second'> GROUP BY f",
+    "SELECT DISTINCT k, f FROM s <VISIBLE '4 seconds' ADVANCE '1 second'>",
+    "SELECT s.k, count(*), sum(s.v), min(s.v), max(s.v), count(distinct s.v), avg(s.v) \
+     FROM s <VISIBLE '4 seconds' ADVANCE '1 second'> JOIN dims d ON s.k = d.k GROUP BY s.k",
+    "SELECT count(*), sum(s.v), min(s.v) \
+     FROM s <VISIBLE '4 seconds' ADVANCE '1 second'> JOIN dims d ON s.k = d.k",
+    "SELECT k, sum(f), avg(f), variance(v), stddev(v), count(*) \
+     FROM s <VISIBLE '4 seconds' ADVANCE '1 second'> GROUP BY k",
+];
+
+fn shape(sql: &str) -> IvmShape {
+    let Statement::Select(q) = parse_statement(sql).unwrap() else {
+        panic!("not a query: {sql}")
+    };
+    let provider = provider();
+    let analyzed = Analyzer::new(&provider).analyze(&q).unwrap();
+    match lower_with(&analyzed.plan, true) {
+        Lowering::Lowered(p) => p.shape,
+        Lowering::Fallback(reason) => panic!("{sql} does not lower: {reason}"),
+    }
+}
+
+fn dims() -> MapSource {
+    let mut rel = Relation::empty(dims_schema());
+    for (k, w) in [("k0", 1i64), ("k0", 2), ("k1", 3), ("k3", 4), ("k3", 5)] {
+        rel.push(row![k, w]);
+    }
+    MapSource::new().with("dims", rel)
+}
+
+/// What a close produced, spelled out (`Value`'s `==` takes `0.0` for
+/// `-0.0`; its `Debug` does not).
+fn spelled(out: WindowOutput) -> String {
+    let n = out.len();
+    let rel = match out {
+        WindowOutput::Ready(rel) => rel,
+        WindowOutput::NeedsTable(delta) => delta.finalize(&dims()).unwrap(),
+    };
+    format!("{n} staged, {:?}", rel.rows())
+}
+
+/// One member window: what `cq::shared::Member` keeps.
+struct Member {
+    visible: i64,
+    advance: i64,
+    next_close: Option<i64>,
+    view: Option<WindowView>,
+}
+
+fn member(visible_s: i64, advance_s: i64) -> Member {
+    Member {
+        visible: visible_s * SEC,
+        advance: advance_s * SEC,
+        next_close: None,
+        view: None,
+    }
+}
+
+fn align(ts: i64, advance: i64) -> i64 {
+    (ts.div_euclid(advance) + 1) * advance
+}
+
+/// (kind, key, v, f, gap in half seconds).
+type Event = (u8, u8, i64, u8, i64);
+
+fn drive(sql: &str, events: &[Event]) -> Result<(), String> {
+    let mut store = IvmState::for_shape(shape(sql));
+    store.reslice(SEC).unwrap();
+    // Sliding (narrow, wide, coarse), tumbling, and a hopping window whose
+    // ADVANCE exceeds its VISIBLE.
+    let mut members: Vec<Option<Member>> = [(4, 1), (6, 2), (3, 3), (10, 5), (2, 3), (2, 1)]
+        .iter()
+        .map(|(v, a)| Some(member(*v, *a)))
+        .collect();
+    let (mut ts, mut closes, mut slid) = (0i64, 0, 0);
+    for (i, (kind, key, v, f, gap)) in events.iter().enumerate() {
+        if i == events.len() / 3 {
+            members.push(Some(member(8, 2)));
+        }
+        if i == events.len() / 2 {
+            // A resume: the cursor jumps, the view in hand is stale.
+            let m = members[0].as_mut().unwrap();
+            m.next_close = Some(align(ts + 3 * SEC, m.advance));
+        }
+        if i == 2 * events.len() / 3 {
+            store.forget(members[1].take().and_then(|m| m.view));
+        }
+        // One event in ten jumps past every window; one in ten is a
+        // heartbeat, which moves time and folds nothing.
+        ts += gap * SEC / 2 * if *kind == 0 { 25 } else { 1 };
+        if *kind != 1 {
+            let k = match key {
+                0 => Value::Null,
+                k => Value::text(format!("k{}", k % 5)),
+            };
+            let v = if v % 7 == 0 {
+                Value::Null
+            } else {
+                Value::Int(*v)
+            };
+            let f = [0.0, -0.0, 2.5, f64::NAN][*f as usize % 4];
+            let f = if f.is_nan() {
+                Value::Null
+            } else {
+                Value::Float(f)
+            };
+            let tuple: Row = vec![k, v, f, Value::Timestamp(ts)];
+            store.on_tuple(&tuple).unwrap();
+        }
+        let mut horizon = Some(i64::MAX);
+        for m in members.iter_mut().flatten() {
+            if m.next_close.is_none() && *kind != 1 {
+                m.next_close = Some(align(ts, m.advance));
+            }
+            while let Some(close) = m.next_close.filter(|c| *c <= ts) {
+                let merged = spelled(store.compose(close - m.visible, close).unwrap());
+                let out = store
+                    .close_window(&mut m.view, m.visible, m.advance, close)
+                    .unwrap();
+                prop_assert_eq!(
+                    spelled(out),
+                    merged,
+                    "{} close {} of {}/{}",
+                    sql,
+                    close,
+                    m.visible,
+                    m.advance
+                );
+                closes += 1;
+                slid += usize::from(m.view.is_some());
+                m.next_close = Some(close + m.advance);
+            }
+            horizon = horizon.zip(m.next_close).map(|(h, c)| h.min(c - m.visible));
+        }
+        if let Some(h) = horizon {
+            store.evict(h);
+        }
+    }
+    // Only a sliding member of an invertible store ever holds a view.
+    let sliding = members
+        .iter()
+        .flatten()
+        .all(|m| m.view.is_none() || m.visible > m.advance);
+    prop_assert!(sliding);
+    if sql.contains("variance") {
+        prop_assert_eq!(slid, 0, "float sums are never retracted");
+    } else if closes > 20 {
+        prop_assert!(slid > 0, "no close went through a view");
+    }
+    for m in members.iter_mut().flatten() {
+        store.forget(m.view.take());
+    }
+    store.evict(i64::MAX);
+    prop_assert_eq!(store.state_bytes(), 0);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(Config::with_cases(48))]
+    #[test]
+    fn view_equals_merge_at_every_close(
+        events in prop::collection::vec((0u8..10, 0u8..7, -20i64..20, 0u8..4, 0i64..6), 30..220),
+    ) {
+        for sql in QUERIES {
+            drive(sql, &events)?;
+        }
+    }
+}
+
+/// The running view's cost does not grow with the window: in steady state
+/// a close adds and retracts one slice of keys, whatever VISIBLE ÷ width.
+#[test]
+fn merges_per_close_do_not_depend_on_window_width() {
+    let per_close = |visible_s: i64| {
+        let mut store = IvmState::for_shape(shape(QUERIES[0]));
+        store.reslice(SEC).unwrap();
+        let mut m = member(visible_s, 1);
+        m.next_close = Some(SEC);
+        let (mut at_fill, mut closes) = (0, 0);
+        for s in 0..2 * visible_s {
+            for k in 0..8 {
+                let tuple: Row = vec![
+                    Value::text(format!("k{k}")),
+                    Value::Int(k),
+                    Value::Float(1.0),
+                    Value::Timestamp(s * SEC + k),
+                ];
+                store.on_tuple(&tuple).unwrap();
+            }
+            if s == visible_s {
+                (at_fill, closes) = (store.merges(), 0);
+            }
+            if s > 0 {
+                closes += 1;
+                store
+                    .close_window(&mut m.view, m.visible, m.advance, s * SEC)
+                    .unwrap();
+                store.evict(s * SEC + SEC - m.visible);
+            }
+        }
+        (store.merges() - at_fill) / closes
+    };
+    assert_eq!(per_close(6), 16, "8 keys enter, 8 leave");
+    assert_eq!(per_close(300), per_close(6));
+}

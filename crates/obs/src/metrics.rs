@@ -342,7 +342,10 @@ pub struct IvmMetrics {
     /// Stream tuples folded into slice stores: once per store, however
     /// many CQs read it.
     pub delta_rows: Arc<Counter>,
-    /// Approximate bytes of live slice state, summed over stores.
+    /// Key partials added to, retracted from or rebuilt into a window at
+    /// its close: what closes cost, in work units that repeat exactly.
+    pub compose_merges: Arc<Counter>,
+    /// Approximate bytes of live slice and view state, summed over stores.
     pub state_bytes: Arc<Gauge>,
 }
 
@@ -353,6 +356,7 @@ impl IvmMetrics {
             lowered: registry.counter("ivm.lowered"),
             fallback: registry.counter("ivm.fallback"),
             delta_rows: registry.counter("ivm.delta.rows"),
+            compose_merges: registry.counter("ivm.compose.merges"),
             state_bytes: registry.gauge("ivm.state.bytes"),
         }
     }

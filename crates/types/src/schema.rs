@@ -123,7 +123,7 @@ impl Schema {
     /// Validate that a row conforms to this schema: arity, types (NULL is
     /// allowed only for nullable columns, ints silently widen to declared
     /// float columns). Returns a row coerced to the declared types.
-    pub fn coerce_row(&self, row: Row) -> Result<Row> {
+    pub fn coerce_row(&self, mut row: Row) -> Result<Row> {
         if row.len() != self.columns.len() {
             return Err(Error::type_err(format!(
                 "row has {} values but schema has {} columns",
@@ -131,8 +131,7 @@ impl Schema {
                 self.columns.len()
             )));
         }
-        let mut out = Vec::with_capacity(row.len());
-        for (v, c) in row.into_iter().zip(&self.columns) {
+        for (v, c) in row.iter_mut().zip(&self.columns) {
             if v.is_null() {
                 if !c.nullable {
                     return Err(Error::type_err(format!(
@@ -140,22 +139,16 @@ impl Schema {
                         c.name
                     )));
                 }
-                out.push(v);
-                continue;
-            }
-            if v.data_type() == Some(c.ty) {
-                out.push(v);
-            } else {
-                let coerced = v.cast(c.ty).map_err(|_| {
+            } else if v.data_type() != Some(c.ty) {
+                *v = v.cast(c.ty).map_err(|_| {
                     Error::type_err(format!(
                         "value {v} has wrong type for column `{}` ({})",
                         c.name, c.ty
                     ))
                 })?;
-                out.push(coerced);
             }
         }
-        Ok(out)
+        Ok(row)
     }
 }
 

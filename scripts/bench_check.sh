@@ -8,8 +8,9 @@
 # Two kinds of checks:
 #   * structural — proof-shaped fields that must hold exactly on any
 #     machine: zero torture failures/divergences, row conservation,
-#     fan-out delivery counts and linear registration cost. A violation
-#     is a correctness regression.
+#     fan-out delivery counts, linear registration cost and a window
+#     close whose merge count does not grow with the window's width. A
+#     violation is a correctness regression.
 #   * throughput — rates and speedup ratios compared against the
 #     committed baseline. CI machines jitter, so the band is wide:
 #     a fresh run must retain BENCH_CHECK_TOLERANCE (default 0.25) of
@@ -98,6 +99,17 @@ elif name == "BENCH_ingest_parallel.json":
 elif name == "BENCH_ivm.json":
     if fresh.get("windows_closed", 0) <= 0:
         problems.append("windows_closed <= 0: the bench closed no windows")
+    # Constant-time close: what a close merges (key partials added +
+    # retracted + rebuilt, a count that repeats exactly) must not grow
+    # with VISIBLE / ADVANCE.
+    merges = {e["ratio"]: e["merges_per_close"] for e in fresh.get("sweep", [])}
+    if 6 not in merges or 300 not in merges:
+        problems.append("sweep lacks merges_per_close at VISIBLE/ADVANCE = 6 and 300")
+    elif not 0 < merges[300] <= 1.1 * merges[6]:
+        problems.append(
+            f"merges_per_close at VISIBLE/ADVANCE = 300 is {merges[300]}, "
+            f"want <= 1.1 x the {merges[6]} at 6"
+        )
 
 # -- throughput bands: fresh must retain `tol` of the committed baseline ---
 BANDS = {

@@ -318,9 +318,11 @@ enum Ev {
 }
 
 /// Feed `events` to a 2 s / 1 s and a 4 s / 2 s `count(*)` (one pool under
-/// sharing) and return each one's `(close in s, count)` sequence, plus the
-/// tuples dropped as late.
-fn run_events(opts: DbOptions, events: &[Ev]) -> (Vec<Vec<(i64, i64)>>, u64) {
+/// sharing) and return each one's `(close in s, count)` sequence, the
+/// tuples dropped as late, and every call that failed as `(event, error)`.
+type Run = (Vec<Vec<(i64, i64)>>, u64, Vec<(usize, String)>);
+
+fn run_events(opts: DbOptions, events: &[Ev]) -> Run {
     let db = Db::in_memory(opts);
     db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
         .unwrap();
@@ -334,13 +336,13 @@ fn run_events(opts: DbOptions, events: &[Ev]) -> (Vec<Vec<(i64, i64)>>, u64) {
             .subscription()
         })
         .collect();
-    for ev in events {
-        match *ev {
-            Ev::Tuple(ms) => db
-                .ingest("s", vec![Value::Int(1), Value::Timestamp(ms * MS)])
-                .unwrap(),
-            Ev::Beat(ms) => db.heartbeat("s", ms * MS).unwrap(),
-        }
+    let mut errors = Vec::new();
+    for (i, ev) in events.iter().enumerate() {
+        let result = match *ev {
+            Ev::Tuple(ms) => db.ingest("s", vec![Value::Int(1), Value::Timestamp(ms * MS)]),
+            Ev::Beat(ms) => db.heartbeat("s", ms * MS),
+        };
+        errors.extend(result.err().map(|e| (i, e.to_string())));
     }
     let outs = subs
         .into_iter()
@@ -352,15 +354,18 @@ fn run_events(opts: DbOptions, events: &[Ev]) -> (Vec<Vec<(i64, i64)>>, u64) {
                 .collect()
         })
         .collect();
-    (outs, db.stats().late_drops)
+    (outs, db.stats().late_drops, errors)
 }
 
-/// Regression, two fixed inputs. (a) A heartbeat before the first tuple
+/// Regression, three fixed inputs. (a) A heartbeat before the first tuple
 /// used to fix a sliced CQ's alignment (closes 4..8 s) where the
 /// re-evaluation buffer waits for the first tuple (7, 8 s). (b) Heartbeats
 /// bypassed the reorder buffer: the tuples slack still held appeared in no
 /// window, the sliced path skipped the closes before the heartbeat, and
-/// the re-evaluated path failed the next ingest as out of order.
+/// the re-evaluated path failed the next ingest as out of order. (c) With
+/// no slack a tuple behind the stream's newest used to be refused only by a
+/// re-evaluation buffer: a slice store folded it into a slice its windows
+/// had already closed over, and the 4 s / 2 s window at 6 s counted it.
 #[test]
 fn heartbeats_close_the_same_windows_on_every_path() {
     use Ev::{Beat, Tuple};
@@ -371,6 +376,8 @@ fn heartbeats_close_the_same_windows_on_every_path() {
         /// The 2 s / 1 s CQ's windows.
         narrow: &'static [(i64, i64)],
         late: u64,
+        /// Events whose call fails, on every path alike.
+        refused: &'static [usize],
     }
     let cases = [
         Case {
@@ -379,6 +386,7 @@ fn heartbeats_close_the_same_windows_on_every_path() {
             events: &[Beat(3000), Tuple(6000), Beat(8000)],
             narrow: &[(7, 1), (8, 1)],
             late: 0,
+            refused: &[],
         },
         Case {
             input: "slack + interleaved heartbeats",
@@ -406,6 +414,21 @@ fn heartbeats_close_the_same_windows_on_every_path() {
                 (9, 1),
             ],
             late: 1,
+            refused: &[],
+        },
+        Case {
+            input: "no slack, one tuple out of order",
+            slack_ms: 0,
+            events: &[
+                Tuple(500),
+                Tuple(1500),
+                Tuple(5200),
+                Tuple(2300), // older than 5.2 s: refused, on every path
+                Tuple(6100),
+            ],
+            narrow: &[(1, 1), (2, 2), (3, 1), (4, 0), (5, 0), (6, 1)],
+            late: 0,
+            refused: &[3],
         },
     ];
     for Case {
@@ -414,12 +437,15 @@ fn heartbeats_close_the_same_windows_on_every_path() {
         events,
         narrow,
         late,
+        refused,
     } in cases
     {
         let opts = || DbOptions::default().with_slack(slack_ms * MS);
         let pooled = run_events(opts(), events);
         assert_eq!(pooled.0[0], narrow, "{input}: pooled");
         assert_eq!(pooled.1, late, "{input}: late drops");
+        let failed: Vec<usize> = pooled.2.iter().map(|(i, _)| *i).collect();
+        assert_eq!(failed, refused, "{input}: refused calls {:?}", pooled.2);
         let private = run_events(opts().without_sharing(), events);
         assert_eq!(private, pooled, "{input}: private diverges from pooled");
         let reeval = run_events(opts().without_sharing().without_ivm(), events);
