@@ -9,8 +9,9 @@
 //! that enters and the one that leaves — O(delta), not O(window). That a
 //! close does not pay for width is measured too: the same query at
 //! VISIBLE ÷ ADVANCE = 6, 60 and 300, with `merges_per_close`
-//! (`ivm.compose.merges` ÷ closes, once the widest window has filled) —
-//! a count that repeats exactly on any host.
+//! (`ivm.compose.merges` ÷ closes, once the widest window has filled:
+//! key partials added, retracted or rebuilt, plus slices probed for where
+//! a leaving key was seen next) — a count that repeats exactly on any host.
 //!
 //! Both configurations run with pooling ablated so the comparison
 //! isolates the delta-processing path on a store with one member: the

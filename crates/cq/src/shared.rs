@@ -263,7 +263,8 @@ pub type Slot = (StoreId, MemberId);
 pub struct Advanced {
     /// Tuples folded, summed over stores (the `ivm.delta.rows` counter).
     pub delta_rows: u64,
-    /// Key partials closes merged (the `ivm.compose.merges` counter).
+    /// Key partials closes merged and slices they probed (the
+    /// `ivm.compose.merges` counter).
     pub merges: u64,
     /// Change in bytes held across stores (the `ivm.state.bytes` gauge).
     pub bytes: i64,

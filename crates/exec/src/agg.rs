@@ -21,10 +21,14 @@ use streamrel_sql::plan::{AggFunc, AggSpec};
 #[derive(Debug, Clone)]
 enum State {
     Count(i64),
-    /// `n` counts non-NULL inputs: retracted to zero, the sum is NULL again.
+    /// SUM and AVG over integers: the exact sum. `n` counts non-NULL
+    /// inputs (retracted to zero, the result is NULL again); `avg` divides
+    /// at `finish` — an f64 sum past 2^53 rounds, and a retraction would
+    /// keep the error.
     SumInt {
-        sum: i64,
+        sum: Wide,
         n: i64,
+        avg: bool,
     },
     SumFloat {
         sum: f64,
@@ -47,6 +51,24 @@ enum State {
     },
     MinMaxRun(Box<Runs>),
     Distinct(Box<DistinctSet>),
+}
+
+/// A sum of `i64`s that cannot overflow: `n` of them (an `i64`, checked
+/// where it is scaled) stay below 2^126. Packed so a partial stays four
+/// words.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, packed(8))]
+struct Wide(i128);
+
+impl Wide {
+    /// SUM is an `i64` and fails before it would leave it; AVG has the
+    /// width.
+    fn checked(sum: i128, avg: bool) -> Result<Wide> {
+        if avg || i64::try_from(sum).is_ok() {
+            return Ok(Wide(sum));
+        }
+        Err(Error::Arithmetic("sum() integer overflow".into()))
+    }
 }
 
 /// The values a DISTINCT aggregate has seen: value → (merged partials that
@@ -147,8 +169,7 @@ impl Accumulator {
 
     /// Whether [`Accumulator::retract`] is exact for `spec`. Not for float
     /// SUM/AVG and VARIANCE/STDDEV: subtract-on-evict float sums drift
-    /// without bound in a query that never ends. (AVG over integers sums
-    /// exactly representable values, like its merge.)
+    /// without bound in a query that never ends.
     pub fn has_inverse(spec: &AggSpec) -> bool {
         match spec.func {
             AggFunc::Sum | AggFunc::Avg => !float_arg(spec),
@@ -172,8 +193,12 @@ impl Accumulator {
                     sum: 0.0,
                     any: false,
                 },
-                AggFunc::Sum => State::SumInt { sum: 0, n: 0 },
-                AggFunc::Avg => State::Avg { sum: 0.0, n: 0 },
+                AggFunc::Avg if float_arg => State::Avg { sum: 0.0, n: 0 },
+                AggFunc::Sum | AggFunc::Avg => State::SumInt {
+                    sum: Wide(0),
+                    n: 0,
+                    avg: func == AggFunc::Avg,
+                },
                 AggFunc::Variance | AggFunc::Stddev => State::Var {
                     n: 0,
                     sum: 0.0,
@@ -204,10 +229,8 @@ impl Accumulator {
         }
         match &mut self.state {
             State::Count(n) => *n += 1,
-            State::SumInt { sum, n } => {
-                *sum = sum
-                    .checked_add(v.as_int()?)
-                    .ok_or_else(|| Error::Arithmetic("sum() integer overflow".into()))?;
+            State::SumInt { sum, n, avg } => {
+                *sum = Wide::checked(sum.0 + i128::from(v.as_int()?), *avg)?;
                 *n += 1;
             }
             State::SumFloat { sum, any } => {
@@ -242,10 +265,8 @@ impl Accumulator {
     pub fn merge(&mut self, other: &Accumulator) -> Result<()> {
         match (&mut self.state, &other.state) {
             (State::Count(a), State::Count(b)) => *a += b,
-            (State::SumInt { sum: a, n: an }, State::SumInt { sum: b, n: bn }) => {
-                *a = a
-                    .checked_add(*b)
-                    .ok_or_else(|| Error::Arithmetic("sum() integer overflow".into()))?;
+            (State::SumInt { sum: a, n: an, avg }, State::SumInt { sum: b, n: bn, .. }) => {
+                *a = Wide::checked(a.0 + b.0, *avg)?;
                 *an += bn;
             }
             (State::SumFloat { sum: a, any: aa }, State::SumFloat { sum: b, any: ba }) => {
@@ -305,14 +326,8 @@ impl Accumulator {
     pub fn retract(&mut self, leaving: &Accumulator) -> Result<()> {
         match (&mut self.state, &leaving.state) {
             (State::Count(a), State::Count(b)) => *a -= b,
-            (State::SumInt { sum: a, n: an }, State::SumInt { sum: b, n: bn }) => {
-                *a = a
-                    .checked_sub(*b)
-                    .ok_or_else(|| Error::Arithmetic("sum() integer overflow".into()))?;
-                *an -= bn;
-            }
-            (State::Avg { sum: a, n: an }, State::Avg { sum: b, n: bn }) => {
-                *a -= b;
+            (State::SumInt { sum: a, n: an, .. }, State::SumInt { sum: b, n: bn, .. }) => {
+                a.0 -= b.0;
                 *an -= bn;
             }
             (State::MinMaxRun(r), State::MinMax { .. }) => {
@@ -350,7 +365,12 @@ impl Accumulator {
         let overflow = || Error::Arithmetic("aggregate scale overflow".into());
         match &mut self.state {
             State::Count(n) => *n = n.checked_mul(m).ok_or_else(overflow)?,
-            State::SumInt { sum, .. } => *sum = sum.checked_mul(m).ok_or_else(overflow)?,
+            State::SumInt { sum, n, avg } => {
+                // `n * m` in range keeps the product inside the width.
+                let scaled = n.checked_mul(m).ok_or_else(overflow)?;
+                *sum = Wide::checked(sum.0 * i128::from(m), *avg).map_err(|_| overflow())?;
+                *n = scaled;
+            }
             State::SumFloat { sum, .. } => *sum *= m as f64,
             State::Avg { sum, n } => {
                 *sum *= m as f64;
@@ -371,11 +391,12 @@ impl Accumulator {
     pub fn finish(&self) -> Value {
         match &self.state {
             State::Count(n) => Value::Int(*n),
-            State::SumInt { sum, n } => {
-                if *n > 0 {
-                    Value::Int(*sum)
+            State::SumInt { n: 0, .. } => Value::Null,
+            State::SumInt { sum, n, avg } => {
+                if *avg {
+                    Value::Float(sum.0 as f64 / *n as f64)
                 } else {
-                    Value::Null
+                    Value::Int(sum.0 as i64)
                 }
             }
             State::SumFloat { sum, any } => {
@@ -469,6 +490,16 @@ mod tests {
         let mut a = acc(AggFunc::Sum);
         a.update(Some(&Value::Int(i64::MAX))).unwrap();
         assert!(a.update(Some(&Value::Int(1))).is_err());
+        assert_eq!(
+            a.finish(),
+            Value::Int(i64::MAX),
+            "a refused input is not applied"
+        );
+        // AVG has the width: the same inputs are no overflow to it.
+        let mut avg = acc(AggFunc::Avg);
+        avg.update(Some(&Value::Int(i64::MAX))).unwrap();
+        avg.update(Some(&Value::Int(i64::MAX))).unwrap();
+        assert_eq!(avg.finish(), Value::Float(i64::MAX as f64));
     }
 
     #[test]
@@ -645,9 +676,11 @@ mod tests {
         use streamrel_sql::plan::BoundExpr;
         use streamrel_types::DataType;
         // Slices with ties, NULLs, an all-NULL slice and an empty one;
-        // `0.0`/`-0.0` and repeated extremes exercise first-seen ties.
+        // `0.0`/`-0.0` and repeated extremes exercise first-seen ties, 2^60
+        // a sum an f64 cannot carry (and so could not give back).
         let slices: Vec<Vec<Value>> = [
             vec![5.0, 3.0, 9.0],
+            vec![1152921504606846976.0, 6.0],
             vec![],
             vec![3.0, f64::NAN],
             vec![f64::NAN],
@@ -748,7 +781,7 @@ mod tests {
         assert!(!Accumulator::has_inverse(&spec));
         let mut var = acc(AggFunc::Variance);
         assert!(var.retract(&acc(AggFunc::Variance)).is_err());
-        // A slice partial is three words: slices hold one per key per
+        // A slice partial is four words: slices hold one per key per
         // aggregate, so the set and deque states stay boxed.
         assert!(std::mem::size_of::<Accumulator>() <= 32);
     }

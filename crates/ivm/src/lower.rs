@@ -384,11 +384,11 @@ fn parse_stream_chain(plan: &LogicalPlan) -> Result<(StreamPrefix, WindowSpec), 
     }
 }
 
-/// Per-aggregate eligibility. Integer sums are exact; AVG keeps an f64
-/// sum of integer-valued inputs, which is addition of exactly-representable
-/// values (≤ 2⁵³), so slice order cannot change the result. Float SUM/AVG
-/// and VARIANCE/STDDEV merge float partials whose rounding depends on
-/// association order — those lower only when `inexact_ok`.
+/// Per-aggregate eligibility. Integer sums are exact, and AVG over
+/// integers keeps one (divided when read), so slice order cannot change
+/// the result. Float SUM/AVG and VARIANCE/STDDEV merge float partials
+/// whose rounding depends on association order — those lower only when
+/// `inexact_ok`.
 fn agg_eligible(spec: &AggSpec, inexact_ok: bool) -> Result<(), &'static str> {
     if spec.arg.as_ref().is_some_and(BoundExpr::uses_cq_close) {
         return Err(REASON_CQ_CLOSE);

@@ -356,7 +356,8 @@ impl IvmState {
         self.delta_rows
     }
 
-    /// Key partials closes added, retracted or rebuilt so far.
+    /// Key partials closes added, retracted or rebuilt so far, and slices
+    /// probed for a key's next stamp.
     pub fn merges(&self) -> u64 {
         self.merges
     }
@@ -561,8 +562,10 @@ impl IvmState {
                 }
                 // The key's first live slice left: the next one that holds
                 // it now says where — and spelled how — it was first seen.
+                // A probe per slice passed over, so one per close amortized.
                 let (next, pos, spelled) = (next.into_iter().chain(later.clone()))
                     .find_map(|(&s, later)| {
+                        self.merges += 1;
                         let pos = *later.index.get(&**key)?;
                         Some((s, pos, &later.entries[pos as usize].0))
                     })

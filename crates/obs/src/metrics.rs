@@ -343,7 +343,8 @@ pub struct IvmMetrics {
     /// many CQs read it.
     pub delta_rows: Arc<Counter>,
     /// Key partials added to, retracted from or rebuilt into a window at
-    /// its close: what closes cost, in work units that repeat exactly.
+    /// its close, and slices probed for where a key whose first slice left
+    /// was seen next: what closes cost, in work units that repeat exactly.
     pub compose_merges: Arc<Counter>,
     /// Approximate bytes of live slice and view state, summed over stores.
     pub state_bytes: Arc<Gauge>,

@@ -100,8 +100,8 @@ elif name == "BENCH_ivm.json":
     if fresh.get("windows_closed", 0) <= 0:
         problems.append("windows_closed <= 0: the bench closed no windows")
     # Constant-time close: what a close merges (key partials added +
-    # retracted + rebuilt, a count that repeats exactly) must not grow
-    # with VISIBLE / ADVANCE.
+    # retracted + rebuilt + slices probed for a leaving key's next stamp,
+    # a count that repeats exactly) must not grow with VISIBLE / ADVANCE.
     merges = {e["ratio"]: e["merges_per_close"] for e in fresh.get("sweep", [])}
     if 6 not in merges or 300 not in merges:
         problems.append("sweep lacks merges_per_close at VISIBLE/ADVANCE = 6 and 300")

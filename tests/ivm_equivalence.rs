@@ -214,6 +214,23 @@ fn out_of_order_arrival_under_slack_stays_identical() {
     assert_eq!(incr, reeval, "out-of-order IVM output diverges");
 }
 
+#[test]
+fn a_sliding_integer_average_gives_back_what_leaves() {
+    // 2^60 rounds away every small value an f64 sum holds beside it; the
+    // windows after it left must not show that it was ever there.
+    let cq = "SELECT avg(v) a FROM hits <VISIBLE '2 seconds' ADVANCE '1 second'>";
+    let rows: Vec<(String, i64, i64)> = [3, 1 << 60, 5, 7, 9, 11, 13, 15]
+        .iter()
+        .zip(3..)
+        .map(|(v, s)| ("/u0".to_string(), *v, s * SECONDS))
+        .collect();
+    let (reeval, _) = windows(ivm_off(), cq, &rows);
+    assert!(reeval.contains("[Float(8.0)]"), "{reeval}");
+    for opts in [DbOptions::default(), ivm_on()] {
+        assert_eq!(windows(opts, cq, &rows).0, reeval);
+    }
+}
+
 proptest! {
     #![proptest_config(Config::with_cases(8))]
     /// Arbitrary workloads (key choice, values, irregular gaps) through
