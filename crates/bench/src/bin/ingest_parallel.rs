@@ -21,6 +21,12 @@
 //! layout can multiply aggregate throughput. A skipped floor is recorded
 //! honestly: the JSON carries `"skipped": true` plus the reason, so a
 //! dashboard can never mistake a too-small host for a pass.
+//!
+//! A second, single-threaded section ([`active_table_steady`]) records
+//! the *shape* of Active Table maintenance — what a REPLACE commit scans
+//! early and late in a long run with no `VACUUM`, and what the table
+//! still holds at the end — which `scripts/bench_check.sh` gates exactly:
+//! refreshing the table costs the delta, not the history.
 
 #![deny(unsafe_code)]
 
@@ -130,6 +136,45 @@ fn run(tag: &str, opts: DbOptions) -> f64 {
     tps
 }
 
+/// One stream, a per-second count over 100 groups, an APPEND and a
+/// REPLACE Active Table, 20 000 windows, no `VACUUM`. Returns the versions
+/// the REPLACE commit visited at windows 100 and 20 000 (counts that
+/// repeat exactly on any host) and the versions its table holds at the end.
+fn active_table_steady() -> ([u64; 2], usize) {
+    const WINDOWS: i64 = 20_000;
+    const GROUPS: i64 = 100;
+    let db = Db::in_memory(DbOptions::default());
+    for ddl in [
+        "CREATE STREAM clicks (k integer, ts timestamp CQTIME USER)",
+        "CREATE STREAM per_second AS SELECT k, count(*) c, cq_close(*) w \
+         FROM clicks <TUMBLING '1 second'> GROUP BY k",
+        "CREATE TABLE archive (k integer, c bigint, w timestamp)",
+        "CREATE CHANNEL archive_ch FROM per_second INTO archive APPEND",
+        "CREATE TABLE current (k integer, c bigint, w timestamp)",
+        "CREATE CHANNEL current_ch FROM per_second INTO current REPLACE",
+    ] {
+        db.execute(ddl).unwrap();
+    }
+    let scanned = db
+        .engine()
+        .metrics()
+        .counter("storage.replace.versions_scanned");
+    let mut at = [0; 2];
+    // The batch of second `w` closes window `w`.
+    for w in 0..=WINDOWS {
+        let before = scanned.get();
+        let rows = (0..GROUPS).map(|k| vec![Value::Int(k), Value::Timestamp(w * 1_000_000 + k)]);
+        db.ingest_batch("clicks", rows.collect()).unwrap();
+        match w {
+            100 => at[0] = scanned.get() - before,
+            WINDOWS => at[1] = scanned.get() - before,
+            _ => {}
+        }
+    }
+    let held = db.engine().table("current").unwrap().heap.version_count();
+    (at, held)
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "ingest_parallel: sharded core + per-shard WAL vs \
@@ -178,12 +223,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          {speedup:.2}x aggregate durable throughput"
     );
 
+    let ([scanned_100, scanned_20000], held) = active_table_steady();
+    println!(
+        "\nactive_table_steady: a REPLACE commit visits {scanned_100} versions at \
+         window 100 and {scanned_20000} at window 20000; the table ends holding {held}"
+    );
+
     let json = format!(
         "{{\n  \"streams\": {STREAMS},\n  \"shards\": {STREAMS},\n  \
          \"wal_shards\": {STREAMS},\n  \"durable\": true,\n  \
          \"cores\": {cores},\n  \"baseline_tps\": {baseline:.1},\n  \
          \"sharded_tps\": {sharded:.1},\n  \"speedup\": {speedup:.3},\n  \
-         \"skipped\": {skipped},\n  \"skip_reason\": \"{skip_reason}\"\n}}\n"
+         \"skipped\": {skipped},\n  \"skip_reason\": \"{skip_reason}\",\n  \
+         \"replace_scanned_per_window\": {{\"100\": {scanned_100}, \"20000\": {scanned_20000}}},\n  \
+         \"replace_heap_versions_end\": {held}\n}}\n"
     );
     std::fs::write("BENCH_ingest_parallel.json", json)?;
     println!("recorded BENCH_ingest_parallel.json");

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use streamrel_core::{Db, DbOptions};
-use streamrel_cq::recovery::{archive_watermark, replay_rows_after};
+use streamrel_cq::recovery::{archive_watermark, load_watermark, replay_rows_after};
 use streamrel_faults::{DiskImage, FaultIo, FaultPlan};
 use streamrel_storage::{Io, StorageEngine, SyncMode};
 use streamrel_types::{Column, DataType, Result, Value};
@@ -72,11 +72,16 @@ impl SweepOutcome {
 /// One logical storage step. Steps are *value-addressed* (tables by
 /// name, rows by content) so they can be re-driven against a recovered
 /// engine whose heap slots and transaction ids differ from the
-/// reference run's.
+/// reference run's. `ReplaceAll` is one transaction replacing the table's
+/// contents with `n` fresh rows, as a REPLACE channel does (one
+/// `DeleteMany`, one `InsertMany`, one commit); `Reclaim` frees dead
+/// versions and writes nothing, so it is digest-neutral.
 #[derive(Debug, Clone)]
 enum EngineStep {
     CreateTable(String),
     InsertBatch { table: String, base: i64, n: usize },
+    ReplaceAll { table: String, base: i64, n: usize },
+    Reclaim,
     DeleteMin { table: String },
     KvPut { key: String, value: String },
     Checkpoint,
@@ -111,13 +116,19 @@ fn gen_engine_steps(seed: u64, n: usize) -> Vec<EngineStep> {
             let name = format!("t{}", tables.len());
             tables.push(name.clone());
             EngineStep::CreateTable(name)
-        } else if roll < 55 {
+        } else if roll < 58 {
             let table = tables[rng.gen_range(0..tables.len())].clone();
             let n = rng.gen_range(1..4usize);
             let base = counter;
             counter += n as i64;
-            EngineStep::InsertBatch { table, base, n }
-        } else if roll < 70 {
+            if roll < 48 {
+                EngineStep::InsertBatch { table, base, n }
+            } else {
+                EngineStep::ReplaceAll { table, base, n }
+            }
+        } else if roll < 64 {
+            EngineStep::Reclaim
+        } else if roll < 72 {
             EngineStep::DeleteMin {
                 table: tables[rng.gen_range(0..tables.len())].clone(),
             }
@@ -165,6 +176,19 @@ fn apply_engine_step(e: &StorageEngine, step: &EngineStep, wal_shards: usize) ->
                 }
                 Ok(())
             })?;
+        }
+        EngineStep::ReplaceAll { table, base, n } => {
+            let id = e.table_id(table)?;
+            let rows = (*base..*base + *n as i64)
+                .map(|v| vec![Value::text(format!("k{v}")), Value::Int(v)])
+                .collect();
+            e.with_txn_on(table_home(table, wal_shards), |x| {
+                e.delete_all_visible(x, id)?;
+                e.insert_many(x, id, rows)
+            })?;
+        }
+        EngineStep::Reclaim => {
+            e.vacuum();
         }
         EngineStep::DeleteMin { table } => {
             let id = e.table_id(table)?;
@@ -265,11 +289,22 @@ pub fn checkpoint_reset_sweep(seed: u64, wal_shards: usize) -> Result<SweepOutco
         n: 2,
     });
     steps.push(EngineStep::DeleteMin { table: t(1) });
+    steps.push(EngineStep::ReplaceAll {
+        table: t(0),
+        base: 150,
+        n: 3,
+    });
+    steps.push(EngineStep::Reclaim);
     steps.push(EngineStep::Checkpoint);
     steps.push(EngineStep::InsertBatch {
         table: t(1),
         base: 200,
         n: 1,
+    });
+    steps.push(EngineStep::ReplaceAll {
+        table: t(0),
+        base: 300,
+        n: 2,
     });
     sweep_engine_steps(seed, &steps, wal_shards)
 }
@@ -411,17 +446,27 @@ fn cq_options() -> DbOptions {
         .with_pool_workers(0)
 }
 
-fn cq_setup(db: &Db) -> Result<()> {
+/// The standing query `derived` over stream `s` through `window`, its
+/// APPEND archive `agg`, its REPLACE table `cur`, and the raw archive.
+fn setup_with(db: &Db, derived: &str, window: &str) -> Result<()> {
     db.execute("CREATE STREAM s (k varchar(16), ts timestamp CQTIME USER)")?;
     db.execute("CREATE TABLE agg (k varchar(16), c bigint, w timestamp)")?;
-    db.execute(
-        "CREATE STREAM per_minute AS SELECT k, count(*) c, cq_close(*) w \
-         FROM s <TUMBLING '1 minute'> GROUP BY k",
-    )?;
-    db.execute("CREATE CHANNEL ch FROM per_minute INTO agg APPEND")?;
+    db.execute(&format!(
+        "CREATE STREAM {derived} AS SELECT k, count(*) c, cq_close(*) w \
+         FROM s <{window}> GROUP BY k"
+    ))?;
+    db.execute(&format!("CREATE CHANNEL ch FROM {derived} INTO agg APPEND"))?;
+    db.execute("CREATE TABLE cur (k varchar(16), c bigint, w timestamp)")?;
+    db.execute(&format!(
+        "CREATE CHANNEL cur_ch FROM {derived} INTO cur REPLACE"
+    ))?;
     db.execute("CREATE TABLE raw (k varchar(16), ts timestamp)")?;
     db.execute("CREATE CHANNEL raw_ch FROM s INTO raw APPEND")?;
     Ok(())
+}
+
+fn cq_setup(db: &Db) -> Result<()> {
+    setup_with(db, "per_minute", "TUMBLING '1 minute'")
 }
 
 /// One CQ-level sweep flavour: which options, which standing query, and
@@ -429,6 +474,8 @@ fn cq_setup(db: &Db) -> Result<()> {
 struct SweepSpec {
     options: fn() -> DbOptions,
     setup: fn(&Db) -> Result<()>,
+    /// The derived stream `setup` creates (its watermark's name).
+    derived: &'static str,
     /// `visible - advance`: the span of already-archived raw rows a
     /// sliding window still needs to rebuild its in-flight state. Zero
     /// for tumbling windows.
@@ -442,6 +489,7 @@ struct SweepSpec {
 const CQ_SPEC: SweepSpec = SweepSpec {
     options: cq_options,
     setup: cq_setup,
+    derived: "per_minute",
     replay_slack: 0,
     require_ivm: false,
 };
@@ -462,21 +510,13 @@ fn ivm_options() -> DbOptions {
 /// archived minutes before the watermark that the next window still
 /// sees, and rebuild the view from those slices.
 fn ivm_setup(db: &Db) -> Result<()> {
-    db.execute("CREATE STREAM s (k varchar(16), ts timestamp CQTIME USER)")?;
-    db.execute("CREATE TABLE agg (k varchar(16), c bigint, w timestamp)")?;
-    db.execute(
-        "CREATE STREAM winagg AS SELECT k, count(*) c, cq_close(*) w \
-         FROM s <VISIBLE '3 minutes' ADVANCE '1 minute'> GROUP BY k",
-    )?;
-    db.execute("CREATE CHANNEL ch FROM winagg INTO agg APPEND")?;
-    db.execute("CREATE TABLE raw (k varchar(16), ts timestamp)")?;
-    db.execute("CREATE CHANNEL raw_ch FROM s INTO raw APPEND")?;
-    Ok(())
+    setup_with(db, "winagg", "VISIBLE '3 minutes' ADVANCE '1 minute'")
 }
 
 const IVM_SPEC: SweepSpec = SweepSpec {
     options: ivm_options,
     setup: ivm_setup,
+    derived: "winagg",
     replay_slack: 2 * MINUTE, // visible 3m - advance 1m
     require_ivm: true,
 };
@@ -503,22 +543,28 @@ fn apply_cq_step(db: &Db, step: &CqStep) -> Result<()> {
     }
 }
 
+/// The rows a query returns, rendered and sorted.
+fn sorted_rows(db: &Db, sql: &str) -> Result<String> {
+    let rel = match db.execute(sql)? {
+        streamrel_core::ExecResult::Rows(rel) => rel,
+        other => {
+            return Err(streamrel_types::Error::Io(format!(
+                "unexpected result {other:?}"
+            )))
+        }
+    };
+    let mut rows: Vec<String> = rel.rows().iter().map(|r| format!("{r:?}")).collect();
+    rows.sort();
+    Ok(rows.join(" | "))
+}
+
 /// Canonical CQ digest: archived windows, the raw archive, and every CQ
 /// watermark — the full durable footprint of the standing query.
 pub fn cq_digest(db: &Db) -> Result<String> {
     let mut out = String::new();
-    for t in ["agg", "raw"] {
-        let rel = match db.execute(&format!("SELECT * FROM {t}"))? {
-            streamrel_core::ExecResult::Rows(rel) => rel,
-            other => {
-                return Err(streamrel_types::Error::Io(format!(
-                    "unexpected result {other:?}"
-                )))
-            }
-        };
-        let mut rows: Vec<String> = rel.rows().iter().map(|r| format!("{r:?}")).collect();
-        rows.sort();
-        out.push_str(&format!("table {t}: {}\n", rows.join(" | ")));
+    for t in ["agg", "cur", "raw"] {
+        let rows = sorted_rows(db, &format!("SELECT * FROM {t}"))?;
+        out.push_str(&format!("table {t}: {rows}\n"));
     }
     for (k, v) in db.engine().catalog_scan("cq_watermark.") {
         out.push_str(&format!("{k}={v}\n"));
@@ -613,6 +659,19 @@ fn spec_crash_once(
     };
     if spec.require_ivm && !ivm_lowered(&db) {
         return fail("recovered CQ did not re-lower to the IVM path".into());
+    }
+
+    // The REPLACE table swaps in the transaction that archives the window
+    // and moves the watermark: whatever the crash tore — the `DeleteMany`,
+    // the `InsertMany`, the commit — it holds exactly the archived rows of
+    // the last committed window.
+    let committed = load_watermark(db.engine(), spec.derived)?.unwrap_or(-1);
+    let cur = sorted_rows(&db, "SELECT * FROM cur")?;
+    let last = sorted_rows(&db, &format!("SELECT * FROM agg WHERE w = {committed}"))?;
+    if cur != last {
+        return fail(format!(
+            "REPLACE table is not the last committed window:\n{cur}\n--- want ---\n{last}"
+        ));
     }
 
     // Rebuild in-flight window state from the raw archive (§4): replay

@@ -870,7 +870,8 @@ impl Db {
             return Err(Error::catalog(format!("channel `{name}` already exists")));
         }
         let from_key = from_stream.to_ascii_lowercase();
-        let table_schema = self.engine.table_schema(into_table)?;
+        let table = self.engine.table(into_table)?;
+        let table_schema = &table.schema;
         // Validate schema compatibility (arity; types are coerced at
         // insert, so a count/arity check catches the real mistakes).
         let (src_schema, shard_idx, from_derived) = if let Some(d) = catalog.deriveds.get(&from_key)
@@ -901,7 +902,7 @@ impl Db {
         );
         let sink = ChannelSink {
             name: key.clone(),
-            table: into_table.to_string(),
+            table_id: table.id,
             mode,
             rows_written,
         };
@@ -931,6 +932,17 @@ impl Db {
             ObjectKind::Table => {
                 if !self.engine.has_table(&key) {
                     return missing("table", name, if_exists);
+                }
+                // Channels hold their table's id: it cannot go first.
+                let catalog = self.catalog.lock();
+                if let Some((ch, _)) = catalog
+                    .channels
+                    .iter()
+                    .find(|(_, c)| c.table.eq_ignore_ascii_case(&key))
+                {
+                    return Err(Error::catalog(format!(
+                        "table `{name}` is written by channel `{ch}`; drop it first"
+                    )));
                 }
                 self.engine.drop_table(&key)?;
                 Ok(ExecResult::Dropped(name.to_string()))
@@ -1296,7 +1308,7 @@ impl Db {
                  archived windows cannot be replayed"
             ))
         })?;
-        let table = {
+        let tid = {
             let catalog = self.catalog.lock();
             let shard = shard_at(&catalog, shard_idx)?;
             let state = shard.state.lock();
@@ -1307,7 +1319,7 @@ impl Db {
                     d.channels
                         .iter()
                         .find(|c| c.mode == ChannelMode::Append)
-                        .map(|c| c.table.clone())
+                        .map(|c| c.table_id)
                 })
                 .ok_or_else(|| {
                     Error::stream(format!(
@@ -1315,7 +1327,6 @@ impl Db {
                     ))
                 })?
         };
-        let tid = self.engine.table_id(&table)?;
         let snap = self.engine.snapshot();
         // Heap scan order is insertion order, and each window's rows were
         // inserted in one transaction in relation order — grouping into a
@@ -1327,7 +1338,7 @@ impl Db {
                 .get(close_col)
                 .ok_or_else(|| {
                     Error::stream(format!(
-                        "archived row in `{table}` is missing close column {close_col}"
+                        "archived row of `{stream}` is missing close column {close_col}"
                     ))
                 })?
                 .as_timestamp()?;
@@ -1496,13 +1507,15 @@ impl Db {
             rt.raw_channels.as_slice()
         };
         for ch in archives {
-            let tid = self.engine.table_id(&ch.table)?;
             let n = self.engine.with_txn_on(*domain, |x| {
                 if ch.mode == ChannelMode::Replace {
-                    self.engine.delete_all_visible(x, tid)?;
+                    self.engine.delete_all_visible(x, ch.table_id)?;
                 }
-                self.engine.insert_many(x, tid, released.clone())
+                self.engine.insert_many(x, ch.table_id, released.clone())
             })?;
+            if ch.mode == ChannelMode::Replace {
+                self.engine.reclaim(ch.table_id)?;
+            }
             ch.rows_written.fetch_add(n, Ordering::SeqCst);
             self.metrics.rows_archived.add(n);
         }
@@ -1627,17 +1640,20 @@ impl Db {
             let mut written: Vec<(Arc<AtomicU64>, u64)> = Vec::new();
             self.engine.with_txn_on(state.domain, |x| {
                 for ch in &channels {
-                    let tid = self.engine.table_id(&ch.table)?;
                     if ch.mode == ChannelMode::Replace {
-                        self.engine.delete_all_visible(x, tid)?;
+                        self.engine.delete_all_visible(x, ch.table_id)?;
                     }
-                    let n = self
-                        .engine
-                        .insert_many(x, tid, out.relation.rows().to_vec())?;
+                    let rows = out.relation.rows().to_vec();
+                    let n = self.engine.insert_many(x, ch.table_id, rows)?;
                     written.push((ch.rows_written.clone(), n));
                 }
                 save_watermark_txn(&self.engine, x, &sink_target, out.close)
             })?;
+            // The generation this commit replaced is dead to every snapshot
+            // taken from here on; what no older pin still sees goes now.
+            for ch in channels.iter().filter(|c| c.mode == ChannelMode::Replace) {
+                self.engine.reclaim(ch.table_id)?;
+            }
             for (cell, n) in written {
                 cell.fetch_add(n, Ordering::SeqCst);
                 self.metrics.rows_archived.add(n);

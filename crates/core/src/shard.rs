@@ -50,7 +50,9 @@ pub(crate) struct CqEntry {
 #[derive(Clone)]
 pub(crate) struct ChannelSink {
     pub name: String,
-    pub table: String,
+    /// Resolved once at `CREATE CHANNEL`; a table cannot be dropped while
+    /// a channel writes it.
+    pub table_id: u32,
     pub mode: ChannelMode,
     pub rows_written: Arc<AtomicU64>,
 }

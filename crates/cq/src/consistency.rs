@@ -8,10 +8,13 @@
 //! single snapshot for the CQ's whole lifetime instead, which E8 uses to
 //! show increasing staleness.
 
+use std::ops::Bound;
 use std::sync::Arc;
 
+use streamrel_storage::catalog::NamedIndex;
+use streamrel_storage::index::IndexKey;
 use streamrel_storage::{Snapshot, StorageEngine};
-use streamrel_types::{Relation, Result};
+use streamrel_types::{Relation, Result, Row, Value};
 
 use streamrel_exec::RelationSource;
 
@@ -34,6 +37,13 @@ pub struct SnapshotSource {
 }
 
 impl SnapshotSource {
+    /// An index whose whole key is `column` (multi-column indexes serve
+    /// neither lookups nor ranges on their leading column alone).
+    fn single_column_index(&self, table: &str, column: &str) -> Option<Arc<NamedIndex>> {
+        let named = self.engine.index_on(table, column)?;
+        (named.index.key_columns().len() == 1).then_some(named)
+    }
+
     /// Pin the engine's current state.
     pub fn pin(engine: Arc<StorageEngine>) -> SnapshotSource {
         let snapshot = engine.snapshot();
@@ -72,20 +82,10 @@ impl RelationSource for SnapshotSource {
         Ok(Relation::new(meta.schema.clone(), rows))
     }
 
-    fn index_lookup(
-        &self,
-        table: &str,
-        column: &str,
-        key: &streamrel_types::Value,
-    ) -> Result<Option<Vec<streamrel_types::Row>>> {
-        let Some(named) = self.engine.index_on(table, column) else {
+    fn index_lookup(&self, table: &str, column: &str, key: &Value) -> Result<Option<Vec<Row>>> {
+        let Some(named) = self.single_column_index(table, column) else {
             return Ok(None);
         };
-        // Single-column equality only (multi-column indexes still serve
-        // lookups on their leading column when it is the whole key).
-        if named.index.key_columns().len() != 1 {
-            return Ok(None);
-        }
         if key.is_null() {
             // NULL joins nothing; Some([]) also signals "index exists" to
             // the executor's existence probe.
@@ -93,16 +93,28 @@ impl RelationSource for SnapshotSource {
         }
         let rows = self
             .engine
-            .index_lookup(
-                table,
-                &named,
-                &streamrel_storage::index::IndexKey(vec![key.clone()]),
-                &self.snapshot,
-            )?
+            .index_lookup(table, &named, &IndexKey(vec![key.clone()]), &self.snapshot)?
             .into_iter()
             .map(|(_, r)| r)
             .collect();
         Ok(Some(rows))
+    }
+
+    fn index_range(
+        &self,
+        table: &str,
+        column: &str,
+        lo: Bound<&Value>,
+        hi: Bound<&Value>,
+    ) -> Result<Option<Vec<Row>>> {
+        let Some(named) = self.single_column_index(table, column) else {
+            return Ok(None);
+        };
+        let key = |b: Bound<&Value>| b.map(|v| IndexKey(vec![v.clone()]));
+        let hits = self
+            .engine
+            .index_range(table, &named, key(lo), key(hi), &self.snapshot)?;
+        Ok(Some(hits.into_iter().map(|(_, r)| r).collect()))
     }
 }
 
@@ -134,6 +146,24 @@ mod tests {
         // A fresh pin does see it.
         let src2 = SnapshotSource::pin(e);
         assert_eq!(src2.scan_table("dim").unwrap().len(), 2);
+    }
+
+    #[test]
+    fn index_range_serves_the_pinned_snapshot_through_a_single_column_index() {
+        let (e, t) = engine_with_table();
+        let rows = (0..10i64).map(|k| row![k]).collect();
+        e.with_txn(|x| e.insert_many(x, t, rows)).unwrap();
+        let src = SnapshotSource::pin(e.clone());
+        let (lo, hi) = (Value::Int(2), Value::Float(4.5));
+        let range = |s: &SnapshotSource| {
+            s.index_range("dim", "k", Bound::Excluded(&lo), Bound::Included(&hi))
+        };
+        assert_eq!(range(&src).unwrap(), None, "no index: the caller scans");
+        e.create_index("dim_k", "dim", &["k".into()]).unwrap();
+        e.with_txn(|x| e.insert(x, t, row![3i64])).unwrap();
+        assert_eq!(range(&src).unwrap(), Some(vec![row![3i64], row![4i64]]));
+        let fresh = SnapshotSource::pin(e);
+        assert_eq!(range(&fresh).unwrap().map(|r| r.len()), Some(3));
     }
 
     #[test]

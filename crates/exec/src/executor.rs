@@ -9,6 +9,7 @@
 //!   per-window results form the output stream (RSTREAM, Figure 1).
 
 use std::collections::HashMap;
+use std::ops::Bound;
 use std::sync::Arc;
 
 use streamrel_types::{Error, Relation, Result, Row, Timestamp, Value};
@@ -123,7 +124,10 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Relation> {
             ))),
         },
         LogicalPlan::Filter { input, predicate } => {
-            let rel = execute_node(input, ctx)?;
+            let rel = match index_range_scan(input, predicate, ctx)? {
+                Some(rel) => rel,
+                None => execute_node(input, ctx)?,
+            };
             let mut out = Relation::empty(rel.schema().clone());
             for row in rel.rows() {
                 if eval_predicate(predicate, row, &ectx)? {
@@ -206,6 +210,77 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Relation> {
             Ok(out)
         }
     }
+}
+
+/// Answer `Filter(TableScan)` through an ordered index when conjuncts of
+/// the predicate bound a column with `<, <=, >, >=, =` (so `BETWEEN` too)
+/// against constants and the source has a single-column index on it. The
+/// first lower and first upper bound found for that column select the
+/// range; the caller still applies the whole predicate, so every other
+/// conjunct — and NULL keys, which sort last — are filtered as in a scan.
+fn index_range_scan(
+    input: &LogicalPlan,
+    predicate: &BoundExpr,
+    ctx: &ExecContext<'_>,
+) -> Result<Option<Relation>> {
+    use streamrel_sql::plan::BinaryOp::*;
+    let LogicalPlan::TableScan { table, schema } = input else {
+        return Ok(None);
+    };
+    // (column, lower, upper) per bounded column, in conjunct order.
+    let mut bounds: Vec<(usize, Bound<&Value>, Bound<&Value>)> = Vec::new();
+    let mut conjuncts = vec![predicate];
+    while let Some(e) = conjuncts.pop() {
+        let BoundExpr::Binary {
+            op, left, right, ..
+        } = e
+        else {
+            continue;
+        };
+        let (col, v, op) = match (op, left.as_ref(), right.as_ref()) {
+            (And, l, r) => {
+                conjuncts.extend([r, l]);
+                continue;
+            }
+            (op, BoundExpr::Column { index, .. }, BoundExpr::Literal(v)) => (*index, v, *op),
+            // `literal op column` reads as `column flipped-op literal`.
+            (Lt, BoundExpr::Literal(v), BoundExpr::Column { index, .. }) => (*index, v, Gt),
+            (Le, BoundExpr::Literal(v), BoundExpr::Column { index, .. }) => (*index, v, Ge),
+            (Gt, BoundExpr::Literal(v), BoundExpr::Column { index, .. }) => (*index, v, Lt),
+            (Ge, BoundExpr::Literal(v), BoundExpr::Column { index, .. }) => (*index, v, Le),
+            (Eq, BoundExpr::Literal(v), BoundExpr::Column { index, .. }) => (*index, v, Eq),
+            _ => continue,
+        };
+        let (lo, hi) = match op {
+            Gt => (Bound::Excluded(v), Bound::Unbounded),
+            Ge => (Bound::Included(v), Bound::Unbounded),
+            Lt => (Bound::Unbounded, Bound::Excluded(v)),
+            Le => (Bound::Unbounded, Bound::Included(v)),
+            Eq => (Bound::Included(v), Bound::Included(v)),
+            _ => continue,
+        };
+        let at = match bounds.iter().position(|b| b.0 == col) {
+            Some(at) => at,
+            None => {
+                bounds.push((col, Bound::Unbounded, Bound::Unbounded));
+                bounds.len() - 1
+            }
+        };
+        let slot = &mut bounds[at];
+        if slot.1 == Bound::Unbounded {
+            slot.1 = lo;
+        }
+        if slot.2 == Bound::Unbounded {
+            slot.2 = hi;
+        }
+    }
+    for (col, lo, hi) in bounds {
+        let column = &schema.column(col).name;
+        if let Some(rows) = ctx.source.index_range(table, column, lo, hi)? {
+            return Ok(Some(Relation::new(schema.clone(), rows)));
+        }
+    }
+    Ok(None)
 }
 
 /// Attempt an index nested-loop join. Engages when the right child is a

@@ -1,5 +1,7 @@
 //! Data-source abstraction for the executor.
 
+use std::ops::Bound;
+
 use streamrel_types::{Relation, Result, Row, Value};
 
 /// Supplies table contents to the executor.
@@ -21,6 +23,22 @@ pub trait RelationSource {
     /// rescanning the archive at every window close.
     fn index_lookup(&self, table: &str, column: &str, key: &Value) -> Result<Option<Vec<Row>>> {
         let _ = (table, column, key);
+        Ok(None)
+    }
+
+    /// The visible rows of `table` whose `column` lies within the bounds
+    /// (in [`Value::sort_cmp`] order), in scan order, through an ordered
+    /// single-column index on it. `Ok(None)` means "no usable index". A
+    /// range aggregate over an archive reads its windows this way instead
+    /// of cloning the whole table under the lock its writer needs.
+    fn index_range(
+        &self,
+        table: &str,
+        column: &str,
+        lo: Bound<&Value>,
+        hi: Bound<&Value>,
+    ) -> Result<Option<Vec<Row>>> {
+        let _ = (table, column, lo, hi);
         Ok(None)
     }
 }

@@ -1,11 +1,89 @@
 //! Property-based tests: the accumulator merge law (the invariant the
 //! entire shared-slice design rests on) and executor algebraic identities.
 
+use std::cell::Cell;
+use std::ops::Bound;
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use streamrel_exec::expr::{eval, EvalContext};
-use streamrel_exec::Accumulator;
-use streamrel_sql::plan::{AggFunc, BinaryOp, BoundExpr};
-use streamrel_types::Value;
+use streamrel_exec::{execute, Accumulator, ExecContext, RelationSource};
+use streamrel_sql::plan::{AggFunc, BinaryOp, BoundExpr, LogicalPlan};
+use streamrel_types::{Column, DataType, Relation, Result, Row, Schema, Value};
+
+/// A table with the contract of an ordered single-column index on column
+/// 0: `index_range` returns, in scan order, the rows whose key lies within
+/// the bounds in `sort_cmp` order — NULL keys (which sort last) included
+/// when the upper bound is open, exactly like the B-tree.
+struct IndexedTable {
+    rel: Relation,
+    indexed: bool,
+    ranges: Cell<u32>,
+}
+
+impl RelationSource for IndexedTable {
+    fn scan_table(&self, _: &str) -> Result<Relation> {
+        Ok(self.rel.clone())
+    }
+
+    fn index_range(
+        &self,
+        _: &str,
+        column: &str,
+        lo: Bound<&Value>,
+        hi: Bound<&Value>,
+    ) -> Result<Option<Vec<Row>>> {
+        if !self.indexed || column != "k" {
+            return Ok(None);
+        }
+        self.ranges.set(self.ranges.get() + 1);
+        let above = |v: &Value| match lo {
+            Bound::Included(b) => v.sort_cmp(b).is_ge(),
+            Bound::Excluded(b) => v.sort_cmp(b).is_gt(),
+            Bound::Unbounded => true,
+        };
+        let below = |v: &Value| match hi {
+            Bound::Included(b) => v.sort_cmp(b).is_le(),
+            Bound::Excluded(b) => v.sort_cmp(b).is_lt(),
+            Bound::Unbounded => true,
+        };
+        let rows = self.rel.rows().iter();
+        Ok(Some(
+            rows.filter(|r| above(&r[0]) && below(&r[0]))
+                .cloned()
+                .collect(),
+        ))
+    }
+}
+
+fn arb_num() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        (-6i64..6).prop_map(Value::Int),
+        (-6i64..6).prop_map(|i| Value::Float(i as f64 + 0.5)),
+        (-6i64..6).prop_map(|i| Value::Float(i as f64)),
+    ]
+}
+
+/// `column op literal` (or flipped), over column 0 or 1.
+fn arb_conjunct() -> impl Strategy<Value = BoundExpr> {
+    use BinaryOp::*;
+    const OPS: [BinaryOp; 6] = [Lt, Le, Gt, Ge, Eq, Neq];
+    (0usize..6, 0usize..2, arb_num(), any::<bool>()).prop_map(|(op, index, v, flip)| {
+        let op = OPS[op];
+        let ty = DataType::Float;
+        let col = Box::new(BoundExpr::Column { index, ty });
+        let lit = Box::new(BoundExpr::Literal(v));
+        let (left, right) = if flip { (lit, col) } else { (col, lit) };
+        let ty = DataType::Bool;
+        BoundExpr::Binary {
+            op,
+            left,
+            right,
+            ty,
+        }
+    })
+}
 
 fn arb_vals() -> impl Strategy<Value = Vec<Option<i64>>> {
     prop::collection::vec(prop::option::of(-1000i64..1000), 0..60)
@@ -21,6 +99,58 @@ fn feed(acc: &mut Accumulator, vals: &[Option<i64>]) {
 }
 
 proptest! {
+    /// A filter answered through an index range returns exactly what the
+    /// scan + filter returns, row order included: NULL keys, cross-type
+    /// numeric bounds, crossed bounds and flipped operands alike.
+    #[test]
+    fn index_range_equals_scan_and_filter(
+        keys in prop::collection::vec((arb_num(), arb_num()), 0..40),
+        conjuncts in prop::collection::vec(arb_conjunct(), 1..4),
+    ) {
+        let schema = Arc::new(Schema::new(vec![
+            Column::new("k", DataType::Float),
+            Column::new("v", DataType::Float),
+        ]).unwrap());
+        let rows = keys.into_iter().map(|(k, v)| vec![k, v]).collect();
+        let rel = Relation::new(schema.clone(), rows);
+        let predicate = conjuncts
+            .into_iter()
+            .reduce(|l, r| BoundExpr::Binary {
+                op: BinaryOp::And,
+                left: Box::new(l),
+                right: Box::new(r),
+                ty: DataType::Bool,
+            })
+            .unwrap();
+        let bounds_k = {
+            let mut found = false;
+            let mut stack = vec![&predicate];
+            while let Some(BoundExpr::Binary { op, left, right, .. }) = stack.pop() {
+                if *op == BinaryOp::And {
+                    stack.extend([left.as_ref(), right.as_ref()]);
+                } else if *op != BinaryOp::Neq {
+                    found |= [left, right].iter().any(|e| {
+                        matches!(e.as_ref(), BoundExpr::Column { index: 0, .. })
+                    });
+                }
+            }
+            found
+        };
+        let plan = LogicalPlan::Filter {
+            input: Box::new(LogicalPlan::TableScan { table: "t".into(), schema }),
+            predicate,
+        };
+        let run = |indexed: bool| {
+            let src = IndexedTable { rel: rel.clone(), indexed, ranges: Cell::new(0) };
+            let out = execute(&plan, &ExecContext::snapshot(&src)).unwrap();
+            (out.into_rows(), src.ranges.get())
+        };
+        let (scanned, _) = run(false);
+        let (ranged, ranges) = run(true);
+        prop_assert_eq!(ranged, scanned);
+        prop_assert_eq!(ranges, u32::from(bounds_k), "the index is asked iff `k` is bounded");
+    }
+
     /// Merge law: for every aggregate and every split of the input,
     /// merging partials equals aggregating the whole. This is exactly why
     /// slice-composed windows (shared mode) match raw re-aggregation.

@@ -7,13 +7,14 @@
 //! streaming data that has been entered into persistent structures" (§2.3).
 
 use std::collections::HashMap;
+use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
-use streamrel_obs::{Gauge, Histogram, Registry};
+use streamrel_obs::{Counter, Gauge, Histogram, Registry};
 use streamrel_types::{Error, Result, Row, Schema};
 
 use crate::catalog::{Catalog, NamedIndex, SchemaRef, TableMeta};
@@ -23,12 +24,17 @@ use crate::heap::TupleId;
 use crate::index::{IndexKey, OrderedIndex};
 use crate::io::{Io, StdIo};
 use crate::txn::{Snapshot, TxnId, TxnManager, TxnStatus, FROZEN_XID};
-use crate::wal::{replay_bytes, Wal, WalRecord};
+use crate::wal::{self, replay_bytes, Wal, WalRecord};
 
 pub use crate::wal::SyncMode;
 
 const CHECKPOINT_FILE: &str = "checkpoint.dat";
 const CHECKPOINT_MAGIC: &[u8; 8] = b"SRCHKPT2";
+
+fn conflict(table: u32, slot: u64) -> Error {
+    let tid = TupleId { table, slot };
+    Error::TxnAborted(format!("write-write conflict or missing tuple at {tid:?}"))
+}
 
 /// Log file name for commit domain `shard` (DESIGN.md §13).
 fn wal_file(shard: usize) -> String {
@@ -50,6 +56,18 @@ pub struct EngineStats {
     pub deletes: u64,
     /// WAL records replayed at open (recovery work).
     pub replayed: u64,
+}
+
+/// [`EngineStats`] as the engine keeps it: lock-free counters, bumped
+/// once per batch.
+#[derive(Default)]
+struct StatCells {
+    wal_records: Counter,
+    commits: Counter,
+    aborts: Counter,
+    inserts: Counter,
+    deletes: Counter,
+    replayed: Counter,
 }
 
 /// Group-commit coordination for one commit domain (DESIGN.md §13).
@@ -104,14 +122,17 @@ impl WalShard {
     }
 }
 
-// lock-order: epoch < wal < group < stats
+// lock-order: epoch < wal < group
 //
-// Commit paths append to the WAL, coordinate through the group-commit
-// state, then bump the counters; never hold `stats` while taking `wal`
-// or `group` (streamrel-lint enforces this per function). The group
-// leader releases `wal` before taking `group` to publish its result, so
-// followers can keep appending while an fsync is in flight. The
-// checkpoint epoch is read before (and never while) holding `wal`.
+// Commit paths append to the WAL, then coordinate through the
+// group-commit state (streamrel-lint enforces the order per function).
+// The group leader releases `wal` before taking `group` to publish its
+// result, so followers can keep appending while an fsync is in flight.
+// The checkpoint epoch is read before (and never while) holding `wal`.
+// The unnamed per-table locks nest outside these and in one order: a
+// heap's lock, then an index tree's or the transaction tables'; a batch
+// insert holds its heap's write lock across the `wal` append so the
+// batch's slot run and its log record are assigned together.
 /// The durable storage engine.
 pub struct StorageEngine {
     dir: Option<PathBuf>,
@@ -135,7 +156,16 @@ pub struct StorageEngine {
     /// single serial history. Allocated under the destination log's
     /// `wal` lock so each log's `last_lsn` always covers its buffer.
     next_lsn: AtomicU64,
-    stats: Mutex<EngineStats>,
+    stats: StatCells,
+    /// [`TxnManager::aborts`] as of the last full [`StorageEngine::vacuum`]
+    /// pass: while it still matches, no aborted insert can be waiting.
+    swept_aborts: AtomicU64,
+    /// `storage.replace.versions_scanned`: versions visited by
+    /// [`StorageEngine::delete_all_visible`].
+    replace_scanned: Arc<Counter>,
+    /// `storage.reclaim.versions_visited`: versions visited by
+    /// [`StorageEngine::reclaim`] and [`StorageEngine::vacuum`].
+    reclaim_visited: Arc<Counter>,
     /// Engine-wide metrics registry; every layer above shares this handle.
     metrics: Arc<Registry>,
     /// Cached instruments so the hot commit path skips the registry map.
@@ -190,27 +220,8 @@ impl StorageEngine {
         let wal_shards = wal_shards.max(1);
         let dir = dir.into();
         io.create_dir_all(&dir)?;
-        let metrics = Arc::new(Registry::default());
-        io.bind_metrics(&metrics);
-        let commit_hist = metrics.histogram("storage.commit_us");
-        let wal_sync_hist = metrics.histogram("storage.wal_sync_us");
-        let batch_hist = metrics.histogram("wal.group_commit.batch_size");
-        let wal_poisoned = metrics.gauge("wal.poisoned");
-        let engine = StorageEngine {
-            dir: Some(dir.clone()),
-            txns: TxnManager::new(),
-            catalog: Catalog::new(),
-            wals: Vec::new(),
-            io: io.clone(),
-            epoch: Mutex::named("storage.epoch", 0),
-            next_lsn: AtomicU64::new(1),
-            stats: Mutex::named("storage.stats", EngineStats::default()),
-            metrics,
-            commit_hist,
-            wal_sync_hist,
-            batch_hist,
-            wal_poisoned,
-        };
+        let engine = StorageEngine::bare(Some(dir.clone()), io.clone());
+        io.bind_metrics(&engine.metrics);
         let shard_epochs = engine.load_checkpoint(&dir.join(CHECKPOINT_FILE))?;
         let ck_epoch = *engine.epoch.lock();
         let expected_epoch = |shard: usize| -> u64 {
@@ -279,7 +290,10 @@ impl StorageEngine {
         engine.next_lsn.store(max_lsn + 1, Ordering::SeqCst);
         let records: Vec<WalRecord> = merged.into_iter().map(|(_, rec)| rec).collect();
         let replayed = engine.apply_wal_records(records)?;
-        engine.stats.lock().replayed = replayed;
+        engine.stats.replayed.add(replayed);
+        // Replay rebuilt every version the logs held; keep (and index)
+        // only what a snapshot can still see.
+        engine.vacuum();
         engine.rebuild_indexes();
         let mut wals = Vec::with_capacity(wal_shards);
         for (shard, stamp) in needs_stamp.iter().copied().enumerate() {
@@ -305,36 +319,42 @@ impl StorageEngine {
     /// A purely in-memory engine (no WAL, no checkpoints). Used by
     /// baselines and benchmarks where durability is not under test.
     pub fn in_memory() -> StorageEngine {
+        StorageEngine::bare(None, StdIo::shared())
+    }
+
+    /// An engine with no tables and no logs yet.
+    fn bare(dir: Option<PathBuf>, io: Arc<dyn Io>) -> StorageEngine {
         let metrics = Arc::new(Registry::default());
-        let commit_hist = metrics.histogram("storage.commit_us");
-        let wal_sync_hist = metrics.histogram("storage.wal_sync_us");
-        let batch_hist = metrics.histogram("wal.group_commit.batch_size");
-        let wal_poisoned = metrics.gauge("wal.poisoned");
         StorageEngine {
-            dir: None,
+            dir,
             txns: TxnManager::new(),
             catalog: Catalog::new(),
             wals: Vec::new(),
-            io: StdIo::shared(),
+            io,
             epoch: Mutex::named("storage.epoch", 0),
             next_lsn: AtomicU64::new(1),
-            stats: Mutex::named("storage.stats", EngineStats::default()),
+            stats: StatCells::default(),
+            swept_aborts: AtomicU64::new(0),
+            replace_scanned: metrics.counter("storage.replace.versions_scanned"),
+            reclaim_visited: metrics.counter("storage.reclaim.versions_visited"),
+            commit_hist: metrics.histogram("storage.commit_us"),
+            wal_sync_hist: metrics.histogram("storage.wal_sync_us"),
+            batch_hist: metrics.histogram("wal.group_commit.batch_size"),
+            wal_poisoned: metrics.gauge("wal.poisoned"),
             metrics,
-            commit_hist,
-            wal_sync_hist,
-            batch_hist,
-            wal_poisoned,
         }
-    }
-
-    /// The data directory, if durable.
-    pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
     }
 
     /// Engine statistics snapshot.
     pub fn stats(&self) -> EngineStats {
-        *self.stats.lock()
+        EngineStats {
+            wal_records: self.stats.wal_records.get(),
+            commits: self.stats.commits.get(),
+            aborts: self.stats.aborts.get(),
+            inserts: self.stats.inserts.get(),
+            deletes: self.stats.deletes.get(),
+            replayed: self.stats.replayed.get(),
+        }
     }
 
     /// The engine-wide metrics registry. Layers above the storage engine
@@ -390,17 +410,29 @@ impl StorageEngine {
     }
 
     /// Append one record to domain `domain` under a fresh global LSN.
+    /// Returns the record's LSN (0 for in-memory engines).
+    fn log_on(&self, domain: usize, rec: &WalRecord) -> Result<u64> {
+        let commit = matches!(rec, WalRecord::Commit { .. });
+        self.log_with(domain, commit, |b| rec.encode_into(b))
+    }
+
+    /// [`StorageEngine::log_on`] for a payload written by `encode`.
     /// The LSN is allocated under the log's lock so `Wal::last_lsn`
     /// always covers every record buffered in that log — a group-commit
     /// leader's fsync target can never miss an allocated-but-unappended
-    /// commit. Returns the record's LSN (0 for in-memory engines).
-    fn log_on(&self, domain: usize, rec: &WalRecord) -> Result<u64> {
+    /// commit.
+    fn log_with(
+        &self,
+        domain: usize,
+        commit: bool,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<u64> {
         let Some(shard) = self.wals.get(domain) else {
             return Ok(0);
         };
         let mut w = shard.wal.lock();
         let lsn = self.next_lsn.fetch_add(1, Ordering::SeqCst);
-        if let Err(e) = w.append(lsn, rec) {
+        if let Err(e) = w.append_with(lsn, encode) {
             let poisoned = w.is_poisoned();
             drop(w);
             if poisoned {
@@ -408,7 +440,7 @@ impl StorageEngine {
             }
             return Err(self.scope_err(domain, e));
         }
-        if matches!(rec, WalRecord::Commit { .. }) {
+        if commit {
             // Register for batch accounting while still holding `wal`:
             // no leader can capture a target covering this commit before
             // it is pending, so every commit lands in exactly one batch
@@ -416,7 +448,7 @@ impl StorageEngine {
             shard.group.lock().pending.push(lsn);
         }
         drop(w);
-        self.stats.lock().wal_records += 1;
+        self.stats.wal_records.add(1);
         Ok(lsn)
     }
 
@@ -546,7 +578,7 @@ impl StorageEngine {
         let lsn = self.log_on(domain, &WalRecord::Commit { xid })?;
         self.sync_domain_to(domain, lsn)?;
         self.txns.commit(xid);
-        self.stats.lock().commits += 1;
+        self.stats.commits.add(1);
         self.commit_hist.observe_from(start);
         if let Some(shard) = self.wals.get(domain) {
             shard.commit_hist.observe_from(start);
@@ -560,7 +592,7 @@ impl StorageEngine {
         let domain = self.txns.domain_of(xid) as usize;
         self.log_on(domain, &WalRecord::Abort { xid })?;
         self.txns.abort(xid);
-        self.stats.lock().aborts += 1;
+        self.stats.aborts.add(1);
         Ok(())
     }
 
@@ -682,10 +714,8 @@ impl StorageEngine {
         let idx = OrderedIndex::new(cols.clone());
         // Build from existing data: every version slot, visibility checked
         // at read time.
-        for (slot, tv) in meta.heap.dump_versions() {
-            if let Some(row) = tv.row {
-                idx.insert(&row, slot);
-            }
+        for (slot, row) in meta.heap.rows() {
+            idx.insert(&row, slot);
         }
         meta.indexes.write().push(Arc::new(NamedIndex {
             name: index_name.to_string(),
@@ -727,73 +757,90 @@ impl StorageEngine {
 
     // ---- DML ---------------------------------------------------------------
 
-    /// Insert a row (coerced against the schema) under transaction `xid`.
+    /// Insert a row (coerced against the schema) under transaction `xid`:
+    /// the batch of one.
     pub fn insert(&self, xid: TxnId, table_id: u32, row: Row) -> Result<TupleId> {
-        let meta = self.catalog.table_by_id(table_id)?;
-        let row = meta.schema.coerce_row(row)?;
-        let tid = meta.heap.insert(xid, row.clone());
-        for idx in meta.indexes.read().iter() {
-            idx.index.insert(&row, tid.slot);
-        }
-        self.log_on(
-            self.txns.domain_of(xid) as usize,
-            &WalRecord::Insert {
-                xid,
-                table: table_id,
-                slot: tid.slot,
-                row,
-            },
-        )?;
-        self.stats.lock().inserts += 1;
-        Ok(tid)
+        let slot = self.insert_batch(xid, table_id, vec![row])?;
+        Ok(TupleId {
+            table: table_id,
+            slot,
+        })
     }
 
-    /// Insert many rows in one transaction scope (amortizes lock traffic).
+    /// Insert many rows under transaction `xid`: one heap append, one log
+    /// record. Returns how many.
     pub fn insert_many(&self, xid: TxnId, table_id: u32, rows: Vec<Row>) -> Result<u64> {
-        let mut n = 0;
-        for row in rows {
-            self.insert(xid, table_id, row)?;
-            n += 1;
-        }
+        let n = rows.len() as u64;
+        self.insert_batch(xid, table_id, rows)?;
         Ok(n)
     }
 
+    /// Coerce `rows` in place, then — under the heap's write lock — give
+    /// them a contiguous slot run, log them as one `InsertMany` record and
+    /// append them; the indexes take the run under one lock each. Returns
+    /// the first slot.
+    fn insert_batch(&self, xid: TxnId, table_id: u32, mut rows: Vec<Row>) -> Result<u64> {
+        let meta = self.catalog.table_by_id(table_id)?;
+        for row in &mut rows {
+            *row = meta.schema.coerce_row(std::mem::take(row))?;
+        }
+        let n = rows.len() as u64;
+        let domain = self.txns.domain_of(xid) as usize;
+        let indexes = meta.indexes.read();
+        let first = meta.heap.append(xid, rows, |first, rows| {
+            self.log_with(domain, false, |b| {
+                wal::encode_insert_many(b, xid, table_id, first, rows)
+            })?;
+            // Indexed from the rows the heap is about to own: entries are
+            // version-oblivious and readers re-check each slot's visibility.
+            for idx in indexes.iter() {
+                idx.index.insert_run(rows, first);
+            }
+            Ok::<_, Error>(())
+        })?;
+        self.stats.inserts.add(n);
+        Ok(first)
+    }
+
     /// Delete the tuple at `tid`, erroring on a write-write conflict with a
-    /// concurrent (non-aborted) deleter.
+    /// concurrent (non-aborted) deleter: the batch of one.
     pub fn delete(&self, xid: TxnId, tid: TupleId) -> Result<()> {
         let meta = self.catalog.table_by_id(tid.table)?;
         let ok = meta
             .heap
             .delete(xid, tid.slot, |other| self.txns.is_aborted(other));
         if !ok {
-            return Err(Error::TxnAborted(format!(
-                "write-write conflict or missing tuple at {tid:?}"
-            )));
+            return Err(conflict(tid.table, tid.slot));
         }
-        self.log_on(
-            self.txns.domain_of(xid) as usize,
-            &WalRecord::Delete {
-                xid,
-                table: tid.table,
-                slot: tid.slot,
-            },
-        )?;
-        self.stats.lock().deletes += 1;
-        Ok(())
+        self.log_deletes(xid, tid.table, vec![tid.slot])
     }
 
     /// Delete every row visible to `xid`'s snapshot (used by REPLACE
-    /// channels and `DELETE FROM t` without a predicate).
+    /// channels and `DELETE FROM t` without a predicate): the versions are
+    /// stamped under one heap lock and logged as one `DeleteMany` record
+    /// naming exactly those slots.
     pub fn delete_all_visible(&self, xid: TxnId, table_id: u32) -> Result<u64> {
         let meta = self.catalog.table_by_id(table_id)?;
         let snap = self.snapshot_for(xid);
-        let victims = meta.heap.scan(&snap, &|x| self.txns.is_aborted(x));
-        let mut n = 0;
-        for (tid, _) in victims {
-            self.delete(xid, tid)?;
-            n += 1;
+        let (slots, visited) = meta
+            .heap
+            .delete_visible(xid, &snap, &|x| self.txns.is_aborted(x))
+            .map_err(|slot| conflict(table_id, slot))?;
+        self.replace_scanned.add(visited as u64);
+        let n = slots.len() as u64;
+        if n > 0 {
+            self.log_deletes(xid, table_id, slots)?;
         }
         Ok(n)
+    }
+
+    /// Log delete stamps already applied to the heap.
+    fn log_deletes(&self, xid: TxnId, table: u32, slots: Vec<u64>) -> Result<()> {
+        let n = slots.len() as u64;
+        let domain = self.txns.domain_of(xid) as usize;
+        self.log_on(domain, &WalRecord::DeleteMany { xid, table, slots })?;
+        self.stats.deletes.add(n);
+        Ok(())
     }
 
     /// Non-MVCC bulk truncate (requires the caller to ensure quiescence;
@@ -842,38 +889,65 @@ impl StorageEngine {
         key: &IndexKey,
         snap: &Snapshot,
     ) -> Result<Vec<(TupleId, Row)>> {
-        let meta = self.catalog.table_by_name(table)?;
-        let mut out = Vec::new();
-        for slot in index.index.lookup(key) {
-            if let Some(row) = meta.heap.get(slot, snap, &|x| self.txns.is_aborted(x)) {
-                out.push((
-                    TupleId {
-                        table: meta.id,
-                        slot,
-                    },
-                    row,
-                ));
-            }
-        }
-        Ok(out)
+        let key = || Bound::Included(key.clone());
+        self.index_range(table, index, key(), key(), snap)
     }
 
-    /// Reclaim dead tuple versions across all tables; returns count.
-    pub fn vacuum(&self) -> usize {
-        let horizon = self.txns.snapshot(None).xmax;
-        let committed = |x: TxnId| self.txns.status(x) == TxnStatus::Committed;
+    /// Range lookup through a named index: the visible rows whose key
+    /// lies within the bounds, in heap (= scan) order. Index entries are
+    /// version-oblivious, so visibility is re-checked per slot.
+    pub fn index_range(
+        &self,
+        table: &str,
+        index: &NamedIndex,
+        lo: Bound<IndexKey>,
+        hi: Bound<IndexKey>,
+        snap: &Snapshot,
+    ) -> Result<Vec<(TupleId, Row)>> {
+        let meta = self.catalog.table_by_name(table)?;
+        let mut slots = index.index.range(lo, hi);
+        slots.sort_unstable();
         let aborted = |x: TxnId| self.txns.is_aborted(x);
-        let mut total = 0;
-        for meta in self.catalog.all_tables() {
-            let reclaimed = meta.heap.vacuum(horizon, &committed, &aborted);
+        Ok(meta.heap.get_many(&slots, snap, &aborted))
+    }
+
+    /// Reclaim the versions of one table that no live or future snapshot
+    /// can see: deleted by a transaction committed below the oldest live
+    /// snapshot's horizon. Channels call this after a REPLACE commit, so
+    /// the table holds its live generation plus whatever a pinned reader
+    /// still sees. Costs the dead versions, not the table; returns how
+    /// many were reclaimed.
+    pub fn reclaim(&self, table_id: u32) -> Result<usize> {
+        let meta = self.catalog.table_by_id(table_id)?;
+        Ok(self.reclaim_heap(&meta, self.txns.horizon(), false))
+    }
+
+    /// Reclaim dead tuple versions across all tables; returns count. The
+    /// same routine as [`StorageEngine::reclaim`] over every table that
+    /// holds a delete-stamped version, plus one full pass (which also
+    /// finds aborted inserts) if a transaction aborted since the last one:
+    /// with neither, it visits no version.
+    pub fn vacuum(&self) -> usize {
+        let aborts = self.txns.aborts();
+        let full = self.swept_aborts.swap(aborts, Ordering::SeqCst) != aborts;
+        let horizon = self.txns.horizon();
+        let tables = self.catalog.all_tables();
+        tables
+            .iter()
+            .map(|meta| self.reclaim_heap(meta, horizon, full))
+            .sum()
+    }
+
+    fn reclaim_heap(&self, meta: &TableMeta, horizon: TxnId, full: bool) -> usize {
+        let aborted = |x: TxnId| self.txns.is_aborted(x);
+        let (reclaimed, visited) = meta.heap.reclaim(horizon, &aborted, full);
+        self.reclaim_visited.add(visited as u64);
+        if !reclaimed.is_empty() {
             for idx in meta.indexes.read().iter() {
-                for (slot, row) in &reclaimed {
-                    idx.index.remove(row, *slot);
-                }
+                idx.index.remove_many(&reclaimed);
             }
-            total += reclaimed.len();
         }
-        total
+        reclaimed.len()
     }
 
     // ---- catalog KV (upper-layer DDL persistence) --------------------------
@@ -1009,12 +1083,11 @@ impl StorageEngine {
             for idx in indexes.iter() {
                 idx.index.clear();
             }
-            for row in rows {
-                let tid = meta.heap.insert(FROZEN_XID, row.clone());
-                for idx in indexes.iter() {
-                    idx.index.insert(&row, tid.slot);
-                }
+            for idx in indexes.iter() {
+                idx.index.insert_run(&rows, 0);
             }
+            meta.heap
+                .append(FROZEN_XID, rows, |_, _| Ok::<_, Error>(()))?;
         }
         for (shard_idx, shard) in self.wals.iter().enumerate() {
             let mut w = shard.wal.lock();
@@ -1040,7 +1113,6 @@ impl StorageEngine {
             }
             g.pending.clear();
         }
-        self.txns.prune_below(snap.xmax);
         Ok(())
     }
 
@@ -1086,10 +1158,12 @@ impl StorageEngine {
             let schema = codec::decode_schema(&mut r)?;
             let meta = self.catalog.create_table_with_id(id, &name, schema)?;
             let nrows = r.u64()?;
+            let mut rows = Vec::new();
             for _ in 0..nrows {
-                let row = codec::decode_row(&mut r)?;
-                meta.heap.insert(FROZEN_XID, row);
+                rows.push(codec::decode_row(&mut r)?);
             }
+            meta.heap
+                .append(FROZEN_XID, rows, |_, _| Ok::<_, Error>(()))?;
         }
         let nkv = r.u32()?;
         for _ in 0..nkv {
@@ -1114,21 +1188,32 @@ impl StorageEngine {
                     seen.insert(xid, TxnStatus::InProgress);
                     max_xid = max_xid.max(xid);
                 }
+                // The per-row forms (written before the batched records)
+                // replay as batches of one.
                 WalRecord::Insert {
                     xid,
                     table,
                     slot,
                     row,
                 } => {
-                    if let Ok(meta) = self.catalog.table_by_id(table) {
-                        meta.heap.insert_at(xid, slot, row);
-                    }
+                    self.replay_insert(xid, table, slot, vec![row]);
+                    max_xid = max_xid.max(xid);
+                }
+                WalRecord::InsertMany {
+                    xid,
+                    table,
+                    first_slot,
+                    rows,
+                } => {
+                    self.replay_insert(xid, table, first_slot, rows);
                     max_xid = max_xid.max(xid);
                 }
                 WalRecord::Delete { xid, table, slot } => {
-                    if let Ok(meta) = self.catalog.table_by_id(table) {
-                        meta.heap.delete(xid, slot, |_| true);
-                    }
+                    self.replay_delete(xid, table, &[slot]);
+                    max_xid = max_xid.max(xid);
+                }
+                WalRecord::DeleteMany { xid, table, slots } => {
+                    self.replay_delete(xid, table, &slots);
                     max_xid = max_xid.max(xid);
                 }
                 WalRecord::Commit { xid } => {
@@ -1170,15 +1255,30 @@ impl StorageEngine {
         }
         // Transactions with no commit record crashed in flight: aborted.
         for (xid, status) in seen {
-            let final_status = if status == TxnStatus::InProgress {
-                TxnStatus::Aborted
+            if status == TxnStatus::Committed {
+                self.txns.commit(xid);
             } else {
-                status
-            };
-            self.txns.set_status(xid, final_status);
+                self.txns.abort(xid);
+            }
         }
         self.txns.bump_next_xid(max_xid + 1);
         Ok(n)
+    }
+
+    fn replay_insert(&self, xid: TxnId, table: u32, first_slot: u64, rows: Vec<Row>) {
+        if let Ok(meta) = self.catalog.table_by_id(table) {
+            for (slot, row) in (first_slot..).zip(rows) {
+                meta.heap.insert_at(xid, slot, row);
+            }
+        }
+    }
+
+    fn replay_delete(&self, xid: TxnId, table: u32, slots: &[u64]) {
+        if let Ok(meta) = self.catalog.table_by_id(table) {
+            for &slot in slots {
+                meta.heap.delete(xid, slot, |_| true);
+            }
+        }
     }
 
     fn rebuild_indexes(&self) {
@@ -1205,10 +1305,8 @@ impl StorageEngine {
                     cols.iter().map(|c| meta.schema.index_of(c).ok()).collect();
                 let Some(positions) = positions else { continue };
                 let idx = OrderedIndex::new(positions);
-                for (slot, tv) in meta.heap.dump_versions() {
-                    if let Some(row) = tv.row {
-                        idx.insert(&row, slot);
-                    }
+                for (slot, row) in meta.heap.rows() {
+                    idx.insert(&row, slot);
                 }
                 meta.indexes
                     .write()
@@ -1455,6 +1553,150 @@ mod tests {
         let reclaimed = e.vacuum();
         assert_eq!(reclaimed, 2);
         assert_eq!(visible_rows(&e, "urls"), vec![row!["/c", 3i64]]);
+        assert_eq!(e.table_by_id(t).unwrap().heap.version_count(), 1);
+    }
+
+    /// Regression: `VACUUM` used to take `next_xid` as its horizon and
+    /// reclaim the generation a pinned snapshot still saw, leaving the pin
+    /// with neither generation.
+    #[test]
+    fn vacuum_keeps_what_a_pinned_snapshot_sees() {
+        let e = StorageEngine::in_memory();
+        let t = e.create_table("urls", schema()).unwrap();
+        e.with_txn(|x| e.insert(x, t, row!["/a", 1i64])).unwrap();
+        let pinned = e.snapshot();
+        e.with_txn(|x| {
+            e.delete_all_visible(x, t)?;
+            e.insert(x, t, row!["/a", 2i64])
+        })
+        .unwrap();
+        let seen = |snap: &Snapshot| -> Vec<Row> {
+            let rows = e.scan(t, snap).unwrap();
+            rows.into_iter().map(|(_, r)| r).collect()
+        };
+        assert_eq!(seen(&pinned), vec![row!["/a", 1i64]]);
+        assert_eq!(e.vacuum(), 0, "the pin holds generation 1");
+        assert_eq!(e.reclaim(t).unwrap(), 0);
+        assert_eq!(seen(&pinned), vec![row!["/a", 1i64]], "still whole");
+        drop(pinned);
+        assert_eq!(e.reclaim(t).unwrap(), 1, "released with the pin");
+        assert_eq!(seen(&e.snapshot()), vec![row!["/a", 2i64]]);
+    }
+
+    #[test]
+    fn steady_state_vacuum_visits_no_version() {
+        let e = StorageEngine::in_memory();
+        let big = e.create_table("archive", schema()).unwrap();
+        let cur = e.create_table("current", schema()).unwrap();
+        let visited = e.metrics().counter("storage.reclaim.versions_visited");
+        let rows: Vec<Row> = (0..500i64).map(|i| row![format!("/{i}"), i]).collect();
+        e.with_txn(|x| e.insert_many(x, big, rows)).unwrap();
+        for gen in 0..10i64 {
+            e.with_txn(|x| {
+                e.delete_all_visible(x, cur)?;
+                e.insert_many(x, cur, vec![row!["/a", gen], row!["/b", gen]])
+            })
+            .unwrap();
+            e.reclaim(cur).unwrap();
+        }
+        assert_eq!(e.table_by_id(cur).unwrap().heap.version_count(), 2);
+        let before = visited.get();
+        assert_eq!(e.vacuum(), 0);
+        assert_eq!(visited.get(), before, "no delete, no abort: no-op");
+        // An abort buys exactly one full pass.
+        let _ = e.with_txn(|x| {
+            e.insert(x, big, row!["/ghost", 0i64])?;
+            Err::<(), _>(Error::analysis("boom"))
+        });
+        assert_eq!(e.vacuum(), 1, "the aborted insert");
+        assert_eq!(visited.get() - before, 503);
+        assert_eq!(e.vacuum(), 0);
+        assert_eq!(visited.get() - before, 503, "and then nothing again");
+    }
+
+    #[test]
+    fn batches_are_one_record_and_replay_with_old_records() {
+        let dir = tmpdir("batch");
+        let t;
+        {
+            let e = StorageEngine::open(&dir).unwrap();
+            t = e.create_table("urls", schema()).unwrap();
+            let before = e.stats().wal_records;
+            e.with_txn(|x| {
+                e.insert_many(
+                    x,
+                    t,
+                    vec![row!["/a", 1i64], row!["/b", 2i64], row!["/c", 3i64]],
+                )?;
+                e.delete_all_visible(x, t)?;
+                e.insert_many(x, t, vec![row!["/d", 4i64]])
+            })
+            .unwrap();
+            assert_eq!(
+                e.stats().wal_records - before,
+                5,
+                "begin, insert-many, delete-many, insert-many, commit"
+            );
+            assert_eq!((e.stats().inserts, e.stats().deletes), (4, 3));
+        }
+        // A log tail in the per-row form older engines wrote.
+        let mut wal = Wal::open(dir.join(wal_file(0)), SyncMode::Flush).unwrap();
+        let old = [
+            WalRecord::Begin { xid: 50 },
+            WalRecord::Delete {
+                xid: 50,
+                table: t,
+                slot: 3,
+            },
+            WalRecord::Insert {
+                xid: 50,
+                table: t,
+                slot: 4,
+                row: row!["/e", 5i64],
+            },
+            WalRecord::Commit { xid: 50 },
+        ];
+        for (i, rec) in old.iter().enumerate() {
+            wal.append(1_000 + i as u64, rec).unwrap();
+        }
+        drop(wal);
+        let e = StorageEngine::open(&dir).unwrap();
+        assert_eq!(visible_rows(&e, "urls"), vec![row!["/e", 5i64]]);
+        let heap = &e.table_by_id(t).unwrap().heap;
+        assert_eq!(
+            heap.version_count(),
+            1,
+            "recovery keeps the live generation only"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn index_range_reads_only_visible_rows_in_scan_order() {
+        let e = StorageEngine::in_memory();
+        let t = e.create_table("urls", schema()).unwrap();
+        e.create_index("by_hits", "urls", &["hits".into()]).unwrap();
+        let rows: Vec<Row> = (0..10i64).rev().map(|i| row![format!("/{i}"), i]).collect();
+        e.with_txn(|x| e.insert_many(x, t, rows)).unwrap();
+        let pending = e.begin().unwrap();
+        e.insert(pending, t, row!["/ghost", 5i64]).unwrap();
+        let idx = e.index_on("urls", "hits").unwrap();
+        let key = |v: i64| IndexKey(row![v]);
+        let hits = e
+            .index_range(
+                "urls",
+                &idx,
+                Bound::Excluded(key(3)),
+                Bound::Included(key(6)),
+                &e.snapshot(),
+            )
+            .unwrap();
+        let got: Vec<Row> = hits.into_iter().map(|(_, r)| r).collect();
+        // Heap order, like a scan — not key order.
+        assert_eq!(
+            got,
+            vec![row!["/6", 6i64], row!["/5", 5i64], row!["/4", 4i64]]
+        );
     }
 
     #[test]

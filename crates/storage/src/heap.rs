@@ -1,16 +1,21 @@
 //! Versioned in-memory heap tables.
 //!
-//! A heap table is an append-only vector of tuple *versions*; MVCC stamps
+//! A heap table is a slot-addressed deque of tuple *versions*; MVCC stamps
 //! (`xmin`/`xmax`) plus a [`Snapshot`] decide which versions a reader sees.
-//! Updates are delete + insert (new version), as in PostgreSQL. Dead
-//! versions are reclaimed by [`HeapTable::vacuum`].
+//! Updates are delete + insert (new version), as in PostgreSQL. Slot
+//! numbers are global and only ever grow; [`HeapTable::reclaim`] drops
+//! versions no snapshot can see and pops the emptied prefix, so a table
+//! whose dead versions are always its oldest (a REPLACE Active Table)
+//! holds its live generation plus whatever a pinned reader still sees.
+
+use std::collections::VecDeque;
 
 use parking_lot::RwLock;
 use streamrel_types::Row;
 
 use crate::txn::{Snapshot, TxnId};
 
-/// Identifies one tuple version: table id plus slot in the heap vector.
+/// Identifies one tuple version: table id plus slot in the heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TupleId {
     /// Owning table.
@@ -20,24 +25,63 @@ pub struct TupleId {
 }
 
 /// One stored version of a row.
-#[derive(Debug, Clone)]
-pub struct TupleVersion {
+struct TupleVersion {
     /// Inserting transaction.
-    pub xmin: TxnId,
+    xmin: TxnId,
     /// Deleting transaction, or 0 if live.
-    pub xmax: TxnId,
-    /// The row payload. `None` after vacuum reclaims a dead version.
-    pub row: Option<Row>,
+    xmax: TxnId,
+    /// The row payload. `None` once reclaimed (or for a slot the log
+    /// skipped).
+    row: Option<Row>,
+}
+
+/// What one `RwLock` protects: the versions of slots `base..base + len`.
+#[derive(Default)]
+struct Versions {
+    /// Slot number of `slots[0]`; everything below it is reclaimed.
+    base: u64,
+    slots: VecDeque<TupleVersion>,
+    /// Versions holding a row and a delete stamp: what a reclaim can
+    /// still find. Zero means a reclaim has nothing to look at.
+    dead: usize,
+}
+
+impl Versions {
+    fn get(&self, slot: u64) -> Option<&TupleVersion> {
+        self.slots.get(slot.checked_sub(self.base)? as usize)
+    }
+
+    fn get_mut(&mut self, slot: u64) -> Option<&mut TupleVersion> {
+        self.slots.get_mut(slot.checked_sub(self.base)? as usize)
+    }
+
+    /// `(slot, version)` for every slot still held.
+    fn iter(&self) -> impl Iterator<Item = (u64, &TupleVersion)> {
+        (self.base..).zip(&self.slots)
+    }
+
+    /// Stamp `slot` deleted by `xid`; false if the slot holds no row.
+    fn stamp(&mut self, xid: TxnId, slot: u64) -> bool {
+        match self.get_mut(slot) {
+            Some(tv) if tv.row.is_some() => {
+                let fresh = tv.xmax == 0;
+                tv.xmax = xid;
+                self.dead += usize::from(fresh);
+                true
+            }
+            _ => false,
+        }
+    }
 }
 
 /// A single versioned table.
 ///
 /// Interior mutability via one `RwLock`: scans take the read lock and clone
 /// visible rows out (analytics operators want owned rows anyway), writers
-/// take the write lock briefly per tuple.
+/// take the write lock once per batch.
 pub struct HeapTable {
     id: u32,
-    versions: RwLock<Vec<TupleVersion>>,
+    versions: RwLock<Versions>,
 }
 
 impl HeapTable {
@@ -45,28 +89,29 @@ impl HeapTable {
     pub fn new(id: u32) -> HeapTable {
         HeapTable {
             id,
-            versions: RwLock::new(Vec::new()),
+            versions: RwLock::new(Versions::default()),
         }
     }
 
-    /// The owning table id.
-    pub fn id(&self) -> u32 {
-        self.id
-    }
-
-    /// Insert a row stamped with `xid`; returns its TupleId.
-    pub fn insert(&self, xid: TxnId, row: Row) -> TupleId {
+    /// Append `rows` as one contiguous slot run stamped with `xid`.
+    /// `log` runs under the heap lock with the run's first slot and the
+    /// rows, before anything is stored: if it fails the heap is unchanged.
+    /// Returns the first slot.
+    pub fn append<E>(
+        &self,
+        xid: TxnId,
+        rows: Vec<Row>,
+        log: impl FnOnce(u64, &[Row]) -> Result<(), E>,
+    ) -> Result<u64, E> {
         let mut v = self.versions.write();
-        let slot = v.len() as u64;
-        v.push(TupleVersion {
+        let first = v.base + v.slots.len() as u64;
+        log(first, &rows)?;
+        v.slots.extend(rows.into_iter().map(|row| TupleVersion {
             xmin: xid,
             xmax: 0,
             row: Some(row),
-        });
-        TupleId {
-            table: self.id,
-            slot,
-        }
+        }));
+        Ok(first)
     }
 
     /// Insert at a specific slot (used only by WAL replay so replayed
@@ -74,77 +119,85 @@ impl HeapTable {
     /// filled with dead placeholders if the log skipped them.
     pub fn insert_at(&self, xid: TxnId, slot: u64, row: Row) {
         let mut v = self.versions.write();
-        while (v.len() as u64) < slot {
-            v.push(TupleVersion {
+        let Some(at) = slot.checked_sub(v.base) else {
+            return; // below the reclaimed prefix
+        };
+        while (v.slots.len() as u64) < at {
+            v.slots.push_back(TupleVersion {
                 xmin: 0,
                 xmax: 0,
                 row: None,
             });
         }
-        if (v.len() as u64) == slot {
-            v.push(TupleVersion {
-                xmin: xid,
-                xmax: 0,
-                row: Some(row),
-            });
+        let tv = TupleVersion {
+            xmin: xid,
+            xmax: 0,
+            row: Some(row),
+        };
+        if (v.slots.len() as u64) == at {
+            v.slots.push_back(tv);
         } else {
-            v[slot as usize] = TupleVersion {
-                xmin: xid,
-                xmax: 0,
-                row: Some(row),
-            };
+            let old = std::mem::replace(&mut v.slots[at as usize], tv);
+            v.dead -= usize::from(old.row.is_some() && old.xmax != 0);
         }
     }
 
     /// Mark the version at `slot` deleted by `xid`. Returns false if the
-    /// slot is missing or already deleted by a *different committed* txn —
-    /// the engine layer turns that into a write-write conflict.
+    /// slot is missing or already deleted by a *different* transaction
+    /// that `conflict_ok` does not wave through — the engine layer turns
+    /// that into a write-write conflict.
     pub fn delete(&self, xid: TxnId, slot: u64, conflict_ok: impl Fn(TxnId) -> bool) -> bool {
         let mut v = self.versions.write();
-        match v.get_mut(slot as usize) {
-            Some(tv) if tv.row.is_some() => {
-                if tv.xmax != 0 && tv.xmax != xid && !conflict_ok(tv.xmax) {
-                    return false;
-                }
-                tv.xmax = xid;
-                true
-            }
-            _ => false,
+        match v.get(slot) {
+            Some(tv) if tv.xmax != 0 && tv.xmax != xid && !conflict_ok(tv.xmax) => false,
+            _ => v.stamp(xid, slot),
         }
     }
 
-    /// Undo a delete stamp (used when the deleting transaction aborts).
-    pub fn undelete(&self, xid: TxnId, slot: u64) {
+    /// Stamp every version visible to `snap` deleted by `xid`, under one
+    /// lock. Returns the stamped slots and how many versions were visited;
+    /// `Err(slot)` — with nothing stamped — if a visible version already
+    /// carries another live transaction's delete stamp.
+    pub fn delete_visible(
+        &self,
+        xid: TxnId,
+        snap: &Snapshot,
+        aborted: &dyn Fn(TxnId) -> bool,
+    ) -> Result<(Vec<u64>, usize), u64> {
         let mut v = self.versions.write();
-        if let Some(tv) = v.get_mut(slot as usize) {
-            if tv.xmax == xid {
-                tv.xmax = 0;
+        let mut slots = Vec::new();
+        for (slot, tv) in v.iter() {
+            if tv.row.is_some() && version_visible(tv, snap, aborted) {
+                if tv.xmax != 0 && tv.xmax != xid && !aborted(tv.xmax) {
+                    return Err(slot);
+                }
+                slots.push(slot);
             }
         }
+        for &slot in &slots {
+            v.stamp(xid, slot);
+        }
+        Ok((slots, v.slots.len()))
     }
 
-    /// Number of version slots (live + dead).
+    /// Number of version slots held (live + dead, reclaimed prefix
+    /// excluded).
     pub fn version_count(&self) -> usize {
-        self.versions.read().len()
+        self.versions.read().slots.len()
+    }
+
+    /// Versions a reclaim could still free (row present, delete-stamped).
+    pub fn dead_count(&self) -> usize {
+        self.versions.read().dead
     }
 
     /// Scan all versions visible to `snap`, returning `(TupleId, Row)`.
     pub fn scan(&self, snap: &Snapshot, aborted: &dyn Fn(TxnId) -> bool) -> Vec<(TupleId, Row)> {
-        let v = self.versions.read();
         let mut out = Vec::new();
-        for (slot, tv) in v.iter().enumerate() {
-            if let Some(row) = &tv.row {
-                if self.version_visible(tv, snap, aborted) {
-                    out.push((
-                        TupleId {
-                            table: self.id,
-                            slot: slot as u64,
-                        },
-                        row.clone(),
-                    ));
-                }
-            }
-        }
+        self.for_each_visible(snap, aborted, |tid, row| {
+            out.push((tid, row.clone()));
+            true
+        });
         out
     }
 
@@ -157,94 +210,109 @@ impl HeapTable {
         mut f: impl FnMut(TupleId, &Row) -> bool,
     ) {
         let v = self.versions.read();
-        for (slot, tv) in v.iter().enumerate() {
+        for (slot, tv) in v.iter() {
             if let Some(row) = &tv.row {
-                if self.version_visible(tv, snap, aborted)
-                    && !f(
-                        TupleId {
-                            table: self.id,
-                            slot: slot as u64,
-                        },
-                        row,
-                    )
-                {
+                let tid = TupleId {
+                    table: self.id,
+                    slot,
+                };
+                if version_visible(tv, snap, aborted) && !f(tid, row) {
                     break;
                 }
             }
         }
     }
 
-    /// Fetch one row by slot if visible.
-    pub fn get(&self, slot: u64, snap: &Snapshot, aborted: &dyn Fn(TxnId) -> bool) -> Option<Row> {
-        let v = self.versions.read();
-        let tv = v.get(slot as usize)?;
-        let row = tv.row.as_ref()?;
-        if self.version_visible(tv, snap, aborted) {
-            Some(row.clone())
-        } else {
-            None
-        }
-    }
-
-    fn version_visible(
+    /// Fetch the rows at `slots` that are visible to `snap`, under one
+    /// lock, in the order given.
+    pub fn get_many(
         &self,
-        tv: &TupleVersion,
+        slots: &[u64],
         snap: &Snapshot,
         aborted: &dyn Fn(TxnId) -> bool,
-    ) -> bool {
-        if tv.xmin == 0 || !snap.sees(tv.xmin, aborted) {
-            return false;
-        }
-        // Inserted visibly; check the delete stamp.
-        if tv.xmax != 0 && snap.sees(tv.xmax, aborted) {
-            return false;
-        }
-        true
-    }
-
-    /// Reclaim versions dead to every possible snapshot: deleted by a
-    /// transaction committed before `horizon` (oldest snapshot xmax), or
-    /// inserted by an aborted transaction. Returns the reclaimed
-    /// `(slot, row)` pairs so callers can unlink index entries.
-    pub fn vacuum(
-        &self,
-        horizon: TxnId,
-        committed: &dyn Fn(TxnId) -> bool,
-        aborted: &dyn Fn(TxnId) -> bool,
-    ) -> Vec<(u64, Row)> {
-        let mut v = self.versions.write();
-        let mut reclaimed = Vec::new();
-        for (slot, tv) in v.iter_mut().enumerate() {
-            if tv.row.is_none() {
-                continue;
-            }
-            let insert_dead = aborted(tv.xmin);
-            let delete_final = tv.xmax != 0 && tv.xmax < horizon && committed(tv.xmax);
-            if insert_dead || delete_final {
-                if let Some(row) = tv.row.take() {
-                    reclaimed.push((slot as u64, row));
+    ) -> Vec<(TupleId, Row)> {
+        let v = self.versions.read();
+        let mut out = Vec::new();
+        for &slot in slots {
+            let Some(tv) = v.get(slot) else { continue };
+            if let Some(row) = &tv.row {
+                if version_visible(tv, snap, aborted) {
+                    let table = self.id;
+                    out.push((TupleId { table, slot }, row.clone()));
                 }
             }
         }
-        reclaimed
+        out
     }
 
-    /// Snapshot of the raw version vector (used by checkpointing). Dead
-    /// slots are skipped.
-    pub fn dump_versions(&self) -> Vec<(u64, TupleVersion)> {
-        self.versions
-            .read()
-            .iter()
-            .enumerate()
-            .filter(|(_, tv)| tv.row.is_some())
-            .map(|(i, tv)| (i as u64, tv.clone()))
+    /// Reclaim versions dead to every snapshot: deleted by a transaction
+    /// that committed below `horizon` (see `TxnManager::horizon`), or
+    /// inserted by an aborted one; an aborted transaction's delete stamp is
+    /// cleared. The walk stops once it has passed every delete-stamped
+    /// version (none left: nothing is visited), unless `full` asks it to
+    /// look for aborted inserts too. The emptied prefix is then popped.
+    /// Returns the reclaimed `(slot, row)` pairs so callers can unlink
+    /// index entries, and how many versions were visited.
+    pub fn reclaim(
+        &self,
+        horizon: TxnId,
+        aborted: &dyn Fn(TxnId) -> bool,
+        full: bool,
+    ) -> (Vec<(u64, Row)>, usize) {
+        let mut reclaimed = Vec::new();
+        if !full && self.versions.read().dead == 0 {
+            return (reclaimed, 0);
+        }
+        let mut guard = self.versions.write();
+        let v = &mut *guard;
+        let (mut visited, mut stamped) = (0, v.dead);
+        for (slot, tv) in (v.base..).zip(v.slots.iter_mut()) {
+            if !full && stamped == 0 {
+                break;
+            }
+            visited += 1;
+            if tv.row.is_none() {
+                continue;
+            }
+            stamped -= usize::from(tv.xmax != 0);
+            if tv.xmax != 0 && aborted(tv.xmax) {
+                tv.xmax = 0;
+                v.dead -= 1;
+            }
+            if aborted(tv.xmin) || (tv.xmax != 0 && tv.xmax < horizon) {
+                v.dead -= usize::from(tv.xmax != 0);
+                reclaimed.extend(tv.row.take().map(|row| (slot, row)));
+            }
+        }
+        while v.slots.front().is_some_and(|tv| tv.row.is_none()) {
+            v.slots.pop_front();
+            v.base += 1;
+        }
+        (reclaimed, visited)
+    }
+
+    /// `(slot, row)` of every version holding a row, whatever its stamps
+    /// (index builds; visibility is re-checked at read time).
+    pub fn rows(&self) -> Vec<(u64, Row)> {
+        let v = self.versions.read();
+        v.iter()
+            .filter_map(|(slot, tv)| Some((slot, tv.row.clone()?)))
             .collect()
     }
 
-    /// Truncate: drop every version (DDL-level operation, caller logs it).
+    /// Truncate: drop every version and restart slot numbering
+    /// (DDL-level operation, caller logs it).
     pub fn truncate(&self) {
-        self.versions.write().clear();
+        *self.versions.write() = Versions::default();
     }
+}
+
+fn version_visible(tv: &TupleVersion, snap: &Snapshot, aborted: &dyn Fn(TxnId) -> bool) -> bool {
+    if tv.xmin == 0 || !snap.sees(tv.xmin, aborted) {
+        return false;
+    }
+    // Inserted visibly; check the delete stamp.
+    tv.xmax == 0 || !snap.sees(tv.xmax, aborted)
 }
 
 #[cfg(test)]
@@ -252,6 +320,12 @@ mod tests {
     use super::*;
     use crate::txn::TxnManager;
     use streamrel_types::row;
+
+    /// Append one row; its TupleId.
+    fn ins(h: &HeapTable, xid: TxnId, row: Row) -> TupleId {
+        let slot = h.append(xid, vec![row], |_, _| Ok::<(), ()>(())).unwrap();
+        TupleId { table: 0, slot }
+    }
 
     fn scan_rows(h: &HeapTable, m: &TxnManager) -> Vec<Row> {
         let snap = m.snapshot(None);
@@ -266,7 +340,7 @@ mod tests {
         let m = TxnManager::new();
         let h = HeapTable::new(0);
         let x = m.begin();
-        h.insert(x, row![1i64]);
+        ins(&h, x, row![1i64]);
         assert!(scan_rows(&h, &m).is_empty(), "uncommitted invisible");
         m.commit(x);
         assert_eq!(scan_rows(&h, &m), vec![row![1i64]]);
@@ -277,7 +351,7 @@ mod tests {
         let m = TxnManager::new();
         let h = HeapTable::new(0);
         let x = m.begin();
-        h.insert(x, row![1i64]);
+        ins(&h, x, row![1i64]);
         let snap = m.snapshot(Some(x));
         assert_eq!(h.scan(&snap, &|i| m.is_aborted(i)).len(), 1);
     }
@@ -287,7 +361,7 @@ mod tests {
         let m = TxnManager::new();
         let h = HeapTable::new(0);
         let x = m.begin();
-        h.insert(x, row![1i64]);
+        ins(&h, x, row![1i64]);
         m.abort(x);
         assert!(scan_rows(&h, &m).is_empty());
     }
@@ -297,7 +371,7 @@ mod tests {
         let m = TxnManager::new();
         let h = HeapTable::new(0);
         let x = m.begin();
-        let tid = h.insert(x, row![1i64]);
+        let tid = ins(&h, x, row![1i64]);
         m.commit(x);
         let y = m.begin();
         assert!(h.delete(y, tid.slot, |_| false));
@@ -311,7 +385,7 @@ mod tests {
         let m = TxnManager::new();
         let h = HeapTable::new(0);
         let x = m.begin();
-        let tid = h.insert(x, row![1i64]);
+        let tid = ins(&h, x, row![1i64]);
         m.commit(x);
         let y = m.begin();
         h.delete(y, tid.slot, |_| false);
@@ -325,7 +399,7 @@ mod tests {
         let h = HeapTable::new(0);
         let snap = m.snapshot(None); // early snapshot
         let x = m.begin();
-        h.insert(x, row![1i64]);
+        ins(&h, x, row![1i64]);
         m.commit(x);
         assert!(h.scan(&snap, &|i| m.is_aborted(i)).is_empty());
         assert_eq!(scan_rows(&h, &m).len(), 1, "fresh snapshot sees it");
@@ -336,7 +410,7 @@ mod tests {
         let m = TxnManager::new();
         let h = HeapTable::new(0);
         let x = m.begin();
-        let tid = h.insert(x, row![1i64]);
+        let tid = ins(&h, x, row![1i64]);
         m.commit(x);
         let y = m.begin();
         let z = m.begin();
@@ -348,25 +422,83 @@ mod tests {
     }
 
     #[test]
-    fn vacuum_reclaims_dead_versions() {
+    fn reclaim_drops_dead_versions_and_pops_the_prefix() {
         let m = TxnManager::new();
         let h = HeapTable::new(0);
         let x = m.begin();
-        let tid = h.insert(x, row![1i64]);
-        h.insert(x, row![2i64]);
+        let tid = ins(&h, x, row![1i64]);
+        ins(&h, x, row![2i64]);
         m.commit(x);
         let y = m.begin();
         h.delete(y, tid.slot, |_| false);
         m.commit(y);
-        let horizon = m.snapshot(None).xmax;
-        let n = h.vacuum(
-            horizon,
-            &|i| m.status(i) == crate::txn::TxnStatus::Committed,
-            &|i| m.is_aborted(i),
-        );
-        assert_eq!(n.len(), 1);
-        assert_eq!(n[0].1, row![1i64]);
+        assert_eq!(h.dead_count(), 1);
+        let (n, visited) = h.reclaim(m.horizon(), &|i| m.is_aborted(i), false);
+        assert_eq!(n, vec![(0, row![1i64])]);
+        assert_eq!(visited, 1, "the walk stops after the last stamped version");
+        assert_eq!((h.version_count(), h.dead_count()), (1, 0));
         assert_eq!(scan_rows(&h, &m), vec![row![2i64]]);
+        // Slot numbers stay global: the survivor is still slot 1 and the
+        // next append continues after it.
+        let z = m.begin();
+        assert_eq!(ins(&h, z, row![3i64]).slot, 2);
+        assert!(h.delete(z, 1, |_| false));
+        assert!(!h.delete(z, 0, |_| false), "reclaimed slot is gone");
+        let (_, visited) = h.reclaim(m.horizon(), &|i| m.is_aborted(i), false);
+        assert_eq!(visited, 1);
+        assert_eq!(h.version_count(), 2, "z is still running: nothing goes");
+    }
+
+    #[test]
+    fn reclaim_respects_the_horizon_and_clears_aborted_stamps() {
+        let m = TxnManager::new();
+        let h = HeapTable::new(0);
+        let x = m.begin();
+        ins(&h, x, row![1i64]);
+        m.commit(x);
+        let pin = m.snapshot(None);
+        let y = m.begin();
+        assert_eq!(
+            h.delete_visible(y, &m.snapshot(Some(y)), &|i| m.is_aborted(i)),
+            Ok((vec![0], 1))
+        );
+        ins(&h, y, row![2i64]);
+        m.commit(y);
+        let (n, _) = h.reclaim(m.horizon(), &|i| m.is_aborted(i), false);
+        assert!(n.is_empty(), "the pin still sees generation 1");
+        assert_eq!(h.scan(&pin, &|i| m.is_aborted(i)).len(), 1);
+        drop(pin);
+        let (n, _) = h.reclaim(m.horizon(), &|i| m.is_aborted(i), false);
+        assert_eq!(n.len(), 1);
+        // An aborted delete and an aborted insert.
+        let z = m.begin();
+        h.delete(z, 1, |_| false);
+        ins(&h, z, row![3i64]);
+        m.abort(z);
+        assert_eq!(
+            h.reclaim(m.horizon(), &|i| m.is_aborted(i), true).0,
+            vec![(2, row![3i64])]
+        );
+        assert_eq!(h.dead_count(), 0, "aborted stamp cleared");
+        assert_eq!(scan_rows(&h, &m), vec![row![2i64]]);
+        let (n, visited) = h.reclaim(m.horizon(), &|i| m.is_aborted(i), false);
+        assert_eq!((n.len(), visited), (0, 0), "nothing dead: nothing visited");
+    }
+
+    #[test]
+    fn delete_visible_conflict_stamps_nothing() {
+        let m = TxnManager::new();
+        let h = HeapTable::new(0);
+        let x = m.begin();
+        ins(&h, x, row![1i64]);
+        ins(&h, x, row![2i64]);
+        m.commit(x);
+        let y = m.begin();
+        let z = m.begin();
+        assert!(h.delete(y, 1, |i| m.is_aborted(i)));
+        let r = h.delete_visible(z, &m.snapshot(Some(z)), &|i| m.is_aborted(i));
+        assert_eq!(r, Err(1));
+        assert_eq!(h.dead_count(), 1, "z stamped nothing");
     }
 
     #[test]
@@ -384,7 +516,7 @@ mod tests {
         let h = HeapTable::new(0);
         let x = m.begin();
         for i in 0..100i64 {
-            h.insert(x, row![i]);
+            ins(&h, x, row![i]);
         }
         m.commit(x);
         let snap = m.snapshot(None);

@@ -7,8 +7,7 @@
 //!
 //! Indexes are *version-oblivious*: they reference every heap slot whose
 //! version carried the key; readers re-check MVCC visibility against the
-//! heap. Vacuumed slots are removed lazily on lookup or eagerly by
-//! [`OrderedIndex::remove`].
+//! heap. Reclaimed slots are unlinked by [`OrderedIndex::remove_many`].
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -68,18 +67,41 @@ impl OrderedIndex {
 
     /// Register a heap slot under the row's key.
     pub fn insert(&self, row: &Row, slot: u64) {
-        let key = self.key_of(row);
-        self.tree.write().entry(key).or_default().push(slot);
+        self.insert_run(std::slice::from_ref(row), slot);
     }
 
-    /// Remove a slot (after vacuum or aborted insert cleanup).
-    pub fn remove(&self, row: &Row, slot: u64) {
-        let key = self.key_of(row);
+    /// Register `rows` under the contiguous slots starting at
+    /// `first_slot`, under one lock; a run of consecutive rows sharing a
+    /// key (a window's rows share their `stime`) costs one tree lookup.
+    pub fn insert_run(&self, rows: &[Row], first_slot: u64) {
+        let same_key = |a: &Row, b: &Row| {
+            self.key_columns
+                .iter()
+                .all(|&c| a[c].sort_cmp(&b[c]).is_eq())
+        };
         let mut t = self.tree.write();
-        if let Some(slots) = t.get_mut(&key) {
-            slots.retain(|&s| s != slot);
-            if slots.is_empty() {
-                t.remove(&key);
+        let mut i = 0;
+        while i < rows.len() {
+            let run = rows[i..]
+                .iter()
+                .take_while(|r| same_key(r, &rows[i]))
+                .count();
+            let slots = first_slot + i as u64..first_slot + (i + run) as u64;
+            t.entry(self.key_of(&rows[i])).or_default().extend(slots);
+            i += run;
+        }
+    }
+
+    /// Unlink reclaimed versions, under one lock.
+    pub fn remove_many(&self, versions: &[(u64, Row)]) {
+        let mut t = self.tree.write();
+        for (slot, row) in versions {
+            let key = self.key_of(row);
+            if let Some(slots) = t.get_mut(&key) {
+                slots.retain(|s| s != slot);
+                if slots.is_empty() {
+                    t.remove(&key);
+                }
             }
         }
     }
@@ -89,8 +111,16 @@ impl OrderedIndex {
         self.tree.read().get(key).cloned().unwrap_or_default()
     }
 
-    /// Heap slots for keys within `[lo, hi]` bounds.
+    /// Heap slots for keys within the bounds, in key order; none when the
+    /// bounds cross (which `BTreeMap::range` would panic on).
     pub fn range(&self, lo: Bound<IndexKey>, hi: Bound<IndexKey>) -> Vec<u64> {
+        use Bound::{Excluded, Included};
+        if let (Included(a) | Excluded(a), Included(b) | Excluded(b)) = (&lo, &hi) {
+            let both_excluded = matches!((&lo, &hi), (Excluded(_), Excluded(_)));
+            if a > b || (both_excluded && a.cmp(b).is_eq()) {
+                return Vec::new();
+            }
+        }
         let t = self.tree.read();
         t.range((lo, hi))
             .flat_map(|(_, v)| v.iter().copied())
@@ -144,9 +174,11 @@ mod tests {
         assert_eq!(idx.lookup(&IndexKey(row!["alpha"])), vec![10, 11]);
         assert_eq!(idx.lookup(&IndexKey(row!["beta"])), vec![12]);
         assert!(idx.lookup(&IndexKey(row!["gamma"])).is_empty());
-        idx.remove(&r1, 10);
+        idx.remove_many(&[(10, r1)]);
         assert_eq!(idx.lookup(&IndexKey(row!["alpha"])), vec![11]);
         assert_eq!(idx.key_count(), 2);
+        idx.remove_many(&[(12, r3)]);
+        assert_eq!(idx.key_count(), 1, "an emptied key leaves the tree");
     }
 
     #[test]
@@ -162,6 +194,33 @@ mod tests {
         assert_eq!(slots, vec![3, 4, 5, 6]);
         let all = idx.range(Bound::Unbounded, Bound::Unbounded);
         assert_eq!(all.len(), 10);
+        let key = |v: i64| IndexKey(row![v]);
+        for (lo, hi) in [
+            (Bound::Included(key(7)), Bound::Included(key(3))),
+            (Bound::Excluded(key(3)), Bound::Excluded(key(3))),
+            (
+                Bound::Excluded(key(3)),
+                Bound::Excluded(IndexKey(row![3.0f64])),
+            ),
+            (Bound::Included(key(3)), Bound::Excluded(key(3))),
+        ] {
+            assert!(idx.range(lo, hi).is_empty(), "crossed bounds are empty");
+        }
+    }
+
+    #[test]
+    fn insert_run_groups_equal_keys() {
+        let idx = OrderedIndex::new(vec![1]);
+        let rows = vec![
+            row!["a", 7i64],
+            row!["b", 7i64],
+            row!["c", 8i64],
+            row!["d", 7.0f64],
+        ];
+        idx.insert_run(&rows, 100);
+        assert_eq!(idx.lookup(&IndexKey(row![7i64])), vec![100, 101, 103]);
+        assert_eq!(idx.lookup(&IndexKey(row![8i64])), vec![102]);
+        assert_eq!(idx.key_count(), 2);
     }
 
     #[test]

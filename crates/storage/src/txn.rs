@@ -11,8 +11,8 @@
 //! to provide continuous isolation semantics" — the CQ layer pins one
 //! snapshot per window to get *window consistency*.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 
@@ -39,6 +39,12 @@ pub enum TxnStatus {
 /// A transaction `x` is *visible* to the snapshot iff `x` committed before
 /// the snapshot was taken: `x < xmax` and `x` was not in the active set and
 /// `x` did not later abort.
+///
+/// A snapshot is also a *pin*: while it (or a clone) lives, the manager
+/// that issued it keeps [`TxnManager::horizon`] at or below this
+/// snapshot's `min(xmax, oldest active)` — every transaction below that
+/// had finished when it was taken — so no version it can see is ever
+/// reclaimed. Dropping the last clone releases the pin.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// The id of the snapshot-owning transaction, if any (its own writes are
@@ -48,6 +54,8 @@ pub struct Snapshot {
     pub xmax: TxnId,
     /// Transactions in progress at snapshot time.
     pub active: HashSet<TxnId>,
+    /// Held for its `Drop`: unregisters the pin.
+    _pin: Arc<Pin>,
 }
 
 impl Snapshot {
@@ -70,17 +78,44 @@ impl Snapshot {
     }
 }
 
-/// Allocates transaction ids and tracks commit state.
-///
-/// The status map retains aborted ids forever (they are rare) and committed
-/// ids until a checkpoint freezes them; this keeps visibility checks exact
-/// without a full commit-log file.
-pub struct TxnManager {
-    next_xid: AtomicU64,
-    inner: RwLock<TxnTables>,
+/// One live snapshot's entry in the manager's pin registry; unregisters
+/// itself when the last clone of its snapshot drops.
+#[derive(Debug)]
+struct Pin {
+    tables: Arc<RwLock<TxnTables>>,
+    /// The snapshot's `min(xmax, oldest active)`.
+    horizon: TxnId,
 }
 
+impl Drop for Pin {
+    fn drop(&mut self) {
+        let mut t = self.tables.write();
+        if let Some(n) = t.pins.get_mut(&self.horizon) {
+            *n -= 1;
+            if *n == 0 {
+                t.pins.remove(&self.horizon);
+            }
+        }
+    }
+}
+
+/// Allocates transaction ids, tracks commit state and registers live
+/// snapshots.
+///
+/// The status map holds only what is *not* committed: in-progress ids and
+/// aborted ones (kept forever; they are rare). An absent id below the next
+/// id reads as committed, so the map stays bounded however long the
+/// engine runs.
+pub struct TxnManager {
+    inner: Arc<RwLock<TxnTables>>,
+}
+
+#[derive(Debug)]
 struct TxnTables {
+    /// Next id to hand out. Allocated under this lock so `active` and the
+    /// allocator are always read consistently (a snapshot or a horizon can
+    /// never observe an id that is allocated but not yet active).
+    next_xid: TxnId,
     active: HashSet<TxnId>,
     status: HashMap<TxnId, TxnStatus>,
     /// Commit domain (WAL shard) each live transaction logs to. A txn is
@@ -89,6 +124,18 @@ struct TxnTables {
     /// atomicity a single-file property. Entries are dropped on
     /// commit/abort; absent means domain 0.
     domains: HashMap<TxnId, u32>,
+    /// Live snapshot pins: horizon → how many snapshots hold it.
+    pins: BTreeMap<TxnId, usize>,
+    /// Transactions ever marked aborted (live or replayed).
+    aborts: u64,
+}
+
+impl TxnTables {
+    /// `min(next id, oldest active)`: every id below it has finished.
+    fn finished_below(&self) -> TxnId {
+        let oldest = self.active.iter().copied().min();
+        oldest.map_or(self.next_xid, |a| a.min(self.next_xid))
+    }
 }
 
 impl Default for TxnManager {
@@ -101,12 +148,14 @@ impl TxnManager {
     /// Fresh manager; first user transaction gets id 2 (1 is frozen).
     pub fn new() -> TxnManager {
         TxnManager {
-            next_xid: AtomicU64::new(FROZEN_XID + 1),
-            inner: RwLock::new(TxnTables {
+            inner: Arc::new(RwLock::new(TxnTables {
+                next_xid: FROZEN_XID + 1,
                 active: HashSet::new(),
                 status: HashMap::new(),
                 domains: HashMap::new(),
-            }),
+                pins: BTreeMap::new(),
+                aborts: 0,
+            })),
         }
     }
 
@@ -117,8 +166,9 @@ impl TxnManager {
 
     /// Begin a transaction pinned to commit domain (WAL shard) `domain`.
     pub fn begin_on(&self, domain: u32) -> TxnId {
-        let xid = self.next_xid.fetch_add(1, Ordering::SeqCst);
         let mut t = self.inner.write();
+        let xid = t.next_xid;
+        t.next_xid += 1;
         t.active.insert(xid);
         t.status.insert(xid, TxnStatus::InProgress);
         if domain != 0 {
@@ -132,24 +182,25 @@ impl TxnManager {
         self.inner.read().domains.get(&xid).copied().unwrap_or(0)
     }
 
-    /// Mark `xid` committed.
+    /// Mark `xid` committed (live, or replayed during recovery): it
+    /// leaves the status map, where absent reads as committed.
     pub fn commit(&self, xid: TxnId) {
         let mut t = self.inner.write();
         t.active.remove(&xid);
-        t.status.insert(xid, TxnStatus::Committed);
+        t.status.remove(&xid);
         t.domains.remove(&xid);
     }
 
-    /// Mark `xid` aborted.
+    /// Mark `xid` aborted (live, or replayed during recovery).
     pub fn abort(&self, xid: TxnId) {
         let mut t = self.inner.write();
         t.active.remove(&xid);
         t.status.insert(xid, TxnStatus::Aborted);
         t.domains.remove(&xid);
+        t.aborts += 1;
     }
 
-    /// Commit state of `xid`. Unknown ids below the next id are treated as
-    /// committed (their status was frozen away by a checkpoint).
+    /// Commit state of `xid`: absent ids are committed.
     pub fn status(&self, xid: TxnId) -> TxnStatus {
         let t = self.inner.read();
         t.status.get(&xid).copied().unwrap_or(TxnStatus::Committed)
@@ -160,14 +211,31 @@ impl TxnManager {
         self.status(xid) == TxnStatus::Aborted
     }
 
-    /// Take a snapshot, optionally owned by `own_xid`.
+    /// Take a snapshot, optionally owned by `own_xid`, and register it as
+    /// a pin until its last clone drops.
     pub fn snapshot(&self, own_xid: Option<TxnId>) -> Snapshot {
-        let t = self.inner.read();
+        let mut t = self.inner.write();
+        let horizon = t.finished_below();
+        *t.pins.entry(horizon).or_insert(0) += 1;
         Snapshot {
             own_xid,
-            xmax: self.next_xid.load(Ordering::SeqCst),
+            xmax: t.next_xid,
             active: t.active.clone(),
+            _pin: Arc::new(Pin {
+                tables: Arc::clone(&self.inner),
+                horizon,
+            }),
         }
+    }
+
+    /// The reclamation horizon: the minimum over live snapshots of
+    /// `min(xmax, oldest active)`, capped by the same figure for a snapshot
+    /// taken now. A version deleted by a committed transaction below it is
+    /// invisible to every live and every future snapshot.
+    pub fn horizon(&self) -> TxnId {
+        let t = self.inner.read();
+        let now = t.finished_below();
+        t.pins.keys().next().map_or(now, |&p| p.min(now))
     }
 
     /// Number of in-progress transactions.
@@ -175,41 +243,21 @@ impl TxnManager {
         self.inner.read().active.len()
     }
 
+    /// Entries in the status map (in-progress + aborted ids).
+    pub fn status_len(&self) -> usize {
+        self.inner.read().status.len()
+    }
+
+    /// Transactions ever marked aborted, replayed ones included.
+    pub fn aborts(&self) -> u64 {
+        self.inner.read().aborts
+    }
+
     /// Restore the id allocator after recovery so new transactions do not
     /// collide with ids replayed from the WAL.
     pub fn bump_next_xid(&self, min_next: TxnId) {
-        let mut cur = self.next_xid.load(Ordering::SeqCst);
-        while cur < min_next {
-            match self
-                .next_xid
-                .compare_exchange(cur, min_next, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Record a replayed transaction outcome during WAL recovery.
-    pub fn set_status(&self, xid: TxnId, status: TxnStatus) {
         let mut t = self.inner.write();
-        match status {
-            TxnStatus::InProgress => {
-                t.active.insert(xid);
-            }
-            _ => {
-                t.active.remove(&xid);
-            }
-        }
-        t.status.insert(xid, status);
-    }
-
-    /// Drop committed statuses below `horizon` (called after a checkpoint —
-    /// every surviving tuple was rewritten with the frozen xid).
-    pub fn prune_below(&self, horizon: TxnId) {
-        let mut t = self.inner.write();
-        t.status
-            .retain(|&xid, &mut st| xid >= horizon || st == TxnStatus::Aborted);
+        t.next_xid = t.next_xid.max(min_next);
     }
 }
 
@@ -292,15 +340,50 @@ mod tests {
     }
 
     #[test]
-    fn prune_keeps_aborted() {
+    fn status_map_holds_only_unfinished_and_aborted() {
         let m = TxnManager::new();
         let a = m.begin();
         m.abort(a);
-        let b = m.begin();
-        m.commit(b);
-        m.prune_below(1_000);
+        for _ in 0..100 {
+            let x = m.begin();
+            m.commit(x);
+        }
+        let live = m.begin();
+        assert_eq!(m.status_len(), 2, "one aborted, one in progress");
         assert_eq!(m.status(a), TxnStatus::Aborted);
-        // b's committed record pruned; unknown == committed.
-        assert_eq!(m.status(b), TxnStatus::Committed);
+        assert_eq!(m.status(live), TxnStatus::InProgress);
+        assert_eq!(
+            m.status(live - 1),
+            TxnStatus::Committed,
+            "absent = committed"
+        );
+        assert_eq!(m.aborts(), 1);
+    }
+
+    #[test]
+    fn horizon_is_the_oldest_live_pin() {
+        let m = TxnManager::new();
+        let a = m.begin();
+        m.commit(a);
+        assert_eq!(
+            m.horizon(),
+            a + 1,
+            "nothing live: every finished id is below it"
+        );
+        let b = m.begin(); // active when the pin is taken
+        let pin = m.snapshot(None);
+        m.commit(b);
+        let c = m.begin();
+        m.commit(c);
+        assert_eq!(m.horizon(), b, "the pin cannot see b's commit");
+        let clone = pin.clone();
+        drop(pin);
+        assert_eq!(m.horizon(), b, "a clone keeps the pin");
+        let later = m.snapshot(None);
+        drop(clone);
+        assert_eq!(m.horizon(), c + 1, "oldest remaining pin");
+        drop(later);
+        let d = m.begin();
+        assert_eq!(m.horizon(), d, "an active transaction caps it");
     }
 }

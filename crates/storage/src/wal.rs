@@ -11,6 +11,14 @@
 //! the engine then truncates the file to the valid prefix so fresh
 //! appends are never stranded behind a corrupt record.
 //!
+//! A batch of rows is one record ([`WalRecord::InsertMany`], one frame,
+//! one CRC), as is a batch of delete stamps ([`WalRecord::DeleteMany`]);
+//! a torn batch is a missing record, and its transaction — which then has
+//! no commit record either — replays as aborted. The per-row
+//! [`WalRecord::Insert`] / [`WalRecord::Delete`] forms are no longer
+//! written by the engine but still decode and replay, so a directory
+//! written before the batched records opens unchanged.
+//!
 //! Each frame carries the engine-global **log sequence number** under the
 //! CRC. With the commit domain partitioned across `wal-<shard>.log` files
 //! (DESIGN.md §13), recovery merges every log's surviving records in LSN
@@ -25,9 +33,7 @@
 //! append/commit returns [`Error::WalPoisoned`] until the engine is
 //! reopened and recovery re-establishes a known-good prefix.
 
-use std::fs::File;
-use std::io::Read;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use streamrel_types::{Error, Result, Row, Schema};
@@ -54,6 +60,20 @@ pub enum WalRecord {
     },
     /// Row version at a heap slot stamped deleted.
     Delete { xid: TxnId, table: u32, slot: u64 },
+    /// A batch of rows inserted at the contiguous slots starting at
+    /// `first_slot`.
+    InsertMany {
+        xid: TxnId,
+        table: u32,
+        first_slot: u64,
+        rows: Vec<Row>,
+    },
+    /// The row versions at exactly these slots stamped deleted.
+    DeleteMany {
+        xid: TxnId,
+        table: u32,
+        slots: Vec<u64>,
+    },
     /// Transaction committed (records before this are durable effects).
     Commit { xid: TxnId },
     /// Transaction aborted (its effects must be ignored on replay).
@@ -106,15 +126,42 @@ const T_CPUT: u8 = 9;
 const T_CDEL: u8 = 10;
 const T_CPUTX: u8 = 11;
 const T_EPOCH: u8 = 12;
+const T_INSERT_MANY: u8 = 13;
+const T_DELETE_MANY: u8 = 14;
+
+/// Payload of [`WalRecord::InsertMany`] from borrowed rows, so the engine
+/// logs a batch without first moving it into a record.
+pub(crate) fn encode_insert_many(
+    b: &mut Vec<u8>,
+    xid: TxnId,
+    table: u32,
+    first_slot: u64,
+    rows: &[Row],
+) {
+    b.push(T_INSERT_MANY);
+    put_u64(b, xid);
+    put_u32(b, table);
+    put_u64(b, first_slot);
+    put_u32(b, rows.len() as u32);
+    for row in rows {
+        encode_row(b, row);
+    }
+}
 
 impl WalRecord {
     /// Serialize to the payload form (no framing).
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(32);
+        self.encode_into(&mut b);
+        b
+    }
+
+    /// Append the payload form to `b`.
+    pub fn encode_into(&self, b: &mut Vec<u8>) {
         match self {
             WalRecord::Begin { xid } => {
                 b.push(T_BEGIN);
-                put_u64(&mut b, *xid);
+                put_u64(b, *xid);
             }
             WalRecord::Insert {
                 xid,
@@ -123,62 +170,76 @@ impl WalRecord {
                 row,
             } => {
                 b.push(T_INSERT);
-                put_u64(&mut b, *xid);
-                put_u32(&mut b, *table);
-                put_u64(&mut b, *slot);
-                encode_row(&mut b, row);
+                put_u64(b, *xid);
+                put_u32(b, *table);
+                put_u64(b, *slot);
+                encode_row(b, row);
             }
             WalRecord::Delete { xid, table, slot } => {
                 b.push(T_DELETE);
-                put_u64(&mut b, *xid);
-                put_u32(&mut b, *table);
-                put_u64(&mut b, *slot);
+                put_u64(b, *xid);
+                put_u32(b, *table);
+                put_u64(b, *slot);
+            }
+            WalRecord::InsertMany {
+                xid,
+                table,
+                first_slot,
+                rows,
+            } => encode_insert_many(b, *xid, *table, *first_slot, rows),
+            WalRecord::DeleteMany { xid, table, slots } => {
+                b.push(T_DELETE_MANY);
+                put_u64(b, *xid);
+                put_u32(b, *table);
+                put_u32(b, slots.len() as u32);
+                for slot in slots {
+                    put_u64(b, *slot);
+                }
             }
             WalRecord::Commit { xid } => {
                 b.push(T_COMMIT);
-                put_u64(&mut b, *xid);
+                put_u64(b, *xid);
             }
             WalRecord::Abort { xid } => {
                 b.push(T_ABORT);
-                put_u64(&mut b, *xid);
+                put_u64(b, *xid);
             }
             WalRecord::CreateTable { id, name, schema } => {
                 b.push(T_CREATE);
-                put_u32(&mut b, *id);
-                put_str(&mut b, name);
-                encode_schema(&mut b, schema);
+                put_u32(b, *id);
+                put_str(b, name);
+                encode_schema(b, schema);
             }
             WalRecord::DropTable { id } => {
                 b.push(T_DROP);
-                put_u32(&mut b, *id);
+                put_u32(b, *id);
             }
             WalRecord::Truncate { table, xid } => {
                 b.push(T_TRUNC);
-                put_u32(&mut b, *table);
-                put_u64(&mut b, *xid);
+                put_u32(b, *table);
+                put_u64(b, *xid);
             }
             WalRecord::CatalogPut { key, value } => {
                 b.push(T_CPUT);
-                put_str(&mut b, key);
-                put_str(&mut b, value);
+                put_str(b, key);
+                put_str(b, value);
             }
             WalRecord::CatalogDel { key } => {
                 b.push(T_CDEL);
-                put_str(&mut b, key);
+                put_str(b, key);
             }
             WalRecord::CatalogPutTxn { xid, key, value } => {
                 b.push(T_CPUTX);
-                put_u64(&mut b, *xid);
-                put_str(&mut b, key);
-                put_str(&mut b, value);
+                put_u64(b, *xid);
+                put_str(b, key);
+                put_str(b, value);
             }
             WalRecord::Epoch { epoch, shard } => {
                 b.push(T_EPOCH);
-                put_u64(&mut b, *epoch);
-                put_u32(&mut b, *shard);
+                put_u64(b, *epoch);
+                put_u32(b, *shard);
             }
         }
-        b
     }
 
     /// Deserialize from a payload.
@@ -197,6 +258,29 @@ impl WalRecord {
                 table: r.u32()?,
                 slot: r.u64()?,
             },
+            T_INSERT_MANY => {
+                let (xid, table, first_slot) = (r.u64()?, r.u32()?, r.u64()?);
+                // Grown row by row: a count the payload cannot back fails
+                // at its first missing row instead of sizing an allocation.
+                let mut rows = Vec::new();
+                for _ in 0..r.u32()? {
+                    rows.push(decode_row(&mut r)?);
+                }
+                WalRecord::InsertMany {
+                    xid,
+                    table,
+                    first_slot,
+                    rows,
+                }
+            }
+            T_DELETE_MANY => {
+                let (xid, table) = (r.u64()?, r.u32()?);
+                let mut slots = Vec::new();
+                for _ in 0..r.u32()? {
+                    slots.push(r.u64()?);
+                }
+                WalRecord::DeleteMany { xid, table, slots }
+            }
             T_COMMIT => WalRecord::Commit { xid: r.u64()? },
             T_ABORT => WalRecord::Abort { xid: r.u64()? },
             T_CREATE => WalRecord::CreateTable {
@@ -259,7 +343,6 @@ pub struct Wal {
     /// commit point (except under [`SyncMode::NoSync`]).
     buf: Vec<u8>,
     sync: SyncMode,
-    appended: u64,
     /// Highest LSN appended through this handle (0 = none yet). A group
     /// commit leader reads this under the log lock to learn how far one
     /// fsync will cover.
@@ -286,20 +369,9 @@ impl Wal {
             io,
             buf: Vec::new(),
             sync,
-            appended: 0,
             last_lsn: 0,
             poisoned: None,
         })
-    }
-
-    /// Path of the log file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Number of records appended through this handle.
-    pub fn appended(&self) -> u64 {
-        self.appended
     }
 
     /// Highest LSN appended through this handle (0 = none yet).
@@ -346,17 +418,31 @@ impl Wal {
     /// `lsn ‖ payload`). Durability is controlled by [`Wal::sync_commit`],
     /// which callers invoke at commit points.
     pub fn append(&mut self, lsn: u64, rec: &WalRecord) -> Result<()> {
+        self.append_with(lsn, |b| rec.encode_into(b))
+    }
+
+    /// [`Wal::append`] for a payload `encode` writes straight into the log
+    /// buffer: one frame and one CRC however many rows it carries, and no
+    /// intermediate copy.
+    pub(crate) fn append_with(
+        &mut self,
+        lsn: u64,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<()> {
         if let Some(e) = self.poison_err() {
             return Err(e);
         }
-        let payload = rec.encode();
-        let mut body = Vec::with_capacity(8 + payload.len());
-        put_u64(&mut body, lsn);
-        body.extend_from_slice(&payload);
-        put_u32(&mut self.buf, payload.len() as u32);
-        put_u32(&mut self.buf, crc32(&body));
-        self.buf.extend_from_slice(&body);
-        self.appended += 1;
+        let frame = self.buf.len();
+        self.buf.extend_from_slice(&[0; 8]); // length and CRC, patched below
+        put_u64(&mut self.buf, lsn);
+        encode(&mut self.buf);
+        let Ok(len) = u32::try_from(self.buf.len() - frame - 16) else {
+            self.buf.truncate(frame);
+            return Err(Error::storage("wal record exceeds 4 GiB"));
+        };
+        let crc = crc32(&self.buf[frame + 8..]);
+        self.buf[frame..frame + 4].copy_from_slice(&len.to_le_bytes());
+        self.buf[frame + 4..frame + 8].copy_from_slice(&crc.to_le_bytes());
         self.last_lsn = self.last_lsn.max(lsn);
         if self.buf.len() >= SPILL_BYTES {
             self.spill()?;
@@ -406,20 +492,6 @@ impl Drop for Wal {
     }
 }
 
-/// Read every intact record from a log file. Stops cleanly at a torn tail;
-/// returns `(lsn, record)` pairs and the count of bytes of valid prefix.
-pub fn replay(path: &Path) -> Result<(Vec<(u64, WalRecord)>, u64)> {
-    let mut data = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut data)?;
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((vec![], 0)),
-        Err(e) => return Err(e.into()),
-    }
-    Ok(replay_bytes(&data))
-}
-
 /// Replay from an in-memory image of the log file: every intact record
 /// tagged with its global LSN, plus the byte length of the valid prefix
 /// (the engine truncates the file to that length before appending new
@@ -467,6 +539,7 @@ pub fn replay_bytes(data: &[u8]) -> (Vec<(u64, WalRecord)>, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
     use streamrel_types::{row, Column, DataType};
 
     fn tmp(name: &str) -> PathBuf {
@@ -475,6 +548,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir.join("wal.log")
+    }
+
+    /// Every intact record of the log file at `path`, and the byte length
+    /// of its valid prefix.
+    fn replay(path: &Path) -> Result<(Vec<(u64, WalRecord)>, u64)> {
+        Ok(replay_bytes(&std::fs::read(path).unwrap_or_default()))
     }
 
     fn sample_records() -> Vec<WalRecord> {
@@ -500,6 +579,23 @@ mod tests {
                 xid: 2,
                 table: 7,
                 slot: 0,
+            },
+            WalRecord::InsertMany {
+                xid: 2,
+                table: 7,
+                first_slot: 1,
+                rows: vec![row!["/a", 1i64], row!["/b", 2i64]],
+            },
+            WalRecord::DeleteMany {
+                xid: 2,
+                table: 7,
+                slots: vec![1, 2],
+            },
+            WalRecord::InsertMany {
+                xid: 2,
+                table: 7,
+                first_slot: 3,
+                rows: vec![],
             },
             WalRecord::Commit { xid: 2 },
             WalRecord::CatalogPut {

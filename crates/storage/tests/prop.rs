@@ -1,10 +1,13 @@
 //! Property-based tests: codec round-trips, WAL record round-trips, and
 //! MVCC visibility invariants under random operation sequences.
 
+use std::ops::Bound;
+
 use proptest::prelude::*;
 use streamrel_storage::codec::{decode_row, encode_row, Reader};
+use streamrel_storage::index::IndexKey;
 use streamrel_storage::wal::WalRecord;
-use streamrel_storage::StorageEngine;
+use streamrel_storage::{Snapshot, StorageEngine};
 use streamrel_types::{Column, DataType, Row, Schema, Value};
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -23,7 +26,179 @@ fn arb_row() -> impl Strategy<Value = Row> {
     prop::collection::vec(arb_value(), 0..8)
 }
 
+/// One step of the heap model test. Values come from a small domain so
+/// index keys collide; `commit == false` aborts the transaction.
+#[derive(Debug, Clone)]
+enum Op {
+    InsertMany { vals: Vec<i64>, commit: bool },
+    ReplaceAll { vals: Vec<i64>, commit: bool },
+    DeleteOne { pick: usize, commit: bool },
+    Pin,
+    Unpin(usize),
+    Reclaim,
+    Vacuum,
+    Reopen,
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    let vals = || prop::collection::vec(0i64..6, 0..5);
+    prop_oneof![
+        (vals(), any::<bool>()).prop_map(|(vals, commit)| Op::InsertMany { vals, commit }),
+        (vals(), any::<bool>()).prop_map(|(vals, commit)| Op::ReplaceAll { vals, commit }),
+        (vals(), 0u8..8).prop_map(|(vals, c)| Op::ReplaceAll {
+            vals,
+            commit: c > 0
+        }),
+        (0usize..8, any::<bool>()).prop_map(|(pick, commit)| Op::DeleteOne { pick, commit }),
+        Just(Op::Pin),
+        (0usize..4).prop_map(Op::Unpin),
+        Just(Op::Reclaim),
+        Just(Op::Vacuum),
+        Just(Op::Reopen),
+    ]
+}
+
+/// What `snap` sees of table `t`, sorted, by scan — checked against the
+/// index: every key's lookup and one range agree with the scan.
+fn seen(e: &StorageEngine, t: u32, snap: &Snapshot) -> Vec<i64> {
+    let int = |r: &Row| r[0].as_int().unwrap();
+    let mut got: Vec<i64> = e
+        .scan(t, snap)
+        .unwrap()
+        .iter()
+        .map(|(_, r)| int(r))
+        .collect();
+    got.sort_unstable();
+    let idx = e.index_on("t", "v").expect("index");
+    let key = |v: i64| IndexKey(vec![Value::Int(v)]);
+    for v in 0..6 {
+        let hits = e.index_lookup("t", &idx, &key(v), snap).unwrap();
+        assert_eq!(
+            hits.len(),
+            got.iter().filter(|g| **g == v).count(),
+            "lookup {v}"
+        );
+    }
+    let range = e
+        .index_range(
+            "t",
+            &idx,
+            Bound::Excluded(key(1)),
+            Bound::Included(key(4)),
+            snap,
+        )
+        .unwrap();
+    assert_eq!(
+        range.len(),
+        got.iter().filter(|g| (2..=4).contains(*g)).count()
+    );
+    got
+}
+
 proptest! {
+    /// The heap against a plain model — a sorted `Vec` of the committed
+    /// rows plus what each live pin saw when taken — under random batched
+    /// inserts, REPLACE swaps, single deletes, aborts, pins, reclaims and
+    /// reopen-from-WAL. No version a live pin sees is ever reclaimed, a
+    /// reclaim with no pin leaves nothing dead, and the heap holds no more
+    /// than its live generation once it was swapped and vacuumed.
+    #[test]
+    fn heap_matches_generation_model(ops in prop::collection::vec(arb_op(), 1..40), tag in any::<u32>()) {
+        let dir = std::env::temp_dir()
+            .join(format!("streamrel-prop-model-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let schema = Schema::new(vec![Column::new("v", DataType::Int)]).unwrap();
+        let mut e = StorageEngine::open(&dir).unwrap();
+        let t = e.create_table("t", schema).unwrap();
+        e.create_index("t_v", "t", &["v".into()]).unwrap();
+        let rows = |vals: &[i64]| -> Vec<Row> { vals.iter().map(|v| vec![Value::Int(*v)]).collect() };
+        let mut live: Vec<i64> = Vec::new();
+        let mut pins: Vec<(Snapshot, Vec<i64>)> = Vec::new();
+        // Slots ever appended, and whether the live rows are exactly one
+        // REPLACE generation with nothing appended after it.
+        let (mut appended, mut pure) = (0u64, true);
+        for op in ops {
+            match op {
+                Op::InsertMany { vals, commit } => {
+                    let x = e.begin().unwrap();
+                    e.insert_many(x, t, rows(&vals)).unwrap();
+                    appended += vals.len() as u64;
+                    pure &= vals.is_empty();
+                    if commit {
+                        e.commit(x).unwrap();
+                        live.extend(&vals);
+                    } else {
+                        e.abort(x).unwrap();
+                    }
+                }
+                Op::ReplaceAll { vals, commit } => {
+                    let x = e.begin().unwrap();
+                    prop_assert_eq!(e.delete_all_visible(x, t).unwrap(), live.len() as u64);
+                    e.insert_many(x, t, rows(&vals)).unwrap();
+                    appended += vals.len() as u64;
+                    if commit {
+                        e.commit(x).unwrap();
+                        live = vals;
+                        pure = true;
+                    } else {
+                        e.abort(x).unwrap();
+                        pure &= vals.is_empty();
+                    }
+                }
+                Op::DeleteOne { pick, commit } => {
+                    let x = e.begin().unwrap();
+                    let visible = e.scan(t, &e.snapshot_for(x)).unwrap();
+                    if let Some((tid, row)) = visible.get(pick % visible.len().max(1)) {
+                        e.delete(x, *tid).unwrap();
+                        if commit {
+                            let v = row[0].as_int().unwrap();
+                            live.remove(live.iter().position(|l| *l == v).unwrap());
+                            pure = false;
+                        }
+                    }
+                    if commit { e.commit(x).unwrap() } else { e.abort(x).unwrap() }
+                }
+                Op::Pin => {
+                    let snap = e.snapshot();
+                    let saw = seen(&e, t, &snap);
+                    pins.push((snap, saw));
+                }
+                Op::Unpin(k) if !pins.is_empty() => {
+                    pins.remove(k % pins.len());
+                }
+                Op::Unpin(_) => {}
+                Op::Reclaim => {
+                    e.reclaim(t).unwrap();
+                }
+                Op::Vacuum => {
+                    e.vacuum();
+                    let heap = &e.table_by_id(t).unwrap().heap;
+                    if pins.is_empty() {
+                        prop_assert_eq!(heap.dead_count(), 0);
+                        if pure {
+                            prop_assert!(heap.version_count() <= live.len());
+                        }
+                    }
+                }
+                Op::Reopen => {
+                    pins.clear();
+                    drop(e);
+                    e = StorageEngine::open(&dir).unwrap();
+                }
+            }
+            live.sort_unstable();
+            prop_assert_eq!(&seen(&e, t, &e.snapshot()), &live);
+            for (snap, saw) in &pins {
+                prop_assert_eq!(&seen(&e, t, snap), saw, "a live pin lost or gained rows");
+            }
+            let held = e.table_by_id(t).unwrap().heap.version_count() as u64;
+            prop_assert!(held <= appended, "slots only ever leave the heap");
+        }
+        drop(pins);
+        drop(e);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Any row encodes and decodes back to itself.
     #[test]
     fn row_codec_roundtrip(row in arb_row()) {
@@ -43,6 +218,8 @@ proptest! {
             WalRecord::Begin { xid },
             WalRecord::Insert { xid, table, slot, row: row.clone() },
             WalRecord::Delete { xid, table, slot },
+            WalRecord::InsertMany { xid, table, first_slot: slot, rows: vec![row.clone(); 3] },
+            WalRecord::DeleteMany { xid, table, slots: vec![slot, slot + 2] },
             WalRecord::Commit { xid },
             WalRecord::Abort { xid },
             WalRecord::CatalogPut { key: key.clone(), value: val.clone() },

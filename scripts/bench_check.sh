@@ -8,8 +8,9 @@
 # Two kinds of checks:
 #   * structural — proof-shaped fields that must hold exactly on any
 #     machine: zero torture failures/divergences, row conservation,
-#     fan-out delivery counts, linear registration cost and a window
-#     close whose merge count does not grow with the window's width. A
+#     fan-out delivery counts, linear registration cost, a window close
+#     whose merge count does not grow with the window's width and a
+#     REPLACE commit whose scan does not grow with the table's history. A
 #     violation is a correctness regression.
 #   * throughput — rates and speedup ratios compared against the
 #     committed baseline. CI machines jitter, so the band is wide:
@@ -96,6 +97,22 @@ elif name == "BENCH_fanout.json":
             )
 elif name == "BENCH_ingest_parallel.json":
     need("durable", True)
+    # Active Tables maintain themselves: with no VACUUM in 20 000 windows
+    # of 100 groups, what a REPLACE commit scans (a count that repeats
+    # exactly) must not grow with the history, nor what its table holds.
+    scanned = fresh.get("replace_scanned_per_window", {})
+    if "100" not in scanned or "20000" not in scanned:
+        problems.append("replace_scanned_per_window lacks windows 100 and 20000")
+    elif not 0 < scanned["20000"] <= 1.1 * scanned["100"]:
+        problems.append(
+            f"a REPLACE commit scans {scanned['20000']} versions at window 20000, "
+            f"want <= 1.1 x the {scanned['100']} at window 100"
+        )
+    if not 0 < fresh.get("replace_heap_versions_end", 0) <= 3 * 100:
+        problems.append(
+            f"replace_heap_versions_end = {fresh.get('replace_heap_versions_end')!r}, "
+            "want <= 3 x the 100 rows of one window"
+        )
 elif name == "BENCH_ivm.json":
     if fresh.get("windows_closed", 0) <= 0:
         problems.append("windows_closed <= 0: the bench closed no windows")

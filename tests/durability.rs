@@ -296,3 +296,88 @@ fn wal_sync_modes_all_recover() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+#[test]
+fn per_row_log_records_open_like_their_batched_twin() {
+    // The engine writes one `InsertMany` / `DeleteMany` per batch; before
+    // that it wrote one `Insert` / `Delete` per row. Rewrite a batched log
+    // record for record into the per-row form: both directories must
+    // recover to the same tables, watermark and resume point.
+    use streamrel::storage::wal::{replay_bytes, Wal, WalRecord};
+    use streamrel::storage::SyncMode;
+    let opts = || DbOptions::default().with_wal_shards(1);
+    let (batched, per_row) = (tmpdir("batched"), tmpdir("per-row"));
+    {
+        let db = Db::open(&batched, opts()).unwrap();
+        setup(&db);
+        db.execute("CREATE TABLE cur (k varchar(16), c bigint, w timestamp)")
+            .unwrap();
+        db.execute("CREATE CHANNEL cur_ch FROM per_minute INTO cur REPLACE")
+            .unwrap();
+        for m in 0..4i64 {
+            let rows = ["a", "b", "a"].iter().zip(1..);
+            let rows = rows.map(|(k, i)| tup(k, m * MINUTES + i)).collect();
+            db.ingest_batch("s", rows).unwrap();
+        }
+        db.execute("DELETE FROM raw WHERE k = 'b'").unwrap();
+    }
+    let (records, _) = replay_bytes(&std::fs::read(batched.join("wal-0.log")).unwrap());
+    let mut wal = Wal::open(per_row.join("wal-0.log"), SyncMode::Flush).unwrap();
+    let (mut lsn, mut batches) = (0, 0);
+    let mut append = |rec: WalRecord| {
+        lsn += 1;
+        wal.append(lsn, &rec).unwrap();
+    };
+    for (_, rec) in records {
+        match rec {
+            WalRecord::InsertMany {
+                xid,
+                table,
+                first_slot,
+                rows,
+            } => {
+                batches += 1;
+                for (slot, row) in (first_slot..).zip(rows) {
+                    append(WalRecord::Insert {
+                        xid,
+                        table,
+                        slot,
+                        row,
+                    });
+                }
+            }
+            WalRecord::DeleteMany { xid, table, slots } => {
+                batches += 1;
+                for slot in slots {
+                    append(WalRecord::Delete { xid, table, slot });
+                }
+            }
+            WalRecord::Insert { .. } | WalRecord::Delete { .. } => {
+                panic!("the engine writes only batched DML records")
+            }
+            other => append(other),
+        }
+    }
+    drop(wal);
+    assert!(batches > 10, "the fixture exercises both batched forms");
+    let digest = |dir: &PathBuf| -> Vec<String> {
+        let db = Db::open(dir, opts()).unwrap();
+        db.ingest("s", tup("a", 4 * MINUTES + 1)).unwrap();
+        db.heartbeat("s", 5 * MINUTES).unwrap();
+        let tables = ["agg", "cur", "raw"].iter();
+        let mut out: Vec<String> = tables
+            .map(|t| {
+                format!(
+                    "{t}: {}",
+                    db.execute(&format!("SELECT * FROM {t}")).unwrap().rows()
+                )
+            })
+            .collect();
+        out.push(format!("{:?}", db.engine().catalog_scan("cq_watermark.")));
+        out
+    };
+    assert_eq!(digest(&per_row), digest(&batched));
+    for dir in [batched, per_row] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

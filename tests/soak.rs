@@ -1,7 +1,8 @@
 //! Soak test: a full pipeline under sustained mixed load — ingest,
 //! cascaded derived streams, both channel modes, dimension updates,
 //! ad-hoc snapshot queries, vacuum, and (durable variant) checkpointing —
-//! with global invariants checked at every phase boundary.
+//! with global invariants checked at every phase boundary; and a REPLACE
+//! table left to reclaim itself for 20 000 windows.
 
 use streamrel::types::time::MINUTES;
 use streamrel::types::Value;
@@ -114,12 +115,52 @@ fn soak_in_memory() {
     drive(&db, 0, 10);
     check_invariants(&db, 10);
     let reclaimed = db.engine().vacuum();
-    // REPLACE channel deletes + dimension churn leave dead versions.
+    // Dimension churn leaves dead versions (the REPLACE channel reclaims
+    // its own at each commit).
     assert!(reclaimed > 0, "vacuum reclaimed {reclaimed}");
     check_invariants(&db, 10);
     // Keep going after vacuum.
     drive(&db, 10, 15);
     check_invariants(&db, 15);
+}
+
+/// Reclamation needs nobody: 20 000 REPLACE windows with no `VACUUM`
+/// leave the Active Table holding its live generation, and the transaction
+/// status map its in-flight entries, whatever the window count.
+#[test]
+fn replace_table_stays_bounded_without_vacuum() {
+    const GROUPS: i64 = 5;
+    let db = Db::in_memory(DbOptions::default());
+    db.execute("CREATE STREAM s (k integer, ts timestamp CQTIME USER)")
+        .unwrap();
+    db.execute(
+        "CREATE STREAM per_second AS SELECT k, count(*) c, cq_close(*) w \
+                FROM s <TUMBLING '1 second'> GROUP BY k",
+    )
+    .unwrap();
+    db.execute("CREATE TABLE cur (k integer, c bigint, w timestamp)")
+        .unwrap();
+    db.execute("CREATE CHANNEL cur_ch FROM per_second INTO cur REPLACE")
+        .unwrap();
+    let heap = &db.engine().table("cur").unwrap().heap;
+    for sec in 0..20_000i64 {
+        let rows = (0..GROUPS).map(|k| vec![Value::Int(k), Value::Timestamp(sec * 1_000_000 + k)]);
+        db.ingest_batch("s", rows.collect()).unwrap();
+        if sec % 500 == 499 {
+            // A reader pins a generation across a few commits now and then.
+            let pinned = db.engine().snapshot();
+            assert!(heap.version_count() as i64 <= 3 * GROUPS, "window {sec}");
+            assert!(db.engine().txns().status_len() <= 2, "window {sec}");
+            drop(pinned);
+        }
+    }
+    let cur = db
+        .execute("SELECT count(*), min(w) FROM cur")
+        .unwrap()
+        .rows();
+    let last_close = Value::Timestamp(19_999 * 1_000_000);
+    assert_eq!(cur.rows()[0], vec![Value::Int(GROUPS), last_close]);
+    assert_eq!(heap.version_count() as i64, GROUPS, "one generation");
 }
 
 #[test]

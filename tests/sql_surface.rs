@@ -517,3 +517,28 @@ fn example_5_plan_shape_is_optimized() {
         "no residual filter above the join: {joined}"
     );
 }
+
+#[test]
+fn range_predicates_read_through_an_ordered_index() {
+    // The same queries with and without an index on `hired`: the index
+    // range path must return exactly what the scan + filter does.
+    let queries = [
+        "SELECT name FROM emp WHERE hired > timestamp '2020-01-15' AND hired <= timestamp '2022-11-05'",
+        "SELECT dept, sum(salary) FROM emp WHERE hired BETWEEN '2019-01-01' AND '2021-12-31' \
+         AND salary > 80 GROUP BY dept ORDER BY dept",
+        "SELECT name FROM emp WHERE timestamp '2021-06-01' = hired",
+        "SELECT name FROM emp WHERE hired > timestamp '2023-01-01' AND hired < timestamp '2020-01-01'",
+        "SELECT count(*) FROM emp WHERE hired >= timestamp '2021-01-01' OR id = 1",
+    ];
+    let db = seeded();
+    db.execute("INSERT INTO emp VALUES (6, 'fay', 'mkt', 60.0, NULL)")
+        .unwrap();
+    let plain: Vec<Relation> = queries.iter().map(|q| rows(&db, q)).collect();
+    db.execute("CREATE INDEX emp_by_hired ON emp (hired)")
+        .unwrap();
+    for (q, want) in queries.iter().zip(&plain) {
+        assert_eq!(rows(&db, q).rows(), want.rows(), "{q}");
+    }
+    assert_eq!(plain[0].len(), 2);
+    assert_eq!(plain[3].len(), 0, "crossed bounds are an empty range");
+}
