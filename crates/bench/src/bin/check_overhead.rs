@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use streamrel_bench::{fmt_dur, scale, timed, ResultTable};
 use streamrel_check::{check_plan, CheckContext};
-use streamrel_cq::shared::{place, Advanced, Placement};
+use streamrel_cq::shared::{place, Advanced};
 use streamrel_cq::SharedRegistry;
 use streamrel_sql::analyzer::SchemaProvider;
 use streamrel_sql::plan::SchemaRef;
@@ -83,9 +83,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // `hits`' store set: the tumbling aggregate's pooled store, its
     // one-minute grid pinned by a folded tuple.
     let mut registry = SharedRegistry::default();
-    let Placement::Sliced { program, .. } = place(&plans[1], true, true, None) else {
-        panic!("the tumbling aggregate lowers");
-    };
+    let program = place(&plans[1], true, true, None).program;
+    let program = program.expect("the tumbling aggregate lowers");
     registry.join(&program, true);
     registry.advance(
         &[row![Value::Timestamp(1), "/a", 10i64]],

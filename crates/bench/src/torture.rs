@@ -447,7 +447,10 @@ fn cq_options() -> DbOptions {
 }
 
 /// The standing query `derived` over stream `s` through `window`, its
-/// APPEND archive `agg`, its REPLACE table `cur`, and the raw archive.
+/// APPEND archive `agg`, its REPLACE table `cur`, the raw archive — and,
+/// one level down, the sliding total `rolling` over `derived` with an
+/// APPEND archive of its own, so that a crash between the upstream's
+/// archive commit and the downstream's is a crash point.
 fn setup_with(db: &Db, derived: &str, window: &str) -> Result<()> {
     db.execute("CREATE STREAM s (k varchar(16), ts timestamp CQTIME USER)")?;
     db.execute("CREATE TABLE agg (k varchar(16), c bigint, w timestamp)")?;
@@ -462,8 +465,18 @@ fn setup_with(db: &Db, derived: &str, window: &str) -> Result<()> {
     ))?;
     db.execute("CREATE TABLE raw (k varchar(16), ts timestamp)")?;
     db.execute("CREATE CHANNEL raw_ch FROM s INTO raw APPEND")?;
+    db.execute(&format!(
+        "CREATE STREAM rolling AS SELECT sum(c) n, count(*) ks, cq_close(*) w3 \
+         FROM {derived} <VISIBLE '3 minutes' ADVANCE '1 minute'>"
+    ))?;
+    db.execute("CREATE TABLE roll (n bigint, ks bigint, w3 timestamp)")?;
+    db.execute("CREATE CHANNEL roll_ch FROM rolling INTO roll APPEND")?;
     Ok(())
 }
+
+/// `rolling`'s VISIBLE − ADVANCE: how far before its watermark the
+/// upstream's archived windows still reach into its next window.
+const ROLLING_SLACK: i64 = 2 * MINUTE;
 
 fn cq_setup(db: &Db) -> Result<()> {
     setup_with(db, "per_minute", "TUMBLING '1 minute'")
@@ -562,7 +575,7 @@ fn sorted_rows(db: &Db, sql: &str) -> Result<String> {
 /// watermark — the full durable footprint of the standing query.
 pub fn cq_digest(db: &Db) -> Result<String> {
     let mut out = String::new();
-    for t in ["agg", "cur", "raw"] {
+    for t in ["agg", "cur", "raw", "roll"] {
         let rows = sorted_rows(db, &format!("SELECT * FROM {t}"))?;
         out.push_str(&format!("table {t}: {rows}\n"));
     }
@@ -672,6 +685,14 @@ fn spec_crash_once(
         return fail(format!(
             "REPLACE table is not the last committed window:\n{cur}\n--- want ---\n{last}"
         ));
+    }
+
+    // One level down first: `rolling`'s in-flight windows — and the one
+    // it owed, when the crash fell between its upstream's commit and its
+    // own — come back from the upstream's archive.
+    let owed = load_watermark(db.engine(), "rolling")?.map_or(i64::MIN, |wm| wm - ROLLING_SLACK);
+    if let Err(err) = db.replay_archived_windows(spec.derived, owed) {
+        return fail(format!("cascade replay failed: {err}"));
     }
 
     // Rebuild in-flight window state from the raw archive (§4): replay

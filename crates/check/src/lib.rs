@@ -39,7 +39,7 @@ pub mod lock_graph_gen {
 }
 
 use std::sync::Arc;
-use streamrel_cq::shared::{place, Placement, SharedRegistry};
+use streamrel_cq::shared::{place, SharedRegistry};
 use streamrel_ivm::{gcd, IvmProgram};
 use streamrel_sql::plan::LogicalPlan;
 use streamrel_sql::WindowSpec;
@@ -282,17 +282,17 @@ pub fn check_plan(plan: &LogicalPlan, ctx: &CheckContext) -> CheckReport {
     // The decision registration acts on, made once: it answers both the
     // path and the shared-grid rule.
     let placement = continuous.then(|| place(plan, ctx.sharing, ctx.ivm, ctx.registry));
-    let (path, ivm_fallback) = match &placement {
-        None => ("-", None),
-        Some(Placement::Reeval(reason)) => ("reeval", Some(*reason)),
-        Some(Placement::Sliced {
-            program,
-            grid_mismatch,
-        }) => {
-            if let Some(width) = grid_mismatch {
-                findings.push(shared_grid_finding(program, *width));
+    let ivm_fallback = placement.as_ref().and_then(|p| p.fallback);
+    let path = match (&placement, ivm_fallback) {
+        (None, _) => "-",
+        // Re-evaluated: over the raw rows of a slice store, or over a
+        // count window's own buffer.
+        (_, Some(_)) => "reeval",
+        (Some(p), None) => {
+            if let Some((program, width)) = p.program.as_ref().zip(p.grid_mismatch) {
+                findings.push(shared_grid_finding(program, width));
             }
-            ("ivm", None)
+            "ivm"
         }
     };
     non_monotonic_rule(plan, &mut findings);

@@ -1,11 +1,13 @@
 //! The stream-relational database object.
 //!
 //! Execution is sharded: catalog/DDL state lives behind one lock, while
-//! each base stream's runtime (reorder buffer, CQ runtimes, channel
-//! sinks) lives in its own [`Shard`] so ingest and heartbeat on distinct
-//! streams never contend. Closed-window plan evaluation runs on a small
-//! worker pool; results are re-sequenced into submission order — (CQ,
-//! close) — so subscription output is byte-identical to serial execution.
+//! each base stream's runtime (reorder buffer, slice stores, CQ runtimes,
+//! channel sinks) — and that of every derived stream it feeds — lives in
+//! its own [`Shard`] so ingest and heartbeat on distinct streams never
+//! contend. A batch takes one path through a stream, base or derived
+//! (`feed`); closed-window plan evaluation runs on a small worker pool,
+//! and results are re-sequenced into submission order — (CQ, close) — so
+//! subscription output is byte-identical to serial execution.
 
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
@@ -18,21 +20,19 @@ use parking_lot::{Mutex, MutexGuard};
 use streamrel_check::{check_plan, CheckContext, CheckReport, StateBudget};
 use streamrel_cq::recovery::{load_watermark, save_watermark_txn};
 use streamrel_cq::shared::Advanced;
-use streamrel_cq::{
-    ContinuousQuery, CqOutput, CqStats, ReorderBuffer, SharedRegistry, WindowTask, WorkerPool,
-};
+use streamrel_cq::{ContinuousQuery, CqOutput, CqStats, ReorderBuffer, WindowTask, WorkerPool};
 use streamrel_exec::{execute, ExecContext, ExecMetrics};
 use streamrel_obs::{Counter, Gauge, IvmMetrics};
-use streamrel_sql::analyzer::Analyzer;
+use streamrel_sql::analyzer::{AnalyzedQuery, Analyzer, RelKind, SchemaProvider};
 use streamrel_sql::ast::{ChannelMode, ColumnDef, Expr, ObjectKind, Query, ShowKind, Statement};
 use streamrel_sql::parser::parse_statement;
-use streamrel_sql::plan::{BoundExpr, LogicalPlan};
+use streamrel_sql::plan::{BoundExpr, LogicalPlan, SchemaRef};
 use streamrel_storage::{Io, StdIo, StorageEngine};
 use streamrel_types::{Column, Error, Relation, Result, Row, Schema, Timestamp, Value};
 
 use crate::options::DbOptions;
-use crate::provider::{CatalogProvider, StreamDecl};
-use crate::shard::{ChannelSink, CqEntry, DerivedRuntime, Shard, ShardState, Sink, StreamRuntime};
+use crate::provider::StreamDecl;
+use crate::shard::{ChannelSink, CqEntry, Shard, ShardState, Sink, StreamRuntime};
 use crate::subscription::{ResultNotifier, Subscription, SubscriptionId};
 
 /// Result of [`Db::execute`].
@@ -91,20 +91,14 @@ pub struct DbStats {
     pub sub_queued: u64,
 }
 
-/// A base stream's catalog entry: its declaration plus which shard owns
-/// its runtime.
+/// A stream's catalog entry: its declaration, which shard owns its runtime
+/// and — for a derived stream — the CQ that produces it. A derived stream
+/// lives in the same shard as the base stream its CQ DAG is rooted at, so
+/// `pump` never crosses shards.
 struct CatStream {
     decl: StreamDecl,
     shard: usize,
-}
-
-/// A derived stream's catalog entry. The derived stream lives in the same
-/// shard as the base stream its CQ DAG is rooted at, so `pump` never
-/// crosses shards.
-struct CatDerived {
-    decl: StreamDecl,
-    shard: usize,
-    cq_id: u64,
+    producer: Option<u64>,
 }
 
 /// A channel's definition. `rows_written` is shared with the
@@ -125,11 +119,10 @@ struct ChannelDef {
 // order.
 
 /// Catalog and DDL state: everything that is *not* on the per-tuple hot
-/// path. Stream/derived declarations, views, channel definitions and the
-/// shard map itself.
+/// path. Stream declarations (base and derived), views, channel
+/// definitions and the shard map itself.
 struct Catalog {
     streams: HashMap<String, CatStream>,
-    deriveds: HashMap<String, CatDerived>,
     views: HashMap<String, String>,
     channels: HashMap<String, ChannelDef>,
     /// The execution shards. Streams are assigned at CREATE time and
@@ -265,7 +258,6 @@ impl Db {
                 "core.catalog",
                 Catalog {
                     streams: HashMap::new(),
-                    deriveds: HashMap::new(),
                     views: HashMap::new(),
                     channels: HashMap::new(),
                     shards: Vec::new(),
@@ -328,20 +320,18 @@ impl Db {
     }
 
     /// Schema of a base stream, if `name` is one.
-    pub fn stream_schema(&self, name: &str) -> Option<streamrel_sql::plan::SchemaRef> {
-        self.catalog
-            .lock()
-            .streams
-            .get(&name.to_ascii_lowercase())
-            .map(|s| s.decl.schema.clone())
+    pub fn stream_schema(&self, name: &str) -> Option<SchemaRef> {
+        let catalog = self.catalog.lock();
+        let s = catalog.streams.get(&name.to_ascii_lowercase())?;
+        s.producer.is_none().then(|| s.decl.schema.clone())
     }
 
     /// Per-CQ counters for the CQ backing derived stream `name`.
     pub fn derived_cq_stats(&self, name: &str) -> Option<CqStats> {
         let (shard, cq_id) = {
             let catalog = self.catalog.lock();
-            let d = catalog.deriveds.get(&name.to_ascii_lowercase())?;
-            (shard_at(&catalog, d.shard).ok()?, d.cq_id)
+            let d = catalog.streams.get(&name.to_ascii_lowercase())?;
+            (shard_at(&catalog, d.shard).ok()?, d.producer?)
         };
         let state = shard.state.lock();
         state.cqs.get(&cq_id).map(|e| e.cq.stats())
@@ -574,7 +564,7 @@ impl Db {
 
     /// Run the Level-1 analysis against the engine as it stands: the
     /// options, the budget ledger and — under the owning shard's lock —
-    /// the live slice stores of the base stream the plan scans, so the
+    /// the live slice stores of the stream the plan scans, so the
     /// shared-grid rule sees the grid registration would.
     fn check(&self, catalog: &Catalog, plan: &LogicalPlan) -> CheckReport {
         // No stream is named "", so a snapshot plan finds no registry.
@@ -676,24 +666,19 @@ impl Db {
             }
             ShowKind::Streams => {
                 let mut rel = Relation::empty(schema(&["stream", "kind", "columns"]));
-                let mut names: Vec<_> = catalog.streams.keys().cloned().collect();
-                names.sort();
-                for name in names {
-                    let s = &catalog.streams[&name];
+                // Base streams first, then derived; by name within each.
+                let mut streams: Vec<_> = catalog.streams.iter().collect();
+                streams.sort_by_key(|(name, s)| (s.producer.is_some(), *name));
+                for (name, s) in streams {
+                    let kind = if s.producer.is_some() {
+                        "derived"
+                    } else {
+                        "base"
+                    };
                     rel.push(vec![
-                        Value::text(&name),
-                        Value::text("base"),
+                        Value::text(name),
+                        Value::text(kind),
                         Value::text(s.decl.schema.to_string()),
-                    ]);
-                }
-                let mut names: Vec<_> = catalog.deriveds.keys().cloned().collect();
-                names.sort();
-                for name in names {
-                    let d = &catalog.deriveds[&name];
-                    rel.push(vec![
-                        Value::text(&name),
-                        Value::text("derived"),
-                        Value::text(d.decl.schema.to_string()),
                     ]);
                 }
                 rel
@@ -768,20 +753,12 @@ impl Db {
             CatStream {
                 decl: decl.clone(),
                 shard: shard_idx,
+                producer: None,
             },
         );
         let shard = shard_at(&catalog, shard_idx)?;
-        shard.state.lock().streams.insert(
-            key.clone(),
-            StreamRuntime {
-                decl,
-                reorder,
-                high_water: Timestamp::MIN,
-                cq_ids: Vec::new(),
-                raw_channels: Vec::new(),
-                stores: SharedRegistry::default(),
-            },
-        );
+        let runtime = StreamRuntime::new(decl, false, reorder);
+        shard.state.lock().streams.insert(key.clone(), runtime);
         if persist {
             self.persist_ddl(&mut catalog, "stream", &key, sql)?;
         }
@@ -833,22 +810,7 @@ impl Db {
                  (use CREATE VIEW or CREATE TABLE AS for snapshot queries)",
             ));
         }
-        let state_bytes = self.admit_plan(&catalog, &analyzed.plan)?;
-        let cq = ContinuousQuery::new(
-            key.clone(),
-            &analyzed,
-            self.engine.clone(),
-            self.options.consistency,
-        )?;
-        let decl = StreamDecl {
-            schema: analyzed.plan.schema(),
-            cqtime: find_cq_close_column(&analyzed.plan),
-        };
-        let (cq_id, shard) =
-            self.register_cq(&mut catalog, cq, Sink::Derived(key.clone()), state_bytes)?;
-        catalog
-            .deriveds
-            .insert(key.clone(), CatDerived { decl, shard, cq_id });
+        self.register_cq(&mut catalog, &analyzed, Sink::Derived(key.clone()))?;
         if persist {
             self.persist_ddl(&mut catalog, "derived", &key, sql)?;
         }
@@ -874,23 +836,17 @@ impl Db {
         let table_schema = &table.schema;
         // Validate schema compatibility (arity; types are coerced at
         // insert, so a count/arity check catches the real mistakes).
-        let (src_schema, shard_idx, from_derived) = if let Some(d) = catalog.deriveds.get(&from_key)
-        {
-            (d.decl.schema.clone(), d.shard, true)
-        } else if let Some(s) = catalog.streams.get(&from_key) {
-            (s.decl.schema.clone(), s.shard, false)
-        } else {
-            return Err(Error::catalog(format!(
-                "channel source `{from_stream}` is not a stream"
-            )));
-        };
-        if src_schema.len() != table_schema.len() {
+        let source = catalog.streams.get(&from_key).ok_or_else(|| {
+            Error::catalog(format!("channel source `{from_stream}` is not a stream"))
+        })?;
+        if source.decl.schema.len() != table_schema.len() {
             return Err(Error::analysis(format!(
                 "channel source has {} columns but table `{into_table}` has {}",
-                src_schema.len(),
+                source.decl.schema.len(),
                 table_schema.len()
             )));
         }
+        let shard = shard_at(&catalog, source.shard)?;
         let rows_written = Arc::new(AtomicU64::new(0));
         catalog.channels.insert(
             key.clone(),
@@ -906,18 +862,10 @@ impl Db {
             mode,
             rows_written,
         };
-        let shard = shard_at(&catalog, shard_idx)?;
         {
             let mut state = shard.state.lock();
-            if from_derived {
-                state
-                    .deriveds
-                    .entry(from_key.clone())
-                    .or_default()
-                    .channels
-                    .push(sink);
-            } else if let Some(rt) = state.streams.get_mut(&from_key) {
-                rt.raw_channels.push(sink);
+            if let Some(rt) = state.streams.get_mut(&from_key) {
+                rt.channels.push(sink);
             }
         }
         if persist {
@@ -971,52 +919,37 @@ impl Db {
 
     fn drop_stream(&self, key: &str, name: &str, if_exists: bool) -> Result<ExecResult> {
         let mut catalog = self.catalog.lock();
-        if let Some(d) = catalog.deriveds.get(key) {
-            let cq_id = d.cq_id;
-            let shard = shard_at(&catalog, d.shard)?;
-            {
-                let mut state = shard.state.lock();
-                let has_deps = state
-                    .deriveds
-                    .get(key)
-                    .map(|rt| !rt.downstream_cqs.is_empty() || !rt.channels.is_empty())
-                    .unwrap_or(false);
-                if has_deps {
-                    return Err(Error::catalog(format!(
-                        "derived stream `{name}` has dependents; drop them first"
-                    )));
-                }
-                state.deriveds.remove(key);
+        let Some(stream) = catalog.streams.get(key) else {
+            return missing("stream", name, if_exists);
+        };
+        let (producer, shard) = (stream.producer, shard_at(&catalog, stream.shard)?);
+        {
+            let mut state = shard.state.lock();
+            let rt = state.streams.get(key);
+            if rt.is_some_and(|rt| !rt.cq_ids.is_empty() || !rt.channels.is_empty()) {
+                let what = if producer.is_some() { "derived " } else { "" };
+                return Err(Error::catalog(format!(
+                    "{what}stream `{name}` has dependents; drop them first"
+                )));
+            }
+            state.streams.remove(key);
+            if let Some(cq_id) = producer {
                 self.detach_cq(&mut state, cq_id);
             }
-            catalog.deriveds.remove(key);
+        }
+        // The shard slot itself stays: ids must remain stable.
+        catalog.streams.remove(key);
+        if let Some(cq_id) = producer {
             Self::release_cq(&mut catalog, cq_id);
             self.engine.metrics().remove(&format!("cq.close_us.{key}"));
-            self.unpersist_ddl(&mut catalog, "derived", key)?;
-            return Ok(ExecResult::Dropped(name.to_string()));
         }
-        if let Some(s) = catalog.streams.get(key) {
-            let shard = shard_at(&catalog, s.shard)?;
-            {
-                let mut state = shard.state.lock();
-                let has_deps = state
-                    .streams
-                    .get(key)
-                    .map(|rt| !rt.cq_ids.is_empty() || !rt.raw_channels.is_empty())
-                    .unwrap_or(false);
-                if has_deps {
-                    return Err(Error::catalog(format!(
-                        "stream `{name}` has dependents; drop them first"
-                    )));
-                }
-                state.streams.remove(key);
-            }
-            // The shard slot itself stays: ids must remain stable.
-            catalog.streams.remove(key);
-            self.unpersist_ddl(&mut catalog, "stream", key)?;
-            return Ok(ExecResult::Dropped(name.to_string()));
-        }
-        missing("stream", name, if_exists)
+        let kind = if producer.is_some() {
+            "derived"
+        } else {
+            "stream"
+        };
+        self.unpersist_ddl(&mut catalog, kind, key)?;
+        Ok(ExecResult::Dropped(name.to_string()))
     }
 
     fn drop_channel(&self, key: &str, name: &str, if_exists: bool) -> Result<ExecResult> {
@@ -1025,12 +958,8 @@ impl Db {
             return missing("channel", name, if_exists);
         }
         for shard in catalog.shards.iter() {
-            let mut state = shard.state.lock();
-            for rt in state.deriveds.values_mut() {
+            for rt in shard.state.lock().streams.values_mut() {
                 rt.channels.retain(|c| c.name != key);
-            }
-            for rt in state.streams.values_mut() {
-                rt.raw_channels.retain(|c| c.name != key);
             }
         }
         self.unpersist_ddl(&mut catalog, "channel", key)?;
@@ -1134,18 +1063,10 @@ impl Db {
             return Ok(ExecResult::Rows(rel));
         }
         // Continuous query: register a subscription-backed CQ.
-        let state_bytes = self.admit_plan(&catalog, &analyzed.plan)?;
         let sub_id = SubscriptionId(catalog.next_sub);
+        let home = self.register_cq(&mut catalog, &analyzed, Sink::Client(sub_id))?;
         catalog.next_sub += 1;
-        let cq = ContinuousQuery::new(
-            format!("sub_{}", sub_id.0),
-            &analyzed,
-            self.engine.clone(),
-            self.options.consistency,
-        )?;
-        let (cq_id, shard) =
-            self.register_cq(&mut catalog, cq, Sink::Client(sub_id), state_bytes)?;
-        catalog.sub_home.insert(sub_id, (shard, cq_id));
+        catalog.sub_home.insert(sub_id, home);
         drop(catalog);
         self.subs.lock().insert(
             sub_id,
@@ -1155,51 +1076,56 @@ impl Db {
         Ok(ExecResult::Subscribed(sub_id))
     }
 
-    /// Register an admitted CQ in its upstream's shard — the one path both
-    /// `CREATE STREAM … AS` and a subscribing `SELECT` take. Its state
-    /// share is charged and then, under the shard lock, the CQ is placed —
-    /// a member of one of its stream's slice stores, or a re-evaluation
-    /// buffer — and attached. Returns the CQ id and the shard index.
+    /// Admit and register a continuous plan in its upstream's shard — the
+    /// one path both `CREATE STREAM … AS` and a subscribing `SELECT` take.
+    /// Its state share is charged and then, under the shard lock, the CQ
+    /// is placed — a time window as a member of one of its stream's slice
+    /// stores — and attached, together with the stream it produces, if it
+    /// does (so no window can close before its sink exists). Returns the
+    /// shard index and the CQ id.
     fn register_cq(
         &self,
         catalog: &mut Catalog,
-        mut cq: ContinuousQuery,
+        analyzed: &AnalyzedQuery,
         sink: Sink,
-        state_bytes: u64,
-    ) -> Result<(u64, usize)> {
-        let upstream = cq.stream().to_ascii_lowercase();
-        let shard_idx = match (
-            catalog.streams.get(&upstream),
-            catalog.deriveds.get(&upstream),
-        ) {
-            (Some(s), _) => s.shard,
-            (None, Some(d)) => d.shard,
-            (None, None) => return Err(Error::stream(format!("unknown stream `{}`", cq.stream()))),
+    ) -> Result<(usize, u64)> {
+        let state_bytes = self.admit_plan(catalog, &analyzed.plan)?;
+        let name = match &sink {
+            Sink::Derived(stream) => stream.clone(),
+            Sink::Client(sub) => format!("sub_{}", sub.0),
         };
+        let (engine, consistency) = (self.engine.clone(), self.options.consistency);
+        let mut cq = ContinuousQuery::new(name, analyzed, engine, consistency)?;
+        let unknown = || Error::stream(format!("unknown stream `{}`", cq.stream()));
+        let upstream = cq.stream().to_ascii_lowercase();
+        let shard_idx = catalog.streams.get(&upstream).ok_or_else(unknown)?.shard;
         let shard = shard_at(catalog, shard_idx)?;
+        let mut state = shard.state.lock();
+        let rt = state.streams.get_mut(&upstream).ok_or_else(unknown)?;
         let cq_id = catalog.next_cq;
         catalog.next_cq += 1;
         catalog.admitted_state_bytes += state_bytes;
         catalog.cq_state_bytes.insert(cq_id, state_bytes);
+        cq.place(self.options.sharing, self.options.ivm, &mut rt.stores);
+        rt.cq_ids.push(cq_id);
+        if let Sink::Derived(stream) = &sink {
+            let decl = StreamDecl {
+                schema: analyzed.plan.schema(),
+                cqtime: find_cq_close_column(&analyzed.plan),
+            };
+            let runtime = StreamRuntime::new(decl.clone(), true, None);
+            state.streams.insert(stream.clone(), runtime);
+            let entry = CatStream {
+                decl,
+                shard: shard_idx,
+                producer: Some(cq_id),
+            };
+            catalog.streams.insert(stream.clone(), entry);
+        }
         let close_hist = self
             .engine
             .metrics()
             .histogram(&format!("cq.close_us.{}", cq.name()));
-        let mut state = shard.state.lock();
-        cq.place(
-            self.options.sharing,
-            self.options.ivm,
-            stores_of(
-                &mut state.streams,
-                &upstream,
-                &mut SharedRegistry::default(),
-            ),
-        );
-        if let Sink::Derived(name) = &sink {
-            state
-                .deriveds
-                .insert(name.clone(), DerivedRuntime::default());
-        }
         state.cqs.insert(
             cq_id,
             CqEntry {
@@ -1208,24 +1134,21 @@ impl Db {
                 close_hist,
             },
         );
-        attach_cq(&mut state, &upstream, cq_id)?;
-        Ok((cq_id, shard_idx))
+        Ok((shard_idx, cq_id))
     }
 
-    /// Tear a CQ out of its shard: off its upstream's lists and out of its
+    /// Tear a CQ out of its shard: off its upstream's list and out of its
     /// slice store, which goes with its last member.
     fn detach_cq(&self, state: &mut ShardState, cq_id: u64) {
         let Some(entry) = state.cqs.remove(&cq_id) else {
             return;
         };
-        for s in state.streams.values_mut() {
-            s.cq_ids.retain(|&id| id != cq_id);
-        }
-        for d in state.deriveds.values_mut() {
-            d.downstream_cqs.retain(|&id| id != cq_id);
-        }
         let upstream = entry.cq.stream().to_ascii_lowercase();
-        if let (Some(slot), Some(rt)) = (entry.cq.slot(), state.streams.get_mut(&upstream)) {
+        let Some(rt) = state.streams.get_mut(&upstream) else {
+            return;
+        };
+        rt.cq_ids.retain(|&id| id != cq_id);
+        if let Some(slot) = entry.cq.slot() {
             self.metrics.ivm_state_bytes.add(rt.stores.leave(slot));
         }
     }
@@ -1256,21 +1179,26 @@ impl Db {
 
     // ---- federation -----------------------------------------------------------
 
-    /// Subscribe to a stream's output as-is: each upstream batch (a
-    /// derived stream's closed window, or a base stream's tuple) arrives
-    /// as exactly one window result, unmodified. This is the engine half
-    /// of the federation bridge — node A serves its derived stream over
-    /// this subscription and node B re-ingests the rows. Implemented as
-    /// `SELECT * FROM <name> <SLICES 1 WINDOWS>`, whose pass-through
-    /// semantics the slice window guarantees (one `ClosedWindow` per
-    /// upstream batch, same close, same rows).
+    /// Subscribe to a derived stream's output as-is: each closed window of
+    /// the query behind it arrives as exactly one window result,
+    /// unmodified. This is the engine half of the federation bridge — node
+    /// A serves its derived stream over this subscription and node B
+    /// re-ingests the rows. Implemented as `SELECT * FROM <name> <SLICES 1
+    /// WINDOWS>`, whose pass-through semantics the slice window guarantees
+    /// (one `ClosedWindow` per upstream batch, same close, same rows). A
+    /// base stream has no windows to pass through — subscribe to a query
+    /// over it instead — and is refused.
     pub fn subscribe_stream(&self, name: &str) -> Result<SubscriptionId> {
         let key = name.to_ascii_lowercase();
-        {
-            let catalog = self.catalog.lock();
-            if !catalog.streams.contains_key(&key) && !catalog.deriveds.contains_key(&key) {
-                return Err(Error::stream(format!("unknown stream `{name}`")));
+        match self.catalog.lock().streams.get(&key) {
+            None => return Err(Error::stream(format!("unknown stream `{name}`"))),
+            Some(s) if s.producer.is_none() => {
+                return Err(Error::stream(format!(
+                    "`{name}` is a base stream: only a derived stream's windows can be \
+                     subscribed to as-is; subscribe to a windowed query over it instead"
+                )))
             }
+            Some(_) => {}
         }
         match self.execute(&format!("SELECT * FROM {key} <SLICES 1 WINDOWS>"))? {
             ExecResult::Subscribed(id) => Ok(id),
@@ -1286,7 +1214,7 @@ impl Db {
     /// APPEND channel: rows are grouped by the stream's `cq_close(*)`
     /// column, so federation requires the derived stream to carry one
     /// (like the quickstart's `stime`) and to archive through an APPEND
-    /// channel. `pump` commits each window's archive rows and resume
+    /// channel. `feed` commits each window's archive rows and resume
     /// watermark in one transaction *before* any delivery, so everything
     /// a subscriber ever saw is reconstructible here. The replay ends
     /// with an empty window at the stream's durable watermark when that
@@ -1294,38 +1222,29 @@ impl Db {
     /// no rows but do commit the watermark).
     pub fn archived_windows(&self, stream: &str, after: Timestamp) -> Result<Vec<CqOutput>> {
         let key = stream.to_ascii_lowercase();
-        let (schema, cqtime, shard_idx) = {
+        let (schema, close_col, tid) = {
             let catalog = self.catalog.lock();
             let d = catalog
-                .deriveds
+                .streams
                 .get(&key)
+                .filter(|s| s.producer.is_some())
                 .ok_or_else(|| Error::stream(format!("`{stream}` is not a derived stream")))?;
-            (d.decl.schema.clone(), d.decl.cqtime, d.shard)
-        };
-        let close_col = cqtime.ok_or_else(|| {
-            Error::stream(format!(
-                "derived stream `{stream}` has no cq_close(*) column; \
-                 archived windows cannot be replayed"
-            ))
-        })?;
-        let tid = {
-            let catalog = self.catalog.lock();
-            let shard = shard_at(&catalog, shard_idx)?;
+            let close_col = d.decl.cqtime.ok_or_else(|| {
+                Error::stream(format!(
+                    "derived stream `{stream}` has no cq_close(*) column; \
+                     archived windows cannot be replayed"
+                ))
+            })?;
+            let shard = shard_at(&catalog, d.shard)?;
             let state = shard.state.lock();
-            state
-                .deriveds
-                .get(&key)
-                .and_then(|d| {
-                    d.channels
-                        .iter()
-                        .find(|c| c.mode == ChannelMode::Append)
-                        .map(|c| c.table_id)
-                })
-                .ok_or_else(|| {
-                    Error::stream(format!(
-                        "derived stream `{stream}` has no APPEND channel to replay from"
-                    ))
-                })?
+            let channels = state.streams.get(&key).map_or(&[][..], |rt| &rt.channels);
+            let append = channels.iter().find(|c| c.mode == ChannelMode::Append);
+            let tid = append.map(|c| c.table_id).ok_or_else(|| {
+                Error::stream(format!(
+                    "derived stream `{stream}` has no APPEND channel to replay from"
+                ))
+            })?;
+            (d.decl.schema.clone(), close_col, tid)
         };
         let snap = self.engine.snapshot();
         // Heap scan order is insertion order, and each window's rows were
@@ -1353,7 +1272,7 @@ impl Db {
                 relation: Relation::new(schema.clone(), rows),
             })
             .collect();
-        // Heartbeat-only windows archive no rows, but `pump` commits the
+        // Heartbeat-only windows archive no rows, but `feed` commits the
         // resume watermark for them all the same — so when the stream's
         // durable watermark is past the last archived close, finish the
         // replay with an empty window carrying it. Without this, a
@@ -1371,12 +1290,42 @@ impl Db {
         Ok(outs)
     }
 
+    /// Take a derived stream's archived windows with `close > after`
+    /// through the CQs that read it once more, without archiving them
+    /// again: §4's recovery story one level down a cascade. After a crash
+    /// a downstream CQ's in-flight window state is gone, and a window it
+    /// owed is too if the crash fell between its upstream's commit and its
+    /// own; its upstream resumes past both. Replaying from `VISIBLE −
+    /// ADVANCE` before the downstream's watermark rebuilds the one and
+    /// emits the other — windows at or before a consumer's own watermark
+    /// are not emitted twice. Call before new tuples flow.
+    pub fn replay_archived_windows(&self, stream: &str, after: Timestamp) -> Result<()> {
+        let start = Instant::now();
+        let windows = self.archived_windows(stream, after)?;
+        let key = stream.to_ascii_lowercase();
+        let shard = {
+            let catalog = self.catalog.lock();
+            let unknown = || Error::stream(format!("unknown stream `{stream}`"));
+            shard_at(
+                &catalog,
+                catalog.streams.get(&key).ok_or_else(unknown)?.shard,
+            )?
+        };
+        let state = &mut *self.lock_shard(&shard);
+        let mut first_err = None;
+        for w in windows {
+            let (emitted, err) = self.consume(state, &key, w.relation.rows(), Some(w.close));
+            let pumped = self.pump(state, emitted, start);
+            first_err = first_err.or(err).or(pumped.err());
+        }
+        first_err.map_or(Ok(()), Err)
+    }
+
     // ---- internals ------------------------------------------------------------
 
     fn check_name_free(&self, catalog: &Catalog, key: &str) -> Result<()> {
         check_reserved(key)?;
         if catalog.streams.contains_key(key)
-            || catalog.deriveds.contains_key(key)
             || catalog.views.contains_key(key)
             || self.engine.has_table(key)
         {
@@ -1414,12 +1363,17 @@ impl Db {
     /// Resolve a base stream to its shard (brief catalog lock only).
     fn shard_of_stream(&self, key: &str, display: &str) -> Result<Arc<Shard>> {
         let catalog = self.catalog.lock();
-        let idx = catalog
+        let stream = catalog
             .streams
             .get(key)
-            .map(|s| s.shard)
             .ok_or_else(|| Error::stream(format!("unknown stream `{display}`")))?;
-        shard_at(&catalog, idx)
+        if stream.producer.is_some() {
+            return Err(Error::stream(format!(
+                "`{display}` is a derived stream: its tuples and its time come from \
+                 the query behind it, not from ingest or heartbeat"
+            )));
+        }
+        shard_at(&catalog, stream.shard)
     }
 
     /// Acquire a shard's state lock, counting contended acquisitions.
@@ -1431,11 +1385,11 @@ impl Db {
         shard.state.lock()
     }
 
-    /// Take one batch through a base stream's runtime: reorder → archive
-    /// → fold into the slice stores → close due windows → evaluate and
-    /// deliver. `bound` is a heartbeat's time; a heartbeat is the batch of
-    /// zero tuples, so tuples and punctuation share every step. Only the
-    /// owning shard's lock is held.
+    /// Take one batch into a base stream: coerce → reorder → the stream's
+    /// ordering rule → [`Db::feed`] → [`Db::pump`]. `bound` is a
+    /// heartbeat's time; a heartbeat is the batch of zero tuples, so tuples
+    /// and punctuation share every step. Only the owning shard's lock is
+    /// held.
     fn ingest_sharded(&self, stream: &str, rows: Vec<Row>, bound: Option<Timestamp>) -> Result<()> {
         // One timestamp per ingest event; every window this batch closes
         // measures its latency from here (arrival → result enqueued).
@@ -1443,13 +1397,8 @@ impl Db {
         let key = stream.to_ascii_lowercase();
         let shard = self.shard_of_stream(&key, stream)?;
         let state = &mut *self.lock_shard(&shard);
-        let ShardState {
-            streams,
-            cqs,
-            domain,
-            ..
-        } = &mut *state;
-        let rt = streams
+        let rt = state
+            .streams
             .get_mut(&key)
             .ok_or_else(|| Error::stream(format!("unknown stream `{stream}`")))?;
         // Coerce rows against the stream schema (streams enforce their
@@ -1498,112 +1447,154 @@ impl Db {
             return cut.map_or(Ok(()), Err);
         }
         self.metrics.tuples_in.add(released.len() as u64);
+        let (emitted, err) = self.feed(state, &key, &released, bound);
+        let pumped = self.pump(state, emitted, start);
+        err.or(pumped.err()).or(cut).map_or(Ok(()), Err)
+    }
 
-        // Raw archive channels (one transaction per batch; a heartbeat
-        // that released nothing archives nothing).
-        let archives = if released.is_empty() {
+    /// Take one batch through a stream, base or derived — the one path:
+    /// [`Db::archive`] → [`Db::consume`]. `bound` is the time the batch
+    /// carries beyond its tuples: a heartbeat's, or, for a derived stream,
+    /// the close of the upstream window the batch is the result of.
+    fn feed(
+        &self,
+        state: &mut ShardState,
+        stream: &str,
+        rows: &[Row],
+        bound: Option<Timestamp>,
+    ) -> (Vec<(u64, CqOutput)>, Option<Error>) {
+        match self.archive(state, stream, rows, bound) {
+            Ok(()) => self.consume(state, stream, rows, bound),
+            Err(e) => (Vec::new(), Some(e)),
+        }
+    }
+
+    /// Write a batch to every channel of its stream in one transaction
+    /// that, for a derived stream, also moves the resume watermark — so
+    /// recovery can never observe a watermark without its archived window
+    /// or vice versa (exactly-once archiving across crashes — the §4
+    /// recovery contract). An empty derived batch is a window all the same:
+    /// it commits its watermark and empties a REPLACE table. A base
+    /// stream's heartbeat is no tuple, and archives nothing.
+    fn archive(
+        &self,
+        state: &ShardState,
+        stream: &str,
+        rows: &[Row],
+        bound: Option<Timestamp>,
+    ) -> Result<()> {
+        let Some(rt) = state.streams.get(stream) else {
+            return Ok(());
+        };
+        let archives = if rows.is_empty() && !rt.derived {
             &[]
         } else {
-            rt.raw_channels.as_slice()
+            rt.channels.as_slice()
         };
-        for ch in archives {
-            let n = self.engine.with_txn_on(*domain, |x| {
+        if !rt.derived && archives.is_empty() {
+            return Ok(());
+        }
+        let mut written = Vec::with_capacity(archives.len());
+        self.engine.with_txn_on(state.domain, |x| {
+            for ch in archives {
                 if ch.mode == ChannelMode::Replace {
                     self.engine.delete_all_visible(x, ch.table_id)?;
                 }
-                self.engine.insert_many(x, ch.table_id, released.clone())
-            })?;
+                written.push(self.engine.insert_many(x, ch.table_id, rows.to_vec())?);
+            }
+            match (rt.derived, bound) {
+                (true, Some(close)) => save_watermark_txn(&self.engine, x, stream, close),
+                _ => Ok(()),
+            }
+        })?;
+        for (ch, n) in archives.iter().zip(written) {
+            // The generation a REPLACE commit replaced is dead to every
+            // snapshot taken from here on; what no older pin still sees
+            // goes now.
             if ch.mode == ChannelMode::Replace {
                 self.engine.reclaim(ch.table_id)?;
             }
             ch.rows_written.fetch_add(n, Ordering::SeqCst);
             self.metrics.rows_archived.add(n);
         }
+        Ok(())
+    }
 
-        // Slice stores: fold each tuple once per store, however many CQs
+    /// Take one batch through everything that reads its stream: slice
+    /// stores → stage → evaluate. Returns what the stream's consumers
+    /// emitted, in (CQ registration, window close) order, and the first
+    /// error: everything staged or evaluated before it is still returned —
+    /// an error in one plan never discards another CQ's finished window —
+    /// and nothing after it, which serial execution would never have
+    /// produced.
+    fn consume(
+        &self,
+        state: &mut ShardState,
+        stream: &str,
+        rows: &[Row],
+        bound: Option<Timestamp>,
+    ) -> (Vec<(u64, CqOutput)>, Option<Error>) {
+        let ShardState { streams, cqs, .. } = state;
+        // Dropped mid-flight.
+        let Some(rt) = streams.get_mut(stream) else {
+            return (Vec::new(), None);
+        };
+        // Slice stores: take each tuple once per store, however many CQs
         // read it, then close every due window of every member.
         let mut advanced = Advanced::default();
-        let mut stage_err = rt.stores.advance(&released, bound, &mut advanced).err();
+        let mut stage_err = rt.stores.advance(rows, bound, &mut advanced).err();
         self.metrics.ivm_delta_rows.add(advanced.delta_rows);
         self.metrics.ivm_compose_merges.add(advanced.merges);
         self.metrics.ivm_state_bytes.add(advanced.bytes);
 
-        // Per-CQ window staging, in registration × close order: a sliced
-        // CQ wraps the windows its store just closed, a re-evaluating one
-        // buffers each tuple. If staging fails mid-way, whatever was
-        // staged so far is still evaluated and delivered before the error
-        // surfaces (no silent drops).
+        // Per-CQ window staging, in registration × close order: a time
+        // window wraps what its store just closed, a count window buffers
+        // the rows. Staging stops at the first error.
         let mut staged: Vec<(u64, WindowTask)> = Vec::new();
         for &id in &rt.cq_ids {
             if stage_err.is_some() {
                 break;
             }
-            let entry = cqs
-                .get_mut(&id)
-                .ok_or_else(|| Error::stream(format!("cq {id} not registered")))?;
+            let Some(entry) = cqs.get_mut(&id) else {
+                continue;
+            };
             let mut tasks = Vec::new();
-            stage_err = entry
-                .cq
-                .stage(&released, bound, &mut advanced, &mut tasks)
-                .err();
+            stage_err = entry.cq.stage(rows, bound, &mut advanced, &mut tasks).err();
             staged.extend(tasks.into_iter().map(|t| (id, t)));
         }
-        self.eval_and_pump(state, staged, stage_err.or(cut), start)
-    }
 
-    /// Evaluate staged window tasks on the worker pool, then deliver.
-    ///
-    /// `run_ordered` hands results back in submission order — exactly the
-    /// (CQ registration, window close) order serial execution produces —
-    /// so downstream output is byte-identical to the single-threaded
-    /// engine. Results produced before the first error (staging or
-    /// evaluation) are always delivered; the error is returned after.
-    fn eval_and_pump(
-        &self,
-        state: &mut ShardState,
-        staged: Vec<(u64, WindowTask)>,
-        stage_err: Option<Error>,
-        start: Instant,
-    ) -> Result<()> {
-        if staged.is_empty() {
-            return stage_err.map_or(Ok(()), Err);
-        }
+        // `run_ordered` hands results back in submission order — exactly
+        // the (CQ registration, window close) order serial execution
+        // produces — so downstream output is byte-identical to the
+        // single-threaded engine.
         let meta: Vec<(u64, usize)> = staged.iter().map(|(id, t)| (*id, t.input_rows())).collect();
         let jobs: Vec<_> = staged.into_iter().map(|(_, t)| move || t.run()).collect();
-        let results = self.pool.run_ordered(jobs);
-        let mut emitted: Vec<(u64, CqOutput)> = Vec::new();
-        let mut eval_err: Option<Error> = None;
-        for ((id, in_rows), res) in meta.into_iter().zip(results) {
+        let mut emitted = Vec::with_capacity(jobs.len());
+        for ((id, in_rows), res) in meta.into_iter().zip(self.pool.run_ordered(jobs)) {
             match res {
                 Ok(out) => {
-                    if let Some(entry) = state.cqs.get_mut(&id) {
+                    if let Some(entry) = cqs.get_mut(&id) {
                         entry.cq.finish_window(in_rows, &out);
                     }
                     emitted.push((id, out));
                 }
-                Err(e) => {
-                    // Later tasks belong to later (CQ, close) pairs; serial
-                    // execution would never have produced them.
-                    eval_err = Some(e);
-                    break;
-                }
+                // Later tasks belong to later (CQ, close) pairs.
+                Err(e) => return (emitted, Some(e)),
             }
         }
-        let pump_res = self.pump(state, emitted, start);
-        if let Some(e) = eval_err {
-            return Err(e);
-        }
-        pump_res?;
-        stage_err.map_or(Ok(()), Err)
+        (emitted, stage_err)
     }
 
-    /// Propagate CQ outputs through sinks: client queues, channels and
-    /// downstream CQs (derived-stream composition, §3.2), breadth-first.
-    /// `start` is the one timestamp taken when the triggering batch or
-    /// heartbeat arrived; each CQ's close-latency histogram observes the
+    /// Propagate CQ outputs through their sinks, breadth-first: a client's
+    /// goes to its subscription queue, a derived stream's is that stream's
+    /// next batch (derived-stream composition, §3.2) and takes the same
+    /// [`Db::feed`] a base stream's tuples do — whatever it emits joins the
+    /// queue. `start` is the one timestamp taken when the triggering batch
+    /// or heartbeat arrived; each CQ's close-latency histogram observes the
     /// elapsed time when its result is enqueued. Cascades stay inside the
-    /// owning shard (a derived stream lives with its root base stream),
-    /// and run serially to preserve exact visibility order.
+    /// owning shard (a derived stream lives with its root base stream).
+    /// Everything in the queue is delivered; the first error a cascade hit
+    /// is returned after.
     fn pump(
         &self,
         state: &mut ShardState,
@@ -1611,66 +1602,35 @@ impl Db {
         start: Instant,
     ) -> Result<()> {
         let mut queue: VecDeque<(u64, CqOutput)> = emitted.into();
+        let mut first_err = None;
         let mut published = false;
         while let Some((cq_id, out)) = queue.pop_front() {
             self.metrics.windows_out.inc();
-            if let Some(entry) = state.cqs.get(&cq_id) {
-                entry.close_hist.observe_from(start);
-            }
-            let sink_target = match state.cqs.get(&cq_id).map(|e| &e.sink) {
-                Some(Sink::Client(sub)) => {
+            // A CQ dropped mid-flight has no sink left.
+            let Some(entry) = state.cqs.get(&cq_id) else {
+                continue;
+            };
+            entry.close_hist.observe_from(start);
+            match &entry.sink {
+                Sink::Client(sub) => {
                     // The depth gauge is settled inside `offer`.
                     if let Some(queue) = self.subs.lock().get_mut(sub) {
                         self.metrics.sub_drops.add(queue.offer(Arc::new(out)));
                         published = true;
                     }
-                    continue;
                 }
-                Some(Sink::Derived(name)) => name.clone(),
-                None => continue, // dropped mid-flight
-            };
-            let (channels, downstream) = match state.deriveds.get(&sink_target) {
-                Some(d) => (d.channels.clone(), d.downstream_cqs.clone()),
-                None => continue,
-            };
-            // One transaction covers every channel's rows AND the resume
-            // watermark, so recovery can never observe a watermark without
-            // its archived window or vice versa (exactly-once archiving
-            // across crashes — the §4 recovery contract).
-            let mut written: Vec<(Arc<AtomicU64>, u64)> = Vec::new();
-            self.engine.with_txn_on(state.domain, |x| {
-                for ch in &channels {
-                    if ch.mode == ChannelMode::Replace {
-                        self.engine.delete_all_visible(x, ch.table_id)?;
-                    }
-                    let rows = out.relation.rows().to_vec();
-                    let n = self.engine.insert_many(x, ch.table_id, rows)?;
-                    written.push((ch.rows_written.clone(), n));
-                }
-                save_watermark_txn(&self.engine, x, &sink_target, out.close)
-            })?;
-            // The generation this commit replaced is dead to every snapshot
-            // taken from here on; what no older pin still sees goes now.
-            for ch in channels.iter().filter(|c| c.mode == ChannelMode::Replace) {
-                self.engine.reclaim(ch.table_id)?;
-            }
-            for (cell, n) in written {
-                cell.fetch_add(n, Ordering::SeqCst);
-                self.metrics.rows_archived.add(n);
-            }
-            for ds in downstream {
-                if let Some(entry) = state.cqs.get_mut(&ds) {
-                    let outs = entry.cq.on_batch(out.close, out.relation.rows().to_vec())?;
-                    for o in outs {
-                        queue.push_back((ds, o));
-                    }
+                Sink::Derived(name) => {
+                    let name = name.clone();
+                    let (outs, err) = self.feed(state, &name, out.relation.rows(), Some(out.close));
+                    queue.extend(outs);
+                    first_err = first_err.or(err);
                 }
             }
         }
         if published {
             self.notify.notify();
         }
-        Ok(())
+        first_err.map_or(Ok(()), Err)
     }
 
     fn persist_ddl(&self, catalog: &mut Catalog, kind: &str, key: &str, sql: &str) -> Result<()> {
@@ -1709,21 +1669,18 @@ impl Db {
 
     fn restore_watermarks(&self) -> Result<()> {
         let catalog = self.catalog.lock();
-        let entries: Vec<(String, usize, u64)> = catalog
-            .deriveds
-            .iter()
-            .map(|(n, d)| (n.clone(), d.shard, d.cq_id))
-            .collect();
-        for (name, shard_idx, cq_id) in entries {
-            if let Some(wm) = load_watermark(&self.engine, &name)? {
-                let shard = shard_at(&catalog, shard_idx)?;
-                let state = &mut *shard.state.lock();
-                if let Some(entry) = state.cqs.get_mut(&cq_id) {
-                    let upstream = entry.cq.stream().to_ascii_lowercase();
-                    let mut none = SharedRegistry::default();
-                    let stores = stores_of(&mut state.streams, &upstream, &mut none);
-                    entry.cq.resume_after(wm, stores);
-                }
+        for (name, d) in &catalog.streams {
+            let (Some(cq_id), Some(wm)) = (d.producer, load_watermark(&self.engine, name)?) else {
+                continue;
+            };
+            let shard = shard_at(&catalog, d.shard)?;
+            let ShardState { streams, cqs, .. } = &mut *shard.state.lock();
+            let Some(entry) = cqs.get_mut(&cq_id) else {
+                continue;
+            };
+            let upstream = entry.cq.stream().to_ascii_lowercase();
+            if let Some(rt) = streams.get_mut(&upstream) {
+                entry.cq.resume_after(wm, &mut rt.stores);
             }
         }
         Ok(())
@@ -1757,64 +1714,35 @@ fn shard_at(catalog: &Catalog, idx: usize) -> Result<Arc<Shard>> {
         .ok_or_else(|| Error::stream(format!("shard {idx} out of range")))
 }
 
-/// Register a CQ with its upstream's runtime inside the shard.
-fn attach_cq(state: &mut ShardState, upstream: &str, cq_id: u64) -> Result<()> {
-    if let Some(s) = state.streams.get_mut(upstream) {
-        s.cq_ids.push(cq_id);
-        return Ok(());
-    }
-    if let Some(d) = state.deriveds.get_mut(upstream) {
-        d.downstream_cqs.push(cq_id);
-        return Ok(());
-    }
-    Err(Error::stream(format!("unknown stream `{upstream}`")))
-}
-
-/// The slice stores of base stream `upstream`. CQs over a derived stream
-/// never lower, so for those the caller's empty set `none` stands in.
-fn stores_of<'a>(
-    streams: &'a mut HashMap<String, StreamRuntime>,
-    upstream: &str,
-    none: &'a mut SharedRegistry,
-) -> &'a mut SharedRegistry {
-    match streams.get_mut(upstream) {
-        Some(rt) => &mut rt.stores,
-        None => none,
-    }
-}
-
 struct ProviderView<'a> {
     engine: &'a Arc<StorageEngine>,
     catalog: &'a Catalog,
 }
 
-impl streamrel_sql::analyzer::SchemaProvider for ProviderView<'_> {
-    fn relation(
-        &self,
-        name: &str,
-    ) -> Option<(
-        streamrel_sql::plan::SchemaRef,
-        streamrel_sql::analyzer::RelKind,
-    )> {
-        let streams: HashMap<String, StreamDecl> = self
-            .catalog
-            .streams
-            .iter()
-            .map(|(k, v)| (k.clone(), v.decl.clone()))
-            .collect();
-        let deriveds: HashMap<String, StreamDecl> = self
-            .catalog
-            .deriveds
-            .iter()
-            .map(|(k, v)| (k.clone(), v.decl.clone()))
-            .collect();
-        let p = CatalogProvider {
-            engine: self.engine,
-            streams: &streams,
-            deriveds: &deriveds,
-            views: &self.catalog.views,
-        };
-        streamrel_sql::analyzer::SchemaProvider::relation(&p, name)
+impl SchemaProvider for ProviderView<'_> {
+    fn relation(&self, name: &str) -> Option<(SchemaRef, RelKind)> {
+        // Engine-provided virtual relations (`streamrel_metrics`,
+        // `streamrel_trace`) resolve as ordinary tables; the scan layer
+        // serves them from the metrics registry. The `streamrel_` prefix
+        // is reserved, so user objects can never shadow them.
+        if let Some(schema) = streamrel_obs::virtual_schema(name) {
+            return Some((Arc::new(schema), RelKind::Table));
+        }
+        let key = name.to_ascii_lowercase();
+        if let Some(s) = self.catalog.streams.get(&key) {
+            let cqtime = s.decl.cqtime;
+            let kind = match s.producer {
+                None => RelKind::Stream { cqtime },
+                Some(_) => RelKind::DerivedStream { cqtime },
+            };
+            return Some((s.decl.schema.clone(), kind));
+        }
+        if let Some(sql) = self.catalog.views.get(&key) {
+            let kind = RelKind::View { sql: sql.clone() };
+            return Some((Arc::new(Schema::empty()), kind));
+        }
+        let schema = self.engine.table_schema(name).ok()?;
+        Some((schema, RelKind::Table))
     }
 }
 
@@ -2507,6 +2435,47 @@ mod tests {
         db.ingest("s", row![5i64, Value::Timestamp(130_000_000)])
             .unwrap_err();
         assert_eq!(db.poll(healthy).unwrap().len(), 1);
+    }
+
+    /// Regression: a failing CQ over a *derived* stream used to drop its
+    /// neighbours' finished windows — `pump` returned on the cascade's
+    /// error with the queue still holding them — for this and every later
+    /// window, while `windows_out` counted them. Same contract as for
+    /// siblings on a base stream: everything evaluated before the first
+    /// error is delivered, then the error surfaces.
+    #[test]
+    fn failing_cascade_delivers_its_neighbours_windows_before_erroring() {
+        let db = db();
+        db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
+            .unwrap();
+        db.execute(
+            "CREATE STREAM d1 AS SELECT count(*) c, cq_close(*) w \
+             FROM s <TUMBLING '1 minute'>",
+        )
+        .unwrap();
+        let doomed = db
+            .execute("SELECT 1 / (c - c) r FROM d1 <SLICES 1 WINDOWS>")
+            .unwrap()
+            .subscription();
+        // Healthy, and registered last: its window is evaluated with
+        // `d1`'s and still queued when `d1`'s cascade fails.
+        let healthy = db
+            .execute("SELECT count(*) c FROM s <TUMBLING '1 minute'>")
+            .unwrap()
+            .subscription();
+        db.ingest("s", row![1i64, Value::Timestamp(1)]).unwrap();
+        for m in 1..=3i64 {
+            let err = db.heartbeat("s", m * MINUTES).unwrap_err();
+            assert!(err.to_string().contains("division by zero"), "{err}");
+            let outs = db.poll(healthy).unwrap();
+            assert_eq!(outs.len(), 1, "healthy CQ's window {m} was dropped");
+            assert_eq!(outs[0].close, m * MINUTES);
+            assert!(db.poll(doomed).unwrap().is_empty());
+        }
+        // d1 and healthy closed three windows each; none went missing
+        // between the counter and a queue.
+        assert_eq!(db.stats().windows_out, 6);
+        assert_eq!(db.stats().sub_drops, 0);
     }
 
     /// The `db.sub_queue_depth` gauge must equal the sum of pending

@@ -1,56 +1,14 @@
-//! SchemaProvider over the database catalog: resolves names to tables
-//! (storage engine), base streams, derived streams and views.
+//! What the catalog declares about a stream, base or derived: the
+//! analyzer resolves names against it (`db.rs`'s `SchemaProvider`), and
+//! the stream's runtime coerces ingested rows to it.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use streamrel_sql::analyzer::{RelKind, SchemaProvider};
 use streamrel_sql::plan::SchemaRef;
-use streamrel_storage::StorageEngine;
 
-/// Stream metadata the provider needs.
+/// A stream's declaration.
 #[derive(Debug, Clone)]
 pub struct StreamDecl {
     pub schema: SchemaRef,
+    /// The CQTIME column: declared on a base stream, the `cq_close(*)`
+    /// output column of the query behind a derived one.
     pub cqtime: Option<usize>,
-}
-
-/// Snapshot of the name space used during one analysis.
-pub struct CatalogProvider<'a> {
-    pub engine: &'a Arc<StorageEngine>,
-    pub streams: &'a HashMap<String, StreamDecl>,
-    pub deriveds: &'a HashMap<String, StreamDecl>,
-    pub views: &'a HashMap<String, String>,
-}
-
-impl SchemaProvider for CatalogProvider<'_> {
-    fn relation(&self, name: &str) -> Option<(SchemaRef, RelKind)> {
-        // Engine-provided virtual relations (`streamrel_metrics`,
-        // `streamrel_trace`) resolve as ordinary tables; the scan layer
-        // serves them from the metrics registry. The `streamrel_` prefix
-        // is reserved, so user objects can never shadow them.
-        if let Some(schema) = streamrel_obs::virtual_schema(name) {
-            return Some((Arc::new(schema), RelKind::Table));
-        }
-        let key = name.to_ascii_lowercase();
-        if let Some(s) = self.streams.get(&key) {
-            return Some((s.schema.clone(), RelKind::Stream { cqtime: s.cqtime }));
-        }
-        if let Some(d) = self.deriveds.get(&key) {
-            return Some((
-                d.schema.clone(),
-                RelKind::DerivedStream { cqtime: d.cqtime },
-            ));
-        }
-        if let Some(sql) = self.views.get(&key) {
-            return Some((
-                Arc::new(streamrel_types::Schema::empty()),
-                RelKind::View { sql: sql.clone() },
-            ));
-        }
-        if let Ok(schema) = self.engine.table_schema(name) {
-            return Some((schema, RelKind::Table));
-        }
-        None
-    }
 }

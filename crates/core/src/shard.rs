@@ -2,13 +2,15 @@
 //!
 //! The sharded core splits what used to be one `Mutex<Inner>` in two:
 //! catalog/DDL state stays behind the `Db`'s single catalog lock, while
-//! the *runtime* state of each base stream — its reorder buffer, its slice
-//! stores (held by value: a store has no lock of its own), the CQ runtimes
-//! rooted at it (including those over derived streams it feeds), and its
-//! channel sinks — lives in a [`Shard`] with its own lock.
-//! Ingest and heartbeat on distinct streams therefore never contend; the
-//! whole CQ DAG rooted at one base stream stays in one shard, so
-//! propagation (`pump`) never needs a second shard's lock.
+//! the *runtime* state of each stream — its slice stores (held by value: a
+//! store has no lock of its own), the CQs that read it and its channel
+//! sinks; for a base stream also its reorder buffer — lives in a [`Shard`]
+//! with its own lock. A stream is a stream: one [`StreamRuntime`] serves a
+//! base stream, fed by ingest, and a derived one, fed by the CQ behind it.
+//! Ingest and heartbeat on distinct base streams therefore never contend;
+//! the whole CQ DAG rooted at one base stream — every derived stream it
+//! feeds included — stays in one shard, so propagation (`pump`) never
+//! needs a second shard's lock.
 //!
 //! This module holds only data; every lock acquisition happens in
 //! `db.rs`, where the file-level `// lock-order:` declaration covers it.
@@ -29,7 +31,7 @@ use crate::subscription::SubscriptionId;
 
 /// Where a CQ's window results go.
 pub(crate) enum Sink {
-    /// Feed a derived stream's subscribers.
+    /// Feed the derived stream of this name, in the same shard.
     Derived(String),
     /// Queue for the client subscription this CQ was registered for.
     Client(SubscriptionId),
@@ -57,41 +59,50 @@ pub(crate) struct ChannelSink {
     pub rows_written: Arc<AtomicU64>,
 }
 
-/// Runtime state of one base stream.
+/// Runtime state of one stream.
 pub(crate) struct StreamRuntime {
     pub decl: StreamDecl,
+    /// Fed by the CQ behind it rather than by ingest: each batch is one
+    /// closed window of that CQ, and its close is the resume watermark.
+    pub derived: bool,
+    /// Out-of-order slack (base streams with `DbOptions::slack`).
     pub reorder: Option<ReorderBuffer>,
     /// Newest CQTIME taken (tuple or heartbeat); ingest admits none older.
     pub high_water: Timestamp,
     /// CQs consuming this stream directly, in registration order.
     pub cq_ids: Vec<u64>,
-    /// Channels archiving raw tuples.
-    pub raw_channels: Vec<ChannelSink>,
+    /// Channels archiving the stream's rows into Active Tables.
+    pub channels: Vec<ChannelSink>,
     /// The slice stores reading this stream — pooled by shape and private
     /// — each living from its first member's registration until its last
-    /// member leaves. Ingest folds every tuple into every store exactly
+    /// member leaves. Every batch is taken through every store exactly
     /// once; registration and `EXPLAIN CHECK` read the live grids here.
     pub stores: SharedRegistry,
 }
 
-/// Runtime state of one derived stream (rooted at a base stream in the
-/// same shard).
-#[derive(Default)]
-pub(crate) struct DerivedRuntime {
-    pub channels: Vec<ChannelSink>,
-    pub downstream_cqs: Vec<u64>,
+impl StreamRuntime {
+    pub fn new(decl: StreamDecl, derived: bool, reorder: Option<ReorderBuffer>) -> StreamRuntime {
+        StreamRuntime {
+            decl,
+            derived,
+            reorder,
+            high_water: Timestamp::MIN,
+            cq_ids: Vec::new(),
+            channels: Vec::new(),
+            stores: SharedRegistry::default(),
+        }
+    }
 }
 
 /// Everything one shard's lock protects.
 #[derive(Default)]
 pub(crate) struct ShardState {
     pub streams: HashMap<String, StreamRuntime>,
-    pub deriveds: HashMap<String, DerivedRuntime>,
     pub cqs: HashMap<u64, CqEntry>,
-    /// WAL commit domain this shard's durable writes (raw archives,
-    /// channel writes, watermarks) are routed to — `shard index %
-    /// engine.wal_shards()`, fixed at assignment time so a shard always
-    /// fsyncs the same log (DESIGN.md §13).
+    /// WAL commit domain this shard's durable writes (channel writes,
+    /// watermarks) are routed to — `shard index % engine.wal_shards()`,
+    /// fixed at assignment time so a shard always fsyncs the same log
+    /// (DESIGN.md §13).
     pub domain: usize,
 }
 

@@ -1,14 +1,18 @@
 //! Continuous-query runtime: the paper's primary contribution.
 //!
 //! A continuous query (CQ) runs a standard relational plan incrementally
-//! over a stream: the window machinery ([`window`]) turns the unbounded
-//! stream into a sequence of finite relations (Figure 1 / RSTREAM), the
-//! runtime ([`runtime`]) executes the plan once per window — reusing
-//! `streamrel-exec`'s ordinary operators, per §4 — and every plan that
-//! lowers keeps its window state on a `streamrel-ivm` slice store, whose
-//! membership ([`shared`]) pools CQs that differ only in their windows so
-//! the per-tuple work of many CQs collapses into one pass ("Jellybean
-//! processing", §2.2, refs [4, 12]).
+//! over a stream — base or derived, a stream is a stream: a window turns
+//! the unbounded stream into a sequence of finite relations (Figure 1 /
+//! RSTREAM) and the runtime ([`runtime`]) executes the plan once per
+//! window, reusing `streamrel-exec`'s ordinary operators, per §4. There is
+//! one place a time window's tuples live: a `streamrel-ivm` slice store,
+//! whose membership ([`shared`]) pools CQs that differ only in their
+//! windows so the per-tuple work of many CQs collapses into one pass
+//! ("Jellybean processing", §2.2, refs [4, 12]). What differs between
+//! plans is the slice payload — the partials of the shape a plan lowers
+//! to, or the raw rows a plan that does not lower is re-evaluated over.
+//! The two *count* windows (ROWS, SLICES), which have no time grid to
+//! slice on, buffer per CQ ([`window`]).
 //!
 //! Window consistency (§4, ref \[6]) lives in [`consistency`]: table reads
 //! inside a CQ see one MVCC snapshot pinned per window, so concurrent
@@ -31,6 +35,6 @@ pub use consistency::{ConsistencyMode, SnapshotSource};
 pub use federation::{PartitionUnion, Partitioner};
 pub use ordering::ReorderBuffer;
 pub use pool::WorkerPool;
-pub use runtime::{ContinuousQuery, CqOutput, CqStats, ExecMode, WindowTask};
+pub use runtime::{ContinuousQuery, CqOutput, CqStats, WindowTask};
 pub use shared::{SharedGroup, SharedRegistry};
 pub use window::{ClosedWindow, WindowBuffer};

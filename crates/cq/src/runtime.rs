@@ -1,10 +1,11 @@
 //! The continuous-query runtime.
 //!
 //! A [`ContinuousQuery`] wraps one bound plan containing a single
-//! `StreamScan`. Tuples (or, for `<SLICES>` windows, upstream result
-//! batches) are pushed in; whenever a window closes, the relational plan
-//! runs over the window relation with the window's close timestamp as
-//! `cq_close(*)` and — if the plan reads tables — a fresh MVCC snapshot
+//! `StreamScan`. The stream's batches — its tuples, or the result batches
+//! of the CQ behind a derived stream — are staged through one entry,
+//! [`ContinuousQuery::stage`]; whenever a window closes, the relational
+//! plan runs over the window relation with the window's close timestamp
+//! as `cq_close(*)` and — if the plan reads tables — a fresh MVCC snapshot
 //! pinned at the boundary (window consistency, §4). Each closed window
 //! yields a [`CqOutput`]; the concatenation of outputs is the CQ's result
 //! stream (§3.1: "a query that produces a stream never ends").
@@ -21,7 +22,7 @@ use streamrel_types::{Error, Relation, Result, Row, Timestamp};
 
 use crate::consistency::{ConsistencyMode, SnapshotSource};
 use crate::shared::{place, Advanced, Placement, SharedRegistry, Slot};
-use crate::window::{ClosedWindow, WindowBuffer};
+use crate::window::WindowBuffer;
 
 /// One window's result.
 #[derive(Debug, Clone)]
@@ -45,7 +46,7 @@ pub struct WindowTask {
     /// Shared with the CQ: staging a window copies no plan.
     plan: Arc<LogicalPlan>,
     /// Stream name bound to the window relation ([`IVM_INPUT`] for the
-    /// post-anchor plan of a sliced CQ).
+    /// post-anchor plan of a lowered CQ).
     input: Arc<str>,
     /// The window relation. A stream-table join delta resolves its match
     /// counts against the same snapshot the post-plan reads, so it is
@@ -121,36 +122,35 @@ pub struct CqStats {
     pub rows_out: u64,
 }
 
-/// Where a window's tuples live until close.
-pub enum ExecMode {
-    /// Buffer raw tuples per window; run the whole plan at each close.
-    Unshared { buffer: WindowBuffer },
-    /// Member of a slice store in its stream's [`SharedRegistry`]: the
-    /// store folds each tuple once, keeps this member's close cursor and
-    /// window view and hands over the anchor output at each close; the CQ
-    /// only runs the post-anchor plan over it.
-    Sliced {
-        slot: Slot,
-        post_plan: Arc<LogicalPlan>,
-    },
-}
-
 /// A running continuous query.
 pub struct ContinuousQuery {
     name: String,
     plan: Arc<LogicalPlan>,
     stream: String,
-    /// The name this CQ's tasks bind their window relation to: `stream`,
-    /// or [`IVM_INPUT`] once sliced.
+    /// What this CQ's tasks run over a window relation, and the name they
+    /// bind it to: `plan` and `stream`, or, once lowered, the post-anchor
+    /// plan and [`IVM_INPUT`].
+    task_plan: Arc<LogicalPlan>,
     input: Arc<str>,
-    /// Schema of the stream scan: what a re-evaluated window relation has.
+    /// Schema of the stream scan: what a count window's relation has.
     scan_schema: SchemaRef,
     window: WindowSpec,
     engine: Arc<StorageEngine>,
     consistency: ConsistencyMode,
     /// Snapshot pinned at CQ start (QueryStart consistency mode only).
     start_snapshot: Option<Snapshot>,
-    mode: ExecMode,
+    /// Where the window's tuples live until close. A count window (ROWS,
+    /// SLICES) buffers its own rows; a time window has no buffer: once
+    /// [`ContinuousQuery::place`]d it is a member (`slot`) of a slice store
+    /// in its stream's [`SharedRegistry`], which takes each tuple once,
+    /// keeps the member's close cursor and window view and hands over the
+    /// window relation at each close — the anchor output of a lowered plan,
+    /// the raw rows of any other.
+    buffer: Option<WindowBuffer>,
+    slot: Option<Slot>,
+    /// The one-store registry of a CQ that is driven on its own
+    /// ([`ContinuousQuery::stage_tuple`]); empty inside an engine.
+    own: SharedRegistry,
     stats: CqStats,
 }
 
@@ -175,22 +175,27 @@ impl ContinuousQuery {
                 schema,
                 window,
                 cqtime,
-                derived,
+                ..
             } = p
             {
-                scan = Some((stream.clone(), schema.clone(), *window, *cqtime, *derived));
+                scan = Some((stream.clone(), schema.clone(), *window, *cqtime));
             }
         });
-        let (stream, scan_schema, window, cqtime, derived) =
+        let (stream, scan_schema, window, cqtime) =
             scan.ok_or_else(|| Error::stream("continuous plan has no stream scan"))?;
-        let buffer = WindowBuffer::new(window, cqtime, derived)?;
+        let buffer = match window {
+            WindowSpec::Time { .. } => None,
+            _ => Some(WindowBuffer::new(window, cqtime)?),
+        };
         let start_snapshot = match consistency {
             ConsistencyMode::QueryStart => Some(engine.snapshot()),
             ConsistencyMode::WindowBoundary => None,
         };
+        let plan = Arc::new(analyzed.plan.clone());
         Ok(ContinuousQuery {
             name: name.into(),
-            plan: Arc::new(analyzed.plan.clone()),
+            task_plan: plan.clone(),
+            plan,
             input: stream.as_str().into(),
             stream,
             scan_schema,
@@ -198,7 +203,9 @@ impl ContinuousQuery {
             engine,
             consistency,
             start_snapshot,
-            mode: ExecMode::Unshared { buffer },
+            buffer,
+            slot: None,
+            own: SharedRegistry::default(),
             stats: CqStats::default(),
         })
     }
@@ -228,81 +235,60 @@ impl ContinuousQuery {
         self.stats
     }
 
-    /// Where this CQ's window state lives in its stream's registry, if it
-    /// is sliced.
+    /// Where this CQ's window state lives in its stream's registry, once
+    /// it is placed; a count window has none.
     pub fn slot(&self) -> Option<Slot> {
-        match &self.mode {
-            ExecMode::Sliced { slot, .. } => Some(*slot),
-            ExecMode::Unshared { .. } => None,
-        }
-    }
-
-    /// The re-evaluation buffer; a sliced CQ has none.
-    fn buffer(&mut self) -> Result<&mut WindowBuffer> {
-        match &mut self.mode {
-            ExecMode::Unshared { buffer } => Ok(buffer),
-            ExecMode::Sliced { .. } => Err(Error::stream(
-                "a sliced CQ's windows close in its slice store",
-            )),
-        }
+        self.slot
     }
 
     /// Decide where this CQ's window state lives ([`place`]) and act on
-    /// it: a plan that lowers becomes a member of a slice store in
-    /// `registry` (its stream's) — the pooled store for its shape under
-    /// `sharing`, else a private one; any other plan keeps its
-    /// re-evaluation buffer. Must be called before any tuple flows. Bumps
-    /// `ivm.lowered` / `ivm.fallback` and records the decision (and any
-    /// fallback reason) on the trace ring.
+    /// it: a time window becomes a member of a slice store in `registry`
+    /// (its stream's) — the pooled store for its shape under `sharing`,
+    /// else a private one — that keeps the partials its plan lowers to or,
+    /// when it does not lower, its raw rows; a count window keeps its own
+    /// buffer. Must be called before any tuple flows. Bumps `ivm.lowered`
+    /// / `ivm.fallback` and records the decision (and any fallback reason)
+    /// on the trace ring.
     pub fn place(&mut self, sharing: bool, ivm: bool, registry: &mut SharedRegistry) {
-        if self.stats.tuples_in > 0 || self.slot().is_some() {
+        if self.stats.tuples_in > 0 || self.slot.is_some() {
             return;
         }
         let metrics = IvmMetrics::register(self.engine.metrics());
         let trace = self.engine.metrics().trace();
-        match place(&self.plan, sharing, ivm, Some(registry)) {
-            Placement::Reeval(reason) => {
-                if ivm {
-                    metrics.fallback.inc();
-                    trace.record("cq.ivm.fallback", &self.name, reason.to_string(), 0);
-                }
-            }
-            // A window the pooled store's grid cannot take (`grid_mismatch`)
-            // is the one `join` gives a private store.
-            Placement::Sliced { program, .. } => {
-                let (slot, pooled) = registry.join(&program, sharing);
-                metrics.lowered.inc();
-                trace.record(
-                    if pooled { "cq.share" } else { "cq.ivm" },
-                    &self.name,
-                    format!("visible={} advance={}", program.visible, program.advance),
-                    0,
-                );
-                self.input = IVM_INPUT.into();
-                self.mode = ExecMode::Sliced {
-                    slot,
-                    post_plan: Arc::new(program.post_plan),
-                };
-            }
+        let Placement {
+            program, fallback, ..
+        } = place(&self.plan, sharing, ivm, Some(registry));
+        if let (Some(reason), true) = (fallback, ivm) {
+            metrics.fallback.inc();
+            trace.record("cq.ivm.fallback", &self.name, reason.to_string(), 0);
+        }
+        let Some(program) = program else { return };
+        // A window the pooled store's grid cannot take is the one `join`
+        // gives a private store.
+        let (slot, pooled) = registry.join(&program, sharing);
+        self.slot = Some(slot);
+        if fallback.is_none() {
+            metrics.lowered.inc();
+            trace.record(
+                if pooled { "cq.share" } else { "cq.ivm" },
+                &self.name,
+                format!("visible={} advance={}", program.visible, program.advance),
+                0,
+            );
+            self.task_plan = Arc::new(program.post_plan);
+            self.input = IVM_INPUT.into();
         }
     }
 
-    /// Stage the windows one tuple closes, without evaluating them
-    /// (re-evaluating CQs only).
-    pub fn stage_tuple(&mut self, row: Row) -> Result<Vec<WindowTask>> {
-        let closes = self.buffer()?.push(row)?;
-        self.stats.tuples_in += 1;
-        Ok(self.stage_closed(closes))
-    }
-
     /// Stage, without evaluating them, the windows that one batch of the
-    /// stream's tuples — and, for a heartbeat (punctuation: event time
-    /// advancing without a tuple), the time `bound` — closes. `advanced`
-    /// is what the stream's stores did with the same batch: a sliced CQ
-    /// takes its composed windows from there, and only the post-plan —
-    /// and a join delta's match counting, which needs the boundary
-    /// snapshot — is deferred to the task; a re-evaluating CQ buffers the
-    /// tuples. On error `tasks` holds what was staged before it.
+    /// stream's tuples and the time `bound` close: a heartbeat's time
+    /// (punctuation: event time advancing without a tuple) or the close of
+    /// the upstream window a derived stream's batch is the result of.
+    /// `advanced` is what the stream's stores did with the same batch: a
+    /// time window takes its closed windows from there, and only the
+    /// post-plan — and a join delta's match counting, which needs the
+    /// boundary snapshot — is deferred to the task; a count window buffers
+    /// the rows itself. On error `tasks` holds what was staged before it.
     pub fn stage(
         &mut self,
         rows: &[Row],
@@ -310,39 +296,41 @@ impl ContinuousQuery {
         advanced: &mut Advanced,
         tasks: &mut Vec<WindowTask>,
     ) -> Result<()> {
-        if let ExecMode::Sliced { slot, post_plan } = &self.mode {
-            self.stats.tuples_in += rows.len() as u64;
-            let windows = advanced.closed.remove(slot).unwrap_or_default();
-            let staged = windows.into_iter();
-            tasks.extend(staged.map(|(close, rel)| self.make_task(post_plan.clone(), rel, close)));
-            return Ok(());
-        }
-        for row in rows {
-            tasks.extend(self.stage_tuple(row.clone())?);
-        }
-        if let Some(ts) = bound {
-            let closes = self.buffer()?.advance_to(ts);
-            tasks.extend(self.stage_closed(closes));
-        }
+        self.stats.tuples_in += rows.len() as u64;
+        let windows: Vec<(Timestamp, WindowOutput)> = match (&mut self.buffer, self.slot) {
+            (Some(buffer), _) => {
+                let relation = |rows| Relation::new(self.scan_schema.clone(), rows);
+                let closed = buffer.push(rows, bound)?.into_iter();
+                closed
+                    .map(|w| (w.close, WindowOutput::Ready(relation(w.rows))))
+                    .collect()
+            }
+            (None, Some(slot)) => advanced.closed.remove(&slot).unwrap_or_default(),
+            (None, None) => return Err(Error::stream("a time-window CQ is placed before it runs")),
+        };
+        let staged = windows.into_iter();
+        tasks.extend(staged.map(|(close, rel)| self.make_task(rel, close)));
         Ok(())
     }
 
-    /// Push an upstream result batch (CQ over a derived stream) and
-    /// evaluate the windows it closes inline — the serial cascade. The
-    /// lowering pass refuses derived streams, so a batch-fed CQ is never
-    /// sliced.
-    pub fn on_batch(&mut self, close: Timestamp, rows: Vec<Row>) -> Result<Vec<CqOutput>> {
-        let tuples = rows.len() as u64;
-        let closes = self.buffer()?.push_batch(close, rows);
-        self.stats.tuples_in += tuples;
-        let tasks = self.stage_closed(closes);
-        let mut outputs = Vec::with_capacity(tasks.len());
-        for task in tasks {
-            let out = task.run()?;
-            self.finish_window(task.input_rows(), &out);
-            outputs.push(out);
-        }
-        Ok(outputs)
+    /// [`ContinuousQuery::stage`] for a CQ driven on its own (unit tests,
+    /// the benchmark's per-layer replay): a time window that nobody placed
+    /// joins a raw-rows store in a registry the CQ owns, and the batch is
+    /// advanced through that registry and staged from it.
+    fn stage_own(&mut self, rows: &[Row], bound: Option<Timestamp>) -> Result<Vec<WindowTask>> {
+        let mut own = std::mem::take(&mut self.own);
+        self.place(false, false, &mut own);
+        let (mut advanced, mut tasks) = (Advanced::default(), Vec::new());
+        let staged = own
+            .advance(rows, bound, &mut advanced)
+            .and_then(|()| self.stage(rows, bound, &mut advanced, &mut tasks));
+        self.own = own;
+        staged.map(|()| tasks)
+    }
+
+    /// Stage the windows one tuple closes, for a CQ driven on its own.
+    pub fn stage_tuple(&mut self, row: Row) -> Result<Vec<WindowTask>> {
+        self.stage_own(&[row], None)
     }
 
     /// Apply a completed window to this CQ's counters and trace. Must be
@@ -362,20 +350,16 @@ impl ContinuousQuery {
     }
 
     /// Resume after recovery: windows closing at or before `watermark`
-    /// were already emitted (their results live in the Active Table).
-    /// The next close is re-aligned to the advance grid in both modes —
-    /// resuming at `watermark + advance` from an unaligned watermark
-    /// would drift every subsequent close off the alignment invariant
-    /// (breaking slice sharing and `cq_close` equality joins). `registry`
-    /// is the one this CQ was placed in.
+    /// were already emitted (their results live in the Active Table). A
+    /// time window's next close is re-aligned to its advance grid —
+    /// resuming at `watermark + advance` from an unaligned watermark would
+    /// drift every subsequent close off the alignment invariant (breaking
+    /// slice sharing and `cq_close` equality joins); a count window has no
+    /// cursor to move. `registry` is the one this CQ was placed in.
     pub fn resume_after(&mut self, watermark: Timestamp, registry: &mut SharedRegistry) {
-        let next = match &mut self.mode {
-            ExecMode::Unshared { buffer } => {
-                buffer.resume_after(watermark);
-                buffer.next_close()
-            }
-            ExecMode::Sliced { slot, .. } => registry.resume_after(*slot, watermark),
-        };
+        let next = self
+            .slot
+            .and_then(|slot| registry.resume_after(slot, watermark));
         self.engine.metrics().trace().record(
             "cq.resume",
             &self.name,
@@ -387,19 +371,9 @@ impl ContinuousQuery {
         );
     }
 
-    /// Stage unshared windows: each closed window's rows become a task.
-    fn stage_closed(&mut self, closes: Vec<ClosedWindow>) -> Vec<WindowTask> {
-        let mut tasks = Vec::with_capacity(closes.len());
-        for cw in closes {
-            let rel = WindowOutput::Ready(Relation::new(self.scan_schema.clone(), cw.rows));
-            tasks.push(self.make_task(self.plan.clone(), rel, cw.close));
-        }
-        tasks
-    }
-
-    fn make_task(&self, plan: Arc<LogicalPlan>, rel: WindowOutput, close: Timestamp) -> WindowTask {
+    fn make_task(&self, rel: WindowOutput, close: Timestamp) -> WindowTask {
         WindowTask {
-            plan,
+            plan: self.task_plan.clone(),
             input: self.input.clone(),
             rel,
             close,
@@ -465,45 +439,56 @@ mod tests {
         (Provider { rels }, engine)
     }
 
-    /// A CQ plus the store set of the stream it reads, fed the way the
-    /// engine feeds them: advance the stores over the batch, stage, run
-    /// the staged tasks inline.
-    struct Driven {
-        cq: ContinuousQuery,
-        stores: SharedRegistry,
+    /// Evaluate what a batch staged, inline and in staging order — what
+    /// the engine does through its pool.
+    fn run(cq: &mut ContinuousQuery, tasks: Vec<WindowTask>) -> Result<Vec<CqOutput>> {
+        let mut outputs = Vec::with_capacity(tasks.len());
+        for task in tasks {
+            let out = task.run()?;
+            cq.finish_window(task.input_rows(), &out);
+            outputs.push(out);
+        }
+        Ok(outputs)
     }
 
-    impl Driven {
-        fn drive(&mut self, rows: &[Row], bound: Option<Timestamp>) -> Result<Vec<CqOutput>> {
-            let mut advanced = Advanced::default();
-            self.stores.advance(rows, bound, &mut advanced)?;
-            let mut tasks = Vec::new();
-            self.cq.stage(rows, bound, &mut advanced, &mut tasks)?;
-            let mut outputs = Vec::with_capacity(tasks.len());
-            for task in tasks {
-                let out = task.run()?;
-                self.cq.finish_window(task.input_rows(), &out);
-                outputs.push(out);
-            }
-            Ok(outputs)
-        }
+    /// A CQ driven on its own: it joins a store in the registry it owns.
+    trait Driven {
+        fn on_tuple(&mut self, row: Row) -> Result<Vec<CqOutput>>;
+        fn on_heartbeat(&mut self, ts: Timestamp) -> Result<Vec<CqOutput>>;
+        fn with_own<T>(&mut self, f: impl FnOnce(&mut Self, &mut SharedRegistry) -> T) -> T;
+        fn resume(&mut self, watermark: Timestamp);
+        fn sliced(self, sharing: bool) -> Self;
+    }
 
+    impl Driven for ContinuousQuery {
         fn on_tuple(&mut self, row: Row) -> Result<Vec<CqOutput>> {
-            self.drive(&[row], None)
+            let tasks = self.stage_tuple(row)?;
+            run(self, tasks)
         }
 
         fn on_heartbeat(&mut self, ts: Timestamp) -> Result<Vec<CqOutput>> {
-            self.drive(&[], Some(ts))
+            let tasks = self.stage_own(&[], Some(ts))?;
+            run(self, tasks)
         }
 
-        fn resume_after(&mut self, watermark: Timestamp) {
-            self.cq.resume_after(watermark, &mut self.stores);
+        fn with_own<T>(&mut self, f: impl FnOnce(&mut Self, &mut SharedRegistry) -> T) -> T {
+            let mut own = std::mem::take(&mut self.own);
+            let out = f(self, &mut own);
+            self.own = own;
+            out
         }
 
-        /// Place the CQ on a slice store: pooled, or private.
-        fn sliced(mut self, sharing: bool) -> Driven {
-            self.cq.place(sharing, true, &mut self.stores);
-            assert!(self.cq.slot().is_some());
+        fn resume(&mut self, watermark: Timestamp) {
+            self.with_own(|cq, own| {
+                cq.place(false, false, own);
+                cq.resume_after(watermark, own);
+            });
+        }
+
+        /// Place the CQ as the engine would with `ivm` on: pooled, or private.
+        fn sliced(mut self, sharing: bool) -> Self {
+            self.with_own(|cq, own| cq.place(sharing, true, own));
+            assert!(self.slot().is_some());
             self
         }
     }
@@ -513,15 +498,12 @@ mod tests {
         engine: Arc<StorageEngine>,
         sql: &str,
         mode: ConsistencyMode,
-    ) -> Driven {
+    ) -> ContinuousQuery {
         let Statement::Select(q) = parse_statement(sql).unwrap() else {
             panic!()
         };
         let analyzed = Analyzer::new(provider).analyze(&q).unwrap();
-        Driven {
-            cq: ContinuousQuery::new("test_cq", &analyzed, engine, mode).unwrap(),
-            stores: SharedRegistry::default(),
-        }
+        ContinuousQuery::new("test_cq", &analyzed, engine, mode).unwrap()
     }
 
     fn tup(url: &str, ts: i64) -> Row {
@@ -554,7 +536,7 @@ mod tests {
         assert_eq!(last.close, 3 * MINUTES);
         assert_eq!(last.relation.rows()[0], row!["/a", 6i64]);
         assert_eq!(last.relation.rows()[1], row!["/b", 3i64]);
-        assert_eq!(cq.cq.stats().windows_out, 3);
+        assert_eq!(cq.stats().windows_out, 3);
     }
 
     #[test]
@@ -733,24 +715,48 @@ mod tests {
     #[test]
     fn ineligible_plan_does_not_lower_and_counts_fallback() {
         let (p, e) = setup();
-        let mut cq = make_cq(
-            &p,
-            e.clone(),
-            "SELECT url FROM url_stream <TUMBLING '1 minute'> WHERE url LIKE '/a%'",
-            ConsistencyMode::WindowBoundary,
-        );
+        let sql = "SELECT url FROM url_stream <TUMBLING '1 minute'> WHERE url LIKE '/a%'";
         // With IVM off the plan is never even considered: no counter.
-        cq.cq.place(true, false, &mut cq.stores);
+        let mut off = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary);
+        off.with_own(|cq, own| cq.place(true, false, own));
         assert_eq!(e.metrics().counter("ivm.fallback").get(), 0);
-        cq.cq.place(true, true, &mut cq.stores);
-        assert!(cq.cq.slot().is_none() && cq.stores.is_empty());
+        // With it on, the fallback is counted and traced — and either way
+        // the window is a member of a raw-rows store, nothing lowered.
+        let mut cq = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary).sliced(true);
+        assert!(off.slot().is_some() && cq.own.len() == 1);
         assert_eq!(e.metrics().counter("ivm.fallback").get(), 1);
+        assert_eq!(e.metrics().counter("ivm.lowered").get(), 0);
         let events = e.metrics().trace().dump();
         assert!(events.iter().any(|ev| ev.kind == "cq.ivm.fallback"));
-        // The CQ still works on the re-evaluation path.
-        cq.on_tuple(tup("/a1", 5)).unwrap();
-        let outs = cq.on_heartbeat(MINUTES).unwrap();
-        assert_eq!(outs[0].relation.rows(), &[row!["/a1"]]);
+        assert!(!events.iter().any(|ev| ev.kind == "cq.share"));
+        // The whole plan runs over the window's rows at each close.
+        for cq in [&mut off, &mut cq] {
+            cq.on_tuple(tup("/a1", 5)).unwrap();
+            cq.on_tuple(tup("/b1", 6)).unwrap();
+            let outs = cq.on_heartbeat(MINUTES).unwrap();
+            assert_eq!(outs[0].relation.rows(), &[row!["/a1"]]);
+        }
+    }
+
+    #[test]
+    fn count_windows_buffer_their_own_rows() {
+        let (p, e) = setup();
+        let sql = "SELECT count(*) c FROM url_stream <VISIBLE 3 ROWS ADVANCE 2 ROWS>";
+        let mut cq = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary);
+        cq.with_own(|cq, own| cq.place(true, true, own));
+        assert!(
+            cq.slot().is_none() && cq.own.is_empty(),
+            "no grid to slice on"
+        );
+        assert_eq!(e.metrics().counter("ivm.fallback").get(), 1);
+        let mut outs = Vec::new();
+        for i in 0..4 {
+            outs.extend(cq.on_tuple(tup("/a", i)).unwrap());
+        }
+        assert!(cq.on_heartbeat(MINUTES).unwrap().is_empty(), "data-driven");
+        let counts: Vec<_> = outs.iter().map(|o| o.relation.rows()[0].clone()).collect();
+        assert_eq!(counts, vec![row![2i64], row![3i64]]);
+        assert_eq!(cq.stats().tuples_in, 4);
     }
 
     #[test]
@@ -758,25 +764,35 @@ mod tests {
         let (p, e) = setup();
         let sql = "SELECT url, count(*) c FROM url_stream \
                    <TUMBLING '1 minute'> GROUP BY url";
-        let mut a = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary).sliced(true);
+        let mut stores = SharedRegistry::default();
+        let mut a = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary);
         let mut b = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary);
-        b.cq.place(true, true, &mut a.stores);
-        assert_eq!(a.cq.slot().unwrap().0, b.cq.slot().unwrap().0, "pooled");
-        a.cq.place(true, true, &mut a.stores);
-        assert_eq!(a.stores.len(), 1, "already placed");
+        a.place(true, true, &mut stores);
+        b.place(true, true, &mut stores);
+        assert_eq!(a.slot().unwrap().0, b.slot().unwrap().0, "pooled");
+        a.place(true, true, &mut stores);
+        assert_eq!(stores.len(), 1, "already placed");
         assert_eq!(e.metrics().counter("ivm.lowered").get(), 2);
 
-        a.on_tuple(tup("/a", 5)).unwrap();
-        assert_eq!(a.on_heartbeat(MINUTES).unwrap().len(), 1);
-        assert!(a.cq.stage_tuple(tup("/a", MINUTES)).is_err(), "no buffer");
+        // One advance of the stream's stores serves both members.
+        let rows = [tup("/a", 5)];
+        let mut advanced = Advanced::default();
+        stores.advance(&rows, Some(MINUTES), &mut advanced).unwrap();
+        for cq in [&mut a, &mut b] {
+            let mut tasks = Vec::new();
+            cq.stage(&rows, Some(MINUTES), &mut advanced, &mut tasks)
+                .unwrap();
+            assert_eq!(run(cq, tasks).unwrap().len(), 1);
+        }
+        assert!(a.own.is_empty(), "placed in its stream's registry");
         assert_eq!(
-            a.stores.leave(a.cq.slot().unwrap()),
+            stores.leave(a.slot().unwrap()),
             0,
             "a sibling still reads the store"
         );
-        assert_eq!(a.stores.len(), 1);
-        a.stores.leave(b.cq.slot().unwrap());
-        assert!(a.stores.is_empty());
+        assert_eq!(stores.len(), 1);
+        stores.leave(b.slot().unwrap());
+        assert!(stores.is_empty());
     }
 
     #[test]
@@ -788,7 +804,7 @@ mod tests {
             "SELECT count(*) c FROM url_stream <TUMBLING '1 minute'>",
             ConsistencyMode::WindowBoundary,
         );
-        cq.resume_after(5 * MINUTES);
+        cq.resume(5 * MINUTES);
         cq.on_tuple(tup("/a", 5 * MINUTES + 10)).unwrap();
         let outs = cq.on_heartbeat(6 * MINUTES).unwrap();
         assert_eq!(outs.len(), 1);
@@ -807,13 +823,13 @@ mod tests {
         let unaligned = 5 * MINUTES + 17; // not a multiple of 1 minute
 
         let mut unshared = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary);
-        unshared.resume_after(unaligned);
+        unshared.resume(unaligned);
         let outs = unshared.on_heartbeat(7 * MINUTES).unwrap();
         let closes: Vec<Timestamp> = outs.iter().map(|o| o.close).collect();
         assert_eq!(closes, vec![6 * MINUTES, 7 * MINUTES]);
 
         let mut shared = make_cq(&p, e, sql, ConsistencyMode::WindowBoundary).sliced(true);
-        shared.resume_after(unaligned);
+        shared.resume(unaligned);
         let mut outs = Vec::new();
         for i in 0..3 {
             let t = tup("/a", 5 * MINUTES + 30_000_000 + i * MINUTES);
@@ -836,7 +852,7 @@ mod tests {
             "SELECT count(*) c FROM url_stream <TUMBLING '1 minute'>",
             ConsistencyMode::WindowBoundary,
         );
-        cq.resume_after(MINUTES);
+        cq.resume(MINUTES);
         cq.on_tuple(tup("/a", MINUTES + 5)).unwrap();
         cq.on_heartbeat(2 * MINUTES).unwrap();
         let events = e.metrics().trace().dump();
@@ -859,7 +875,7 @@ mod tests {
         }
         let outs = cq.on_heartbeat(MINUTES).unwrap();
         assert_eq!(outs.len(), 1);
-        let st = cq.cq.stats();
+        let st = cq.stats();
         assert_eq!(st.tuples_in, 10);
         assert_eq!(st.windows_out, 1);
         assert_eq!(st.rows_out, 1);
@@ -874,10 +890,10 @@ mod tests {
             "SELECT url, count(*) hits FROM url_stream <TUMBLING '1 minute'> GROUP BY url",
             ConsistencyMode::WindowBoundary,
         );
-        let schema = cq.cq.output_schema();
+        let schema = cq.output_schema();
         assert_eq!(schema.column(0).name, "url");
         assert_eq!(schema.column(1).name, "hits");
-        assert_eq!(cq.cq.stream(), "url_stream");
+        assert_eq!(cq.stream(), "url_stream");
     }
 
     #[test]

@@ -2,12 +2,16 @@
 //! and its refs \[4] (resource sharing in sliding-window aggregates) and
 //! \[12] (on-the-fly sharing for streamed aggregation).
 //!
-//! Every lowered CQ is a *member* of a slice store
-//! ([`streamrel_ivm::IvmState`]): CQs whose lowered shapes agree — same
-//! stream, prefix ops and anchor, *different windows* — pool into one
-//! store, so each arriving tuple is folded once regardless of how many
-//! CQs are registered (per-tuple cost O(1) in the number of queries,
-//! which experiment E3 measures). A [`SharedGroup`] is that membership:
+//! Every time-window CQ is a *member* of a slice store
+//! ([`streamrel_ivm::IvmState`]) — there is one place a window's tuples
+//! live, and what differs is the slice payload: the partials of the shape
+//! a plan lowers to, or, for a plan that does not lower (and for every
+//! plan with `ivm` off), the raw rows the whole plan is re-evaluated over
+//! ([`place`]). CQs whose shapes agree — same stream, prefix ops and
+//! anchor, *different windows* — pool into one store, so each arriving
+//! tuple is folded, or buffered, once regardless of how many CQs are
+//! registered (per-tuple cost O(1) in the number of queries, which
+//! experiment E3 measures). A [`SharedGroup`] is that membership:
 //! the member windows, the gcd slice width across them, the slowest
 //! member's eviction horizon, and what each member owns — its close cursor
 //! and, for a sliding window, its running window view. The slices, the
@@ -21,8 +25,9 @@
 //! close and after [`SharedRegistry::resume_after`]; tumbling members and
 //! stores with float sums keep none ([`IvmState::close_window`]).
 //!
-//! Ownership: a [`SharedRegistry`] is the set of stores reading one base
-//! stream. The engine keeps it by value in that stream's runtime, under
+//! Ownership: a [`SharedRegistry`] is the set of stores reading one
+//! stream, base or derived. The engine keeps it by value in that stream's
+//! runtime, under
 //! the shard lock that already covers the stream's reorder buffer and CQs
 //! — a store has no lock of its own, and a member CQ holds only its
 //! [`Slot`]. One call, [`SharedRegistry::advance`], takes a batch (or a
@@ -32,7 +37,8 @@
 use std::collections::{BTreeMap, HashMap};
 
 use streamrel_ivm::{
-    gcd, lower_with, IvmProgram, IvmShape, IvmState, Lowering, WindowOutput, WindowView,
+    gcd, lower_with, rows_program, IvmProgram, IvmShape, IvmState, Lowering, WindowOutput,
+    WindowView,
 };
 use streamrel_sql::plan::LogicalPlan;
 use streamrel_types::{Error, Interval, Result, Row, Timestamp};
@@ -53,46 +59,52 @@ pub fn extract_shape(plan: &LogicalPlan) -> Option<(IvmShape, LogicalPlan)> {
 const REASON_DISABLED: &str = "incremental view maintenance disabled by engine options";
 
 /// Where a continuous plan's window state lives.
-pub enum Placement {
-    /// A raw window buffer, re-evaluated at each close; carries the stable
-    /// fallback reason.
-    Reeval(&'static str),
-    /// Slice-store membership.
-    Sliced {
-        /// The lowered program.
-        program: Box<IvmProgram>,
-        /// Slice width of the live pooled store this window cannot divide
-        /// into; the CQ then gets a private store.
-        grid_mismatch: Option<Interval>,
-    },
+pub struct Placement {
+    /// The slice-store membership of a time window: what the store keeps
+    /// and what runs over it at each close — the lowered program, or, with
+    /// a `fallback`, raw rows and the whole plan. A count window (ROWS,
+    /// SLICES) has no time grid to slice on and so no program: the CQ
+    /// keeps a [`crate::WindowBuffer`] of its own.
+    pub program: Option<Box<IvmProgram>>,
+    /// Why the plan is re-evaluated rather than maintained; stable text
+    /// for `EXPLAIN CHECK` and the `ivm.fallback` counter.
+    pub fallback: Option<&'static str>,
+    /// Slice width of the live pooled store this (lowered) window cannot
+    /// divide into; the CQ then gets a private store.
+    pub grid_mismatch: Option<Interval>,
 }
 
 /// The one placement decision, shared by registration and `EXPLAIN
-/// CHECK`: `ivm` off means pure re-evaluation; otherwise every plan that
-/// lowers is sliced — pooled by shape fingerprint under `sharing`, on a
-/// private store without it. `registry` is the live store set of the
-/// stream the plan scans.
+/// CHECK`. [`lower_with`] judges what is *maintained*: a plan that lowers
+/// joins a store of its shape's partials. Any other time-window plan — and
+/// every one with `ivm` off — joins a store of raw rows that the plan
+/// itself re-evaluates. Either way the store is the pooled one for its
+/// shape under `sharing`, else a private one. `registry` is the live store
+/// set of the stream the plan scans.
 pub fn place(
     plan: &LogicalPlan,
     sharing: bool,
     ivm: bool,
     registry: Option<&SharedRegistry>,
 ) -> Placement {
-    if !ivm {
-        return Placement::Reeval(REASON_DISABLED);
-    }
-    match lower_with(plan, sharing) {
-        Lowering::Fallback(reason) => Placement::Reeval(reason),
-        Lowering::Lowered(program) => {
-            let grid_mismatch = match registry {
-                Some(r) if sharing => r.grid_mismatch(&program),
-                _ => None,
-            };
-            Placement::Sliced {
-                program,
-                grid_mismatch,
-            }
-        }
+    let lowering = if ivm {
+        lower_with(plan, sharing)
+    } else {
+        Lowering::Fallback(REASON_DISABLED)
+    };
+    match lowering {
+        Lowering::Lowered(program) => Placement {
+            grid_mismatch: registry
+                .filter(|_| sharing)
+                .and_then(|r| r.grid_mismatch(&program)),
+            program: Some(program),
+            fallback: None,
+        },
+        Lowering::Fallback(reason) => Placement {
+            program: rows_program(plan),
+            fallback: Some(reason),
+            grid_mismatch: None,
+        },
     }
 }
 
@@ -100,11 +112,10 @@ pub fn place(
 struct Member {
     visible: Interval,
     advance: Interval,
-    /// The member's next close boundary — the only close cursor a sliced
-    /// CQ has. It follows the re-evaluation buffer's rule: `None` until
-    /// the first *tuple* after registration fixes the alignment (a
-    /// heartbeat alone never does); [`SharedRegistry::resume_after`]
-    /// re-aligns it.
+    /// The member's next close boundary — the only close cursor a time
+    /// window has. `None` until the first *tuple* after registration fixes
+    /// the alignment (a heartbeat alone never does);
+    /// [`SharedRegistry::resume_after`] re-aligns it.
     next_close: Option<Timestamp>,
     /// What a sliding member carries from one close to the next.
     view: Option<WindowView>,
@@ -179,13 +190,14 @@ impl SharedGroup {
     }
 
     /// Fold a batch of stream tuples (CQTIME order, `first` its oldest
-    /// timestamp), then close every window of every member due at `upto` —
-    /// the batch's newest timestamp or a heartbeat's bound, whichever is
-    /// later — adding each to `out` in close order under slot `(id,
-    /// member)`; finally evict what no member can reach. Closing after the
-    /// fold is safe: a tuple at `ts >= close` lands in a slice outside
-    /// `[close - visible, close)`, and the slices below a close are sealed
-    /// (the stream admits no tuple older than one it has taken).
+    /// slice time), then close every window of every member due at `upto` —
+    /// the batch's newest slice time or its bound (a heartbeat's time, a
+    /// derived batch's close), whichever is later — adding each to `out` in
+    /// close order under slot `(id, member)`; finally evict what no member
+    /// can reach. Closing after the fold is safe: a tuple at `ts >= close`
+    /// lands in a slice outside `[close - visible, close)`, and the slices
+    /// below a close are sealed (a base stream admits no tuple older than
+    /// one it has taken).
     fn advance(
         &mut self,
         id: StoreId,
@@ -203,6 +215,13 @@ impl SharedGroup {
         };
         for (member, m) in self.members.iter_mut().enumerate() {
             let Some(m) = m else { continue };
+            // A derived stream repeats a close when a ROWS window upstream
+            // closes twice on one timestamp: the second batch lands in a
+            // slice the view already took, so the view is rebuilt.
+            let closed = m.view.as_ref().and_then(WindowView::closed);
+            if first.zip(closed).is_some_and(|(ts, closed)| ts < closed) {
+                self.store.forget(m.view.take());
+            }
             if m.next_close.is_none() {
                 m.next_close = first.map(|ts| align_next_close(ts, m.advance));
             }
@@ -227,8 +246,8 @@ impl SharedGroup {
     }
 
     /// Drop slices no member's future window can reach: the horizon is
-    /// the low edge of the slowest member's *next* window, matching the
-    /// re-evaluation buffer's eviction rule. A member whose alignment is
+    /// the low edge of the slowest member's *next* window. A member whose
+    /// alignment is
     /// not fixed yet may still need every slice, so eviction waits for it;
     /// with no member left, nothing is reachable.
     fn evict(&mut self) {
@@ -272,8 +291,8 @@ pub struct Advanced {
     pub closed: HashMap<Slot, Vec<(Timestamp, WindowOutput)>>,
 }
 
-/// The slice stores reading one base stream: pooled by shape fingerprint,
-/// plus the private ones.
+/// The slice stores reading one stream: pooled by shape fingerprint, plus
+/// the private ones.
 #[derive(Default)]
 pub struct SharedRegistry {
     stores: BTreeMap<StoreId, SharedGroup>,
@@ -350,12 +369,11 @@ impl SharedRegistry {
         out: &mut Advanced,
     ) -> Result<()> {
         // Every store reads this one stream, in CQTIME order: the batch's
-        // oldest and newest timestamps are its first and last rows'.
+        // oldest and newest slice times are its first and last rows'.
         let Some(any) = self.stores.values().next() else {
             return Ok(());
         };
-        let cqtime = any.store.shape().prefix().cqtime;
-        let ts_of = |r: &Row| r.get(cqtime).and_then(|v| v.as_timestamp().ok());
+        let ts_of = |r: &Row| any.store.slice_time(r).ok();
         let first = rows.first().and_then(ts_of);
         let upto = rows.last().and_then(ts_of).max(bound);
         self.stores
@@ -391,20 +409,25 @@ mod tests {
     use streamrel_types::time::MINUTES;
     use streamrel_types::{row, Column, DataType, Schema, Value};
 
+    fn prefix_on(stream: &str, derived: bool) -> StreamPrefix {
+        StreamPrefix {
+            stream: stream.into(),
+            input_schema: Arc::new(
+                Schema::new(vec![
+                    Column::new("url", DataType::Text),
+                    Column::not_null("atime", DataType::Timestamp),
+                ])
+                .unwrap(),
+            ),
+            cqtime: 1,
+            derived,
+            ops: vec![],
+        }
+    }
+
     fn shape_on(stream: &str) -> IvmShape {
         IvmShape::Agg {
-            prefix: StreamPrefix {
-                stream: stream.into(),
-                input_schema: Arc::new(
-                    Schema::new(vec![
-                        Column::new("url", DataType::Text),
-                        Column::not_null("atime", DataType::Timestamp),
-                    ])
-                    .unwrap(),
-                ),
-                cqtime: 1,
-                ops: vec![],
-            },
+            prefix: prefix_on(stream, false),
             agg: AggShape {
                 group_exprs: vec![BoundExpr::Column {
                     index: 0,
@@ -615,5 +638,254 @@ mod tests {
         assert_eq!(reg.grid_mismatch(&fine), None);
         let ((s4, _), pooled) = reg.join(&fine, true);
         assert!(pooled && s4 != s1);
+    }
+
+    fn rows_program(visible: Interval, advance: Interval, derived: bool) -> IvmProgram {
+        IvmProgram {
+            shape: IvmShape::Rows {
+                prefix: prefix_on("url_stream", derived),
+            },
+            post_plan: LogicalPlan::OneRow,
+            visible,
+            advance,
+        }
+    }
+
+    /// One time window over a raw-rows store, driven the way a stream
+    /// drives it: batches (and bounds) in, `(close, rows)` out.
+    struct RowsWindow {
+        stores: SharedRegistry,
+        slot: Slot,
+    }
+
+    impl RowsWindow {
+        fn over(visible: Interval, advance: Interval, derived: bool) -> RowsWindow {
+            let mut stores = SharedRegistry::default();
+            let (slot, _) = stores.join(&rows_program(visible, advance, derived), true);
+            RowsWindow { stores, slot }
+        }
+
+        fn base(visible: Interval, advance: Interval) -> RowsWindow {
+            RowsWindow::over(visible, advance, false)
+        }
+
+        fn feed(&mut self, batch: &[Row], bound: Option<Timestamp>) -> Vec<(Timestamp, Vec<Row>)> {
+            let mut out = Advanced::default();
+            self.stores.advance(batch, bound, &mut out).unwrap();
+            let closed = out.closed.remove(&self.slot).unwrap_or_default();
+            closed.into_iter().map(|(c, w)| (c, rows(w))).collect()
+        }
+
+        fn push(&mut self, ts: i64) -> Vec<(Timestamp, Vec<Row>)> {
+            self.feed(&[tup("x", ts)], None)
+        }
+
+        fn slices(&self) -> usize {
+            self.stores.stores[&self.slot.0].store.slice_count()
+        }
+    }
+
+    fn lens(closed: &[(Timestamp, Vec<Row>)]) -> Vec<(Timestamp, usize)> {
+        closed.iter().map(|(c, rows)| (*c, rows.len())).collect()
+    }
+
+    #[test]
+    fn tumbling_window_closes_on_boundary_crossing() {
+        let mut w = RowsWindow::base(MINUTES, MINUTES);
+        assert!(w.push(10).is_empty());
+        assert!(w.push(30).is_empty());
+        let closed = w.push(MINUTES + 5);
+        assert_eq!(closed, vec![(MINUTES, vec![tup("x", 10), tup("x", 30)])]);
+    }
+
+    #[test]
+    fn paper_example_2_sliding_window() {
+        // VISIBLE 5 minutes ADVANCE 1 minute: every minute, the last 5.
+        // One tuple per 30 s for 7 minutes, each strictly inside its slice.
+        let mut w = RowsWindow::base(5 * MINUTES, MINUTES);
+        let closed: Vec<_> = (0..14).flat_map(|i| w.push(i * 30_000_000 + 1)).collect();
+        // Tuples reach 6.5 min: closes at 1..6 minutes; the window fills
+        // for five minutes and then stays saturated at 10 tuples.
+        let minutes = |m: i64| m * MINUTES;
+        assert_eq!(
+            lens(&closed),
+            vec![
+                (minutes(1), 2),
+                (minutes(2), 4),
+                (minutes(3), 6),
+                (minutes(4), 8),
+                (minutes(5), 10),
+                (minutes(6), 10)
+            ]
+        );
+        // What no future window can see is gone.
+        assert!(w.slices() <= 5, "slices = {}", w.slices());
+    }
+
+    #[test]
+    fn heartbeat_closes_empty_windows_and_they_still_emit() {
+        let mut w = RowsWindow::base(MINUTES, MINUTES);
+        w.push(10);
+        let closed = w.feed(&[], Some(3 * MINUTES));
+        assert_eq!(
+            lens(&closed),
+            vec![(MINUTES, 1), (2 * MINUTES, 0), (3 * MINUTES, 0)]
+        );
+    }
+
+    #[test]
+    fn boundary_tuple_belongs_to_the_next_window() {
+        let mut w = RowsWindow::base(MINUTES, MINUTES);
+        w.push(10);
+        // A tuple exactly at the boundary fires the window but is not in
+        // it (half-open interval) ...
+        assert_eq!(lens(&w.push(MINUTES)), vec![(MINUTES, 1)]);
+        // ... and stays in the next one, whatever arrives in between.
+        w.push(MINUTES + 1);
+        let closed = w.feed(&[], Some(2 * MINUTES));
+        assert_eq!(
+            closed,
+            vec![(2 * MINUTES, vec![tup("x", MINUTES), tup("x", MINUTES + 1)])]
+        );
+    }
+
+    #[test]
+    fn derived_batches_are_inclusive_at_the_close() {
+        // A derived stream's batch is stamped at its close and bounded by
+        // it: it belongs to the window closing there, and a batch just
+        // past a boundary to the next.
+        let mut w = RowsWindow::over(2 * MINUTES, MINUTES, true);
+        let batch = |close| [tup("x", close)];
+        assert_eq!(
+            lens(&w.feed(&batch(MINUTES), Some(MINUTES))),
+            vec![(MINUTES, 1)]
+        );
+        assert_eq!(
+            lens(&w.feed(&batch(2 * MINUTES), Some(2 * MINUTES))),
+            vec![(2 * MINUTES, 2)]
+        );
+        // A heartbeat-only upstream window is an empty batch: it closes.
+        assert_eq!(
+            w.feed(&[], Some(3 * MINUTES)),
+            vec![(3 * MINUTES, vec![tup("x", 2 * MINUTES)])]
+        );
+        // An unaligned batch (a ROWS window upstream) aligns on the first
+        // boundary at or after it.
+        let mut w = RowsWindow::over(MINUTES, MINUTES, true);
+        assert!(w.feed(&batch(MINUTES + 7), Some(MINUTES + 7)).is_empty());
+        assert_eq!(
+            lens(&w.feed(&batch(2 * MINUTES), Some(2 * MINUTES))),
+            vec![(2 * MINUTES, 2)]
+        );
+    }
+
+    #[test]
+    fn visible_not_multiple_of_advance_still_correct() {
+        // VISIBLE 90 s ADVANCE 60 s, on 30 s slices.
+        let mut w = RowsWindow::base(90 * 1_000_000, MINUTES);
+        let mut closed: Vec<_> = (0..6).flat_map(|i| w.push(i * 30_000_000 + 1)).collect();
+        closed.extend(w.feed(&[], Some(2 * MINUTES)));
+        // [-30 s, 60 s) holds the tuples at 0 s and 30 s; [30 s, 120 s)
+        // those at 30, 60 and 90 s.
+        assert_eq!(lens(&closed), vec![(MINUTES, 2), (2 * MINUTES, 3)]);
+    }
+
+    #[test]
+    fn resume_skips_emitted_windows_and_realigns() {
+        let mut w = RowsWindow::base(MINUTES, MINUTES);
+        w.stores.resume_after(w.slot, 5 * MINUTES);
+        // A tuple at 5.5 minutes does not fire windows 1..5.
+        assert!(w.push(5 * MINUTES + 30_000_000).is_empty());
+        assert_eq!(
+            lens(&w.feed(&[], Some(6 * MINUTES))),
+            vec![(6 * MINUTES, 1)]
+        );
+        // Resuming from a watermark off the grid (a mid-window crash)
+        // rounds *up* to it, not to watermark + advance.
+        let mut w = RowsWindow::base(MINUTES, MINUTES);
+        let next = w.stores.resume_after(w.slot, 5 * MINUTES + 30_000_000);
+        assert_eq!(next, Some(6 * MINUTES));
+        w.push(5 * MINUTES + 40_000_000);
+        assert_eq!(
+            lens(&w.feed(&[], Some(7 * MINUTES))),
+            vec![(6 * MINUTES, 1), (7 * MINUTES, 0)]
+        );
+    }
+
+    #[test]
+    fn negative_timestamps_align_correctly() {
+        let mut w = RowsWindow::base(MINUTES, MINUTES);
+        w.push(-90_000_000); // -1.5 min
+        assert_eq!(
+            lens(&w.feed(&[], Some(0))),
+            vec![(-MINUTES, 1), (0, 0)],
+            "the window closing at -1 min holds it; the one at 0 does not"
+        );
+    }
+
+    #[test]
+    fn many_rows_windows_buffer_each_tuple_once() {
+        let mut reg = SharedRegistry::default();
+        let program = |visible, advance| rows_program(visible, advance, false);
+        let slots: Vec<Slot> = (1..=8)
+            .map(|k| reg.join(&program(k * MINUTES, MINUTES), true).0)
+            .collect();
+        assert_eq!(reg.len(), 1, "one store for every re-evaluated window");
+        let mut out = Advanced::default();
+        let batch: Vec<Row> = (0..10).map(|i| tup("/a", i)).collect();
+        reg.advance(&batch, Some(MINUTES), &mut out).unwrap();
+        assert_eq!(out.delta_rows, 0, "buffered, not folded");
+        let one_copy = out.bytes;
+        for slot in &slots {
+            assert_eq!(rows(out.closed.remove(slot).unwrap().remove(0).1), batch);
+        }
+        // The same windows on private stores hold eight copies.
+        let mut reg = SharedRegistry::default();
+        for k in 1..=8 {
+            reg.join(&program(k * MINUTES, MINUTES), false);
+        }
+        let mut out = Advanced::default();
+        reg.advance(&batch, None, &mut out).unwrap();
+        assert_eq!(out.bytes, 8 * one_copy);
+    }
+
+    #[test]
+    fn a_repeated_derived_close_rebuilds_the_views_it_reopened() {
+        // A ROWS window upstream closes twice on one timestamp: the second
+        // batch lands in a slice the sliding view already took.
+        let mut reg = SharedRegistry::default();
+        let mut sliding = program(2 * MINUTES, MINUTES);
+        sliding.shape = IvmShape::Agg {
+            prefix: prefix_on("per_rows", true),
+            agg: match shape() {
+                IvmShape::Agg { agg, .. } => agg,
+                _ => unreachable!(),
+            },
+        };
+        let (slot, _) = reg.join(&sliding, true);
+        let mut closes = |rows: &[Row], bound| {
+            let mut out = Advanced::default();
+            reg.advance(rows, Some(bound), &mut out).unwrap();
+            let closed = out.closed.remove(&slot).unwrap_or_default();
+            closed
+                .into_iter()
+                .map(|(c, w)| (c, self::rows(w)))
+                .collect::<Vec<_>>()
+        };
+        let at = |ts| [tup("/a", ts)];
+        assert_eq!(
+            closes(&at(MINUTES), MINUTES),
+            vec![(MINUTES, vec![row!["/a", 1i64]])]
+        );
+        assert!(closes(&at(MINUTES), MINUTES).is_empty());
+        assert_eq!(
+            closes(&at(2 * MINUTES), 2 * MINUTES),
+            vec![(2 * MINUTES, vec![row!["/a", 3i64]])],
+            "the late batch counts in the next window, as re-evaluation has it"
+        );
+        assert_eq!(
+            closes(&[], 3 * MINUTES),
+            vec![(3 * MINUTES, vec![row!["/a", 1i64]])]
+        );
     }
 }

@@ -1,11 +1,16 @@
-//! Window buffers: turning an ordered unbounded stream into a sequence of
-//! finite relations (the paper's Figure 1).
+//! Count windows: the two window kinds with no time grid to slice on.
 //!
-//! A window clause `<VISIBLE v ADVANCE a>` produces, every `a`, the
-//! relation of tuples whose CQTIME falls in `[close - v, close)`. Close
-//! boundaries are aligned to multiples of `a` (so two CQs with the same
-//! ADVANCE close at identical instants — a prerequisite for slice sharing
-//! and for Example 5's equality join on `cq_close` values).
+//! A window clause turns an ordered unbounded stream into a sequence of
+//! finite relations (the paper's Figure 1). A *time* window `<VISIBLE v
+//! ADVANCE a>` produces, every `a`, the tuples whose CQTIME falls in
+//! `[close - v, close)`, with close boundaries aligned to multiples of `a`
+//! (so two CQs with the same ADVANCE close at identical instants — a
+//! prerequisite for slice sharing and for Example 5's equality join on
+//! `cq_close` values); every time window is a member of a slice store
+//! ([`crate::shared`]), whatever its plan. What is left here are the
+//! windows that count instead: `<VISIBLE n ROWS ADVANCE m ROWS>` over
+//! tuples and `<SLICES n WINDOWS>` over a derived stream's result batches.
+//! Which one a CQ gets is read off the window kind in its plan.
 
 use std::collections::VecDeque;
 
@@ -16,19 +21,16 @@ use streamrel_sql::WindowSpec;
 /// One closed window: its close timestamp and the rows it contains.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClosedWindow {
-    /// Exclusive upper bound of the window (`cq_close(*)` value).
+    /// The window's `cq_close(*)` value.
     pub close: Timestamp,
-    /// Rows with CQTIME in `[close - visible, close)`, in arrival order.
+    /// The window's rows, in arrival order.
     pub rows: Vec<Row>,
 }
 
-/// Per-CQ window state. Feed tuples with [`WindowBuffer::push`] and time
-/// progress with [`WindowBuffer::advance_to`]; both return the windows that
-/// closed as a consequence.
+/// Per-CQ count-window state: feed batches with [`WindowBuffer::push`],
+/// which returns the windows that closed as a consequence.
 #[derive(Debug)]
 pub enum WindowBuffer {
-    /// Time-based sliding / tumbling window.
-    Time(TimeWindow),
     /// Row-count window.
     Rows(RowWindow),
     /// `<SLICES n WINDOWS>` over a derived stream's result batches.
@@ -36,28 +38,10 @@ pub enum WindowBuffer {
 }
 
 impl WindowBuffer {
-    /// Build a buffer for a window spec. `cqtime` is the position of the
-    /// stream's time column (required for time windows). `derived` says
-    /// the scanned relation is a derived stream, whose batches are
-    /// stamped exactly at window closes: time windows then use the
-    /// inclusive `(lo, close]` interval convention. Inclusivity is fixed
-    /// at construction (the source kind is known at plan time) — it never
-    /// changes per push, no matter how tuples and batches interleave.
-    pub fn new(spec: WindowSpec, cqtime: Option<usize>, derived: bool) -> Result<WindowBuffer> {
+    /// Build a buffer for a count-window spec. `cqtime` is the position of
+    /// the stream's time column, which stamps a row window's closes.
+    pub fn new(spec: WindowSpec, cqtime: Option<usize>) -> Result<WindowBuffer> {
         match spec {
-            WindowSpec::Time { visible, advance } => {
-                let cqtime =
-                    cqtime.ok_or_else(|| Error::stream("time window requires a CQTIME column"))?;
-                Ok(WindowBuffer::Time(TimeWindow {
-                    visible,
-                    advance,
-                    cqtime,
-                    buf: VecDeque::new(),
-                    next_close: None,
-                    max_ts: i64::MIN,
-                    inclusive: derived,
-                }))
-            }
             WindowSpec::Rows { visible, advance } => Ok(WindowBuffer::Rows(RowWindow {
                 visible: visible as usize,
                 advance: advance as usize,
@@ -71,6 +55,9 @@ impl WindowBuffer {
                 count: count as usize,
                 batches: VecDeque::new(),
             })),
+            WindowSpec::Time { .. } => Err(Error::stream(
+                "a time window's tuples live in its stream's slice store",
+            )),
             // Defense in depth: admission (`streamrel-check`) rejects
             // unbounded scans before a CQ is built, so reaching this arm
             // means a caller bypassed the check.
@@ -81,213 +68,26 @@ impl WindowBuffer {
         }
     }
 
-    /// Feed one tuple. For time windows the tuple's CQTIME drives time
-    /// forward, closing any window whose boundary it passes *before* the
-    /// tuple itself is admitted.
-    pub fn push(&mut self, row: Row) -> Result<Vec<ClosedWindow>> {
-        match self {
-            WindowBuffer::Time(w) => w.push(row),
-            WindowBuffer::Rows(w) => Ok(w.push(row)),
-            WindowBuffer::Slices(_) => Err(Error::stream(
+    /// Feed one batch of the stream: a row window counts its tuples (a
+    /// heartbeat, which has none, closes nothing — count windows are
+    /// data-driven), a slices window takes the whole batch as the result
+    /// of the upstream window that closed at `bound`.
+    pub fn push(&mut self, rows: &[Row], bound: Option<Timestamp>) -> Result<Vec<ClosedWindow>> {
+        match (self, bound) {
+            (WindowBuffer::Rows(w), _) => Ok(rows.iter().flat_map(|r| w.push(r.clone())).collect()),
+            (WindowBuffer::Slices(w), Some(close)) => Ok(w.push_batch(close, rows.to_vec())),
+            (WindowBuffer::Slices(_), None) => Err(Error::stream(
                 "slices windows consume whole result batches, not tuples",
             )),
-        }
-    }
-
-    /// Explicit time progress (heartbeat / punctuation): closes every
-    /// window with `close <= ts` even if no tuple arrives.
-    pub fn advance_to(&mut self, ts: Timestamp) -> Vec<ClosedWindow> {
-        match self {
-            WindowBuffer::Time(w) => w.advance_to(ts),
-            // Row and slice windows are data-driven; time is irrelevant.
-            WindowBuffer::Rows(_) | WindowBuffer::Slices(_) => Vec::new(),
-        }
-    }
-
-    /// Feed one upstream result batch (slices windows only).
-    pub fn push_batch(&mut self, close: Timestamp, rows: Vec<Row>) -> Vec<ClosedWindow> {
-        match self {
-            WindowBuffer::Slices(w) => w.push_batch(close, rows),
-            // A time/row window over a derived stream treats each batch's
-            // rows as ordinary tuples. The interval convention (inclusive
-            // for derived sources, whose batches are stamped exactly at
-            // window closes) was fixed at construction — see
-            // [`WindowBuffer::new`].
-            WindowBuffer::Time(w) => {
-                let mut out = Vec::new();
-                for row in rows {
-                    if let Ok(mut closes) = w.push(row) {
-                        out.append(&mut closes);
-                    }
-                }
-                out.extend(w.advance_to(close));
-                out
-            }
-            WindowBuffer::Rows(w) => {
-                let mut out = Vec::new();
-                for row in rows {
-                    out.extend(w.push(row));
-                }
-                out
-            }
-        }
-    }
-
-    /// Rows currently buffered (memory accounting, tests).
-    pub fn buffered(&self) -> usize {
-        match self {
-            WindowBuffer::Time(w) => w.buf.len(),
-            WindowBuffer::Rows(w) => w.buf.len(),
-            WindowBuffer::Slices(w) => w.batches.iter().map(|(_, b)| b.len()).sum(),
-        }
-    }
-
-    /// Skip directly to a resume point: windows up to and including
-    /// `watermark` are considered already emitted (recovery, §4). The next
-    /// close is re-aligned to the advance grid — the watermark itself may
-    /// be unaligned (e.g. a row-window CQ's tuple-time watermark shared
-    /// the same Active Table), and an unaligned resume would drift every
-    /// subsequent close off the alignment invariant this module documents.
-    pub fn resume_after(&mut self, watermark: Timestamp) {
-        if let WindowBuffer::Time(w) = self {
-            w.next_close = Some(align_next_close(watermark, w.advance));
-            w.max_ts = w.max_ts.max(watermark);
-        }
-    }
-
-    /// The next close boundary, if already fixed (time windows only;
-    /// trace/debug use).
-    pub fn next_close(&self) -> Option<Timestamp> {
-        match self {
-            WindowBuffer::Time(w) => w.next_close,
-            WindowBuffer::Rows(_) | WindowBuffer::Slices(_) => None,
-        }
-    }
-
-    /// The event-time watermark: the largest CQTIME observed, or `None`
-    /// if no timestamp has been seen yet (stats and recovery must not
-    /// mistake the sentinel for a real time).
-    pub fn watermark(&self) -> Option<Timestamp> {
-        match self {
-            WindowBuffer::Time(w) => (w.max_ts != i64::MIN).then_some(w.max_ts),
-            WindowBuffer::Rows(w) => (w.max_ts != i64::MIN).then_some(w.max_ts),
-            WindowBuffer::Slices(w) => w.batches.back().map(|(close, _)| *close),
         }
     }
 }
 
 /// Smallest multiple of `advance` strictly greater than `watermark`: the
-/// first close boundary not yet emitted when resuming after `watermark`.
+/// first close boundary not yet emitted when resuming after `watermark`,
+/// and the first one a window aligns to after a tuple at `watermark`.
 pub(crate) fn align_next_close(watermark: Timestamp, advance: i64) -> Timestamp {
     (watermark.div_euclid(advance) + 1) * advance
-}
-
-/// Time-based sliding window state.
-///
-/// Two interval conventions exist:
-/// - **Exclusive** (tuple streams): window is `[close - visible, close)`;
-///   a tuple stamped exactly at a boundary falls in the *next* window.
-/// - **Inclusive** (derived-stream batches): window is
-///   `(close - visible, close]`; a batch stamped at a boundary belongs to
-///   the window closing there (its data *ends* at that instant).
-#[derive(Debug)]
-pub struct TimeWindow {
-    visible: i64,
-    advance: i64,
-    cqtime: usize,
-    /// Buffered `(ts, row)` in arrival (== time) order.
-    buf: VecDeque<(Timestamp, Row)>,
-    /// Next close boundary; `None` until the first tuple fixes alignment.
-    next_close: Option<Timestamp>,
-    max_ts: Timestamp,
-    /// Upper-bound convention (see type docs).
-    inclusive: bool,
-}
-
-impl TimeWindow {
-    fn ts_of(&self, row: &Row) -> Result<Timestamp> {
-        row.get(self.cqtime)
-            .ok_or_else(|| Error::stream("row too short for CQTIME column"))?
-            .as_timestamp()
-            .map_err(|_| Error::stream("CQTIME column is not a timestamp"))
-    }
-
-    /// First close boundary whose window can contain `ts`, aligned to
-    /// multiples of advance. Exclusive mode: strictly after `ts`.
-    /// Inclusive mode: at or after `ts`.
-    fn align_first_close(&self, ts: Timestamp) -> Timestamp {
-        let a = self.advance;
-        if self.inclusive {
-            // Smallest multiple of `a` that is >= ts.
-            ts.div_euclid(a) * a + if ts.rem_euclid(a) == 0 { 0 } else { a }
-        } else {
-            (ts.div_euclid(a) + 1) * a
-        }
-    }
-
-    fn push(&mut self, row: Row) -> Result<Vec<ClosedWindow>> {
-        let ts = self.ts_of(&row)?;
-        if ts < self.max_ts {
-            return Err(Error::stream(format!(
-                "out-of-order tuple: ts {ts} < watermark {} \
-                 (wrap the stream in a ReorderBuffer for slack)",
-                self.max_ts
-            )));
-        }
-        // Close every window whose boundary this tuple passes. In
-        // inclusive mode a tuple AT the boundary still belongs to the
-        // closing window, so only boundaries strictly before it fire.
-        let limit = if self.inclusive { ts - 1 } else { ts };
-        let closes = self.fire_through(limit);
-        if self.next_close.is_none() {
-            self.next_close = Some(self.align_first_close(ts));
-        }
-        self.max_ts = ts;
-        self.buf.push_back((ts, row));
-        Ok(closes)
-    }
-
-    fn advance_to(&mut self, ts: Timestamp) -> Vec<ClosedWindow> {
-        let out = self.fire_through(ts);
-        self.max_ts = self.max_ts.max(ts);
-        out
-    }
-
-    fn fire_through(&mut self, ts: Timestamp) -> Vec<ClosedWindow> {
-        let mut out = Vec::new();
-        let Some(mut close) = self.next_close else {
-            return out;
-        };
-        while close <= ts {
-            let lo = close - self.visible;
-            let in_window: &dyn Fn(Timestamp) -> bool = if self.inclusive {
-                &|t| t > lo && t <= close
-            } else {
-                &|t| t >= lo && t < close
-            };
-            let rows: Vec<Row> = self
-                .buf
-                .iter()
-                .filter(|(t, _)| in_window(*t))
-                .map(|(_, r)| r.clone())
-                .collect();
-            out.push(ClosedWindow { close, rows });
-            // Evict rows that no future window can see: next window's low
-            // edge is (close + advance) - visible.
-            let future_lo = close + self.advance - self.visible;
-            let evictable: &dyn Fn(Timestamp) -> bool = if self.inclusive {
-                &|t| t <= future_lo
-            } else {
-                &|t| t < future_lo
-            };
-            while matches!(self.buf.front(), Some((t, _)) if evictable(*t)) {
-                self.buf.pop_front();
-            }
-            close += self.advance;
-        }
-        self.next_close = Some(close);
-        out
-    }
 }
 
 /// Row-count window state.
@@ -298,9 +98,9 @@ pub struct RowWindow {
     cqtime: Option<usize>,
     buf: VecDeque<Row>,
     since_emit: usize,
-    /// Largest CQTIME seen; `i64::MIN` (same sentinel as [`TimeWindow`])
-    /// until one arrives, so pre-epoch (negative) timestamps are reported
-    /// faithfully rather than masked by a zero default.
+    /// Largest CQTIME seen; `i64::MIN` until one arrives, so pre-epoch
+    /// (negative) timestamps are reported faithfully rather than masked by
+    /// a zero default.
     max_ts: Timestamp,
     /// Rows ever pushed (the close value when no CQTIME is available).
     total: u64,
@@ -372,126 +172,28 @@ impl SliceWindow {
 mod tests {
     use super::*;
     use streamrel_types::row;
-    use streamrel_types::time::MINUTES;
     use streamrel_types::Value;
 
     fn tup(ts: i64) -> Row {
         row![Value::Timestamp(ts), "x"]
     }
 
-    fn time_buf(visible: i64, advance: i64) -> WindowBuffer {
-        WindowBuffer::new(WindowSpec::Time { visible, advance }, Some(0), false).unwrap()
+    fn row_buf(visible: u64, advance: u64, cqtime: Option<usize>) -> WindowBuffer {
+        WindowBuffer::new(WindowSpec::Rows { visible, advance }, cqtime).unwrap()
     }
 
-    fn derived_time_buf(visible: i64, advance: i64) -> WindowBuffer {
-        WindowBuffer::new(WindowSpec::Time { visible, advance }, Some(0), true).unwrap()
-    }
-
-    #[test]
-    fn tumbling_window_closes_on_boundary_crossing() {
-        let mut w = time_buf(MINUTES, MINUTES);
-        assert!(w.push(tup(10)).unwrap().is_empty());
-        assert!(w.push(tup(30)).unwrap().is_empty());
-        let closes = w.push(tup(MINUTES + 5)).unwrap();
-        assert_eq!(closes.len(), 1);
-        assert_eq!(closes[0].close, MINUTES);
-        assert_eq!(closes[0].rows.len(), 2);
-    }
-
-    #[test]
-    fn paper_example_2_sliding_window() {
-        // VISIBLE 5 minutes ADVANCE 1 minute: every minute, the last 5.
-        let mut w = time_buf(5 * MINUTES, MINUTES);
-        // One tuple per 30s for 7 minutes.
-        let mut all_closes = Vec::new();
-        for i in 0..14 {
-            let ts = i * 30_000_000 + 1; // +1 to sit strictly inside
-            all_closes.extend(w.push(tup(ts)).unwrap());
-        }
-        // Tuples reach 6.5 min: closes at 1..6 minutes = 6 windows.
-        assert_eq!(all_closes.len(), 6);
-        assert_eq!(all_closes[0].close, MINUTES);
-        // First window saw 2 tuples (0..1 min), third saw 6 (0..3 min).
-        assert_eq!(all_closes[0].rows.len(), 2);
-        assert_eq!(all_closes[2].rows.len(), 6);
-        // After 5 minutes the window is saturated at 10 tuples.
-        assert_eq!(all_closes[5].rows.len(), 10);
-    }
-
-    #[test]
-    fn sliding_window_evicts_expired() {
-        let mut w = time_buf(2 * MINUTES, MINUTES);
-        for i in 0..10 {
-            w.push(tup(i * MINUTES + 1)).unwrap();
-        }
-        // Buffer must hold at most ~2 minutes of data.
-        assert!(w.buffered() <= 3, "buffered = {}", w.buffered());
-    }
-
-    #[test]
-    fn heartbeat_closes_empty_windows() {
-        let mut w = time_buf(MINUTES, MINUTES);
-        w.push(tup(10)).unwrap();
-        let closes = w.advance_to(3 * MINUTES);
-        assert_eq!(closes.len(), 3);
-        assert_eq!(closes[0].rows.len(), 1);
-        assert!(closes[1].rows.is_empty(), "gap windows are empty");
-        assert!(closes[2].rows.is_empty());
-    }
-
-    #[test]
-    fn out_of_order_rejected() {
-        let mut w = time_buf(MINUTES, MINUTES);
-        w.push(tup(100)).unwrap();
-        assert!(w.push(tup(50)).is_err());
-        // Equal timestamps are fine (ties allowed).
-        w.push(tup(100)).unwrap();
-    }
-
-    #[test]
-    fn boundary_tuple_excluded_from_closing_window() {
-        let mut w = time_buf(MINUTES, MINUTES);
-        w.push(tup(10)).unwrap();
-        // Tuple exactly at the close boundary fires the window but is not
-        // inside it (half-open interval).
-        let closes = w.push(tup(MINUTES)).unwrap();
-        assert_eq!(closes.len(), 1);
-        assert_eq!(closes[0].rows.len(), 1);
-        let closes = w.advance_to(2 * MINUTES);
-        assert_eq!(closes[0].rows.len(), 1, "boundary tuple in next window");
-    }
-
-    #[test]
-    fn visible_not_multiple_of_advance_still_correct() {
-        // VISIBLE 90s ADVANCE 60s.
-        let mut w = time_buf(90 * 1_000_000, MINUTES);
-        let mut closes = Vec::new();
-        for i in 0..6 {
-            closes.extend(w.push(tup(i * 30_000_000 + 1)).unwrap());
-        }
-        closes.extend(w.advance_to(2 * MINUTES));
-        // close at 1min: [−30s, 60s) → tuples at 1, 30.000001s → 2 rows
-        // close at 2min: [30s, 120s) → tuples at 60..., 90..., and 30.000001 → 3 rows
-        assert_eq!(closes.len(), 2);
-        assert_eq!(closes[0].rows.len(), 2);
-        assert_eq!(closes[1].rows.len(), 3);
+    fn slices_buf(count: u64) -> WindowBuffer {
+        WindowBuffer::new(WindowSpec::Slices { count }, None).unwrap()
     }
 
     #[test]
     fn row_window_counts() {
-        let mut w = WindowBuffer::new(
-            WindowSpec::Rows {
-                visible: 3,
-                advance: 2,
-            },
-            Some(0),
-            false,
-        )
-        .unwrap();
-        let mut closes = Vec::new();
-        for i in 0..7 {
-            closes.extend(w.push(tup(i)).unwrap());
-        }
+        let mut w = row_buf(3, 2, Some(0));
+        let batch: Vec<Row> = (0..7).map(tup).collect();
+        // A heartbeat between batches closes nothing.
+        let mut closes = w.push(&batch[..3], None).unwrap();
+        closes.extend(w.push(&[], Some(100)).unwrap());
+        closes.extend(w.push(&batch[3..], Some(6)).unwrap());
         // Emits after rows 2, 4, 6 (every 2 rows).
         assert_eq!(closes.len(), 3);
         assert_eq!(closes[0].rows.len(), 2, "first window not yet full");
@@ -503,155 +205,69 @@ mod tests {
 
     #[test]
     fn slices_window_concatenates_batches() {
-        let mut w = WindowBuffer::new(WindowSpec::Slices { count: 2 }, None, true).unwrap();
-        assert!(w.push_batch(100, vec![row![1i64]]).is_empty());
-        let closes = w.push_batch(200, vec![row![2i64], row![3i64]]);
+        let mut w = slices_buf(2);
+        assert!(w.push(&[row![1i64]], Some(100)).unwrap().is_empty());
+        let closes = w.push(&[row![2i64], row![3i64]], Some(200)).unwrap();
         assert_eq!(closes.len(), 1);
         assert_eq!(closes[0].close, 200);
         assert_eq!(closes[0].rows.len(), 3);
         // Rolls forward: next batch drops the oldest.
-        let closes = w.push_batch(300, vec![row![4i64]]);
+        let closes = w.push(&[row![4i64]], Some(300)).unwrap();
         assert_eq!(closes[0].rows.len(), 3);
         assert_eq!(closes[0].rows[0], row![2i64]);
     }
 
     #[test]
     fn slices_one_window_passes_batches_through() {
-        let mut w = WindowBuffer::new(WindowSpec::Slices { count: 1 }, None, true).unwrap();
-        let closes = w.push_batch(100, vec![row![1i64]]);
+        let mut w = slices_buf(1);
+        let closes = w.push(&[row![1i64]], Some(100)).unwrap();
         assert_eq!(closes.len(), 1);
         assert_eq!(closes[0].rows, vec![row![1i64]]);
+        // An empty batch is still one upstream window.
+        let closes = w.push(&[], Some(200)).unwrap();
+        assert_eq!((closes[0].close, closes[0].rows.len()), (200, 0));
     }
 
     #[test]
     fn tuples_to_slices_buffer_rejected() {
-        let mut w = WindowBuffer::new(WindowSpec::Slices { count: 1 }, None, true).unwrap();
-        assert!(w.push(row![1i64]).is_err());
+        assert!(slices_buf(1).push(&[row![1i64]], None).is_err());
     }
 
     #[test]
-    fn resume_after_skips_old_windows() {
-        let mut w = time_buf(MINUTES, MINUTES);
-        w.resume_after(5 * MINUTES);
-        // A tuple at 5.5 minutes should NOT fire windows 1..5.
-        let closes = w.push(tup(5 * MINUTES + 30_000_000)).unwrap();
-        assert!(closes.is_empty());
-        let closes = w.advance_to(6 * MINUTES);
-        assert_eq!(closes.len(), 1);
-        assert_eq!(closes[0].close, 6 * MINUTES);
-    }
-
-    #[test]
-    fn push_batch_does_not_flip_tuple_window_inclusive() {
-        // Regression: push_batch used to set `inclusive = true` forever on
-        // a tuple-stream window. A boundary-stamped tuple arriving *after*
-        // a batch must still fall in the NEXT window (exclusive interval).
-        let mut w = time_buf(MINUTES, MINUTES);
-        w.push(tup(10)).unwrap();
-        // Interleave a batch: its rows are ordinary tuples here.
-        w.push_batch(30, vec![tup(20), tup(30)]);
-        // Tuple exactly at the boundary: fires the window, excluded from it.
-        let closes = w.push(tup(MINUTES)).unwrap();
-        assert_eq!(closes.len(), 1);
-        assert_eq!(
-            closes[0].rows.len(),
-            3,
-            "boundary tuple must not join the closing window"
-        );
-        let closes = w.advance_to(2 * MINUTES);
-        assert_eq!(
-            closes[0].rows.len(),
-            1,
-            "boundary tuple belongs to the next window"
-        );
-    }
-
-    #[test]
-    fn derived_window_is_inclusive_from_construction() {
-        // A derived-stream window is inclusive before any push_batch call:
-        // a batch stamped exactly at a close belongs to the closing window.
-        let mut w = derived_time_buf(MINUTES, MINUTES);
-        let closes = w.push_batch(MINUTES, vec![tup(MINUTES)]);
-        assert_eq!(closes.len(), 1);
-        assert_eq!(closes[0].close, MINUTES);
-        assert_eq!(
-            closes[0].rows.len(),
-            1,
-            "boundary-stamped batch row must be inside the closing window"
-        );
-    }
-
-    #[test]
-    fn resume_after_unaligned_watermark_realigns() {
-        // Regression: resume from a watermark that is not a multiple of
-        // ADVANCE (e.g. mid-window crash). The next close must round UP to
-        // the advance grid, not sit at watermark + advance.
-        let mut w = time_buf(MINUTES, MINUTES);
-        w.resume_after(5 * MINUTES + 30_000_000); // 5.5 min
-        w.push(tup(5 * MINUTES + 40_000_000)).unwrap();
-        let closes = w.advance_to(7 * MINUTES);
-        assert_eq!(closes.len(), 2);
-        assert_eq!(closes[0].close, 6 * MINUTES, "re-aligned to advance grid");
-        assert_eq!(closes[1].close, 7 * MINUTES);
+    fn time_windows_have_no_buffer() {
+        let spec = WindowSpec::Time {
+            visible: 2,
+            advance: 1,
+        };
+        assert!(WindowBuffer::new(spec, Some(0)).is_err());
+        assert!(WindowBuffer::new(WindowSpec::Unbounded, Some(0)).is_err());
     }
 
     #[test]
     fn row_window_negative_timestamps_not_masked() {
         // Regression: max_ts used to start at 0, so pre-epoch streams
         // reported close = 0 instead of the newest (negative) tuple time.
-        let mut w = WindowBuffer::new(
-            WindowSpec::Rows {
-                visible: 2,
-                advance: 2,
-            },
-            Some(0),
-            false,
-        )
-        .unwrap();
-        let mut closes = Vec::new();
-        closes.extend(w.push(tup(-500)).unwrap());
-        closes.extend(w.push(tup(-400)).unwrap());
+        let mut w = row_buf(2, 2, Some(0));
+        let closes = w.push(&[tup(-500), tup(-400)], None).unwrap();
         assert_eq!(closes.len(), 1);
         assert_eq!(closes[0].close, -400, "close is the newest tuple time");
     }
 
     #[test]
     fn row_window_without_cqtime_uses_running_count() {
-        let mut w = WindowBuffer::new(
-            WindowSpec::Rows {
-                visible: 2,
-                advance: 2,
-            },
-            None,
-            false,
-        )
-        .unwrap();
-        let mut closes = Vec::new();
-        for i in 0..6 {
-            closes.extend(w.push(row![i as i64]).unwrap());
-        }
+        let mut w = row_buf(2, 2, None);
+        let batch: Vec<Row> = (0..6).map(|i| row![i as i64]).collect();
+        let closes = w.push(&batch, None).unwrap();
         let seen: Vec<Timestamp> = closes.iter().map(|c| c.close).collect();
         assert_eq!(seen, vec![2, 4, 6], "running row count stands in for time");
     }
 
     #[test]
-    fn watermark_none_until_first_timestamp() {
-        let w = time_buf(MINUTES, MINUTES);
-        assert_eq!(w.watermark(), None, "sentinel must not leak as a time");
-        let mut w = time_buf(MINUTES, MINUTES);
-        w.push(tup(-42)).unwrap();
-        assert_eq!(w.watermark(), Some(-42), "negative watermark is real");
-    }
-
-    #[test]
-    fn negative_timestamps_align_correctly() {
-        let mut w = time_buf(MINUTES, MINUTES);
-        w.push(tup(-90_000_000)).unwrap(); // -1.5 min
-        let closes = w.advance_to(0);
-        // Window closing at -1min contains it; window at 0 does not.
-        assert_eq!(closes.len(), 2);
-        assert_eq!(closes[0].close, -MINUTES);
-        assert_eq!(closes[0].rows.len(), 1);
-        assert_eq!(closes[1].rows.len(), 0);
+    fn closes_align_to_the_advance_grid_on_either_side_of_zero() {
+        assert_eq!(align_next_close(0, 60), 60);
+        assert_eq!(align_next_close(59, 60), 60);
+        assert_eq!(align_next_close(60, 60), 120);
+        assert_eq!(align_next_close(-90, 60), -60);
+        assert_eq!(align_next_close(-60, 60), 0);
     }
 }

@@ -1,79 +1,137 @@
 //! Property-based tests for window semantics and ordering.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
-use streamrel_cq::{ReorderBuffer, WindowBuffer};
+use streamrel_cq::shared::Advanced;
+use streamrel_cq::{ReorderBuffer, SharedRegistry, WindowBuffer};
+use streamrel_ivm::{IvmProgram, IvmShape, StreamPrefix, WindowOutput};
+use streamrel_sql::plan::LogicalPlan;
 use streamrel_sql::WindowSpec;
-use streamrel_types::{Row, Value};
+use streamrel_types::{Column, DataType, Row, Schema, Value};
 
 fn tup(ts: i64) -> Row {
     vec![Value::Timestamp(ts), Value::Int(ts)]
 }
 
-proptest! {
-    /// RSTREAM coverage: with VISIBLE = k * ADVANCE, every tuple appears
-    /// in exactly k consecutive windows once the stream has fully passed
-    /// it (the defining invariant of Figure 1's sequence-of-tables).
-    #[test]
-    fn every_tuple_in_exactly_k_windows(
-        k in 1i64..5,
-        advance in 1_000i64..100_000,
-        mut offsets in prop::collection::vec(0i64..1_000_000, 1..80),
-    ) {
-        offsets.sort_unstable();
-        let visible = k * advance;
-        let mut w = WindowBuffer::new(
-            WindowSpec::Time { visible, advance },
-            Some(0),
-            false,
-        ).unwrap();
-        let mut appearances = std::collections::HashMap::new();
-        let mut closes = Vec::new();
-        for (i, off) in offsets.iter().enumerate() {
-            // Make timestamps unique so counting is unambiguous.
-            let ts = *off * 128 + i as i64;
-            closes.extend(w.push(tup(ts)).unwrap());
-            appearances.insert(ts, 0u32);
-        }
-        let max_ts = offsets.last().unwrap() * 128 + offsets.len() as i64;
-        // Flush far enough that every tuple's k windows have closed.
-        closes.extend(w.advance_to(max_ts + visible + advance));
-        for cw in &closes {
-            for row in &cw.rows {
-                let ts = row[0].as_timestamp().unwrap();
-                *appearances.get_mut(&ts).unwrap() += 1;
-            }
-        }
-        for (ts, n) in appearances {
-            prop_assert_eq!(n, k as u32, "tuple at {} seen in {} windows, want {}", ts, n, k);
-        }
-        // Window closes are strictly increasing by exactly `advance`.
-        for pair in closes.windows(2) {
-            prop_assert_eq!(pair[1].close - pair[0].close, advance);
-        }
+/// A raw-rows slice store with one `<VISIBLE visible ADVANCE advance>`
+/// member: where every re-evaluated time window's tuples live.
+fn rows_store(visible: i64, advance: i64, derived: bool) -> IvmProgram {
+    let cols = vec![
+        Column::not_null("ts", DataType::Timestamp),
+        Column::new("v", DataType::Int),
+    ];
+    IvmProgram {
+        shape: IvmShape::Rows {
+            prefix: StreamPrefix {
+                stream: "s".into(),
+                input_schema: Arc::new(Schema::new(cols).unwrap()),
+                cqtime: 0,
+                derived,
+                ops: Vec::new(),
+            },
+        },
+        post_plan: LogicalPlan::OneRow,
+        visible,
+        advance,
     }
+}
 
-    /// Tumbling windows partition the stream: every tuple in exactly one
-    /// window, and window contents are disjoint and time-contiguous.
-    #[test]
-    fn tumbling_partitions(
-        advance in 1_000i64..50_000,
-        mut offsets in prop::collection::vec(0i64..500_000, 1..60),
-    ) {
-        offsets.sort_unstable();
-        offsets.dedup();
-        let mut w = WindowBuffer::new(WindowSpec::tumbling(advance), Some(0), false).unwrap();
-        let mut closes = Vec::new();
-        for off in &offsets {
-            closes.extend(w.push(tup(*off)).unwrap());
+/// The brute-force reference: keep every row, walk the advance grid from
+/// the first close the window owes, filter per close. A base stream's
+/// window is `[lo, close)` and its tuple passes the closes at or before
+/// it; a derived stream's batch is stamped at its close and belongs to the
+/// window closing there — `(lo, close]`.
+#[derive(Default)]
+struct Reference {
+    seen: Vec<i64>,
+    next_close: Option<i64>,
+}
+
+impl Reference {
+    fn feed(
+        &mut self,
+        w: (i64, i64, bool),
+        batch: &[i64],
+        bound: Option<i64>,
+    ) -> Vec<(i64, Vec<i64>)> {
+        let (visible, advance, derived) = w;
+        let late = i64::from(derived);
+        if let (None, Some(first)) = (self.next_close, batch.first()) {
+            self.next_close = Some((first - late).div_euclid(advance) * advance + advance);
         }
-        closes.extend(w.advance_to(offsets.last().unwrap() + 2 * advance));
-        let emitted: usize = closes.iter().map(|c| c.rows.len()).sum();
-        prop_assert_eq!(emitted, offsets.len());
-        for cw in &closes {
-            for row in &cw.rows {
-                let ts = row[0].as_timestamp().unwrap();
-                prop_assert!(ts >= cw.close - advance && ts < cw.close);
+        self.seen.extend(batch);
+        let upto = batch.last().map(|ts| ts - late).max(bound);
+        let mut out = Vec::new();
+        while let Some(close) = self.next_close.filter(|c| Some(*c) <= upto) {
+            let lo = close - visible;
+            let inside = |ts: &&i64| match derived {
+                false => lo <= **ts && **ts < close,
+                true => lo < **ts && **ts <= close,
+            };
+            out.push((close, self.seen.iter().filter(inside).copied().collect()));
+            self.next_close = Some(close + advance);
+        }
+        out
+    }
+}
+
+proptest! {
+    /// A time window over a raw-rows store emits exactly what the
+    /// reference does — the same closes, each with the same rows in the
+    /// same order — whatever the window, the timestamps (ties and
+    /// boundary hits included), the batch cuts, the heartbeats, the resume
+    /// point and the stream's interval convention. RSTREAM coverage (each
+    /// tuple in exactly VISIBLE ÷ ADVANCE windows when that divides) and
+    /// tumbling windows partitioning the stream follow from the filter.
+    #[test]
+    fn rows_store_member_matches_brute_force(
+        visible in 1i64..40,
+        advance in 1i64..40,
+        derived in any::<bool>(),
+        resume in prop::option::of(0i64..120),
+        // (time step, kind): 0..=5 a tuple, 6 a tuple ending its batch,
+        // 7 a heartbeat ending it.
+        events in prop::collection::vec((0i64..25, 0u8..8), 1..80),
+    ) {
+        let mut stores = SharedRegistry::default();
+        let (slot, _) = stores.join(&rows_store(visible, advance, derived), true);
+        let mut reference = Reference::default();
+        if let Some(watermark) = resume {
+            let next = stores.resume_after(slot, watermark);
+            reference.next_close = Some(watermark.div_euclid(advance) * advance + advance);
+            prop_assert_eq!(next, reference.next_close);
+        }
+        let (mut now, mut batch) = (resume.unwrap_or(0), Vec::new());
+        for (i, (step, kind)) in events.iter().enumerate() {
+            now += step;
+            if *kind < 7 {
+                batch.push(now);
             }
+            if *kind < 6 && i + 1 < events.len() {
+                continue;
+            }
+            // A derived stream's batch always carries its close.
+            let bound = (derived || *kind == 7).then_some(now);
+            let rows: Vec<Row> = batch.iter().map(|ts| tup(*ts)).collect();
+            let mut advanced = Advanced::default();
+            stores.advance(&rows, bound, &mut advanced).unwrap();
+            let got: Vec<(i64, Vec<i64>)> = advanced
+                .closed
+                .remove(&slot)
+                .unwrap_or_default()
+                .into_iter()
+                .map(|(close, window)| {
+                    let WindowOutput::Ready(rel) = window else {
+                        panic!("raw rows need no table");
+                    };
+                    let ts = rel.rows().iter().map(|r| r[0].as_timestamp().unwrap());
+                    (close, ts.collect())
+                })
+                .collect();
+            let want = reference.feed((visible, advance, derived), &batch, bound);
+            prop_assert_eq!(got, want, "batch {:?} bound {:?}", batch, bound);
+            batch.clear();
         }
     }
 
@@ -84,14 +142,10 @@ proptest! {
         advance in 1u64..20,
         n in 1usize..200,
     ) {
-        let mut w = WindowBuffer::new(
-            WindowSpec::Rows { visible, advance },
-            Some(0),
-            false,
-        ).unwrap();
+        let mut w = WindowBuffer::new(WindowSpec::Rows { visible, advance }, Some(0)).unwrap();
         let mut emitted = 0usize;
         for i in 0..n {
-            let closes = w.push(tup(i as i64)).unwrap();
+            let closes = w.push(&[tup(i as i64)], None).unwrap();
             for c in &closes {
                 prop_assert!(c.rows.len() as u64 <= visible);
                 emitted += 1;

@@ -16,11 +16,14 @@
 //!   *post-plan* that runs over the maintained operator output at window
 //!   close. Plans it cannot express fall back to per-window
 //!   re-evaluation, each with a stable reason string surfaced by
-//!   `EXPLAIN CHECK`.
+//!   `EXPLAIN CHECK`; re-evaluation runs on the same store, with the raw
+//!   rows as the slice payload and the whole plan as the post-plan
+//!   ([`rows_program`]).
 //! - [`IvmState`] is the slice store: per-slice accumulator partials in
 //!   first-seen key order — group keys, (join key, group key) pairs or
 //!   DISTINCT rows — folded once per tuple behind an incremental
-//!   filter/project prefix. Window close composes the covered slices — a
+//!   filter/project prefix, or, for a plan that is not maintained, the
+//!   slice's raw rows. Window close composes the covered slices — a
 //!   near-O(delta) merge — for whichever window asks: the store's own, or
 //!   any member window of the pool `streamrel-cq`'s membership layer
 //!   builds over it.
@@ -38,7 +41,7 @@ pub mod lower;
 pub mod state;
 
 pub use lower::{
-    lower, lower_with, AggShape, IvmProgram, IvmShape, JoinShape, Lowering, RowOp, StreamPrefix,
-    IVM_INPUT,
+    lower, lower_with, rows_program, AggShape, IvmProgram, IvmShape, JoinShape, Lowering, RowOp,
+    StreamPrefix, IVM_INPUT,
 };
 pub use state::{gcd, IvmState, JoinDelta, WindowOutput, WindowView};

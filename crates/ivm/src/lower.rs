@@ -1,5 +1,6 @@
 //! The IVM planner pass: lowering a bound continuous plan to an
-//! incremental program, or reporting why it must re-evaluate.
+//! incremental program, or reporting why it must re-evaluate — on the
+//! same slice store, with the raw rows as payload ([`rows_program`]).
 //!
 //! A plan lowers when it has exactly one *anchor* — an `Aggregate` or a
 //! `Distinct` — whose input is maintainable per tuple: a filter/project
@@ -49,6 +50,10 @@ pub struct StreamPrefix {
     /// CQTIME column position in the *stream* row (ops may project it
     /// away; the timestamp is read before the chain runs).
     pub cqtime: usize,
+    /// The stream is a derived one, whose batches are stamped at their
+    /// close: a window over it is `(lo, close]`, which the store gets by
+    /// slicing each tuple one tick early ([`crate::IvmState::slice_time`]).
+    pub derived: bool,
     /// Filter/project chain, in application order.
     pub ops: Vec<RowOp>,
 }
@@ -105,6 +110,10 @@ pub enum IvmShape {
         /// Anchor output schema (= its input schema).
         schema: SchemaRef,
     },
+    /// Nothing maintained: each slice keeps its raw rows in arrival order
+    /// and the whole plan runs over their concatenation at every close —
+    /// re-evaluation, the zeroth-order delta. The prefix has no ops.
+    Rows { prefix: StreamPrefix },
 }
 
 impl IvmShape {
@@ -113,15 +122,16 @@ impl IvmShape {
         match self {
             IvmShape::Agg { prefix, .. }
             | IvmShape::JoinAgg { prefix, .. }
-            | IvmShape::Distinct { prefix, .. } => prefix,
+            | IvmShape::Distinct { prefix, .. }
+            | IvmShape::Rows { prefix } => prefix,
         }
     }
 
-    /// The aggregates kept per key (none for DISTINCT).
+    /// The aggregates kept per key (none for DISTINCT and raw rows).
     pub fn aggs(&self) -> &[AggSpec] {
         match self {
             IvmShape::Agg { agg, .. } | IvmShape::JoinAgg { agg, .. } => &agg.aggs,
-            IvmShape::Distinct { .. } => &[],
+            IvmShape::Distinct { .. } | IvmShape::Rows { .. } => &[],
         }
     }
 
@@ -130,6 +140,7 @@ impl IvmShape {
         match self {
             IvmShape::Agg { agg, .. } | IvmShape::JoinAgg { agg, .. } => &agg.schema,
             IvmShape::Distinct { schema, .. } => schema,
+            IvmShape::Rows { prefix } => &prefix.input_schema,
         }
     }
 
@@ -149,6 +160,7 @@ impl IvmShape {
                 agg.aggs
             ),
             IvmShape::Distinct { .. } => "distinct".to_string(),
+            IvmShape::Rows { .. } => "rows".to_string(),
         };
         // The composed relation carries the store's anchor schema, so two
         // CQs that alias the anchor columns differently must not pool.
@@ -215,10 +227,33 @@ pub fn lower_with(plan: &LogicalPlan, pooled: bool) -> Lowering {
     }
 }
 
+/// The program of a plan that is *not* maintained: its time window's raw
+/// rows are the slice payload ([`IvmShape::Rows`]) and the post-plan is the
+/// whole plan, still bound to the stream's own name. `None` when the plan
+/// scans no time window with a CQTIME to slice on — ROWS and SLICES windows
+/// count tuples and batches, not time.
+pub fn rows_program(plan: &LogicalPlan) -> Option<Box<IvmProgram>> {
+    let mut scan = None;
+    plan.visit(&mut |p| {
+        if matches!(p, LogicalPlan::StreamScan { .. }) {
+            scan = Some(p);
+        }
+    });
+    // The scan alone is a chain of no ops.
+    let (prefix, WindowSpec::Time { visible, advance }) = parse_stream_chain(scan?).ok()? else {
+        return None;
+    };
+    Some(Box::new(IvmProgram {
+        shape: IvmShape::Rows { prefix },
+        post_plan: plan.clone(),
+        visible,
+        advance,
+    }))
+}
+
 const REASON_NO_ANCHOR: &str = "no aggregate or distinct anchor to maintain incrementally";
 const REASON_TWO_ANCHORS: &str = "more than one incremental anchor";
 const REASON_WINDOW: &str = "only time windows lower to slices";
-const REASON_DERIVED: &str = "derived-stream source arrives as whole result batches";
 const REASON_NO_CQTIME: &str = "stream has no CQTIME column to slice on";
 const REASON_CQ_CLOSE: &str = "cq_close(*) below the anchor is unknown at slice time";
 const REASON_FLOAT_AGG: &str = "float sum/avg slice merge is not order-exact";
@@ -359,9 +394,6 @@ fn parse_stream_chain(plan: &LogicalPlan) -> Result<(StreamPrefix, WindowSpec), 
                 cqtime,
                 derived,
             } => {
-                if *derived {
-                    return Err(REASON_DERIVED);
-                }
                 let WindowSpec::Time { .. } = window else {
                     return Err(REASON_WINDOW);
                 };
@@ -374,6 +406,7 @@ fn parse_stream_chain(plan: &LogicalPlan) -> Result<(StreamPrefix, WindowSpec), 
                         stream: stream.clone(),
                         input_schema: schema.clone(),
                         cqtime,
+                        derived: *derived,
                         ops: ops_rev,
                     },
                     *window,
@@ -840,7 +873,7 @@ mod tests {
     }
 
     #[test]
-    fn derived_stream_falls_back() {
+    fn derived_stream_lowers_and_carries_its_convention() {
         let plan = count_plan(LogicalPlan::StreamScan {
             stream: "hits_1m".into(),
             schema: stream_schema(),
@@ -848,6 +881,28 @@ mod tests {
             cqtime: Some(1),
             derived: true,
         });
-        assert_eq!(fallback_reason(&plan), Some(REASON_DERIVED));
+        let Lowering::Lowered(p) = lower(&plan) else {
+            panic!("expected lowered: {:?}", fallback_reason(&plan));
+        };
+        assert!(p.shape.prefix().derived);
+    }
+
+    #[test]
+    fn rows_program_keeps_the_whole_plan_over_the_streams_own_name() {
+        let plan = LogicalPlan::Filter {
+            input: Box::new(scan(time_window())),
+            predicate: BoundExpr::Literal(Value::Bool(true)),
+        };
+        let p = rows_program(&plan).expect("a time window slices");
+        assert!(matches!(&p.shape, IvmShape::Rows { prefix } if prefix.ops.is_empty()));
+        assert_eq!((p.visible, p.advance), (2 * MINUTES, MINUTES));
+        assert_eq!(p.post_plan.stream_scans()[0].0, "url_stream");
+        assert!(p.shape.aggs().is_empty());
+        // Count windows have no time grid to slice on.
+        let rows = scan(WindowSpec::Rows {
+            visible: 10,
+            advance: 5,
+        });
+        assert!(rows_program(&rows).is_none());
     }
 }

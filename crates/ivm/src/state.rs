@@ -6,7 +6,10 @@
 //! is the group key (aggregates), the join key followed by the group key
 //! (stream-table join aggregates), or the whole row with no accumulators
 //! (DISTINCT). N windows over one store cost one fold per tuple, the
-//! paper's "Jellybean processing" (§2.2).
+//! paper's "Jellybean processing" (§2.2). A plan that is not maintained
+//! ([`IvmShape::Rows`]) keeps each slice's raw rows instead and
+//! re-evaluates over their concatenation: N such windows buffer a tuple
+//! once.
 //!
 //! What a close costs. A sliding member keeps its *running window view*
 //! ([`WindowView`]) and [`IvmState::close_window`] slides it: add the
@@ -243,6 +246,8 @@ struct Slice {
     index: HashMap<Arc<[Value]>, u32>,
     /// `(key, partials)` in first-seen order.
     entries: Vec<(Arc<[Value]>, Vec<Accumulator>)>,
+    /// The raw rows, in arrival order ([`IvmShape::Rows`] stores only).
+    rows: Vec<Row>,
 }
 
 /// One key of a [`WindowView`], over the live slices that hold it.
@@ -264,6 +269,14 @@ pub struct WindowView {
     keys: HashMap<Arc<[Value]>, Live>,
     /// The close the view last emitted; it carries to `closed + ADVANCE`.
     closed: Option<Timestamp>,
+}
+
+impl WindowView {
+    /// The close the view last emitted: every slice below it is in the
+    /// view, or was, and must not change under it.
+    pub fn closed(&self) -> Option<Timestamp> {
+        self.closed
+    }
 }
 
 /// Slice width for one window: the grid on which both its VISIBLE and its
@@ -296,7 +309,8 @@ const ACC_BYTES: usize = 64;
 /// multiples of its slice width.
 pub struct IvmState {
     shape: IvmShape,
-    /// Every aggregate has an exact inverse: sliding members keep views.
+    /// Every aggregate has an exact inverse: sliding members keep views
+    /// (raw rows have no keys to keep a view over).
     invertible: bool,
     width: i64,
     visible: i64,
@@ -323,7 +337,8 @@ impl IvmState {
     /// sets it with [`IvmState::reslice`] before the first tuple.
     pub fn for_shape(shape: IvmShape) -> IvmState {
         IvmState {
-            invertible: shape.aggs().iter().all(Accumulator::has_inverse),
+            invertible: !matches!(shape, IvmShape::Rows { .. })
+                && shape.aggs().iter().all(Accumulator::has_inverse),
             shape,
             width: 0,
             visible: 0,
@@ -384,24 +399,43 @@ impl IvmState {
         Ok(())
     }
 
+    /// The time a tuple is sliced at: its CQTIME — one tick earlier over a
+    /// derived stream, whose batches are stamped *at* their close, so that
+    /// a window `(lo, close]` there is `[lo, close)` here. The only place
+    /// that convention lives: slices, close cursors and eviction are
+    /// `[lo, close)` throughout.
+    pub fn slice_time(&self, row: &Row) -> Result<Timestamp> {
+        let prefix = self.shape.prefix();
+        let ts = row
+            .get(prefix.cqtime)
+            .ok_or_else(|| Error::stream("row too short for CQTIME"))?
+            .as_timestamp()?;
+        Ok(ts.saturating_sub(i64::from(prefix.derived)))
+    }
+
     /// Fold one stream tuple into its slice — once, however many windows
     /// the store serves. The caller guarantees CQTIME order (the reorder
     /// buffer sits upstream).
     pub fn on_tuple(&mut self, row: &Row) -> Result<()> {
         debug_assert!(self.width > 0, "slice grid not fixed");
         let ectx = EvalContext::default();
-        let prefix = self.shape.prefix();
-        let ts = row
-            .get(prefix.cqtime)
-            .ok_or_else(|| Error::stream("row too short for CQTIME"))?
-            .as_timestamp()?;
-        let Some(folded) = apply_ops(&prefix.ops, row, &ectx)? else {
-            return Ok(());
-        };
+        let ts = self.slice_time(row)?;
+        let slice_start = ts.div_euclid(self.width) * self.width;
         let (join_key, group_key): (&[BoundExpr], &[BoundExpr]) = match &self.shape {
             IvmShape::Agg { agg, .. } => (&[], &agg.group_exprs),
             IvmShape::JoinAgg { join, agg, .. } => (&join.left_key, &agg.group_exprs),
             IvmShape::Distinct { .. } => (&[], &[]),
+            IvmShape::Rows { .. } => {
+                let slice = self.slices.entry(slice_start).or_default();
+                let grew = key_bytes(row);
+                slice.bytes += grew;
+                self.bytes += grew;
+                slice.rows.push(row.clone());
+                return Ok(());
+            }
+        };
+        let Some(folded) = apply_ops(&self.shape.prefix().ops, row, &ectx)? else {
+            return Ok(());
         };
         // Built in a reused buffer: only a key new to its slice allocates.
         let mut key = std::mem::take(&mut self.key);
@@ -418,7 +452,6 @@ impl IvmState {
             return Ok(());
         }
         let aggs = self.shape.aggs();
-        let slice_start = ts.div_euclid(self.width) * self.width;
         let slice = self.slices.entry(slice_start).or_default();
         let pos = match slice.index.get(&key[..]) {
             Some(pos) => *pos as usize,
@@ -454,8 +487,16 @@ impl IvmState {
     /// Compose the anchor output for the window `[lo, close)` by merging
     /// the slices it covers; both bounds must lie on the slice grid.
     pub fn compose(&self, lo: Timestamp, close: Timestamp) -> Result<WindowOutput> {
+        let covered = self.slices.range(lo..close).map(|(_, s)| s);
+        if let IvmShape::Rows { prefix } = &self.shape {
+            // Slices in time order, rows in arrival order: the stream's
+            // ordering rule makes that the arrival order of the window.
+            let rows = covered.flat_map(|s| s.rows.iter().cloned()).collect();
+            let rel = Relation::new(prefix.input_schema.clone(), rows);
+            return Ok(WindowOutput::Ready(rel));
+        }
         let mut merged = Merged::default();
-        for slice in self.slices.range(lo..close).map(|(_, s)| s) {
+        for slice in covered {
             for (key, partial) in &slice.entries {
                 merged.add(key, Cow::Borrowed(partial))?;
             }
@@ -487,8 +528,9 @@ impl IvmState {
                         .collect::<Result<_>>()?,
                 }))
             }
-            IvmShape::Distinct { schema, .. } => {
-                let mut rel = Relation::empty(schema.clone());
+            // A `Rows` store keeps no keys: `compose` concatenates its rows.
+            IvmShape::Distinct { .. } | IvmShape::Rows { .. } => {
+                let mut rel = Relation::empty(self.shape.schema().clone());
                 for (row, _) in entries {
                     rel.push(row.to_vec());
                 }
@@ -672,6 +714,7 @@ mod tests {
             stream: "url_stream".into(),
             input_schema: stream_schema(),
             cqtime: 1,
+            derived: false,
             ops,
         }
     }
@@ -800,6 +843,60 @@ mod tests {
         s.on_tuple(&tup("/a", MINUTES + 5)).unwrap();
         let rel = ready(s.window_result(2 * MINUTES).unwrap());
         assert_eq!(rel.rows(), &[row!["/a"], row!["/b"]]);
+    }
+
+    fn rows_state(derived: bool, visible: i64, advance: i64) -> IvmState {
+        let mut prefix = prefix(vec![]);
+        prefix.derived = derived;
+        IvmState::new(&program(IvmShape::Rows { prefix }, visible, advance))
+    }
+
+    #[test]
+    fn rows_store_concatenates_its_slices_in_arrival_order() {
+        let mut s = rows_state(false, 2 * MINUTES, MINUTES);
+        let arrived = [
+            tup("/b", 10),
+            tup("/a", 20),
+            tup("/a", 20),
+            tup("/c", MINUTES),
+            tup("/b", 2 * MINUTES),
+        ];
+        for t in &arrived {
+            s.on_tuple(t).unwrap();
+        }
+        // No keys, no dedupe: the window is its rows, boundary excluded.
+        let rel = ready(s.window_result(2 * MINUTES).unwrap());
+        assert_eq!(rel.rows(), &arrived[..4]);
+        assert_eq!(**rel.schema(), *stream_schema());
+        // Buffered rows are state like any other — and neither a fold nor
+        // a merge of maintained partials.
+        assert_eq!(s.delta_rows(), 0);
+        let held = s.state_bytes();
+        assert_eq!(held, arrived.iter().map(|r| key_bytes(r)).sum::<usize>());
+        let mut view = None;
+        let closed = s
+            .close_window(&mut view, 2 * MINUTES, MINUTES, 2 * MINUTES)
+            .unwrap();
+        assert_eq!(ready(closed).rows(), &arrived[..4]);
+        assert!(view.is_none(), "raw rows keep no view");
+        assert_eq!(s.merges(), 0);
+        s.evict(MINUTES);
+        assert_eq!(s.slice_count(), 2);
+        assert!(s.state_bytes() < held);
+    }
+
+    #[test]
+    fn a_derived_tuple_is_sliced_one_tick_early() {
+        // Batches are stamped at their close: the one at 1 min belongs to
+        // the window closing there, the one just after it to the next.
+        let mut s = rows_state(true, MINUTES, MINUTES);
+        s.on_tuple(&tup("/a", MINUTES)).unwrap();
+        s.on_tuple(&tup("/b", MINUTES + 1)).unwrap();
+        assert_eq!(s.slice_time(&tup("/a", MINUTES)).unwrap(), MINUTES - 1);
+        let rel = ready(s.window_result(MINUTES).unwrap());
+        assert_eq!(rel.rows(), &[tup("/a", MINUTES)]);
+        let rel = ready(s.window_result(2 * MINUTES).unwrap());
+        assert_eq!(rel.rows(), &[tup("/b", MINUTES + 1)]);
     }
 
     fn join_state() -> IvmState {

@@ -129,6 +129,69 @@ fn concurrent_subscribers_see_identical_streams() {
     assert_eq!(results[0][0].1, 1000);
 }
 
+/// Conservation through a failing cascade: every window a subscription's
+/// CQ closed was polled from its queue or shed by it — `sent + shed + lost
+/// == closed` with nothing lost — although a CQ over the derived stream
+/// fails at every close, while one thread ingests and another polls.
+/// (A cascade's error used to abandon the windows queued behind it.)
+#[test]
+fn a_failing_cascade_conserves_every_subscriptions_windows() {
+    parking_lot::witness::enable();
+    let db = Db::in_memory(DbOptions::default().with_sub_queue(8));
+    db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
+        .unwrap();
+    db.execute("CREATE STREAM d1 AS SELECT count(*) c, cq_close(*) w FROM s <TUMBLING '1 second'>")
+        .unwrap();
+    let subscribe = |cq: &str| db.execute(cq).unwrap().subscription();
+    // Both healthy CQs close one window per window of `d1`. `parked`
+    // reads `d1` ahead of the doomed CQ and is never drained: it sheds
+    // past its eight slots. `polled` reads `s` and is registered last, so
+    // its window is evaluated with `d1`'s and still queued behind it when
+    // the cascade fails; it is drained as it fills.
+    let parked = subscribe("SELECT c FROM d1 <SLICES 1 WINDOWS>");
+    let doomed = subscribe("SELECT 1 / (c - c) r FROM d1 <SLICES 1 WINDOWS>");
+    let polled = subscribe("SELECT count(*) c FROM s <TUMBLING '1 second'>");
+
+    let done = AtomicBool::new(false);
+    let sent = std::thread::scope(|scope| {
+        let poller = scope.spawn(|| {
+            let mut closes = Vec::new();
+            while !done.load(Ordering::SeqCst) {
+                closes.extend(db.poll(polled).unwrap().iter().map(|o| o.close));
+                std::thread::yield_now();
+            }
+            closes.extend(db.poll(polled).unwrap().iter().map(|o| o.close));
+            closes
+        });
+        // 100 tuples per second of event time; the ones that close a
+        // window of `d1` surface the doomed CQ's error.
+        for i in 0..3_000i64 {
+            if let Err(e) = db.ingest("s", vec![Value::Int(1), Value::Timestamp(i * 10_000)]) {
+                assert!(e.to_string().contains("division by zero"), "{e}");
+            }
+        }
+        db.heartbeat("s", 30_000_000).unwrap_err();
+        done.store(true, Ordering::SeqCst);
+        poller.join().unwrap()
+    });
+
+    let closed = db.derived_cq_stats("d1").unwrap().windows_out;
+    assert_eq!(closed, 30);
+    // `parked` kept its newest eight; whether the poller kept up with
+    // `polled` is the scheduler's business — what it missed was shed, in
+    // order, and counted.
+    let kept = db.poll(parked).unwrap().len() as u64;
+    assert_eq!(kept, 8);
+    assert!(sent.windows(2).all(|w| w[0] < w[1]), "{sent:?}");
+    assert_eq!(sent.last(), Some(&30_000_000));
+    let shed = db.stats().sub_drops;
+    assert!(shed >= closed - kept, "parked shed {shed}");
+    assert_eq!(sent.len() as u64 + kept + shed, 2 * closed, "sent + shed");
+    assert!(db.poll(doomed).unwrap().is_empty());
+    // Engine-wide: `d1`'s windows fed its stream, the rest reached a queue.
+    assert_eq!(db.stats().windows_out, 3 * closed);
+}
+
 /// Store membership churns under ingest: while one thread feeds the
 /// stream, another keeps subscribing and unsubscribing CQs of one shape —
 /// a window the live pooled store's grid takes (joins it) and one it

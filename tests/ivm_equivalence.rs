@@ -14,6 +14,9 @@
 //!   asserting which path the plan takes;
 //! * a property test sweeping randomized workloads through both
 //!   configurations;
+//! * a cascade: aggregates over a *derived* stream (which lower like any
+//!   other) and a non-aggregate CQ (a member of a raw-rows store), with
+//!   heartbeat-only upstream windows and a late joiner;
 //! * the crash-recovery torture harness's IVM sweep: a sliding window
 //!   crashed at every mutating I/O op (including mid-slice), recovered,
 //!   re-driven, and required to match the uncrashed reference.
@@ -356,6 +359,153 @@ proptest! {
         let reeval = schedule(ivm_off(), &events);
         for (i, (got, want)) in viewed.iter().zip(&reeval).enumerate() {
             prop_assert_eq!(got, want, "subscription {} diverges", i);
+        }
+    }
+}
+
+// ---- cascade: a derived stream is a stream -----------------------------------
+
+/// Per-second per-URL totals: the derived stream the cascade reads.
+const PER_SEC: &str = "CREATE STREAM per_sec AS SELECT url, count(*) c, sum(v) s, cq_close(*) w \
+     FROM hits <TUMBLING '1 second'> GROUP BY url";
+
+/// (CQ, `EXPLAIN CHECK` path, VISIBLE): a sliding and a tumbling aggregate
+/// over the derived stream — they lower like any other; the upstream's
+/// window output *is* their delta batch — a non-aggregate plan over it and
+/// one over the base stream, which re-evaluate over raw-rows stores.
+const CASCADE: &[(&str, &str, i64)] = &[
+    (
+        "SELECT url, sum(c) n, max(s) hi, count(*) k FROM per_sec \
+         <VISIBLE '4 seconds' ADVANCE '1 second'> GROUP BY url",
+        "ivm",
+        4,
+    ),
+    (
+        "SELECT count(*) k, sum(c) n, min(s) lo FROM per_sec <TUMBLING '3 seconds'>",
+        "ivm",
+        3,
+    ),
+    (
+        "SELECT url, c, w FROM per_sec <VISIBLE '2 seconds' ADVANCE '1 second'> WHERE c > 1",
+        "reeval",
+        2,
+    ),
+    (
+        "SELECT url, v FROM hits <VISIBLE '3 seconds' ADVANCE '1 second'> WHERE v > 0",
+        "reeval",
+        3,
+    ),
+];
+
+/// Drive the cascade over `events` — `(kind, key, v, gap)` as in
+/// [`schedule`]: kind 0 jumps past every window (so whole runs of upstream
+/// windows are heartbeat-only), kind 1 is a heartbeat — registering a
+/// second copy of every CQ a third of the way in. Returns each
+/// subscription's windows, a late joiner's from the first window that
+/// starts after it joined, and the database.
+fn cascade(opts: DbOptions, events: &[(u8, u8, i64, i64)]) -> (Vec<String>, Db) {
+    let db = db_with(opts);
+    db.execute(PER_SEC).unwrap();
+    let subscribe = || -> Vec<_> {
+        let subs = CASCADE.iter().map(|(cq, ..)| db.execute(cq).unwrap());
+        subs.map(|r| r.subscription()).collect()
+    };
+    let mut subs = subscribe();
+    let (mut ts, mut joined_at) = (0i64, 0i64);
+    for (i, (kind, key, v, gap)) in events.iter().enumerate() {
+        if i == events.len() / 3 {
+            subs.extend(subscribe());
+            joined_at = ts;
+        }
+        ts += gap * SECONDS / 4 * if *kind == 0 { 25 } else { 1 };
+        if *kind == 1 {
+            db.heartbeat("hits", ts).unwrap();
+            continue;
+        }
+        let row = vec![
+            Value::text(format!("/u{}", key % 3)),
+            Value::Int(*v),
+            Value::Timestamp(ts),
+        ];
+        db.ingest("hits", row).unwrap();
+    }
+    db.heartbeat("hits", ts + MINUTES).unwrap();
+    let outs = subs.iter().enumerate().map(|(i, sub)| {
+        let visible = CASCADE[i % CASCADE.len()].2 * SECONDS;
+        let from = if i < CASCADE.len() {
+            0
+        } else {
+            joined_at + visible + 1
+        };
+        let mut out = String::new();
+        for o in db.poll(*sub).unwrap().iter().filter(|o| o.close >= from) {
+            out.push_str(&format!("close={} {:?}\n", o.close, o.relation.rows()));
+        }
+        out
+    });
+    (outs.collect(), db)
+}
+
+#[test]
+fn a_cascade_lowers_over_its_derived_stream_and_matches_reeval() {
+    let db = db_with(ivm_on());
+    db.execute(PER_SEC).unwrap();
+    for (cq, path, _) in CASCADE {
+        assert_eq!(explain_path(&db, cq), *path, "{cq}");
+    }
+    // Irregular quarter-second steps, a heartbeat every ninth event and
+    // two jumps that leave a dozen upstream windows heartbeat-only.
+    let events: Vec<(u8, u8, i64, i64)> = (0..400i64)
+        .map(|i| {
+            let kind = match i {
+                _ if i % 131 == 77 => 0,
+                _ if i % 9 == 4 => 1,
+                _ => 2,
+            };
+            (kind, (i * 7 % 5) as u8, (i * 31) % 23 - 9, (i * 7919) % 4)
+        })
+        .collect();
+    let (reeval, reference) = cascade(ivm_off(), &events);
+    assert!(
+        reeval.iter().all(|out| out.lines().count() > 20),
+        "{reeval:?}"
+    );
+    assert!(
+        reeval[1].contains("[Int(0), Null, Null]"),
+        "an empty window"
+    );
+    for opts in [
+        DbOptions::default(),
+        ivm_on(),
+        DbOptions::default().without_ivm(),
+    ] {
+        let (got, db) = cascade(opts, &events);
+        for (i, (got, want)) in got.iter().zip(&reeval).enumerate() {
+            assert_eq!(got, want, "subscription {i} diverges under {opts:?}");
+        }
+        // The upstream and both copies of the two aggregates over it are
+        // maintained; both copies of the other two are not.
+        let (lowered, fallback) = if opts.ivm { (5, 4) } else { (0, 0) };
+        assert_eq!(metric(&db, "ivm.lowered"), lowered);
+        assert_eq!(metric(&db, "ivm.fallback"), fallback);
+    }
+    assert_eq!(metric(&reference, "ivm.delta.rows"), 0);
+}
+
+proptest! {
+    #![proptest_config(Config::with_cases(6))]
+    /// The same cascade over arbitrary schedules: maintained (pooled and
+    /// private) against re-evaluated, derived convention included.
+    #[test]
+    fn random_cascades_are_byte_identical(
+        events in prop::collection::vec((0u8..12, 0u8..7, -20i64..20, 0i64..6), 40..200),
+    ) {
+        let (reeval, _) = cascade(ivm_off(), &events);
+        for opts in [DbOptions::default(), ivm_on()] {
+            let (got, _) = cascade(opts, &events);
+            for (i, (got, want)) in got.iter().zip(&reeval).enumerate() {
+                prop_assert_eq!(got, want, "subscription {} diverges", i);
+            }
         }
     }
 }

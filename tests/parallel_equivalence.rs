@@ -6,8 +6,10 @@
 //! sequences on a single-shard, inline-evaluation database.
 //!
 //! Shards only ever remove *cross-stream* serialization; each CQ is
-//! rooted at one stream, so its output is a function of that stream's
-//! tuple order alone — which both runs preserve exactly.
+//! rooted at one stream — directly, or through the derived stream it
+//! reads, whose batches take the same pooled path in the same shard — so
+//! its output is a function of that stream's tuple order alone, which both
+//! runs preserve exactly.
 
 use proptest::prelude::*;
 use proptest::test_runner::Config;
@@ -44,6 +46,21 @@ fn setup(db: &Db) -> Vec<SubscriptionId> {
             .unwrap()
             .subscription(),
         );
+        // A cascade: a derived stream and two CQs over it — a maintained
+        // aggregate and a re-evaluated plan — so each of its batches
+        // stages more than one window for the pool.
+        db.execute(&format!(
+            "CREATE STREAM d{i} AS SELECT sum(v) t, count(*) c, cq_close(*) w \
+             FROM s{i} <TUMBLING '1 minute'>"
+        ))
+        .unwrap();
+        for cq in [
+            "SELECT sum(t) tt, max(c) hi FROM {d} <VISIBLE '3 minutes' ADVANCE '1 minute'>",
+            "SELECT t, c, w FROM {d} <VISIBLE '2 minutes' ADVANCE '1 minute'> WHERE c > 0",
+        ] {
+            let cq = cq.replace("{d}", &format!("d{i}"));
+            subs.push(db.execute(&cq).unwrap().subscription());
+        }
     }
     subs
 }

@@ -237,6 +237,94 @@ fn every_lowered_shape_pools_across_windows_and_matches_reeval() {
     assert_eq!(metric(&db, "ivm.delta.rows"), tuples_in * cqs);
 }
 
+// ---- cascade: stores over a derived stream, raw-rows stores -------------------
+
+/// CQs with `{w}` for the window clause: an aggregate over the derived
+/// stream — one pooled store across its windows — and a plan that is not
+/// maintained over each stream, whose windows pool into one raw-rows store
+/// per stream.
+const CASCADE: &[&str] = &[
+    "SELECT k, sum(c) n, max(t) hi FROM per_sec {w} GROUP BY k",
+    "SELECT k, c FROM per_sec {w} WHERE c > 1",
+    "SELECT k, v FROM s {w} WHERE v > 0",
+];
+/// A sliding, a coarser sliding and a tumbling window (VISIBLE, ADVANCE s).
+const CASCADE_WINDOWS: [(i64, i64); 3] = [(4, 1), (6, 2), (3, 3)];
+
+/// Run every cascade CQ under every window over `events` — `(kind, key, v,
+/// gap in quarter seconds)`: kind 0 jumps 25× as far, leaving upstream
+/// windows heartbeat-only; kind 1 is a heartbeat — plus one late copy of
+/// each (4 s, 1 s) CQ registered a third of the way in, reported from its
+/// first window that starts after it joined.
+fn run_cascade(opts: DbOptions, events: &[(u8, u8, i64, i64)]) -> Vec<String> {
+    let db = Db::in_memory(opts);
+    db.execute("CREATE STREAM s (k varchar(4), v integer, ts timestamp CQTIME USER)")
+        .unwrap();
+    db.execute(
+        "CREATE STREAM per_sec AS SELECT k, count(*) c, sum(v) t, cq_close(*) w \
+         FROM s <TUMBLING '1 second'> GROUP BY k",
+    )
+    .unwrap();
+    let subscribe = |cq: &str, (vis, adv): (i64, i64)| {
+        let w = format!("<VISIBLE '{vis} seconds' ADVANCE '{adv} seconds'>");
+        db.execute(&cq.replace("{w}", &w)).unwrap().subscription()
+    };
+    let mut subs = Vec::new();
+    for cq in CASCADE {
+        subs.extend(CASCADE_WINDOWS.map(|w| (subscribe(cq, w), 0)));
+    }
+    let mut ts = 0i64;
+    for (i, (kind, key, v, gap)) in events.iter().enumerate() {
+        if i == events.len() / 3 {
+            let from = ts + CASCADE_WINDOWS[0].0 * SECONDS + 1;
+            let late = CASCADE.iter().map(|cq| subscribe(cq, CASCADE_WINDOWS[0]));
+            subs.extend(late.map(|sub| (sub, from)));
+        }
+        ts += gap * SECONDS / 4 * if *kind == 0 { 25 } else { 1 };
+        if *kind == 1 {
+            db.heartbeat("s", ts).unwrap();
+            continue;
+        }
+        let row = vec![
+            Value::text(format!("k{}", key % 3)),
+            Value::Int(*v),
+            Value::Timestamp(ts),
+        ];
+        db.ingest("s", row).unwrap();
+    }
+    db.heartbeat("s", ts + 60 * SECONDS).unwrap();
+    let outs = subs.into_iter().map(|(sub, from)| {
+        let mut out = String::new();
+        for o in db.poll(sub).unwrap().iter().filter(|o| o.close >= from) {
+            out.push_str(&format!("close={} {:?}\n", o.close, o.relation.rows()));
+        }
+        out
+    });
+    outs.collect()
+}
+
+proptest! {
+    #![proptest_config(Config::with_cases(8))]
+    /// A stream is a stream: over a derived stream as over a base one,
+    /// pooled stores, private stores and raw-rows stores (`without_ivm`,
+    /// pooled and private) emit the same bytes — late joiner included,
+    /// from its first window that starts after it joined.
+    #[test]
+    fn cascades_are_identical_on_every_path(
+        events in prop::collection::vec((0u8..12, 0u8..6, -9i64..10, 0i64..6), 30..180),
+    ) {
+        let private = DbOptions::default().without_sharing();
+        let reference = run_cascade(private.without_ivm(), &events);
+        prop_assert!(reference.iter().all(|out| !out.is_empty()));
+        for opts in [DbOptions::default(), private, DbOptions::default().without_ivm()] {
+            let got = run_cascade(opts, &events);
+            for (i, (got, want)) in got.iter().zip(&reference).enumerate() {
+                prop_assert_eq!(got, want, "subscription {} diverges under {:?}", i, opts);
+            }
+        }
+    }
+}
+
 // ---- membership: leaving a store --------------------------------------------
 
 /// One tuple per second on `s`, keys cycling, from `from` to `to` seconds.

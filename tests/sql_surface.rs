@@ -309,6 +309,41 @@ fn quoted_identifiers_and_case() {
 }
 
 #[test]
+fn base_and_derived_streams_refuse_each_others_entry_points() {
+    let db = db();
+    db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
+        .unwrap();
+    db.execute("CREATE STREAM d AS SELECT count(*) c, cq_close(*) w FROM s <TUMBLING '1 minute'>")
+        .unwrap();
+    // A derived stream's windows can be subscribed to as-is; a base stream
+    // has none, and says so instead of failing in the analyzer.
+    let sub = db.subscribe_stream("d").unwrap();
+    let err = db.subscribe_stream("s").unwrap_err().to_string();
+    assert!(err.contains("`s` is a base stream"), "{err}");
+    let err = db.subscribe_stream("nope").unwrap_err().to_string();
+    assert!(err.contains("unknown stream"), "{err}");
+    // A derived stream is fed by its query alone.
+    let row = vec![Value::Int(1), Value::Timestamp(60_000_000)];
+    for err in [
+        db.ingest("d", row).unwrap_err(),
+        db.heartbeat("d", 120_000_000).unwrap_err(),
+        db.execute("INSERT INTO d VALUES (1, '1970-01-01 00:01:00')")
+            .unwrap_err(),
+    ] {
+        assert!(err.to_string().contains("`d` is a derived stream"), "{err}");
+    }
+    db.ingest("s", vec![Value::Int(7), Value::Timestamp(1)])
+        .unwrap();
+    db.heartbeat("s", 60_000_000).unwrap();
+    let outs = db.poll(sub).unwrap();
+    assert_eq!(outs.len(), 1, "one window of `d`, passed through");
+    assert_eq!(
+        outs[0].relation.rows(),
+        &[vec![Value::Int(1), Value::Timestamp(60_000_000)]]
+    );
+}
+
+#[test]
 fn row_count_windows_via_sql() {
     let db = db();
     db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
