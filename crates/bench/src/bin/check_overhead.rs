@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use streamrel_bench::{fmt_dur, scale, timed, ResultTable};
 use streamrel_check::{check_plan, CheckContext};
-use streamrel_cq::shared::{place, Advanced};
+use streamrel_cq::shared::place;
 use streamrel_cq::SharedRegistry;
 use streamrel_sql::analyzer::SchemaProvider;
 use streamrel_sql::plan::SchemaRef;
@@ -86,11 +86,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = place(&plans[1], true, true, None).program;
     let program = program.expect("the tumbling aggregate lowers");
     registry.join(&program, true);
-    registry.advance(
-        &[row![Value::Timestamp(1), "/a", 10i64]],
+    let pinned = registry.advance(
+        &Arc::from([row![Value::Timestamp(1), "/a", 10i64]]),
         None,
-        &mut Advanced::default(),
-    )?;
+        None,
+    );
+    if let Some((_, e)) = pinned.failed.into_iter().next() {
+        return Err(e.into());
+    }
     let ctx = CheckContext {
         sharing: true,
         ivm: true,

@@ -12,6 +12,8 @@
 //! (`ivm.compose.merges` ÷ closes, once the widest window has filled:
 //! key partials added, retracted or rebuilt, plus slices probed for where
 //! a leaving key was seen next) — a count that repeats exactly on any host.
+//! The sweep's `close_us` is informational, not gated: it is not monotone
+//! in the ratio (281 / 311 / 222 µs at 6 / 60 / 300 on one run).
 //!
 //! Both configurations run with pooling ablated so the comparison
 //! isolates the delta-processing path on a store with one member: the
@@ -156,7 +158,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .map(|&ratio| {
             let (_, _, close_us, merges) = run(ivm(), ratio, 62_000, rows / 2);
-            println!("VISIBLE/ADVANCE = {ratio}: {close_us:.0} us, {merges:.1} merges per close");
+            println!(
+                "VISIBLE/ADVANCE = {ratio}: {merges:.1} merges per close (gated), \
+                 {close_us:.0} us per close (informational)"
+            );
             format!("{{\"ratio\": {ratio}, \"close_us\": {close_us:.1}, \"merges_per_close\": {merges:.1}}}")
         })
         .collect();

@@ -55,12 +55,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- replay the instrument traffic, overstated by REPLAY_FACTOR ----
     // Per ingest batch the engine pays ~1 Instant read, a handful of
     // counter bumps and 1 commit-latency observation; per window close,
-    // 1 close-latency observation plus counters. Replay all of it 10×.
+    // 1 close-latency observation plus counters. Every batch through a
+    // stream — ingested, or a window fed to a derived stream — also times
+    // its store phase and its post-plan phase (2 reads, 2 observations).
+    // Replay all of it 10×.
     let batches = rows.chunks(CHUNK).len() as u64 + 1; // + heartbeat
     let reg = Registry::new(1024);
     let counter = reg.counter("replay.counter");
     let gauge = reg.gauge("replay.gauge");
     let hist = reg.histogram("replay.hist_us");
+    let phases = || (0..2).for_each(|_| hist.observe_from(Instant::now()));
     let (_, obs_t) = timed(|| {
         for _ in 0..REPLAY_FACTOR {
             for _ in 0..batches {
@@ -71,6 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 counter.inc();
                 gauge.add(1);
                 hist.observe_from(start);
+                phases();
             }
             for _ in 0..windows {
                 let start = Instant::now();
@@ -78,6 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 gauge.add(-1);
                 hist.observe_from(start);
                 reg.trace().record("replay", "bench", "window close", 0);
+                phases();
             }
         }
     });

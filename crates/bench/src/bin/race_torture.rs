@@ -1,8 +1,9 @@
 //! Seeded chaos-schedule race torture driver (DESIGN.md §14).
 //!
 //! Sweeps the concurrency-invariant suites from `streamrel_bench::race`
-//! — parallel equivalence, group-commit conservation, subscription
-//! conservation — under one chaos seed per iteration. Every suite runs
+//! — parallel equivalence, many stores on one stream, group-commit
+//! conservation, subscription conservation — under one chaos seed per
+//! iteration. Every suite runs
 //! with the runtime lock witness validating acquisitions against the
 //! generated global order and the `streamrel-faults` chaos injector
 //! stretching lock/condvar points per the seed's schedule. Results must
@@ -45,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!(
         "race_torture: chaos-schedule sweep, seeds {base_seed}..{} \
-         (lock witness on, 3 suites per seed)\n",
+         (lock witness on, 4 suites per seed)\n",
         base_seed + seeds - 1
     );
 

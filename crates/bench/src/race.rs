@@ -14,6 +14,9 @@
 //! * [`parallel_equivalence`] — concurrent sharded ingest across three
 //!   streams vs the single-shard inline-evaluation baseline; every
 //!   subscription's window sequence must match byte for byte.
+//! * [`many_stores_equivalence`] — the `embedded_sliding` shapes on one
+//!   stream, whose nine slice stores advance as pool jobs under the shard
+//!   lock, vs the same stream with no pool.
 //! * [`group_commit_conservation`] — four writer threads ingest through
 //!   the sharded WAL's group-commit path into archived Active Tables;
 //!   every tuple must be counted exactly once, both live and after a
@@ -60,8 +63,9 @@ pub struct RaceOutcome {
 pub fn run_seed(seed: u64) -> RaceOutcome {
     let mut outcome = RaceOutcome::default();
     parking_lot::witness::enable();
-    let suites: [Suite; 3] = [
+    let suites: [Suite; 4] = [
         ("parallel-equivalence", parallel_equivalence),
+        ("many-stores-equivalence", many_stores_equivalence),
         ("group-commit-conservation", group_commit_conservation),
         ("subscription-conservation", subscription_conservation),
     ];
@@ -215,6 +219,103 @@ fn parallel_equivalence() -> Result<(), String> {
         }
         drain_canonical(&db, &subs)
     };
+    if got != reference {
+        return Err(diff_detail(&reference, &got));
+    }
+    Ok(())
+}
+
+// ---- suite 1b: many stores on one stream -----------------------------------
+
+/// The `embedded_sliding` shapes on one stream: grouped count/sum over four
+/// sliding grids (two stores), DISTINCT, a stream-table join, MIN/MAX, a
+/// float AVG, a raw-rows filter — nine slice stores, each a pool job of its
+/// own at every batch — and a ROWS window beside them.
+fn setup_many_stores(db: &Db) -> Vec<SubscriptionId> {
+    for ddl in [
+        "CREATE STREAM clicks (url text, client_ip text, status integer, bytes integer, \
+         latency float, atime timestamp CQTIME USER)",
+        "CREATE TABLE url_dim (url text, category text)",
+        "INSERT INTO url_dim VALUES ('/u0', 'a'), ('/u2', 'b'), ('/u4', 'c')",
+    ] {
+        db.execute(ddl).unwrap();
+    }
+    let win = |v: i64, a: i64| format!("clicks <VISIBLE '{v} seconds' ADVANCE '{a} seconds'>");
+    let mut cqs: Vec<String> = ["url", "status"]
+        .into_iter()
+        .flat_map(|key| {
+            [(60, 1), (120, 2), (180, 3), (300, 5)].map(|(v, a)| {
+                format!(
+                    "SELECT {key}, count(*) hits, sum(bytes) volume FROM {} \
+                     GROUP BY {key} ORDER BY {key}",
+                    win(v, a)
+                )
+            })
+        })
+        .collect();
+    cqs.extend([
+        format!(
+            "SELECT count(distinct client_ip) visitors FROM {}",
+            win(60, 1)
+        ),
+        format!(
+            "SELECT c.url, count(*) hits FROM {} c JOIN url_dim d ON c.url = d.url \
+             GROUP BY c.url ORDER BY c.url",
+            win(60, 1)
+        ),
+        format!(
+            "SELECT url, min(bytes) smallest, max(bytes) largest FROM {} \
+             GROUP BY url ORDER BY url",
+            win(120, 2)
+        ),
+        format!(
+            "SELECT avg(latency) mean, count(*) hits FROM {}",
+            win(60, 1)
+        ),
+        "SELECT url, client_ip, bytes, atime FROM clicks <TUMBLING '1 second'> \
+         WHERE status = 500"
+            .into(),
+        "SELECT count(*) hits, sum(bytes) volume FROM clicks \
+         <VISIBLE 100 ROWS ADVANCE 25 ROWS>"
+            .into(),
+    ]);
+    let subscribe = |sql: String| db.execute(&sql).unwrap().subscription();
+    cqs.into_iter().map(subscribe).collect()
+}
+
+/// Four minutes of clicks through [`setup_many_stores`], one batch per
+/// second, then a heartbeat that closes every window still open: each
+/// subscription's output, canonical. The workload is fixed, so every run
+/// ingests the same bytes.
+pub fn many_stores_run(options: DbOptions) -> Vec<Vec<(i64, String)>> {
+    const SEC: i64 = 1_000_000;
+    let db = Db::in_memory(options);
+    let subs = setup_many_stores(&db);
+    for tick in 0..240i64 {
+        let batch = (0..12)
+            .map(|i| {
+                let d = chaos::splitmix64(0x5EED ^ ((tick as u64) << 8) ^ i);
+                vec![
+                    Value::text(format!("/u{}", d % 7)),
+                    Value::text(format!("10.0.0.{}", (d >> 8) % 13)),
+                    Value::Int([200, 200, 404, 500][(d >> 16) as usize % 4]),
+                    Value::Int(((d >> 24) % 5000) as i64),
+                    Value::Float(((d >> 40) % 1000) as f64 / 7.0),
+                    Value::Timestamp(tick * SEC + (i as i64) * SEC / 12),
+                ]
+            })
+            .collect();
+        db.ingest_batch("clicks", batch).unwrap();
+    }
+    db.heartbeat("clicks", 560 * SEC).unwrap();
+    drain_canonical(&db, &subs)
+}
+
+fn many_stores_equivalence() -> Result<(), String> {
+    chaos::disarm();
+    let reference = many_stores_run(DbOptions::default().with_shards(1).with_pool_workers(0));
+    chaos::rearm();
+    let got = many_stores_run(DbOptions::default());
     if got != reference {
         return Err(diff_detail(&reference, &got));
     }

@@ -19,10 +19,9 @@ use parking_lot::{Mutex, MutexGuard};
 
 use streamrel_check::{check_plan, CheckContext, CheckReport, StateBudget};
 use streamrel_cq::recovery::{load_watermark, save_watermark_txn};
-use streamrel_cq::shared::Advanced;
 use streamrel_cq::{ContinuousQuery, CqOutput, CqStats, ReorderBuffer, WindowTask, WorkerPool};
 use streamrel_exec::{execute, ExecContext, ExecMetrics};
-use streamrel_obs::{Counter, Gauge, IvmMetrics};
+use streamrel_obs::{Counter, Gauge, Histogram, IvmMetrics};
 use streamrel_sql::analyzer::{AnalyzedQuery, Analyzer, RelKind, SchemaProvider};
 use streamrel_sql::ast::{ChannelMode, ColumnDef, Expr, ObjectKind, Query, ShowKind, Statement};
 use streamrel_sql::parser::parse_statement;
@@ -169,6 +168,10 @@ struct DbMetrics {
     ivm_compose_merges: Arc<Counter>,
     /// Bytes held across live slice stores.
     ivm_state_bytes: Arc<Gauge>,
+    /// Wall time per batch of a stream's slice stores (fold, close), µs.
+    store_phase_us: Arc<Histogram>,
+    /// Wall time per batch of its closed windows' plans, µs.
+    post_plan_us: Arc<Histogram>,
     /// Admitted continuous plans the check placed on a slice store.
     check_ivm_lowered: Arc<Counter>,
     /// Admitted continuous plans that fall back to re-evaluation.
@@ -193,6 +196,8 @@ impl DbMetrics {
             ivm_delta_rows: ivm.delta_rows,
             ivm_compose_merges: ivm.compose_merges,
             ivm_state_bytes: ivm.state_bytes,
+            store_phase_us: registry.histogram("db.store_phase_us"),
+            post_plan_us: registry.histogram("db.post_plan_us"),
             check_ivm_lowered: registry.counter("check.ivm_lowered"),
             check_ivm_fallback: registry.counter("check.ivm_fallback"),
             exec: ExecMetrics::register(registry),
@@ -1314,7 +1319,8 @@ impl Db {
         let state = &mut *self.lock_shard(&shard);
         let mut first_err = None;
         for w in windows {
-            let (emitted, err) = self.consume(state, &key, w.relation.rows(), Some(w.close));
+            let rows = w.relation.into_rows().into();
+            let (emitted, err) = self.consume(state, &key, &rows, Some(w.close));
             let pumped = self.pump(state, emitted, start);
             first_err = first_err.or(err).or(pumped.err());
         }
@@ -1447,7 +1453,7 @@ impl Db {
             return cut.map_or(Ok(()), Err);
         }
         self.metrics.tuples_in.add(released.len() as u64);
-        let (emitted, err) = self.feed(state, &key, &released, bound);
+        let (emitted, err) = self.feed(state, &key, released.into(), bound);
         let pumped = self.pump(state, emitted, start);
         err.or(pumped.err()).or(cut).map_or(Ok(()), Err)
     }
@@ -1460,11 +1466,11 @@ impl Db {
         &self,
         state: &mut ShardState,
         stream: &str,
-        rows: &[Row],
+        rows: Arc<[Row]>,
         bound: Option<Timestamp>,
     ) -> (Vec<(u64, CqOutput)>, Option<Error>) {
-        match self.archive(state, stream, rows, bound) {
-            Ok(()) => self.consume(state, stream, rows, bound),
+        match self.archive(state, stream, &rows, bound) {
+            Ok(()) => self.consume(state, stream, &rows, bound),
             Err(e) => (Vec::new(), Some(e)),
         }
     }
@@ -1523,15 +1529,15 @@ impl Db {
     /// Take one batch through everything that reads its stream: slice
     /// stores → stage → evaluate. Returns what the stream's consumers
     /// emitted, in (CQ registration, window close) order, and the first
-    /// error: everything staged or evaluated before it is still returned —
-    /// an error in one plan never discards another CQ's finished window —
-    /// and nothing after it, which serial execution would never have
-    /// produced.
+    /// error — a store's, in store order, before a CQ's, in registration ×
+    /// close order. An error belongs to the CQ that raised it: a failing
+    /// store closes nothing for its members, a failing stage or plan
+    /// loses that one window, and every other window is returned.
     fn consume(
         &self,
         state: &mut ShardState,
         stream: &str,
-        rows: &[Row],
+        rows: &Arc<[Row]>,
         bound: Option<Timestamp>,
     ) -> (Vec<(u64, CqOutput)>, Option<Error>) {
         let ShardState { streams, cqs, .. } = state;
@@ -1539,36 +1545,46 @@ impl Db {
         let Some(rt) = streams.get_mut(stream) else {
             return (Vec::new(), None);
         };
-        // Slice stores: take each tuple once per store, however many CQs
-        // read it, then close every due window of every member.
-        let mut advanced = Advanced::default();
-        let mut stage_err = rt.stores.advance(rows, bound, &mut advanced).err();
+        // Slice stores: each takes every tuple once, however many CQs read
+        // it, and closes every due window of every member — one pool job
+        // per store.
+        let phase = Instant::now();
+        let mut advanced = rt.stores.advance(rows, bound, Some(&self.pool));
+        self.metrics.store_phase_us.observe_from(phase);
         self.metrics.ivm_delta_rows.add(advanced.delta_rows);
         self.metrics.ivm_compose_merges.add(advanced.merges);
         self.metrics.ivm_state_bytes.add(advanced.bytes);
+        let mut first_err = advanced.failed.first().map(|(_, e)| e.clone());
 
         // Per-CQ window staging, in registration × close order: a time
         // window wraps what its store just closed, a count window buffers
-        // the rows. Staging stops at the first error.
-        let mut staged: Vec<(u64, WindowTask)> = Vec::new();
+        // the rows. A CQ that fails to stage holds its error's place.
+        let mut staged: Vec<(u64, Result<WindowTask>)> = Vec::new();
         for &id in &rt.cq_ids {
-            if stage_err.is_some() {
-                break;
-            }
             let Some(entry) = cqs.get_mut(&id) else {
                 continue;
             };
             let mut tasks = Vec::new();
-            stage_err = entry.cq.stage(rows, bound, &mut advanced, &mut tasks).err();
-            staged.extend(tasks.into_iter().map(|t| (id, t)));
+            let res = entry.cq.stage(rows, bound, &mut advanced, &mut tasks);
+            staged.extend(tasks.into_iter().map(|t| (id, Ok(t))));
+            if let Err(e) = res {
+                staged.push((id, Err(e)));
+            }
         }
 
         // `run_ordered` hands results back in submission order — exactly
         // the (CQ registration, window close) order serial execution
         // produces — so downstream output is byte-identical to the
-        // single-threaded engine.
-        let meta: Vec<(u64, usize)> = staged.iter().map(|(id, t)| (*id, t.input_rows())).collect();
-        let jobs: Vec<_> = staged.into_iter().map(|(_, t)| move || t.run()).collect();
+        // single-threaded engine. Each task hands its window to its plan.
+        let phase = Instant::now();
+        let meta: Vec<(u64, usize)> = staged
+            .iter()
+            .map(|(id, t)| (*id, t.as_ref().map_or(0, WindowTask::input_rows)))
+            .collect();
+        let jobs: Vec<_> = staged
+            .into_iter()
+            .map(|(_, t)| move || t?.run_owned())
+            .collect();
         let mut emitted = Vec::with_capacity(jobs.len());
         for ((id, in_rows), res) in meta.into_iter().zip(self.pool.run_ordered(jobs)) {
             match res {
@@ -1578,11 +1594,13 @@ impl Db {
                     }
                     emitted.push((id, out));
                 }
-                // Later tasks belong to later (CQ, close) pairs.
-                Err(e) => return (emitted, Some(e)),
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
             }
         }
-        (emitted, stage_err)
+        self.metrics.post_plan_us.observe_from(phase);
+        (emitted, first_err)
     }
 
     /// Propagate CQ outputs through their sinks, breadth-first: a client's
@@ -1621,7 +1639,8 @@ impl Db {
                 }
                 Sink::Derived(name) => {
                     let name = name.clone();
-                    let (outs, err) = self.feed(state, &name, out.relation.rows(), Some(out.close));
+                    let rows = out.relation.into_rows().into();
+                    let (outs, err) = self.feed(state, &name, rows, Some(out.close));
                     queue.extend(outs);
                     first_err = first_err.or(err);
                 }
@@ -2326,6 +2345,10 @@ mod tests {
         };
         assert_eq!(find("cq.close_us.urls_now"), 2, "two windows closed");
         assert_eq!(find(&format!("cq.close_us.sub_{}", sub.0)), 2);
+        // Both phases are timed once per batch through a stream: the
+        // tuple, the heartbeat and `urls_now`'s two windows.
+        assert_eq!(find("db.store_phase_us"), 4);
+        assert_eq!(find("db.post_plan_us"), 4);
         db.unsubscribe(sub).unwrap();
         let rel = db
             .execute(&format!(
@@ -2435,6 +2458,95 @@ mod tests {
         db.ingest("s", row![5i64, Value::Timestamp(130_000_000)])
             .unwrap_err();
         assert_eq!(db.poll(healthy).unwrap().len(), 1);
+    }
+
+    /// What a one-second count delivers over `batches` and a closing
+    /// heartbeat at `until` — `(close, count)` per window — with `faulty`
+    /// registered before it (`Some((sql, true))`), after it, or not at all;
+    /// and the errors the calls returned.
+    fn healthy_beside(
+        faulty: Option<(&str, bool)>,
+        batches: &[Vec<Row>],
+        until: Timestamp,
+    ) -> (Vec<(Timestamp, Value)>, Vec<String>) {
+        let db = db();
+        db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
+            .unwrap();
+        let register = |sql: &str| db.execute(sql).unwrap().subscription();
+        if let Some((sql, true)) = faulty {
+            register(sql);
+        }
+        let healthy = register("SELECT count(*) c FROM s <TUMBLING '1 second'>");
+        if let Some((sql, false)) = faulty {
+            register(sql);
+        }
+        let mut calls: Vec<_> = batches
+            .iter()
+            .map(|b| db.ingest_batch("s", b.clone()))
+            .collect();
+        calls.push(db.heartbeat("s", until));
+        let errors = calls
+            .into_iter()
+            .filter_map(|r| r.err().map(|e| e.to_string()))
+            .collect();
+        let windows = db.poll(healthy).unwrap().into_iter();
+        let windows = windows.map(|o| (o.close, o.relation.rows()[0][0].clone()));
+        (windows.collect(), errors)
+    }
+
+    const SEC: Timestamp = 1_000_000;
+
+    /// Regression: a store whose fold failed made every store after it
+    /// skip the rest of the batch, and no CQ on the stream staged a window
+    /// from it. An error belongs to the CQ that raised it: a neighbour's
+    /// windows are what they are when it runs alone, in either
+    /// registration order, and the call still returns the error.
+    #[test]
+    fn a_failing_store_fold_costs_no_other_cq_a_window() {
+        let batches = [
+            vec![row![i64::MAX, Value::Timestamp(SEC / 10)]],
+            // `1` overflows the sum's first slice; the rest is the next
+            // window's.
+            vec![
+                row![1i64, Value::Timestamp(SEC / 5)],
+                row![7i64, Value::Timestamp(SEC + 1)],
+                row![8i64, Value::Timestamp(SEC + 2)],
+            ],
+        ];
+        let (alone, errors) = healthy_beside(None, &batches, 2 * SEC);
+        assert!(errors.is_empty(), "{errors:?}");
+        assert_eq!(alone, [(SEC, Value::Int(2)), (2 * SEC, Value::Int(2))]);
+        for first in [true, false] {
+            let faulty = ("SELECT sum(v) t FROM s <TUMBLING '1 second'>", first);
+            let (got, errors) = healthy_beside(Some(faulty), &batches, 2 * SEC);
+            assert_eq!(got, alone, "sum registered first: {first}");
+            assert_eq!(errors.len(), 1, "{errors:?}");
+            assert!(errors[0].contains("overflow"), "{errors:?}");
+        }
+    }
+
+    /// Regression: a CQ registered after one whose plan fails at every
+    /// close lost every window for good. Either order, the healthy CQ's
+    /// windows are those it delivers alone.
+    #[test]
+    fn a_failing_post_plan_costs_no_other_cq_a_window() {
+        let batches = [
+            vec![row![1i64, Value::Timestamp(SEC / 10)]],
+            vec![row![2i64, Value::Timestamp(SEC + 1)]],
+        ];
+        let (alone, errors) = healthy_beside(None, &batches, 3 * SEC);
+        assert!(errors.is_empty(), "{errors:?}");
+        assert_eq!(alone.len(), 3);
+        for first in [true, false] {
+            let faulty = (
+                "SELECT 1 / (count(*) - count(*)) r FROM s <TUMBLING '1 second'>",
+                first,
+            );
+            let (got, errors) = healthy_beside(Some(faulty), &batches, 3 * SEC);
+            assert_eq!(got, alone, "failing CQ registered first: {first}");
+            assert_eq!(errors.len(), 2, "{errors:?}");
+            assert!(errors.iter().all(|e| e.contains("division by zero")));
+        }
     }
 
     /// Regression: a failing CQ over a *derived* stream used to drop its

@@ -1,14 +1,14 @@
-//! A small worker pool for closed-window plan evaluation.
+//! A small worker pool for a batch's slice stores and window plans.
 //!
-//! The sharded execution core stages every window a batch (or heartbeat)
-//! closes as a [`crate::runtime::WindowTask`] and hands the batch to this
-//! pool. Plan evaluation is side-effect free — it reads the window
-//! relation plus a pinned MVCC snapshot — so tasks can run on any thread
-//! in any order; determinism comes from [`WorkerPool::run_ordered`]
-//! returning results **in submission order**, which the caller arranges
-//! to be the serial (CQ registration, window close) order. Output
-//! sequencing therefore costs nothing: the results vector *is* the serial
-//! emission order, byte-identical to single-threaded execution.
+//! The sharded execution core advances each slice store a batch (or
+//! heartbeat) reaches as one job, then stages every window it closes as a
+//! [`crate::runtime::WindowTask`] for this pool. Jobs are side-effect free
+//! — a store is owned data, a plan reads its window plus a pinned MVCC
+//! snapshot — so they run on any thread in any order; determinism comes
+//! from [`WorkerPool::run_ordered`] returning results **in submission
+//! order**, which the caller arranges to be the serial order (store; CQ
+//! registration × window close). Sequencing therefore costs nothing: the
+//! results vector *is* the order single-threaded execution emits.
 //!
 //! The calling thread never idles while its batch runs: it helps drain
 //! the queue, so a pool of `n` workers gives `n + 1` lanes and a pool of

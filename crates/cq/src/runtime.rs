@@ -42,6 +42,7 @@ pub struct CqOutput {
 /// thread of a [`crate::WorkerPool`]. The staging thread calls
 /// [`ContinuousQuery::finish_window`] with the result, in serial order,
 /// to apply stats and emit the `cq.close` trace event deterministically.
+#[derive(Clone)]
 pub struct WindowTask {
     /// Shared with the CQ: staging a window copies no plan.
     plan: Arc<LogicalPlan>,
@@ -75,6 +76,12 @@ impl WindowTask {
     /// Evaluate the staged window. Side-effect free: reads only the
     /// captured relation and an MVCC snapshot.
     pub fn run(&self) -> Result<CqOutput> {
+        self.clone().run_owned()
+    }
+
+    /// [`WindowTask::run`], handing the window relation to the plan
+    /// instead of copying it — the engine's path.
+    pub fn run_owned(self) -> Result<CqOutput> {
         let source: SnapshotSource = match self.consistency {
             // Window consistency: a fresh snapshot at this boundary.
             ConsistencyMode::WindowBoundary => SnapshotSource::pin(self.engine.clone()),
@@ -83,24 +90,15 @@ impl WindowTask {
                 self.snapshot.clone().expect("pinned at start"),
             ),
         };
-        let finalized;
-        let input_rel = match &self.rel {
+        let source = &source as &dyn RelationSource;
+        let rel = match self.rel {
             WindowOutput::Ready(rel) => rel,
-            WindowOutput::NeedsTable(delta) => {
-                finalized = delta.finalize(&source as &dyn RelationSource)?;
-                &finalized
-            }
+            WindowOutput::NeedsTable(delta) => delta.finalize(source)?,
         };
-        let ctx = ExecContext::window(
-            &source as &dyn RelationSource,
-            &self.input,
-            input_rel,
-            self.close,
-        );
-        let relation = execute(&self.plan, &ctx)?;
+        let ctx = ExecContext::window_owned(source, &self.input, rel, self.close);
         Ok(CqOutput {
             close: self.close,
-            relation,
+            relation: execute(&self.plan, &ctx)?,
         })
     }
 }
@@ -317,20 +315,22 @@ impl ContinuousQuery {
     /// the benchmark's per-layer replay): a time window that nobody placed
     /// joins a raw-rows store in a registry the CQ owns, and the batch is
     /// advanced through that registry and staged from it.
-    fn stage_own(&mut self, rows: &[Row], bound: Option<Timestamp>) -> Result<Vec<WindowTask>> {
+    fn stage_own(&mut self, rows: Arc<[Row]>, bound: Option<Timestamp>) -> Result<Vec<WindowTask>> {
         let mut own = std::mem::take(&mut self.own);
         self.place(false, false, &mut own);
-        let (mut advanced, mut tasks) = (Advanced::default(), Vec::new());
-        let staged = own
-            .advance(rows, bound, &mut advanced)
-            .and_then(|()| self.stage(rows, bound, &mut advanced, &mut tasks));
+        let mut advanced = own.advance(&rows, bound, None);
         self.own = own;
-        staged.map(|()| tasks)
+        if let Some((_, e)) = advanced.failed.pop() {
+            return Err(e);
+        }
+        let mut tasks = Vec::new();
+        self.stage(&rows, bound, &mut advanced, &mut tasks)?;
+        Ok(tasks)
     }
 
     /// Stage the windows one tuple closes, for a CQ driven on its own.
     pub fn stage_tuple(&mut self, row: Row) -> Result<Vec<WindowTask>> {
-        self.stage_own(&[row], None)
+        self.stage_own(Arc::new([row]), None)
     }
 
     /// Apply a completed window to this CQ's counters and trace. Must be
@@ -467,7 +467,7 @@ mod tests {
         }
 
         fn on_heartbeat(&mut self, ts: Timestamp) -> Result<Vec<CqOutput>> {
-            let tasks = self.stage_own(&[], Some(ts))?;
+            let tasks = self.stage_own(Arc::new([]), Some(ts))?;
             run(self, tasks)
         }
 
@@ -775,9 +775,8 @@ mod tests {
         assert_eq!(e.metrics().counter("ivm.lowered").get(), 2);
 
         // One advance of the stream's stores serves both members.
-        let rows = [tup("/a", 5)];
-        let mut advanced = Advanced::default();
-        stores.advance(&rows, Some(MINUTES), &mut advanced).unwrap();
+        let rows: Arc<[Row]> = Arc::new([tup("/a", 5)]);
+        let mut advanced = stores.advance(&rows, Some(MINUTES), None);
         for cq in [&mut a, &mut b] {
             let mut tasks = Vec::new();
             cq.stage(&rows, Some(MINUTES), &mut advanced, &mut tasks)

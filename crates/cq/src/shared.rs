@@ -31,10 +31,11 @@
 //! the shard lock that already covers the stream's reorder buffer and CQs
 //! — a store has no lock of its own, and a member CQ holds only its
 //! [`Slot`]. One call, [`SharedRegistry::advance`], takes a batch (or a
-//! heartbeat: no tuples and a time bound) through fold → close (add →
-//! emit → retract) → evict for every store and every member.
+//! heartbeat) through fold → close (add → emit → retract) → evict for
+//! every store — each a job on the engine's pool — and every member.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use streamrel_ivm::{
     gcd, lower_with, rows_program, IvmProgram, IvmShape, IvmState, Lowering, WindowOutput,
@@ -43,6 +44,7 @@ use streamrel_ivm::{
 use streamrel_sql::plan::LogicalPlan;
 use streamrel_types::{Error, Interval, Result, Row, Timestamp};
 
+use crate::pool::WorkerPool;
 use crate::window::align_next_close;
 
 /// Split a CQ plan into the shape a pooled store maintains plus the
@@ -189,6 +191,23 @@ impl SharedGroup {
         self.store.compose(close - m.visible, close)
     }
 
+    /// One store's share of a batch ([`SharedGroup::fold_and_close`]): a
+    /// store that fails closes nothing from it, and reports its error.
+    fn advance(
+        &mut self,
+        id: StoreId,
+        rows: &[Row],
+        first: Option<Timestamp>,
+        upto: Option<Timestamp>,
+    ) -> Advanced {
+        let mut out = Advanced::default();
+        if let Err(e) = self.fold_and_close(id, rows, first, upto, &mut out) {
+            out.closed.clear();
+            out.failed.push((id, e));
+        }
+        out
+    }
+
     /// Fold a batch of stream tuples (CQTIME order, `first` its oldest
     /// slice time), then close every window of every member due at `upto` —
     /// the batch's newest slice time or its bound (a heartbeat's time, a
@@ -198,7 +217,7 @@ impl SharedGroup {
     /// lands in a slice outside `[close - visible, close)`, and the slices
     /// below a close are sealed (a base stream admits no tuple older than
     /// one it has taken).
-    fn advance(
+    fn fold_and_close(
         &mut self,
         id: StoreId,
         rows: &[Row],
@@ -289,6 +308,19 @@ pub struct Advanced {
     pub bytes: i64,
     /// The windows that closed, per member, in close order.
     pub closed: HashMap<Slot, Vec<(Timestamp, WindowOutput)>>,
+    /// The stores that failed on the batch, in store order, with their
+    /// errors: none of their members' windows closed.
+    pub failed: Vec<(StoreId, Error)>,
+}
+
+impl Advanced {
+    fn absorb(&mut self, other: Advanced) {
+        self.delta_rows += other.delta_rows;
+        self.merges += other.merges;
+        self.bytes += other.bytes;
+        self.closed.extend(other.closed);
+        self.failed.extend(other.failed);
+    }
 }
 
 /// The slice stores reading one stream: pooled by shape fingerprint, plus
@@ -360,25 +392,48 @@ impl SharedRegistry {
 
     /// Take one batch of the stream's tuples (CQTIME order) — or, with no
     /// tuples and a `bound`, a heartbeat — through every store: fold,
-    /// close what is due, evict. On error `out` holds what was done
-    /// before it.
+    /// close what is due, evict. The stores share no state, so with a
+    /// `pool` each advances as a job of its own; results come back in
+    /// store order, so what is returned is what serial execution returns.
     pub fn advance(
         &mut self,
-        rows: &[Row],
+        rows: &Arc<[Row]>,
         bound: Option<Timestamp>,
-        out: &mut Advanced,
-    ) -> Result<()> {
+        pool: Option<&WorkerPool>,
+    ) -> Advanced {
         // Every store reads this one stream, in CQTIME order: the batch's
         // oldest and newest slice times are its first and last rows'.
+        let mut out = Advanced::default();
         let Some(any) = self.stores.values().next() else {
-            return Ok(());
+            return out;
         };
         let ts_of = |r: &Row| any.store.slice_time(r).ok();
         let first = rows.first().and_then(ts_of);
         let upto = rows.last().and_then(ts_of).max(bound);
-        self.stores
-            .iter_mut()
-            .try_for_each(|(id, store)| store.advance(*id, rows, first, upto, out))
+        match pool {
+            Some(pool) if pool.workers() > 0 && self.stores.len() > 1 => {
+                let jobs: Vec<_> = std::mem::take(&mut self.stores)
+                    .into_iter()
+                    .map(|(id, mut store)| {
+                        let rows = rows.clone();
+                        move || {
+                            let done = store.advance(id, &rows, first, upto);
+                            (id, store, done)
+                        }
+                    })
+                    .collect();
+                for (id, store, done) in pool.run_ordered(jobs) {
+                    self.stores.insert(id, store);
+                    out.absorb(done);
+                }
+            }
+            _ => {
+                for (id, store) in &mut self.stores {
+                    out.absorb(store.advance(*id, rows, first, upto));
+                }
+            }
+        }
+        out
     }
 
     /// Slice width of the live pooled store `program` would join, when
@@ -403,7 +458,6 @@ impl SharedRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use streamrel_ivm::{AggShape, StreamPrefix};
     use streamrel_sql::plan::{AggFunc, AggSpec, BoundExpr};
     use streamrel_types::time::MINUTES;
@@ -524,11 +578,10 @@ mod tests {
 
     /// Closes `advance` emits, as `(member, close)` in member × close order.
     fn closes(g: &mut SharedGroup, rows: &[Row], bound: Option<Timestamp>) -> Vec<(usize, i64)> {
-        let mut out = Advanced::default();
         let ts_of = |r: &Row| r[1].as_timestamp().unwrap();
         let (first, last) = (rows.first().map(ts_of), rows.last().map(ts_of));
-        g.advance(0, rows, first, last.max(bound), &mut out)
-            .unwrap();
+        let out = g.advance(0, rows, first, last.max(bound));
+        assert!(out.failed.is_empty());
         let mut closes: Vec<_> = out
             .closed
             .iter()
@@ -619,8 +672,7 @@ mod tests {
         // store.
         let ((p, _), pooled) = reg.join(&program(2 * MINUTES, MINUTES), false);
         assert!(!pooled && p != s1);
-        let mut out = Advanced::default();
-        reg.advance(&[tup("/a", 10)], None, &mut out).unwrap();
+        let out = reg.advance(&Arc::from([tup("/a", 10)]), None, None);
         assert_eq!(out.delta_rows, 3, "one fold per store");
         assert!(out.bytes > 0 && out.closed.is_empty());
         let fine = program(90 * 1_000_000, 30 * 1_000_000);
@@ -670,8 +722,8 @@ mod tests {
         }
 
         fn feed(&mut self, batch: &[Row], bound: Option<Timestamp>) -> Vec<(Timestamp, Vec<Row>)> {
-            let mut out = Advanced::default();
-            self.stores.advance(batch, bound, &mut out).unwrap();
+            let mut out = self.stores.advance(&batch.into(), bound, None);
+            assert!(out.failed.is_empty());
             let closed = out.closed.remove(&self.slot).unwrap_or_default();
             closed.into_iter().map(|(c, w)| (c, rows(w))).collect()
         }
@@ -831,21 +883,22 @@ mod tests {
             .map(|k| reg.join(&program(k * MINUTES, MINUTES), true).0)
             .collect();
         assert_eq!(reg.len(), 1, "one store for every re-evaluated window");
-        let mut out = Advanced::default();
-        let batch: Vec<Row> = (0..10).map(|i| tup("/a", i)).collect();
-        reg.advance(&batch, Some(MINUTES), &mut out).unwrap();
+        let batch: Arc<[Row]> = (0..10).map(|i| tup("/a", i)).collect();
+        let mut out = reg.advance(&batch, Some(MINUTES), None);
         assert_eq!(out.delta_rows, 0, "buffered, not folded");
         let one_copy = out.bytes;
         for slot in &slots {
-            assert_eq!(rows(out.closed.remove(slot).unwrap().remove(0).1), batch);
+            assert_eq!(
+                rows(out.closed.remove(slot).unwrap().remove(0).1),
+                &batch[..]
+            );
         }
         // The same windows on private stores hold eight copies.
         let mut reg = SharedRegistry::default();
         for k in 1..=8 {
             reg.join(&program(k * MINUTES, MINUTES), false);
         }
-        let mut out = Advanced::default();
-        reg.advance(&batch, None, &mut out).unwrap();
+        let out = reg.advance(&batch, None, None);
         assert_eq!(out.bytes, 8 * one_copy);
     }
 
@@ -864,8 +917,7 @@ mod tests {
         };
         let (slot, _) = reg.join(&sliding, true);
         let mut closes = |rows: &[Row], bound| {
-            let mut out = Advanced::default();
-            reg.advance(rows, Some(bound), &mut out).unwrap();
+            let mut out = reg.advance(&rows.into(), Some(bound), None);
             let closed = out.closed.remove(&slot).unwrap_or_default();
             closed
                 .into_iter()

@@ -3,7 +3,6 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use streamrel_cq::shared::Advanced;
 use streamrel_cq::{ReorderBuffer, SharedRegistry, WindowBuffer};
 use streamrel_ivm::{IvmProgram, IvmShape, StreamPrefix, WindowOutput};
 use streamrel_sql::plan::LogicalPlan;
@@ -113,9 +112,9 @@ proptest! {
             }
             // A derived stream's batch always carries its close.
             let bound = (derived || *kind == 7).then_some(now);
-            let rows: Vec<Row> = batch.iter().map(|ts| tup(*ts)).collect();
-            let mut advanced = Advanced::default();
-            stores.advance(&rows, bound, &mut advanced).unwrap();
+            let rows: Arc<[Row]> = batch.iter().map(|ts| tup(*ts)).collect();
+            let mut advanced = stores.advance(&rows, bound, None);
+            prop_assert!(advanced.failed.is_empty());
             let got: Vec<(i64, Vec<i64>)> = advanced
                 .closed
                 .remove(&slot)

@@ -4,10 +4,11 @@
 //! - **Snapshot query (SQ)**: no `StreamScan` in the plan; table scans pull
 //!   from the [`RelationSource`] and the result is the final relation.
 //! - **Continuous query (CQ)**: the CQ runtime calls `execute` once per
-//!   window with [`ExecContext::stream_input`] set to that window's
-//!   relation and `cq_close` set to the window boundary; the concatenated
-//!   per-window results form the output stream (RSTREAM, Figure 1).
+//!   window with that window's relation ([`ExecContext::window`]) and
+//!   `cq_close` set to the window boundary; the concatenated per-window
+//!   results form the output stream (RSTREAM, Figure 1).
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -40,13 +41,20 @@ impl ExecMetrics {
     }
 }
 
+/// A CQ step's window relation: lent, and the plan's `StreamScan` copies
+/// it, or handed over, and the scan takes it.
+enum WindowRows<'a> {
+    Lent(&'a Relation),
+    Given(Cell<Option<Relation>>),
+}
+
 /// Everything `execute` needs besides the plan.
 pub struct ExecContext<'a> {
     /// Table provider (MVCC scans live behind this).
     pub source: &'a dyn RelationSource,
     /// The current window's rows for the plan's single `StreamScan`, if
     /// this is one step of a CQ. Keyed by stream name (lower case).
-    pub stream_input: Option<(&'a str, &'a Relation)>,
+    stream_input: Option<(&'a str, WindowRows<'a>)>,
     /// Window close timestamp for `cq_close(*)`.
     pub cq_close: Option<Timestamp>,
     /// Optional executor instruments, bumped once per completed plan.
@@ -72,10 +80,25 @@ impl<'a> ExecContext<'a> {
         close: Timestamp,
     ) -> ExecContext<'a> {
         ExecContext {
-            source,
+            stream_input: Some((stream, WindowRows::Lent(rows))),
+            cq_close: Some(close),
+            ..ExecContext::snapshot(source)
+        }
+    }
+
+    /// [`ExecContext::window`] for a window the caller hands over: the
+    /// plan's `StreamScan` takes the relation instead of copying it.
+    pub fn window_owned(
+        source: &'a dyn RelationSource,
+        stream: &'a str,
+        rows: Relation,
+        close: Timestamp,
+    ) -> ExecContext<'a> {
+        let rows = WindowRows::Given(Cell::new(Some(rows)));
+        ExecContext {
             stream_input: Some((stream, rows)),
             cq_close: Some(close),
-            metrics: None,
+            ..ExecContext::snapshot(source)
         }
     }
 
@@ -113,8 +136,13 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Relation> {
             Ok(rel)
         }
         LogicalPlan::TableScan { table, .. } => ctx.source.scan_table(table),
-        LogicalPlan::StreamScan { stream, .. } => match ctx.stream_input {
-            Some((name, rel)) if name.eq_ignore_ascii_case(stream) => Ok((*rel).clone()),
+        LogicalPlan::StreamScan { stream, .. } => match &ctx.stream_input {
+            Some((name, rows)) if name.eq_ignore_ascii_case(stream) => match rows {
+                WindowRows::Lent(rel) => Ok((*rel).clone()),
+                WindowRows::Given(rel) => rel.take().ok_or_else(|| {
+                    Error::stream(format!("window input for `{stream}` was already scanned"))
+                }),
+            },
             Some((name, _)) => Err(Error::stream(format!(
                 "executor was given window input for `{name}` but the plan scans `{stream}`"
             ))),
@@ -129,9 +157,9 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Relation> {
                 None => execute_node(input, ctx)?,
             };
             let mut out = Relation::empty(rel.schema().clone());
-            for row in rel.rows() {
-                if eval_predicate(predicate, row, &ectx)? {
-                    out.push(row.clone());
+            for row in rel.into_rows() {
+                if eval_predicate(predicate, &row, &ectx)? {
+                    out.push(row);
                 }
             }
             Ok(out)
@@ -142,6 +170,15 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Relation> {
             schema,
         } => {
             let rel = execute_node(input, ctx)?;
+            // The input columns in order: only the names change.
+            let identity = exprs.len() == rel.schema().len()
+                && exprs
+                    .iter()
+                    .enumerate()
+                    .all(|(i, e)| matches!(e, BoundExpr::Column { index, .. } if *index == i));
+            if identity {
+                return Ok(Relation::new(schema.clone(), rel.into_rows()));
+            }
             let mut out = Relation::empty(schema.clone());
             for row in rel.rows() {
                 let mut new_row = Vec::with_capacity(exprs.len());
@@ -429,9 +466,23 @@ pub fn aggregate(
     Ok(out)
 }
 
-/// Stable multi-key sort (NULLs last per `Value::sort_cmp`).
+/// Stable multi-key sort (NULLs last per `Value::sort_cmp`). Keys that are
+/// all plain columns sort the rows in place; any other key list evaluates
+/// each row's keys once, then sorts.
 pub fn sort_relation(rel: &mut Relation, keys: &[SortKey], ectx: &EvalContext) -> Result<()> {
-    // Precompute key tuples to avoid re-evaluating during comparisons.
+    let width = rel.schema().len();
+    let columns: Option<Vec<usize>> = keys
+        .iter()
+        .map(|s| match s.expr {
+            BoundExpr::Column { index, .. } if index < width => Some(index),
+            _ => None,
+        })
+        .collect();
+    if let Some(columns) = columns {
+        rel.rows_mut()
+            .sort_by(|a, b| key_cmp(keys, |i| (&a[columns[i]], &b[columns[i]])));
+        return Ok(());
+    }
     let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rel.len());
     let schema = rel.schema().clone();
     for row in std::mem::take(rel.rows_mut()) {
@@ -441,18 +492,25 @@ pub fn sort_relation(rel: &mut Relation, keys: &[SortKey], ectx: &EvalContext) -
             .collect::<Result<_>>()?;
         keyed.push((k, row));
     }
-    keyed.sort_by(|(ka, _), (kb, _)| {
-        for (i, s) in keys.iter().enumerate() {
-            let ord = ka[i].sort_cmp(&kb[i]);
-            let ord = if s.asc { ord } else { ord.reverse() };
-            if !ord.is_eq() {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
+    keyed.sort_by(|(ka, _), (kb, _)| key_cmp(keys, |i| (&ka[i], &kb[i])));
     *rel = Relation::new(schema, keyed.into_iter().map(|(_, r)| r).collect());
     Ok(())
+}
+
+/// Order two rows by `keys`, given their `i`-th key values.
+fn key_cmp<'v>(
+    keys: &[SortKey],
+    key: impl Fn(usize) -> (&'v Value, &'v Value),
+) -> std::cmp::Ordering {
+    for (i, s) in keys.iter().enumerate() {
+        let (a, b) = key(i);
+        let ord = a.sort_cmp(b);
+        let ord = if s.asc { ord } else { ord.reverse() };
+        if !ord.is_eq() {
+            return ord;
+        }
+    }
+    std::cmp::Ordering::Equal
 }
 
 #[cfg(test)]

@@ -1,14 +1,17 @@
 //! Property-based tests: the accumulator merge law (the invariant the
-//! entire shared-slice design rests on) and executor algebraic identities.
+//! entire shared-slice design rests on), executor algebraic identities and
+//! the window kernels' shortcuts (in-place sort, renaming projection, owned
+//! window input) against the general path.
 
 use std::cell::Cell;
 use std::ops::Bound;
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use streamrel_exec::executor::sort_relation;
 use streamrel_exec::expr::{eval, EvalContext};
 use streamrel_exec::{execute, Accumulator, ExecContext, RelationSource};
-use streamrel_sql::plan::{AggFunc, BinaryOp, BoundExpr, LogicalPlan};
+use streamrel_sql::plan::{AggFunc, BinaryOp, BoundExpr, LogicalPlan, SortKey};
 use streamrel_types::{Column, DataType, Relation, Result, Row, Schema, Value};
 
 /// A table with the contract of an ordered single-column index on column
@@ -83,6 +86,45 @@ fn arb_conjunct() -> impl Strategy<Value = BoundExpr> {
             ty,
         }
     })
+}
+
+/// A sort key value: NULL, Int and Float in one numeric class, both zeros
+/// and both NaNs.
+fn arb_key() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        (-3i64..3).prop_map(Value::Int),
+        (-6i64..6).prop_map(|i| Value::Float(i as f64 / 2.0)),
+        Just(Value::Float(-0.0)),
+        Just(Value::Float(f64::NAN)),
+        Just(Value::Float(-f64::NAN)),
+    ]
+}
+
+/// Rows of two key columns plus each row's input position (`tag`).
+fn tagged(rows: Vec<(Value, Value)>) -> Relation {
+    let schema = Arc::new(
+        Schema::new(vec![
+            Column::new("a", DataType::Float),
+            Column::new("b", DataType::Float),
+            Column::new("tag", DataType::Int),
+        ])
+        .unwrap(),
+    );
+    let rows = rows.into_iter().enumerate();
+    let rows = rows.map(|(i, (a, b))| vec![a, b, Value::Int(i as i64)]);
+    Relation::new(schema, rows.collect())
+}
+
+fn column(index: usize) -> BoundExpr {
+    BoundExpr::Column {
+        index,
+        ty: DataType::Float,
+    }
+}
+
+fn tags(rel: &Relation) -> Vec<Value> {
+    rel.rows().iter().map(|r| r[2].clone()).collect()
 }
 
 fn arb_vals() -> impl Strategy<Value = Vec<Option<i64>>> {
@@ -235,5 +277,126 @@ proptest! {
     fn like_reflexive_and_percent(s in "[a-z0-9 ]{0,16}") {
         prop_assert!(streamrel_exec::expr::like_match(&s, &s));
         prop_assert!(streamrel_exec::expr::like_match(&s, "%"));
+    }
+
+    /// A sort on plain columns, done in place, orders rows exactly as the
+    /// key-vector sort of the same keys behind an expression does; and the
+    /// order is the comparator's: sorted, NULLs last ascending, ties in
+    /// input order.
+    #[test]
+    fn in_place_column_sort_equals_key_vector_sort(
+        rows in prop::collection::vec((arb_key(), arb_key()), 0..40),
+        keys in prop::collection::vec((0usize..2, any::<bool>()), 1..4),
+    ) {
+        let plain: Vec<SortKey> = keys
+            .iter()
+            .map(|&(c, asc)| SortKey { expr: column(c), asc })
+            .collect();
+        // `CASE WHEN true THEN c END` is `c`, but not a plain column.
+        let wrapped: Vec<SortKey> = keys
+            .iter()
+            .map(|&(c, asc)| SortKey {
+                expr: BoundExpr::Case {
+                    operand: None,
+                    whens: vec![(BoundExpr::Literal(Value::Bool(true)), column(c))],
+                    else_expr: None,
+                    ty: DataType::Float,
+                },
+                asc,
+            })
+            .collect();
+        let ctx = EvalContext::default();
+        let mut in_place = tagged(rows);
+        let mut keyed = in_place.clone();
+        sort_relation(&mut in_place, &plain, &ctx).unwrap();
+        sort_relation(&mut keyed, &wrapped, &ctx).unwrap();
+        prop_assert_eq!(tags(&in_place), tags(&keyed));
+        for pair in in_place.rows().windows(2) {
+            let ord = keys
+                .iter()
+                .map(|&(c, asc)| {
+                    let ord = pair[0][c].sort_cmp(&pair[1][c]);
+                    if asc { ord } else { ord.reverse() }
+                })
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal);
+            prop_assert!(ord.is_le(), "out of order: {:?}", pair);
+            if ord.is_eq() {
+                prop_assert!(pair[0][2].sort_cmp(&pair[1][2]).is_lt(), "unstable: {:?}", pair);
+            }
+            let (first, asc) = keys[0];
+            if asc && pair[0][first].is_null() {
+                prop_assert!(pair[1][first].is_null(), "NULL before a value: {:?}", pair);
+            }
+        }
+    }
+
+    /// A projection of the input columns in order renames them and keeps
+    /// every row; any other column list still evaluates.
+    #[test]
+    fn identity_projection_renames_and_keeps_rows(
+        rows in prop::collection::vec((arb_key(), arb_key()), 0..20),
+        swap in any::<bool>(),
+    ) {
+        let rel = tagged(rows);
+        let order = if swap { [1, 0, 2] } else { [0, 1, 2] };
+        let renamed = Arc::new(Schema::new_unchecked(
+            ["x", "y", "z"].iter().map(|n| Column::new(*n, DataType::Float)).collect(),
+        ));
+        let plan = LogicalPlan::Project {
+            input: Box::new(LogicalPlan::TableScan { table: "t".into(), schema: rel.schema().clone() }),
+            exprs: order.iter().map(|&i| column(i)).collect(),
+            schema: renamed.clone(),
+        };
+        let src = IndexedTable { rel: rel.clone(), indexed: false, ranges: Cell::new(0) };
+        let out = execute(&plan, &ExecContext::snapshot(&src)).unwrap();
+        prop_assert_eq!(out.schema(), &renamed);
+        let want: Vec<String> = rel
+            .rows()
+            .iter()
+            .map(|r| format!("{:?}", order.iter().map(|&i| &r[i]).collect::<Vec<_>>()))
+            .collect();
+        let got: Vec<String> = out.rows().iter().map(|r| format!("{:?}", r.iter().collect::<Vec<_>>())).collect();
+        prop_assert_eq!(got, want);
+    }
+
+    /// A window plan given its relation (the scan takes it) returns what
+    /// the same plan lent the relation (the scan copies it) returns.
+    #[test]
+    fn owned_window_input_equals_lent(
+        rows in prop::collection::vec((arb_key(), arb_key()), 0..30),
+        bound in arb_key(),
+        asc in any::<bool>(),
+    ) {
+        let rel = tagged(rows);
+        let scan = LogicalPlan::StreamScan {
+            stream: "s".into(),
+            schema: rel.schema().clone(),
+            window: streamrel_sql::WindowSpec::Time { visible: 1, advance: 1 },
+            cqtime: None,
+            derived: false,
+        };
+        let filter = LogicalPlan::Filter {
+            input: Box::new(scan),
+            predicate: BoundExpr::Binary {
+                op: BinaryOp::Le,
+                left: Box::new(column(0)),
+                right: Box::new(BoundExpr::Literal(bound)),
+                ty: DataType::Bool,
+            },
+        };
+        let plan = LogicalPlan::Sort {
+            input: Box::new(LogicalPlan::Project {
+                input: Box::new(filter),
+                exprs: vec![column(1), column(0), column(2)],
+                schema: rel.schema().clone(),
+            }),
+            keys: vec![SortKey { expr: column(0), asc }],
+        };
+        let src = IndexedTable { rel: rel.clone(), indexed: false, ranges: Cell::new(0) };
+        let lent = execute(&plan, &ExecContext::window(&src, "s", &rel, 7)).unwrap();
+        let given = execute(&plan, &ExecContext::window_owned(&src, "s", rel.clone(), 7)).unwrap();
+        prop_assert_eq!(tags(&lent), tags(&given));
+        prop_assert_eq!(lent.schema(), given.schema());
     }
 }

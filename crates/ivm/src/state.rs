@@ -44,6 +44,7 @@ use streamrel_types::{Error, Relation, Result, Row, Timestamp, Value};
 use crate::lower::{AggShape, IvmProgram, IvmShape, JoinShape, RowOp};
 
 /// Result of composing a window from slices.
+#[derive(Clone)]
 pub enum WindowOutput {
     /// The anchor output is fully determined by stream state.
     Ready(Relation),
@@ -70,6 +71,7 @@ impl WindowOutput {
 
 /// The join-aggregate delta staged for one window close: slice-merged
 /// partials keyed by join key, finalized against a table snapshot.
+#[derive(Clone)]
 pub struct JoinDelta {
     join: JoinShape,
     agg: AggShape,

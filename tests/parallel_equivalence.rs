@@ -9,13 +9,16 @@
 //! rooted at one stream — directly, or through the derived stream it
 //! reads, whose batches take the same pooled path in the same shard — so
 //! its output is a function of that stream's tuple order alone, which both
-//! runs preserve exactly.
+//! runs preserve exactly. Within one stream, each slice store advances as a
+//! pool job of its own; results come back in store order, so one stream's
+//! many stores are as serial as its one ingester.
 
 use proptest::prelude::*;
 use proptest::test_runner::Config;
 use streamrel::net::wire;
 use streamrel::types::Value;
 use streamrel::{Db, DbOptions, SubscriptionId};
+use streamrel_bench::race::many_stores_run;
 
 const STREAMS: usize = 3;
 
@@ -154,4 +157,18 @@ proptest! {
             }
         }
     }
+}
+
+/// The `embedded_sliding` shapes on one stream — nine slice stores, each a
+/// pool job of its own at every batch, and a ROWS window — deliver the same
+/// bytes with the default pool, with none and on one shard.
+#[test]
+fn many_stores_on_one_stream_equal_serial() {
+    let reference = many_stores_run(DbOptions::default().with_pool_workers(0));
+    assert!(reference.iter().all(|windows| !windows.is_empty()));
+    assert_eq!(many_stores_run(DbOptions::default()), reference);
+    assert_eq!(
+        many_stores_run(DbOptions::default().with_shards(1)),
+        reference
+    );
 }
