@@ -19,6 +19,10 @@
 //! * memory stays bounded: the aggregate `net.outbox.depth` gauge
 //!   settles back to zero once delivery completes.
 //!
+//! It also records `writes`, the `write(2)` calls the reactor made while
+//! delivering (`net.socket_writes`): coalescing sends a socket's pending copies in
+//! a few writes, and `scripts/bench_check.sh` gates that count.
+//!
 //! Timing floors are *not* enforced on hosts with a single core (the
 //! reactor, client readers and the ingester have nothing to run on in
 //! parallel); the JSON records `"skipped": true` plus the reason so a
@@ -123,6 +127,7 @@ struct Point {
     deliver_ms: f64,
     encodes: i64,
     windows_sent: i64,
+    writes: i64,
 }
 
 /// One sweep point: N members over `conns` connections, verified.
@@ -158,6 +163,7 @@ fn run_point(
     streams.push(primary);
     let register_ms = reg_start.elapsed().as_secs_f64() * 1e3;
 
+    let writes_before = metric(&db, "net.socket_writes");
     let deliver_start = Instant::now();
     for w in 0..windows {
         admin
@@ -205,6 +211,7 @@ fn run_point(
     // Bounded memory: the aggregate outbox depth settles back to zero.
     await_metric(&db, "net.outbox.depth", 0)?;
     let windows_sent = metric(&db, "net.windows_sent");
+    let writes = metric(&db, "net.socket_writes") - writes_before;
 
     drop(streams);
     for c in clients {
@@ -219,6 +226,7 @@ fn run_point(
         deliver_ms,
         encodes,
         windows_sent,
+        writes,
     })
 }
 
@@ -247,8 +255,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Ok(p) => {
                 println!(
                     "  {:>6} subscribers / {} conns: register {:.1} ms, \
-                     deliver {:.1} ms, {} encodes, {} windows sent",
-                    p.subs, p.conns, p.register_ms, p.deliver_ms, p.encodes, p.windows_sent
+                     deliver {:.1} ms, {} encodes, {} windows sent, {} writes",
+                    p.subs,
+                    p.conns,
+                    p.register_ms,
+                    p.deliver_ms,
+                    p.encodes,
+                    p.windows_sent,
+                    p.writes
                 );
                 points.push(p);
             }
@@ -266,6 +280,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "deliver ms",
         "encodes",
         "windows sent",
+        "writes",
     ]);
     for p in &points {
         table.row(&[
@@ -275,6 +290,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             format!("{:.1}", p.deliver_ms),
             format!("{}", p.encodes),
             format!("{}", p.windows_sent),
+            format!("{}", p.writes),
         ]);
     }
     table.print();
@@ -284,8 +300,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|p| {
             format!(
                 "    {{\"subs\": {}, \"conns\": {}, \"register_ms\": {:.1}, \
-                 \"deliver_ms\": {:.1}, \"encodes\": {}, \"windows_sent\": {}}}",
-                p.subs, p.conns, p.register_ms, p.deliver_ms, p.encodes, p.windows_sent
+                 \"deliver_ms\": {:.1}, \"encodes\": {}, \"windows_sent\": {}, \"writes\": {}}}",
+                p.subs, p.conns, p.register_ms, p.deliver_ms, p.encodes, p.windows_sent, p.writes
             )
         })
         .collect();

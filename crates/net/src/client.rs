@@ -18,6 +18,7 @@
 //! growing memory without limit. The reader decodes with the resumable [`FrameDecoder`], so a
 //! socket read timeout mid-frame never desyncs the stream.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
@@ -311,13 +312,58 @@ fn unexpected(reply: &Reply) -> NetError {
     NetError::Protocol(format!("unexpected {what} reply"))
 }
 
+/// Where the reader sends `WindowResult` frames: one route per live
+/// stream on this connection, found by id in O(1) however many streams
+/// share the socket.
+#[derive(Default)]
+struct Router {
+    subs: HashMap<u64, Arc<SubQueue>>,
+    /// The last body decoded (the payload after its 8-byte id) and its
+    /// output. Every member of a fan-out group receives the same body
+    /// bytes, so a run of copies decodes once; decoding is a pure
+    /// function of the bytes, so a byte-equal body reuses the output.
+    last: Option<(Vec<u8>, CqOutput)>,
+}
+
+impl Router {
+    fn add(&mut self, id: u64, opts: ClientOptions) -> Arc<SubQueue> {
+        let queue = SubQueue::new(opts);
+        self.subs.insert(id, queue.clone());
+        queue
+    }
+
+    /// Decode one `WindowResult` payload and offer it to its stream. A
+    /// stream whose consumer is gone (the router holds the only
+    /// reference) loses its route here, lazily.
+    fn route(&mut self, payload: &[u8]) -> streamrel_types::Result<()> {
+        let (id, out) = match (&self.last, payload.split_first_chunk::<8>()) {
+            (Some((bytes, out)), Some((id, body))) if bytes.as_slice() == body => {
+                (u64::from_le_bytes(*id), out.clone())
+            }
+            _ => {
+                let (id, out) = wire::decode_window_result(payload)?;
+                self.last = Some((payload[8..].to_vec(), out.clone()));
+                (id, out)
+            }
+        };
+        if let Some(q) = self.subs.get(&id) {
+            if Arc::strong_count(q) == 1 {
+                self.subs.remove(&id);
+            } else {
+                q.offer(out);
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Reader thread: decode frames and route them. Response frames go to
 /// the in-flight request; `WindowResult` frames go to their stream's
 /// bounded queue. On any socket or protocol error the thread exits,
 /// closing the response channel and every subscription queue, which
 /// surfaces `Disconnected`/end-of-stream to all callers.
 fn reader_loop(mut socket: TcpStream, resp: Sender<Reply>, opts: ClientOptions) {
-    let mut subs: Vec<(u64, Arc<SubQueue>)> = Vec::new();
+    let mut router = Router::default();
     let mut decoder = FrameDecoder::new();
     loop {
         // The resumable decoder survives read timeouts mid-frame (the
@@ -341,32 +387,16 @@ fn reader_loop(mut socket: TcpStream, resp: Sender<Reply>, opts: ClientOptions) 
                 Err(_) => break,
             },
             FrameType::Subscribed => match wire::decode_subscribed(&frame.payload) {
-                Ok(id) => {
-                    // Register the route *before* handing the queue to
-                    // the caller: this thread is the only frame source,
-                    // so no WindowResult for `id` can be missed.
-                    let queue = SubQueue::new(opts);
-                    subs.push((id, queue.clone()));
-                    resp.send(Reply::Subscribed(id, queue)).is_ok()
-                }
+                // Register the route *before* handing the queue to the
+                // caller: this thread is the only frame source, so no
+                // WindowResult for `id` can be missed.
+                Ok(id) => resp
+                    .send(Reply::Subscribed(id, router.add(id, opts)))
+                    .is_ok(),
                 Err(_) => break,
             },
-            FrameType::WindowResult => match wire::decode_window_result(&frame.payload) {
-                Ok((id, out)) => {
-                    // Streams whose consumer is gone (we hold the only
-                    // reference) are pruned lazily; live ones get the
-                    // window offered to their bounded queue.
-                    subs.retain(|(sid, q)| {
-                        if *sid == id {
-                            if Arc::strong_count(q) == 1 {
-                                return false;
-                            }
-                            q.offer(out.clone());
-                        }
-                        true
-                    });
-                    true
-                }
+            FrameType::WindowResult => match router.route(&frame.payload) {
+                Ok(()) => true,
                 Err(_) => break,
             },
             FrameType::Heartbeat => resp.send(Reply::Heartbeat).is_ok(),
@@ -395,7 +425,7 @@ fn reader_loop(mut socket: TcpStream, resp: Sender<Reply>, opts: ClientOptions) 
         }
     }
     // Wake every blocked stream: the connection is over.
-    for (_, q) in subs {
+    for q in router.subs.into_values() {
         q.close();
     }
 }
@@ -474,5 +504,87 @@ impl Iterator for SubscriptionStream {
             }
             self.queue.cv.wait(&mut q);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use streamrel_types::{Column, DataType, Schema, Value};
+
+    fn window(close: i64, rows: &[i64]) -> CqOutput {
+        let schema = Arc::new(Schema::new(vec![Column::new("v", DataType::Int)]).unwrap());
+        let rows = rows.iter().map(|&v| vec![Value::Int(v)]).collect();
+        CqOutput {
+            close,
+            relation: Relation::new(schema, rows),
+        }
+    }
+
+    /// What a plain decode of `payload` gives, as comparable bytes.
+    fn plain(payload: &[u8]) -> (u64, Vec<u8>) {
+        let (id, out) = wire::decode_window_result(payload).unwrap();
+        (id, wire::encode_window_body(&out))
+    }
+
+    fn drain(q: &SubQueue) -> Vec<Vec<u8>> {
+        let mut q = q.q.lock();
+        std::iter::from_fn(|| q.pop())
+            .map(|o| wire::encode_window_body(&o))
+            .collect()
+    }
+
+    #[test]
+    fn every_copy_reaches_its_own_stream_and_matches_a_plain_decode() {
+        let mut router = Router::default();
+        let opts = ClientOptions::default();
+        // Two groups whose bodies are byte-equal, then a third body: the
+        // sequence A, B, A must not hit a stale cache entry.
+        let (a, b) = (window(60, &[1, 2]), window(120, &[3]));
+        let ids: Vec<u64> = (1..=1_000).collect();
+        let queues: Vec<_> = ids.iter().map(|&id| router.add(id, opts)).collect();
+        let mut sent: HashMap<u64, Vec<Vec<u8>>> = HashMap::new();
+        for out in [&a, &b, &a] {
+            for &id in &ids {
+                let payload = wire::encode_window_result(id, out);
+                router.route(&payload).unwrap();
+                let (got_id, body) = plain(&payload);
+                assert_eq!(got_id, id);
+                sent.entry(id).or_default().push(body);
+            }
+        }
+        for (id, q) in ids.iter().zip(&queues) {
+            assert_eq!(drain(q), sent[id], "stream {id}");
+        }
+    }
+
+    #[test]
+    fn a_dropped_stream_loses_its_route_and_the_others_keep_receiving() {
+        let mut router = Router::default();
+        let opts = ClientOptions::default();
+        let kept = router.add(1, opts);
+        drop(router.add(2, opts));
+        for id in [1, 2] {
+            router
+                .route(&wire::encode_window_result(id, &window(60, &[7])))
+                .unwrap();
+        }
+        assert!(!router.subs.contains_key(&2), "dead route pruned");
+        router
+            .route(&wire::encode_window_result(1, &window(120, &[8])))
+            .unwrap();
+        assert_eq!(drain(&kept).len(), 2);
+    }
+
+    #[test]
+    fn a_malformed_body_is_an_error_even_after_a_cached_one() {
+        let mut router = Router::default();
+        let good = wire::encode_window_result(1, &window(60, &[1]));
+        router.route(&good).unwrap();
+        let mut bad = good.clone();
+        bad.push(0);
+        assert!(router.route(&bad).is_err());
+        assert!(router.route(&good[..good.len() - 1]).is_err());
+        assert!(router.route(&[1, 2, 3]).is_err());
     }
 }

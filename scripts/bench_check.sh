@@ -8,7 +8,8 @@
 # Two kinds of checks:
 #   * structural — proof-shaped fields that must hold exactly on any
 #     machine: zero torture failures/divergences, row conservation,
-#     fan-out delivery counts, linear registration cost, a window close
+#     fan-out delivery counts and coalesced socket writes, linear
+#     registration cost, a window close
 #     whose merge count does not grow with the window's width and a
 #     REPLACE commit whose scan does not grow with the table's history. A
 #     violation is a correctness regression.
@@ -83,6 +84,14 @@ elif name == "BENCH_fanout.json":
             problems.append(
                 f"sweep subs={entry['subs']}: windows_sent "
                 f"{entry['windows_sent']}, want {want}"
+            )
+        # Coalesced writes: a socket's pending copies leave together, so
+        # at 100+ members there are at most a quarter as many write(2)
+        # calls as window frames sent (a count, not a rate).
+        if entry["subs"] >= 100 and entry.get("writes", 0) * 4 > entry["windows_sent"]:
+            problems.append(
+                f"sweep subs={entry['subs']}: {entry.get('writes')} socket writes "
+                f"for {entry['windows_sent']} windows sent, want <= 1/4"
             )
     # Registration must stay linear in members: per-member cost at the
     # largest sweep point within 3x of the cost at 1000 (skipped when

@@ -512,16 +512,12 @@ fn members_overflow_on_their_own_accounts() {
     server.shutdown();
 }
 
-#[test]
-fn delivery_loss_is_conserved_across_socket_death() {
-    // A subscriber that stops reading, then dies: every window its query
-    // closed must be accounted for — flushed to the socket, shed by the
-    // bounded outbox, or counted lost at teardown. Large payloads defeat
-    // kernel socket buffering so real backpressure (and real residue)
-    // builds up server-side.
-    const WINDOWS: i64 = 16;
-    const ROWS_PER_WINDOW: i64 = 768;
-
+/// A subscriber holding `members` wire ids on one raw socket stops
+/// reading, then dies: every copy routed to it must be accounted for —
+/// flushed to the socket, shed by a bounded outbox, or counted lost at
+/// teardown. Payloads large enough to defeat kernel socket buffering
+/// make real backpressure (and real residue) build up server-side.
+fn assert_loss_conserved_across_socket_death(windows: i64, rows_per_window: i64, members: usize) {
     let db = Arc::new(Db::in_memory(DbOptions::default()));
     let opts = ServerOptions {
         outbox_capacity: 2,
@@ -534,10 +530,18 @@ fn delivery_loss_is_conserved_across_socket_death() {
     let admin = Client::connect(addr).unwrap();
     admin.execute(FAT_DDL).unwrap();
 
-    // Subscribe over a raw socket, consume the ack, then go silent.
-    let (raw, _, _) = raw_subscribe(addr, FAT_CQ);
-    for w in 0..WINDOWS {
-        let rows = fat_window_rows(w, ROWS_PER_WINDOW);
+    // Subscribe over a raw socket, consume the acks, then go silent.
+    let (mut raw, mut decoder, primary) = raw_subscribe(addr, FAT_CQ);
+    for _ in 1..members {
+        Frame::new(FrameType::Attach, wire::encode_attach(primary))
+            .write_to(&mut raw)
+            .unwrap();
+        raw.flush().unwrap();
+        let ack = decoder.read_frame(&mut raw).unwrap().unwrap();
+        assert_eq!(ack.ty, FrameType::Subscribed);
+    }
+    for w in 0..windows {
+        let rows = fat_window_rows(w, rows_per_window);
         admin.ingest_batch("events", &rows).unwrap();
         admin.heartbeat("events", (w + 1) * 60_000_000).unwrap();
     }
@@ -550,15 +554,16 @@ fn delivery_loss_is_conserved_across_socket_death() {
         std::thread::sleep(Duration::from_millis(10));
     }
 
-    // Conservation: sent + shed + lost == closed. And the death was
+    // Conservation: sent + shed + lost == routed. And the death was
     // genuinely mid-delivery — something was lost or shed, not just
     // buffered away by the kernel.
+    let routed = windows * members as i64;
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let sent = metric(&db, "net.windows_sent").unwrap_or(0);
         let shed = metric(&db, "net.outbox_drops").unwrap_or(0);
         let lost = metric(&db, "net.delivery_lost").unwrap_or(0);
-        if sent + shed + lost == WINDOWS {
+        if sent + shed + lost == routed {
             assert!(
                 shed + lost > 0,
                 "workload too small to exercise loss accounting"
@@ -567,11 +572,130 @@ fn delivery_loss_is_conserved_across_socket_death() {
         }
         assert!(
             Instant::now() < deadline,
-            "conservation violated: sent={sent} shed={shed} lost={lost}, want sum {WINDOWS}"
+            "conservation violated: sent={sent} shed={shed} lost={lost}, want sum {routed}"
         );
         std::thread::sleep(Duration::from_millis(20));
     }
 
+    admin.close().unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn delivery_loss_is_conserved_across_socket_death() {
+    // One member, ~770 KiB frames: the write buffer holds one frame.
+    assert_loss_conserved_across_socket_death(16, 768, 1);
+}
+
+#[test]
+fn delivery_loss_is_conserved_across_a_coalesced_write_buffer() {
+    // Four members, ~16 KiB frames: the socket dies with several window
+    // frames coalesced in the write buffer, one of them half written.
+    assert_loss_conserved_across_socket_death(128, 16, 4);
+}
+
+#[test]
+fn goodbye_under_backpressure_ends_on_a_frame_boundary() {
+    // A subscriber that stopped reading says Goodbye while a wide window
+    // frame is half written. It must then read whole frames only — what
+    // the kernel already held, the frame that was on the wire — ending
+    // in the Goodbye ack, and every routed window is sent or lost.
+    const WINDOWS: i64 = 16;
+    let db = Arc::new(Db::in_memory(DbOptions::default()));
+    let opts = ServerOptions {
+        write_timeout: Duration::from_secs(30),
+        ..ServerOptions::default()
+    };
+    let server = Server::serve_with(db.clone(), "127.0.0.1:0", opts).unwrap();
+    let admin = Client::connect(server.local_addr()).unwrap();
+    admin.execute(FAT_DDL).unwrap();
+    let (mut raw, mut decoder, _) = raw_subscribe(server.local_addr(), FAT_CQ);
+    for w in 0..WINDOWS {
+        admin
+            .ingest_batch("events", &fat_window_rows(w, 768))
+            .unwrap();
+        admin.heartbeat("events", (w + 1) * 60_000_000).unwrap();
+    }
+    // Wait until the server's writes stall against the silent peer.
+    let mut sent = -1;
+    loop {
+        std::thread::sleep(Duration::from_millis(200));
+        let now = metric(&db, "net.windows_sent").unwrap_or(0);
+        if now == sent {
+            break;
+        }
+        sent = now;
+    }
+    assert!(sent < WINDOWS, "the peer's buffers absorbed every window");
+
+    Frame::bare(FrameType::Goodbye).write_to(&mut raw).unwrap();
+    raw.flush().unwrap();
+    let mut frames = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        match decoder.read_frame(&mut raw) {
+            Ok(Some(frame)) => frames.push(frame.ty),
+            Ok(None) => break,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                assert!(Instant::now() < deadline, "server never hung up");
+            }
+            Err(e) => panic!("stream cut mid-frame after {} frames: {e}", frames.len()),
+        }
+    }
+    assert_eq!(frames.pop(), Some(FrameType::Goodbye));
+    assert!(frames.iter().all(|ty| *ty == FrameType::WindowResult));
+    // The peer read exactly the frames counted sent; the rest were lost.
+    await_metric(&db, "net.windows_sent", frames.len() as i64);
+    assert_eq!(
+        metric(&db, "net.delivery_lost"),
+        Some(WINDOWS - frames.len() as i64)
+    );
+    assert_eq!(metric(&db, "net.outbox_drops"), Some(0));
+
+    admin.close().unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn a_thousand_streams_on_one_connection_each_get_every_window() {
+    const WINDOWS: i64 = 3;
+    const MEMBERS: usize = 1_000;
+    let reference = embedded_reference(WINDOWS);
+
+    let db = Arc::new(Db::in_memory(DbOptions::default()));
+    let server = Server::serve(db.clone(), "127.0.0.1:0").unwrap();
+    let admin = Client::connect(server.local_addr()).unwrap();
+    admin.execute(DDL).unwrap();
+    let sub = Client::connect(server.local_addr()).unwrap();
+    let primary = sub.subscribe(CQ).unwrap();
+    let mut streams: Vec<_> = (1..MEMBERS)
+        .map(|_| sub.subscribe_attach(primary.id()).unwrap())
+        .collect();
+    streams.push(primary);
+
+    let writes_before = metric(&db, "net.socket_writes").unwrap();
+    for w in 0..WINDOWS {
+        admin.ingest_batch("events", &window_rows(w)).unwrap();
+        admin.heartbeat("events", (w + 1) * 60_000_000).unwrap();
+    }
+    for stream in &streams {
+        for want in &reference {
+            let out = stream.next_timeout(Duration::from_secs(10)).unwrap();
+            assert_eq!(&canonical(out.close, &out.relation), want);
+        }
+    }
+    await_metric(&db, "net.windows_sent", WINDOWS * MEMBERS as i64);
+    assert!(streams.iter().all(|s| s.try_next().is_none()));
+    // A window's thousand copies leave in a few coalesced writes.
+    let writes = metric(&db, "net.socket_writes").unwrap() - writes_before;
+    assert!(
+        writes <= WINDOWS * MEMBERS as i64 / 4,
+        "{writes} socket writes for {} window copies",
+        WINDOWS * MEMBERS as i64
+    );
+
+    drop(streams);
+    sub.close().unwrap();
     admin.close().unwrap();
     server.shutdown();
 }
