@@ -5,8 +5,8 @@
 //! process, so the numbers are wire + reactor + bridge costs, not
 //! scheduler noise):
 //!
-//! * **live fan-in** — a producer node streams `FED_WINDOWS` windows of
-//!   `FED_ROWS` rows through a derived CQ; a consumer node bridges the
+//! * **live fan-in** — a producer node streams 200 × `SCALE` windows of
+//!   100 rows through a derived CQ; a consumer node bridges the
 //!   partials into a local stream and re-aggregates. Reported as
 //!   windows/s and rows/s end-to-end (ingest → remote window → bridge
 //!   apply → local window close).
@@ -24,30 +24,16 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use streamrel_bench::federation::{CONSUMER_STREAM, PRODUCER_DDL};
 use streamrel_bench::{fmt_dur, scale, timed, ResultTable};
 use streamrel_core::{Db, DbOptions};
 use streamrel_net::{Bridge, BridgeOptions, Client, Server};
 use streamrel_types::time::MINUTES;
 use streamrel_types::Value;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-const PRODUCER_DDL: &[&str] = &[
-    "CREATE STREAM hits (url varchar(100), htime timestamp CQTIME USER)",
-    "CREATE TABLE hit_archive (url varchar(100), scnt integer, stime timestamp)",
-    "CREATE STREAM hit_partials AS SELECT url, count(*) scnt, cq_close(*) stime \
-     FROM hits <TUMBLING '1 minute'> GROUP BY url ORDER BY url",
-    "CREATE CHANNEL hit_chan FROM hit_partials INTO hit_archive APPEND",
-];
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let windows = env_u64("FED_WINDOWS", 200 * scale() as u64) as i64;
-    let rows_per_window = env_u64("FED_ROWS", 100) as i64;
+    let windows = 200 * scale() as i64;
+    let rows_per_window = 100i64;
     println!(
         "fed_bench: {windows} windows x {rows_per_window} rows across a \
          subscription->ingest bridge\n"
@@ -60,9 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let server = Server::serve(producer.clone(), "127.0.0.1:0")?;
 
     let consumer = Arc::new(Db::in_memory(DbOptions::default()));
-    consumer.execute(
-        "CREATE STREAM partials (url varchar(100), scnt integer, stime timestamp CQTIME USER)",
-    )?;
+    consumer.execute(CONSUMER_STREAM)?;
     consumer.execute("CREATE TABLE url_total (url varchar(100), hits bigint, w timestamp)")?;
     consumer.execute(
         "CREATE STREAM rollup AS SELECT url, sum(scnt) hits, cq_close(*) w \

@@ -3,10 +3,12 @@
 //! Each binary regenerates one of the paper's evaluation claims (there are
 //! no numbered result tables in this CIDR vision paper; the mapping from
 //! claims to experiments is in DESIGN.md §4) and prints a small table of
-//! rows that EXPERIMENTS.md records.
+//! rows that EXPERIMENTS.md records. The `torture` binary runs the suites
+//! of [`torture::SUITES`] instead.
 
 #![deny(unsafe_code)]
 
+pub mod federation;
 pub mod race;
 pub mod torture;
 

@@ -1,15 +1,15 @@
-//! Race torture: seeded chaos scheduling over the engine's concurrency
-//! invariants (DESIGN.md §14).
+//! The torture runner's `race` suite: seeded chaos scheduling over the
+//! engine's concurrency invariants (DESIGN.md §14).
 //!
-//! Each suite runs a **fixed** deterministic workload twice: once
+//! Each sub-suite runs a **fixed** deterministic workload twice: once
 //! serially with no perturbation to produce a canonical reference, then
 //! concurrently with [`streamrel_faults::chaos`] armed under the sweep
 //! seed and the runtime lock witness validating every named-lock
 //! acquisition against the generated global order. The contract is
 //! byte-identical: for every seed the concurrent run's observable
 //! results must equal the reference exactly — any divergence is a real
-//! ordering bug, reported as a [`RaceFailure`] carrying the seed that
-//! reproduces it.
+//! ordering bug, reported as a [`Failure`] whose seed reproduces it. So
+//! is a sub-suite the injector never fired in: it proved nothing.
 //!
 //! * [`parallel_equivalence`] — concurrent sharded ingest across three
 //!   streams vs the single-shard inline-evaluation baseline; every
@@ -31,39 +31,22 @@ use streamrel_core::{Db, DbOptions, SubscriptionId};
 use streamrel_faults::{chaos, FaultIo, FaultPlan};
 use streamrel_types::Value;
 
+use crate::torture::{Failure, Outcome};
+
 /// Simulated data directory for the durable suite.
 const SIM_DIR: &str = "/sim/race";
 
-/// One divergence: the reproduction recipe plus what went wrong.
-#[derive(Debug, Clone)]
-pub struct RaceFailure {
-    /// Which suite diverged.
-    pub suite: &'static str,
-    /// Chaos seed that reproduces the failure.
-    pub seed: u64,
-    /// Human-readable description of the divergence.
-    pub detail: String,
-}
+/// One race sub-suite: a name and a chaos-perturbed invariant check.
+type SubSuite = (&'static str, fn() -> Result<(), String>);
 
-/// One race suite: a name and a chaos-perturbed invariant check.
-type Suite = (&'static str, fn() -> Result<(), String>);
-
-/// Result of sweeping one seed across every suite.
-#[derive(Debug, Default)]
-pub struct RaceOutcome {
-    /// Synchronization points perturbed across the suites.
-    pub chaos_points: u64,
-    /// Divergences (empty = all invariants held under this schedule).
-    pub failures: Vec<RaceFailure>,
-}
-
-/// Run every suite under `seed`. The lock witness is enabled for the
+/// Run every sub-suite under `seed`; the outcome's points are the
+/// synchronization points perturbed. The lock witness is enabled for the
 /// duration, so a lock-order inversion or deadlock panics inside the
-/// suite and is reported as a failure rather than aborting the sweep.
-pub fn run_seed(seed: u64) -> RaceOutcome {
-    let mut outcome = RaceOutcome::default();
+/// sub-suite and is reported as a failure rather than aborting the sweep.
+pub fn run_seed(seed: u64) -> Outcome {
+    let mut outcome = Outcome::default();
     parking_lot::witness::enable();
-    let suites: [Suite; 4] = [
+    let suites: [SubSuite; 4] = [
         ("parallel-equivalence", parallel_equivalence),
         ("many-stores-equivalence", many_stores_equivalence),
         ("group-commit-conservation", group_commit_conservation),
@@ -73,16 +56,19 @@ pub fn run_seed(seed: u64) -> RaceOutcome {
         chaos::arm(seed);
         let run = std::panic::catch_unwind(suite);
         chaos::disarm();
-        outcome.chaos_points += chaos::ops();
+        outcome.points += chaos::ops();
         let detail = match run {
-            Ok(Ok(())) => continue,
+            Ok(Ok(())) if chaos::ops() > 0 => continue,
+            Ok(Ok(())) => "the chaos injector never fired".to_string(),
             Ok(Err(detail)) => detail,
             Err(panic) => format!("panic: {}", panic_message(&panic)),
         };
-        outcome.failures.push(RaceFailure {
-            suite: name,
+        outcome.failures.push(Failure {
+            suite: "race",
             seed,
-            detail,
+            op: None,
+            detail: format!("{name}: {detail}"),
+            artifact: None,
         });
     }
     parking_lot::witness::disable();

@@ -1,8 +1,16 @@
-//! Crash-recovery torture harness (DESIGN.md §10).
+//! The torture runner's suites, and its crash-recovery sweeps (DESIGN.md
+//! §10).
 //!
-//! Two deterministic sweeps, both built on `streamrel-faults`:
+//! One seed drives every suite in [`SUITES`]: the four crash-at-every-op
+//! sweeps defined here (`storage`, `multilog`, `cq`, `ivm`), the chaos
+//! schedule sweep of [`crate::race`] and the cross-process `kill -9`
+//! sweep of [`crate::federation`]. Each reports one [`Outcome`] of
+//! [`Failure`]s. The seed also picks every workload size
+//! ([`Sizes::of`]), so a `(suite, seed)` pair names a run completely.
 //!
-//! * [`engine_sweep`] — a seeded workload of logical storage steps
+//! The crash sweeps are deterministic and built on `streamrel-faults`:
+//!
+//! * [`engine_sweep_with_logs`] — a seeded workload of logical storage steps
 //!   (DDL, transactional inserts/deletes, catalog puts, checkpoints,
 //!   aborted transactions) runs once fault-free to record the state
 //!   digest at every step boundary; then the same workload is crashed at
@@ -11,6 +19,8 @@
 //!   boundary at or after the last step whose commit fsync returned
 //!   (atomicity + durability), and (b) after re-driving the remaining
 //!   steps, be byte-identical to the uncrashed reference's final digest.
+//!   With one commit domain it is the `storage` suite; with several (plus
+//!   [`checkpoint_reset_sweep`]) the `multilog` suite.
 //! * [`cq_sweep`] — the same protocol over the full SQL/CQ stack: a
 //!   tumbling-window CQ archiving into an Active Table through an APPEND
 //!   channel, plus a raw archive. After each crash the harness reopens,
@@ -18,17 +28,21 @@
 //!   watermark (the paper's §4 recovery story), re-drives the ingest
 //!   steps whose tuples never became durable, and requires the final
 //!   archive + watermark digest to be byte-identical to the reference.
+//!   [`ivm_sweep`] is the same over a sliding window on a slice store.
 //!
-//! Every divergence is reported as a [`Failure`] carrying the seed and
-//! crash-op index; `FaultPlan::crash_at(seed, op)` reproduces it exactly.
+//! A crash failure carries its frozen disk image;
+//! `FaultPlan::crash_at(seed, op)` reproduces it exactly.
 
 use std::collections::HashSet;
+use std::fmt;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use streamrel_core::{Db, DbOptions};
 use streamrel_cq::recovery::{archive_watermark, load_watermark, replay_rows_after};
+use streamrel_faults::chaos::splitmix64;
 use streamrel_faults::{DiskImage, FaultIo, FaultPlan};
 use streamrel_storage::{Io, StorageEngine, SyncMode};
 use streamrel_types::{Column, DataType, Result, Value};
@@ -36,33 +50,110 @@ use streamrel_types::{Column, DataType, Result, Value};
 /// Simulated data directory (never touches the real filesystem).
 const SIM_DIR: &str = "/sim/db";
 
-/// One divergence found by a sweep: the reproduction recipe plus what
-/// went wrong.
-#[derive(Debug, Clone)]
-pub struct Failure {
-    /// Workload + fault seed.
-    pub seed: u64,
-    /// Mutating-op index the crash was injected at.
-    pub op: u64,
-    /// Human-readable description of the divergence.
-    pub detail: String,
-    /// The frozen disk image, for artifact upload.
-    pub image: DiskImage,
+/// A suite's run for one seed. An `Err` is a harness fault (the
+/// unperturbed reference run failed), not a divergence.
+pub type SuiteRun = fn(u64) -> Result<Outcome>;
+
+/// Every suite the `torture` binary runs for each seed, in order, by
+/// name. A new suite is one more entry.
+pub const SUITES: [(&str, SuiteRun); 6] = [
+    ("storage", |seed| {
+        engine_sweep_with_logs(seed, Sizes::of(seed).steps, 1)
+    }),
+    ("multilog", |seed| {
+        let z = Sizes::of(seed);
+        let mut out = engine_sweep_with_logs(seed, z.steps, z.wal_shards)?;
+        out.merge(checkpoint_reset_sweep(seed, z.wal_shards)?);
+        Ok(out)
+    }),
+    ("cq", |seed| cq_sweep(seed, Sizes::of(seed).tuples)),
+    ("ivm", |seed| ivm_sweep(seed, Sizes::of(seed).tuples)),
+    ("race", |seed| Ok(crate::race::run_seed(seed))),
+    ("federation", |seed| {
+        Ok(crate::federation::run_seed(seed, Sizes::of(seed)))
+    }),
+];
+
+/// The workload sizes a seed picks. The same seed always gets the same
+/// sizes, each inside the range the runner's lanes have always covered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sizes {
+    /// Storage workload steps, 80–120.
+    pub steps: usize,
+    /// CQ workload tuples, 25–40.
+    pub tuples: usize,
+    /// Commit domains of the `multilog` suite, 2–5.
+    pub wal_shards: usize,
+    /// Producer windows of the `federation` suite, 8–12.
+    pub windows: i64,
+    /// Serving-node kills of the `federation` suite, 2–3.
+    pub kills: u64,
 }
 
-/// Result of one sweep: how many crash points ran and which diverged.
+impl Sizes {
+    /// The sizes for `seed`: one independent draw per size.
+    pub fn of(seed: u64) -> Sizes {
+        let pick =
+            |salt: u64, lo: u64, hi: u64| lo + splitmix64(seed ^ (salt << 56)) % (hi - lo + 1);
+        Sizes {
+            steps: pick(1, 80, 120) as usize,
+            tuples: pick(2, 25, 40) as usize,
+            wal_shards: pick(3, 2, 5) as usize,
+            windows: pick(4, 8, 12) as i64,
+            kills: pick(5, 2, 3),
+        }
+    }
+}
+
+/// What a failure leaves behind besides its seed line.
+#[derive(Debug)]
+pub enum Artifact {
+    /// The frozen simulated disk at the crash.
+    DiskImage(DiskImage),
+    /// A serving node's data directory on the real filesystem.
+    NodeDir(PathBuf),
+}
+
+/// One divergence: the reproduction recipe plus what went wrong.
+#[derive(Debug)]
+pub struct Failure {
+    /// The suite that diverged.
+    pub suite: &'static str,
+    /// The seed that reproduces it (workload, sizes and schedule).
+    pub seed: u64,
+    /// Mutating-op index a crash sweep injected its crash at.
+    pub op: Option<u64>,
+    /// Human-readable description of the divergence.
+    pub detail: String,
+    /// What to upload with it; `None` when the seed line is the whole
+    /// recipe (a chaos schedule).
+    pub artifact: Option<Artifact>,
+}
+
+impl fmt::Display for Failure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "[{}] seed={}", self.suite, self.seed)?;
+        if let Some(op) = self.op {
+            write!(f, " op={op}")?;
+        }
+        write!(f, ": {}", self.detail)
+    }
+}
+
+/// What one suite did for one seed: the points it exercised (crash ops,
+/// chaos points or kills) and the divergences it found.
 #[derive(Debug, Default)]
-pub struct SweepOutcome {
-    /// Crash-op indices exercised.
-    pub crash_points: u64,
-    /// Divergences (empty = recovery proven over this workload).
+pub struct Outcome {
+    /// Crash ops, chaos points or kills exercised.
+    pub points: u64,
+    /// Divergences (empty = the suite's oracle held throughout).
     pub failures: Vec<Failure>,
 }
 
-impl SweepOutcome {
+impl Outcome {
     /// Merge another outcome into this one.
-    pub fn merge(&mut self, other: SweepOutcome) {
-        self.crash_points += other.crash_points;
+    pub fn merge(&mut self, other: Outcome) {
+        self.points += other.points;
         self.failures.extend(other.failures);
     }
 }
@@ -250,28 +341,23 @@ fn open_engine(io: &Arc<FaultIo>, wal_shards: usize) -> Result<StorageEngine> {
     StorageEngine::open_with_opts(SIM_DIR, SyncMode::Fsync, dynio, wal_shards)
 }
 
-/// Crash-at-every-op sweep over the storage-level workload with a single
-/// commit domain (the pre-§13 layout; kept as the baseline sweep).
-pub fn engine_sweep(seed: u64, nsteps: usize) -> Result<SweepOutcome> {
-    engine_sweep_with_logs(seed, nsteps, 1)
-}
-
 /// Crash-at-every-op sweep over the storage-level workload with
-/// `wal_shards` independent commit domains. Inserts home on a table's own
-/// log while deletes are routed to the *next* log (see [`table_home`]),
-/// so every crash point also proves the cross-log LSN-merge recovery cut
-/// and per-shard checkpoint epoch stamping (DESIGN.md §13).
-pub fn engine_sweep_with_logs(seed: u64, nsteps: usize, wal_shards: usize) -> Result<SweepOutcome> {
+/// `wal_shards` independent commit domains. With one it is the pre-§13
+/// layout; with more, inserts home on a table's own log while deletes are
+/// routed to the *next* log (see [`table_home`]), so every crash point
+/// also proves the cross-log LSN-merge recovery cut and per-shard
+/// checkpoint epoch stamping (DESIGN.md §13).
+pub fn engine_sweep_with_logs(seed: u64, nsteps: usize, wal_shards: usize) -> Result<Outcome> {
     sweep_engine_steps(seed, &gen_engine_steps(seed, nsteps), wal_shards)
 }
 
-/// Deterministic interleaving for ISSUE-7 satellite 3: data in several
+/// Deterministic checkpoint interleaving: data in several
 /// domains, then checkpoints — so the sweep crashes at every op *between*
 /// the checkpoint's manifest rename and each per-shard WAL reset. A
 /// recovery that discarded more than the genuinely stale logs (or kept a
 /// stale one) fails the boundary/convergence checks. The post-checkpoint
 /// traffic proves the recovered engine still routes and replays cleanly.
-pub fn checkpoint_reset_sweep(seed: u64, wal_shards: usize) -> Result<SweepOutcome> {
+pub fn checkpoint_reset_sweep(seed: u64, wal_shards: usize) -> Result<Outcome> {
     let t = |i: usize| format!("t{i}");
     let mut steps = Vec::new();
     for i in 0..wal_shards.max(2) {
@@ -309,7 +395,7 @@ pub fn checkpoint_reset_sweep(seed: u64, wal_shards: usize) -> Result<SweepOutco
     sweep_engine_steps(seed, &steps, wal_shards)
 }
 
-fn sweep_engine_steps(seed: u64, steps: &[EngineStep], wal_shards: usize) -> Result<SweepOutcome> {
+fn sweep_engine_steps(seed: u64, steps: &[EngineStep], wal_shards: usize) -> Result<Outcome> {
     // Reference run: no faults; digest at every step boundary.
     let io = FaultIo::new(FaultPlan::none(seed));
     let e = open_engine(&io, wal_shards)?;
@@ -321,8 +407,8 @@ fn sweep_engine_steps(seed: u64, steps: &[EngineStep], wal_shards: usize) -> Res
     let total_ops = io.ops();
     drop(e);
 
-    let mut outcome = SweepOutcome {
-        crash_points: total_ops,
+    let mut outcome = Outcome {
+        points: total_ops,
         failures: Vec::new(),
     };
     for op in 0..total_ops {
@@ -331,6 +417,22 @@ fn sweep_engine_steps(seed: u64, steps: &[EngineStep], wal_shards: usize) -> Res
         }
     }
     Ok(outcome)
+}
+
+fn crash_failure(
+    suite: &'static str,
+    seed: u64,
+    op: u64,
+    detail: String,
+    image: &DiskImage,
+) -> Failure {
+    Failure {
+        suite,
+        seed,
+        op: Some(op),
+        detail,
+        artifact: Some(Artifact::DiskImage(image.clone())),
+    }
 }
 
 /// Run the workload with a crash injected at mutating-op `op`, recover,
@@ -353,14 +455,13 @@ fn engine_crash_once(
         }
     }
     let image = io.frozen_image()?;
-    let fail = |detail: String| {
-        Ok(Some(Failure {
-            seed,
-            op,
-            detail,
-            image: image.clone(),
-        }))
+    // One commit domain is the `storage` suite, several are `multilog`.
+    let suite = if wal_shards == 1 {
+        "storage"
+    } else {
+        "multilog"
     };
+    let fail = |detail| Ok(Some(crash_failure(suite, seed, op, detail, &image)));
 
     // Power-loss restart: reopen over the frozen image, no faults.
     let rio = FaultIo::from_image(&image, FaultPlan::none(0));
@@ -485,6 +586,8 @@ fn cq_setup(db: &Db) -> Result<()> {
 /// One CQ-level sweep flavour: which options, which standing query, and
 /// how far before the watermark the raw replay must reach.
 struct SweepSpec {
+    /// The runner suite this sweep is.
+    suite: &'static str,
     options: fn() -> DbOptions,
     setup: fn(&Db) -> Result<()>,
     /// The derived stream `setup` creates (its watermark's name).
@@ -500,6 +603,7 @@ struct SweepSpec {
 }
 
 const CQ_SPEC: SweepSpec = SweepSpec {
+    suite: "cq",
     options: cq_options,
     setup: cq_setup,
     derived: "per_minute",
@@ -527,6 +631,7 @@ fn ivm_setup(db: &Db) -> Result<()> {
 }
 
 const IVM_SPEC: SweepSpec = SweepSpec {
+    suite: "ivm",
     options: ivm_options,
     setup: ivm_setup,
     derived: "winagg",
@@ -535,18 +640,7 @@ const IVM_SPEC: SweepSpec = SweepSpec {
 };
 
 fn ivm_lowered(db: &Db) -> bool {
-    let q = format!(
-        "SELECT value FROM {}metrics WHERE name = 'ivm.lowered'",
-        streamrel_obs::RESERVED_PREFIX
-    );
-    match db.execute(&q) {
-        Ok(streamrel_core::ExecResult::Rows(rel)) => rel
-            .rows()
-            .first()
-            .and_then(|r| r.first())
-            .is_some_and(|v| matches!(v, Value::Int(n) if *n >= 1)),
-        _ => false,
-    }
+    db.engine().metrics().counter("ivm.lowered").get() >= 1
 }
 
 fn apply_cq_step(db: &Db, step: &CqStep) -> Result<()> {
@@ -591,8 +685,9 @@ fn open_db(io: &Arc<FaultIo>, spec: &SweepSpec) -> Result<Db> {
 }
 
 /// Crash-at-every-op sweep over the CQ workload (ingest phase; DDL crash
-/// points are covered by [`engine_sweep`]'s `CreateTable`/`KvPut` steps).
-pub fn cq_sweep(seed: u64, tuples: usize) -> Result<SweepOutcome> {
+/// points are covered by [`engine_sweep_with_logs`]'s `CreateTable`/`KvPut`
+/// steps).
+pub fn cq_sweep(seed: u64, tuples: usize) -> Result<Outcome> {
     spec_sweep(seed, tuples, &CQ_SPEC)
 }
 
@@ -600,11 +695,11 @@ pub fn cq_sweep(seed: u64, tuples: usize) -> Result<SweepOutcome> {
 /// as [`cq_sweep`], but the standing query runs on the incremental path
 /// and a crash lands mid-slice. The recovered, re-driven archive must be
 /// byte-identical to the uncrashed reference.
-pub fn ivm_sweep(seed: u64, tuples: usize) -> Result<SweepOutcome> {
+pub fn ivm_sweep(seed: u64, tuples: usize) -> Result<Outcome> {
     spec_sweep(seed, tuples, &IVM_SPEC)
 }
 
-fn spec_sweep(seed: u64, tuples: usize, spec: &SweepSpec) -> Result<SweepOutcome> {
+fn spec_sweep(seed: u64, tuples: usize, spec: &SweepSpec) -> Result<Outcome> {
     let steps = gen_cq_steps(seed, tuples);
 
     // Reference run.
@@ -624,8 +719,8 @@ fn spec_sweep(seed: u64, tuples: usize, spec: &SweepSpec) -> Result<SweepOutcome
     let total_ops = io.ops();
     drop(db);
 
-    let mut outcome = SweepOutcome {
-        crash_points: total_ops - setup_ops,
+    let mut outcome = Outcome {
+        points: total_ops - setup_ops,
         failures: Vec::new(),
     };
     for op in setup_ops..total_ops {
@@ -654,14 +749,7 @@ fn spec_crash_once(
         }
     }
     let image = io.frozen_image()?;
-    let fail = |detail: String| {
-        Ok(Some(Failure {
-            seed,
-            op,
-            detail,
-            image: image.clone(),
-        }))
-    };
+    let fail = |detail| Ok(Some(crash_failure(spec.suite, seed, op, detail, &image)));
 
     // Restart: recovery replays the WAL, rebuilds DDL objects and
     // restores each CQ's position from its Active-Table watermark.
@@ -753,6 +841,13 @@ fn spec_crash_once(
 mod tests {
     use super::*;
 
+    fn assert_clean(out: Outcome) {
+        assert!(out.points > 10, "only {} crash points", out.points);
+        if let Some(f) = out.failures.first() {
+            panic!("first failure: {f}");
+        }
+    }
+
     #[test]
     fn engine_steps_are_deterministic() {
         let a = format!("{:?}", gen_engine_steps(9, 30));
@@ -764,66 +859,64 @@ mod tests {
 
     #[test]
     fn small_engine_sweep_is_clean() {
-        let out = engine_sweep(0xBEEF, 12).unwrap();
-        assert!(out.crash_points > 10);
-        assert!(
-            out.failures.is_empty(),
-            "first failure: seed={} op={} — {}",
-            out.failures[0].seed,
-            out.failures[0].op,
-            out.failures[0].detail
-        );
+        assert_clean(engine_sweep_with_logs(0xBEEF, 12, 1).unwrap());
     }
 
     #[test]
     fn small_multilog_sweep_is_clean() {
-        let out = engine_sweep_with_logs(0xBEEF, 12, 3).unwrap();
-        assert!(out.crash_points > 10);
-        assert!(
-            out.failures.is_empty(),
-            "first failure: seed={} op={} — {}",
-            out.failures[0].seed,
-            out.failures[0].op,
-            out.failures[0].detail
-        );
+        assert_clean(engine_sweep_with_logs(0xBEEF, 12, 3).unwrap());
     }
 
     #[test]
     fn checkpoint_reset_interleaving_is_clean() {
-        let out = checkpoint_reset_sweep(7, 3).unwrap();
-        assert!(out.crash_points > 10);
-        assert!(
-            out.failures.is_empty(),
-            "first failure: seed={} op={} — {}",
-            out.failures[0].seed,
-            out.failures[0].op,
-            out.failures[0].detail
-        );
+        assert_clean(checkpoint_reset_sweep(7, 3).unwrap());
     }
 
     #[test]
     fn small_cq_sweep_is_clean() {
-        let out = cq_sweep(0xBEEF, 6).unwrap();
-        assert!(out.crash_points > 10);
-        assert!(
-            out.failures.is_empty(),
-            "first failure: seed={} op={} — {}",
-            out.failures[0].seed,
-            out.failures[0].op,
-            out.failures[0].detail
-        );
+        assert_clean(cq_sweep(0xBEEF, 6).unwrap());
     }
 
     #[test]
     fn small_ivm_sweep_is_clean() {
-        let out = ivm_sweep(0xBEEF, 6).unwrap();
-        assert!(out.crash_points > 10);
+        assert_clean(ivm_sweep(0xBEEF, 6).unwrap());
+    }
+
+    #[test]
+    fn seed_sizes_are_deterministic_and_in_range() {
+        let all: Vec<Sizes> = (0..512).map(Sizes::of).collect();
+        for (seed, z) in (0..).zip(&all) {
+            assert_eq!(*z, Sizes::of(seed), "seed {seed}");
+        }
+        // Each size covers exactly its range, and seeds vary them.
+        let span = |f: fn(&Sizes) -> u64| {
+            let v = || all.iter().map(f);
+            (v().min().unwrap(), v().max().unwrap())
+        };
+        assert_eq!(span(|z| z.steps as u64), (80, 120));
+        assert_eq!(span(|z| z.tuples as u64), (25, 40));
+        assert_eq!(span(|z| z.wal_shards as u64), (2, 5));
+        assert_eq!(span(|z| z.windows as u64), (8, 12));
+        assert_eq!(span(|z| z.kills), (2, 3));
+        let distinct: HashSet<String> = all.iter().map(|z| format!("{z:?}")).collect();
         assert!(
-            out.failures.is_empty(),
-            "first failure: seed={} op={} — {}",
-            out.failures[0].seed,
-            out.failures[0].op,
-            out.failures[0].detail
+            distinct.len() > 400,
+            "only {} distinct size sets",
+            distinct.len()
         );
+    }
+
+    #[test]
+    fn failures_print_their_suite_seed_and_op() {
+        let f = Failure {
+            suite: "cq",
+            seed: 7,
+            op: Some(3),
+            detail: "diverged".into(),
+            artifact: None,
+        };
+        assert_eq!(f.to_string(), "[cq] seed=7 op=3: diverged");
+        let f = Failure { op: None, ..f };
+        assert_eq!(f.to_string(), "[cq] seed=7: diverged");
     }
 }

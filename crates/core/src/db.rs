@@ -172,10 +172,6 @@ struct DbMetrics {
     store_phase_us: Arc<Histogram>,
     /// Wall time per batch of its closed windows' plans, µs.
     post_plan_us: Arc<Histogram>,
-    /// Admitted continuous plans the check placed on a slice store.
-    check_ivm_lowered: Arc<Counter>,
-    /// Admitted continuous plans that fall back to re-evaluation.
-    check_ivm_fallback: Arc<Counter>,
     exec: ExecMetrics,
 }
 
@@ -198,8 +194,6 @@ impl DbMetrics {
             ivm_state_bytes: ivm.state_bytes,
             store_phase_us: registry.histogram("db.store_phase_us"),
             post_plan_us: registry.histogram("db.post_plan_us"),
-            check_ivm_lowered: registry.counter("check.ivm_lowered"),
-            check_ivm_fallback: registry.counter("check.ivm_fallback"),
             exec: ExecMetrics::register(registry),
         }
     }
@@ -502,7 +496,8 @@ impl Db {
         };
         if analyzed.is_continuous {
             return Err(Error::analysis(
-                "CREATE TABLE AS requires a snapshot query                  (use CREATE STREAM ... AS + a channel for continuous results)",
+                "CREATE TABLE AS requires a snapshot query \
+                 (use CREATE STREAM ... AS + a channel for continuous results)",
             ));
         }
         let source = streamrel_cq::SnapshotSource::pin(self.engine.clone());
@@ -626,11 +621,6 @@ impl Db {
             return Err(err);
         }
         self.metrics.check_warned.add(report.warnings() as u64);
-        match report.path {
-            "ivm" => self.metrics.check_ivm_lowered.inc(),
-            "reeval" => self.metrics.check_ivm_fallback.inc(),
-            _ => {}
-        }
         Ok(report.state_bound_bytes.unwrap_or(0))
     }
 

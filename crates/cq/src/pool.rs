@@ -14,11 +14,11 @@
 //! the queue, so a pool of `n` workers gives `n + 1` lanes and a pool of
 //! zero workers degenerates to exactly the old inline execution.
 
-// lock-order: queue < results < remaining
+// lock-order: queue < results
 //
 // The job queue lock is released before a job runs; a job's completion
-// closure takes its batch's results lock and then the remaining counter.
-// No lock is ever held while executing user work.
+// closure takes its batch's results lock, which also holds the count of
+// slots still empty. No lock is ever held while executing user work.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -110,8 +110,7 @@ impl WorkerPool {
         }
         let n = tasks.len();
         let batch = Arc::new(BatchState {
-            results: Mutex::named("cq.results", (0..n).map(|_| None).collect()),
-            remaining: Mutex::named("cq.remaining", n),
+            results: Mutex::named("cq.results", ((0..n).map(|_| None).collect(), n)),
             done_cv: Condvar::new(),
         });
         for (i, f) in tasks.into_iter().enumerate() {
@@ -126,8 +125,7 @@ impl WorkerPool {
         while let Some(job) = self.shared.try_pop() {
             job();
         }
-        batch.wait_done();
-        batch.take_results()
+        batch.wait_results()
     }
 }
 
@@ -163,34 +161,31 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
-/// Completion state for one `run_ordered` batch.
+/// Completion state for one `run_ordered` batch: the result slots and
+/// how many of them are still empty, under one lock.
 struct BatchState<T> {
-    results: Mutex<Vec<Option<T>>>,
-    remaining: Mutex<usize>,
+    results: Mutex<(Vec<Option<T>>, usize)>,
     done_cv: Condvar,
 }
 
 impl<T> BatchState<T> {
     fn complete(&self, i: usize, r: T) {
-        self.results.lock()[i] = Some(r);
-        let mut left = self.remaining.lock();
+        let mut g = self.results.lock();
+        let (slots, left) = &mut *g;
+        slots[i] = Some(r);
         *left -= 1;
         if *left == 0 {
             self.done_cv.notify_all();
         }
     }
 
-    fn wait_done(&self) {
-        let mut left = self.remaining.lock();
-        while *left > 0 {
-            self.done_cv.wait(&mut left);
+    /// Block until every slot is filled, then take the results in order.
+    fn wait_results(&self) -> Vec<T> {
+        let mut g = self.results.lock();
+        while g.1 > 0 {
+            self.done_cv.wait(&mut g);
         }
-    }
-
-    fn take_results(&self) -> Vec<T> {
-        self.results
-            .lock()
-            .iter_mut()
+        g.0.iter_mut()
             .map(|slot| slot.take().unwrap_or_else(|| panic!("batch slot empty")))
             .collect()
     }

@@ -13,8 +13,8 @@
 //! run is not replayable tick-for-tick; what the seed buys is a
 //! *reproducible perturbation schedule* — the Nth synchronization point
 //! of a run is stretched the same way every time, which in practice
-//! re-opens the same narrow races. The contract the `race_torture`
-//! harness enforces on top is stronger than replay: for **every** seed
+//! re-opens the same narrow races. The contract the `torture` runner's
+//! `race` suite enforces on top is stronger than replay: for **every** seed
 //! the engine's observable results must be byte-identical to the
 //! unperturbed serial reference, so any divergence is a real ordering
 //! bug, never schedule noise.

@@ -374,7 +374,7 @@ fn replace_table_readers_see_whole_generations() {
     replace_readers(2_000);
 }
 
-/// The same under `race_torture`'s chaos schedule at its PR-lane seeds,
+/// The same under the `torture` runner's chaos schedule at its PR-lane seeds,
 /// with the lock witness validating every named-lock acquisition.
 #[test]
 fn replace_table_readers_see_whole_generations_under_chaos() {

@@ -255,7 +255,7 @@ fn attached_members_survive_primary_death_mid_delivery() {
 
 #[test]
 fn fanout_is_byte_identical_under_chaos_schedules() {
-    // race_torture's contract, applied to the fan-out path: for every
+    // The race suite's contract, applied to the fan-out path: for every
     // chaos seed the remote members' observable results must equal the
     // unperturbed embedded reference exactly — any divergence is a real
     // ordering bug in reactor/engine handoff, never schedule noise.

@@ -5,8 +5,9 @@
 //! the frozen disk image, and required to be byte-identical to an
 //! uncrashed reference after re-driving. These tests pin the protocol
 //! into the tier-1 suite at a size that stays fast in debug builds; the
-//! `recovery_torture` binary (and the nightly CI lane) runs the same
-//! sweeps at much higher iteration counts.
+//! `torture` binary runs the same sweeps as its `storage`, `multilog`,
+//! `cq` and `ivm` suites, at seed-chosen sizes over a seed range (four
+//! seeds in the PR lane, 256 nightly).
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -17,27 +18,29 @@ use streamrel::storage::wal::{replay_bytes, WalRecord};
 use streamrel::storage::{Io, StorageEngine, SyncMode};
 use streamrel::types::{Column, DataType, Error, Schema, Value};
 use streamrel::{Db, DbOptions};
-use streamrel_bench::torture::{
-    checkpoint_reset_sweep, cq_sweep, engine_sweep, engine_sweep_with_logs,
-};
+use streamrel_bench::torture::{checkpoint_reset_sweep, cq_sweep, engine_sweep_with_logs, Outcome};
 use streamrel_faults::{FaultIo, FaultPlan};
 
 // ---- crash-at-every-op sweeps ---------------------------------------------
+
+/// Every divergence of `outcomes`, one line each.
+fn divergences(outcomes: &[&Outcome]) -> Vec<String> {
+    outcomes
+        .iter()
+        .flat_map(|o| &o.failures)
+        .map(|f| f.to_string())
+        .collect()
+}
 
 /// The acceptance bar: one fixed seed, >= 200 crash points across the
 /// storage and CQ sweeps, zero divergence.
 #[test]
 fn torture_sweep_proves_recovery_at_scale() {
-    let e = engine_sweep(42, 80).unwrap();
+    let e = engine_sweep_with_logs(42, 80, 1).unwrap();
     let c = cq_sweep(42, 25).unwrap();
-    let points = e.crash_points + c.crash_points;
+    let points = e.points + c.points;
     assert!(points >= 200, "only {points} crash points exercised");
-    let failures: Vec<String> = e
-        .failures
-        .iter()
-        .chain(&c.failures)
-        .map(|f| format!("seed={} op={}: {}", f.seed, f.op, f.detail))
-        .collect();
+    let failures = divergences(&[&e, &c]);
     assert!(failures.is_empty(), "divergences:\n{}", failures.join("\n"));
 }
 
@@ -49,14 +52,9 @@ fn torture_sweep_proves_recovery_at_scale() {
 fn multilog_torture_sweep_proves_recovery_at_scale() {
     let m = engine_sweep_with_logs(42, 40, 3).unwrap();
     let ck = checkpoint_reset_sweep(42, 3).unwrap();
-    let points = m.crash_points + ck.crash_points;
+    let points = m.points + ck.points;
     assert!(points >= 100, "only {points} crash points exercised");
-    let failures: Vec<String> = m
-        .failures
-        .iter()
-        .chain(&ck.failures)
-        .map(|f| format!("seed={} op={}: {}", f.seed, f.op, f.detail))
-        .collect();
+    let failures = divergences(&[&m, &ck]);
     assert!(failures.is_empty(), "divergences:\n{}", failures.join("\n"));
 }
 
@@ -67,24 +65,11 @@ proptest! {
     /// with several.
     #[test]
     fn torture_sweep_holds_for_random_seeds(seed in 0u64..u64::MAX / 2) {
-        let e = engine_sweep(seed, 24).unwrap();
-        prop_assert!(
-            e.failures.is_empty(),
-            "storage divergence: seed={} op={}: {}",
-            e.failures[0].seed, e.failures[0].op, e.failures[0].detail
-        );
+        let e = engine_sweep_with_logs(seed, 24, 1).unwrap();
         let m = engine_sweep_with_logs(seed, 16, 2 + (seed % 3) as usize).unwrap();
-        prop_assert!(
-            m.failures.is_empty(),
-            "multilog divergence: seed={} op={}: {}",
-            m.failures[0].seed, m.failures[0].op, m.failures[0].detail
-        );
         let c = cq_sweep(seed, 8).unwrap();
-        prop_assert!(
-            c.failures.is_empty(),
-            "cq divergence: seed={} op={}: {}",
-            c.failures[0].seed, c.failures[0].op, c.failures[0].detail
-        );
+        let failures = divergences(&[&e, &m, &c]);
+        prop_assert!(failures.is_empty(), "divergences:\n{}", failures.join("\n"));
     }
 }
 

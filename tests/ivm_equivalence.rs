@@ -514,20 +514,16 @@ proptest! {
 /// every mutating I/O operation — including mid-slice, with partial
 /// aggregate state in memory — recovered from the frozen disk image,
 /// re-driven, and required to be byte-identical to the uncrashed
-/// reference. (The nightly lane runs the same sweep at higher counts via
-/// `recovery_torture`.)
+/// reference. (The `torture` binary runs the same sweep as its `ivm`
+/// suite, at higher counts.)
 #[test]
 fn crash_mid_slice_recovery_is_byte_identical() {
     let out = ivm_sweep(0xC0FFEE, 12).unwrap();
     assert!(
-        out.crash_points >= 30,
+        out.points >= 30,
         "only {} crash points exercised",
-        out.crash_points
+        out.points
     );
-    let failures: Vec<String> = out
-        .failures
-        .iter()
-        .map(|f| format!("seed={} op={}: {}", f.seed, f.op, f.detail))
-        .collect();
+    let failures: Vec<String> = out.failures.iter().map(|f| f.to_string()).collect();
     assert!(failures.is_empty(), "divergences:\n{}", failures.join("\n"));
 }

@@ -452,7 +452,11 @@ fn create_table_as() {
     let e = db
         .execute("CREATE TABLE x AS SELECT count(*) FROM s2 <TUMBLING '1 minute'>")
         .unwrap_err();
-    assert!(e.to_string().contains("CREATE STREAM"), "{e}");
+    assert_eq!(
+        e.to_string(),
+        "analysis error: CREATE TABLE AS requires a snapshot query (use CREATE STREAM \
+         ... AS + a channel for continuous results)"
+    );
 }
 
 #[test]
