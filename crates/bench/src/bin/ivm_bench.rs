@@ -12,8 +12,11 @@
 //! (`ivm.compose.merges` ÷ closes, once the widest window has filled:
 //! key partials added, retracted or rebuilt, plus slices probed for where
 //! a leaving key was seen next) — a count that repeats exactly on any host.
-//! The sweep's `close_us` is informational, not gated: it is not monotone
-//! in the ratio (281 / 311 / 222 µs at 6 / 60 / 300 on one run).
+//! The sweep runs the query twice: as is, and with `ORDER BY url`, whose
+//! view emits in key order and so probes nothing (`ordered_merges_per_close`:
+//! adds plus retracts only). The sweep's `close_us` is informational, not
+//! gated: it is not monotone in the ratio (281 / 311 / 222 µs at 6 / 60 /
+//! 300 on one run).
 //!
 //! Both configurations run with pooling ablated so the comparison
 //! isolates the delta-processing path on a store with one member: the
@@ -51,11 +54,11 @@ const BATCH: usize = 500;
 /// VISIBLE ÷ ADVANCE of the close-cost sweep (ADVANCE stays 2 s).
 const RATIOS: [i64; 3] = [6, 60, 300];
 
-fn cq(ratio: i64) -> String {
+fn cq(ratio: i64, order_by: &str) -> String {
     let visible = 2 * ratio;
     format!(
         "SELECT url, count(*) c FROM hits \
-         <VISIBLE '{visible} seconds' ADVANCE '2 seconds'> GROUP BY url"
+         <VISIBLE '{visible} seconds' ADVANCE '2 seconds'> GROUP BY url{order_by}"
     )
 }
 
@@ -75,14 +78,14 @@ fn metric(db: &Db, name: &str, column: &str) -> i64 {
         .unwrap_or(0)
 }
 
-/// Ingest `warm` untimed and then `rows` timed tuples through the CQ at
-/// VISIBLE ÷ ADVANCE = `ratio`; return (rows/s, windows closed, mean close
-/// latency in µs, key partials merged per close) over the timed part.
-fn run(opts: DbOptions, ratio: i64, warm: usize, rows: usize) -> (f64, i64, f64, f64) {
+/// Ingest `warm` untimed and then `rows` timed tuples through `cq`; return
+/// (rows/s, windows closed, mean close latency in µs, key partials merged
+/// per close) over the timed part.
+fn run(opts: DbOptions, cq: &str, warm: usize, rows: usize) -> (f64, i64, f64, f64) {
     let db = Db::in_memory(opts);
     db.execute("CREATE STREAM hits (url varchar(16), ts timestamp CQTIME USER)")
         .unwrap();
-    let sub = match db.execute(&cq(ratio)).unwrap() {
+    let sub = match db.execute(cq).unwrap() {
         ExecResult::Subscribed(id) => id,
         other => panic!("expected a subscription, got {other:?}"),
     };
@@ -132,7 +135,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let (reeval_tps, reeval_closes, reeval_close_us, _) = run(
         DbOptions::default().without_sharing().without_ivm(),
-        60,
+        &cq(60, ""),
         0,
         rows,
     );
@@ -143,7 +146,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let db = Db::in_memory(DbOptions::default().without_sharing());
         db.execute("CREATE STREAM hits (url varchar(16), ts timestamp CQTIME USER)")
             .unwrap();
-        db.execute(&cq(60)).unwrap();
+        db.execute(&cq(60, "")).unwrap();
         assert_eq!(
             metric(&db, "ivm.lowered", "value"),
             1,
@@ -151,18 +154,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     let ivm = || DbOptions::default().without_sharing();
-    let (ivm_tps, ivm_closes, ivm_close_us, _) = run(ivm(), 60, 0, rows);
+    let (ivm_tps, ivm_closes, ivm_close_us, _) = run(ivm(), &cq(60, ""), 0, rows);
     // The close-cost sweep, timed once the widest window (600 s of 10 ms
-    // steps) has filled on every ratio.
+    // steps) has filled on every ratio, without and with ORDER BY.
     let sweep: Vec<String> = RATIOS
         .iter()
         .map(|&ratio| {
-            let (_, _, close_us, merges) = run(ivm(), ratio, 62_000, rows / 2);
+            let (_, _, close_us, merges) = run(ivm(), &cq(ratio, ""), 62_000, rows / 2);
+            let ordered = cq(ratio, " ORDER BY url");
+            let (_, _, ordered_us, ordered_merges) = run(ivm(), &ordered, 62_000, rows / 2);
             println!(
-                "VISIBLE/ADVANCE = {ratio}: {merges:.1} merges per close (gated), \
-                 {close_us:.0} us per close (informational)"
+                "VISIBLE/ADVANCE = {ratio}: {merges:.1} / {ordered_merges:.1} merges per close \
+                 unordered / ordered (gated), {close_us:.0} / {ordered_us:.0} us per close \
+                 (informational)"
             );
-            format!("{{\"ratio\": {ratio}, \"close_us\": {close_us:.1}, \"merges_per_close\": {merges:.1}}}")
+            format!(
+                "{{\"ratio\": {ratio}, \"close_us\": {close_us:.1}, \
+                 \"merges_per_close\": {merges:.1}, \"ordered_close_us\": {ordered_us:.1}, \
+                 \"ordered_merges_per_close\": {ordered_merges:.1}}}"
+            )
         })
         .collect();
     let speedup = ivm_tps / reeval_tps;

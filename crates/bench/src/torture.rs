@@ -551,7 +551,9 @@ fn cq_options() -> DbOptions {
 /// APPEND archive `agg`, its REPLACE table `cur`, the raw archive — and,
 /// one level down, the sliding total `rolling` over `derived` with an
 /// APPEND archive of its own, so that a crash between the upstream's
-/// archive commit and the downstream's is a crash point.
+/// archive commit and the downstream's is a crash point. Beside `derived`,
+/// `ranked` slides over `s` with a view that emits in its ORDER BY order,
+/// archived to `ranks`: a crash rebuilds that view too.
 fn setup_with(db: &Db, derived: &str, window: &str) -> Result<()> {
     db.execute("CREATE STREAM s (k varchar(16), ts timestamp CQTIME USER)")?;
     db.execute("CREATE TABLE agg (k varchar(16), c bigint, w timestamp)")?;
@@ -572,12 +574,18 @@ fn setup_with(db: &Db, derived: &str, window: &str) -> Result<()> {
     ))?;
     db.execute("CREATE TABLE roll (n bigint, ks bigint, w3 timestamp)")?;
     db.execute("CREATE CHANNEL roll_ch FROM rolling INTO roll APPEND")?;
+    db.execute(
+        "CREATE STREAM ranked AS SELECT k, count(*) c \
+         FROM s <VISIBLE '3 minutes' ADVANCE '1 minute'> GROUP BY k ORDER BY k",
+    )?;
+    db.execute("CREATE TABLE ranks (k varchar(16), c bigint)")?;
+    db.execute("CREATE CHANNEL ranks_ch FROM ranked INTO ranks APPEND")?;
     Ok(())
 }
 
-/// `rolling`'s VISIBLE − ADVANCE: how far before its watermark the
-/// upstream's archived windows still reach into its next window.
-const ROLLING_SLACK: i64 = 2 * MINUTE;
+/// VISIBLE − ADVANCE of `rolling` and `ranked`: how far before its
+/// watermark each one's input still reaches into its next window.
+const SLIDING_SLACK: i64 = 2 * MINUTE;
 
 fn cq_setup(db: &Db) -> Result<()> {
     setup_with(db, "per_minute", "TUMBLING '1 minute'")
@@ -669,7 +677,7 @@ fn sorted_rows(db: &Db, sql: &str) -> Result<String> {
 /// watermark — the full durable footprint of the standing query.
 pub fn cq_digest(db: &Db) -> Result<String> {
     let mut out = String::new();
-    for t in ["agg", "cur", "raw", "roll"] {
+    for t in ["agg", "cur", "raw", "roll", "ranks"] {
         let rows = sorted_rows(db, &format!("SELECT * FROM {t}"))?;
         out.push_str(&format!("table {t}: {rows}\n"));
     }
@@ -778,7 +786,7 @@ fn spec_crash_once(
     // One level down first: `rolling`'s in-flight windows — and the one
     // it owed, when the crash fell between its upstream's commit and its
     // own — come back from the upstream's archive.
-    let owed = load_watermark(db.engine(), "rolling")?.map_or(i64::MIN, |wm| wm - ROLLING_SLACK);
+    let owed = load_watermark(db.engine(), "rolling")?.map_or(i64::MIN, |wm| wm - SLIDING_SLACK);
     if let Err(err) = db.replay_archived_windows(spec.derived, owed) {
         return fail(format!("cascade replay failed: {err}"));
     }
@@ -787,14 +795,14 @@ fn spec_crash_once(
     // the raw rows past the watermark through the stream, bypassing the
     // raw channel so they are not archived twice. A sliding window's
     // next close still sees `replay_slack` of archived time *before*
-    // the watermark, so the replay bound reaches back that far.
+    // the watermark, so the replay bound reaches back that far — for
+    // `ranked` too, whose commit a crash may separate from `derived`'s.
     let wm = archive_watermark(db.engine(), "agg", "w")?.unwrap_or(i64::MIN);
-    let replay = replay_rows_after(
-        db.engine(),
-        "raw",
-        "ts",
-        wm.saturating_sub(spec.replay_slack),
-    )?;
+    let ranked = load_watermark(db.engine(), "ranked")?.unwrap_or(i64::MIN);
+    let from = wm
+        .saturating_sub(spec.replay_slack)
+        .min(ranked.saturating_sub(SLIDING_SLACK));
+    let replay = replay_rows_after(db.engine(), "raw", "ts", from)?;
     db.execute("DROP CHANNEL raw_ch")?;
     for r in replay {
         if let Err(err) = db.ingest("s", r) {

@@ -157,6 +157,9 @@ pub struct CheckReport {
     /// Why the plan re-evaluates (continuous `"reeval"` plans only);
     /// stable reason text from the placement decision.
     pub ivm_fallback: Option<&'static str>,
+    /// How a sliding `"ivm"` member's window emits its keys: in its
+    /// `ORDER BY` key order, or in first-seen order sorted at each close.
+    pub ivm_order: Option<&'static str>,
 }
 
 impl CheckReport {
@@ -196,19 +199,19 @@ impl CheckReport {
             Column::new("path", DataType::Text),
         ]));
         let mut rel = Relation::empty(schema);
-        let path = Value::text(self.path);
+        let mut row = |kind: &str, rule: &str, detail: &str, hint: &str| {
+            rel.push(
+                [kind, rule, detail, hint, self.path]
+                    .map(Value::text)
+                    .to_vec(),
+            )
+        };
         let class = if self.continuous {
             "continuous query (CQ)"
         } else {
             "snapshot query (SQ)"
         };
-        rel.push(vec![
-            Value::text("query"),
-            Value::text(""),
-            Value::text(class),
-            Value::text(""),
-            path.clone(),
-        ]);
+        row("query", "", class, "");
         let verdict = if self.rejection().is_some() {
             "reject: not admissible as a standing query".to_string()
         } else if self.warnings() > 0 {
@@ -216,46 +219,30 @@ impl CheckReport {
         } else {
             "admit".to_string()
         };
-        rel.push(vec![
-            Value::text("verdict"),
-            Value::text(""),
-            Value::text(verdict),
-            Value::text(""),
-            path.clone(),
-        ]);
+        row("verdict", "", &verdict, "");
         if let Some(reason) = self.ivm_fallback {
-            rel.push(vec![
-                Value::text("info"),
-                Value::text("ivm-fallback"),
-                Value::text(reason),
-                Value::text(
-                    "the CQ re-evaluates its plan at every window close; \
-                     see the fallback matrix in DESIGN.md §12 for shapes \
-                     that maintain state incrementally",
-                ),
-                path.clone(),
-            ]);
+            let hint = "the CQ re-evaluates its plan at every window close; \
+                        see the fallback matrix in DESIGN.md §12 for shapes \
+                        that maintain state incrementally";
+            row("info", "ivm-fallback", reason, hint);
+        }
+        if let Some(order) = self.ivm_order {
+            let hint = "ORDER BY every group column first, all ASC or all DESC, none float";
+            row("info", "ivm-order", order, hint);
         }
         for f in &self.findings {
-            rel.push(vec![
-                Value::text(f.severity.label()),
-                Value::text(f.rule),
-                Value::text(&f.message),
-                Value::text(&f.hint),
-                path.clone(),
-            ]);
+            row(f.severity.label(), f.rule, &f.message, &f.hint);
         }
         let bytes = match self.state_bound_bytes {
             Some(b) => format!("{b} byte(s)"),
             None => "unbounded in bytes (arrival-rate dependent)".to_string(),
         };
-        rel.push(vec![
-            Value::text("state-bound"),
-            Value::text(""),
-            Value::text(format!("{}; {bytes}", self.state_bound)),
-            Value::text(""),
-            path,
-        ]);
+        row(
+            "state-bound",
+            "",
+            &format!("{}; {bytes}", self.state_bound),
+            "",
+        );
         rel
     }
 }
@@ -283,6 +270,13 @@ pub fn check_plan(plan: &LogicalPlan, ctx: &CheckContext) -> CheckReport {
     // path and the shared-grid rule.
     let placement = continuous.then(|| place(plan, ctx.sharing, ctx.ivm, ctx.registry));
     let ivm_fallback = placement.as_ref().and_then(|p| p.fallback);
+    // A sliding maintained window: how its view emits.
+    let program = placement.as_ref().and_then(|p| p.program.as_ref());
+    let sliding = program.filter(|p| ivm_fallback.is_none() && p.visible > p.advance);
+    let ivm_order = sliding.map(|p| match p.order {
+        Some(_) => "view emits in ORDER BY key order",
+        None => "first-seen order, sorted per close",
+    });
     let path = match (&placement, ivm_fallback) {
         (None, _) => "-",
         // Re-evaluated: over the raw rows of a slice store, or over a
@@ -320,6 +314,7 @@ pub fn check_plan(plan: &LogicalPlan, ctx: &CheckContext) -> CheckReport {
         findings,
         path,
         ivm_fallback,
+        ivm_order,
     }
 }
 
@@ -918,6 +913,31 @@ mod tests {
             "{}",
             report.state_bound
         );
+    }
+
+    #[test]
+    fn sliding_ivm_members_say_how_their_view_emits() {
+        let order = |sql: &str| check_with(sql, true, true).ivm_order;
+        let window = "from hits <visible '2 minutes' advance '1 minute'>";
+        let keyed = "view emits in ORDER BY key order";
+        let seen = "first-seen order, sorted per close";
+        let by_url = format!("select url, count(*) c {window} group by url");
+        assert_eq!(order(&format!("{by_url} order by url desc")), Some(keyed));
+        assert_eq!(order(&format!("{by_url} order by 1, c")), Some(keyed));
+        assert_eq!(order(&format!("{by_url} order by c, url")), Some(seen));
+        assert_eq!(order(&by_url), Some(seen));
+        // Float partials keep no view; tumbling windows and snapshots none.
+        let float = format!("select url, avg(bytes * 0.5) a {window} group by url order by url");
+        assert_eq!(order(&float), Some(seen));
+        let tumbling = "select url, count(*) c from hits <visible '1 minute' \
+                        advance '1 minute'> group by url order by url";
+        assert_eq!(order(tumbling), None);
+        assert_eq!(order("select * from sites"), None);
+        let rel = check_with(&format!("{by_url} order by url"), true, true).to_relation();
+        assert!(rel
+            .rows()
+            .iter()
+            .any(|r| r[1] == Value::text("ivm-order") && r[2] == Value::text(keyed)));
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //! the slices that enter and leave its window and the rows it emits, not
 //! for VISIBLE ÷ width slices. A view is (re)built at the member's first
 //! close and after [`SharedRegistry::resume_after`]; tumbling members and
-//! stores with float sums keep none ([`IvmState::close_window`]).
+//! stores with float sums keep none ([`IvmState::close_window`]). A member
+//! whose `ORDER BY` places every key brings its [`KeyOrder`], and its view
+//! emits in it; the store, and its fingerprint, are the same either way.
 //!
 //! Ownership: a [`SharedRegistry`] is the set of stores reading one
 //! stream, base or derived. The engine keeps it by value in that stream's
@@ -38,8 +40,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use streamrel_ivm::{
-    gcd, lower_with, rows_program, IvmProgram, IvmShape, IvmState, Lowering, WindowOutput,
-    WindowView,
+    gcd, lower_with, rows_program, IvmProgram, IvmShape, IvmState, KeyOrder, Lowering,
+    WindowOutput, WindowView,
 };
 use streamrel_sql::plan::LogicalPlan;
 use streamrel_types::{Error, Interval, Result, Row, Timestamp};
@@ -121,6 +123,9 @@ struct Member {
     next_close: Option<Timestamp>,
     /// What a sliding member carries from one close to the next.
     view: Option<WindowView>,
+    /// The order the member's `ORDER BY` gives its keys, which its view
+    /// then emits in; members of one store may differ in it.
+    order: Option<KeyOrder>,
 }
 
 /// Identifier of a member within its group.
@@ -163,8 +168,18 @@ impl SharedGroup {
             advance,
             next_close: None,
             view: None,
+            order: None,
         }));
         Ok(self.members.len() - 1)
+    }
+
+    /// Register `program`'s window, whose view emits in its key order.
+    fn admit(&mut self, program: &IvmProgram) -> Result<MemberId> {
+        let member = self.register(program.visible, program.advance)?;
+        if let Some(m) = &mut self.members[member] {
+            m.order.clone_from(&program.order);
+        }
+        Ok(member)
     }
 
     /// Remove a member: its window no longer pins the eviction horizon.
@@ -248,9 +263,9 @@ impl SharedGroup {
                 continue;
             };
             while *close <= upto {
-                let w = self
-                    .store
-                    .close_window(&mut m.view, m.visible, m.advance, *close)?;
+                let order = m.order.as_ref();
+                let w =
+                    (self.store).close_window(&mut m.view, m.visible, m.advance, order, *close)?;
                 out.closed
                     .entry((id, member))
                     .or_default()
@@ -349,7 +364,7 @@ impl SharedRegistry {
             return (slot, true);
         };
         let store = self.stores.get_mut(&id).expect("pooled stores are live");
-        match store.register(program.visible, program.advance) {
+        match store.admit(program) {
             Ok(member) => ((id, member), true),
             Err(_) => (self.add_store(program), false),
         }
@@ -358,9 +373,7 @@ impl SharedRegistry {
     /// A new store with `program`'s window as its first member.
     fn add_store(&mut self, program: &IvmProgram) -> Slot {
         let mut store = SharedGroup::new(program.shape.clone());
-        let member = store
-            .register(program.visible, program.advance)
-            .expect("a fresh store takes any grid");
+        let member = store.admit(program).expect("a fresh store takes any grid");
         self.next_id += 1;
         self.stores.insert(self.next_id, store);
         (self.next_id, member)
@@ -512,6 +525,7 @@ mod tests {
             post_plan: LogicalPlan::OneRow,
             visible,
             advance,
+            order: None,
         }
     }
 
@@ -700,6 +714,7 @@ mod tests {
             post_plan: LogicalPlan::OneRow,
             visible,
             advance,
+            order: None,
         }
     }
 

@@ -33,6 +33,7 @@ fn rows_store(visible: i64, advance: i64, derived: bool) -> IvmProgram {
         post_plan: LogicalPlan::OneRow,
         visible,
         advance,
+        order: None,
     }
 }
 

@@ -22,6 +22,7 @@
 //! that `EXPLAIN CHECK` surfaces and the `ivm.fallback` counter tallies.
 
 use streamrel_exec::join::{extract_keys, flatten_and, shift_down};
+use streamrel_exec::Accumulator;
 use streamrel_sql::plan::{AggFunc, AggSpec, BoundExpr, JoinKind, LogicalPlan, SchemaRef};
 use streamrel_sql::WindowSpec;
 use streamrel_types::DataType;
@@ -185,6 +186,21 @@ pub struct IvmProgram {
     pub visible: i64,
     /// Window ADVANCE (µs).
     pub advance: i64,
+    /// The order the post-plan's `ORDER BY` gives the anchor's keys, when
+    /// a window view can emit in it.
+    pub order: Option<KeyOrder>,
+}
+
+/// The order a member's `ORDER BY` puts every one of its anchor's keys in:
+/// its window view emits in it, and the post-plan's sort finds one run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeyOrder {
+    /// Positions in the store key, most significant first: the group
+    /// columns as the sort names them, then a join aggregate's join key,
+    /// which makes the order total over the keys a store holds.
+    pub columns: std::sync::Arc<[usize]>,
+    /// The sort is descending: the view emits back to front.
+    pub desc: bool,
 }
 
 /// Outcome of the lowering pass.
@@ -215,6 +231,7 @@ pub fn lower_with(plan: &LogicalPlan, pooled: bool) -> Lowering {
     match found {
         Some((shape, WindowSpec::Time { visible, advance })) => {
             Lowering::Lowered(Box::new(IvmProgram {
+                order: key_order(&post_plan, &shape),
                 shape,
                 post_plan,
                 visible,
@@ -248,7 +265,62 @@ pub fn rows_program(plan: &LogicalPlan) -> Option<Box<IvmProgram>> {
         post_plan: plan.clone(),
         visible,
         advance,
+        order: None,
     }))
+}
+
+/// The [`KeyOrder`] of a post-plan whose lowest `Sort`, reached from the
+/// anchor through Filters and column-only Projects (which neither reorder
+/// nor merge rows), leads with plain columns naming every group column
+/// once, all ASC or all DESC: groups are unique, so that sort's output does
+/// not depend on the order the view emits in. `None` where no view is kept
+/// (a partial that cannot retract) and for a `Float` group column, whose
+/// `0.0` and `-0.0` are one group spelled as the window first saw it.
+fn key_order(post_plan: &LogicalPlan, shape: &IvmShape) -> Option<KeyOrder> {
+    let (groups, joined) = match shape {
+        IvmShape::Agg { agg, .. } => (agg.group_exprs.len(), 0),
+        IvmShape::JoinAgg { join, agg, .. } => (agg.group_exprs.len(), join.left_key.len()),
+        IvmShape::Distinct { schema, .. } => (schema.len(), 0),
+        IvmShape::Rows { .. } => return None,
+    };
+    let float_key = shape.schema().columns()[..groups]
+        .iter()
+        .any(|c| c.ty == DataType::Float);
+    if groups == 0 || float_key || !shape.aggs().iter().all(Accumulator::has_inverse) {
+        return None;
+    }
+    let column = |e: &BoundExpr| match e {
+        BoundExpr::Column { index, .. } => Some(*index),
+        _ => None,
+    };
+    // The post-plan is one chain ending at the anchor's scan: walk it up.
+    let mut chain = Vec::new();
+    post_plan.visit(&mut |p| chain.push(p));
+    let mut projects: Vec<&[BoundExpr]> = Vec::new();
+    let keys = chain.iter().rev().skip(1).find_map(|p| match p {
+        LogicalPlan::Filter { .. } => None,
+        LogicalPlan::Project { exprs, .. } if exprs.iter().all(|e| column(e).is_some()) => {
+            projects.push(exprs);
+            None
+        }
+        LogicalPlan::Sort { keys, .. } => Some(Some(keys)),
+        _ => Some(None),
+    })??;
+    let lead = keys.get(..groups)?;
+    let mut columns = Vec::with_capacity(groups + joined);
+    for key in lead {
+        let down = |at, exprs: &&[BoundExpr]| column(exprs.get(at)?);
+        let at = projects.iter().rev().try_fold(column(&key.expr)?, down)?;
+        if at >= groups || columns.contains(&(joined + at)) || key.asc != lead[0].asc {
+            return None;
+        }
+        columns.push(joined + at);
+    }
+    columns.extend(0..joined);
+    Some(KeyOrder {
+        columns: columns.into(),
+        desc: !lead[0].asc,
+    })
 }
 
 const REASON_NO_ANCHOR: &str = "no aggregate or distinct anchor to maintain incrementally";
@@ -733,6 +805,71 @@ mod tests {
             panic!("expected lowered: {:?}", fallback_reason(&plan));
         };
         assert!(matches!(p.post_plan, LogicalPlan::Limit { .. }));
+    }
+
+    #[test]
+    fn a_sort_that_places_every_key_orders_the_view() {
+        let sort = |input: LogicalPlan, keys: &[(usize, bool)]| LogicalPlan::Sort {
+            input: Box::new(input),
+            keys: (keys.iter())
+                .map(|&(i, asc)| SortKey {
+                    expr: col(i, DataType::Text),
+                    asc,
+                })
+                .collect(),
+        };
+        let order = |plan: &LogicalPlan| match lower(plan) {
+            Lowering::Lowered(p) => p.order.map(|o| (o.columns.to_vec(), o.desc)),
+            Lowering::Fallback(r) => panic!("expected lowered: {r}"),
+        };
+        let grouped = || count_plan(scan(time_window()));
+        assert_eq!(
+            order(&sort(grouped(), &[(0, false)])),
+            Some((vec![0], true))
+        );
+        // Trailing keys never break a tie; a leading aggregate does.
+        assert_eq!(
+            order(&sort(grouped(), &[(0, true), (1, false)])),
+            Some((vec![0], false))
+        );
+        assert_eq!(order(&sort(grouped(), &[(1, true), (0, true)])), None);
+        // Through a filter and a column swap; not past a limit.
+        let swapped = LogicalPlan::Project {
+            input: Box::new(LogicalPlan::Filter {
+                input: Box::new(grouped()),
+                predicate: BoundExpr::Literal(Value::Bool(true)),
+            }),
+            exprs: vec![col(1, DataType::Int), col(0, DataType::Text)],
+            schema: agg_schema(),
+        };
+        assert_eq!(order(&sort(swapped, &[(1, true)])), Some((vec![0], false)));
+        let limited = LogicalPlan::Limit {
+            input: Box::new(grouped()),
+            n: 3,
+        };
+        assert_eq!(order(&sort(limited, &[(0, true)])), None);
+        // A join aggregate's key is (join key, group key): the group key
+        // leads and the join key makes the order total.
+        assert_eq!(
+            order(&sort(join_plan(Some(url_eq())), &[(0, true)])),
+            Some((vec![1, 0], false))
+        );
+        // A float group key keeps its first-seen spelling.
+        let mut float = grouped();
+        let LogicalPlan::Aggregate {
+            group_exprs,
+            schema,
+            ..
+        } = &mut float
+        else {
+            unreachable!()
+        };
+        group_exprs[0] = BoundExpr::Literal(Value::Float(-0.0));
+        *schema = Arc::new(Schema::new_unchecked(vec![
+            Column::new("f", DataType::Float),
+            Column::new("count", DataType::Int),
+        ]));
+        assert_eq!(order(&sort(float, &[(0, true)])), None);
     }
 
     #[test]

@@ -30,9 +30,12 @@
 //! that holds them (a view), reproduces the *global* first-seen order that
 //! re-evaluation's hash aggregate produces. That argument, plus the
 //! lowering pass's exactness predicate, is what makes a store's output
-//! byte-identical to re-evaluation.
+//! byte-identical to re-evaluation. A view whose member's `ORDER BY` places
+//! every key ([`KeyOrder`]) keeps its keys in that order instead and emits
+//! by walking them: no stamp, no probe, and the post-plan's sort finds one run.
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -41,7 +44,7 @@ use streamrel_exec::{Accumulator, RelationSource};
 use streamrel_sql::plan::BoundExpr;
 use streamrel_types::{Error, Relation, Result, Row, Timestamp, Value};
 
-use crate::lower::{AggShape, IvmProgram, IvmShape, JoinShape, RowOp};
+use crate::lower::{AggShape, IvmProgram, IvmShape, JoinShape, KeyOrder, RowOp};
 
 /// Result of composing a window from slices.
 #[derive(Clone)]
@@ -224,7 +227,8 @@ impl<'a> Merged<'a> {
 fn agg_relation<'a>(agg: &AggShape, entries: impl Iterator<Item = Entry<'a>>) -> Relation {
     let mut rel = Relation::empty(agg.schema.clone());
     for (key, accs) in entries {
-        let mut row: Row = key.to_vec();
+        let mut row: Row = Vec::with_capacity(key.len() + accs.len());
+        row.extend_from_slice(key);
         row.extend(accs.iter().map(Accumulator::finish));
         rel.push(row);
     }
@@ -254,26 +258,109 @@ struct Slice {
 
 /// One key of a [`WindowView`], over the live slices that hold it.
 struct Live {
-    /// The key as its first live slice spells it: `0.0` and `-0.0` are one
-    /// group, and re-evaluation shows whichever the window saw first.
-    key: Arc<[Value]>,
     accs: Vec<Accumulator>,
     /// How many live slices hold the key; at zero it leaves the view.
     slices: u32,
-    /// `(slice start, position in it)` in the first of them: emit order.
-    stamp: (Timestamp, u32),
+    /// Where a first-seen view emits the key; a ranked view needs nothing.
+    seen: Option<Seen>,
+}
+
+/// A key as the first live slice that holds it spells it — `0.0` and
+/// `-0.0` are one group, and re-evaluation shows whichever the window saw
+/// first — and its stamp there, `(slice start, position in it)`.
+type Seen = (Arc<[Value]>, (Timestamp, u32));
+
+/// A key of a ranked view: `(the member's KeyOrder columns, the key)`,
+/// compared on those columns with `Value::sort_cmp` — the order the
+/// member's `ORDER BY` gives it. The columns cover the whole key, so keys
+/// compare equal exactly when they are equal.
+#[derive(PartialEq, Eq)]
+struct Ranked(Arc<[usize]>, Arc<[Value]>);
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Ranked) -> Ordering {
+        let mut by = self.0.iter().map(|&c| self.1[c].sort_cmp(&other.1[c]));
+        by.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Ranked) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// How a view indexes its live keys, which is how it emits them.
+enum Keys {
+    /// Hashed; emitted sorted by each key's first-seen stamp.
+    FirstSeen(HashMap<Arc<[Value]>, Live>),
+    /// Ordered by the member's sort; emitted by walking the index.
+    Ranked(BTreeMap<Ranked, Live>, KeyOrder),
+}
+
+impl Keys {
+    fn len(&self) -> usize {
+        match self {
+            Keys::FirstSeen(keys) => keys.len(),
+            Keys::Ranked(keys, _) => keys.len(),
+        }
+    }
+
+    /// The key's entry; a key new to the view starts from `accs`, held by
+    /// no slice yet, and — in first-seen order — at `stamp`.
+    fn entry(
+        &mut self,
+        key: &Arc<[Value]>,
+        stamp: (Timestamp, u32),
+        accs: impl FnOnce() -> Vec<Accumulator>,
+    ) -> &mut Live {
+        let fresh = |seen| Live {
+            accs: accs(),
+            slices: 0,
+            seen,
+        };
+        match self {
+            Keys::FirstSeen(keys) => {
+                (keys.entry(key.clone())).or_insert_with(|| fresh(Some((key.clone(), stamp))))
+            }
+            Keys::Ranked(keys, order) => (keys.entry(Ranked(order.columns.clone(), key.clone())))
+                .or_insert_with(|| fresh(None)),
+        }
+    }
+
+    fn get_mut(&mut self, key: &Arc<[Value]>) -> Option<&mut Live> {
+        match self {
+            Keys::FirstSeen(keys) => keys.get_mut(&**key),
+            Keys::Ranked(keys, order) => keys.get_mut(&Ranked(order.columns.clone(), key.clone())),
+        }
+    }
+
+    fn remove(&mut self, key: &Arc<[Value]>) {
+        match self {
+            Keys::FirstSeen(keys) => keys.remove(&**key),
+            Keys::Ranked(keys, order) => keys.remove(&Ranked(order.columns.clone(), key.clone())),
+        };
+    }
 }
 
 /// A member's running window view: the merge of the slices its last
 /// window shares with its next one ([`IvmState::close_window`]).
-#[derive(Default)]
 pub struct WindowView {
-    keys: HashMap<Arc<[Value]>, Live>,
+    keys: Keys,
     /// The close the view last emitted; it carries to `closed + ADVANCE`.
     closed: Option<Timestamp>,
 }
 
 impl WindowView {
+    /// An empty view that emits in `order`, or else in first-seen order.
+    fn new(order: Option<&KeyOrder>) -> WindowView {
+        let keys = match order {
+            Some(order) => Keys::Ranked(BTreeMap::new(), order.clone()),
+            None => Keys::FirstSeen(HashMap::new()),
+        };
+        WindowView { keys, closed: None }
+    }
+
     /// The close the view last emitted: every slice below it is in the
     /// view, or was, and must not change under it.
     pub fn closed(&self) -> Option<Timestamp> {
@@ -374,7 +461,7 @@ impl IvmState {
     }
 
     /// Key partials closes added, retracted or rebuilt so far, and slices
-    /// probed for a key's next stamp.
+    /// a first-seen view probed for a key's next stamp.
     pub fn merges(&self) -> u64 {
         self.merges
     }
@@ -543,17 +630,18 @@ impl IvmState {
 
     /// Close the window `[close - visible, close)` of the member holding
     /// `view`. A sliding window over invertible partials slides its view:
-    /// add the slices that entered since its last close, emit in first-seen
-    /// order, retract the slices the next window no longer covers; with no
-    /// view in hand for this close (the member's first, or its cursor
-    /// jumped) every slice the window covers is added. Otherwise the
-    /// window is merged afresh ([`IvmState::compose`]) and keeps no view;
-    /// nothing else decides. Every slice below `close` must be sealed.
+    /// add the slices that entered since its last close, emit (in `order`,
+    /// else first-seen), retract the slices the next window no longer
+    /// covers; with no view in hand for this close (the member's first, or
+    /// its cursor jumped) every slice the window covers is added. Otherwise
+    /// the window is merged afresh ([`IvmState::compose`]) and keeps no
+    /// view; nothing else decides. Every slice below `close` must be sealed.
     pub fn close_window(
         &mut self,
         view: &mut Option<WindowView>,
         visible: i64,
         advance: i64,
+        order: Option<&KeyOrder>,
         close: Timestamp,
     ) -> Result<WindowOutput> {
         let lo = close - visible;
@@ -563,22 +651,18 @@ impl IvmState {
             return self.compose(lo, close);
         }
         // On error the view is gone, and the next close rebuilds it.
-        let mut v = view.take().unwrap_or_default();
+        let mut v = view.take().unwrap_or_else(|| WindowView::new(order));
         self.view_bytes -= v.keys.len() * self.live_bytes();
         let mut from = close - advance;
         if v.closed != Some(from) {
-            v.keys.clear();
+            v = WindowView::new(order);
             from = lo;
         }
         let aggs = self.shape.aggs();
         for (&start, slice) in self.slices.range(from..close) {
             for (pos, (key, partial)) in slice.entries.iter().enumerate() {
-                let live = v.keys.entry(key.clone()).or_insert_with(|| Live {
-                    key: key.clone(),
-                    accs: aggs.iter().map(Accumulator::running).collect(),
-                    slices: 0,
-                    stamp: (start, pos as u32),
-                });
+                let running = || aggs.iter().map(Accumulator::running).collect();
+                let live = v.keys.entry(key, (start, pos as u32), running);
                 live.slices += 1;
                 for (a, p) in live.accs.iter_mut().zip(partial) {
                     a.merge(p)?;
@@ -586,24 +670,43 @@ impl IvmState {
             }
             self.merges += slice.entries.len() as u64;
         }
-        let mut lives: Vec<&Live> = v.keys.values().collect();
-        lives.sort_unstable_by_key(|l| l.stamp);
-        let out = self.output(lives.iter().map(|l| (&*l.key, Cow::Borrowed(&*l.accs))))?;
+        let out = match &v.keys {
+            Keys::FirstSeen(keys) => {
+                let seen = keys
+                    .values()
+                    .filter_map(|l| Some((l.seen.as_ref()?, &l.accs)));
+                let mut lives: Vec<_> = seen.collect();
+                lives.sort_unstable_by_key(|((_, stamp), _)| *stamp);
+                let entries = lives.into_iter();
+                self.output(entries.map(|((key, _), accs)| (&**key, Cow::Borrowed(&**accs))))?
+            }
+            Keys::Ranked(keys, order) => {
+                let entries = keys.iter().map(|(r, l)| (&*r.1, Cow::Borrowed(&*l.accs)));
+                if order.desc {
+                    self.output(entries.rev())?
+                } else {
+                    self.output(entries)?
+                }
+            }
+        };
         let unsealed = || Error::stream("a sealed slice changed under a window view");
         for (&start, slice) in self.slices.range(lo..lo + advance) {
             // Where a key's stamp moves to: mostly the very next slice.
             let mut later = self.slices.range(start + 1..close);
             let next = later.next();
             for (key, partial) in &slice.entries {
-                let live = v.keys.get_mut(&**key).ok_or_else(unsealed)?;
+                let live = v.keys.get_mut(key).ok_or_else(unsealed)?;
                 if live.slices == 1 {
-                    v.keys.remove(&**key);
+                    v.keys.remove(key);
                     continue;
                 }
                 live.slices -= 1;
                 for (a, p) in live.accs.iter_mut().zip(partial) {
                     a.retract(p)?;
                 }
+                let Some(seen) = &mut live.seen else {
+                    continue;
+                };
                 // The key's first live slice left: the next one that holds
                 // it now says where — and spelled how — it was first seen.
                 // A probe per slice passed over, so one per close amortized.
@@ -614,8 +717,7 @@ impl IvmState {
                         Some((s, pos, &later.entries[pos as usize].0))
                     })
                     .ok_or_else(unsealed)?;
-                live.stamp = (next, pos);
-                live.key = spelled.clone();
+                *seen = (spelled.clone(), (next, pos));
             }
             self.merges += slice.entries.len() as u64;
         }
@@ -746,6 +848,7 @@ mod tests {
             post_plan: LogicalPlan::OneRow,
             visible,
             advance,
+            order: None,
         }
     }
 
@@ -877,7 +980,7 @@ mod tests {
         assert_eq!(held, arrived.iter().map(|r| key_bytes(r)).sum::<usize>());
         let mut view = None;
         let closed = s
-            .close_window(&mut view, 2 * MINUTES, MINUTES, 2 * MINUTES)
+            .close_window(&mut view, 2 * MINUTES, MINUTES, None, 2 * MINUTES)
             .unwrap();
         assert_eq!(ready(closed).rows(), &arrived[..4]);
         assert!(view.is_none(), "raw rows keep no view");

@@ -10,7 +10,8 @@
 //! live store mid-stream, one that leaves and one whose cursor jumps (a
 //! resume), and requires at every close that the view's output equals
 //! `compose(close - VISIBLE, close)` row for row, in order and spelled
-//! alike; once the last member has left, the store holds nothing.
+//! alike — put in `ORDER BY` key order for a member whose view emits in it;
+//! once the last member has left, the store holds nothing.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -18,7 +19,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use proptest::test_runner::Config;
 use streamrel_exec::source::MapSource;
-use streamrel_ivm::{lower_with, IvmShape, IvmState, Lowering, WindowOutput, WindowView};
+use streamrel_ivm::{lower_with, IvmShape, IvmState, KeyOrder, Lowering, WindowOutput, WindowView};
 use streamrel_sql::analyzer::{Analyzer, RelKind, SchemaProvider};
 use streamrel_sql::ast::Statement;
 use streamrel_sql::parser::parse_statement;
@@ -62,32 +63,35 @@ fn provider() -> Provider {
 }
 
 /// Every shape and every aggregate kind; the window in the text only has
-/// to lower, members bring their own. The last store holds float sums and
-/// a variance: no exact inverse, so it merges at every close.
+/// to lower, members bring their own, and an `ORDER BY` that places every
+/// key gives one member a view that emits in it. The last store holds
+/// float sums and a variance: no exact inverse, so it merges at every close.
 const QUERIES: &[&str] = &[
     "SELECT k, count(*), count(v), sum(v), avg(v), min(v), max(v), min(f), max(f), \
      count(distinct v), sum(distinct v), avg(distinct v), min(distinct v), max(distinct v) \
-     FROM s <VISIBLE '4 seconds' ADVANCE '1 second'> GROUP BY k",
+     FROM s <VISIBLE '4 seconds' ADVANCE '1 second'> GROUP BY k ORDER BY k DESC",
     "SELECT count(*), sum(v), avg(v), min(v), max(f), count(distinct k) \
      FROM s <VISIBLE '4 seconds' ADVANCE '1 second'> WHERE v > -5",
     "SELECT f, count(*), max(v) FROM s <VISIBLE '4 seconds' ADVANCE '1 second'> GROUP BY f",
     "SELECT DISTINCT k, f FROM s <VISIBLE '4 seconds' ADVANCE '1 second'>",
+    "SELECT DISTINCT k, v FROM s <VISIBLE '4 seconds' ADVANCE '1 second'> ORDER BY v, k",
     "SELECT s.k, count(*), sum(s.v), min(s.v), max(s.v), count(distinct s.v), avg(s.v) \
-     FROM s <VISIBLE '4 seconds' ADVANCE '1 second'> JOIN dims d ON s.k = d.k GROUP BY s.k",
+     FROM s <VISIBLE '4 seconds' ADVANCE '1 second'> JOIN dims d ON s.k = d.k GROUP BY s.k \
+     ORDER BY s.k",
     "SELECT count(*), sum(s.v), min(s.v) \
      FROM s <VISIBLE '4 seconds' ADVANCE '1 second'> JOIN dims d ON s.k = d.k",
     "SELECT k, sum(f), avg(f), variance(v), stddev(v), count(*) \
      FROM s <VISIBLE '4 seconds' ADVANCE '1 second'> GROUP BY k",
 ];
 
-fn shape(sql: &str) -> IvmShape {
+fn shape(sql: &str) -> (IvmShape, Option<KeyOrder>) {
     let Statement::Select(q) = parse_statement(sql).unwrap() else {
         panic!("not a query: {sql}")
     };
     let provider = provider();
     let analyzed = Analyzer::new(&provider).analyze(&q).unwrap();
     match lower_with(&analyzed.plan, true) {
-        Lowering::Lowered(p) => p.shape,
+        Lowering::Lowered(p) => (p.shape, p.order),
         Lowering::Fallback(reason) => panic!("{sql} does not lower: {reason}"),
     }
 }
@@ -100,15 +104,35 @@ fn dims() -> MapSource {
     MapSource::new().with("dims", rel)
 }
 
-/// What a close produced, spelled out (`Value`'s `==` takes `0.0` for
-/// `-0.0`; its `Debug` does not).
-fn spelled(out: WindowOutput) -> String {
+/// What a close produced: entries staged, and the rows.
+fn outcome(out: WindowOutput) -> (usize, Vec<Row>) {
     let n = out.len();
     let rel = match out {
         WindowOutput::Ready(rel) => rel,
         WindowOutput::NeedsTable(delta) => delta.finalize(&dims()).unwrap(),
     };
-    format!("{n} staged, {:?}", rel.rows())
+    (n, rel.rows().to_vec())
+}
+
+/// `rows` stably sorted by `order`, whose first `joined` store-key columns
+/// (a join key) the output does not carry: what the member's sort makes
+/// of them.
+fn ranked(mut rows: Vec<Row>, order: &KeyOrder, joined: usize) -> Vec<Row> {
+    let by: Vec<usize> = order
+        .columns
+        .iter()
+        .filter_map(|c| c.checked_sub(joined))
+        .collect();
+    rows.sort_by(|a, b| {
+        let o = by.iter().map(|&c| a[c].sort_cmp(&b[c])).find(|o| o.is_ne());
+        let o = o.unwrap_or(std::cmp::Ordering::Equal);
+        if order.desc {
+            o.reverse()
+        } else {
+            o
+        }
+    });
+    rows
 }
 
 /// One member window: what `cq::shared::Member` keeps.
@@ -117,6 +141,7 @@ struct Member {
     advance: i64,
     next_close: Option<i64>,
     view: Option<WindowView>,
+    order: Option<KeyOrder>,
 }
 
 fn member(visible_s: i64, advance_s: i64) -> Member {
@@ -125,6 +150,7 @@ fn member(visible_s: i64, advance_s: i64) -> Member {
         advance: advance_s * SEC,
         next_close: None,
         view: None,
+        order: None,
     }
 }
 
@@ -136,23 +162,39 @@ fn align(ts: i64, advance: i64) -> i64 {
 type Event = (u8, u8, i64, u8, i64);
 
 fn drive(sql: &str, events: &[Event]) -> Result<(), String> {
-    let mut store = IvmState::for_shape(shape(sql));
+    let (shape, order) = shape(sql);
+    let joined = match &shape {
+        IvmShape::JoinAgg { join, .. } => join.left_key.len(),
+        _ => 0,
+    };
+    let mut store = IvmState::for_shape(shape);
     store.reslice(SEC).unwrap();
     // Sliding (narrow, wide, coarse), tumbling, and a hopping window whose
-    // ADVANCE exceeds its VISIBLE.
+    // ADVANCE exceeds its VISIBLE; and, for an ordered query, a sliding
+    // member whose view emits in its order.
     let mut members: Vec<Option<Member>> = [(4, 1), (6, 2), (3, 3), (10, 5), (2, 3), (2, 1)]
         .iter()
         .map(|(v, a)| Some(member(*v, *a)))
         .collect();
+    if order.is_some() {
+        members.push(Some(Member {
+            order: order.clone(),
+            ..member(5, 1)
+        }));
+    }
     let (mut ts, mut closes, mut slid) = (0i64, 0, 0);
     for (i, (kind, key, v, f, gap)) in events.iter().enumerate() {
         if i == events.len() / 3 {
             members.push(Some(member(8, 2)));
         }
         if i == events.len() / 2 {
-            // A resume: the cursor jumps, the view in hand is stale.
-            let m = members[0].as_mut().unwrap();
-            m.next_close = Some(align(ts + 3 * SEC, m.advance));
+            // A resume: the cursor jumps, the view in hand is stale — the
+            // first member's, and the ordered one's.
+            for (j, m) in members.iter_mut().enumerate() {
+                if let Some(m) = m.as_mut().filter(|m| j == 0 || m.order.is_some()) {
+                    m.next_close = Some(align(ts + 3 * SEC, m.advance));
+                }
+            }
         }
         if i == 2 * events.len() / 3 {
             store.forget(members[1].take().and_then(|m| m.view));
@@ -186,13 +228,19 @@ fn drive(sql: &str, events: &[Event]) -> Result<(), String> {
                 m.next_close = Some(align(ts, m.advance));
             }
             while let Some(close) = m.next_close.filter(|c| *c <= ts) {
-                let merged = spelled(store.compose(close - m.visible, close).unwrap());
+                let (n, rows) = outcome(store.compose(close - m.visible, close).unwrap());
+                let rows = match &m.order {
+                    Some(order) => ranked(rows, order, joined),
+                    None => rows,
+                };
                 let out = store
-                    .close_window(&mut m.view, m.visible, m.advance, close)
+                    .close_window(&mut m.view, m.visible, m.advance, m.order.as_ref(), close)
                     .unwrap();
+                // Spelled out: `Value`'s `==` takes `0.0` for `-0.0`, its
+                // `Debug` does not.
                 prop_assert_eq!(
-                    spelled(out),
-                    merged,
+                    format!("{:?}", outcome(out)),
+                    format!("{:?}", (n, rows)),
                     "{} close {} of {}/{}",
                     sql,
                     close,
@@ -244,13 +292,16 @@ proptest! {
 /// a close adds and retracts one slice of keys, whatever VISIBLE ÷ width —
 /// and a key that shows up only every `every`-th slice pays, when its
 /// first slice leaves, one probe per slice up to its next one: amortized
-/// one per close, however many slices the window holds.
+/// one per close, however many slices the window holds. A view that emits
+/// in its `ORDER BY` order probes nothing.
 #[test]
 fn merges_per_close_do_not_depend_on_window_width() {
-    let per_close = |visible_s: i64, every: i64| {
-        let mut store = IvmState::for_shape(shape(QUERIES[0]));
+    let per_close_in = |visible_s: i64, every: i64, ordered: bool| {
+        let (shape, order) = shape(QUERIES[0]);
+        let mut store = IvmState::for_shape(shape);
         store.reslice(SEC).unwrap();
         let mut m = member(visible_s, 1);
+        m.order = order.filter(|_| ordered);
         m.next_close = Some(SEC);
         let (mut at_fill, mut closes) = (0, 0);
         for s in 0..2 * visible_s {
@@ -269,16 +320,22 @@ fn merges_per_close_do_not_depend_on_window_width() {
             if s > 0 {
                 closes += 1;
                 store
-                    .close_window(&mut m.view, m.visible, m.advance, s * SEC)
+                    .close_window(&mut m.view, m.visible, m.advance, m.order.as_ref(), s * SEC)
                     .unwrap();
                 store.evict(s * SEC + SEC - m.visible);
             }
         }
         (store.merges() - at_fill) as f64 / closes as f64
     };
+    let per_close = |visible_s, every| per_close_in(visible_s, every, false);
     assert_eq!(per_close(6, 1), 24.0, "8 keys enter, 8 leave, 8 probes");
     assert_eq!(per_close(300, 1), per_close(6, 1));
     // One key a slice, back every 8th: 1 enters, 1 leaves, 8 probes.
     assert_eq!(per_close(40, 8), 10.0);
     assert_eq!(per_close(320, 8), per_close(40, 8));
+    let ordered = |visible_s, every| per_close_in(visible_s, every, true);
+    assert_eq!(ordered(6, 1), 16.0, "8 keys enter, 8 leave, no probe");
+    assert_eq!(ordered(300, 1), ordered(6, 1));
+    assert_eq!(ordered(40, 8), 2.0);
+    assert_eq!(ordered(320, 8), ordered(40, 8));
 }

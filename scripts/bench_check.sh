@@ -130,8 +130,9 @@ elif name == "BENCH_ivm.json":
     if fresh.get("windows_closed", 0) <= 0:
         problems.append("windows_closed <= 0: the bench closed no windows")
     # Constant-time close: what a close merges (key partials added +
-    # retracted + rebuilt + slices probed for a leaving key's next stamp,
-    # a count that repeats exactly) must not grow with VISIBLE / ADVANCE.
+    # retracted + rebuilt + slices a first-seen view probed for a leaving
+    # key's next stamp, a count that repeats exactly) must not grow with
+    # VISIBLE / ADVANCE.
     merges = {e["ratio"]: e["merges_per_close"] for e in fresh.get("sweep", [])}
     if 6 not in merges or 300 not in merges:
         problems.append("sweep lacks merges_per_close at VISIBLE/ADVANCE = 6 and 300")
@@ -140,6 +141,23 @@ elif name == "BENCH_ivm.json":
             f"merges_per_close at VISIBLE/ADVANCE = 300 is {merges[300]}, "
             f"want <= 1.1 x the {merges[6]} at 6"
         )
+    # A view that emits in ORDER BY key order probes nothing: flat too, and
+    # strictly below the first-seen view's count at every ratio.
+    ordered = {e["ratio"]: e.get("ordered_merges_per_close") for e in fresh.get("sweep", [])}
+    if None in ordered.values() or 6 not in ordered or 300 not in ordered:
+        problems.append("sweep lacks ordered_merges_per_close at every ratio")
+    else:
+        if not 0 < ordered[300] <= 1.1 * ordered[6]:
+            problems.append(
+                f"ordered_merges_per_close at VISIBLE/ADVANCE = 300 is {ordered[300]}, "
+                f"want <= 1.1 x the {ordered[6]} at 6"
+            )
+        for ratio, n in ordered.items():
+            if not n < merges[ratio]:
+                problems.append(
+                    f"ordered_merges_per_close at VISIBLE/ADVANCE = {ratio} is {n}, "
+                    f"want < the unordered {merges[ratio]}"
+                )
 
 # -- throughput bands: fresh must retain `tol` of the committed baseline ---
 BANDS = {

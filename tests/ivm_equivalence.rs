@@ -85,6 +85,75 @@ const CASES: &[(&str, &str, &str)] = &[
     ),
 ];
 
+const KEYED: &str = "view emits in ORDER BY key order";
+const SEEN: &str = "first-seen order, sorted per close";
+
+/// (case name, sliding CQ with an `ORDER BY`, how `EXPLAIN CHECK` says its
+/// view emits): a view keeps its keys in the query's order only where that
+/// order alone places every key.
+const ORDERED: &[(&str, &str, &str)] = &[
+    (
+        "asc",
+        "SELECT url, count(*) c, sum(v) s FROM hits \
+         <VISIBLE '2 minutes' ADVANCE '30 seconds'> GROUP BY url ORDER BY url",
+        KEYED,
+    ),
+    (
+        "desc",
+        "SELECT url, min(v) lo, max(v) hi FROM hits \
+         <VISIBLE '3 minutes' ADVANCE '1 minute'> GROUP BY url ORDER BY url DESC",
+        KEYED,
+    ),
+    (
+        "two-keys-permuted",
+        "SELECT url, v % 3 m, count(*) c FROM hits \
+         <VISIBLE '2 minutes' ADVANCE '30 seconds'> GROUP BY url, v % 3 ORDER BY m, url",
+        KEYED,
+    ),
+    (
+        "key-then-aggregate",
+        "SELECT url, count(*) c FROM hits \
+         <VISIBLE '2 minutes' ADVANCE '1 minute'> GROUP BY url ORDER BY url, c DESC",
+        KEYED,
+    ),
+    (
+        "strict-prefix-ties-first-seen",
+        "SELECT url, v % 3 m, count(*) c FROM hits \
+         <VISIBLE '2 minutes' ADVANCE '30 seconds'> GROUP BY url, v % 3 ORDER BY url",
+        SEEN,
+    ),
+    (
+        "nulls-last-asc",
+        "SELECT u, count(*) c FROM (SELECT nullif(url, '/u3') u, ts FROM hits \
+         <VISIBLE '2 minutes' ADVANCE '30 seconds'>) p GROUP BY u ORDER BY u",
+        KEYED,
+    ),
+    (
+        "nulls-first-desc",
+        "SELECT u, count(*) c FROM (SELECT nullif(url, '/u3') u, ts FROM hits \
+         <VISIBLE '2 minutes' ADVANCE '30 seconds'>) p GROUP BY u ORDER BY u DESC",
+        KEYED,
+    ),
+    (
+        "float-key-signed-zero",
+        "SELECT z, count(*) c FROM (SELECT v * 0.0 z, ts FROM hits \
+         <VISIBLE '2 minutes' ADVANCE '30 seconds'>) p GROUP BY z ORDER BY z",
+        SEEN,
+    ),
+    (
+        "having-under-the-sort",
+        "SELECT url, count(*) c FROM hits <VISIBLE '2 minutes' ADVANCE '30 seconds'> \
+         GROUP BY url HAVING count(*) > 3 ORDER BY url DESC",
+        KEYED,
+    ),
+    (
+        "join-agg-by-non-join-column",
+        "SELECT h.v % 4 m, count(*) c FROM hits <VISIBLE '2 minutes' ADVANCE '30 seconds'> h \
+         JOIN sites s ON h.url = s.url GROUP BY h.v % 4 ORDER BY m",
+        KEYED,
+    ),
+];
+
 fn ivm_on() -> DbOptions {
     DbOptions::default().without_sharing()
 }
@@ -200,6 +269,39 @@ fn every_case_is_byte_identical_and_takes_its_declared_path() {
     }
 }
 
+/// The `ivm-order` detail `EXPLAIN CHECK` reports for `cq`, if any.
+fn explain_order(db: &Db, cq: &str) -> Option<String> {
+    let rel = db.execute(&format!("EXPLAIN CHECK {cq}")).unwrap().rows();
+    let row = rel.rows().iter().find(|r| r[1] == Value::text("ivm-order"));
+    row.map(|r| r[2].to_string())
+}
+
+#[test]
+fn ordered_views_are_byte_identical_and_say_how_they_emit() {
+    let rows = fixed_rows(300);
+    for (name, cq, order) in ORDERED {
+        let db = db_with(ivm_on());
+        assert_eq!(explain_path(&db, cq), "ivm", "{name}");
+        assert_eq!(explain_order(&db, cq).as_deref(), Some(*order), "{name}");
+        let (incr, lowered) = windows(ivm_on(), cq, &rows);
+        let (reeval, _) = windows(ivm_off(), cq, &rows);
+        assert_eq!(lowered, 1, "{name}: must lower");
+        assert!(incr.lines().count() > 100, "{name}: {incr}");
+        assert_eq!(incr, reeval, "{name}: ordered view diverges from re-eval");
+    }
+    // The float key is fed both zeros, and windows show either spelling;
+    // under DESC the NULL key comes first.
+    let cq = |name| ORDERED.iter().find(|c| c.0 == name).unwrap().1;
+    let float = windows(ivm_on(), cq("float-key-signed-zero"), &rows).0;
+    assert!(float.contains("Float(-0.0)") && float.contains("Float(0.0)"));
+    let nulls = windows(ivm_on(), cq("nulls-first-desc"), &rows).0;
+    let lines: Vec<&str> = nulls.lines().collect();
+    let first_null = lines
+        .windows(2)
+        .any(|w| w[0].starts_with("close=") && w[1].starts_with("[Null"));
+    assert!(first_null, "{nulls}");
+}
+
 #[test]
 fn out_of_order_arrival_under_slack_stays_identical() {
     // Swap adjacent tuples so arrival order differs from CQTIME order,
@@ -237,11 +339,12 @@ fn a_sliding_integer_average_gives_back_what_leaves() {
 proptest! {
     #![proptest_config(Config::with_cases(8))]
     /// Arbitrary workloads (key choice, values, irregular gaps) through
-    /// every eligible case shape: both paths byte-identical.
+    /// every eligible case shape, ordered views included: both paths
+    /// byte-identical.
     #[test]
     fn random_workloads_are_byte_identical(
         raw in prop::collection::vec((0usize..5, -50i64..50, 1i64..30), 20..150),
-        case in 0usize..6,
+        case in 0usize..6 + ORDERED.len(),
     ) {
         let mut ts = 0i64;
         let rows: Vec<(String, i64, i64)> = raw
@@ -251,11 +354,15 @@ proptest! {
                 (format!("/u{k}"), *v, ts)
             })
             .collect();
-        let cq = CASES[case].1;
+        let (name, cq) = if case < 6 {
+            (CASES[case].0, CASES[case].1)
+        } else {
+            (ORDERED[case - 6].0, ORDERED[case - 6].1)
+        };
         let (incr, lowered) = windows(ivm_on(), cq, &rows);
         let (reeval, _) = windows(ivm_off(), cq, &rows);
-        prop_assert_eq!(lowered, 1, "case {} must lower", CASES[case].0);
-        prop_assert_eq!(incr, reeval, "case {} diverges", CASES[case].0);
+        prop_assert_eq!(lowered, 1, "case {} must lower", name);
+        prop_assert_eq!(incr, reeval, "case {} diverges", name);
     }
 }
 
@@ -276,6 +383,11 @@ const SCHEDULE: &[&str] = &[
     "SELECT DISTINCT url, v FROM hits <VISIBLE '4 seconds' ADVANCE '1 second'>",
     "SELECT h.url, count(*) c, max(h.v) hi FROM hits <VISIBLE '6 seconds' ADVANCE '2 seconds'> h \
      JOIN sites s ON h.url = s.url GROUP BY h.url",
+    // Members of the first store (and of the DISTINCT one) whose views
+    // emit in ORDER BY key order, NULL keys and all.
+    "SELECT url, count(*) c, sum(v) s, min(v) lo, max(v) hi, avg(v) a, count(distinct v) d \
+     FROM hits <VISIBLE '6 seconds' ADVANCE '1 second'> GROUP BY url ORDER BY url DESC",
+    "SELECT DISTINCT url, v FROM hits <VISIBLE '5 seconds' ADVANCE '1 second'> ORDER BY v, url",
 ];
 /// Registered a third of the way in; member 1 leaves at two thirds.
 const JOINER: &str =

@@ -378,6 +378,12 @@ fn explain_check_report_is_byte_identical_embedded_and_remote() {
              <VISIBLE '2 minutes' ADVANCE '1 minute'> GROUP BY v",
             "ivm",
         ),
+        // The same, with an ivm-order row saying its view emits by key.
+        (
+            "SELECT v, count(*) c FROM events \
+             <VISIBLE '2 minutes' ADVANCE '1 minute'> GROUP BY v ORDER BY v",
+            "ivm",
+        ),
         // Float AVG: an inexact merge, sliced because the default options
         // pool stores — the path the engine actually runs it on.
         (

@@ -96,7 +96,9 @@ const WINDOWS: [(i64, i64); 4] = [(60, 1), (120, 2), (180, 3), (300, 5)];
 /// (shape, CQ with `{w}` standing for the window clause). The first three
 /// could not pool before stores and membership were one mechanism:
 /// DISTINCT anchors, stream-table join aggregates and aggregates over a
-/// projected prefix were private-IVM-only. The last two always could.
+/// projected prefix were private-IVM-only. The next two always could. The
+/// last is a join aggregate grouped by a non-join column whose views emit
+/// in its ORDER BY order.
 const SHAPES: &[(&str, &str)] = &[
     ("distinct", "SELECT DISTINCT k FROM s {w}"),
     (
@@ -112,6 +114,11 @@ const SHAPES: &[(&str, &str)] = &[
     (
         "min-max",
         "SELECT k, min(v) lo, max(v) hi FROM s {w} GROUP BY k",
+    ),
+    (
+        "ordered-join-agg",
+        "SELECT e.v % 5 m, count(*) c FROM s {w} e \
+         JOIN dim d ON e.k = d.k GROUP BY e.v % 5 ORDER BY m DESC",
     ),
 ];
 

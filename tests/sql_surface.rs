@@ -400,6 +400,37 @@ fn explain_shows_plan_and_classification() {
 }
 
 #[test]
+fn explain_check_says_how_a_sliding_view_emits() {
+    let db = db();
+    db.execute("CREATE STREAM s (k varchar(8), v integer, f float, ts timestamp CQTIME USER)")
+        .unwrap();
+    let order = |sql: &str| {
+        let rel = rows(&db, &format!("EXPLAIN CHECK {sql}"));
+        let row = rel.rows().iter().find(|r| r[1] == Value::text("ivm-order"));
+        row.map(|r| r[2].to_string())
+    };
+    let w = "<VISIBLE '1 minute' ADVANCE '1 second'>";
+    let keyed = Some("view emits in ORDER BY key order".to_string());
+    let seen = Some("first-seen order, sorted per close".to_string());
+    let q = |tail: &str| format!("SELECT k, v, count(*) c FROM s {w} GROUP BY k, v {tail}");
+    assert_eq!(order(&q("ORDER BY v DESC, k DESC")), keyed);
+    assert_eq!(order(&q("ORDER BY k, v, c")), keyed);
+    // Mixed directions, a strict prefix, no ORDER BY: first-seen.
+    assert_eq!(order(&q("ORDER BY k, v DESC")), seen);
+    assert_eq!(order(&q("ORDER BY k")), seen);
+    assert_eq!(order(&q("")), seen);
+    // A float group key, or float sums (no view at all): first-seen.
+    let by_f = format!("SELECT f, count(*) c FROM s {w} GROUP BY f ORDER BY f");
+    assert_eq!(order(&by_f), seen);
+    let float_sum = format!("SELECT k, sum(f) t FROM s {w} GROUP BY k ORDER BY k");
+    assert_eq!(order(&float_sum), seen);
+    // Tumbling windows keep no view; snapshot queries have no window.
+    let tumbling = "SELECT k, count(*) c FROM s <TUMBLING '1 minute'> GROUP BY k ORDER BY k";
+    assert_eq!(order(tumbling), None);
+    assert_eq!(order("SELECT 1 one"), None);
+}
+
+#[test]
 fn show_commands() {
     let db = seeded();
     db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
