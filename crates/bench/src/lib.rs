@@ -1,13 +1,15 @@
-//! Shared harness for the experiment binaries (F1, E1–E8).
+//! The paper's experiments and the harnesses around the engine.
 //!
-//! Each binary regenerates one of the paper's evaluation claims (there are
-//! no numbered result tables in this CIDR vision paper; the mapping from
-//! claims to experiments is in DESIGN.md §4) and prints a small table of
-//! rows that EXPERIMENTS.md records. The `torture` binary runs the suites
-//! of [`torture::SUITES`] instead.
+//! Two seeded runners share this crate: `experiments` runs the suites of
+//! [`experiments::SUITES`] (F1, E1–E8, one per claim of the paper, DESIGN.md
+//! §4) against the [`baseline`]s the paper argues against, and `torture`
+//! runs the suites of [`torture::SUITES`]. The other binaries each measure
+//! one subsystem into a `BENCH_*.json`.
 
 #![deny(unsafe_code)]
 
+pub mod baseline;
+pub mod experiments;
 pub mod federation;
 pub mod race;
 pub mod torture;
@@ -15,7 +17,7 @@ pub mod torture;
 use std::time::{Duration, Instant};
 
 /// Scale factor from the `SCALE` env var (default 1). Experiment sizes
-/// multiply by this, so `SCALE=10 cargo run --release --bin e1_...`
+/// multiply by this, so `SCALE=10 cargo run --release --bin experiments`
 /// approaches warehouse-ish volumes.
 pub fn scale() -> usize {
     std::env::var("SCALE")

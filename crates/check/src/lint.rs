@@ -579,7 +579,7 @@ mod tests {
             vec!["relaxed-ordering"]
         );
         assert!(rules_of("crates/obs/src/metrics.rs", src).is_empty());
-        assert!(rules_of("shims/crossbeam/src/channel.rs", src).is_empty());
+        assert!(rules_of("shims/parking_lot/src/witness.rs", src).is_empty());
     }
 
     #[test]

@@ -13,6 +13,11 @@
 //! The calling thread never idles while its batch runs: it helps drain
 //! the queue, so a pool of `n` workers gives `n + 1` lanes and a pool of
 //! zero workers degenerates to exactly the old inline execution.
+//!
+//! A job that panics does so inside its own slot: the unwind is caught
+//! wherever the job ran and re-raised on the submitting thread once the
+//! whole batch is in, first panic in submission order — the outcome of
+//! running the batch inline — while the worker thread lives on.
 
 // lock-order: queue < results
 //
@@ -21,6 +26,7 @@
 // slots still empty. No lock is ever held while executing user work.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -116,7 +122,7 @@ impl WorkerPool {
         for (i, f) in tasks.into_iter().enumerate() {
             let batch = batch.clone();
             self.shared.enqueue(Box::new(move || {
-                let r = f();
+                let r = catch_unwind(AssertUnwindSafe(f));
                 batch.complete(i, r);
             }));
         }
@@ -161,15 +167,16 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
-/// Completion state for one `run_ordered` batch: the result slots and
-/// how many of them are still empty, under one lock.
+/// Completion state for one `run_ordered` batch: the result slots (each a
+/// value or the panic its job raised) and how many of them are still
+/// empty, under one lock.
 struct BatchState<T> {
-    results: Mutex<(Vec<Option<T>>, usize)>,
+    results: Mutex<(Vec<Option<std::thread::Result<T>>>, usize)>,
     done_cv: Condvar,
 }
 
 impl<T> BatchState<T> {
-    fn complete(&self, i: usize, r: T) {
+    fn complete(&self, i: usize, r: std::thread::Result<T>) {
         let mut g = self.results.lock();
         let (slots, left) = &mut *g;
         slots[i] = Some(r);
@@ -179,14 +186,23 @@ impl<T> BatchState<T> {
         }
     }
 
-    /// Block until every slot is filled, then take the results in order.
+    /// Block until every slot is filled, then take the results in order,
+    /// re-raising the first panic among them on this thread.
     fn wait_results(&self) -> Vec<T> {
-        let mut g = self.results.lock();
-        while g.1 > 0 {
-            self.done_cv.wait(&mut g);
-        }
-        g.0.iter_mut()
-            .map(|slot| slot.take().unwrap_or_else(|| panic!("batch slot empty")))
+        let slots = {
+            let mut g = self.results.lock();
+            while g.1 > 0 {
+                self.done_cv.wait(&mut g);
+            }
+            std::mem::take(&mut g.0)
+        };
+        slots
+            .into_iter()
+            .map(|slot| match slot {
+                Some(Ok(v)) => v,
+                Some(Err(panic)) => resume_unwind(panic),
+                None => panic!("batch slot empty"),
+            })
             .collect()
     }
 }
@@ -239,6 +255,51 @@ mod tests {
         }
         assert_eq!(reg.gauge("pool.queue_depth").get(), 0);
         assert_eq!(reg.gauge("pool.busy_workers").get(), 0);
+    }
+
+    /// Two tasks that meet on a barrier, so one runs on the submitting
+    /// thread and one on the single pool worker. Each returns whether it
+    /// ran on the worker; with `panic_on_worker` that one panics instead.
+    fn meeting_tasks(panic_on_worker: bool) -> Vec<impl FnOnce() -> bool + Send + 'static> {
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        (0..2)
+            .map(|_| {
+                let barrier = barrier.clone();
+                move || {
+                    barrier.wait();
+                    let on_worker = std::thread::current()
+                        .name()
+                        .is_some_and(|n| n.starts_with("streamrel-pool-"));
+                    assert!(
+                        !(on_worker && panic_on_worker),
+                        "job panicked on a pool worker"
+                    );
+                    on_worker
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_job_panicking_on_a_worker_unwinds_the_submitter() {
+        let reg = registry();
+        let pool = WorkerPool::new(1, &reg);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let submitter = std::thread::spawn(move || {
+            let first = catch_unwind(AssertUnwindSafe(|| pool.run_ordered(meeting_tasks(true))));
+            let _ = tx.send(first.is_err());
+            // The worker survived its job's panic: this batch needs it too.
+            let second = pool.run_ordered(meeting_tasks(false));
+            let _ = tx.send(second.iter().filter(|&&w| w).count() == 1);
+        });
+        let wait = Duration::from_secs(5);
+        assert_eq!(
+            rx.recv_timeout(wait),
+            Ok(true),
+            "run_ordered must re-raise a worker's panic, not wait for its slot for ever"
+        );
+        assert_eq!(rx.recv_timeout(wait), Ok(true), "the worker thread died");
+        submitter.join().expect("the submitter caught the panic");
     }
 
     #[test]

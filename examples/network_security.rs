@@ -8,10 +8,10 @@
 
 use std::time::Instant;
 
-use streamrel::baseline::StoreFirst;
 use streamrel::types::format_timestamp;
 use streamrel::workload::NetsecGen;
 use streamrel::{Db, DbOptions};
+use streamrel_bench::baseline::StoreFirst;
 
 const EVENTS: usize = 200_000;
 
@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "(the paper's §4 anecdote reports ~5 orders of magnitude at \
          warehouse scale; the gap grows with raw-data volume — see \
-         benches e1/e2)"
+         `experiments e1` and `e2`)"
     );
 
     // The per-minute report history is queryable SQL as well:

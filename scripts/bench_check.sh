@@ -7,7 +7,8 @@
 #
 # Two kinds of checks:
 #   * structural — proof-shaped fields that must hold exactly on any
-#     machine: zero torture failures with points in every suite, row conservation,
+#     machine: zero torture failures with points in every suite, every
+#     claim of every paper experiment held, row conservation,
 #     fan-out delivery counts and coalesced socket writes, linear
 #     registration cost, a window close
 #     whose merge count does not grow with the window's width and a
@@ -77,6 +78,23 @@ if name == "BENCH_torture.json":
             problems.append(f"{suite}: failures = {result.get('failures')!r}, want 0")
         if result.get("points", 0) <= 0:
             problems.append(f"{suite}: points <= 0, the suite exercised nothing")
+elif name == "BENCH_experiments.json":
+    # The paper's claims, one suite each: every suite ran, claimed
+    # something, and every claim held. Its timings are informational.
+    suites = fresh.get("suites", {})
+    want = ["f1"] + [f"e{i}" for i in range(1, 9)]
+    for suite in want:
+        if suite not in suites:
+            problems.append(f"suite {suite} missing")
+        elif not suites[suite].get("claims"):
+            problems.append(f"{suite}: no claims, the suite checked nothing")
+    for suite, result in suites.items():
+        for c in result.get("claims", []):
+            if c.get("held") is not True:
+                problems.append(
+                    f"{suite}/{c.get('name')}: value {c.get('value')} "
+                    f"{c.get('op')} bound {c.get('bound')} does not hold"
+                )
 elif name == "BENCH_federation.json":
     need("rows_conserved", True)
     need("apply_errors", 0)

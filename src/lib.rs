@@ -69,11 +69,6 @@ pub mod ivm {
     pub use streamrel_ivm::*;
 }
 
-/// Baselines: store-first, batch materialized views, mini map/reduce.
-pub mod baseline {
-    pub use streamrel_baseline::*;
-}
-
 /// Deterministic workload generators.
 pub mod workload {
     pub use streamrel_workload::*;
