@@ -16,7 +16,9 @@
 //!
 //! The seed picks every workload size, so a printed failure reproduces with
 //! `TORTURE_SEED=<s> TORTURE_SEEDS=1 cargo run --release -p streamrel-bench
-//! --bin torture`. Results land in `BENCH_torture.json`.
+//! --bin torture`. Each suite lands in `BENCH_torture.json` as the claims
+//! `points > 0` (it exercised something) and `failures == 0`, written like
+//! the experiments runner's.
 //!
 //! `--node <dir> <port>` is the federation suite's serving node: the
 //! runner re-executes itself in that mode.
@@ -27,6 +29,7 @@ use std::error::Error;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use streamrel_bench::experiments::{record, Claim, Op, Report};
 use streamrel_bench::federation::run_node;
 use streamrel_bench::torture::{Artifact, Failure, Outcome, SUITES};
 use streamrel_bench::ResultTable;
@@ -54,36 +57,44 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("torture: seeds {base_seed}..{}\n", base_seed + seeds - 1);
 
     let start = Instant::now();
-    let mut totals: Vec<Outcome> = SUITES.iter().map(|_| Outcome::default()).collect();
+    let mut totals: Vec<(Outcome, f64)> = SUITES.iter().map(|_| Default::default()).collect();
     for seed in base_seed..base_seed + seeds {
-        for ((_, run), total) in SUITES.iter().zip(&mut totals) {
+        for ((_, run), (total, secs)) in SUITES.iter().zip(&mut totals) {
+            let t = Instant::now();
             total.merge(run(seed)?);
+            *secs += t.elapsed().as_secs_f64();
         }
     }
     let secs = start.elapsed().as_secs_f64();
 
     let mut table = ResultTable::new(&["suite", "points", "failures"]);
-    let mut suites = Vec::new();
-    for ((name, _), t) in SUITES.iter().zip(&totals) {
+    let mut results = Vec::new();
+    for ((name, _), (t, suite_secs)) in SUITES.iter().zip(&totals) {
         let (points, failed) = (t.points, t.failures.len());
         table.row(&[name.to_string(), points.to_string(), failed.to_string()]);
-        suites.push(format!(
-            "    \"{name}\": {{ \"points\": {points}, \"failures\": {failed} }}"
-        ));
+        let claim = |claim, value, op| Claim {
+            suite: name,
+            ..Claim::new(claim, value, op, 0.0)
+        };
+        let claims = vec![
+            claim("points", points as f64, Op::Gt),
+            claim("failures", failed as f64, Op::Eq),
+        ];
+        results.push((*name, *suite_secs, Report::from(claims)));
     }
     table.print();
-    let json = format!(
-        "{{\n  \"base_seed\": {base_seed},\n  \"seeds\": {seeds},\n  \"suites\": {{\n{}\n  }},\n  \
-         \"secs\": {secs:.3}\n}}\n",
-        suites.join(",\n")
-    );
-    std::fs::write("BENCH_torture.json", json)?;
-    let failures: Vec<&Failure> = totals.iter().flat_map(|t| &t.failures).collect();
+    let head = [
+        ("base_seed", base_seed.to_string()),
+        ("seeds", seeds.to_string()),
+        ("secs", format!("{secs:.3}")),
+    ];
+    let failed_claims = record("BENCH_torture.json", &head, &results)?;
+    let failures: Vec<&Failure> = totals.iter().flat_map(|(t, _)| &t.failures).collect();
     println!(
         "\n{} divergence(s) in {secs:.2}s; recorded BENCH_torture.json",
         failures.len()
     );
-    if failures.is_empty() {
+    if failed_claims == 0 {
         println!("every suite's oracle held at every point");
         return Ok(());
     }

@@ -1,20 +1,25 @@
-//! The paper's experiments (DESIGN.md §4) as the suites of one runner.
+//! The paper's experiments and the engine's own shape claims (DESIGN.md
+//! §4) as the suites of one runner.
 //!
 //! The paper is a CIDR vision paper: its evaluation is Figure 1 plus
 //! narrative claims, and each maps to one suite of [`SUITES`] — `f1` and
-//! `e1`–`e8`. A suite runs its workload, prints the table EXPERIMENTS.md
-//! records, and returns the [`Claim`]s its shape rests on. A claim either
-//! checks an answer (both architectures agree, no window is mixed) or
-//! compares two numbers from the same run — a ratio of two timings, never
-//! an absolute time — so it holds or fails alike on any host.
+//! `e1`–`e8`. The engine's claims (an O(delta) close, serialize-once
+//! fan-out, …) are the six suites of [`crate::subsystems`]. A suite runs its
+//! workload, prints the table EXPERIMENTS.md records, and returns a
+//! [`Report`]: the [`Claim`]s its shape rests on, and its throughput rates.
+//! A claim either checks an answer (both architectures agree, no window is
+//! mixed) or compares two numbers from the same run — a ratio of two
+//! timings, never an absolute time — so it holds or fails alike on any
+//! host.
 //!
 //! The `experiments` binary runs every suite (or the ones named on its
-//! command line), writes `BENCH_experiments.json` and exits 1 if any claim
-//! failed; `scripts/bench_check.sh` gates that file. `SCALE` (default 1)
-//! multiplies every workload size and is the only knob.
+//! command line), writes `BENCH_experiments.json` with [`record`] and exits
+//! 1 if any claim failed; `scripts/bench_check.sh` gates that file.
+//! `SCALE` (default 1) multiplies every workload size and is the only knob.
 
 use std::error::Error;
 use std::fmt;
+use std::fmt::Write as _;
 
 use streamrel_core::{Db, DbOptions};
 use streamrel_cq::recovery::{archive_watermark, full_replay_count, replay_rows_after};
@@ -25,17 +30,18 @@ use streamrel_types::{format_timestamp, Row, Timestamp, Value};
 use streamrel_workload::{ClickstreamGen, NetsecGen};
 
 use crate::baseline::{BatchMatView, MiniMr, MrConfig, RefreshMode, StoreFirst};
+use crate::subsystems::{check, fanout, federation, ingest, ivm, obs};
 use crate::{fmt_dur, growth_factor, scale, timed, ResultTable};
 
-/// What a suite returns: its claims, or a harness fault (an engine call
+/// What a suite returns: its report, or a harness fault (an engine call
 /// failed), which is not a claim that failed.
-pub type SuiteResult = Result<Vec<Claim>, Box<dyn Error>>;
+pub type SuiteResult = Result<Report, Box<dyn Error>>;
 
 /// One suite's run.
 pub type SuiteRun = fn() -> SuiteResult;
 
 /// Every suite, in run order, by name. A new experiment is one more entry.
-pub const SUITES: [(&str, SuiteRun); 9] = [
+pub const SUITES: [(&str, SuiteRun); 15] = [
     ("f1", f1),
     ("e1", e1),
     ("e2", e2),
@@ -45,7 +51,35 @@ pub const SUITES: [(&str, SuiteRun); 9] = [
     ("e6", e6),
     ("e7", e7),
     ("e8", e8),
+    ("ivm", ivm),
+    ("fanout", fanout),
+    ("federation", federation),
+    ("ingest", ingest),
+    ("obs", obs),
+    ("check", check),
 ];
+
+/// What one suite run found.
+#[derive(Debug, Default)]
+pub struct Report {
+    /// The claims its shape rests on; every one must hold.
+    pub claims: Vec<Claim>,
+    /// Throughput figures (higher is better) that `scripts/bench_check.sh`
+    /// bands against the committed file.
+    pub rates: Vec<(&'static str, f64)>,
+    /// Why this host cannot measure the rates meaningfully (too few
+    /// cores); a skipped suite's rates are exempt from the band.
+    pub skipped: Option<String>,
+}
+
+impl From<Vec<Claim>> for Report {
+    fn from(claims: Vec<Claim>) -> Report {
+        Report {
+            claims,
+            ..Report::default()
+        }
+    }
+}
 
 /// The suites named on the command line, in [`SUITES`] order (all of them
 /// when none is named). An unknown name is an error listing the valid ones.
@@ -65,13 +99,80 @@ pub fn select(names: &[String]) -> Result<Vec<(&'static str, SuiteRun)>, String>
 
 /// Run one suite, stamping its name on every claim it returns.
 pub fn run_suite(name: &'static str, run: SuiteRun) -> SuiteResult {
-    Ok(run()?
-        .into_iter()
-        .map(|claim| Claim {
-            suite: name,
-            ..claim
-        })
-        .collect())
+    let mut report = run()?;
+    for claim in &mut report.claims {
+        claim.suite = name;
+    }
+    Ok(report)
+}
+
+/// A number as JSON: `null` where it is no finite number.
+fn json_num(v: f64) -> String {
+    if v.is_finite() {
+        num(v)
+    } else {
+        "null".into()
+    }
+}
+
+/// Write the results file `path`: `head`'s fields (values already JSON),
+/// then each suite's seconds, claims, rates and skip reason under
+/// `suites.<name>`. Prints `FAIL <path>: <claim>` for every claim that
+/// failed and returns how many did. The experiments and torture runners
+/// both write through it, so one rule of `scripts/bench_check.sh` gates
+/// every results file.
+pub fn record(
+    path: &str,
+    head: &[(&str, String)],
+    suites: &[(&str, f64, Report)],
+) -> std::io::Result<usize> {
+    let mut json = String::from("{\n");
+    for (key, value) in head {
+        let _ = writeln!(json, "  \"{key}\": {value},");
+    }
+    json.push_str("  \"suites\": {");
+    let mut failed = 0;
+    for (i, (name, secs, report)) in suites.iter().enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        let _ = write!(
+            json,
+            "{sep}\n    \"{name}\": {{\n      \"secs\": {secs:.3},\n      \"claims\": ["
+        );
+        for (j, c) in report.claims.iter().enumerate() {
+            let sep = if j == 0 { "" } else { "," };
+            let _ = write!(
+                json,
+                "{sep}\n        {{ \"name\": \"{}\", \"value\": {}, \"op\": \"{}\", \
+                 \"bound\": {}, \"held\": {} }}",
+                c.name,
+                json_num(c.value),
+                c.op,
+                json_num(c.bound),
+                c.held()
+            );
+            if !c.held() {
+                failed += 1;
+                eprintln!("FAIL {path}: {c}");
+            }
+        }
+        let rates: Vec<String> = report
+            .rates
+            .iter()
+            .map(|(rate, v)| format!("\"{rate}\": {}", json_num(*v)))
+            .collect();
+        let skipped = match &report.skipped {
+            Some(why) => format!("\"{}\"", why.replace('\\', "\\\\").replace('"', "\\\"")),
+            None => "null".into(),
+        };
+        let _ = write!(
+            json,
+            "\n      ],\n      \"rates\": {{{}}},\n      \"skipped\": {skipped}\n    }}",
+            rates.join(", ")
+        );
+    }
+    json.push_str("\n  }\n}\n");
+    std::fs::write(path, json)?;
+    Ok(failed)
 }
 
 /// How a claim's value must compare with its bound.
@@ -254,7 +355,8 @@ fn f1() -> SuiteResult {
             Op::Eq,
             raw_windows.len() as f64,
         ),
-    ])
+    ]
+    .into())
 }
 
 // ---- E1 ------------------------------------------------------------------
@@ -332,7 +434,8 @@ fn e1() -> SuiteResult {
         ),
         // The speedup at the largest volume against the one at the smallest.
         Claim::new("speedup_grows_with_volume", last, Op::Gt, first),
-    ])
+    ]
+    .into())
 }
 
 // ---- E2 ------------------------------------------------------------------
@@ -410,7 +513,8 @@ fn e2() -> SuiteResult {
             Op::Gt,
             1.3,
         ),
-    ])
+    ]
+    .into())
 }
 
 // ---- E3 ------------------------------------------------------------------
@@ -526,7 +630,8 @@ fn e3() -> SuiteResult {
         ),
         // Shared per-tuple cost's per-step growth against unshared's.
         Claim::new("shared_cost_grows_slower", sg, Op::Lt, ug),
-    ])
+    ]
+    .into())
 }
 
 // ---- E4 ------------------------------------------------------------------
@@ -684,7 +789,7 @@ fn e4() -> SuiteResult {
         Op::Le,
         (MINUTES / SECONDS) as f64,
     ));
-    Ok(claims)
+    Ok(claims.into())
 }
 
 // ---- E5 ------------------------------------------------------------------
@@ -789,7 +894,8 @@ fn e5() -> SuiteResult {
             Op::Gt,
             3.0 * cq_rows_touched as f64,
         ),
-    ])
+    ]
+    .into())
 }
 
 // ---- E6 ------------------------------------------------------------------
@@ -895,7 +1001,8 @@ fn e6() -> SuiteResult {
         week2_windows.len() as f64,
         Op::Ge,
         (minutes_per_week - 5) as f64,
-    )])
+    )]
+    .into())
 }
 
 // ---- E7 ------------------------------------------------------------------
@@ -1000,7 +1107,8 @@ fn e7() -> SuiteResult {
             Op::Lt,
             full_count as f64 / 10.0,
         ),
-    ])
+    ]
+    .into())
 }
 
 // ---- E8 ------------------------------------------------------------------
@@ -1159,7 +1267,7 @@ fn e8() -> SuiteResult {
         }
     }
     t2.print();
-    Ok(claims)
+    Ok(claims.into())
 }
 
 #[cfg(test)]
@@ -1167,13 +1275,28 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
 
+    const NAMES: [&str; 15] = [
+        "f1",
+        "e1",
+        "e2",
+        "e3",
+        "e4",
+        "e5",
+        "e6",
+        "e7",
+        "e8",
+        "ivm",
+        "fanout",
+        "federation",
+        "ingest",
+        "obs",
+        "check",
+    ];
+
     #[test]
-    fn suite_names_are_unique_and_exactly_f1_then_e1_to_e8() {
+    fn suite_names_are_unique_and_exactly_the_fifteen() {
         let names: Vec<&str> = SUITES.iter().map(|(name, _)| *name).collect();
-        assert_eq!(
-            names,
-            ["f1", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8"]
-        );
+        assert_eq!(names, NAMES);
         assert_eq!(names.iter().collect::<HashSet<_>>().len(), names.len());
     }
 
@@ -1188,9 +1311,8 @@ mod tests {
     fn unknown_suite_is_an_error_listing_the_valid_names() {
         let err = select(&["e3".to_string(), "e9".to_string()]).expect_err("e9 is no suite");
         assert!(err.contains("`e9`"), "{err}");
-        for (name, _) in SUITES {
-            assert!(err.contains(name), "{err} lacks {name}");
-        }
+        let listed = err.split("valid suites: ").nth(1).unwrap_or_default();
+        assert_eq!(listed.split(", ").collect::<Vec<_>>(), NAMES, "{err}");
     }
 
     #[test]
@@ -1219,11 +1341,40 @@ mod tests {
 
     #[test]
     fn run_suite_stamps_the_suite_name() {
-        let claims = run_suite("f1", f1).unwrap();
+        let claims = run_suite("f1", f1).unwrap().claims;
         assert!(!claims.is_empty());
         assert!(
             claims.iter().all(|c| c.suite == "f1" && c.held()),
             "{claims:?}"
         );
+    }
+
+    #[test]
+    fn record_writes_claims_rates_and_skips_and_counts_failures() {
+        let claim = |name, value| Claim {
+            suite: "s",
+            ..Claim::new(name, value, Op::Eq, 0.0)
+        };
+        let report = Report {
+            claims: vec![claim("held", 0.0), claim("failed", 1.0)],
+            rates: vec![("speedup", 2.5)],
+            skipped: Some("host has 1 \"core\"".into()),
+        };
+        let path =
+            std::env::temp_dir().join(format!("streamrel-record-{}.json", std::process::id()));
+        let path = path.to_str().unwrap();
+        let failed = record(path, &[("seeds", "4".into())], &[("s", 0.5, report)]).unwrap();
+        let json = std::fs::read_to_string(path).unwrap();
+        std::fs::remove_file(path).unwrap();
+        assert_eq!(failed, 1);
+        for part in [
+            "\"seeds\": 4,",
+            "\"s\": {",
+            "\"name\": \"failed\", \"value\": 1, \"op\": \"==\", \"bound\": 0, \"held\": false",
+            "\"rates\": {\"speedup\": 2.500}",
+            "\"skipped\": \"host has 1 \\\"core\\\"\"",
+        ] {
+            assert!(json.contains(part), "{json} lacks {part}");
+        }
     }
 }

@@ -1,10 +1,11 @@
 //! The paper's experiments and the harnesses around the engine.
 //!
-//! Two seeded runners share this crate: `experiments` runs the suites of
-//! [`experiments::SUITES`] (F1, E1–E8, one per claim of the paper, DESIGN.md
-//! §4) against the [`baseline`]s the paper argues against, and `torture`
-//! runs the suites of [`torture::SUITES`]. The other binaries each measure
-//! one subsystem into a `BENCH_*.json`.
+//! Two runners share this crate: `experiments` runs the suites of
+//! [`experiments::SUITES`] — F1 and E1–E8, one per claim of the paper,
+//! against the [`baseline`]s the paper argues against, and the
+//! [`subsystems`]' shape claims (DESIGN.md §4) — and the seeded `torture`
+//! runs the suites of [`torture::SUITES`]. Both write their claims through
+//! [`experiments::record`].
 
 #![deny(unsafe_code)]
 
@@ -12,6 +13,7 @@ pub mod baseline;
 pub mod experiments;
 pub mod federation;
 pub mod race;
+pub mod subsystems;
 pub mod torture;
 
 use std::time::{Duration, Instant};

@@ -259,7 +259,7 @@ enum Enclosing {
 /// Run the Level-1 admission analysis over a bound plan.
 ///
 /// Pure function of the plan plus [`CheckContext`]; performs no I/O and
-/// allocates only the report (the `check_overhead` bench holds it under
+/// allocates only the report (the `experiments check` suite holds it under
 /// 1 ms per registration).
 pub fn check_plan(plan: &LogicalPlan, ctx: &CheckContext) -> CheckReport {
     let mut findings = Vec::new();

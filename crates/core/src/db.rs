@@ -1051,7 +1051,9 @@ impl Db {
         };
         if !analyzed.is_continuous {
             // Snapshot query: fresh snapshot, run to completion (§3.1 SQ).
-            // Holds only the catalog lock — ingest proceeds in parallel.
+            // The plan is analysed, so the catalog goes first: ingest looks
+            // its shard up there and must not wait behind the scan.
+            drop(catalog);
             let source = streamrel_cq::SnapshotSource::pin(self.engine.clone());
             let ctx = ExecContext::snapshot(&source).with_metrics(&self.metrics.exec);
             let rel = execute(&analyzed.plan, &ctx)?;

@@ -122,13 +122,12 @@ impl WalShard {
     }
 }
 
-// lock-order: epoch < wal < group
+// lock-order: wal < group
 //
 // Commit paths append to the WAL, then coordinate through the
 // group-commit state (streamrel-lint enforces the order per function).
 // The group leader releases `wal` before taking `group` to publish its
 // result, so followers can keep appending while an fsync is in flight.
-// The checkpoint epoch is read before (and never while) holding `wal`.
 // The unnamed per-table locks nest outside these and in one order: a
 // heap's lock, then an index tree's or the transaction tables'; a batch
 // insert holds its heap's write lock across the `wal` append so the
@@ -150,7 +149,7 @@ pub struct StorageEngine {
     /// stamped into the checkpoint body and the first record of every
     /// log so recovery can tell a stale log (crash between checkpoint
     /// rename and that log's reset) from a live one. See DESIGN.md §10/§13.
-    epoch: Mutex<u64>,
+    epoch: AtomicU64,
     /// Global log sequence number allocator. Every record in every log
     /// carries one; recovery merges all logs in LSN order to rebuild a
     /// single serial history. Allocated under the destination log's
@@ -223,7 +222,7 @@ impl StorageEngine {
         let engine = StorageEngine::bare(Some(dir.clone()), io.clone());
         io.bind_metrics(&engine.metrics);
         let shard_epochs = engine.load_checkpoint(&dir.join(CHECKPOINT_FILE))?;
-        let ck_epoch = *engine.epoch.lock();
+        let ck_epoch = engine.epoch.load(Ordering::SeqCst);
         let expected_epoch = |shard: usize| -> u64 {
             shard_epochs
                 .iter()
@@ -331,7 +330,7 @@ impl StorageEngine {
             catalog: Catalog::new(),
             wals: Vec::new(),
             io,
-            epoch: Mutex::named("storage.epoch", 0),
+            epoch: AtomicU64::new(0),
             next_lsn: AtomicU64::new(1),
             stats: StatCells::default(),
             swept_aborts: AtomicU64::new(0),
@@ -1024,7 +1023,7 @@ impl StorageEngine {
         }
         let snap = self.snapshot();
         let aborted = |x: TxnId| self.txns.is_aborted(x);
-        let new_epoch = *self.epoch.lock() + 1;
+        let new_epoch = self.epoch.load(Ordering::SeqCst) + 1;
 
         let mut body = Vec::new();
         let tables = self.catalog.all_tables();
@@ -1070,7 +1069,7 @@ impl StorageEngine {
         full.extend_from_slice(&crc32(&body).to_le_bytes());
         full.extend_from_slice(&body);
         self.io.replace(&dir.join(CHECKPOINT_FILE), &full)?;
-        *self.epoch.lock() = new_epoch;
+        self.epoch.store(new_epoch, Ordering::SeqCst);
         // Renumber the live heap to exactly the image recovery will load
         // (compact slots 0..n, frozen visibility): records logged after
         // this point reference slots by the *image's* numbering, so a
@@ -1142,7 +1141,7 @@ impl StorageEngine {
             return Err(Error::storage("checkpoint crc mismatch"));
         }
         let mut r = Reader::new(body);
-        *self.epoch.lock() = r.u64()?;
+        self.epoch.store(r.u64()?, Ordering::SeqCst);
         let nshards = r.u32()?;
         let mut shard_epochs = Vec::with_capacity(nshards as usize);
         for _ in 0..nshards {

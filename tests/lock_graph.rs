@@ -207,6 +207,19 @@ fn witness_panics_on_inverted_acquisition_naming_both_sites() {
     assert!(msg.contains("lock_graph.gen.rs"), "{msg}");
 }
 
+/// A snapshot `SELECT` releases the catalog before it executes, so no
+/// path holds `core.catalog` while it takes a CQ queue or result lock:
+/// ingest, which reads the catalog to find its shard, never waits behind a
+/// running query.
+#[test]
+fn the_catalog_is_never_held_into_a_cq_lock() {
+    let held_into_cq: Vec<_> = streamrel_check::lock_graph_gen::LOCK_MUST_PRECEDE
+        .iter()
+        .filter(|(a, b)| *a == "core.catalog" && b.starts_with("cq."))
+        .collect();
+    assert!(held_into_cq.is_empty(), "{held_into_cq:?}");
+}
+
 /// Every lock in the generated order exists: its name is the one passed
 /// to a `Mutex::named` / `RwLock::named` somewhere in the sources. A
 /// `// lock-order:` declaration naming a lock nobody constructs puts a
