@@ -195,7 +195,7 @@ fn reference(seed: u64, windows: i64) -> Vec<(i64, Vec<u8>)> {
 /// Active Table, or `i64::MIN` on an empty archive. Computed client-side
 /// from a plain scan so the probe exercises no more SQL surface than the
 /// pipeline itself.
-fn archive_watermark(client: &Client) -> Result<i64, String> {
+fn archive_high_water(client: &Client) -> Result<i64, String> {
     let rel = client
         .execute("SELECT stime FROM hit_archive")
         .map_err(|e| format!("archive scan: {e}"))?;
@@ -295,10 +295,10 @@ fn drive(
             }
             client = connect()?;
 
-            // Producer-side recovery contract: everything at or above
-            // the archive high-water mark is the feeder's to re-drive —
+            // No raw archive on the producer (DESIGN.md §16.3): all at or
+            // above the archive high-water mark is the feeder's to re-drive —
             // window `w`'s rows included, so it is closed directly below.
-            let watermark = archive_watermark(&client)?;
+            let watermark = archive_high_water(&client)?;
             for wi in 0..=w {
                 let redrive: Vec<Row> = rows_of(seed, wi)
                     .into_iter()

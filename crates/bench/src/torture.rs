@@ -41,7 +41,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use streamrel_core::{Db, DbOptions};
-use streamrel_cq::recovery::{archive_watermark, load_watermark, replay_rows_after};
+use streamrel_cq::recovery::load_watermark;
 use streamrel_faults::chaos::splitmix64;
 use streamrel_faults::{DiskImage, FaultIo, FaultPlan};
 use streamrel_storage::{Io, StorageEngine, SyncMode};
@@ -583,16 +583,11 @@ fn setup_with(db: &Db, derived: &str, window: &str) -> Result<()> {
     Ok(())
 }
 
-/// VISIBLE − ADVANCE of `rolling` and `ranked`: how far before its
-/// watermark each one's input still reaches into its next window.
-const SLIDING_SLACK: i64 = 2 * MINUTE;
-
 fn cq_setup(db: &Db) -> Result<()> {
     setup_with(db, "per_minute", "TUMBLING '1 minute'")
 }
 
-/// One CQ-level sweep flavour: which options, which standing query, and
-/// how far before the watermark the raw replay must reach.
+/// One CQ-level sweep flavour: which options and which standing query.
 struct SweepSpec {
     /// The runner suite this sweep is.
     suite: &'static str,
@@ -600,10 +595,6 @@ struct SweepSpec {
     setup: fn(&Db) -> Result<()>,
     /// The derived stream `setup` creates (its watermark's name).
     derived: &'static str,
-    /// `visible - advance`: the span of already-archived raw rows a
-    /// sliding window still needs to rebuild its in-flight state. Zero
-    /// for tumbling windows.
-    replay_slack: i64,
     /// Require the standing CQ to run on the IVM path after every open
     /// (reference run *and* each recovery) — a silent fallback would
     /// make the sweep prove the wrong executor.
@@ -615,7 +606,6 @@ const CQ_SPEC: SweepSpec = SweepSpec {
     options: cq_options,
     setup: cq_setup,
     derived: "per_minute",
-    replay_slack: 0,
     require_ivm: false,
 };
 
@@ -643,7 +633,6 @@ const IVM_SPEC: SweepSpec = SweepSpec {
     options: ivm_options,
     setup: ivm_setup,
     derived: "winagg",
-    replay_slack: 2 * MINUTE, // visible 3m - advance 1m
     require_ivm: true,
 };
 
@@ -759,8 +748,8 @@ fn spec_crash_once(
     let image = io.frozen_image()?;
     let fail = |detail| Ok(Some(crash_failure(spec.suite, seed, op, detail, &image)));
 
-    // Restart: recovery replays the WAL, rebuilds DDL objects and
-    // restores each CQ's position from its Active-Table watermark.
+    // Restart: recovery replays the WAL, rebuilds DDL objects, resumes
+    // each CQ after its watermark and replays the Active Tables into it.
     let rio = FaultIo::from_image(&image, FaultPlan::none(0));
     let db = match open_db(&rio, spec) {
         Ok(db) => db,
@@ -783,51 +772,15 @@ fn spec_crash_once(
         ));
     }
 
-    // One level down first: `rolling`'s in-flight windows — and the one
-    // it owed, when the crash fell between its upstream's commit and its
-    // own — come back from the upstream's archive.
-    let owed = load_watermark(db.engine(), "rolling")?.map_or(i64::MIN, |wm| wm - SLIDING_SLACK);
-    if let Err(err) = db.replay_archived_windows(spec.derived, owed) {
-        return fail(format!("cascade replay failed: {err}"));
-    }
-
-    // Rebuild in-flight window state from the raw archive (§4): replay
-    // the raw rows past the watermark through the stream, bypassing the
-    // raw channel so they are not archived twice. A sliding window's
-    // next close still sees `replay_slack` of archived time *before*
-    // the watermark, so the replay bound reaches back that far — for
-    // `ranked` too, whose commit a crash may separate from `derived`'s.
-    let wm = archive_watermark(db.engine(), "agg", "w")?.unwrap_or(i64::MIN);
-    let ranked = load_watermark(db.engine(), "ranked")?.unwrap_or(i64::MIN);
-    let from = wm
-        .saturating_sub(spec.replay_slack)
-        .min(ranked.saturating_sub(SLIDING_SLACK));
-    let replay = replay_rows_after(db.engine(), "raw", "ts", from)?;
-    db.execute("DROP CHANNEL raw_ch")?;
-    for r in replay {
-        if let Err(err) = db.ingest("s", r) {
-            return fail(format!("raw replay re-ingest failed: {err}"));
-        }
-    }
-    db.execute("CREATE CHANNEL raw_ch FROM s INTO raw APPEND")?;
-
-    // Re-drive: tuples that never became durable (absent from the raw
-    // archive) are re-ingested; heartbeats are replayed wholesale (a
-    // stale heartbeat closes nothing).
-    let durable: HashSet<i64> = match db.execute("SELECT ts FROM raw")? {
-        streamrel_core::ExecResult::Rows(rel) => rel
-            .rows()
-            .iter()
-            .filter_map(|r| match r.first() {
-                Some(Value::Timestamp(t)) => Some(*t),
-                _ => None,
-            })
-            .collect(),
-        _ => HashSet::new(),
-    };
+    // `Db::open` rebuilt every in-flight window from the archives and
+    // emitted what the crash left owed. The feeder re-sends what the raw
+    // archive lacks — tuples that never became durable — and replays
+    // heartbeats wholesale (a stale heartbeat closes nothing).
+    let raw = db.execute("SELECT ts FROM raw")?.rows();
+    let durable: HashSet<&Value> = raw.rows().iter().filter_map(|r| r.first()).collect();
     for s in steps {
         let redo = match s {
-            CqStep::Ingest { ts, .. } => !durable.contains(ts),
+            CqStep::Ingest { ts, .. } => !durable.contains(&Value::Timestamp(*ts)),
             CqStep::Heartbeat { .. } => true,
         };
         if redo {

@@ -18,7 +18,7 @@ use std::time::Instant;
 use parking_lot::{Mutex, MutexGuard};
 
 use streamrel_check::{check_plan, CheckContext, CheckReport, StateBudget};
-use streamrel_cq::recovery::{load_watermark, save_watermark_txn};
+use streamrel_cq::recovery::{save_watermark, save_watermark_txn, watermark_key};
 use streamrel_cq::{ContinuousQuery, CqOutput, CqStats, ReorderBuffer, WindowTask, WorkerPool};
 use streamrel_exec::{execute, ExecContext, ExecMetrics};
 use streamrel_obs::{Counter, Gauge, Histogram, IvmMetrics};
@@ -33,6 +33,8 @@ use crate::options::DbOptions;
 use crate::provider::StreamDecl;
 use crate::shard::{ChannelSink, CqEntry, Shard, ShardState, Sink, StreamRuntime};
 use crate::subscription::{ResultNotifier, Subscription, SubscriptionId};
+
+mod recovery;
 
 /// Result of [`Db::execute`].
 #[derive(Debug)]
@@ -221,8 +223,10 @@ impl Db {
 
     /// Open (or create) a durable database at `dir`. Recovers durable
     /// state via the WAL, then replays persisted DDL to rebuild streams,
-    /// views, derived streams and channels, then restores each derived
-    /// CQ's position from its Active-Table watermark (§4 recovery).
+    /// views, derived streams and channels, then finishes CQ recovery
+    /// from the Active Tables (§4): each derived CQ resumes after its
+    /// watermark and its in-flight window is rebuilt from the archives
+    /// it reads (`db/recovery.rs`).
     pub fn open(dir: impl AsRef<Path>, options: DbOptions) -> Result<Db> {
         Db::open_with_io(dir, options, StdIo::shared())
     }
@@ -239,7 +243,7 @@ impl Db {
         )?);
         let db = Db::with_engine(engine, options);
         db.replay_ddl()?;
-        db.restore_watermarks()?;
+        db.recover_cqs()?;
         Ok(db)
     }
 
@@ -805,8 +809,17 @@ impl Db {
                  (use CREATE VIEW or CREATE TABLE AS for snapshot queries)",
             ));
         }
-        self.register_cq(&mut catalog, &analyzed, Sink::Derived(key.clone()))?;
+        let (.., joined) = self.register_cq(&mut catalog, &analyzed, Sink::Derived(key.clone()))?;
         if persist {
+            // Over an upstream that has taken tuples, the stream joins at its
+            // high-water mark: that is its first watermark, so recovery
+            // rebuilds no window that closed before it existed. Over an idle
+            // one it clears what a dropped namesake may have left.
+            if joined > Timestamp::MIN {
+                save_watermark(&self.engine, &key, joined)?;
+            } else {
+                self.engine.catalog_del(&watermark_key(&key))?;
+            }
             self.persist_ddl(&mut catalog, "derived", &key, sql)?;
         }
         Ok(ExecResult::Created(name.to_string()))
@@ -1061,9 +1074,9 @@ impl Db {
         }
         // Continuous query: register a subscription-backed CQ.
         let sub_id = SubscriptionId(catalog.next_sub);
-        let home = self.register_cq(&mut catalog, &analyzed, Sink::Client(sub_id))?;
+        let (shard, cq_id, _) = self.register_cq(&mut catalog, &analyzed, Sink::Client(sub_id))?;
         catalog.next_sub += 1;
-        catalog.sub_home.insert(sub_id, home);
+        catalog.sub_home.insert(sub_id, (shard, cq_id));
         drop(catalog);
         self.subs.lock().insert(
             sub_id,
@@ -1079,13 +1092,13 @@ impl Db {
     /// is placed — a time window as a member of one of its stream's slice
     /// stores — and attached, together with the stream it produces, if it
     /// does (so no window can close before its sink exists). Returns the
-    /// shard index and the CQ id.
+    /// shard index, the CQ id and the upstream's high-water mark.
     fn register_cq(
         &self,
         catalog: &mut Catalog,
         analyzed: &AnalyzedQuery,
         sink: Sink,
-    ) -> Result<(usize, u64)> {
+    ) -> Result<(usize, u64, Timestamp)> {
         let state_bytes = self.admit_plan(catalog, &analyzed.plan)?;
         let name = match &sink {
             Sink::Derived(stream) => stream.clone(),
@@ -1105,6 +1118,7 @@ impl Db {
         catalog.cq_state_bytes.insert(cq_id, state_bytes);
         cq.place(self.options.sharing, self.options.ivm, &mut rt.stores);
         rt.cq_ids.push(cq_id);
+        let joined = rt.high_water;
         if let Sink::Derived(stream) = &sink {
             let decl = StreamDecl {
                 schema: analyzed.plan.schema(),
@@ -1131,7 +1145,7 @@ impl Db {
                 close_hist,
             },
         );
-        Ok((shard_idx, cq_id))
+        Ok((shard_idx, cq_id, joined))
     }
 
     /// Tear a CQ out of its shard: off its upstream's list and out of its
@@ -1203,120 +1217,6 @@ impl Db {
                 "subscribe_stream produced {other:?}, not a subscription"
             ))),
         }
-    }
-
-    /// Replay a derived stream's archived windows with `close > after`,
-    /// in close order — the Active-Tables recovery story (§4) applied
-    /// across nodes. Windows are reconstructed from the stream's first
-    /// APPEND channel: rows are grouped by the stream's `cq_close(*)`
-    /// column, so federation requires the derived stream to carry one
-    /// (like the quickstart's `stime`) and to archive through an APPEND
-    /// channel. `feed` commits each window's archive rows and resume
-    /// watermark in one transaction *before* any delivery, so everything
-    /// a subscriber ever saw is reconstructible here. The replay ends
-    /// with an empty window at the stream's durable watermark when that
-    /// is past the last archived close (heartbeat-only windows archive
-    /// no rows but do commit the watermark).
-    pub fn archived_windows(&self, stream: &str, after: Timestamp) -> Result<Vec<CqOutput>> {
-        let key = stream.to_ascii_lowercase();
-        let (schema, close_col, tid) = {
-            let catalog = self.catalog.lock();
-            let d = catalog
-                .streams
-                .get(&key)
-                .filter(|s| s.producer.is_some())
-                .ok_or_else(|| Error::stream(format!("`{stream}` is not a derived stream")))?;
-            let close_col = d.decl.cqtime.ok_or_else(|| {
-                Error::stream(format!(
-                    "derived stream `{stream}` has no cq_close(*) column; \
-                     archived windows cannot be replayed"
-                ))
-            })?;
-            let shard = shard_at(&catalog, d.shard)?;
-            let state = shard.state.lock();
-            let channels = state.streams.get(&key).map_or(&[][..], |rt| &rt.channels);
-            let append = channels.iter().find(|c| c.mode == ChannelMode::Append);
-            let tid = append.map(|c| c.table_id).ok_or_else(|| {
-                Error::stream(format!(
-                    "derived stream `{stream}` has no APPEND channel to replay from"
-                ))
-            })?;
-            (d.decl.schema.clone(), close_col, tid)
-        };
-        let snap = self.engine.snapshot();
-        // Heap scan order is insertion order, and each window's rows were
-        // inserted in one transaction in relation order — grouping into a
-        // close-ordered map preserves the original row order per window.
-        let mut by_close: std::collections::BTreeMap<Timestamp, Vec<Row>> =
-            std::collections::BTreeMap::new();
-        for (_, row) in self.engine.scan(tid, &snap)? {
-            let close = row
-                .get(close_col)
-                .ok_or_else(|| {
-                    Error::stream(format!(
-                        "archived row of `{stream}` is missing close column {close_col}"
-                    ))
-                })?
-                .as_timestamp()?;
-            if close > after {
-                by_close.entry(close).or_default().push(row);
-            }
-        }
-        let mut outs: Vec<CqOutput> = by_close
-            .into_iter()
-            .map(|(close, rows)| CqOutput {
-                close,
-                relation: Relation::new(schema.clone(), rows),
-            })
-            .collect();
-        // Heartbeat-only windows archive no rows, but `feed` commits the
-        // resume watermark for them all the same — so when the stream's
-        // durable watermark is past the last archived close, finish the
-        // replay with an empty window carrying it. Without this, a
-        // subscriber whose gap ended in empty windows would reconnect
-        // and never learn that event time had advanced.
-        let last = outs.last().map(|o| o.close).unwrap_or(after);
-        if let Some(wm) = load_watermark(&self.engine, &key)? {
-            if wm > last {
-                outs.push(CqOutput {
-                    close: wm,
-                    relation: Relation::new(schema, Vec::new()),
-                });
-            }
-        }
-        Ok(outs)
-    }
-
-    /// Take a derived stream's archived windows with `close > after`
-    /// through the CQs that read it once more, without archiving them
-    /// again: §4's recovery story one level down a cascade. After a crash
-    /// a downstream CQ's in-flight window state is gone, and a window it
-    /// owed is too if the crash fell between its upstream's commit and its
-    /// own; its upstream resumes past both. Replaying from `VISIBLE −
-    /// ADVANCE` before the downstream's watermark rebuilds the one and
-    /// emits the other — windows at or before a consumer's own watermark
-    /// are not emitted twice. Call before new tuples flow.
-    pub fn replay_archived_windows(&self, stream: &str, after: Timestamp) -> Result<()> {
-        let start = Instant::now();
-        let windows = self.archived_windows(stream, after)?;
-        let key = stream.to_ascii_lowercase();
-        let shard = {
-            let catalog = self.catalog.lock();
-            let unknown = || Error::stream(format!("unknown stream `{stream}`"));
-            shard_at(
-                &catalog,
-                catalog.streams.get(&key).ok_or_else(unknown)?.shard,
-            )?
-        };
-        let state = &mut *self.lock_shard(&shard);
-        let mut first_err = None;
-        for w in windows {
-            let rows = w.relation.into_rows().into();
-            let (emitted, err) = self.consume(state, &key, &rows, Some(w.close));
-            let pumped = self.pump(state, emitted, start);
-            first_err = first_err.or(err).or(pumped.err());
-        }
-        first_err.map_or(Ok(()), Err)
     }
 
     // ---- internals ------------------------------------------------------------
@@ -1462,7 +1362,7 @@ impl Db {
         bound: Option<Timestamp>,
     ) -> (Vec<(u64, CqOutput)>, Option<Error>) {
         match self.archive(state, stream, &rows, bound) {
-            Ok(()) => self.consume(state, stream, &rows, bound),
+            Ok(()) => self.consume(state, stream, &rows, bound, false),
             Err(e) => (Vec::new(), Some(e)),
         }
     }
@@ -1524,19 +1424,27 @@ impl Db {
     /// error — a store's, in store order, before a CQ's, in registration ×
     /// close order. An error belongs to the CQ that raised it: a failing
     /// store closes nothing for its members, a failing stage or plan
-    /// loses that one window, and every other window is returned.
+    /// loses that one window, and every other window is returned. A
+    /// `replay` of archived rows at open reaches only the time windows: a
+    /// count window has no cursor to resume and would close them twice.
     fn consume(
         &self,
         state: &mut ShardState,
         stream: &str,
         rows: &Arc<[Row]>,
         bound: Option<Timestamp>,
+        replay: bool,
     ) -> (Vec<(u64, CqOutput)>, Option<Error>) {
         let ShardState { streams, cqs, .. } = state;
         // Dropped mid-flight.
         let Some(rt) = streams.get_mut(stream) else {
             return (Vec::new(), None);
         };
+        let last = rt
+            .decl
+            .cqtime
+            .and_then(|c| rows.last()?.get(c)?.as_timestamp().ok());
+        rt.high_water = rt.high_water.max(last.max(bound).unwrap_or(Timestamp::MIN));
         // Slice stores: each takes every tuple once, however many CQs read
         // it, and closes every due window of every member — one pool job
         // per store.
@@ -1553,7 +1461,10 @@ impl Db {
         // the rows. A CQ that fails to stage holds its error's place.
         let mut staged: Vec<(u64, Result<WindowTask>)> = Vec::new();
         for &id in &rt.cq_ids {
-            let Some(entry) = cqs.get_mut(&id) else {
+            let Some(entry) = cqs
+                .get_mut(&id)
+                .filter(|e| !replay || e.cq.slot().is_some())
+            else {
                 continue;
             };
             let mut tasks = Vec::new();
@@ -1675,25 +1586,6 @@ impl Db {
             self.execute_stmt(stmt, &sql, false)?;
         }
         self.catalog.lock().ddl_seq = max_seq + 1;
-        Ok(())
-    }
-
-    fn restore_watermarks(&self) -> Result<()> {
-        let catalog = self.catalog.lock();
-        for (name, d) in &catalog.streams {
-            let (Some(cq_id), Some(wm)) = (d.producer, load_watermark(&self.engine, name)?) else {
-                continue;
-            };
-            let shard = shard_at(&catalog, d.shard)?;
-            let ShardState { streams, cqs, .. } = &mut *shard.state.lock();
-            let Some(entry) = cqs.get_mut(&cq_id) else {
-                continue;
-            };
-            let upstream = entry.cq.stream().to_ascii_lowercase();
-            if let Some(rt) = streams.get_mut(&upstream) {
-                entry.cq.resume_after(wm, &mut rt.stores);
-            }
-        }
         Ok(())
     }
 

@@ -67,7 +67,8 @@ pub(crate) struct StreamRuntime {
     pub derived: bool,
     /// Out-of-order slack (base streams with `DbOptions::slack`).
     pub reorder: Option<ReorderBuffer>,
-    /// Newest CQTIME taken (tuple or heartbeat); ingest admits none older.
+    /// Newest time taken — a tuple's CQTIME, a heartbeat's, a derived
+    /// stream's window close. Ingest admits no older tuple.
     pub high_water: Timestamp,
     /// CQs consuming this stream directly, in registration order.
     pub cq_ids: Vec<u64>,

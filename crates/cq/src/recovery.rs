@@ -1,87 +1,29 @@
-//! CQ runtime-state recovery from Active Tables (§4).
+//! A CQ's durable resume watermark (§4).
 //!
 //! The paper's recovery argument: instead of teaching every operator to
 //! checkpoint itself, rebuild runtime state from what the channels already
-//! persisted. A channel records, per emitted window, the window's
-//! `cq_close`; after a crash the CQ resumes at the archive's high-water
-//! mark. If the raw stream is itself archived (a raw channel), the tuples
-//! past the watermark replay through the window buffer to rebuild the
-//! in-flight partial window.
+//! persisted. Each derived stream keeps one watermark in the engine
+//! catalog: the close of the last window its channels committed, written
+//! in the same transaction as the window's rows. `Db::open` resumes each
+//! CQ after it and replays the Active Tables it reads to rebuild the
+//! in-flight window (`streamrel-core`'s `db/recovery.rs`); this module is
+//! only the watermark's key and its reads and writes.
 
 use std::sync::Arc;
 
 use streamrel_storage::StorageEngine;
-use streamrel_types::{Error, Result, Row, Timestamp, Value};
-
-/// High-water mark of an archive table: the maximum value of its `ts_col`
-/// column (the archived `cq_close`). `None` when the table is empty.
-pub fn archive_watermark(
-    engine: &Arc<StorageEngine>,
-    table: &str,
-    ts_col: &str,
-) -> Result<Option<Timestamp>> {
-    let meta = engine.table(table)?;
-    let idx = meta.schema.index_of(ts_col)?;
-    let snap = engine.snapshot();
-    let mut max: Option<Timestamp> = None;
-    engine.scan_visit(meta.id, &snap, |_, row| {
-        if let Some(Value::Timestamp(t)) = row.get(idx) {
-            max = Some(max.map_or(*t, |m| m.max(*t)));
-        } else if let Some(Value::Int(t)) = row.get(idx) {
-            max = Some(max.map_or(*t, |m| m.max(*t)));
-        }
-        true
-    })?;
-    Ok(max)
-}
-
-/// Rows of a raw-archive table with `ts_col > watermark`, time-ordered —
-/// the replay set that rebuilds the in-flight window.
-pub fn replay_rows_after(
-    engine: &Arc<StorageEngine>,
-    table: &str,
-    ts_col: &str,
-    watermark: Timestamp,
-) -> Result<Vec<Row>> {
-    let meta = engine.table(table)?;
-    let idx = meta.schema.index_of(ts_col)?;
-    let snap = engine.snapshot();
-    let mut rows: Vec<(Timestamp, Row)> = Vec::new();
-    engine.scan_visit(meta.id, &snap, |_, row| {
-        let ts = match row.get(idx) {
-            Some(Value::Timestamp(t)) | Some(Value::Int(t)) => *t,
-            _ => return true,
-        };
-        if ts >= watermark {
-            rows.push((ts, row.clone()));
-        }
-        true
-    })?;
-    rows.sort_by_key(|(t, _)| *t);
-    Ok(rows.into_iter().map(|(_, r)| r).collect())
-}
-
-/// Count of rows a full-log replay would process (the baseline E7 compares
-/// against): everything in the raw archive.
-pub fn full_replay_count(engine: &Arc<StorageEngine>, table: &str) -> Result<u64> {
-    let meta = engine.table(table)?;
-    let snap = engine.snapshot();
-    let mut n = 0u64;
-    engine.scan_visit(meta.id, &snap, |_, _| {
-        n += 1;
-        true
-    })?;
-    Ok(n)
-}
+use streamrel_types::{Error, Result, Timestamp};
 
 /// Catalog key used to persist a CQ's emitted watermark independently of
 /// any archive table (covers CQs whose channel uses REPLACE mode, where
-/// the table holds only the latest window).
+/// the table holds only the latest window, and CQs with no channel).
 pub fn watermark_key(cq_name: &str) -> String {
     format!("cq_watermark.{}", cq_name.to_ascii_lowercase())
 }
 
-/// Persist a CQ watermark in the engine catalog (WAL-logged, durable).
+/// Persist a CQ watermark in the engine catalog (WAL-logged, durable):
+/// how a derived stream created over an upstream that has already taken
+/// tuples records where it joined.
 pub fn save_watermark(engine: &Arc<StorageEngine>, cq_name: &str, close: Timestamp) -> Result<()> {
     engine.catalog_put(&watermark_key(cq_name), &close.to_string())
 }
@@ -114,68 +56,10 @@ pub fn load_watermark(engine: &Arc<StorageEngine>, cq_name: &str) -> Result<Opti
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streamrel_types::{row, Column, DataType, Schema};
-
-    fn engine() -> Arc<StorageEngine> {
-        let e = Arc::new(StorageEngine::in_memory());
-        e.create_table(
-            "urls_archive",
-            Schema::new(vec![
-                Column::new("url", DataType::Text),
-                Column::new("scnt", DataType::Int),
-                Column::new("stime", DataType::Timestamp),
-            ])
-            .unwrap(),
-        )
-        .unwrap();
-        e
-    }
-
-    #[test]
-    fn watermark_of_empty_archive_is_none() {
-        let e = engine();
-        assert_eq!(
-            archive_watermark(&e, "urls_archive", "stime").unwrap(),
-            None
-        );
-    }
-
-    #[test]
-    fn watermark_is_max_close() {
-        let e = engine();
-        let t = e.table_id("urls_archive").unwrap();
-        e.with_txn(|x| {
-            e.insert(x, t, row!["/a", 1i64, Value::Timestamp(100)])?;
-            e.insert(x, t, row!["/b", 2i64, Value::Timestamp(300)])?;
-            e.insert(x, t, row!["/c", 3i64, Value::Timestamp(200)])
-        })
-        .unwrap();
-        assert_eq!(
-            archive_watermark(&e, "urls_archive", "stime").unwrap(),
-            Some(300)
-        );
-    }
-
-    #[test]
-    fn replay_rows_are_filtered_and_ordered() {
-        let e = engine();
-        let t = e.table_id("urls_archive").unwrap();
-        e.with_txn(|x| {
-            e.insert(x, t, row!["/a", 1i64, Value::Timestamp(100)])?;
-            e.insert(x, t, row!["/c", 3i64, Value::Timestamp(300)])?;
-            e.insert(x, t, row!["/b", 2i64, Value::Timestamp(200)])
-        })
-        .unwrap();
-        let rows = replay_rows_after(&e, "urls_archive", "stime", 150).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0][0], Value::text("/b"));
-        assert_eq!(rows[1][0], Value::text("/c"));
-        assert_eq!(full_replay_count(&e, "urls_archive").unwrap(), 3);
-    }
 
     #[test]
     fn kv_watermark_roundtrip() {
-        let e = engine();
+        let e = Arc::new(StorageEngine::in_memory());
         assert_eq!(load_watermark(&e, "my_cq").unwrap(), None);
         save_watermark(&e, "my_cq", 12345).unwrap();
         assert_eq!(load_watermark(&e, "MY_CQ").unwrap(), Some(12345));

@@ -4,7 +4,7 @@
 
 use std::path::PathBuf;
 
-use streamrel::types::time::MINUTES;
+use streamrel::types::time::{MINUTES, SECONDS};
 use streamrel::types::Value;
 use streamrel::{Db, DbOptions};
 
@@ -61,13 +61,17 @@ fn windows_archive_exactly_once_across_crashes() {
             .unwrap()
             .rows();
         assert_eq!(rel.rows()[0], vec![Value::Int(2), Value::Int(4)]);
-        // Continue: the in-flight tuple was lost from the window buffer
-        // (runtime state), but its window has not closed; new traffic for
-        // minute 3 closes window 3.
+        // Continue: the in-flight tuple came back from the raw archive at
+        // open, so window 3 counts it beside the new traffic.
         db.ingest("s", tup("a", 2 * MINUTES + 30_000_000)).unwrap();
         db.heartbeat("s", 3 * MINUTES).unwrap();
         let rel = db.execute("SELECT count(*) FROM agg").unwrap().rows();
         assert_eq!(rel.rows()[0][0], Value::Int(3), "window 3 archived once");
+        let rel = db
+            .execute(&format!("SELECT c FROM agg WHERE w = {}", 3 * MINUTES))
+            .unwrap()
+            .rows();
+        assert_eq!(rel.rows()[0][0], Value::Int(2), "window 3 is whole");
         // No duplicates for windows 1-2:
         let rel = db
             .execute("SELECT w, count(*) n FROM agg GROUP BY w HAVING count(*) > 1")
@@ -94,38 +98,239 @@ fn in_flight_window_rebuilds_from_raw_archive() {
         db.ingest("s", tup("a", MINUTES + 2)).unwrap(); // in-flight
     }
     {
+        // Opening rebuilds the partial window from the raw archive: the
+        // heartbeat closes window 2 over both in-flight tuples.
         let db = Db::open(&dir, DbOptions::default()).unwrap();
-        // Rebuild runtime state: replay raw rows past the archive
-        // watermark through the stream.
-        let wm = streamrel::cq::recovery::archive_watermark(db.engine(), "agg", "w")
-            .unwrap()
-            .unwrap_or(i64::MIN);
-        assert_eq!(wm, MINUTES);
-        let replay =
-            streamrel::cq::recovery::replay_rows_after(db.engine(), "raw", "ts", wm).unwrap();
-        assert_eq!(replay.len(), 2, "the two in-flight tuples");
-        // Feeding them back rebuilds the partial window... but they are
-        // already in `raw`, so bypass the raw channel by re-ingesting and
-        // then de-duplicating is wrong; instead drop + recreate the raw
-        // channel around the replay. Simpler: the replay count itself is
-        // the E7 metric; complete the window with fresh traffic.
-        db.execute("DROP CHANNEL raw_ch").unwrap();
-        for r in replay {
-            db.ingest("s", r).unwrap();
-        }
-        db.execute("CREATE CHANNEL raw_ch FROM s INTO raw APPEND")
-            .unwrap();
         db.heartbeat("s", 2 * MINUTES).unwrap();
         let rel = db
-            .execute("SELECT c FROM agg WHERE w = 120000000")
+            .execute(&format!("SELECT c FROM agg WHERE w = {}", 2 * MINUTES))
             .unwrap()
             .rows();
+        assert_eq!(rel.len(), 1, "window 2 archived once: {rel}");
         assert_eq!(
             rel.rows()[0][0],
             Value::Int(2),
             "window 2 includes the rebuilt in-flight tuples"
         );
+        let rel = db.execute("SELECT count(*) FROM raw").unwrap().rows();
+        assert_eq!(rel.rows()[0][0], Value::Int(4), "nothing archived twice");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every Active Table and watermark, rendered in heap order.
+fn archives(db: &Db, tables: &[&str]) -> Vec<String> {
+    let mut out: Vec<String> = tables
+        .iter()
+        .map(|t| {
+            let rel = db.execute(&format!("SELECT * FROM {t}")).unwrap().rows();
+            format!("{t}: {:?}", rel.rows())
+        })
+        .collect();
+    out.push(format!("{:?}", db.engine().catalog_scan("cq_watermark.")));
+    out
+}
+
+/// A cascade with windows in flight at every level: a tumbling count, a
+/// sliding total over it and a sliding count beside it.
+const CASCADE: [&str; 6] = [
+    "CREATE TABLE cur (k varchar(16), c bigint, w timestamp)",
+    "CREATE CHANNEL cur_ch FROM per_minute INTO cur REPLACE",
+    "CREATE STREAM rolling AS SELECT sum(c) n, cq_close(*) w3 \
+     FROM per_minute <VISIBLE '3 minutes' ADVANCE '1 minute'>",
+    "CREATE TABLE roll (n bigint, w3 timestamp)",
+    "CREATE CHANNEL roll_ch FROM rolling INTO roll APPEND",
+    "CREATE STREAM ranked AS SELECT k, count(*) c, cq_close(*) w \
+     FROM s <VISIBLE '2 minutes' ADVANCE '1 minute'> GROUP BY k ORDER BY k",
+];
+
+#[test]
+fn reopening_without_traffic_writes_nothing() {
+    let dir = tmpdir("reopen-idle");
+    let tables = ["agg", "raw", "cur", "roll"];
+    let before = {
+        let db = Db::open(&dir, DbOptions::default()).unwrap();
+        setup(&db);
+        for ddl in CASCADE {
+            db.execute(ddl).unwrap();
+        }
+        for i in 0..40i64 {
+            let k = ["a", "b", "c"][i as usize % 3];
+            db.ingest("s", tup(k, i * 13 * 1_000_000)).unwrap();
+        }
+        archives(&db, &tables)
+    };
+    for reopen in 0..2 {
+        let db = Db::open(&dir, DbOptions::default()).unwrap();
+        assert_eq!(archives(&db, &tables), before, "reopen {reopen}");
+        let replayed = db.engine().metrics().counter("db.recovery.rows_replayed");
+        assert!(replayed.get() > 0, "the in-flight windows were rebuilt");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `late` joins `s` after five minutes of archived history. One crash
+/// lands before its first window closes, one after; neither may bring
+/// back a window that closed before it existed, and every window that
+/// starts after the join matches a run that never crashed.
+#[test]
+fn a_stream_created_late_rebuilds_only_what_it_saw() {
+    const LATE: [&str; 3] = [
+        "CREATE STREAM late AS SELECT k, count(*) c, cq_close(*) w \
+         FROM s <VISIBLE '2 minutes' ADVANCE '1 minute'> GROUP BY k",
+        "CREATE TABLE late_agg (k varchar(16), c bigint, w timestamp)",
+        "CREATE CHANNEL late_ch FROM late INTO late_agg APPEND",
+    ];
+    let sec = 1_000_000i64;
+    let history = (0..=15i64).map(|i| tup(["a", "b"][i as usize % 2], i * 20 * sec));
+    let joined = 15 * 20 * sec;
+    let later = |from: i64, to: i64| {
+        (from..to).map(move |i| tup(["a", "b", "c"][i as usize % 3], i * 7 * sec))
+    };
+    // (tuples up to the crash, tuples after it) in 7-second steps.
+    let phases = [(43i64, 44i64), (44, 64), (64, 90)];
+    let run = |dir: Option<&PathBuf>| -> Vec<String> {
+        let open = || match dir {
+            Some(d) => Db::open(d, DbOptions::default()).unwrap(),
+            None => Db::in_memory(DbOptions::default()),
+        };
+        let mut db = open();
+        setup(&db);
+        for r in history.clone() {
+            db.ingest("s", r).unwrap();
+        }
+        for ddl in LATE {
+            db.execute(ddl).unwrap();
+        }
+        for (i, (from, to)) in phases.iter().enumerate() {
+            for r in later(*from, *to) {
+                db.ingest("s", r).unwrap();
+            }
+            if i + 1 < phases.len() && dir.is_some() {
+                drop(db);
+                db = open();
+            }
+        }
+        db.heartbeat("s", 12 * MINUTES).unwrap();
+        let early = db
+            .execute(&format!("SELECT * FROM late_agg WHERE w <= {joined}"))
+            .unwrap()
+            .rows();
+        assert!(early.is_empty(), "windows closing before the join: {early}");
+        let rel = db
+            .execute(&format!(
+                "SELECT k, c, w FROM late_agg WHERE w > {} ORDER BY w, k",
+                joined + 2 * MINUTES
+            ))
+            .unwrap()
+            .rows();
+        rel.rows().iter().map(|r| format!("{r:?}")).collect()
+    };
+    let dir = tmpdir("late-join");
+    let crashed = run(Some(&dir));
+    let reference = run(None);
+    assert!(
+        crashed.len() > 10,
+        "only {} windows compared",
+        crashed.len()
+    );
+    assert_eq!(crashed, reference);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Count windows keep no cursor to resume: a ROWS stream over `s` and a
+/// SLICES stream over `per_minute` see no replayed row, while the time
+/// windows beside them are rebuilt, so no window is archived twice.
+#[test]
+fn count_windows_archive_no_window_twice_across_a_reopen() {
+    const COUNTED: [&str; 8] = [
+        "CREATE STREAM rolling AS SELECT sum(c) n, cq_close(*) w3 \
+         FROM per_minute <VISIBLE '3 minutes' ADVANCE '1 minute'>",
+        "CREATE TABLE roll (n bigint, w3 timestamp)",
+        "CREATE CHANNEL roll_ch FROM rolling INTO roll APPEND",
+        "CREATE STREAM threes AS SELECT count(*) n, max(ts) t FROM s <VISIBLE 3 ROWS ADVANCE 3 ROWS>",
+        "CREATE TABLE three (n bigint, t timestamp)",
+        "CREATE CHANNEL three_ch FROM threes INTO three APPEND",
+        "CREATE STREAM passed AS SELECT k, c, w FROM per_minute <SLICES 1 WINDOWS>",
+        "CREATE TABLE pass (k varchar(16), c bigint, w timestamp)",
+    ];
+    let dir = tmpdir("count-windows");
+    let sec = 1_000_000i64;
+    let traffic = |from: i64, to: i64, db: &Db| {
+        for i in from..to {
+            db.ingest("s", tup(["a", "b"][i as usize % 2], i * 11 * sec))
+                .unwrap();
+        }
+    };
+    {
+        let db = Db::open(&dir, DbOptions::default()).unwrap();
+        setup(&db);
+        for ddl in COUNTED {
+            db.execute(ddl).unwrap();
+        }
+        db.execute("CREATE CHANNEL pass_ch FROM passed INTO pass APPEND")
+            .unwrap();
+        traffic(0, 25, &db);
+    }
+    let db = Db::open(&dir, DbOptions::default()).unwrap();
+    traffic(25, 51, &db);
+    db.heartbeat("s", 12 * MINUTES).unwrap();
+    let twice = |sql: &str| db.execute(sql).unwrap().rows();
+    for sql in [
+        "SELECT t, count(*) FROM three GROUP BY t HAVING count(*) > 1",
+        "SELECT w, k, count(*) FROM pass GROUP BY w, k HAVING count(*) > 1",
+        "SELECT w3, count(*) FROM roll GROUP BY w3 HAVING count(*) > 1",
+        "SELECT w, k, count(*) FROM agg GROUP BY w, k HAVING count(*) > 1",
+    ] {
+        let rel = twice(sql);
+        assert!(rel.is_empty(), "{sql}: {rel}");
+    }
+    let count = |t: &str| twice(&format!("SELECT count(*) FROM {t}")).rows()[0][0].clone();
+    assert_eq!(
+        count("pass"),
+        count("agg"),
+        "one SLICES window per upstream window"
+    );
+    // 25 tuples, a crash, 26 more: 8 + 8 windows, where a run that never
+    // crashed closes 51 / 3 = 17 — the ROWS window saw no replayed row.
+    assert_eq!(count("three"), Value::Int(16));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Under slack the raw archive holds what the reorder buffer released, so
+/// after a reopen a tuple older than the archive's newest is as late as it
+/// was before: a feeder that re-sends a tuple the engine dropped as late
+/// (the archive lacks it) gets it dropped again, not archived.
+#[test]
+fn a_late_tuple_stays_late_across_a_reopen() {
+    let opts = || DbOptions::default().with_slack(10 * SECONDS);
+    let on_time = (0..27i64).map(|i| tup("a", i * 5 * SECONDS));
+    let late = tup("b", 50 * SECONDS);
+    let run = |dir: Option<&PathBuf>| -> Vec<String> {
+        let open = || match dir {
+            Some(d) => Db::open(d, opts()).unwrap(),
+            None => Db::in_memory(opts()),
+        };
+        let mut db = open();
+        setup(&db);
+        for r in on_time.clone() {
+            db.ingest("s", r).unwrap();
+        }
+        db.heartbeat("s", 130 * SECONDS).unwrap();
+        db.ingest("s", late.clone()).unwrap();
+        assert_eq!(db.stats().late_drops, 1);
+        if dir.is_some() {
+            drop(db);
+            db = open();
+            // The archive lacks the late tuple: the feeder sends it again.
+            db.ingest("s", late.clone()).unwrap();
+            assert_eq!(db.stats().late_drops, 1, "dropped again after the reopen");
+        }
+        db.heartbeat("s", 4 * MINUTES).unwrap();
+        archives(&db, &["agg", "raw"])
+    };
+    let dir = tmpdir("late-stays-late");
+    assert_eq!(run(Some(&dir)), run(None));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
