@@ -51,7 +51,7 @@ fn ivm_cq(ratio: i64, order_by: &str) -> String {
     )
 }
 
-/// One `ivm` run over the timed rows (after `warm` untimed ones).
+/// What one `ivm` run measured.
 struct IvmRun {
     tps: f64,
     closes: u64,
@@ -60,11 +60,25 @@ struct IvmRun {
     merges: f64,
     /// `ivm.lowered` once the CQ registered.
     lowered: u64,
+    /// `ivm.join.table_scans` at the end.
+    scans: u64,
 }
 
-fn ivm_run(opts: DbOptions, cq: &str, warm: usize, rows: usize) -> Result<IvmRun, Box<dyn Error>> {
+/// One `ivm` run over `rows` rows (after `warm` untimed ones), in batches
+/// of 500; `pages` holds every other url and, with `commits`, takes a
+/// one-row commit before every ninth batch (5 times in 24 000 rows).
+fn ivm_run(
+    opts: DbOptions,
+    cq: &str,
+    (warm, rows): (usize, usize),
+    commits: bool,
+) -> Result<IvmRun, Box<dyn Error>> {
     let db = Db::in_memory(opts);
     db.execute("CREATE STREAM hits (url varchar(16), ts timestamp CQTIME USER)")?;
+    let page = |g| format!("('/u{}')", 2 * g);
+    let pages: Vec<_> = (0..IVM_GROUPS / 2).map(page).collect();
+    db.execute("CREATE TABLE pages (url varchar(16))")?;
+    db.execute(&format!("INSERT INTO pages VALUES {}", pages.join(", ")))?;
     let sub = db.execute(cq)?.subscription();
     let metrics = db.engine().metrics();
     let lowered = metrics.counter("ivm.lowered").get();
@@ -78,6 +92,9 @@ fn ivm_run(opts: DbOptions, cq: &str, warm: usize, rows: usize) -> Result<IvmRun
     while sent < total {
         if sent == warm {
             (start, before) = (Instant::now(), closed());
+        }
+        if commits && sent / 500 % 9 == 4 {
+            db.execute("INSERT INTO pages VALUES ('/u1')")?;
         }
         let n = 500.min(total - sent);
         let batch: Vec<Row> = (0..n)
@@ -102,6 +119,7 @@ fn ivm_run(opts: DbOptions, cq: &str, warm: usize, rows: usize) -> Result<IvmRun
         close_us: per_close(after.1 - before.1),
         merges: per_close(after.2 - before.2),
         lowered,
+        scans: metrics.counter("ivm.join.table_scans").get(),
     })
 }
 
@@ -120,12 +138,16 @@ fn ivm_run(opts: DbOptions, cq: &str, warm: usize, rows: usize) -> Result<IvmRun
 /// 300, once the widest window has filled — as is, and with `ORDER BY url`,
 /// whose view emits in key order and so probes nothing. The sweep's close
 /// time is printed, not claimed: it is not monotone in the ratio.
+///
+/// A sliding stream-table join reads its table once per table version:
+/// once over an unchanged table however many windows close, and once more
+/// per commit between closes. Its close time is printed, not claimed.
 pub fn ivm() -> SuiteResult {
     println!("ivm: delta processing vs per-window re-evaluation\n");
     let rows = 40_000 * scale();
     let private = || DbOptions::default().without_sharing();
-    let reeval = ivm_run(private().without_ivm(), &ivm_cq(60, ""), 0, rows)?;
-    let inc = ivm_run(private(), &ivm_cq(60, ""), 0, rows)?;
+    let reeval = ivm_run(private().without_ivm(), &ivm_cq(60, ""), (0, rows), false)?;
+    let inc = ivm_run(private(), &ivm_cq(60, ""), (0, rows), false)?;
     let speedup = inc.tps / reeval.tps;
     let close_speedup = reeval.close_us / inc.close_us.max(1e-9);
 
@@ -169,8 +191,9 @@ pub fn ivm() -> SuiteResult {
     ]);
     let (mut merges, mut ordered) = (Vec::new(), Vec::new());
     for ratio in IVM_RATIOS {
-        let plain = ivm_run(private(), &ivm_cq(ratio, ""), 62_000, rows / 2)?;
-        let sorted = ivm_run(private(), &ivm_cq(ratio, " ORDER BY url"), 62_000, rows / 2)?;
+        let timed = (62_000, rows / 2);
+        let plain = ivm_run(private(), &ivm_cq(ratio, ""), timed, false)?;
+        let sorted = ivm_run(private(), &ivm_cq(ratio, " ORDER BY url"), timed, false)?;
         table.row(&[
             ratio.to_string(),
             format!("{:.1}", plain.merges),
@@ -188,7 +211,20 @@ pub fn ivm() -> SuiteResult {
         ordered.push(sorted.merges);
     }
     table.print();
+    let join = "SELECT h.url, count(*) c FROM hits <VISIBLE '20 seconds' ADVANCE '2 seconds'> h \
+                JOIN pages p ON h.url = p.url GROUP BY h.url";
+    let [still, moved] = [false, true].map(|c| ivm_run(private(), join, (0, 24_000), c));
+    let (still, moved) = (still?, moved?);
+    println!(
+        "\njoin: {} closes, {} table scan(s) over an unchanged table ({:.0} us/close), \
+         {} with a commit between closes 5 times ({:.0} us/close)",
+        still.closes, still.scans, still.close_us, moved.scans, moved.close_us
+    );
+    let scans = (still.scans as f64, moved.scans as f64);
     claims.extend([
+        Claim::new("join_closes", still.closes as f64, Op::Ge, 100.0),
+        Claim::new("join_scans_unchanged_table", scans.0, Op::Eq, 1.0),
+        Claim::new("join_scans_after_k_commits", scans.1, Op::Eq, 6.0),
         Claim::new("merges_per_close_flat", merges[2], Op::Le, 1.1 * merges[0]),
         Claim::new(
             "ordered_merges_per_close_flat",
@@ -909,12 +945,9 @@ pub fn check() -> SuiteResult {
     let program = place(&plans[1], true, true, None)
         .program
         .ok_or("the tumbling aggregate does not lower")?;
-    registry.join(&program, true);
-    let pinned = registry.advance(
-        &Arc::from([row![Value::Timestamp(1), "/a", 10i64]]),
-        None,
-        None,
-    );
+    registry.join(&program, true, None);
+    let batch = Arc::from([row![Value::Timestamp(1), "/a", 10i64]]);
+    let pinned = registry.advance(&batch, None, None, None);
     if let Some((_, e)) = pinned.failed.into_iter().next() {
         return Err(e.into());
     }

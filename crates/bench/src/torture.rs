@@ -623,9 +623,37 @@ fn ivm_options() -> DbOptions {
 /// window is durable (the store does no I/O between retract and evict).
 /// Recovery must refold the delta from the raw archive, including the two
 /// archived minutes before the watermark that the next window still
-/// sees, and rebuild the view from those slices.
+/// sees, and rebuild the view from those slices. `joined` slides over `s`
+/// joined to `dim`, which every heartbeat swaps ([`swap_dim`]): a crash loses
+/// its memoised counts, and each rebuilt window counts `dim` as it was.
 fn ivm_setup(db: &Db) -> Result<()> {
-    setup_with(db, "winagg", "VISIBLE '3 minutes' ADVANCE '1 minute'")
+    setup_with(db, "winagg", "VISIBLE '3 minutes' ADVANCE '1 minute'")?;
+    db.execute("CREATE TABLE dim (k varchar(16), g bigint)")?;
+    db.execute(
+        "CREATE STREAM joined AS SELECT s.k, count(*) c, cq_close(*) w FROM s \
+         <VISIBLE '3 minutes' ADVANCE '1 minute'> JOIN dim d ON s.k = d.k GROUP BY s.k",
+    )?;
+    db.execute("CREATE TABLE joins (k varchar(16), c bigint, w timestamp)")?;
+    db.execute("CREATE CHANNEL joins_ch FROM joined INTO joins APPEND")?;
+    Ok(())
+}
+
+/// Replace `dim`, where it exists, by the generation of `ts`'s minute in one
+/// transaction, so a re-driven heartbeat leaves it as the reference had it.
+fn swap_dim(db: &Db, ts: i64) -> Result<()> {
+    let (e, g) = (db.engine(), ts / MINUTE);
+    let Ok(t) = e.table_id("dim") else {
+        return Ok(());
+    };
+    let counts = [("a", g % 2), ("b", 2), ("c", i64::from(g % 3 == 0))];
+    let row = |k: &str| vec![Value::text(k), Value::Int(g)];
+    let rows = counts
+        .iter()
+        .flat_map(|&(k, n)| (0..n).map(move |_| row(k)));
+    e.with_txn(|x| {
+        e.delete_all_visible(x, t)?;
+        e.insert_many(x, t, rows.collect()).map(drop)
+    })
 }
 
 const IVM_SPEC: SweepSpec = SweepSpec {
@@ -643,7 +671,7 @@ fn ivm_lowered(db: &Db) -> bool {
 fn apply_cq_step(db: &Db, step: &CqStep) -> Result<()> {
     match step {
         CqStep::Ingest { k, ts } => db.ingest("s", vec![Value::text(*k), Value::Timestamp(*ts)]),
-        CqStep::Heartbeat { ts } => db.heartbeat("s", *ts),
+        CqStep::Heartbeat { ts } => swap_dim(db, *ts).and_then(|()| db.heartbeat("s", *ts)),
     }
 }
 
@@ -662,11 +690,13 @@ fn sorted_rows(db: &Db, sql: &str) -> Result<String> {
     Ok(rows.join(" | "))
 }
 
-/// Canonical CQ digest: archived windows, the raw archive, and every CQ
-/// watermark — the full durable footprint of the standing query.
+/// Canonical CQ digest: archived windows, the raw archive, any join
+/// archive and its table, and every CQ watermark — the full durable
+/// footprint of the standing query.
 pub fn cq_digest(db: &Db) -> Result<String> {
     let mut out = String::new();
-    for t in ["agg", "cur", "raw", "roll", "ranks"] {
+    let tables = ["agg", "cur", "raw", "roll", "ranks", "joins", "dim"];
+    for t in tables.into_iter().filter(|t| db.engine().has_table(t)) {
         let rows = sorted_rows(db, &format!("SELECT * FROM {t}"))?;
         out.push_str(&format!("table {t}: {rows}\n"));
     }

@@ -40,7 +40,7 @@ pub mod lock_graph_gen {
 
 use std::sync::Arc;
 use streamrel_cq::shared::{place, SharedRegistry};
-use streamrel_ivm::{gcd, IvmProgram};
+use streamrel_ivm::{gcd, IvmProgram, IvmShape};
 use streamrel_sql::plan::LogicalPlan;
 use streamrel_sql::WindowSpec;
 use streamrel_types::relation::Relation;
@@ -306,6 +306,10 @@ pub fn check_plan(plan: &LogicalPlan, ctx: &CheckContext) -> CheckReport {
             "; ivm: buffered tuples replaced by per-slice aggregate \
              partials (bounded by distinct keys per slice)",
         );
+        if let Some(IvmShape::JoinAgg { join, .. }) = program.map(|p| &p.shape) {
+            let table = format!(", plus one count per distinct join key of `{}`", join.table);
+            state_bound.push_str(&table);
+        }
     }
     CheckReport {
         continuous,

@@ -164,12 +164,8 @@ struct DbMetrics {
     check_budget_rejected: Arc<Counter>,
     /// Warnings attached to admitted plans.
     check_warned: Arc<Counter>,
-    /// Stream tuples folded into slice stores (once per store, not per CQ).
-    ivm_delta_rows: Arc<Counter>,
-    /// Key partials merged or retracted at window closes.
-    ivm_compose_merges: Arc<Counter>,
-    /// Bytes held across live slice stores.
-    ivm_state_bytes: Arc<Gauge>,
+    /// The slice stores' instruments.
+    ivm: IvmMetrics,
     /// Wall time per batch of a stream's slice stores (fold, close), µs.
     store_phase_us: Arc<Histogram>,
     /// Wall time per batch of its closed windows' plans, µs.
@@ -179,7 +175,6 @@ struct DbMetrics {
 
 impl DbMetrics {
     fn register(registry: &streamrel_obs::Registry) -> DbMetrics {
-        let ivm = IvmMetrics::register(registry);
         DbMetrics {
             tuples_in: registry.counter("db.tuples_in"),
             windows_out: registry.counter("db.windows_out"),
@@ -191,9 +186,7 @@ impl DbMetrics {
             check_rejected: registry.counter("check.rejected"),
             check_budget_rejected: registry.counter("check.budget_rejected"),
             check_warned: registry.counter("check.warned"),
-            ivm_delta_rows: ivm.delta_rows,
-            ivm_compose_merges: ivm.compose_merges,
-            ivm_state_bytes: ivm.state_bytes,
+            ivm: IvmMetrics::register(registry),
             store_phase_us: registry.histogram("db.store_phase_us"),
             post_plan_us: registry.histogram("db.post_plan_us"),
             exec: ExecMetrics::register(registry),
@@ -1112,11 +1105,11 @@ impl Db {
         let shard = shard_at(catalog, shard_idx)?;
         let mut state = shard.state.lock();
         let rt = state.streams.get_mut(&upstream).ok_or_else(unknown)?;
+        cq.place(self.options.sharing, self.options.ivm, &mut rt.stores)?;
         let cq_id = catalog.next_cq;
         catalog.next_cq += 1;
         catalog.admitted_state_bytes += state_bytes;
         catalog.cq_state_bytes.insert(cq_id, state_bytes);
-        cq.place(self.options.sharing, self.options.ivm, &mut rt.stores);
         rt.cq_ids.push(cq_id);
         let joined = rt.high_water;
         if let Sink::Derived(stream) = &sink {
@@ -1160,7 +1153,7 @@ impl Db {
         };
         rt.cq_ids.retain(|&id| id != cq_id);
         if let Some(slot) = entry.cq.slot() {
-            self.metrics.ivm_state_bytes.add(rt.stores.leave(slot));
+            self.metrics.ivm.state_bytes.add(rt.stores.leave(slot));
         }
     }
 
@@ -1449,11 +1442,9 @@ impl Db {
         // it, and closes every due window of every member — one pool job
         // per store.
         let phase = Instant::now();
-        let mut advanced = rt.stores.advance(rows, bound, Some(&self.pool));
+        let mut advanced = (rt.stores).advance(rows, bound, Some(&self.pool), Some(&self.engine));
         self.metrics.store_phase_us.observe_from(phase);
-        self.metrics.ivm_delta_rows.add(advanced.delta_rows);
-        self.metrics.ivm_compose_merges.add(advanced.merges);
-        self.metrics.ivm_state_bytes.add(advanced.bytes);
+        advanced.count(&self.metrics.ivm);
         let mut first_err = advanced.failed.first().map(|(_, e)| e.clone());
 
         // Per-CQ window staging, in registration × close order: a time

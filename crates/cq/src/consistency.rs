@@ -116,6 +116,10 @@ impl RelationSource for SnapshotSource {
             .index_range(table, &named, key(lo), key(hi), &self.snapshot)?;
         Ok(Some(hits.into_iter().map(|(_, r)| r).collect()))
     }
+
+    fn table_stamp(&self, table: &str) -> Option<(u32, u64)> {
+        self.engine.table_stamp(table, &self.snapshot)
+    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use streamrel_exec::{execute, ExecContext, RelationSource};
-use streamrel_ivm::{WindowOutput, IVM_INPUT};
+use streamrel_ivm::{MatchCounts, IVM_INPUT};
 use streamrel_obs::IvmMetrics;
 use streamrel_sql::analyzer::AnalyzedQuery;
 use streamrel_sql::plan::{LogicalPlan, SchemaRef, WindowSpec};
@@ -49,13 +49,10 @@ pub struct WindowTask {
     /// Stream name bound to the window relation ([`IVM_INPUT`] for the
     /// post-anchor plan of a lowered CQ).
     input: Arc<str>,
-    /// The window relation. A stream-table join delta resolves its match
-    /// counts against the same snapshot the post-plan reads, so it is
-    /// finalized in [`WindowTask::run`], not at staging time.
-    rel: WindowOutput,
+    /// The window relation: raw rows, or a maintained anchor's output.
+    rel: Relation,
     close: Timestamp,
     engine: Arc<StorageEngine>,
-    consistency: ConsistencyMode,
     /// Snapshot pinned at CQ start (`QueryStart` mode only);
     /// `WindowBoundary` pins fresh at run time.
     snapshot: Option<Snapshot>,
@@ -67,8 +64,7 @@ impl WindowTask {
         self.close
     }
 
-    /// Rows in the staged window relation (for trace accounting). For a
-    /// join delta this is the staged entry count.
+    /// Rows in the staged window relation (for trace accounting).
     pub fn input_rows(&self) -> usize {
         self.rel.len()
     }
@@ -82,20 +78,13 @@ impl WindowTask {
     /// [`WindowTask::run`], handing the window relation to the plan
     /// instead of copying it — the engine's path.
     pub fn run_owned(self) -> Result<CqOutput> {
-        let source: SnapshotSource = match self.consistency {
+        let source = match self.snapshot {
+            Some(start) => SnapshotSource::with_snapshot(self.engine.clone(), start),
             // Window consistency: a fresh snapshot at this boundary.
-            ConsistencyMode::WindowBoundary => SnapshotSource::pin(self.engine.clone()),
-            ConsistencyMode::QueryStart => SnapshotSource::with_snapshot(
-                self.engine.clone(),
-                self.snapshot.clone().expect("pinned at start"),
-            ),
+            None => SnapshotSource::pin(self.engine.clone()),
         };
         let source = &source as &dyn RelationSource;
-        let rel = match self.rel {
-            WindowOutput::Ready(rel) => rel,
-            WindowOutput::NeedsTable(delta) => delta.finalize(source)?,
-        };
-        let ctx = ExecContext::window_owned(source, &self.input, rel, self.close);
+        let ctx = ExecContext::window_owned(source, &self.input, self.rel, self.close);
         Ok(CqOutput {
             close: self.close,
             relation: execute(&self.plan, &ctx)?,
@@ -134,7 +123,6 @@ pub struct ContinuousQuery {
     scan_schema: SchemaRef,
     window: WindowSpec,
     engine: Arc<StorageEngine>,
-    consistency: ConsistencyMode,
     /// Snapshot pinned at CQ start (QueryStart consistency mode only).
     start_snapshot: Option<Snapshot>,
     /// Where the window's tuples live until close. A count window (ROWS,
@@ -199,7 +187,6 @@ impl ContinuousQuery {
             scan_schema,
             window,
             engine,
-            consistency,
             start_snapshot,
             buffer,
             slot: None,
@@ -246,10 +233,12 @@ impl ContinuousQuery {
     /// when it does not lower, its raw rows; a count window keeps its own
     /// buffer. Must be called before any tuple flows. Bumps `ivm.lowered`
     /// / `ivm.fallback` and records the decision (and any fallback reason)
-    /// on the trace ring.
-    pub fn place(&mut self, sharing: bool, ivm: bool, registry: &mut SharedRegistry) {
+    /// on the trace ring. A join under `QueryStart` consistency reads its
+    /// match counts at the pinned snapshot here, once; failing that read
+    /// fails the placement.
+    pub fn place(&mut self, sharing: bool, ivm: bool, registry: &mut SharedRegistry) -> Result<()> {
         if self.stats.tuples_in > 0 || self.slot.is_some() {
-            return;
+            return Ok(());
         }
         let metrics = IvmMetrics::register(self.engine.metrics());
         let trace = self.engine.metrics().trace();
@@ -260,10 +249,19 @@ impl ContinuousQuery {
             metrics.fallback.inc();
             trace.record("cq.ivm.fallback", &self.name, reason.to_string(), 0);
         }
-        let Some(program) = program else { return };
+        let Some(program) = program else {
+            return Ok(());
+        };
+        let pin = |s| SnapshotSource::with_snapshot(self.engine.clone(), s);
+        let start = self.start_snapshot.clone().map(pin);
+        let frozen = start
+            .map(|s| MatchCounts::read(&program.shape, &s))
+            .transpose()?;
+        let frozen = frozen.flatten().map(Arc::new);
+        metrics.table_scans.add(u64::from(frozen.is_some()));
         // A window the pooled store's grid cannot take is the one `join`
         // gives a private store.
-        let (slot, pooled) = registry.join(&program, sharing);
+        let (slot, pooled) = registry.join(&program, sharing, frozen);
         self.slot = Some(slot);
         if fallback.is_none() {
             metrics.lowered.inc();
@@ -276,6 +274,7 @@ impl ContinuousQuery {
             self.task_plan = Arc::new(program.post_plan);
             self.input = IVM_INPUT.into();
         }
+        Ok(())
     }
 
     /// Stage, without evaluating them, the windows that one batch of the
@@ -284,9 +283,8 @@ impl ContinuousQuery {
     /// the upstream window a derived stream's batch is the result of.
     /// `advanced` is what the stream's stores did with the same batch: a
     /// time window takes its closed windows from there, and only the
-    /// post-plan — and a join delta's match counting, which needs the
-    /// boundary snapshot — is deferred to the task; a count window buffers
-    /// the rows itself. On error `tasks` holds what was staged before it.
+    /// post-plan is deferred to the task; a count window buffers the rows
+    /// itself. On error `tasks` holds what was staged before it.
     pub fn stage(
         &mut self,
         rows: &[Row],
@@ -295,15 +293,19 @@ impl ContinuousQuery {
         tasks: &mut Vec<WindowTask>,
     ) -> Result<()> {
         self.stats.tuples_in += rows.len() as u64;
-        let windows: Vec<(Timestamp, WindowOutput)> = match (&mut self.buffer, self.slot) {
+        let windows: Vec<(Timestamp, Relation)> = match (&mut self.buffer, self.slot) {
             (Some(buffer), _) => {
                 let relation = |rows| Relation::new(self.scan_schema.clone(), rows);
                 let closed = buffer.push(rows, bound)?.into_iter();
+                closed.map(|w| (w.close, relation(w.rows))).collect()
+            }
+            (None, Some(slot)) => {
+                let closed = advanced.closed.remove(&slot).unwrap_or_default();
                 closed
-                    .map(|w| (w.close, WindowOutput::Ready(relation(w.rows))))
+                    .into_iter()
+                    .map(|(c, w)| (c, w.into_relation()))
                     .collect()
             }
-            (None, Some(slot)) => advanced.closed.remove(&slot).unwrap_or_default(),
             (None, None) => return Err(Error::stream("a time-window CQ is placed before it runs")),
         };
         let staged = windows.into_iter();
@@ -317,9 +319,10 @@ impl ContinuousQuery {
     /// advanced through that registry and staged from it.
     fn stage_own(&mut self, rows: Arc<[Row]>, bound: Option<Timestamp>) -> Result<Vec<WindowTask>> {
         let mut own = std::mem::take(&mut self.own);
-        self.place(false, false, &mut own);
-        let mut advanced = own.advance(&rows, bound, None);
+        let placed = self.place(false, false, &mut own);
+        let mut advanced = own.advance(&rows, bound, None, Some(&self.engine));
         self.own = own;
+        placed?;
         if let Some((_, e)) = advanced.failed.pop() {
             return Err(e);
         }
@@ -371,14 +374,13 @@ impl ContinuousQuery {
         );
     }
 
-    fn make_task(&self, rel: WindowOutput, close: Timestamp) -> WindowTask {
+    fn make_task(&self, rel: Relation, close: Timestamp) -> WindowTask {
         WindowTask {
             plan: self.task_plan.clone(),
             input: self.input.clone(),
             rel,
             close,
             engine: self.engine.clone(),
-            consistency: self.consistency,
             snapshot: self.start_snapshot.clone(),
         }
     }
@@ -480,14 +482,15 @@ mod tests {
 
         fn resume(&mut self, watermark: Timestamp) {
             self.with_own(|cq, own| {
-                cq.place(false, false, own);
+                cq.place(false, false, own).unwrap();
                 cq.resume_after(watermark, own);
             });
         }
 
         /// Place the CQ as the engine would with `ivm` on: pooled, or private.
         fn sliced(mut self, sharing: bool) -> Self {
-            self.with_own(|cq, own| cq.place(sharing, true, own));
+            self.with_own(|cq, own| cq.place(sharing, true, own))
+                .unwrap();
             assert!(self.slot().is_some());
             self
         }
@@ -718,7 +721,7 @@ mod tests {
         let sql = "SELECT url FROM url_stream <TUMBLING '1 minute'> WHERE url LIKE '/a%'";
         // With IVM off the plan is never even considered: no counter.
         let mut off = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary);
-        off.with_own(|cq, own| cq.place(true, false, own));
+        off.with_own(|cq, own| cq.place(true, false, own)).unwrap();
         assert_eq!(e.metrics().counter("ivm.fallback").get(), 0);
         // With it on, the fallback is counted and traced — and either way
         // the window is a member of a raw-rows store, nothing lowered.
@@ -743,7 +746,7 @@ mod tests {
         let (p, e) = setup();
         let sql = "SELECT count(*) c FROM url_stream <VISIBLE 3 ROWS ADVANCE 2 ROWS>";
         let mut cq = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary);
-        cq.with_own(|cq, own| cq.place(true, true, own));
+        cq.with_own(|cq, own| cq.place(true, true, own)).unwrap();
         assert!(
             cq.slot().is_none() && cq.own.is_empty(),
             "no grid to slice on"
@@ -767,16 +770,16 @@ mod tests {
         let mut stores = SharedRegistry::default();
         let mut a = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary);
         let mut b = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary);
-        a.place(true, true, &mut stores);
-        b.place(true, true, &mut stores);
+        a.place(true, true, &mut stores).unwrap();
+        b.place(true, true, &mut stores).unwrap();
         assert_eq!(a.slot().unwrap().0, b.slot().unwrap().0, "pooled");
-        a.place(true, true, &mut stores);
+        a.place(true, true, &mut stores).unwrap();
         assert_eq!(stores.len(), 1, "already placed");
         assert_eq!(e.metrics().counter("ivm.lowered").get(), 2);
 
         // One advance of the stream's stores serves both members.
         let rows: Arc<[Row]> = Arc::new([tup("/a", 5)]);
-        let mut advanced = stores.advance(&rows, Some(MINUTES), None);
+        let mut advanced = stores.advance(&rows, Some(MINUTES), None, None);
         for cq in [&mut a, &mut b] {
             let mut tasks = Vec::new();
             cq.stage(&rows, Some(MINUTES), &mut advanced, &mut tasks)

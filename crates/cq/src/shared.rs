@@ -39,13 +39,17 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+use streamrel_exec::RelationSource;
 use streamrel_ivm::{
-    gcd, lower_with, rows_program, IvmProgram, IvmShape, IvmState, KeyOrder, Lowering,
+    gcd, lower_with, rows_program, IvmProgram, IvmShape, IvmState, KeyOrder, Lowering, MatchCounts,
     WindowOutput, WindowView,
 };
+use streamrel_obs::IvmMetrics;
 use streamrel_sql::plan::LogicalPlan;
+use streamrel_storage::StorageEngine;
 use streamrel_types::{Error, Interval, Result, Row, Timestamp};
 
+use crate::consistency::SnapshotSource;
 use crate::pool::WorkerPool;
 use crate::window::align_next_close;
 
@@ -126,7 +130,13 @@ struct Member {
     /// The order the member's `ORDER BY` gives its keys, which its view
     /// then emits in; members of one store may differ in it.
     order: Option<KeyOrder>,
+    /// A join member pinned to one snapshot (`QueryStart`) scales by the
+    /// counts it read there when it registered; the others by the store's.
+    frozen: Frozen,
 }
+
+/// The match counts a join member pinned to one snapshot read there.
+pub type Frozen = Option<Arc<MatchCounts>>;
 
 /// Identifier of a member within its group.
 pub type MemberId = usize;
@@ -169,15 +179,18 @@ impl SharedGroup {
             next_close: None,
             view: None,
             order: None,
+            frozen: None,
         }));
         Ok(self.members.len() - 1)
     }
 
-    /// Register `program`'s window, whose view emits in its key order.
-    fn admit(&mut self, program: &IvmProgram) -> Result<MemberId> {
+    /// Register `program`'s window, whose view emits in its key order and
+    /// a pinned join's scales by `frozen`.
+    fn admit(&mut self, program: &IvmProgram, frozen: &Frozen) -> Result<MemberId> {
         let member = self.register(program.visible, program.advance)?;
         if let Some(m) = &mut self.members[member] {
             m.order.clone_from(&program.order);
+            m.frozen.clone_from(frozen);
         }
         Ok(member)
     }
@@ -198,12 +211,14 @@ impl SharedGroup {
     }
 
     /// Compose the anchor output for a member's window
-    /// `[close - visible, close)`.
+    /// `[close - visible, close)` — a join member's against its frozen
+    /// counts, or the ones the store last read.
     pub fn window_result(&self, member: MemberId, close: Timestamp) -> Result<WindowOutput> {
         let m = self.members[member]
             .as_ref()
             .ok_or_else(|| Error::stream("slice-store member already left"))?;
-        self.store.compose(close - m.visible, close)
+        let counts = m.frozen.as_deref().or(self.store.memo());
+        self.store.compose(close - m.visible, close, counts)
     }
 
     /// One store's share of a batch ([`SharedGroup::fold_and_close`]): a
@@ -214,9 +229,10 @@ impl SharedGroup {
         rows: &[Row],
         first: Option<Timestamp>,
         upto: Option<Timestamp>,
+        tables: Option<&dyn RelationSource>,
     ) -> Advanced {
         let mut out = Advanced::default();
-        if let Err(e) = self.fold_and_close(id, rows, first, upto, &mut out) {
+        if let Err(e) = self.fold_and_close(id, rows, first, upto, tables, &mut out) {
             out.closed.clear();
             out.failed.push((id, e));
         }
@@ -231,22 +247,26 @@ impl SharedGroup {
     /// can reach. Closing after the fold is safe: a tuple at `ts >= close`
     /// lands in a slice outside `[close - visible, close)`, and the slices
     /// below a close are sealed (a base stream admits no tuple older than
-    /// one it has taken).
+    /// one it has taken). A join store reads its counts through `tables`,
+    /// the window-boundary snapshot, at most once for the batch.
     fn fold_and_close(
         &mut self,
         id: StoreId,
         rows: &[Row],
         first: Option<Timestamp>,
         upto: Option<Timestamp>,
+        tables: Option<&dyn RelationSource>,
         out: &mut Advanced,
     ) -> Result<()> {
-        let before = (self.store.delta_rows(), self.store.merges());
+        let s = &self.store;
+        let before = (s.delta_rows(), s.merges(), s.table_scans());
         let folded = rows.iter().try_for_each(|r| self.store.on_tuple(r));
         out.delta_rows += self.store.delta_rows() - before.0;
         folded?;
         let Some(upto) = upto else {
             return Ok(());
         };
+        let (joins, mut boundary) = (matches!(self.store.shape(), IvmShape::JoinAgg { .. }), None);
         for (member, m) in self.members.iter_mut().enumerate() {
             let Some(m) = m else { continue };
             // A derived stream repeats a close when a ROWS window upstream
@@ -263,9 +283,14 @@ impl SharedGroup {
                 continue;
             };
             while *close <= upto {
-                let order = m.order.as_ref();
+                if joins && m.frozen.is_none() && boundary.is_none() {
+                    let no_table = || Error::stream("a join store closes with no table");
+                    boundary = Some(self.store.counts_at(tables.ok_or_else(no_table)?)?);
+                }
+                let counts = m.frozen.as_deref().or(boundary.as_deref());
+                let (view, order) = (&mut m.view, m.order.as_ref());
                 let w =
-                    (self.store).close_window(&mut m.view, m.visible, m.advance, order, *close)?;
+                    (self.store).close_window(view, m.visible, m.advance, order, *close, counts)?;
                 out.closed
                     .entry((id, member))
                     .or_default()
@@ -274,6 +299,7 @@ impl SharedGroup {
             }
         }
         out.merges += self.store.merges() - before.1;
+        out.table_scans += self.store.table_scans() - before.2;
         self.evict();
         out.bytes += self.settle_bytes();
         Ok(())
@@ -295,10 +321,12 @@ impl SharedGroup {
         self.store.evict(horizon);
     }
 
-    /// Change in store bytes since the last call: what the caller adds to
-    /// the `ivm.state.bytes` gauge, so the gauge sums over live stores.
+    /// Change in bytes held (frozen counts too) since the last call: what
+    /// the caller adds to the `ivm.state.bytes` gauge, which sums stores.
     fn settle_bytes(&mut self) -> i64 {
-        let now = self.store.state_bytes() as i64;
+        let frozen = |m: &Member| m.frozen.as_ref().map_or(0, |c| c.bytes());
+        let frozen: usize = self.members.iter().flatten().map(frozen).sum();
+        let now = (self.store.state_bytes() + frozen) as i64;
         let delta = now - self.reported_bytes;
         self.reported_bytes = now;
         delta
@@ -319,6 +347,8 @@ pub struct Advanced {
     /// Key partials closes merged and slices they probed (the
     /// `ivm.compose.merges` counter).
     pub merges: u64,
+    /// Reads of join stores' tables (the `ivm.join.table_scans` counter).
+    pub table_scans: u64,
     /// Change in bytes held across stores (the `ivm.state.bytes` gauge).
     pub bytes: i64,
     /// The windows that closed, per member, in close order.
@@ -329,9 +359,18 @@ pub struct Advanced {
 }
 
 impl Advanced {
+    /// Add what the batch did to the `ivm.*` instruments.
+    pub fn count(&self, ivm: &IvmMetrics) {
+        ivm.delta_rows.add(self.delta_rows);
+        ivm.compose_merges.add(self.merges);
+        ivm.table_scans.add(self.table_scans);
+        ivm.state_bytes.add(self.bytes);
+    }
+
     fn absorb(&mut self, other: Advanced) {
         self.delta_rows += other.delta_rows;
         self.merges += other.merges;
+        self.table_scans += other.table_scans;
         self.bytes += other.bytes;
         self.closed.extend(other.closed);
         self.failed.extend(other.failed);
@@ -351,29 +390,30 @@ pub struct SharedRegistry {
 impl SharedRegistry {
     /// Make `program`'s window a member of a store: the pooled store for
     /// its shape (created on first use) when `pooled`, else — or when that
-    /// store's grid cannot take the window — a private one. Returns the
-    /// member's slot and whether its store is the pooled one.
-    pub fn join(&mut self, program: &IvmProgram, pooled: bool) -> (Slot, bool) {
+    /// store's grid cannot take the window — a private one. A join member
+    /// pinned to one snapshot brings the counts it read there (`frozen`).
+    /// Returns the member's slot and whether its store is the pooled one.
+    pub fn join(&mut self, program: &IvmProgram, pooled: bool, frozen: Frozen) -> (Slot, bool) {
         if !pooled {
-            return (self.add_store(program), false);
+            return (self.add_store(program, &frozen), false);
         }
         let key = program.shape.fingerprint();
         let Some(&id) = self.pooled.get(&key) else {
-            let slot = self.add_store(program);
+            let slot = self.add_store(program, &frozen);
             self.pooled.insert(key, slot.0);
             return (slot, true);
         };
         let store = self.stores.get_mut(&id).expect("pooled stores are live");
-        match store.admit(program) {
+        match store.admit(program, &frozen) {
             Ok(member) => ((id, member), true),
-            Err(_) => (self.add_store(program), false),
+            Err(_) => (self.add_store(program, &frozen), false),
         }
     }
 
     /// A new store with `program`'s window as its first member.
-    fn add_store(&mut self, program: &IvmProgram) -> Slot {
+    fn add_store(&mut self, program: &IvmProgram, frozen: &Frozen) -> Slot {
         let mut store = SharedGroup::new(program.shape.clone());
-        let member = store.admit(program).expect("a fresh store takes any grid");
+        let member = (store.admit(program, frozen)).expect("a fresh store takes any grid");
         self.next_id += 1;
         self.stores.insert(self.next_id, store);
         (self.next_id, member)
@@ -385,13 +425,14 @@ impl SharedRegistry {
         let Some(store) = self.stores.get_mut(&id) else {
             return 0;
         };
-        let last = store.leave(member);
-        let bytes = store.settle_bytes();
-        if last {
-            self.stores.remove(&id);
-            self.pooled.retain(|_, pooled| *pooled != id);
+        if !store.leave(member) {
+            return store.settle_bytes();
         }
-        bytes
+        // The store goes, and everything it held leaves the account.
+        self.pooled.retain(|_, pooled| *pooled != id);
+        self.stores
+            .remove(&id)
+            .map_or(0, |gone| -gone.reported_bytes)
     }
 
     /// Resume a member after recovery: windows closing at or before
@@ -408,11 +449,14 @@ impl SharedRegistry {
     /// close what is due, evict. The stores share no state, so with a
     /// `pool` each advances as a job of its own; results come back in
     /// store order, so what is returned is what serial execution returns.
+    /// When a join store's closes read the window boundary, one snapshot
+    /// of `engine` is pinned for the batch and every such store reads it.
     pub fn advance(
         &mut self,
         rows: &Arc<[Row]>,
         bound: Option<Timestamp>,
         pool: Option<&WorkerPool>,
+        engine: Option<&Arc<StorageEngine>>,
     ) -> Advanced {
         // Every store reads this one stream, in CQTIME order: the batch's
         // oldest and newest slice times are its first and last rows'.
@@ -423,28 +467,27 @@ impl SharedRegistry {
         let ts_of = |r: &Row| any.store.slice_time(r).ok();
         let first = rows.first().and_then(ts_of);
         let upto = rows.last().and_then(ts_of).max(bound);
-        match pool {
-            Some(pool) if pool.workers() > 0 && self.stores.len() > 1 => {
-                let jobs: Vec<_> = std::mem::take(&mut self.stores)
-                    .into_iter()
-                    .map(|(id, mut store)| {
-                        let rows = rows.clone();
-                        move || {
-                            let done = store.advance(id, &rows, first, upto);
-                            (id, store, done)
-                        }
-                    })
-                    .collect();
-                for (id, store, done) in pool.run_ordered(jobs) {
-                    self.stores.insert(id, store);
-                    out.absorb(done);
+        let joins = |g: &SharedGroup| matches!(g.store.shape(), IvmShape::JoinAgg { .. });
+        let boundary = (engine.filter(|_| self.stores.values().any(joins)))
+            .map(|e| Arc::new(SnapshotSource::pin(e.clone())));
+        let parallel = pool.filter(|p| p.workers() > 0 && self.stores.len() > 1);
+        let jobs = std::mem::take(&mut self.stores)
+            .into_iter()
+            .map(|(id, mut store)| {
+                let (rows, boundary) = (rows.clone(), boundary.clone());
+                move || {
+                    let tables = boundary.as_deref().map(|s| s as &dyn RelationSource);
+                    let done = store.advance(id, &rows, first, upto, tables);
+                    (id, store, done)
                 }
-            }
-            _ => {
-                for (id, store) in &mut self.stores {
-                    out.absorb(store.advance(*id, rows, first, upto));
-                }
-            }
+            });
+        let done = match parallel {
+            Some(pool) => pool.run_ordered(jobs.collect()),
+            None => jobs.map(|job| job()).collect(),
+        };
+        for (id, store, done) in done {
+            self.stores.insert(id, store);
+            out.absorb(done);
         }
         out
     }
@@ -534,10 +577,7 @@ mod tests {
     }
 
     fn rows(out: WindowOutput) -> Vec<Row> {
-        match out {
-            WindowOutput::Ready(rel) => rel.rows().to_vec(),
-            WindowOutput::NeedsTable(_) => panic!("expected Ready output"),
-        }
+        out.into_relation().rows().to_vec()
     }
 
     #[test]
@@ -594,7 +634,7 @@ mod tests {
     fn closes(g: &mut SharedGroup, rows: &[Row], bound: Option<Timestamp>) -> Vec<(usize, i64)> {
         let ts_of = |r: &Row| r[1].as_timestamp().unwrap();
         let (first, last) = (rows.first().map(ts_of), rows.last().map(ts_of));
-        let out = g.advance(0, rows, first, last.max(bound));
+        let out = g.advance(0, rows, first, last.max(bound), None);
         assert!(out.failed.is_empty());
         let mut closes: Vec<_> = out
             .closed
@@ -672,26 +712,26 @@ mod tests {
     #[test]
     fn registry_pools_by_fingerprint_and_drops_a_store_with_its_last_member() {
         let mut reg = SharedRegistry::default();
-        let ((s1, m1), pooled) = reg.join(&program(2 * MINUTES, MINUTES), true);
+        let ((s1, m1), pooled) = reg.join(&program(2 * MINUTES, MINUTES), true, None);
         assert!(pooled);
-        let ((s2, m2), _) = reg.join(&program(4 * MINUTES, 2 * MINUTES), true);
+        let ((s2, m2), _) = reg.join(&program(4 * MINUTES, 2 * MINUTES), true, None);
         assert_eq!(s1, s2);
         let mut other = program(MINUTES, MINUTES);
         other.shape = shape_on("other_stream");
-        let ((s3, _), _) = reg.join(&other, true);
+        let ((s3, _), _) = reg.join(&other, true, None);
         assert_ne!(s1, s3);
         assert_eq!(reg.len(), 2);
 
         // Pooling off, or a grid the live store cannot take: a private
         // store.
-        let ((p, _), pooled) = reg.join(&program(2 * MINUTES, MINUTES), false);
+        let ((p, _), pooled) = reg.join(&program(2 * MINUTES, MINUTES), false, None);
         assert!(!pooled && p != s1);
-        let out = reg.advance(&Arc::from([tup("/a", 10)]), None, None);
+        let out = reg.advance(&Arc::from([tup("/a", 10)]), None, None, None);
         assert_eq!(out.delta_rows, 3, "one fold per store");
         assert!(out.bytes > 0 && out.closed.is_empty());
         let fine = program(90 * 1_000_000, 30 * 1_000_000);
         assert_eq!(reg.grid_mismatch(&fine), Some(MINUTES));
-        let ((q, _), pooled) = reg.join(&fine, true);
+        let ((q, _), pooled) = reg.join(&fine, true, None);
         assert!(!pooled && q != s1);
         assert_eq!(reg.len(), 4);
 
@@ -702,7 +742,7 @@ mod tests {
         assert!(reg.leave((s1, m2)) < 0);
         assert_eq!(reg.len(), 3);
         assert_eq!(reg.grid_mismatch(&fine), None);
-        let ((s4, _), pooled) = reg.join(&fine, true);
+        let ((s4, _), pooled) = reg.join(&fine, true, None);
         assert!(pooled && s4 != s1);
     }
 
@@ -728,7 +768,7 @@ mod tests {
     impl RowsWindow {
         fn over(visible: Interval, advance: Interval, derived: bool) -> RowsWindow {
             let mut stores = SharedRegistry::default();
-            let (slot, _) = stores.join(&rows_program(visible, advance, derived), true);
+            let (slot, _) = stores.join(&rows_program(visible, advance, derived), true, None);
             RowsWindow { stores, slot }
         }
 
@@ -737,7 +777,7 @@ mod tests {
         }
 
         fn feed(&mut self, batch: &[Row], bound: Option<Timestamp>) -> Vec<(Timestamp, Vec<Row>)> {
-            let mut out = self.stores.advance(&batch.into(), bound, None);
+            let mut out = self.stores.advance(&batch.into(), bound, None, None);
             assert!(out.failed.is_empty());
             let closed = out.closed.remove(&self.slot).unwrap_or_default();
             closed.into_iter().map(|(c, w)| (c, rows(w))).collect()
@@ -895,11 +935,11 @@ mod tests {
         let mut reg = SharedRegistry::default();
         let program = |visible, advance| rows_program(visible, advance, false);
         let slots: Vec<Slot> = (1..=8)
-            .map(|k| reg.join(&program(k * MINUTES, MINUTES), true).0)
+            .map(|k| reg.join(&program(k * MINUTES, MINUTES), true, None).0)
             .collect();
         assert_eq!(reg.len(), 1, "one store for every re-evaluated window");
         let batch: Arc<[Row]> = (0..10).map(|i| tup("/a", i)).collect();
-        let mut out = reg.advance(&batch, Some(MINUTES), None);
+        let mut out = reg.advance(&batch, Some(MINUTES), None, None);
         assert_eq!(out.delta_rows, 0, "buffered, not folded");
         let one_copy = out.bytes;
         for slot in &slots {
@@ -911,9 +951,9 @@ mod tests {
         // The same windows on private stores hold eight copies.
         let mut reg = SharedRegistry::default();
         for k in 1..=8 {
-            reg.join(&program(k * MINUTES, MINUTES), false);
+            reg.join(&program(k * MINUTES, MINUTES), false, None);
         }
-        let out = reg.advance(&batch, None, None);
+        let out = reg.advance(&batch, None, None, None);
         assert_eq!(out.bytes, 8 * one_copy);
     }
 
@@ -930,9 +970,9 @@ mod tests {
                 _ => unreachable!(),
             },
         };
-        let (slot, _) = reg.join(&sliding, true);
+        let (slot, _) = reg.join(&sliding, true, None);
         let mut closes = |rows: &[Row], bound| {
-            let mut out = reg.advance(&rows.into(), Some(bound), None);
+            let mut out = reg.advance(&rows.into(), Some(bound), None, None);
             let closed = out.closed.remove(&slot).unwrap_or_default();
             closed
                 .into_iter()

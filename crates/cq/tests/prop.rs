@@ -95,7 +95,7 @@ proptest! {
         events in prop::collection::vec((0i64..25, 0u8..8), 1..80),
     ) {
         let mut stores = SharedRegistry::default();
-        let (slot, _) = stores.join(&rows_store(visible, advance, derived), true);
+        let (slot, _) = stores.join(&rows_store(visible, advance, derived), true, None);
         let mut reference = Reference::default();
         if let Some(watermark) = resume {
             let next = stores.resume_after(slot, watermark);
@@ -114,7 +114,7 @@ proptest! {
             // A derived stream's batch always carries its close.
             let bound = (derived || *kind == 7).then_some(now);
             let rows: Arc<[Row]> = batch.iter().map(|ts| tup(*ts)).collect();
-            let mut advanced = stores.advance(&rows, bound, None);
+            let mut advanced = stores.advance(&rows, bound, None, None);
             prop_assert!(advanced.failed.is_empty());
             let got: Vec<(i64, Vec<i64>)> = advanced
                 .closed

@@ -516,7 +516,7 @@ fn key_cmp<'v>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::MapSource;
+    use crate::source::map::MapSource;
     use std::collections::HashMap as StdHashMap;
     use std::sync::Arc;
     use streamrel_sql::analyzer::{Analyzer, RelKind, SchemaProvider};
@@ -790,7 +790,7 @@ mod tests {
 #[cfg(test)]
 mod index_join_tests {
     use super::*;
-    use crate::source::MapSource;
+    use crate::source::map::MapSource;
     use std::collections::HashMap as StdMap;
     use std::sync::Arc;
     use streamrel_sql::plan::{BinaryOp, JoinKind};

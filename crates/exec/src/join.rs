@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use streamrel_types::{Relation, Result, Row, Value};
+use streamrel_types::{Relation, Result, Value};
 
 use streamrel_sql::plan::{BinaryOp, BoundExpr, JoinKind, SchemaRef};
 
@@ -244,16 +244,11 @@ pub fn join(
     Ok(out)
 }
 
-/// Helper exported for tests and the CQ layer: concatenate rows.
-pub fn concat_rows(l: &Row, r: &Row) -> Row {
-    streamrel_types::row::concat(l, r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use streamrel_types::{row, Column, DataType, Schema};
+    use streamrel_types::{row, Column, DataType, Row, Schema};
 
     fn rel(cols: &[(&str, DataType)], rows: Vec<Row>) -> Relation {
         let schema = Arc::new(Schema::new_unchecked(

@@ -41,39 +41,48 @@ pub trait RelationSource {
         let _ = (table, column, lo, hi);
         Ok(None)
     }
+
+    /// The version of `table` this source reads, `(table id, write count)`,
+    /// when it can name one: two reads under equal stamps return the same
+    /// rows, so what is derived from them may be memoised. `None`: do not.
+    fn table_stamp(&self, table: &str) -> Option<(u32, u64)> {
+        let _ = table;
+        None
+    }
 }
 
-/// A trivial source over pre-materialized relations (tests, baselines).
-pub struct MapSource {
-    tables: std::collections::HashMap<String, Relation>,
-}
+#[cfg(test)]
+pub(crate) mod map {
+    use super::*;
 
-impl MapSource {
-    /// Empty source.
-    pub fn new() -> MapSource {
-        MapSource {
-            tables: std::collections::HashMap::new(),
+    /// A trivial source over pre-materialized relations, for tests. It
+    /// names no table versions, so nothing read through it is memoised.
+    pub struct MapSource {
+        tables: std::collections::HashMap<String, Relation>,
+    }
+
+    impl MapSource {
+        /// Empty source.
+        pub fn new() -> MapSource {
+            MapSource {
+                tables: std::collections::HashMap::new(),
+            }
+        }
+
+        /// Register a relation under a name.
+        pub fn with(mut self, name: &str, rel: Relation) -> MapSource {
+            self.tables.insert(name.to_ascii_lowercase(), rel);
+            self
         }
     }
 
-    /// Register a relation under a name.
-    pub fn with(mut self, name: &str, rel: Relation) -> MapSource {
-        self.tables.insert(name.to_ascii_lowercase(), rel);
-        self
-    }
-}
-
-impl Default for MapSource {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RelationSource for MapSource {
-    fn scan_table(&self, table: &str) -> Result<Relation> {
-        self.tables
-            .get(&table.to_ascii_lowercase())
-            .cloned()
-            .ok_or_else(|| streamrel_types::Error::catalog(format!("table `{table}` not found")))
+    impl RelationSource for MapSource {
+        fn scan_table(&self, table: &str) -> Result<Relation> {
+            let missing = || streamrel_types::Error::catalog(format!("table `{table}` not found"));
+            self.tables
+                .get(&table.to_ascii_lowercase())
+                .cloned()
+                .ok_or_else(missing)
+        }
     }
 }

@@ -44,4 +44,4 @@ pub use lower::{
     lower, lower_with, rows_program, AggShape, IvmProgram, IvmShape, JoinShape, KeyOrder, Lowering,
     RowOp, StreamPrefix, IVM_INPUT,
 };
-pub use state::{gcd, IvmState, JoinDelta, WindowOutput, WindowView};
+pub use state::{gcd, IvmState, MatchCounts, WindowOutput, WindowView};

@@ -87,9 +87,6 @@ pub struct JoinShape {
     pub table_filter: Option<BoundExpr>,
     /// Key expressions over the table row.
     pub right_key: Vec<BoundExpr>,
-    /// When the single right key is a bare column, its name — the close
-    /// path probes the table's index instead of scanning.
-    pub index_column: Option<String>,
 }
 
 /// What state the runtime maintains for a lowered plan.
@@ -661,12 +658,6 @@ fn lower_aggregate(
         return Err(REASON_AGG_SIDE);
     }
 
-    let index_column = match (keys.left.len(), keys.right.first()) {
-        (1, Some(BoundExpr::Column { index, .. })) => {
-            Some(table_schema.column(*index).name.clone())
-        }
-        _ => None,
-    };
     let table_filter = table_filters.into_iter().reduce(|a, b| BoundExpr::Binary {
         op: streamrel_sql::ast::BinaryOp::And,
         left: Box::new(a),
@@ -682,7 +673,6 @@ fn lower_aggregate(
                 table_schema: table_schema.clone(),
                 table_filter,
                 right_key: keys.right,
-                index_column,
             },
             agg,
         },
@@ -970,7 +960,7 @@ mod tests {
     }
 
     #[test]
-    fn equi_join_lowers_with_index_column() {
+    fn equi_join_lowers_to_a_join_store() {
         let plan = join_plan(Some(url_eq()));
         let Lowering::Lowered(p) = lower(&plan) else {
             panic!("expected lowered: {:?}", fallback_reason(&plan));
@@ -979,7 +969,9 @@ mod tests {
             panic!("expected JoinAgg shape");
         };
         assert_eq!(join.table, "dims");
-        assert_eq!(join.index_column.as_deref(), Some("url"));
+        // Each key is over its own side's row: the stream's, the table's.
+        assert_eq!(join.left_key, vec![col(0, DataType::Text)]);
+        assert_eq!(join.right_key, vec![col(0, DataType::Text)]);
     }
 
     #[test]

@@ -44,25 +44,21 @@ use streamrel_exec::{Accumulator, RelationSource};
 use streamrel_sql::plan::BoundExpr;
 use streamrel_types::{Error, Relation, Result, Row, Timestamp, Value};
 
-use crate::lower::{AggShape, IvmProgram, IvmShape, JoinShape, KeyOrder, RowOp};
+use crate::lower::{AggShape, IvmProgram, IvmShape, KeyOrder, RowOp};
 
 /// Result of composing a window from slices.
 #[derive(Clone)]
+#[non_exhaustive]
 pub enum WindowOutput {
-    /// The anchor output is fully determined by stream state.
+    /// The anchor output, a join aggregate's scaled by its match counts.
     Ready(Relation),
-    /// A stream-table join: the delta must be counted against the window
-    /// boundary snapshot inside the (pool-runnable) window task, so table
-    /// visibility matches re-evaluation's consistency mode exactly.
-    NeedsTable(Box<JoinDelta>),
 }
 
 impl WindowOutput {
-    /// Rows composed — for a join, the delta entries staged for finalize.
+    /// Rows composed.
     pub fn len(&self) -> usize {
         match self {
             WindowOutput::Ready(rel) => rel.len(),
-            WindowOutput::NeedsTable(delta) => delta.len(),
         }
     }
 
@@ -70,119 +66,67 @@ impl WindowOutput {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The composed relation.
+    pub fn into_relation(self) -> Relation {
+        match self {
+            WindowOutput::Ready(rel) => rel,
+        }
+    }
 }
 
-/// The join-aggregate delta staged for one window close: slice-merged
-/// partials keyed by join key, finalized against a table snapshot.
-#[derive(Clone)]
-pub struct JoinDelta {
-    join: JoinShape,
-    agg: AggShape,
-    /// `(join key, group key, merged partials)` in global first-seen
-    /// pair order.
-    entries: Vec<(Vec<Value>, Vec<Value>, Vec<Accumulator>)>,
+/// A join store's match counts, `COUNT(*) … GROUP BY right key` over its
+/// filtered table: join key → table rows it matches, in one version of the
+/// table. A join aggregate's delta is scaled by them ([`IvmState::counts_at`]).
+#[derive(Default)]
+pub struct MatchCounts {
+    /// The version counted; `None` when the reader could not name it.
+    stamp: Option<(u32, u64)>,
+    by_key: HashMap<Vec<Value>, i64>,
+    bytes: usize,
 }
 
-impl JoinDelta {
-    /// Delta rows staged (trace accounting).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no delta entries are staged.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Resolve match counts against `source` (the pinned snapshot) and
-    /// emit the aggregate output. Each partial was built once per stream
-    /// tuple; a tuple joined to `m` table rows contributes its update `m`
-    /// times in re-evaluation, which is exactly `Accumulator::scale(m)`.
-    /// Group order is the first-seen order over pairs with at least one
-    /// match — the same order the re-evaluated hash aggregate sees.
-    pub fn finalize(&self, source: &dyn RelationSource) -> Result<Relation> {
-        let ectx = EvalContext::default();
-        let join = &self.join;
-        let mut counts: HashMap<Vec<Value>, i64> = HashMap::new();
-        let indexed = match &join.index_column {
-            // Probe-with-NULL is the engine's "does an index exist" idiom
-            // (see try_index_join); NULL never matches any key.
-            Some(col) => source
-                .index_lookup(&join.table, col, &Value::Null)?
-                .is_some(),
-            None => false,
+impl MatchCounts {
+    /// A join store's counts as `source` reads its table: one scan. `None`
+    /// for a store of any other shape.
+    pub fn read(shape: &IvmShape, source: &dyn RelationSource) -> Result<Option<MatchCounts>> {
+        let IvmShape::JoinAgg { join, .. } = shape else {
+            return Ok(None);
         };
-        if indexed {
-            let col = join.index_column.as_deref().unwrap_or_default();
-            for (jk, _, _) in &self.entries {
-                if counts.contains_key(jk) {
+        let (ectx, mut by_key) = (EvalContext::default(), HashMap::new());
+        for row in source.scan_table(&join.table)?.rows() {
+            if let Some(f) = &join.table_filter {
+                if !eval_predicate(f, row, &ectx)? {
                     continue;
                 }
-                let candidates = source
-                    .index_lookup(&join.table, col, &jk[0])?
-                    .unwrap_or_default();
-                let mut m = 0i64;
-                for row in &candidates {
-                    if self.row_matches(row, jk, &ectx)? {
-                        m += 1;
-                    }
-                }
-                counts.insert(jk.clone(), m);
             }
-        } else {
-            let rel = source.scan_table(&join.table)?;
-            for row in rel.rows() {
-                if let Some(f) = &join.table_filter {
-                    if !eval_predicate(f, row, &ectx)? {
-                        continue;
-                    }
-                }
-                let rk: Vec<Value> = join
-                    .right_key
-                    .iter()
-                    .map(|e| eval(e, row, &ectx))
-                    .collect::<Result<_>>()?;
-                if rk.iter().any(Value::is_null) {
-                    continue;
-                }
-                *counts.entry(rk).or_insert(0) += 1;
+            let rk: Vec<Value> = (join.right_key.iter())
+                .map(|e| eval(e, row, &ectx))
+                .collect::<Result<_>>()?;
+            // NULL keys match nothing.
+            if !rk.iter().any(Value::is_null) {
+                *by_key.entry(rk).or_insert(0) += 1;
             }
         }
-
-        let mut merged = Merged::default();
-        for (jk, gk, accs) in &self.entries {
-            let m = counts.get(jk).copied().unwrap_or(0);
-            if m == 0 {
-                continue;
-            }
-            let mut scaled = accs.clone();
-            for a in &mut scaled {
-                a.scale(m)?;
-            }
-            merged.add(gk, Cow::Owned(scaled))?;
-        }
-        Ok(agg_relation(&self.agg, merged.into_entries()))
+        let bytes = by_key.keys().map(|k| key_bytes(k) + 8).sum();
+        let stamp = source.table_stamp(&join.table);
+        Ok(Some(MatchCounts {
+            stamp,
+            by_key,
+            bytes,
+        }))
     }
 
-    fn row_matches(&self, row: &Row, jk: &[Value], ectx: &EvalContext) -> Result<bool> {
-        if let Some(f) = &self.join.table_filter {
-            if !eval_predicate(f, row, ectx)? {
-                return Ok(false);
-            }
-        }
-        for (e, want) in self.join.right_key.iter().zip(jk) {
-            let got = eval(e, row, ectx)?;
-            if got.is_null() || got != *want {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+    /// Approximate bytes held.
+    pub fn bytes(&self) -> usize {
+        self.bytes
     }
 }
 
 /// Accumulator partials merged by key, in first-seen key order — the one
-/// merge both a window compose (over slices) and a join finalize (over
-/// scaled pairs) perform. Keys are borrowed from the state being merged.
+/// merge both a window compose (over slices) and a join aggregate whose
+/// groups span join keys (over scaled pairs) perform. Keys are borrowed
+/// from the state being merged.
 #[derive(Default)]
 struct Merged<'a> {
     partials: HashMap<&'a [Value], Vec<Accumulator>>,
@@ -221,15 +165,26 @@ impl<'a> Merged<'a> {
     }
 }
 
-/// Emit `[key..., finished aggregates...]` rows in the order given. A
-/// global aggregate (no GROUP BY) over nothing emits the defaults row,
-/// exactly as the re-evaluated aggregate does.
-fn agg_relation<'a>(agg: &AggShape, entries: impl Iterator<Item = Entry<'a>>) -> Relation {
+/// Emit `[key..., finished aggregates...]` rows in the order given, each
+/// entry's aggregates scaled by its factor. A global aggregate (no GROUP
+/// BY) over nothing emits the defaults row, exactly as the re-evaluated
+/// aggregate does.
+fn agg_relation<'a>(
+    agg: &AggShape,
+    entries: impl Iterator<Item = (Entry<'a>, i64)>,
+) -> Result<Relation> {
     let mut rel = Relation::empty(agg.schema.clone());
-    for (key, accs) in entries {
+    for ((key, accs), m) in entries {
         let mut row: Row = Vec::with_capacity(key.len() + accs.len());
         row.extend_from_slice(key);
-        row.extend(accs.iter().map(Accumulator::finish));
+        for a in accs.iter() {
+            // A tuple that joins `m` table rows counts `m` times.
+            let mut a = Cow::Borrowed(a);
+            if m != 1 {
+                a.to_mut().scale(m)?;
+            }
+            row.push(a.finish());
+        }
         rel.push(row);
     }
     if rel.is_empty() && agg.group_exprs.is_empty() {
@@ -240,7 +195,7 @@ fn agg_relation<'a>(agg: &AggShape, entries: impl Iterator<Item = Entry<'a>>) ->
                 .collect(),
         );
     }
-    rel
+    Ok(rel)
 }
 
 /// One slice: accumulator partials by key, in first-seen key order.
@@ -411,6 +366,11 @@ pub struct IvmState {
     merges: u64,
     /// Scratch for the key of the tuple being folded.
     key: Vec<Value>,
+    /// A join store's match counts at the table version last read, while
+    /// that version could be named.
+    memo: Option<Arc<MatchCounts>>,
+    /// Reads of a join store's table: memo fills plus unmemoised reads.
+    table_scans: u64,
 }
 
 impl IvmState {
@@ -428,6 +388,8 @@ impl IvmState {
         IvmState {
             invertible: !matches!(shape, IvmShape::Rows { .. })
                 && shape.aggs().iter().all(Accumulator::has_inverse),
+            memo: None,
+            table_scans: 0,
             shape,
             width: 0,
             visible: 0,
@@ -466,9 +428,39 @@ impl IvmState {
         self.merges
     }
 
-    /// Approximate bytes held across live slices and member views.
+    /// Reads of a join store's table so far (`ivm.join.table_scans`).
+    pub fn table_scans(&self) -> u64 {
+        self.table_scans
+    }
+
+    /// Approximate bytes held across live slices, member views and a join
+    /// store's memoised match counts.
     pub fn state_bytes(&self) -> usize {
-        self.bytes + self.view_bytes
+        self.bytes + self.view_bytes + self.memo.as_ref().map_or(0, |m| m.bytes)
+    }
+
+    /// The match counts a join store's closes scale by, as `source` — the
+    /// window-boundary snapshot — reads the table: the memo while the
+    /// table's stamp stands, else one scan. The scan is memoised when
+    /// `source` stamps the table and serves this close alone when it does
+    /// not (a writer still in flight). Any other store has no counts.
+    pub fn counts_at(&mut self, source: &dyn RelationSource) -> Result<Arc<MatchCounts>> {
+        let IvmShape::JoinAgg { join, .. } = &self.shape else {
+            return Ok(Arc::default());
+        };
+        let stamp = source.table_stamp(&join.table);
+        match &self.memo {
+            Some(memo) if stamp.is_some() && memo.stamp == stamp => return Ok(memo.clone()),
+            _ => self.table_scans += 1,
+        }
+        let counts = Arc::new(MatchCounts::read(&self.shape, source)?.unwrap_or_default());
+        self.memo = counts.stamp.map(|_| counts.clone());
+        Ok(counts)
+    }
+
+    /// A join store's memoised match counts, if it holds any.
+    pub fn memo(&self) -> Option<&MatchCounts> {
+        self.memo.as_deref()
     }
 
     /// Whether the store can run at `width`: it already does, or it is
@@ -568,14 +560,21 @@ impl IvmState {
     }
 
     /// Compose the anchor output for this store's own window
-    /// `[close - visible, close)`.
+    /// `[close - visible, close)` — a join store's against its memoised
+    /// match counts.
     pub fn window_result(&self, close: Timestamp) -> Result<WindowOutput> {
-        self.compose(close - self.visible, close)
+        self.compose(close - self.visible, close, self.memo())
     }
 
     /// Compose the anchor output for the window `[lo, close)` by merging
-    /// the slices it covers; both bounds must lie on the slice grid.
-    pub fn compose(&self, lo: Timestamp, close: Timestamp) -> Result<WindowOutput> {
+    /// the slices it covers; both bounds must lie on the slice grid. A
+    /// join store scales by `counts`.
+    pub fn compose(
+        &self,
+        lo: Timestamp,
+        close: Timestamp,
+        counts: Option<&MatchCounts>,
+    ) -> Result<WindowOutput> {
         let covered = self.slices.range(lo..close).map(|(_, s)| s);
         if let IvmShape::Rows { prefix } = &self.shape {
             // Slices in time order, rows in arrival order: the stream's
@@ -590,32 +589,47 @@ impl IvmState {
                 merged.add(key, Cow::Borrowed(partial))?;
             }
         }
-        self.output(merged.into_entries())
+        self.output(merged.into_entries(), counts)
     }
 
-    /// The anchor output over `entries`, keys in first-seen order.
-    fn output<'a>(&self, entries: impl Iterator<Item = Entry<'a>>) -> Result<WindowOutput> {
+    /// The anchor output over `entries`, keys in first-seen order; a join
+    /// aggregate's scaled by `counts`. A tuple joined to `m` table rows
+    /// contributes its update `m` times in re-evaluation, which is exactly
+    /// `Accumulator::scale(m)`; a pair with no match emits nothing, so
+    /// groups keep the first-seen order over matched pairs that the
+    /// re-evaluated hash aggregate sees.
+    fn output<'a>(
+        &self,
+        entries: impl Iterator<Item = Entry<'a>>,
+        counts: Option<&MatchCounts>,
+    ) -> Result<WindowOutput> {
         Ok(match &self.shape {
-            IvmShape::Agg { agg, .. } => WindowOutput::Ready(agg_relation(agg, entries)),
+            IvmShape::Agg { agg, .. } => {
+                WindowOutput::Ready(agg_relation(agg, entries.map(|e| (e, 1)))?)
+            }
             IvmShape::JoinAgg { join, agg, .. } => {
+                let counts = counts
+                    .ok_or_else(|| Error::stream("a join store closes against match counts"))?;
                 let n = join.left_key.len();
-                let plain = |accs: Cow<'_, [Accumulator]>| match accs {
-                    Cow::Owned(merged) => Ok(merged),
-                    // A view's running state, read out as plain partials.
-                    Cow::Borrowed(running) => (agg.aggs.iter().zip(running))
-                        .map(|(spec, r)| {
-                            let mut p = Accumulator::new(spec);
-                            p.merge(r).map(|()| p)
-                        })
-                        .collect(),
-                };
-                WindowOutput::NeedsTable(Box::new(JoinDelta {
-                    join: join.clone(),
-                    agg: agg.clone(),
-                    entries: entries
-                        .map(|(k, accs)| Ok((k[..n].to_vec(), k[n..].to_vec(), plain(accs)?)))
-                        .collect::<Result<_>>()?,
-                }))
+                let matched = entries.filter_map(|(key, accs)| {
+                    let m = counts.by_key.get(&key[..n]).map_or(0, |m| *m);
+                    (m > 0).then_some(((&key[n..], accs), m))
+                });
+                // A GROUP BY that holds the join key has a pair per group.
+                if (join.left_key.iter()).all(|k| agg.group_exprs.contains(k)) {
+                    return Ok(WindowOutput::Ready(agg_relation(agg, matched)?));
+                }
+                let mut merged = Merged::default();
+                for ((group, accs), m) in matched {
+                    // Plain partials, even read out of a view's running state.
+                    let mut scaled: Vec<_> = agg.aggs.iter().map(Accumulator::new).collect();
+                    for (p, a) in scaled.iter_mut().zip(accs.iter()) {
+                        p.merge(a)?;
+                        p.scale(m)?;
+                    }
+                    merged.add(group, Cow::Owned(scaled))?;
+                }
+                WindowOutput::Ready(agg_relation(agg, merged.into_entries().map(|e| (e, 1)))?)
             }
             // A `Rows` store keeps no keys: `compose` concatenates its rows.
             IvmShape::Distinct { .. } | IvmShape::Rows { .. } => {
@@ -636,6 +650,8 @@ impl IvmState {
     /// its cursor jumped) every slice the window covers is added. Otherwise
     /// the window is merged afresh ([`IvmState::compose`]) and keeps no
     /// view; nothing else decides. Every slice below `close` must be sealed.
+    /// A join store's view keeps unscaled pairs and scales each by `counts`
+    /// as it emits it.
     pub fn close_window(
         &mut self,
         view: &mut Option<WindowView>,
@@ -643,12 +659,13 @@ impl IvmState {
         advance: i64,
         order: Option<&KeyOrder>,
         close: Timestamp,
+        counts: Option<&MatchCounts>,
     ) -> Result<WindowOutput> {
         let lo = close - visible;
         if visible <= advance || !self.invertible {
             let rebuilt = self.slices.range(lo..close).map(|(_, s)| s.entries.len());
             self.merges += rebuilt.sum::<usize>() as u64;
-            return self.compose(lo, close);
+            return self.compose(lo, close, counts);
         }
         // On error the view is gone, and the next close rebuilds it.
         let mut v = view.take().unwrap_or_else(|| WindowView::new(order));
@@ -678,14 +695,15 @@ impl IvmState {
                 let mut lives: Vec<_> = seen.collect();
                 lives.sort_unstable_by_key(|((_, stamp), _)| *stamp);
                 let entries = lives.into_iter();
-                self.output(entries.map(|((key, _), accs)| (&**key, Cow::Borrowed(&**accs))))?
+                let entries = entries.map(|((key, _), accs)| (&**key, Cow::Borrowed(&**accs)));
+                self.output(entries, counts)?
             }
             Keys::Ranked(keys, order) => {
                 let entries = keys.iter().map(|(r, l)| (&*r.1, Cow::Borrowed(&*l.accs)));
                 if order.desc {
-                    self.output(entries.rev())?
+                    self.output(entries.rev(), counts)?
                 } else {
-                    self.output(entries)?
+                    self.output(entries, counts)?
                 }
             }
         };
@@ -867,13 +885,6 @@ mod tests {
         row![url, Value::Timestamp(ts)]
     }
 
-    fn ready(out: WindowOutput) -> Relation {
-        match out {
-            WindowOutput::Ready(rel) => rel,
-            WindowOutput::NeedsTable(_) => panic!("expected Ready output"),
-        }
-    }
-
     #[test]
     fn agg_window_merges_slices() {
         let mut s = agg_state(vec![], true, 2 * MINUTES, MINUTES);
@@ -881,7 +892,7 @@ mod tests {
         s.on_tuple(&tup("/a", 10)).unwrap();
         s.on_tuple(&tup("/a", 20)).unwrap();
         s.on_tuple(&tup("/b", MINUTES + 5)).unwrap();
-        let rel = ready(s.window_result(2 * MINUTES).unwrap());
+        let rel = s.window_result(2 * MINUTES).unwrap().into_relation();
         assert_eq!(rel.rows(), &[row!["/a", 2i64], row!["/b", 1i64]]);
         assert_eq!(s.delta_rows(), 3);
         assert!(s.state_bytes() > 0);
@@ -892,7 +903,7 @@ mod tests {
         let mut s = agg_state(vec![], true, MINUTES, MINUTES);
         s.on_tuple(&tup("/a", 10)).unwrap();
         s.on_tuple(&tup("/b", MINUTES + 5)).unwrap();
-        let rel = ready(s.window_result(2 * MINUTES).unwrap());
+        let rel = s.window_result(2 * MINUTES).unwrap().into_relation();
         assert_eq!(rel.rows(), &[row!["/b", 1i64]]);
     }
 
@@ -906,7 +917,7 @@ mod tests {
         let mut s = agg_state(vec![RowOp::Filter(like)], true, MINUTES, MINUTES);
         s.on_tuple(&tup("/a1", 10)).unwrap();
         s.on_tuple(&tup("/b1", 20)).unwrap();
-        let rel = ready(s.window_result(MINUTES).unwrap());
+        let rel = s.window_result(MINUTES).unwrap().into_relation();
         assert_eq!(rel.rows(), &[row!["/a1", 1i64]]);
         assert_eq!(s.delta_rows(), 1, "filtered rows never reach state");
     }
@@ -914,7 +925,7 @@ mod tests {
     #[test]
     fn empty_global_aggregate_yields_defaults() {
         let s = agg_state(vec![], false, MINUTES, MINUTES);
-        let rel = ready(s.window_result(MINUTES).unwrap());
+        let rel = s.window_result(MINUTES).unwrap().into_relation();
         assert_eq!(rel.rows(), &[row![0i64]]);
     }
 
@@ -946,7 +957,7 @@ mod tests {
         s.on_tuple(&tup("/a", 10)).unwrap();
         s.on_tuple(&tup("/b", 20)).unwrap();
         s.on_tuple(&tup("/a", MINUTES + 5)).unwrap();
-        let rel = ready(s.window_result(2 * MINUTES).unwrap());
+        let rel = s.window_result(2 * MINUTES).unwrap().into_relation();
         assert_eq!(rel.rows(), &[row!["/a"], row!["/b"]]);
     }
 
@@ -970,7 +981,7 @@ mod tests {
             s.on_tuple(t).unwrap();
         }
         // No keys, no dedupe: the window is its rows, boundary excluded.
-        let rel = ready(s.window_result(2 * MINUTES).unwrap());
+        let rel = s.window_result(2 * MINUTES).unwrap().into_relation();
         assert_eq!(rel.rows(), &arrived[..4]);
         assert_eq!(**rel.schema(), *stream_schema());
         // Buffered rows are state like any other — and neither a fold nor
@@ -980,9 +991,9 @@ mod tests {
         assert_eq!(held, arrived.iter().map(|r| key_bytes(r)).sum::<usize>());
         let mut view = None;
         let closed = s
-            .close_window(&mut view, 2 * MINUTES, MINUTES, None, 2 * MINUTES)
+            .close_window(&mut view, 2 * MINUTES, MINUTES, None, 2 * MINUTES, None)
             .unwrap();
-        assert_eq!(ready(closed).rows(), &arrived[..4]);
+        assert_eq!(closed.into_relation().rows(), &arrived[..4]);
         assert!(view.is_none(), "raw rows keep no view");
         assert_eq!(s.merges(), 0);
         s.evict(MINUTES);
@@ -998,13 +1009,13 @@ mod tests {
         s.on_tuple(&tup("/a", MINUTES)).unwrap();
         s.on_tuple(&tup("/b", MINUTES + 1)).unwrap();
         assert_eq!(s.slice_time(&tup("/a", MINUTES)).unwrap(), MINUTES - 1);
-        let rel = ready(s.window_result(MINUTES).unwrap());
+        let rel = s.window_result(MINUTES).unwrap().into_relation();
         assert_eq!(rel.rows(), &[tup("/a", MINUTES)]);
-        let rel = ready(s.window_result(2 * MINUTES).unwrap());
+        let rel = s.window_result(2 * MINUTES).unwrap().into_relation();
         assert_eq!(rel.rows(), &[tup("/b", MINUTES + 1)]);
     }
 
-    fn join_state() -> IvmState {
+    fn join_state(grouped: bool) -> IvmState {
         let shape = IvmShape::JoinAgg {
             prefix: prefix(vec![]),
             join: JoinShape {
@@ -1013,9 +1024,8 @@ mod tests {
                 table_schema: dims_schema(),
                 table_filter: None,
                 right_key: vec![col0()],
-                index_column: Some("url".into()),
             },
-            agg: count_agg(true),
+            agg: count_agg(grouped),
         };
         IvmState::new(&program(shape, MINUTES, MINUTES))
     }
@@ -1038,84 +1048,91 @@ mod tests {
         rel
     }
 
-    fn delta(s: &IvmState, close: i64) -> Box<JoinDelta> {
-        match s.window_result(close).unwrap() {
-            WindowOutput::NeedsTable(d) => d,
-            WindowOutput::Ready(_) => panic!("expected NeedsTable output"),
+    /// `dims_rel()` at a version the test names: stamped, or not at all.
+    struct Versioned(Option<u64>);
+
+    impl RelationSource for Versioned {
+        fn scan_table(&self, _: &str) -> Result<Relation> {
+            Ok(dims_rel())
+        }
+
+        fn table_stamp(&self, _: &str) -> Option<(u32, u64)> {
+            self.0.map(|v| (7, v))
+        }
+    }
+
+    fn fill(s: &mut IvmState, urls: &[&str]) {
+        for (i, url) in urls.iter().enumerate() {
+            s.on_tuple(&tup(url, 10 * (i as i64 + 1))).unwrap();
         }
     }
 
     #[test]
-    fn join_delta_scales_by_match_count() {
-        let mut s = join_state();
-        s.on_tuple(&tup("/a", 10)).unwrap();
-        s.on_tuple(&tup("/a", 20)).unwrap();
-        s.on_tuple(&tup("/b", 30)).unwrap();
-        s.on_tuple(&tup("/c", 40)).unwrap();
-        let d = delta(&s, MINUTES);
-        let source = streamrel_exec::source::MapSource::new().with("dims", dims_rel());
-        let rel = d.finalize(&source).unwrap();
+    fn a_join_window_scales_by_match_count() {
+        let mut s = join_state(true);
+        fill(&mut s, &["/a", "/a", "/b", "/c"]);
+        let source = Versioned(None);
+        let counts = s.counts_at(&source).unwrap();
+        let rel = s
+            .compose(0, MINUTES, Some(&counts))
+            .unwrap()
+            .into_relation();
         // `/a` matches 2 dim rows (2 tuples × 2), `/c` matches none.
         assert_eq!(rel.rows(), &[row!["/a", 4i64], row!["/b", 1i64]]);
+        assert!(s.compose(0, MINUTES, None).is_err(), "no counts, no join");
+        // A global aggregate merges the scaled pairs: 2 × 2 + 1.
+        let mut global = join_state(false);
+        fill(&mut global, &["/a", "/a", "/b", "/c"]);
+        let counts = global.counts_at(&source).unwrap();
+        let rel = global.compose(0, MINUTES, Some(&counts)).unwrap();
+        assert_eq!(rel.into_relation().rows(), &[row![5i64]]);
     }
 
     #[test]
-    fn join_delta_index_path_matches_scan_path() {
-        struct Indexed(Relation);
-        impl RelationSource for Indexed {
-            fn scan_table(&self, _: &str) -> Result<Relation> {
-                panic!("index path must not scan");
-            }
-            fn index_lookup(&self, _: &str, _: &str, key: &Value) -> Result<Option<Vec<Row>>> {
-                Ok(Some(
-                    self.0
-                        .rows()
-                        .iter()
-                        .filter(|r| r[0] == *key)
-                        .cloned()
-                        .collect(),
-                ))
-            }
+    fn match_counts_are_memoised_per_table_version() {
+        let mut s = join_state(true);
+        fill(&mut s, &["/a", "/b"]);
+        let empty = s.state_bytes();
+        let first = s.counts_at(&Versioned(Some(1))).unwrap();
+        assert_eq!(s.table_scans(), 1);
+        // The memo is state: `ivm.state.bytes` holds it.
+        assert!(first.bytes() > 0);
+        assert_eq!(s.state_bytes(), empty + first.bytes());
+        for _ in 0..100 {
+            let again = s.counts_at(&Versioned(Some(1))).unwrap();
+            assert!(Arc::ptr_eq(&first, &again), "same version, same counts");
         }
-        let mut s = join_state();
-        s.on_tuple(&tup("/a", 10)).unwrap();
-        s.on_tuple(&tup("/b", 30)).unwrap();
-        let d = delta(&s, MINUTES);
-        let via_index = d.finalize(&Indexed(dims_rel())).unwrap();
-        let via_scan = d
-            .finalize(&streamrel_exec::source::MapSource::new().with("dims", dims_rel()))
-            .unwrap();
-        assert_eq!(via_index.rows(), via_scan.rows());
-        assert_eq!(via_index.rows(), &[row!["/a", 2i64], row!["/b", 1i64]]);
+        assert_eq!(s.table_scans(), 1);
+        s.counts_at(&Versioned(Some(2))).unwrap();
+        assert_eq!(s.table_scans(), 2, "the stamp moved: one scan");
+        // No stamp: counted for the close that asked, and not kept.
+        s.counts_at(&Versioned(None)).unwrap();
+        s.counts_at(&Versioned(None)).unwrap();
+        assert_eq!((s.table_scans(), s.state_bytes()), (4, empty));
+        s.counts_at(&Versioned(Some(2))).unwrap();
+        assert_eq!(s.table_scans(), 5, "the memo went with the stamp");
+        let rel = s.window_result(MINUTES).unwrap().into_relation();
+        assert_eq!(rel.rows(), &[row!["/a", 2i64], row!["/b", 1i64]]);
     }
 
     #[test]
-    fn null_join_keys_never_staged() {
-        let mut s = join_state();
+    fn null_join_keys_are_never_folded() {
+        let mut s = join_state(true);
         s.on_tuple(&row![Value::Null, Value::Timestamp(10)])
             .unwrap();
-        let d = delta(&s, MINUTES);
-        assert!(d.is_empty());
+        assert_eq!(s.delta_rows(), 0);
+        let counts = s.counts_at(&Versioned(None)).unwrap();
+        assert!(s.compose(0, MINUTES, Some(&counts)).unwrap().is_empty());
     }
 
     #[test]
     fn empty_global_join_aggregate_yields_defaults() {
-        let shape = IvmShape::JoinAgg {
-            prefix: prefix(vec![]),
-            join: JoinShape {
-                left_key: vec![col0()],
-                table: "dims".into(),
-                table_schema: dims_schema(),
-                table_filter: None,
-                right_key: vec![col0()],
-                index_column: None,
-            },
-            agg: count_agg(false),
-        };
-        let s = IvmState::new(&program(shape, MINUTES, MINUTES));
-        let d = delta(&s, MINUTES);
-        let source = streamrel_exec::source::MapSource::new().with("dims", dims_rel());
-        let rel = d.finalize(&source).unwrap();
+        let mut s = join_state(false);
+        let counts = s.counts_at(&Versioned(Some(1))).unwrap();
+        let rel = s
+            .compose(0, MINUTES, Some(&counts))
+            .unwrap()
+            .into_relation();
         assert_eq!(rel.rows(), &[row![0i64]]);
     }
 }

@@ -10,15 +10,18 @@
 //! live store mid-stream, one that leaves and one whose cursor jumps (a
 //! resume), and requires at every close that the view's output equals
 //! `compose(close - VISIBLE, close)` row for row, in order and spelled
-//! alike — put in `ORDER BY` key order for a member whose view emits in it;
-//! once the last member has left, the store holds nothing.
+//! alike — put in `ORDER BY` key order for a member whose view emits in it.
+//! A join store's dimension table changes between closes, now and then
+//! under a writer that leaves it unstamped, and both sides scale by the
+//! match counts the store resolves at that close. Once the last member has
+//! left, the store holds nothing but its memoised counts.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use proptest::test_runner::Config;
-use streamrel_exec::source::MapSource;
+use streamrel_exec::RelationSource;
 use streamrel_ivm::{lower_with, IvmShape, IvmState, KeyOrder, Lowering, WindowOutput, WindowView};
 use streamrel_sql::analyzer::{Analyzer, RelKind, SchemaProvider};
 use streamrel_sql::ast::Statement;
@@ -96,22 +99,39 @@ fn shape(sql: &str) -> (IvmShape, Option<KeyOrder>) {
     }
 }
 
-fn dims() -> MapSource {
-    let mut rel = Relation::empty(dims_schema());
-    for (k, w) in [("k0", 1i64), ("k0", 2), ("k1", 3), ("k3", 4), ("k3", 5)] {
-        rel.push(row![k, w]);
-    }
-    MapSource::new().with("dims", rel)
+/// The dimension table at its `version`th change: keys come and go and
+/// their match counts move. `stamped` is false while a writer is in
+/// flight, and the reader then cannot name the version.
+struct Dims {
+    version: u64,
+    stamped: bool,
 }
 
-/// What a close produced: entries staged, and the rows.
-fn outcome(out: WindowOutput) -> (usize, Vec<Row>) {
-    let n = out.len();
-    let rel = match out {
-        WindowOutput::Ready(rel) => rel,
-        WindowOutput::NeedsTable(delta) => delta.finalize(&dims()).unwrap(),
-    };
-    (n, rel.rows().to_vec())
+impl RelationSource for Dims {
+    fn scan_table(&self, _: &str) -> streamrel_types::Result<Relation> {
+        let mut rel = Relation::empty(dims_schema());
+        let v = self.version as i64;
+        for (k, w) in [("k0", 1i64), ("k0", 2), ("k1", 3), ("k3", 4), ("k3", 5)] {
+            // Row `w` is absent at every `w + 1`th version, and `k2`
+            // matches `v % 3` rows.
+            if v % (w + 1) != w {
+                rel.push(row![k, w]);
+            }
+        }
+        for w in 0..v % 3 {
+            rel.push(row!["k2", w]);
+        }
+        Ok(rel)
+    }
+
+    fn table_stamp(&self, _: &str) -> Option<(u32, u64)> {
+        self.stamped.then_some((1, self.version))
+    }
+}
+
+/// What a close produced.
+fn outcome(out: WindowOutput) -> Vec<Row> {
+    out.into_relation().rows().to_vec()
 }
 
 /// `rows` stably sorted by `order`, whose first `joined` store-key columns
@@ -183,7 +203,18 @@ fn drive(sql: &str, events: &[Event]) -> Result<(), String> {
         }));
     }
     let (mut ts, mut closes, mut slid) = (0i64, 0, 0);
+    let mut dims = Dims {
+        version: 0,
+        stamped: true,
+    };
+    let mut memo = 0;
     for (i, (kind, key, v, f, gap)) in events.iter().enumerate() {
+        // The table changes every few events, a writer in flight now and
+        // then.
+        if i % 4 == 3 {
+            dims.version += u64::from(*v > 0);
+            dims.stamped = *f != 3;
+        }
         if i == events.len() / 3 {
             members.push(Some(member(8, 2)));
         }
@@ -228,19 +259,30 @@ fn drive(sql: &str, events: &[Event]) -> Result<(), String> {
                 m.next_close = Some(align(ts, m.advance));
             }
             while let Some(close) = m.next_close.filter(|c| *c <= ts) {
-                let (n, rows) = outcome(store.compose(close - m.visible, close).unwrap());
+                let counts = store.counts_at(&dims).unwrap();
+                memo = if dims.stamped { counts.bytes() } else { 0 };
+                let composed = store.compose(close - m.visible, close, Some(&counts));
+                let rows = outcome(composed.unwrap());
                 let rows = match &m.order {
                     Some(order) => ranked(rows, order, joined),
                     None => rows,
                 };
+                let order = m.order.as_ref();
                 let out = store
-                    .close_window(&mut m.view, m.visible, m.advance, m.order.as_ref(), close)
+                    .close_window(
+                        &mut m.view,
+                        m.visible,
+                        m.advance,
+                        order,
+                        close,
+                        Some(&counts),
+                    )
                     .unwrap();
                 // Spelled out: `Value`'s `==` takes `0.0` for `-0.0`, its
                 // `Debug` does not.
                 prop_assert_eq!(
                     format!("{:?}", outcome(out)),
-                    format!("{:?}", (n, rows)),
+                    format!("{:?}", rows),
                     "{} close {} of {}/{}",
                     sql,
                     close,
@@ -272,7 +314,10 @@ fn drive(sql: &str, events: &[Event]) -> Result<(), String> {
         store.forget(m.view.take());
     }
     store.evict(i64::MAX);
-    prop_assert_eq!(store.state_bytes(), 0);
+    prop_assert_eq!(store.state_bytes(), memo);
+    if joined > 0 && closes > 20 {
+        prop_assert!(store.table_scans() < closes, "no close read the memo");
+    }
     Ok(())
 }
 
@@ -319,8 +364,9 @@ fn merges_per_close_do_not_depend_on_window_width() {
             }
             if s > 0 {
                 closes += 1;
+                let order = m.order.as_ref();
                 store
-                    .close_window(&mut m.view, m.visible, m.advance, m.order.as_ref(), s * SEC)
+                    .close_window(&mut m.view, m.visible, m.advance, order, s * SEC, None)
                     .unwrap();
                 store.evict(s * SEC + SEC - m.visible);
             }

@@ -24,7 +24,6 @@ pub use trace::{TraceEvent, TraceRing};
 
 use std::sync::Arc;
 
-use streamrel_types::relation::schema_ref;
 use streamrel_types::{Relation, Schema};
 
 /// Name of the virtual relation exposing the metrics registry.
@@ -64,11 +63,6 @@ pub fn virtual_relation(name: &str, registry: &Arc<Registry>) -> Option<Relation
     } else {
         None
     }
-}
-
-/// Shared handle to the metrics schema (cached per call site via `Arc`).
-pub fn metrics_schema_ref() -> streamrel_types::schema::SchemaRef {
-    schema_ref(metrics::metrics_schema())
 }
 
 #[cfg(test)]

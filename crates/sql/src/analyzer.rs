@@ -744,120 +744,18 @@ impl<'a> Analyzer<'a> {
                     Err(Error::analysis(format!("unknown column `{name}`")))
                 }
             }
-            Expr::Function { name, star, .. } => {
-                if *star && name.eq_ignore_ascii_case("cq_close") {
-                    return Ok(BoundExpr::CqClose);
-                }
-                if AggFunc::from_name(name).is_some() {
-                    // An aggregate call not in `aggs` can only mean nested
-                    // aggregation.
-                    return Err(Error::analysis(format!(
-                        "aggregate `{name}` cannot be nested inside another aggregate"
-                    )));
-                }
-                // Scalar function: recurse on arguments.
-                self.bind_composite_post_agg(expr, groups, aggs, n_groups, agg_schema, pre_scope)
+            Expr::Function { name, star, .. } if *star && name.eq_ignore_ascii_case("cq_close") => {
+                Ok(BoundExpr::CqClose)
             }
-            _ => self.bind_composite_post_agg(expr, groups, aggs, n_groups, agg_schema, pre_scope),
-        }
-    }
-
-    /// Recurse into a composite expression in post-agg binding.
-    #[allow(clippy::too_many_arguments)]
-    fn bind_composite_post_agg(
-        &self,
-        expr: &Expr,
-        groups: &[Expr],
-        aggs: &[Expr],
-        n_groups: usize,
-        agg_schema: &Schema,
-        pre_scope: &Scope,
-    ) -> Result<BoundExpr> {
-        let rec = |e: &Expr| self.bind_post_agg(e, groups, aggs, n_groups, agg_schema, pre_scope);
-        match expr {
-            Expr::Unary { op, expr } => {
-                let inner = rec(expr)?;
-                check_unary(*op, &inner)?;
-                Ok(BoundExpr::Unary {
-                    op: *op,
-                    expr: Box::new(inner),
-                })
+            // An aggregate call not in `aggs` can only mean nested aggregation.
+            Expr::Function { name, .. } if AggFunc::from_name(name).is_some() => {
+                Err(Error::analysis(format!(
+                    "aggregate `{name}` cannot be nested inside another aggregate"
+                )))
             }
-            Expr::Binary { op, left, right } => {
-                let l = rec(left)?;
-                let r = rec(right)?;
-                let ty = binary_result_type(*op, &l, &r)?;
-                Ok(BoundExpr::Binary {
-                    op: *op,
-                    left: Box::new(l),
-                    right: Box::new(r),
-                    ty,
-                })
-            }
-            Expr::Cast { expr, ty } => Ok(BoundExpr::Cast {
-                expr: Box::new(rec(expr)?),
-                ty: *ty,
+            _ => bind_composite(expr, &|e| {
+                self.bind_post_agg(e, groups, aggs, n_groups, agg_schema, pre_scope)
             }),
-            Expr::IsNull { expr, negated } => Ok(BoundExpr::IsNull {
-                expr: Box::new(rec(expr)?),
-                negated: *negated,
-            }),
-            Expr::Like {
-                expr,
-                pattern,
-                negated,
-            } => Ok(BoundExpr::Like {
-                expr: Box::new(rec(expr)?),
-                pattern: Box::new(rec(pattern)?),
-                negated: *negated,
-            }),
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => desugar_between(rec(expr)?, rec(low)?, rec(high)?, *negated),
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => Ok(BoundExpr::InList {
-                expr: Box::new(rec(expr)?),
-                list: list.iter().map(rec).collect::<Result<_>>()?,
-                negated: *negated,
-            }),
-            Expr::Case {
-                operand,
-                whens,
-                else_expr,
-            } => {
-                let operand = operand.as_ref().map(|e| rec(e)).transpose()?;
-                let whens = whens
-                    .iter()
-                    .map(|(c, r)| Ok((rec(c)?, rec(r)?)))
-                    .collect::<Result<Vec<_>>>()?;
-                let else_expr = else_expr.as_ref().map(|e| rec(e)).transpose()?;
-                let ty = case_result_type(&whens, &else_expr);
-                Ok(BoundExpr::Case {
-                    operand: operand.map(Box::new),
-                    whens,
-                    else_expr: else_expr.map(Box::new),
-                    ty,
-                })
-            }
-            Expr::Function { name, args, .. } => {
-                let func = ScalarFunc::from_name(name)
-                    .ok_or_else(|| Error::analysis(format!("unknown function `{name}`")))?;
-                let bound: Vec<BoundExpr> = args.iter().map(rec).collect::<Result<_>>()?;
-                let ty = scalar_result_type(func, &bound)?;
-                Ok(BoundExpr::ScalarFunc {
-                    func,
-                    args: bound,
-                    ty,
-                })
-            }
-            // Literal / Column handled by bind_post_agg before recursion.
-            _ => unreachable!("handled in bind_post_agg"),
         }
     }
 
@@ -872,116 +770,108 @@ impl<'a> Analyzer<'a> {
                     ty: entry.ty,
                 })
             }
-            Expr::Unary { op, expr } => {
-                let inner = self.bind_expr(expr, scope)?;
-                check_unary(*op, &inner)?;
-                Ok(BoundExpr::Unary {
-                    op: *op,
-                    expr: Box::new(inner),
-                })
+            Expr::Function { name, star, .. } if *star && name.eq_ignore_ascii_case("cq_close") => {
+                Ok(BoundExpr::CqClose)
             }
-            Expr::Binary { op, left, right } => {
-                let l = self.bind_expr(left, scope)?;
-                let r = self.bind_expr(right, scope)?;
-                let ty = binary_result_type(*op, &l, &r)?;
-                Ok(BoundExpr::Binary {
-                    op: *op,
-                    left: Box::new(l),
-                    right: Box::new(r),
-                    ty,
-                })
+            Expr::Function { name, .. } if AggFunc::from_name(name).is_some() => {
+                Err(Error::analysis(format!(
+                    "aggregate `{name}` is not allowed here (only in SELECT or HAVING \
+                     with GROUP BY)"
+                )))
             }
-            Expr::Cast { expr, ty } => Ok(BoundExpr::Cast {
-                expr: Box::new(self.bind_expr(expr, scope)?),
-                ty: *ty,
-            }),
-            Expr::IsNull { expr, negated } => Ok(BoundExpr::IsNull {
-                expr: Box::new(self.bind_expr(expr, scope)?),
-                negated: *negated,
-            }),
-            Expr::Like {
-                expr,
-                pattern,
-                negated,
-            } => Ok(BoundExpr::Like {
-                expr: Box::new(self.bind_expr(expr, scope)?),
-                pattern: Box::new(self.bind_expr(pattern, scope)?),
-                negated: *negated,
-            }),
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => desugar_between(
-                self.bind_expr(expr, scope)?,
-                self.bind_expr(low, scope)?,
-                self.bind_expr(high, scope)?,
-                *negated,
-            ),
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => Ok(BoundExpr::InList {
-                expr: Box::new(self.bind_expr(expr, scope)?),
-                list: list
-                    .iter()
-                    .map(|e| self.bind_expr(e, scope))
-                    .collect::<Result<_>>()?,
-                negated: *negated,
-            }),
-            Expr::Case {
-                operand,
-                whens,
-                else_expr,
-            } => {
-                let operand = operand
-                    .as_ref()
-                    .map(|e| self.bind_expr(e, scope))
-                    .transpose()?;
-                let whens = whens
-                    .iter()
-                    .map(|(c, r)| Ok((self.bind_expr(c, scope)?, self.bind_expr(r, scope)?)))
-                    .collect::<Result<Vec<_>>>()?;
-                let else_expr = else_expr
-                    .as_ref()
-                    .map(|e| self.bind_expr(e, scope))
-                    .transpose()?;
-                let ty = case_result_type(&whens, &else_expr);
-                Ok(BoundExpr::Case {
-                    operand: operand.map(Box::new),
-                    whens,
-                    else_expr: else_expr.map(Box::new),
-                    ty,
-                })
-            }
-            Expr::Function {
-                name, args, star, ..
-            } => {
-                if *star && name.eq_ignore_ascii_case("cq_close") {
-                    return Ok(BoundExpr::CqClose);
-                }
-                if AggFunc::from_name(name).is_some() {
-                    return Err(Error::analysis(format!(
-                        "aggregate `{name}` is not allowed here (only in SELECT or HAVING \
-                         with GROUP BY)"
-                    )));
-                }
-                let func = ScalarFunc::from_name(name)
-                    .ok_or_else(|| Error::analysis(format!("unknown function `{name}`")))?;
-                let bound: Vec<BoundExpr> = args
-                    .iter()
-                    .map(|e| self.bind_expr(e, scope))
-                    .collect::<Result<_>>()?;
-                let ty = scalar_result_type(func, &bound)?;
-                Ok(BoundExpr::ScalarFunc {
-                    func,
-                    args: bound,
-                    ty,
-                })
-            }
+            _ => bind_composite(expr, &|e| self.bind_expr(e, scope)),
         }
+    }
+}
+
+/// Bind a composite expression — an operator, CAST, IS NULL, LIKE,
+/// BETWEEN, IN, CASE or a scalar call — whose operands `rec` binds: the
+/// plain and the post-aggregation scopes differ only in their leaves.
+fn bind_composite(expr: &Expr, rec: &dyn Fn(&Expr) -> Result<BoundExpr>) -> Result<BoundExpr> {
+    match expr {
+        Expr::Unary { op, expr } => {
+            let inner = rec(expr)?;
+            check_unary(*op, &inner)?;
+            Ok(BoundExpr::Unary {
+                op: *op,
+                expr: Box::new(inner),
+            })
+        }
+        Expr::Binary { op, left, right } => {
+            let l = rec(left)?;
+            let r = rec(right)?;
+            let ty = binary_result_type(*op, &l, &r)?;
+            Ok(BoundExpr::Binary {
+                op: *op,
+                left: Box::new(l),
+                right: Box::new(r),
+                ty,
+            })
+        }
+        Expr::Cast { expr, ty } => Ok(BoundExpr::Cast {
+            expr: Box::new(rec(expr)?),
+            ty: *ty,
+        }),
+        Expr::IsNull { expr, negated } => Ok(BoundExpr::IsNull {
+            expr: Box::new(rec(expr)?),
+            negated: *negated,
+        }),
+        Expr::Like {
+            expr,
+            pattern,
+            negated,
+        } => Ok(BoundExpr::Like {
+            expr: Box::new(rec(expr)?),
+            pattern: Box::new(rec(pattern)?),
+            negated: *negated,
+        }),
+        Expr::Between {
+            expr,
+            low,
+            high,
+            negated,
+        } => desugar_between(rec(expr)?, rec(low)?, rec(high)?, *negated),
+        Expr::InList {
+            expr,
+            list,
+            negated,
+        } => Ok(BoundExpr::InList {
+            expr: Box::new(rec(expr)?),
+            list: list.iter().map(rec).collect::<Result<_>>()?,
+            negated: *negated,
+        }),
+        Expr::Case {
+            operand,
+            whens,
+            else_expr,
+        } => {
+            let operand = operand.as_ref().map(|e| rec(e)).transpose()?;
+            let whens = whens
+                .iter()
+                .map(|(c, r)| Ok((rec(c)?, rec(r)?)))
+                .collect::<Result<Vec<_>>>()?;
+            let else_expr = else_expr.as_ref().map(|e| rec(e)).transpose()?;
+            let ty = case_result_type(&whens, &else_expr);
+            Ok(BoundExpr::Case {
+                operand: operand.map(Box::new),
+                whens,
+                else_expr: else_expr.map(Box::new),
+                ty,
+            })
+        }
+        Expr::Function { name, args, .. } => {
+            let func = ScalarFunc::from_name(name)
+                .ok_or_else(|| Error::analysis(format!("unknown function `{name}`")))?;
+            let bound: Vec<BoundExpr> = args.iter().map(rec).collect::<Result<_>>()?;
+            let ty = scalar_result_type(func, &bound)?;
+            Ok(BoundExpr::ScalarFunc {
+                func,
+                args: bound,
+                ty,
+            })
+        }
+        // Leaves are bound by the caller before it recurses.
+        Expr::Literal(_) | Expr::Column { .. } => unreachable!("a leaf is not composite"),
     }
 }
 

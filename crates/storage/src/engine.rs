@@ -861,6 +861,14 @@ impl StorageEngine {
         Ok(())
     }
 
+    /// `(table id, write count)` of table `name` as `snap` reads it, when
+    /// every writer had finished before it (`HeapTable::settled_writes`).
+    /// Ids, and so stamps, are never reused.
+    pub fn table_stamp(&self, name: &str, snap: &Snapshot) -> Option<(u32, u64)> {
+        let meta = self.catalog.table_by_name(name).ok()?;
+        Some((meta.id, meta.heap.settled_writes(snap)?))
+    }
+
     /// Scan all rows of a table visible to `snap`.
     pub fn scan(&self, table_id: u32, snap: &Snapshot) -> Result<Vec<(TupleId, Row)>> {
         let meta = self.catalog.table_by_id(table_id)?;
@@ -1722,6 +1730,81 @@ mod tests {
             .unwrap();
         e.truncate(t).unwrap();
         assert!(visible_rows(&e, "urls").is_empty());
+    }
+
+    #[test]
+    fn equal_table_stamps_mean_equal_scans() {
+        let e = StorageEngine::in_memory();
+        let t = e.create_table("urls", schema()).unwrap();
+        let stamp = |e: &StorageEngine| e.table_stamp("urls", &e.snapshot());
+        let before = stamp(&e).unwrap();
+        let tid = e
+            .with_txn(|xid| e.insert(xid, t, row!["/a", 1i64]))
+            .unwrap();
+        let inserted = stamp(&e).unwrap();
+        assert_ne!(inserted, before, "an insert moves the stamp");
+        // Reads in between change nothing: same stamp, same rows.
+        let (a, rows_a) = (e.snapshot(), visible_rows(&e, "urls"));
+        let (b, rows_b) = (e.snapshot(), visible_rows(&e, "urls"));
+        assert_eq!(e.table_stamp("urls", &a), e.table_stamp("urls", &b));
+        assert_eq!(rows_a, rows_b);
+        e.with_txn(|xid| e.delete(xid, tid)).unwrap();
+        let deleted = stamp(&e).unwrap();
+        assert_ne!(deleted, inserted, "a delete moves the stamp");
+        e.with_txn(|xid| e.insert(xid, t, row!["/b", 2i64]))
+            .unwrap();
+        let refilled = stamp(&e).unwrap();
+        e.truncate(t).unwrap();
+        assert_ne!(stamp(&e).unwrap(), refilled, "a truncate moves the stamp");
+        assert_eq!(stamp(&e).unwrap().0, t);
+        assert_eq!(e.table_stamp("nope", &e.snapshot()), None);
+    }
+
+    #[test]
+    fn an_in_flight_or_aborted_writer_never_matches_a_stamp() {
+        let e = StorageEngine::in_memory();
+        let t = e.create_table("urls", schema()).unwrap();
+        e.with_txn(|xid| e.insert(xid, t, row!["/a", 1i64]))
+            .unwrap();
+        let settled = e.table_stamp("urls", &e.snapshot()).unwrap();
+        // A writer in flight: the snapshot taken meanwhile cannot tell
+        // what the table will hold, so it gets no stamp at all.
+        let x = e.begin().unwrap();
+        e.insert(x, t, row!["/b", 2i64]).unwrap();
+        let during = e.snapshot();
+        assert_eq!(e.table_stamp("urls", &during), None);
+        e.commit(x).unwrap();
+        assert_eq!(
+            e.table_stamp("urls", &during),
+            None,
+            "taken before it finished"
+        );
+        let committed = e.table_stamp("urls", &e.snapshot()).unwrap();
+        assert_ne!(committed, settled);
+        // An aborted writer: no stamp while it runs, a new one after.
+        let y = e.begin().unwrap();
+        e.insert(y, t, row!["/c", 3i64]).unwrap();
+        assert_eq!(e.table_stamp("urls", &e.snapshot()), None);
+        e.abort(y).unwrap();
+        let after = e.table_stamp("urls", &e.snapshot()).unwrap();
+        assert_ne!(after, committed, "what was written moved the version");
+        assert_eq!(visible_rows(&e, "urls").len(), 2);
+        // A snapshot owned by a writer sees its own rows: never stamped.
+        let z = e.begin().unwrap();
+        e.insert(z, t, row!["/d", 4i64]).unwrap();
+        assert_eq!(e.table_stamp("urls", &e.snapshot_for(z)), None);
+        e.abort(z).unwrap();
+    }
+
+    #[test]
+    fn a_re_created_table_gets_a_new_stamp() {
+        let e = StorageEngine::in_memory();
+        let stamp = |e: &StorageEngine| e.table_stamp("urls", &e.snapshot()).unwrap();
+        e.create_table("urls", schema()).unwrap();
+        let first = stamp(&e);
+        e.drop_table("urls").unwrap();
+        e.create_table("urls", schema()).unwrap();
+        assert_ne!(stamp(&e), first, "same name, same (empty) rows, new table");
     }
 
     #[test]

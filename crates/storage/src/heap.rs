@@ -44,9 +44,19 @@ struct Versions {
     /// Versions holding a row and a delete stamp: what a reclaim can
     /// still find. Zero means a reclaim has nothing to look at.
     dead: usize,
+    /// Appends, delete stamps, replayed inserts and truncates, and the
+    /// newest transaction that stamped a version ([`HeapTable::settled_writes`]).
+    writes: u64,
+    newest: TxnId,
 }
 
 impl Versions {
+    /// Count one write by `xid`.
+    fn wrote(&mut self, xid: TxnId) {
+        self.writes += 1;
+        self.newest = self.newest.max(xid);
+    }
+
     fn get(&self, slot: u64) -> Option<&TupleVersion> {
         self.slots.get(slot.checked_sub(self.base)? as usize)
     }
@@ -67,6 +77,7 @@ impl Versions {
                 let fresh = tv.xmax == 0;
                 tv.xmax = xid;
                 self.dead += usize::from(fresh);
+                self.wrote(xid);
                 true
             }
             _ => false,
@@ -106,6 +117,7 @@ impl HeapTable {
         let mut v = self.versions.write();
         let first = v.base + v.slots.len() as u64;
         log(first, &rows)?;
+        v.wrote(xid);
         v.slots.extend(rows.into_iter().map(|row| TupleVersion {
             xmin: xid,
             xmax: 0,
@@ -122,6 +134,7 @@ impl HeapTable {
         let Some(at) = slot.checked_sub(v.base) else {
             return; // below the reclaimed prefix
         };
+        v.wrote(xid);
         while (v.slots.len() as u64) < at {
             v.slots.push_back(TupleVersion {
                 xmin: 0,
@@ -301,9 +314,19 @@ impl HeapTable {
     }
 
     /// Truncate: drop every version and restart slot numbering
-    /// (DDL-level operation, caller logs it).
+    /// (DDL-level operation, caller logs it). The write count carries on.
     pub fn truncate(&self) {
-        *self.versions.write() = Versions::default();
+        let mut v = self.versions.write();
+        let old = std::mem::take(&mut *v);
+        (v.writes, v.newest) = (old.writes + 1, old.newest);
+    }
+
+    /// The write count, when every transaction that ever wrote the table
+    /// had finished before `snap` was taken: two such snapshots that get
+    /// the same count see the same rows.
+    pub(crate) fn settled_writes(&self, snap: &Snapshot) -> Option<u64> {
+        let v = self.versions.read();
+        (v.newest < snap.finished_below()).then_some(v.writes)
     }
 }
 

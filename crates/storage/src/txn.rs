@@ -54,11 +54,16 @@ pub struct Snapshot {
     pub xmax: TxnId,
     /// Transactions in progress at snapshot time.
     pub active: HashSet<TxnId>,
-    /// Held for its `Drop`: unregisters the pin.
-    _pin: Arc<Pin>,
+    /// Unregisters the pin on its `Drop`; knows the snapshot's horizon.
+    pin: Arc<Pin>,
 }
 
 impl Snapshot {
+    /// Every transaction below this id had finished when it was taken.
+    pub(crate) fn finished_below(&self) -> TxnId {
+        self.pin.horizon
+    }
+
     /// Whether transaction `xid`'s effects are visible in this snapshot.
     /// `aborted` answers "did xid abort?" for ids below `xmax`.
     pub fn sees(&self, xid: TxnId, aborted: &dyn Fn(TxnId) -> bool) -> bool {
@@ -221,7 +226,7 @@ impl TxnManager {
             own_xid,
             xmax: t.next_xid,
             active: t.active.clone(),
-            _pin: Arc::new(Pin {
+            pin: Arc::new(Pin {
                 tables: Arc::clone(&self.inner),
                 horizon,
             }),

@@ -126,11 +126,6 @@ pub fn install_order(pairs: &[(&'static str, &'static str)]) {
     }
 }
 
-/// Number of pairs currently installed (diagnostics/tests).
-pub fn order_len() -> usize {
-    ORDER.read().map(|o| o.len()).unwrap_or(0)
-}
-
 // ---------------------------------------------------------------------
 // Chaos hook
 // ---------------------------------------------------------------------
@@ -342,9 +337,4 @@ fn find_cycle(start: ThreadId, lock_addr: usize) -> Option<String> {
         addr = w.addr;
     }
     None
-}
-
-/// Snapshot of the current thread's held named locks (tests/diagnostics).
-pub fn held_names() -> Vec<&'static str> {
-    HELD.with(|held| held.borrow().iter().map(|h| h.name).collect())
 }

@@ -167,6 +167,30 @@ fn explain_check_reports_without_registering() {
 }
 
 #[test]
+fn a_join_state_bound_names_its_match_counts() {
+    let db = db();
+    let bound = |sql: &str| {
+        let rel = db.execute(&format!("EXPLAIN CHECK {sql}")).unwrap().rows();
+        let row = rel
+            .rows()
+            .iter()
+            .find(|r| r[0] == Value::text("state-bound"));
+        row.map(|r| r[2].to_string()).unwrap_or_default()
+    };
+    let joined = bound(
+        "SELECT h.url, count(*) c FROM hits <VISIBLE '2 minutes' ADVANCE '1 minute'> h \
+         JOIN sites s ON h.url = s.url GROUP BY h.url",
+    );
+    assert!(
+        joined.contains("plus one count per distinct join key of `sites`"),
+        "{joined}"
+    );
+    let plain = bound("SELECT url, count(*) c FROM hits <TUMBLING '1 minute'> GROUP BY url");
+    assert!(plain.contains("per-slice aggregate partials"), "{plain}");
+    assert!(!plain.contains("join key"), "{plain}");
+}
+
+#[test]
 fn non_monotonic_warning_surfaces_in_explain_check() {
     let db = db();
     let rel = db

@@ -639,3 +639,148 @@ fn crash_mid_slice_recovery_is_byte_identical() {
     let failures: Vec<String> = out.failures.iter().map(|f| f.to_string()).collect();
     assert!(failures.is_empty(), "divergences:\n{}", failures.join("\n"));
 }
+
+// ---- join-mutating-dim: the table changes between closes -------------------
+
+/// The join aggregates of `join-mutating-dim`: groups that are join keys
+/// (a row straight from each pair), groups that span join keys (scaled
+/// pairs merged), and the two tumbling probes whose quotient is how many
+/// `sites` rows `/u0` matched at each close.
+const MUTATING_DIM: &[&str] = &[
+    "SELECT h.url, count(*) c, sum(h.v) s, max(h.v) hi FROM hits \
+     <VISIBLE '2 minutes' ADVANCE '30 seconds'> h JOIN sites s ON h.url = s.url \
+     GROUP BY h.url ORDER BY h.url",
+    "SELECT h.v % 3 m, count(*) c, min(h.v) lo FROM hits \
+     <VISIBLE '3 minutes' ADVANCE '1 minute'> h JOIN sites s ON h.url = s.url GROUP BY h.v % 3",
+    "SELECT count(*) n FROM hits <TUMBLING '1 minute'> h \
+     JOIN sites s ON h.url = s.url WHERE h.url = '/u0'",
+    "SELECT count(*) k FROM hits <TUMBLING '1 minute'> WHERE url = '/u0'",
+];
+
+/// A change to `sites` made between two runs of tuples.
+enum DimChange {
+    Sql(&'static str),
+    /// The `site_gen` window that closes replaces `sites` through its
+    /// REPLACE channel.
+    Swap(&'static [(&'static str, &'static str)]),
+    /// A writer opened on the engine inserts `('/u0', owner)`; a later
+    /// step commits or aborts it.
+    Begin(&'static str),
+    Commit,
+    Abort,
+}
+
+const DIM_CHANGES: &[DimChange] = &[
+    DimChange::Sql("INSERT INTO sites VALUES ('/u3', 'dave'), ('/u0', 'erin')"),
+    DimChange::Sql("DELETE FROM sites WHERE url = '/u1'"),
+    DimChange::Swap(&[("/u0", "x"), ("/u2", "y"), ("/u2", "z"), ("/u4", "w")]),
+    DimChange::Begin("late"),
+    DimChange::Commit,
+    DimChange::Begin("gone"),
+    DimChange::Abort,
+];
+
+/// Run `MUTATING_DIM` over nine runs of tuples with `DIM_CHANGES` between
+/// them. Returns each subscription's windows, spelled out, and per run
+/// the `/u0` match counts the probes' windows closed in it saw.
+fn mutating_dim(opts: DbOptions) -> (Vec<String>, Vec<Vec<i64>>) {
+    let db = db_with(opts);
+    for sql in [
+        "CREATE STREAM site_feed (url varchar(32), owner varchar(32), ts timestamp CQTIME USER)",
+        "CREATE STREAM site_gen AS SELECT url, owner FROM site_feed <TUMBLING '1 second'>",
+        "CREATE CHANNEL site_swap FROM site_gen INTO sites REPLACE",
+    ] {
+        db.execute(sql).unwrap();
+    }
+    let subs: Vec<_> = MUTATING_DIM
+        .iter()
+        .map(|cq| db.execute(cq).unwrap().subscription())
+        .collect();
+    let engine = db.engine().clone();
+    let sites = engine.table_id("sites").unwrap();
+    let rows = fixed_rows(360);
+    let mut outs = vec![String::new(); subs.len()];
+    let (mut matched, mut writer, mut swaps) = (Vec::new(), None, 0);
+    for (run, chunk) in rows.chunks(40).enumerate() {
+        if let Some(change) = run.checked_sub(1).and_then(|i| DIM_CHANGES.get(i)) {
+            match change {
+                DimChange::Sql(sql) => {
+                    db.execute(sql).unwrap();
+                }
+                DimChange::Swap(generation) => {
+                    swaps += 1;
+                    let ts = swaps * SECONDS;
+                    for (url, owner) in *generation {
+                        let row =
+                            vec![Value::text(*url), Value::text(*owner), Value::Timestamp(ts)];
+                        db.ingest("site_feed", row).unwrap();
+                    }
+                    db.heartbeat("site_feed", ts + SECONDS).unwrap();
+                }
+                DimChange::Begin(owner) => {
+                    let x = engine.begin().unwrap();
+                    let row = vec![Value::text("/u0"), Value::text(*owner)];
+                    engine.insert(x, sites, row).unwrap();
+                    writer = Some(x);
+                }
+                DimChange::Commit => engine.commit(writer.take().unwrap()).unwrap(),
+                DimChange::Abort => engine.abort(writer.take().unwrap()).unwrap(),
+            }
+        }
+        for (url, v, ts) in chunk {
+            let row = vec![
+                Value::text(url.clone()),
+                Value::Int(*v),
+                Value::Timestamp(*ts),
+            ];
+            db.ingest("hits", row).unwrap();
+        }
+        let polled: Vec<_> = subs.iter().map(|s| db.poll(*s).unwrap()).collect();
+        for (out, windows) in outs.iter_mut().zip(&polled) {
+            for o in windows {
+                out.push_str(&format!("close={} {:?}\n", o.close, o.relation.rows()));
+            }
+        }
+        let single = |o: &streamrel::cq::CqOutput| o.relation.rows()[0][0].as_int().unwrap();
+        let probes = polled[2].iter().zip(&polled[3]);
+        let seen = probes.filter(|(_, k)| single(k) > 0);
+        matched.push(seen.map(|(n, k)| single(n) / single(k)).collect());
+    }
+    (outs, matched)
+}
+
+#[test]
+fn join_mutating_dim_is_byte_identical_under_both_consistency_modes() {
+    use streamrel::cq::ConsistencyMode::{QueryStart, WindowBoundary};
+    for mode in [WindowBoundary, QueryStart] {
+        let (incr, matched) = mutating_dim(DbOptions::default().with_consistency(mode));
+        let (reeval, _) = mutating_dim(ivm_off().with_consistency(mode));
+        for (i, (got, want)) in incr.iter().zip(&reeval).enumerate() {
+            assert!(got.lines().count() > 20, "{mode:?} CQ {i}: {got}");
+            assert_eq!(got, want, "join-mutating-dim: {mode:?} CQ {i} diverges");
+        }
+        // Per run, the `/u0` matches its closes saw. Every run has some.
+        assert!(matched.iter().all(|m| !m.is_empty()), "{matched:?}");
+        let saw = |run: usize| {
+            let mut m = matched[run].clone();
+            m.dedup();
+            m
+        };
+        if mode == QueryStart {
+            // Pinned at registration: no change is ever seen.
+            assert!((0..matched.len()).all(|run| saw(run) == [1]), "{matched:?}");
+            continue;
+        }
+        assert_eq!(saw(0), [1]);
+        // The insert, the delete (of another key) and the swap land at
+        // the next boundary.
+        assert_eq!(saw(1).last(), Some(&2), "{matched:?}");
+        assert_eq!(saw(3).last(), Some(&1), "{matched:?}");
+        // A writer in flight at a close is not seen there; once committed
+        // the next window sees it. An aborted one is never seen.
+        assert_eq!(saw(4), [1], "{matched:?}");
+        assert_eq!(saw(5).last(), Some(&2), "{matched:?}");
+        assert_eq!(saw(6), [2], "{matched:?}");
+        assert_eq!(saw(7), [2], "{matched:?}");
+    }
+}
