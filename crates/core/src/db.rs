@@ -1,25 +1,19 @@
-//! The stream-relational database object.
-//!
-//! Execution is sharded: catalog/DDL state lives behind one lock, while
-//! each base stream's runtime (reorder buffer, slice stores, CQ runtimes,
-//! channel sinks) — and that of every derived stream it feeds — lives in
-//! its own [`Shard`] so ingest and heartbeat on distinct streams never
-//! contend. A batch takes one path through a stream, base or derived
-//! (`feed`); closed-window plan evaluation runs on a small worker pool,
-//! and results are re-sequenced into submission order — (CQ, close) — so
-//! subscription output is byte-identical to serial execution.
+//! The stream-relational database object: catalog, DDL and CQ
+//! registration. Catalog state lives behind one lock, while each base
+//! stream's runtime — and that of every derived stream it feeds — lives in
+//! its own [`Shard`], so traffic on distinct streams never contends. The
+//! tick path, client subscriptions and recovery are its modules.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use streamrel_check::{check_plan, CheckContext, CheckReport, StateBudget};
-use streamrel_cq::recovery::{save_watermark, save_watermark_txn, watermark_key};
-use streamrel_cq::{ContinuousQuery, CqOutput, CqStats, ReorderBuffer, WindowTask, WorkerPool};
+use streamrel_cq::recovery::{save_watermark, watermark_key};
+use streamrel_cq::{ContinuousQuery, CqStats, ReorderBuffer, WorkerPool};
 use streamrel_exec::{execute, ExecContext, ExecMetrics};
 use streamrel_obs::{Counter, Gauge, Histogram, IvmMetrics};
 use streamrel_sql::analyzer::{AnalyzedQuery, Analyzer, RelKind, SchemaProvider};
@@ -32,9 +26,13 @@ use streamrel_types::{Column, Error, Relation, Result, Row, Schema, Timestamp, V
 use crate::options::DbOptions;
 use crate::provider::StreamDecl;
 use crate::shard::{ChannelSink, CqEntry, Shard, ShardState, Sink, StreamRuntime};
-use crate::subscription::{ResultNotifier, Subscription, SubscriptionId};
+use crate::subscription::{ResultNotifier, SubscriptionId};
 
 mod recovery;
+mod subscriptions;
+mod tick;
+
+use subscriptions::ClientSub;
 
 /// Result of [`Db::execute`].
 #[derive(Debug)]
@@ -98,7 +96,7 @@ pub struct DbStats {
 /// `pump` never crosses shards.
 struct CatStream {
     decl: StreamDecl,
-    shard: usize,
+    shard: Arc<Shard>,
     producer: Option<u64>,
 }
 
@@ -111,13 +109,12 @@ struct ChannelDef {
     rows_written: Arc<AtomicU64>,
 }
 
-// lock-order: catalog < state < subs
+// lock-order: catalog < state
 //
 // The `Db::catalog` mutex (DDL state) is acquired before any shard's
 // `state` lock, which covers everything a base stream runs on — reorder
-// buffer, slice stores, CQ runtimes — and precedes the client `subs`
-// table. streamrel-lint checks every function in this file against this
-// order.
+// buffer, slice stores, CQ runtimes, client sinks. streamrel-lint checks
+// every function in this file against this order.
 
 /// Catalog and DDL state: everything that is *not* on the per-tuple hot
 /// path. Stream declarations (base and derived), views, channel
@@ -128,10 +125,8 @@ struct Catalog {
     channels: HashMap<String, ChannelDef>,
     /// The execution shards. Streams are assigned at CREATE time and
     /// never migrate; a dropped stream's shard slot stays (slots are
-    /// cheap and ids must stay stable).
+    /// cheap, and assignment and WAL domains go by slot index).
     shards: Vec<Arc<Shard>>,
-    /// Where each client subscription's CQ runs: (shard index, CQ id).
-    sub_home: HashMap<SubscriptionId, (usize, u64)>,
     /// Streams created so far (drives round-robin shard assignment).
     stream_seq: usize,
     next_cq: u64,
@@ -200,9 +195,8 @@ pub struct Db {
     engine: Arc<StorageEngine>,
     options: DbOptions,
     catalog: Mutex<Catalog>,
-    /// Client subscription queues, behind their own lock so shards
-    /// deliver results without serializing on the catalog.
-    subs: Mutex<HashMap<SubscriptionId, Subscription>>,
+    /// Every live client subscription, by id.
+    subscriptions: Mutex<HashMap<SubscriptionId, ClientSub>>,
     pool: WorkerPool,
     notify: Arc<ResultNotifier>,
     metrics: DbMetrics,
@@ -257,7 +251,6 @@ impl Db {
                     views: HashMap::new(),
                     channels: HashMap::new(),
                     shards: Vec::new(),
-                    sub_home: HashMap::new(),
                     stream_seq: 0,
                     next_cq: 1,
                     next_sub: 1,
@@ -266,7 +259,7 @@ impl Db {
                     cq_state_bytes: HashMap::new(),
                 },
             ),
-            subs: Mutex::named("core.subs", HashMap::new()),
+            subscriptions: Mutex::named("core.subscriptions", HashMap::new()),
             pool,
             notify: ResultNotifier::new(),
             metrics,
@@ -280,25 +273,9 @@ impl Db {
         &self.engine
     }
 
-    /// Aggregate runtime counters. Totals come from the metrics registry
-    /// (shards bump them without any shared `Db` lock); queue figures
-    /// come from the live subscription table.
-    pub fn stats(&self) -> DbStats {
-        let subs = self.subs.lock();
-        DbStats {
-            tuples_in: self.metrics.tuples_in.get(),
-            windows_out: self.metrics.windows_out.get(),
-            rows_archived: self.metrics.rows_archived.get(),
-            late_drops: self.metrics.late_drops.get(),
-            sub_drops: self.metrics.sub_drops.get(),
-            live_subs: subs.len() as u64,
-            sub_queued: subs.values().map(|s| s.pending() as u64).sum(),
-        }
-    }
-
     /// Snapshot of the `streamrel_metrics` virtual relation — the same
-    /// relation `SELECT * FROM streamrel_metrics`, `SHOW METRICS` and the
-    /// wire protocol's `Stats` frame all serve.
+    /// relation `SELECT * FROM streamrel_metrics` and `SHOW METRICS` serve,
+    /// embedded or over the wire.
     pub fn metrics_relation(&self) -> Relation {
         self.engine.metrics().to_relation()
     }
@@ -327,7 +304,7 @@ impl Db {
         let (shard, cq_id) = {
             let catalog = self.catalog.lock();
             let d = catalog.streams.get(&name.to_ascii_lowercase())?;
-            (shard_at(&catalog, d.shard).ok()?, d.producer?)
+            (d.shard.clone(), d.producer?)
         };
         let state = shard.state.lock();
         state.cqs.get(&cq_id).map(|e| e.cq.stats())
@@ -358,57 +335,6 @@ impl Db {
             .collect()
     }
 
-    /// Drain pending window results for a subscription.
-    ///
-    /// Results are queued as [`Arc<CqOutput>`]; this convenience form
-    /// unwraps the reference (the queue held the only one). Consumers
-    /// that broadcast a window should use [`Db::poll_shared`] and share
-    /// the allocation.
-    pub fn poll(&self, sub: SubscriptionId) -> Result<Vec<CqOutput>> {
-        Ok(self
-            .poll_shared(sub)?
-            .into_iter()
-            .map(|a| Arc::try_unwrap(a).unwrap_or_else(|a| (*a).clone()))
-            .collect())
-    }
-
-    /// Drain pending window results without copying the underlying
-    /// windows: each result is the reference-counted allocation the
-    /// engine enqueued, ready to be shared across a fan-out.
-    pub fn poll_shared(&self, sub: SubscriptionId) -> Result<Vec<Arc<CqOutput>>> {
-        let mut subs = self.subs.lock();
-        subs.get_mut(&sub)
-            .map(Subscription::drain)
-            .ok_or_else(|| Error::stream(format!("unknown subscription {sub:?}")))
-    }
-
-    /// Push one tuple into a base stream (programmatic fast path; the SQL
-    /// path is `INSERT INTO <stream> VALUES ...`).
-    pub fn ingest(&self, stream: &str, row: Row) -> Result<()> {
-        self.ingest_batch(stream, vec![row])
-    }
-
-    /// Push many tuples (one archiving transaction for raw channels).
-    /// Only the owning shard's lock is held: concurrent ingest into
-    /// other streams proceeds in parallel.
-    pub fn ingest_batch(&self, stream: &str, rows: Vec<Row>) -> Result<()> {
-        self.ingest_sharded(stream, rows, None)
-    }
-
-    /// Advance a stream's event time without data: releases what the
-    /// reorder buffer still holds up to `ts`, then closes the due windows
-    /// of every CQ over the stream (punctuation / heartbeat). To the
-    /// engine this is a batch of zero tuples plus a time bound, on the
-    /// same path as [`Db::ingest_batch`].
-    ///
-    /// If a CQ's window evaluation fails, results already produced by
-    /// earlier CQs (and earlier windows of the failing CQ) are still
-    /// delivered before the error is returned — an error in one plan
-    /// never silently discards another CQ's output.
-    pub fn heartbeat(&self, stream: &str, ts: Timestamp) -> Result<()> {
-        self.ingest_sharded(stream, Vec::new(), Some(ts))
-    }
-
     // ---- statement dispatch -------------------------------------------------
 
     fn execute_stmt(&self, stmt: Statement, sql: &str, persistable: bool) -> Result<ExecResult> {
@@ -418,10 +344,13 @@ impl Db {
                 columns,
                 if_not_exists,
             } => {
-                check_reserved(&name)?;
                 if if_not_exists && self.engine.has_table(&name) {
                     return Ok(ExecResult::Created(name));
                 }
+                // Held across the create, so no stream or view can take
+                // the name between the check and the table.
+                let catalog = self.catalog.lock();
+                self.check_name_free(&catalog, &name.to_ascii_lowercase())?;
                 let schema = column_defs_to_schema(&columns)?;
                 self.engine.create_table(&name, schema)?;
                 Ok(ExecResult::Created(name))
@@ -569,11 +498,7 @@ impl Db {
             .stream_scans()
             .first()
             .map_or(String::new(), |(name, _)| name.to_ascii_lowercase());
-        let state = catalog
-            .streams
-            .get(&scanned)
-            .and_then(|s| catalog.shards.get(s.shard))
-            .map(|shard| shard.state.lock());
+        let state = (catalog.streams.get(&scanned)).map(|s| s.shard.state.lock());
         let registry = state
             .as_ref()
             .and_then(|state| state.streams.get(&scanned))
@@ -739,16 +664,15 @@ impl Db {
             (s, Some(c)) if s > 0 => Some(ReorderBuffer::new(c, s)),
             _ => None,
         };
-        let shard_idx = self.assign_shard(&mut catalog);
+        let shard = self.assign_shard(&mut catalog);
         catalog.streams.insert(
             key.clone(),
             CatStream {
                 decl: decl.clone(),
-                shard: shard_idx,
+                shard: shard.clone(),
                 producer: None,
             },
         );
-        let shard = shard_at(&catalog, shard_idx)?;
         let runtime = StreamRuntime::new(decl, false, reorder);
         shard.state.lock().streams.insert(key.clone(), runtime);
         if persist {
@@ -847,7 +771,7 @@ impl Db {
                 table_schema.len()
             )));
         }
-        let shard = shard_at(&catalog, source.shard)?;
+        let shard = source.shard.clone();
         let rows_written = Arc::new(AtomicU64::new(0));
         catalog.channels.insert(
             key.clone(),
@@ -923,7 +847,7 @@ impl Db {
         let Some(stream) = catalog.streams.get(key) else {
             return missing("stream", name, if_exists);
         };
-        let (producer, shard) = (stream.producer, shard_at(&catalog, stream.shard)?);
+        let (producer, shard) = (stream.producer, stream.shard.clone());
         {
             let mut state = shard.state.lock();
             let rt = state.streams.get(key);
@@ -938,7 +862,7 @@ impl Db {
                 self.detach_cq(&mut state, cq_id);
             }
         }
-        // The shard slot itself stays: ids must remain stable.
+        // The shard slot itself stays (see `Catalog::shards`).
         catalog.streams.remove(key);
         if let Some(cq_id) = producer {
             Self::release_cq(&mut catalog, cq_id);
@@ -1050,7 +974,7 @@ impl Db {
     }
 
     fn select(&self, query: &Query) -> Result<ExecResult> {
-        let mut catalog = self.catalog.lock();
+        let catalog = self.catalog.lock();
         let analyzed = {
             let provider = self.provider(&catalog);
             Analyzer::new(&provider).analyze(query)?
@@ -1065,18 +989,7 @@ impl Db {
             let rel = execute(&analyzed.plan, &ctx)?;
             return Ok(ExecResult::Rows(rel));
         }
-        // Continuous query: register a subscription-backed CQ.
-        let sub_id = SubscriptionId(catalog.next_sub);
-        let (shard, cq_id, _) = self.register_cq(&mut catalog, &analyzed, Sink::Client(sub_id))?;
-        catalog.next_sub += 1;
-        catalog.sub_home.insert(sub_id, (shard, cq_id));
-        drop(catalog);
-        self.subs.lock().insert(
-            sub_id,
-            Subscription::bounded(self.options.sub_queue_capacity)
-                .with_depth_gauge(self.metrics.sub_queue_depth.clone()),
-        );
-        Ok(ExecResult::Subscribed(sub_id))
+        self.subscribe(catalog, &analyzed)
     }
 
     /// Admit and register a continuous plan in its upstream's shard — the
@@ -1085,24 +998,23 @@ impl Db {
     /// is placed — a time window as a member of one of its stream's slice
     /// stores — and attached, together with the stream it produces, if it
     /// does (so no window can close before its sink exists). Returns the
-    /// shard index, the CQ id and the upstream's high-water mark.
+    /// shard, the CQ id and the upstream's high-water mark.
     fn register_cq(
         &self,
         catalog: &mut Catalog,
         analyzed: &AnalyzedQuery,
         sink: Sink,
-    ) -> Result<(usize, u64, Timestamp)> {
+    ) -> Result<(Arc<Shard>, u64, Timestamp)> {
         let state_bytes = self.admit_plan(catalog, &analyzed.plan)?;
         let name = match &sink {
             Sink::Derived(stream) => stream.clone(),
-            Sink::Client(sub) => format!("sub_{}", sub.0),
+            Sink::Client(sub, _) => format!("sub_{}", sub.0),
         };
         let (engine, consistency) = (self.engine.clone(), self.options.consistency);
         let mut cq = ContinuousQuery::new(name, analyzed, engine, consistency)?;
         let unknown = || Error::stream(format!("unknown stream `{}`", cq.stream()));
         let upstream = cq.stream().to_ascii_lowercase();
-        let shard_idx = catalog.streams.get(&upstream).ok_or_else(unknown)?.shard;
-        let shard = shard_at(catalog, shard_idx)?;
+        let shard = Arc::clone(&catalog.streams.get(&upstream).ok_or_else(unknown)?.shard);
         let mut state = shard.state.lock();
         let rt = state.streams.get_mut(&upstream).ok_or_else(unknown)?;
         cq.place(self.options.sharing, self.options.ivm, &mut rt.stores)?;
@@ -1121,7 +1033,7 @@ impl Db {
             state.streams.insert(stream.clone(), runtime);
             let entry = CatStream {
                 decl,
-                shard: shard_idx,
+                shard: shard.clone(),
                 producer: Some(cq_id),
             };
             catalog.streams.insert(stream.clone(), entry);
@@ -1138,7 +1050,7 @@ impl Db {
                 close_hist,
             },
         );
-        Ok((shard_idx, cq_id, joined))
+        Ok((shard.clone(), cq_id, joined))
     }
 
     /// Tear a CQ out of its shard: off its upstream's list and out of its
@@ -1154,61 +1066,6 @@ impl Db {
         rt.cq_ids.retain(|&id| id != cq_id);
         if let Some(slot) = entry.cq.slot() {
             self.metrics.ivm.state_bytes.add(rt.stores.leave(slot));
-        }
-    }
-
-    /// Terminate a continuous query / subscription (§3.1: "CQs run until
-    /// they are explicitly terminated"): tears down the subscription's
-    /// CQ and releases its state-budget charge and close histogram.
-    pub fn unsubscribe(&self, sub: SubscriptionId) -> Result<()> {
-        let mut catalog = self.catalog.lock();
-        let (shard_idx, cq_id) = catalog
-            .sub_home
-            .remove(&sub)
-            .ok_or_else(|| Error::stream(format!("unknown subscription {sub:?}")))?;
-        self.engine
-            .metrics()
-            .remove(&format!("cq.close_us.sub_{}", sub.0));
-        let shard = shard_at(&catalog, shard_idx)?;
-        self.detach_cq(&mut shard.state.lock(), cq_id);
-        Self::release_cq(&mut catalog, cq_id);
-        drop(catalog);
-        // Undelivered results leave the depth gauge with the subscription
-        // (its Drop impl settles the account).
-        self.subs.lock().remove(&sub);
-        // Wake blocked deliverers so they notice the subscription is gone.
-        self.notify.notify();
-        Ok(())
-    }
-
-    // ---- federation -----------------------------------------------------------
-
-    /// Subscribe to a derived stream's output as-is: each closed window of
-    /// the query behind it arrives as exactly one window result,
-    /// unmodified. This is the engine half of the federation bridge — node
-    /// A serves its derived stream over this subscription and node B
-    /// re-ingests the rows. Implemented as `SELECT * FROM <name> <SLICES 1
-    /// WINDOWS>`, whose pass-through semantics the slice window guarantees
-    /// (one `ClosedWindow` per upstream batch, same close, same rows). A
-    /// base stream has no windows to pass through — subscribe to a query
-    /// over it instead — and is refused.
-    pub fn subscribe_stream(&self, name: &str) -> Result<SubscriptionId> {
-        let key = name.to_ascii_lowercase();
-        match self.catalog.lock().streams.get(&key) {
-            None => return Err(Error::stream(format!("unknown stream `{name}`"))),
-            Some(s) if s.producer.is_none() => {
-                return Err(Error::stream(format!(
-                    "`{name}` is a base stream: only a derived stream's windows can be \
-                     subscribed to as-is; subscribe to a windowed query over it instead"
-                )))
-            }
-            Some(_) => {}
-        }
-        match self.execute(&format!("SELECT * FROM {key} <SLICES 1 WINDOWS>"))? {
-            ExecResult::Subscribed(id) => Ok(id),
-            other => Err(Error::stream(format!(
-                "subscribe_stream produced {other:?}, not a subscription"
-            ))),
         }
     }
 
@@ -1233,7 +1090,7 @@ impl Db {
     }
 
     /// Pick (and if needed create) the shard for a new base stream.
-    fn assign_shard(&self, catalog: &mut Catalog) -> usize {
+    fn assign_shard(&self, catalog: &mut Catalog) -> Arc<Shard> {
         let idx = if self.options.shards == 0 {
             catalog.shards.len()
         } else {
@@ -1248,302 +1105,7 @@ impl Db {
             let domain = catalog.shards.len() % self.engine.wal_shards().max(1);
             catalog.shards.push(Shard::new(domain));
         }
-        idx
-    }
-
-    /// Resolve a base stream to its shard (brief catalog lock only).
-    fn shard_of_stream(&self, key: &str, display: &str) -> Result<Arc<Shard>> {
-        let catalog = self.catalog.lock();
-        let stream = catalog
-            .streams
-            .get(key)
-            .ok_or_else(|| Error::stream(format!("unknown stream `{display}`")))?;
-        if stream.producer.is_some() {
-            return Err(Error::stream(format!(
-                "`{display}` is a derived stream: its tuples and its time come from \
-                 the query behind it, not from ingest or heartbeat"
-            )));
-        }
-        shard_at(&catalog, stream.shard)
-    }
-
-    /// Acquire a shard's state lock, counting contended acquisitions.
-    fn lock_shard<'a>(&self, shard: &'a Shard) -> MutexGuard<'a, ShardState> {
-        if let Some(guard) = shard.state.try_lock() {
-            return guard;
-        }
-        self.metrics.shard_contention.inc();
-        shard.state.lock()
-    }
-
-    /// Take one batch into a base stream: coerce → reorder → the stream's
-    /// ordering rule → [`Db::feed`] → [`Db::pump`]. `bound` is a
-    /// heartbeat's time; a heartbeat is the batch of zero tuples, so tuples
-    /// and punctuation share every step. Only the owning shard's lock is
-    /// held.
-    fn ingest_sharded(&self, stream: &str, rows: Vec<Row>, bound: Option<Timestamp>) -> Result<()> {
-        // One timestamp per ingest event; every window this batch closes
-        // measures its latency from here (arrival → result enqueued).
-        let start = Instant::now();
-        let key = stream.to_ascii_lowercase();
-        let shard = self.shard_of_stream(&key, stream)?;
-        let state = &mut *self.lock_shard(&shard);
-        let rt = state
-            .streams
-            .get_mut(&key)
-            .ok_or_else(|| Error::stream(format!("unknown stream `{stream}`")))?;
-        // Coerce rows against the stream schema (streams enforce their
-        // declared types exactly like tables do).
-        let mut released = Vec::with_capacity(rows.len());
-        for r in rows {
-            released.push(rt.decl.schema.coerce_row(r)?);
-        }
-        // Out-of-order slack. A heartbeat releases what the buffer holds
-        // up to its time before any window closes on it.
-        if let Some(rb) = &mut rt.reorder {
-            let before = rb.late_drops();
-            let mut ordered = Vec::new();
-            for r in released {
-                ordered.extend(rb.push(r)?);
-            }
-            if let Some(ts) = bound {
-                ordered.extend(rb.advance_to(ts));
-            }
-            self.metrics.late_drops.add(rb.late_drops() - before);
-            released = ordered;
-        }
-        // The stream's one ordering rule, for every consumer at once: with
-        // no slack to reorder in, the batch is cut at the first tuple older
-        // than one already taken — the prefix is processed, the error
-        // returned, nothing after it applied. It seals every slice a close
-        // has passed, which the slice stores' window views rely on.
-        let mut cut = None;
-        if let (None, Some(c)) = (&rt.reorder, rt.decl.cqtime) {
-            for (i, ts) in released.iter().map(|r| r[c].as_timestamp()).enumerate() {
-                let Ok(ts) = ts else { continue };
-                if ts < rt.high_water {
-                    cut = Some(Error::stream(format!(
-                        "out-of-order tuple: ts {ts} < watermark {} \
-                         (wrap the stream in a ReorderBuffer for slack)",
-                        rt.high_water
-                    )));
-                    released.truncate(i);
-                    break;
-                }
-                rt.high_water = ts;
-            }
-        }
-        rt.high_water = rt.high_water.max(bound.unwrap_or(Timestamp::MIN));
-        if released.is_empty() && bound.is_none() {
-            return cut.map_or(Ok(()), Err);
-        }
-        self.metrics.tuples_in.add(released.len() as u64);
-        let (emitted, err) = self.feed(state, &key, released.into(), bound);
-        let pumped = self.pump(state, emitted, start);
-        err.or(pumped.err()).or(cut).map_or(Ok(()), Err)
-    }
-
-    /// Take one batch through a stream, base or derived — the one path:
-    /// [`Db::archive`] → [`Db::consume`]. `bound` is the time the batch
-    /// carries beyond its tuples: a heartbeat's, or, for a derived stream,
-    /// the close of the upstream window the batch is the result of.
-    fn feed(
-        &self,
-        state: &mut ShardState,
-        stream: &str,
-        rows: Arc<[Row]>,
-        bound: Option<Timestamp>,
-    ) -> (Vec<(u64, CqOutput)>, Option<Error>) {
-        match self.archive(state, stream, &rows, bound) {
-            Ok(()) => self.consume(state, stream, &rows, bound, false),
-            Err(e) => (Vec::new(), Some(e)),
-        }
-    }
-
-    /// Write a batch to every channel of its stream in one transaction
-    /// that, for a derived stream, also moves the resume watermark — so
-    /// recovery can never observe a watermark without its archived window
-    /// or vice versa (exactly-once archiving across crashes — the §4
-    /// recovery contract). An empty derived batch is a window all the same:
-    /// it commits its watermark and empties a REPLACE table. A base
-    /// stream's heartbeat is no tuple, and archives nothing.
-    fn archive(
-        &self,
-        state: &ShardState,
-        stream: &str,
-        rows: &[Row],
-        bound: Option<Timestamp>,
-    ) -> Result<()> {
-        let Some(rt) = state.streams.get(stream) else {
-            return Ok(());
-        };
-        let archives = if rows.is_empty() && !rt.derived {
-            &[]
-        } else {
-            rt.channels.as_slice()
-        };
-        if !rt.derived && archives.is_empty() {
-            return Ok(());
-        }
-        let mut written = Vec::with_capacity(archives.len());
-        self.engine.with_txn_on(state.domain, |x| {
-            for ch in archives {
-                if ch.mode == ChannelMode::Replace {
-                    self.engine.delete_all_visible(x, ch.table_id)?;
-                }
-                written.push(self.engine.insert_many(x, ch.table_id, rows.to_vec())?);
-            }
-            match (rt.derived, bound) {
-                (true, Some(close)) => save_watermark_txn(&self.engine, x, stream, close),
-                _ => Ok(()),
-            }
-        })?;
-        for (ch, n) in archives.iter().zip(written) {
-            // The generation a REPLACE commit replaced is dead to every
-            // snapshot taken from here on; what no older pin still sees
-            // goes now.
-            if ch.mode == ChannelMode::Replace {
-                self.engine.reclaim(ch.table_id)?;
-            }
-            ch.rows_written.fetch_add(n, Ordering::SeqCst);
-            self.metrics.rows_archived.add(n);
-        }
-        Ok(())
-    }
-
-    /// Take one batch through everything that reads its stream: slice
-    /// stores → stage → evaluate. Returns what the stream's consumers
-    /// emitted, in (CQ registration, window close) order, and the first
-    /// error — a store's, in store order, before a CQ's, in registration ×
-    /// close order. An error belongs to the CQ that raised it: a failing
-    /// store closes nothing for its members, a failing stage or plan
-    /// loses that one window, and every other window is returned. A
-    /// `replay` of archived rows at open reaches only the time windows: a
-    /// count window has no cursor to resume and would close them twice.
-    fn consume(
-        &self,
-        state: &mut ShardState,
-        stream: &str,
-        rows: &Arc<[Row]>,
-        bound: Option<Timestamp>,
-        replay: bool,
-    ) -> (Vec<(u64, CqOutput)>, Option<Error>) {
-        let ShardState { streams, cqs, .. } = state;
-        // Dropped mid-flight.
-        let Some(rt) = streams.get_mut(stream) else {
-            return (Vec::new(), None);
-        };
-        let last = rt
-            .decl
-            .cqtime
-            .and_then(|c| rows.last()?.get(c)?.as_timestamp().ok());
-        rt.high_water = rt.high_water.max(last.max(bound).unwrap_or(Timestamp::MIN));
-        // Slice stores: each takes every tuple once, however many CQs read
-        // it, and closes every due window of every member — one pool job
-        // per store.
-        let phase = Instant::now();
-        let mut advanced = (rt.stores).advance(rows, bound, Some(&self.pool), Some(&self.engine));
-        self.metrics.store_phase_us.observe_from(phase);
-        advanced.count(&self.metrics.ivm);
-        let mut first_err = advanced.failed.first().map(|(_, e)| e.clone());
-
-        // Per-CQ window staging, in registration × close order: a time
-        // window wraps what its store just closed, a count window buffers
-        // the rows. A CQ that fails to stage holds its error's place.
-        let mut staged: Vec<(u64, Result<WindowTask>)> = Vec::new();
-        for &id in &rt.cq_ids {
-            let Some(entry) = cqs
-                .get_mut(&id)
-                .filter(|e| !replay || e.cq.slot().is_some())
-            else {
-                continue;
-            };
-            let mut tasks = Vec::new();
-            let res = entry.cq.stage(rows, bound, &mut advanced, &mut tasks);
-            staged.extend(tasks.into_iter().map(|t| (id, Ok(t))));
-            if let Err(e) = res {
-                staged.push((id, Err(e)));
-            }
-        }
-
-        // `run_ordered` hands results back in submission order — exactly
-        // the (CQ registration, window close) order serial execution
-        // produces — so downstream output is byte-identical to the
-        // single-threaded engine. Each task hands its window to its plan.
-        let phase = Instant::now();
-        let meta: Vec<(u64, usize)> = staged
-            .iter()
-            .map(|(id, t)| (*id, t.as_ref().map_or(0, WindowTask::input_rows)))
-            .collect();
-        let jobs: Vec<_> = staged
-            .into_iter()
-            .map(|(_, t)| move || t?.run_owned())
-            .collect();
-        let mut emitted = Vec::with_capacity(jobs.len());
-        for ((id, in_rows), res) in meta.into_iter().zip(self.pool.run_ordered(jobs)) {
-            match res {
-                Ok(out) => {
-                    if let Some(entry) = cqs.get_mut(&id) {
-                        entry.cq.finish_window(in_rows, &out);
-                    }
-                    emitted.push((id, out));
-                }
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        self.metrics.post_plan_us.observe_from(phase);
-        (emitted, first_err)
-    }
-
-    /// Propagate CQ outputs through their sinks, breadth-first: a client's
-    /// goes to its subscription queue, a derived stream's is that stream's
-    /// next batch (derived-stream composition, §3.2) and takes the same
-    /// [`Db::feed`] a base stream's tuples do — whatever it emits joins the
-    /// queue. `start` is the one timestamp taken when the triggering batch
-    /// or heartbeat arrived; each CQ's close-latency histogram observes the
-    /// elapsed time when its result is enqueued. Cascades stay inside the
-    /// owning shard (a derived stream lives with its root base stream).
-    /// Everything in the queue is delivered; the first error a cascade hit
-    /// is returned after.
-    fn pump(
-        &self,
-        state: &mut ShardState,
-        emitted: Vec<(u64, CqOutput)>,
-        start: Instant,
-    ) -> Result<()> {
-        let mut queue: VecDeque<(u64, CqOutput)> = emitted.into();
-        let mut first_err = None;
-        let mut published = false;
-        while let Some((cq_id, out)) = queue.pop_front() {
-            self.metrics.windows_out.inc();
-            // A CQ dropped mid-flight has no sink left.
-            let Some(entry) = state.cqs.get(&cq_id) else {
-                continue;
-            };
-            entry.close_hist.observe_from(start);
-            match &entry.sink {
-                Sink::Client(sub) => {
-                    // The depth gauge is settled inside `offer`.
-                    if let Some(queue) = self.subs.lock().get_mut(sub) {
-                        self.metrics.sub_drops.add(queue.offer(Arc::new(out)));
-                        published = true;
-                    }
-                }
-                Sink::Derived(name) => {
-                    let name = name.clone();
-                    let rows = out.relation.into_rows().into();
-                    let (outs, err) = self.feed(state, &name, rows, Some(out.close));
-                    queue.extend(outs);
-                    first_err = first_err.or(err);
-                }
-            }
-        }
-        if published {
-            self.notify.notify();
-        }
-        first_err.map_or(Ok(()), Err)
+        catalog.shards[idx].clone()
     }
 
     fn persist_ddl(&self, catalog: &mut Catalog, kind: &str, key: &str, sql: &str) -> Result<()> {
@@ -1556,8 +1118,7 @@ impl Db {
         Ok(())
     }
 
-    fn unpersist_ddl(&self, catalog: &mut Catalog, kind: &str, key: &str) -> Result<()> {
-        let _ = catalog;
+    fn unpersist_ddl(&self, _catalog: &mut Catalog, kind: &str, key: &str) -> Result<()> {
         let ref_key = format!("ddlref.{kind}.{key}");
         if let Some(ddl_key) = self.engine.catalog_get(&ref_key) {
             self.engine.catalog_del(&ddl_key)?;
@@ -1579,15 +1140,6 @@ impl Db {
         self.catalog.lock().ddl_seq = max_seq + 1;
         Ok(())
     }
-
-    /// Rows written by a channel so far.
-    pub fn channel_rows_written(&self, channel: &str) -> Option<u64> {
-        self.catalog
-            .lock()
-            .channels
-            .get(&channel.to_ascii_lowercase())
-            .map(|c| c.rows_written.load(Ordering::SeqCst))
-    }
 }
 
 /// `DROP` result for an object that was not found.
@@ -1597,15 +1149,6 @@ fn missing(what: &str, name: &str, if_exists: bool) -> Result<ExecResult> {
     } else {
         Err(Error::catalog(format!("{what} `{name}` does not exist")))
     }
-}
-
-/// Fetch a shard handle by index (all callers hold the catalog lock).
-fn shard_at(catalog: &Catalog, idx: usize) -> Result<Arc<Shard>> {
-    catalog
-        .shards
-        .get(idx)
-        .cloned()
-        .ok_or_else(|| Error::stream(format!("shard {idx} out of range")))
 }
 
 struct ProviderView<'a> {
@@ -1790,7 +1333,8 @@ mod tests {
             row!["/home", 6i64, Value::Timestamp(3 * MINUTES)]
         );
         assert_eq!(db.stats().rows_archived, 6);
-        assert_eq!(db.channel_rows_written("urls_channel"), Some(6));
+        let channels = db.execute("SHOW CHANNELS").unwrap().rows();
+        assert_eq!(channels.rows()[0][3], Value::text("6"), "rows_written");
     }
 
     #[test]
@@ -2110,7 +1654,7 @@ mod tests {
         }
         // Sharing pooled all four CQs into one store, owned by the stream.
         let catalog = db.catalog.lock();
-        let state = catalog.shards[catalog.streams["s"].shard].state.lock();
+        let state = catalog.streams["s"].shard.state.lock();
         assert_eq!(state.streams["s"].stores.len(), 1);
     }
 
@@ -2482,10 +2026,7 @@ mod tests {
             .unwrap()
             .subscription();
         let gauge = db.engine().metrics().gauge("db.sub_queue_depth");
-        let pending_sum = |db: &Db| {
-            let subs = db.subs.lock();
-            subs.values().map(|s| s.pending() as i64).sum::<i64>()
-        };
+        let pending_sum = |db: &Db| db.stats().sub_queued as i64;
         db.ingest("s", row![1i64, Value::Timestamp(1)]).unwrap();
         // Close 5 windows against capacity-2 queues: 3 forced drops
         // per subscription.

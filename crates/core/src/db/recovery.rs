@@ -26,7 +26,7 @@ use streamrel_cq::CqOutput;
 use streamrel_sql::ast::{ChannelMode, WindowSpec};
 use streamrel_types::{Error, Relation, Result, Row, Timestamp};
 
-use super::{shard_at, Db};
+use super::Db;
 use crate::shard::{Shard, ShardState};
 
 /// One stream the open-time step replays: name, shard, where the replay
@@ -77,8 +77,7 @@ impl Db {
         for (name, d) in &catalog.streams {
             let Some(cq_id) = d.producer else { continue };
             let wm = load_watermark(&self.engine, name)?;
-            let shard = shard_at(&catalog, d.shard)?;
-            let ShardState { streams, cqs, .. } = &mut *shard.state.lock();
+            let ShardState { streams, cqs, .. } = &mut *d.shard.state.lock();
             let Some(entry) = cqs.get_mut(&cq_id) else {
                 continue;
             };
@@ -95,15 +94,14 @@ impl Db {
         }
         let mut plan = Vec::new();
         for (name, d) in &catalog.streams {
-            let shard = shard_at(&catalog, d.shard)?;
-            let archive = (shard.state.lock().streams.get(name))
+            let archive = (d.shard.state.lock().streams.get(name))
                 .and_then(|rt| rt.channels.iter().find(|c| c.mode == ChannelMode::Append))
                 .map(|c| c.table_id);
             if let (Some(&from), Some(table), Some(cqtime)) =
                 (from.get(name), archive, d.decl.cqtime)
             {
                 let raw = d.producer.is_none().then_some((table, cqtime));
-                plan.push((d.producer, (name.clone(), shard, from, raw)));
+                plan.push((d.producer, (name.clone(), d.shard.clone(), from, raw)));
             }
         }
         plan.sort_by(|(a, x), (b, y)| (b, &x.0).cmp(&(a, &y.0)));
@@ -148,8 +146,7 @@ impl Db {
                      archived windows cannot be replayed"
                 ))
             })?;
-            let shard = shard_at(&catalog, d.shard)?;
-            let state = shard.state.lock();
+            let state = d.shard.state.lock();
             let channels = state.streams.get(&key).map_or(&[][..], |rt| &rt.channels);
             let append = channels.iter().find(|c| c.mode == ChannelMode::Append);
             let tid = append.map(|c| c.table_id).ok_or_else(|| {

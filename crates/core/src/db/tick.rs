@@ -1,0 +1,345 @@
+//! The tick path: one batch — tuples, a heartbeat's time, or a window of
+//! the CQ behind a derived stream — through a stream and everything
+//! downstream of it, under that stream's shard lock alone. Window plans
+//! run on the worker pool and come back in submission order — (CQ, close)
+//! — so output is byte-identical to serial execution.
+
+// lock-order: catalog < state
+
+use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Instant;
+
+use parking_lot::MutexGuard;
+
+use streamrel_cq::recovery::save_watermark_txn;
+use streamrel_cq::{CqOutput, WindowTask};
+use streamrel_sql::ast::ChannelMode;
+use streamrel_types::{Error, Result, Row, Timestamp};
+
+use super::Db;
+use crate::shard::{Shard, ShardState, Sink};
+
+impl Db {
+    /// Push one tuple into a base stream (programmatic fast path; the SQL
+    /// path is `INSERT INTO <stream> VALUES ...`).
+    pub fn ingest(&self, stream: &str, row: Row) -> Result<()> {
+        self.ingest_batch(stream, vec![row])
+    }
+
+    /// Push many tuples (one archiving transaction for raw channels).
+    /// Only the owning shard's lock is held: concurrent ingest into
+    /// other streams proceeds in parallel.
+    pub fn ingest_batch(&self, stream: &str, rows: Vec<Row>) -> Result<()> {
+        self.ingest_sharded(stream, rows, None)
+    }
+
+    /// Advance a stream's event time without data: releases what the
+    /// reorder buffer still holds up to `ts`, then closes the due windows
+    /// of every CQ over the stream (punctuation / heartbeat). To the
+    /// engine this is a batch of zero tuples plus a time bound, on the
+    /// same path as [`Db::ingest_batch`].
+    ///
+    /// If a CQ's window evaluation fails, results already produced by
+    /// earlier CQs (and earlier windows of the failing CQ) are still
+    /// delivered before the error is returned — an error in one plan
+    /// never silently discards another CQ's output.
+    pub fn heartbeat(&self, stream: &str, ts: Timestamp) -> Result<()> {
+        self.ingest_sharded(stream, Vec::new(), Some(ts))
+    }
+
+    /// Resolve a base stream to its shard (brief catalog lock only).
+    fn shard_of_stream(&self, key: &str, display: &str) -> Result<Arc<Shard>> {
+        let catalog = self.catalog.lock();
+        let stream = catalog
+            .streams
+            .get(key)
+            .ok_or_else(|| Error::stream(format!("unknown stream `{display}`")))?;
+        if stream.producer.is_some() {
+            return Err(Error::stream(format!(
+                "`{display}` is a derived stream: its tuples and its time come from \
+                 the query behind it, not from ingest or heartbeat"
+            )));
+        }
+        Ok(stream.shard.clone())
+    }
+
+    /// Acquire a shard's state lock, counting contended acquisitions.
+    pub(super) fn lock_shard<'a>(&self, shard: &'a Shard) -> MutexGuard<'a, ShardState> {
+        if let Some(guard) = shard.state.try_lock() {
+            return guard;
+        }
+        self.metrics.shard_contention.inc();
+        shard.state.lock()
+    }
+
+    /// Take one batch into a base stream: coerce → reorder → the stream's
+    /// ordering rule → [`Db::feed`] → [`Db::pump`]. `bound` is a
+    /// heartbeat's time; a heartbeat is the batch of zero tuples, so tuples
+    /// and punctuation share every step. Only the owning shard's lock is
+    /// held.
+    fn ingest_sharded(&self, stream: &str, rows: Vec<Row>, bound: Option<Timestamp>) -> Result<()> {
+        // One timestamp per ingest event; every window this batch closes
+        // measures its latency from here (arrival → result enqueued).
+        let start = Instant::now();
+        let key = stream.to_ascii_lowercase();
+        let shard = self.shard_of_stream(&key, stream)?;
+        let state = &mut *self.lock_shard(&shard);
+        let rt = state
+            .streams
+            .get_mut(&key)
+            .ok_or_else(|| Error::stream(format!("unknown stream `{stream}`")))?;
+        // Coerce rows against the stream schema (streams enforce their
+        // declared types exactly like tables do).
+        let mut released = Vec::with_capacity(rows.len());
+        for r in rows {
+            released.push(rt.decl.schema.coerce_row(r)?);
+        }
+        // Out-of-order slack. A heartbeat releases what the buffer holds
+        // up to its time before any window closes on it.
+        if let Some(rb) = &mut rt.reorder {
+            let before = rb.late_drops();
+            let mut ordered = Vec::new();
+            for r in released {
+                ordered.extend(rb.push(r)?);
+            }
+            if let Some(ts) = bound {
+                ordered.extend(rb.advance_to(ts));
+            }
+            self.metrics.late_drops.add(rb.late_drops() - before);
+            released = ordered;
+        }
+        // The stream's one ordering rule, for every consumer at once: with
+        // no slack to reorder in, the batch is cut at the first tuple older
+        // than one already taken — the prefix is processed, the error
+        // returned, nothing after it applied. It seals every slice a close
+        // has passed, which the slice stores' window views rely on.
+        let mut cut = None;
+        if let (None, Some(c)) = (&rt.reorder, rt.decl.cqtime) {
+            for (i, ts) in released.iter().map(|r| r[c].as_timestamp()).enumerate() {
+                let Ok(ts) = ts else { continue };
+                if ts < rt.high_water {
+                    cut = Some(Error::stream(format!(
+                        "out-of-order tuple: ts {ts} < watermark {} \
+                         (wrap the stream in a ReorderBuffer for slack)",
+                        rt.high_water
+                    )));
+                    released.truncate(i);
+                    break;
+                }
+                rt.high_water = ts;
+            }
+        }
+        rt.high_water = rt.high_water.max(bound.unwrap_or(Timestamp::MIN));
+        if released.is_empty() && bound.is_none() {
+            return cut.map_or(Ok(()), Err);
+        }
+        self.metrics.tuples_in.add(released.len() as u64);
+        let (emitted, err) = self.feed(state, &key, released.into(), bound);
+        let pumped = self.pump(state, emitted, start);
+        err.or(pumped.err()).or(cut).map_or(Ok(()), Err)
+    }
+
+    /// Take one batch through a stream, base or derived — the one path:
+    /// [`Db::archive`] → [`Db::consume`]. `bound` is the time the batch
+    /// carries beyond its tuples: a heartbeat's, or, for a derived stream,
+    /// the close of the upstream window the batch is the result of.
+    fn feed(
+        &self,
+        state: &mut ShardState,
+        stream: &str,
+        rows: Arc<[Row]>,
+        bound: Option<Timestamp>,
+    ) -> (Vec<(u64, CqOutput)>, Option<Error>) {
+        match self.archive(state, stream, &rows, bound) {
+            Ok(()) => self.consume(state, stream, &rows, bound, false),
+            Err(e) => (Vec::new(), Some(e)),
+        }
+    }
+
+    /// Write a batch to every channel of its stream in one transaction
+    /// that, for a derived stream, also moves the resume watermark — so
+    /// recovery can never observe a watermark without its archived window
+    /// or vice versa (exactly-once archiving across crashes — the §4
+    /// recovery contract). An empty derived batch is a window all the same:
+    /// it commits its watermark and empties a REPLACE table. A base
+    /// stream's heartbeat is no tuple, and archives nothing.
+    fn archive(
+        &self,
+        state: &ShardState,
+        stream: &str,
+        rows: &[Row],
+        bound: Option<Timestamp>,
+    ) -> Result<()> {
+        let Some(rt) = state.streams.get(stream) else {
+            return Ok(());
+        };
+        let archives = if rows.is_empty() && !rt.derived {
+            &[]
+        } else {
+            rt.channels.as_slice()
+        };
+        if !rt.derived && archives.is_empty() {
+            return Ok(());
+        }
+        let mut written = Vec::with_capacity(archives.len());
+        self.engine.with_txn_on(state.domain, |x| {
+            for ch in archives {
+                if ch.mode == ChannelMode::Replace {
+                    self.engine.delete_all_visible(x, ch.table_id)?;
+                }
+                written.push(self.engine.insert_many(x, ch.table_id, rows.to_vec())?);
+            }
+            match (rt.derived, bound) {
+                (true, Some(close)) => save_watermark_txn(&self.engine, x, stream, close),
+                _ => Ok(()),
+            }
+        })?;
+        for (ch, n) in archives.iter().zip(written) {
+            // The generation a REPLACE commit replaced is dead to every
+            // snapshot taken from here on; what no older pin still sees
+            // goes now.
+            if ch.mode == ChannelMode::Replace {
+                self.engine.reclaim(ch.table_id)?;
+            }
+            ch.rows_written.fetch_add(n, Ordering::SeqCst);
+            self.metrics.rows_archived.add(n);
+        }
+        Ok(())
+    }
+
+    /// Take one batch through everything that reads its stream: slice
+    /// stores → stage → evaluate. Returns what the stream's consumers
+    /// emitted, in (CQ registration, window close) order, and the first
+    /// error — a store's, in store order, before a CQ's, in registration ×
+    /// close order. An error belongs to the CQ that raised it: a failing
+    /// store closes nothing for its members, a failing stage or plan
+    /// loses that one window, and every other window is returned. A
+    /// `replay` of archived rows at open reaches only the time windows: a
+    /// count window has no cursor to resume and would close them twice.
+    pub(super) fn consume(
+        &self,
+        state: &mut ShardState,
+        stream: &str,
+        rows: &Arc<[Row]>,
+        bound: Option<Timestamp>,
+        replay: bool,
+    ) -> (Vec<(u64, CqOutput)>, Option<Error>) {
+        let ShardState { streams, cqs, .. } = state;
+        // Dropped mid-flight.
+        let Some(rt) = streams.get_mut(stream) else {
+            return (Vec::new(), None);
+        };
+        let last = rt
+            .decl
+            .cqtime
+            .and_then(|c| rows.last()?.get(c)?.as_timestamp().ok());
+        rt.high_water = rt.high_water.max(last.max(bound).unwrap_or(Timestamp::MIN));
+        // Slice stores: each takes every tuple once, however many CQs read
+        // it, and closes every due window of every member — one pool job
+        // per store.
+        let phase = Instant::now();
+        let mut advanced = (rt.stores).advance(rows, bound, Some(&self.pool), Some(&self.engine));
+        self.metrics.store_phase_us.observe_from(phase);
+        advanced.count(&self.metrics.ivm);
+        let mut first_err = advanced.failed.first().map(|(_, e)| e.clone());
+
+        // Per-CQ window staging, in registration × close order: a time
+        // window wraps what its store just closed, a count window buffers
+        // the rows. A CQ that fails to stage holds its error's place.
+        let mut staged: Vec<(u64, Result<WindowTask>)> = Vec::new();
+        for &id in &rt.cq_ids {
+            let Some(entry) = cqs
+                .get_mut(&id)
+                .filter(|e| !replay || e.cq.slot().is_some())
+            else {
+                continue;
+            };
+            let mut tasks = Vec::new();
+            let res = entry.cq.stage(rows, bound, &mut advanced, &mut tasks);
+            staged.extend(tasks.into_iter().map(|t| (id, Ok(t))));
+            if let Err(e) = res {
+                staged.push((id, Err(e)));
+            }
+        }
+
+        // `run_ordered` hands results back in submission order — exactly
+        // the (CQ registration, window close) order serial execution
+        // produces — so downstream output is byte-identical to the
+        // single-threaded engine. Each task hands its window to its plan.
+        let phase = Instant::now();
+        let meta: Vec<(u64, usize)> = staged
+            .iter()
+            .map(|(id, t)| (*id, t.as_ref().map_or(0, WindowTask::input_rows)))
+            .collect();
+        let jobs: Vec<_> = staged
+            .into_iter()
+            .map(|(_, t)| move || t?.run_owned())
+            .collect();
+        let mut emitted = Vec::with_capacity(jobs.len());
+        for ((id, in_rows), res) in meta.into_iter().zip(self.pool.run_ordered(jobs)) {
+            match res {
+                Ok(out) => {
+                    if let Some(entry) = cqs.get_mut(&id) {
+                        entry.cq.finish_window(in_rows, &out);
+                    }
+                    emitted.push((id, out));
+                }
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
+            }
+        }
+        self.metrics.post_plan_us.observe_from(phase);
+        (emitted, first_err)
+    }
+
+    /// Propagate CQ outputs through their sinks, breadth-first: a client's
+    /// goes to its subscription queue, a derived stream's is that stream's
+    /// next batch (derived-stream composition, §3.2) and takes the same
+    /// [`Db::feed`] a base stream's tuples do — whatever it emits joins the
+    /// queue. `start` is the one timestamp taken when the triggering batch
+    /// or heartbeat arrived; each CQ's close-latency histogram observes the
+    /// elapsed time when its result is enqueued. Cascades stay inside the
+    /// owning shard (a derived stream lives with its root base stream).
+    /// Everything in the queue is delivered; the first error a cascade hit
+    /// is returned after.
+    pub(super) fn pump(
+        &self,
+        state: &mut ShardState,
+        emitted: Vec<(u64, CqOutput)>,
+        start: Instant,
+    ) -> Result<()> {
+        let mut queue: VecDeque<(u64, CqOutput)> = emitted.into();
+        let mut first_err = None;
+        let mut published = false;
+        while let Some((cq_id, out)) = queue.pop_front() {
+            self.metrics.windows_out.inc();
+            // A CQ dropped mid-flight has no sink left.
+            let Some(entry) = state.cqs.get(&cq_id) else {
+                continue;
+            };
+            entry.close_hist.observe_from(start);
+            match &entry.sink {
+                Sink::Client(_, queue) => {
+                    // The depth gauge is settled inside `offer`.
+                    let shed = queue.lock().offer(Arc::new(out));
+                    self.metrics.sub_drops.add(shed);
+                    published = true;
+                }
+                Sink::Derived(name) => {
+                    let name = name.clone();
+                    let rows = out.relation.into_rows().into();
+                    let (outs, err) = self.feed(state, &name, rows, Some(out.close));
+                    queue.extend(outs);
+                    first_err = first_err.or(err);
+                }
+            }
+        }
+        if published {
+            self.notify.notify();
+        }
+        first_err.map_or(Ok(()), Err)
+    }
+}

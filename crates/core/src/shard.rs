@@ -12,8 +12,8 @@
 //! feeds included — stays in one shard, so propagation (`pump`) never
 //! needs a second shard's lock.
 //!
-//! This module holds only data; every lock acquisition happens in
-//! `db.rs`, where the file-level `// lock-order:` declaration covers it.
+//! This module holds only data; every lock acquisition happens in `db.rs`
+//! and its modules, each under a file-level `// lock-order:` declaration.
 
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
@@ -27,14 +27,14 @@ use streamrel_sql::ast::ChannelMode;
 use streamrel_types::Timestamp;
 
 use crate::provider::StreamDecl;
-use crate::subscription::SubscriptionId;
+use crate::subscription::{ClientQueue, SubscriptionId};
 
 /// Where a CQ's window results go.
 pub(crate) enum Sink {
     /// Feed the derived stream of this name, in the same shard.
     Derived(String),
-    /// Queue for the client subscription this CQ was registered for.
-    Client(SubscriptionId),
+    /// The queue of the client subscription this CQ was registered for.
+    Client(SubscriptionId, ClientQueue),
 }
 
 /// A running CQ plus its delivery target.

@@ -52,11 +52,9 @@ pub struct Subscription<T = Arc<CqOutput>> {
     depth_gauge: Option<Arc<Gauge>>,
 }
 
-impl<T> Default for Subscription<T> {
-    fn default() -> Subscription<T> {
-        Subscription::bounded(DEFAULT_SUB_CAPACITY)
-    }
-}
+/// A client subscription's queue: its CQ's sink offers into it and its
+/// pollers drain it, each through this `Arc`.
+pub(crate) type ClientQueue = Arc<Mutex<Subscription>>;
 
 /// Default queue capacity when none is configured.
 pub const DEFAULT_SUB_CAPACITY: usize = 1024;
@@ -158,10 +156,10 @@ pub type Waker = Arc<dyn Fn() + Send + Sync>;
 ///   departed reactor costs one dead slot, not a leak.
 // lock-order: generation
 //
-// The notifier's generation lock is a leaf: `Db::pump` releases the
-// `subs` table before publishing. The wakers list lock is private to
-// this type, never nested with any other lock (wakers run after it is
-// released), and so contributes no lock-graph edges.
+// The notifier's generation lock is a leaf: `Db::pump` publishes once,
+// after its last offer, holding no queue lock. The wakers list lock is
+// private to this type, never nested with any other lock (wakers run
+// after it is released), and so contributes no lock-graph edges.
 pub struct ResultNotifier {
     generation: Mutex<u64>,
     cv: Condvar,
@@ -192,11 +190,6 @@ impl ResultNotifier {
     /// Create a notifier (generation 0).
     pub fn new() -> Arc<ResultNotifier> {
         Arc::new(ResultNotifier::default())
-    }
-
-    /// The current generation; bumped every time results are published.
-    pub fn generation(&self) -> u64 {
-        *self.generation.lock()
     }
 
     /// Publish: bump the generation and wake all waiters — blocked
@@ -260,7 +253,7 @@ mod tests {
 
     #[test]
     fn queue_drains_in_order() {
-        let mut s = Subscription::default();
+        let mut s = Subscription::bounded(DEFAULT_SUB_CAPACITY);
         for close in [10, 20] {
             assert_eq!(s.offer(out(close)), 0);
         }
@@ -297,7 +290,7 @@ mod tests {
     #[test]
     fn notifier_wakes_on_publish() {
         let n = ResultNotifier::new();
-        let seen = n.generation();
+        let seen = 0;
         let n2 = n.clone();
         let t = std::thread::spawn(move || n2.wait_newer(seen, std::time::Duration::from_secs(5)));
         // Publish from this thread; the waiter must observe a newer gen.
@@ -332,7 +325,7 @@ mod tests {
     #[test]
     fn notifier_times_out_quietly() {
         let n = ResultNotifier::new();
-        let g = n.wait_newer(n.generation(), std::time::Duration::from_millis(10));
+        let g = n.wait_newer(0, std::time::Duration::from_millis(10));
         assert_eq!(g, 0);
     }
 

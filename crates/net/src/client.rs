@@ -130,7 +130,6 @@ enum Reply {
     Rows(Relation),
     Subscribed(u64, Arc<SubQueue>),
     Heartbeat,
-    Stats(Relation),
     Goodbye,
     Err(String),
 }
@@ -241,14 +240,14 @@ impl Client {
         }
     }
 
-    /// Fetch the server's `streamrel_metrics` virtual relation. The
-    /// schema is byte-identical to `SELECT * FROM streamrel_metrics`
-    /// executed embedded: the server serializes the very same relation.
+    /// Fetch the server's `streamrel_metrics` virtual relation: the
+    /// snapshot query `SELECT * FROM streamrel_metrics`, the same relation
+    /// an embedded caller selects.
     pub fn stats(&self) -> NetResult<Relation> {
-        match self.request(Frame::bare(FrameType::Stats))? {
-            Reply::Stats(rel) => Ok(rel),
-            other => Err(unexpected(&other)),
-        }
+        self.execute(&format!(
+            "SELECT * FROM {}",
+            streamrel_obs::METRICS_RELATION
+        ))
     }
 
     /// Advance a stream's event time (punctuation), closing due windows.
@@ -305,7 +304,6 @@ fn unexpected(reply: &Reply) -> NetError {
         Reply::Rows(_) => "Rows",
         Reply::Subscribed(..) => "Subscribed",
         Reply::Heartbeat => "Heartbeat",
-        Reply::Stats(_) => "StatsResult",
         Reply::Goodbye => "Goodbye",
         Reply::Err(_) => "Error",
     };
@@ -400,10 +398,6 @@ fn reader_loop(mut socket: TcpStream, resp: Sender<Reply>, opts: ClientOptions) 
                 Err(_) => break,
             },
             FrameType::Heartbeat => resp.send(Reply::Heartbeat).is_ok(),
-            FrameType::StatsResult => match wire::decode_rows(&frame.payload) {
-                Ok(rel) => resp.send(Reply::Stats(rel)).is_ok(),
-                Err(_) => break,
-            },
             FrameType::Error => match wire::decode_error(&frame.payload) {
                 Ok(msg) => resp.send(Reply::Err(msg)).is_ok(),
                 Err(_) => break,
@@ -413,11 +407,9 @@ fn reader_loop(mut socket: TcpStream, resp: Sender<Reply>, opts: ClientOptions) 
                 break;
             }
             // Client-to-server frames; the server must not send these.
-            FrameType::Query
-            | FrameType::Ingest
-            | FrameType::Stats
-            | FrameType::Attach
-            | FrameType::SubscribeFrom => break,
+            FrameType::Query | FrameType::Ingest | FrameType::Attach | FrameType::SubscribeFrom => {
+                break
+            }
         };
         if !forwarded {
             // The Client was dropped; nobody is listening any more.

@@ -44,11 +44,6 @@ pub enum FrameType {
     Error = 7,
     /// Either direction: orderly end of the connection.
     Goodbye = 8,
-    /// Client → server: request a snapshot of the engine's metrics.
-    Stats = 9,
-    /// Server → client: the `streamrel_metrics` relation (same payload
-    /// encoding as `Rows`, so the schema is byte-identical to a SELECT).
-    StatsResult = 10,
     /// Client → server: join an existing subscription's fan-out group
     /// (payload: the primary's `u64` id). Answered with `Subscribed`
     /// carrying a fresh id; window results for both ids are encoded from
@@ -76,8 +71,6 @@ impl FrameType {
             6 => FrameType::Heartbeat,
             7 => FrameType::Error,
             8 => FrameType::Goodbye,
-            9 => FrameType::Stats,
-            10 => FrameType::StatsResult,
             11 => FrameType::Attach,
             12 => FrameType::SubscribeFrom,
             _ => return None,
@@ -313,8 +306,11 @@ mod tests {
 
     #[test]
     fn rejects_unknown_type_and_huge_length() {
-        let buf = [2u8, 0, 0, 0, PROTOCOL_VERSION, 200];
-        assert!(Frame::read_from(&mut &buf[..]).is_err());
+        // 9 and 10 were the retired metrics request and reply.
+        for ty in [9, 10, 200] {
+            let buf = [2u8, 0, 0, 0, PROTOCOL_VERSION, ty];
+            assert!(Frame::read_from(&mut &buf[..]).is_err(), "type {ty}");
+        }
         let buf = u32::MAX.to_le_bytes();
         assert!(Frame::read_from(&mut &buf[..]).is_err());
     }

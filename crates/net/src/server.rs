@@ -470,13 +470,6 @@ impl Reactor {
             FrameType::SubscribeFrom => self.handle_subscribe_from(key, &frame.payload),
             FrameType::Ingest => self.handle_ingest(key, &frame.payload),
             FrameType::Heartbeat => self.handle_heartbeat(key, &frame.payload),
-            FrameType::Stats => {
-                let rel = self.db.metrics_relation();
-                self.enqueue_ctrl(
-                    key,
-                    &Frame::new(FrameType::StatsResult, wire::encode_rows(&rel)),
-                );
-            }
             FrameType::Goodbye => {
                 // Reap before acking so a synchronous `close()` observes
                 // its subscriptions already gone.
@@ -491,8 +484,7 @@ impl Reactor {
             FrameType::Rows
             | FrameType::Subscribed
             | FrameType::WindowResult
-            | FrameType::Error
-            | FrameType::StatsResult => {
+            | FrameType::Error => {
                 self.enqueue_ctrl(
                     key,
                     &Frame::new(

@@ -16,8 +16,6 @@
 //! | `SubscribeFrom`| `str` stream, `i64` replay-after close (µs)        |
 //! | `Error`        | `str` message                                      |
 //! | `Goodbye`      | (empty)                                            |
-//! | `Stats`        | (empty)                                            |
-//! | `StatsResult`  | relation (the `streamrel_metrics` virtual relation)|
 //!
 //! where `relation` = schema, `u32` row count, rows.
 

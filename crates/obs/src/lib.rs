@@ -53,8 +53,8 @@ pub fn virtual_schema(name: &str) -> Option<Schema> {
 
 /// Materialize a virtual relation by name against a registry, if `name`
 /// is one. This is the single scan path shared by embedded `SELECT`s, CQ
-/// window plans, and the wire protocol's `Stats` frame, which is what
-/// keeps the schema byte-identical across all three surfaces.
+/// window plans and `Client::stats()` over the wire, which is what keeps
+/// the schema byte-identical across all three surfaces.
 pub fn virtual_relation(name: &str, registry: &Arc<Registry>) -> Option<Relation> {
     if name.eq_ignore_ascii_case(METRICS_RELATION) {
         Some(registry.to_relation())

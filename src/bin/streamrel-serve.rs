@@ -10,13 +10,12 @@
 //! and the chosen port is printed as a `PORT=<n>` stdout line for
 //! scripts) and serves the wire protocol:
 //! snapshot SQL, DDL, ingest, heartbeats, pushed continuous-query
-//! results, and `Stats` metric snapshots. Runs until killed; durable
+//! results and metric snapshots. Runs until killed; durable
 //! databases recover their DDL and watermarks on the next start.
 //!
 //! With `--metrics-interval <secs>`, the server also prints the
 //! `streamrel_metrics` relation to stdout every interval — the same rows
-//! a client gets from `SELECT * FROM streamrel_metrics` or a `Stats`
-//! frame.
+//! a client gets from `SELECT * FROM streamrel_metrics`.
 
 #![deny(unsafe_code)]
 

@@ -413,6 +413,42 @@ fn ddl_objects_survive_restart() {
     }
 }
 
+/// Regression: `CREATE TABLE` skipped the stream/view namespace check, so
+/// a table could take a stream's name, and the reopen then failed when
+/// DDL replay met the table the log had already recovered.
+#[test]
+fn a_table_cannot_take_a_stream_or_view_name() {
+    let dir = tmpdir("table-name");
+    {
+        let db = Db::open(&dir, DbOptions::default()).unwrap();
+        db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
+            .unwrap();
+        db.execute("CREATE VIEW v AS SELECT 1 one").unwrap();
+        for name in ["s", "v", "S"] {
+            for ddl in ["CREATE TABLE", "CREATE TABLE IF NOT EXISTS"] {
+                let err = db
+                    .execute(&format!("{ddl} {name} (a integer)"))
+                    .unwrap_err();
+                assert!(err.to_string().contains("already in use"), "{err}");
+            }
+        }
+        // On an existing table, IF NOT EXISTS is still a no-op.
+        db.execute("CREATE TABLE t (a integer)").unwrap();
+        db.execute("CREATE TABLE IF NOT EXISTS t (a integer)")
+            .unwrap();
+        assert!(db.execute("CREATE TABLE t (a integer)").is_err());
+    }
+    let db = Db::open(&dir, DbOptions::default()).unwrap();
+    let names = |show: &str| -> Vec<Value> {
+        let rel = db.execute(show).unwrap().rows();
+        rel.rows().iter().map(|r| r[0].clone()).collect()
+    };
+    assert_eq!(names("SHOW STREAMS"), [Value::text("s")]);
+    assert_eq!(names("SHOW VIEWS"), [Value::text("v")]);
+    assert_eq!(names("SHOW TABLES"), [Value::text("t")]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn dropped_objects_stay_dropped_after_restart() {
     let dir = tmpdir("dropped");

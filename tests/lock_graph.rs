@@ -159,30 +159,30 @@ fn clean_graph_yields_topological_order_and_closure() {
 /// Inverting a `LOCK_MUST_PRECEDE` pair at runtime panics with a message
 /// naming both acquisition sites — the regression the witness exists to
 /// catch. Uses the real generated table, so this also pins the contract
-/// that `core.state < core.subs` stays in the merged order.
+/// that `core.catalog < core.state` stays in the merged order.
 #[test]
 fn witness_panics_on_inverted_acquisition_naming_both_sites() {
     let table = streamrel_check::lock_graph_gen::LOCK_MUST_PRECEDE;
     assert!(
-        table.contains(&("core.state", "core.subs")),
-        "generated order lost the state < subs edge; pick another pair"
+        table.contains(&("core.catalog", "core.state")),
+        "generated order lost the catalog < state edge; pick another pair"
     );
     parking_lot::witness::install_order(table);
     parking_lot::witness::enable();
 
-    let subs = parking_lot::Mutex::named("core.subs", ());
+    let catalog = parking_lot::Mutex::named("core.catalog", ());
     let state = parking_lot::Mutex::named("core.state", ());
 
-    // Correct order first: state then subs is silent.
+    // Correct order first: catalog then state is silent.
     {
+        let _c = catalog.lock();
         let _s = state.lock();
-        let _q = subs.lock();
     }
 
-    // Inverted order: acquiring `state` while holding `subs` must panic.
+    // Inverted order: acquiring `catalog` while holding `state` must panic.
     let err = catch_unwind(AssertUnwindSafe(|| {
-        let _held = subs.lock();
-        let _bad = state.lock();
+        let _held = state.lock();
+        let _bad = catalog.lock();
     }))
     .expect_err("inverted acquisition must trip the witness");
     parking_lot::witness::disable();
@@ -195,14 +195,14 @@ fn witness_panics_on_inverted_acquisition_naming_both_sites() {
     // Both sites are named: the acquiring site and the held site, each
     // as a file:line inside this test.
     assert!(
-        msg.contains("acquiring `core.state` at tests/lock_graph.rs:"),
+        msg.contains("acquiring `core.catalog` at tests/lock_graph.rs:"),
         "{msg}"
     );
     assert!(
-        msg.contains("holding `core.subs` acquired at tests/lock_graph.rs:"),
+        msg.contains("holding `core.state` acquired at tests/lock_graph.rs:"),
         "{msg}"
     );
-    assert!(msg.contains("`core.state` < `core.subs`"), "{msg}");
+    assert!(msg.contains("`core.catalog` < `core.state`"), "{msg}");
     // The panic tells the reader where the order comes from.
     assert!(msg.contains("lock_graph.gen.rs"), "{msg}");
 }

@@ -180,20 +180,24 @@ fn malformed_frame_gets_error_and_server_survives() {
     let server = Server::serve(db.clone(), "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
 
-    // Hand-roll a frame with a bogus protocol version byte.
+    // Hand-roll frames with a bogus protocol version byte, and with the
+    // types 9 and 10 the retired metrics request and reply used.
     use std::io::Write;
-    let mut raw = TcpStream::connect(addr).unwrap();
-    raw.write_all(&[2, 0, 0, 0, 99, 1]).unwrap();
-    let reply = Frame::read_from(&mut raw).unwrap().expect("error frame");
-    assert_eq!(reply.ty, FrameType::Error);
-    let msg = wire::decode_error(&reply.payload).unwrap();
-    assert!(
-        msg.contains("version"),
-        "diagnostic names the problem: {msg}"
-    );
-    // The server hangs up on protocol corruption…
-    assert!(Frame::read_from(&mut raw).unwrap().is_none());
-    drop(raw);
+    let v = streamrel::net::PROTOCOL_VERSION;
+    for (bytes, problem) in [
+        ([2, 0, 0, 0, 99, 1], "version"),
+        ([2, 0, 0, 0, v, 9], "unknown frame type 9"),
+        ([2, 0, 0, 0, v, 10], "unknown frame type 10"),
+    ] {
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.write_all(&bytes).unwrap();
+        let reply = Frame::read_from(&mut raw).unwrap().expect("error frame");
+        assert_eq!(reply.ty, FrameType::Error);
+        let msg = wire::decode_error(&reply.payload).unwrap();
+        assert!(msg.contains(problem), "diagnostic names the problem: {msg}");
+        // The server hangs up on protocol corruption…
+        assert!(Frame::read_from(&mut raw).unwrap().is_none());
+    }
 
     // …but keeps serving well-formed clients.
     let client = Client::connect(addr).unwrap();
