@@ -9,6 +9,7 @@
 //! one run. Its throughput figures are [`Report::rates`], which
 //! `scripts/bench_check.sh` bands against the committed file.
 
+use std::collections::HashSet;
 use std::error::Error;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -62,6 +63,9 @@ struct IvmRun {
     lowered: u64,
     /// `ivm.join.table_scans` at the end.
     scans: u64,
+    /// `ivm.keys` at the end, and once a heartbeat has closed every window
+    /// and evicted every slice.
+    keys: (i64, i64),
 }
 
 /// One `ivm` run over `rows` rows (after `warm` untimed ones), in batches
@@ -111,6 +115,9 @@ fn ivm_run(
     }
     let tps = rows as f64 / start.elapsed().as_secs_f64();
     let after = closed();
+    let keys = metrics.gauge("ivm.keys");
+    let held = keys.get();
+    db.heartbeat("hits", clock + 20 * MINUTES)?;
     let closes = after.0 - before.0;
     let per_close = |total: u64| total as f64 / closes.max(1) as f64;
     Ok(IvmRun {
@@ -120,6 +127,7 @@ fn ivm_run(
         merges: per_close(after.2 - before.2),
         lowered,
         scans: metrics.counter("ivm.join.table_scans").get(),
+        keys: (held, keys.get()),
     })
 }
 
@@ -139,6 +147,10 @@ fn ivm_run(
 /// whose view emits in key order and so probes nothing. The sweep's close
 /// time is printed, not claimed: it is not monotone in the ratio.
 ///
+/// The store's key dictionary holds each live key once: `ivm.keys`
+/// equals the distinct groups of the live slices, computed from the input,
+/// and reads 0 once a heartbeat has evicted every slice (no id leaks).
+///
 /// A sliding stream-table join reads its table once per table version:
 /// once over an unchanged table however many windows close, and once more
 /// per commit between closes. Its close time is printed, not claimed.
@@ -149,6 +161,14 @@ pub fn ivm() -> SuiteResult {
     let reeval = ivm_run(private().without_ivm(), &ivm_cq(60, ""), (0, rows), false)?;
     let inc = ivm_run(private(), &ivm_cq(60, ""), (0, rows), false)?;
     let speedup = inc.tps / reeval.tps;
+    // The keys the live slices hold, from the input: the groups of tuple
+    // `i` (at `i` steps) from the next window's low edge (VISIBLE 120 s,
+    // ADVANCE 2 s) on.
+    let (rows_i, advance) = (rows as i64, 2_000_000);
+    let horizon = (rows_i * IVM_STEP_US / advance + 1) * advance - 60 * advance;
+    let live: HashSet<i64> = (horizon / IVM_STEP_US..=rows_i)
+        .map(|i| i % IVM_GROUPS)
+        .collect();
     let close_speedup = reeval.close_us / inc.close_us.max(1e-9);
 
     let mut table = ResultTable::new(&["configuration", "rows/s", "closes", "mean close"]);
@@ -180,6 +200,8 @@ pub fn ivm() -> SuiteResult {
         ),
         Claim::new("windows_closed", inc.closes as f64, Op::Gt, 0.0),
         Claim::new("speedup", speedup, Op::Ge, 2.0),
+        Claim::new("keys_held", inc.keys.0 as f64, Op::Eq, live.len() as f64),
+        Claim::new("keys_after_drain", inc.keys.1 as f64, Op::Eq, 0.0),
     ];
     // Timed once the widest window (600 s of 10 ms steps) has filled.
     let mut table = ResultTable::new(&[

@@ -300,11 +300,13 @@ pub fn check_plan(plan: &LogicalPlan, ctx: &CheckContext) -> CheckReport {
     });
     let mut state_bound = state_bound(plan);
     if path == "ivm" {
-        // A slice store never buffers window tuples: standing state is the
-        // per-slice partials, bounded by distinct keys — not arrival rate.
+        // A slice store never buffers window tuples: standing state is its
+        // key dictionary and the per-slice partials by key id, bounded by
+        // distinct keys — not arrival rate.
         state_bound.push_str(
-            "; ivm: buffered tuples replaced by per-slice aggregate \
-             partials (bounded by distinct keys per slice)",
+            "; ivm: buffered tuples replaced by a key dictionary (each \
+             distinct key once per store) plus per-slice aggregate \
+             partials by key id",
         );
         if let Some(IvmShape::JoinAgg { join, .. }) = program.map(|p| &p.shape) {
             let table = format!(", plus one count per distinct join key of `{}`", join.table);

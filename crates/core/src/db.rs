@@ -1065,7 +1065,9 @@ impl Db {
         };
         rt.cq_ids.retain(|&id| id != cq_id);
         if let Some(slot) = entry.cq.slot() {
-            self.metrics.ivm.state_bytes.add(rt.stores.leave(slot));
+            let (bytes, keys) = rt.stores.leave(slot);
+            self.metrics.ivm.state_bytes.add(bytes);
+            self.metrics.ivm.keys.add(keys);
         }
     }
 

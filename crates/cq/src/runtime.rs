@@ -789,7 +789,7 @@ mod tests {
         assert!(a.own.is_empty(), "placed in its stream's registry");
         assert_eq!(
             stores.leave(a.slot().unwrap()),
-            0,
+            (0, 0),
             "a sibling still reads the store"
         );
         assert_eq!(stores.len(), 1);

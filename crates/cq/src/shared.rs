@@ -147,8 +147,9 @@ pub struct SharedGroup {
     store: IvmState,
     /// Slot per [`MemberId`]; `None` once that member has left.
     members: Vec<Option<Member>>,
-    /// Store bytes already reported to the `ivm.state.bytes` gauge.
-    reported_bytes: i64,
+    /// Store bytes and keys already reported to the `ivm.state.bytes` and
+    /// `ivm.keys` gauges.
+    reported: (i64, i64),
 }
 
 impl SharedGroup {
@@ -158,7 +159,7 @@ impl SharedGroup {
         SharedGroup {
             store: IvmState::for_shape(shape),
             members: Vec::new(),
-            reported_bytes: 0,
+            reported: (0, 0),
         }
     }
 
@@ -301,7 +302,7 @@ impl SharedGroup {
         out.merges += self.store.merges() - before.1;
         out.table_scans += self.store.table_scans() - before.2;
         self.evict();
-        out.bytes += self.settle_bytes();
+        (out.bytes, out.keys) = self.settle();
         Ok(())
     }
 
@@ -321,15 +322,14 @@ impl SharedGroup {
         self.store.evict(horizon);
     }
 
-    /// Change in bytes held (frozen counts too) since the last call: what
-    /// the caller adds to the `ivm.state.bytes` gauge, which sums stores.
-    fn settle_bytes(&mut self) -> i64 {
+    /// Change in bytes (frozen counts too) and keys held since the last
+    /// call: what the caller adds to the gauges, which sum stores.
+    fn settle(&mut self) -> (i64, i64) {
         let frozen = |m: &Member| m.frozen.as_ref().map_or(0, |c| c.bytes());
         let frozen: usize = self.members.iter().flatten().map(frozen).sum();
-        let now = (self.store.state_bytes() + frozen) as i64;
-        let delta = now - self.reported_bytes;
-        self.reported_bytes = now;
-        delta
+        let bytes = (self.store.state_bytes() + frozen) as i64;
+        let was = std::mem::replace(&mut self.reported, (bytes, self.store.keys() as i64));
+        (bytes - was.0, self.reported.1 - was.1)
     }
 }
 
@@ -351,6 +351,8 @@ pub struct Advanced {
     pub table_scans: u64,
     /// Change in bytes held across stores (the `ivm.state.bytes` gauge).
     pub bytes: i64,
+    /// Change in distinct keys held across stores (the `ivm.keys` gauge).
+    pub keys: i64,
     /// The windows that closed, per member, in close order.
     pub closed: HashMap<Slot, Vec<(Timestamp, WindowOutput)>>,
     /// The stores that failed on the batch, in store order, with their
@@ -365,6 +367,7 @@ impl Advanced {
         ivm.compose_merges.add(self.merges);
         ivm.table_scans.add(self.table_scans);
         ivm.state_bytes.add(self.bytes);
+        ivm.keys.add(self.keys);
     }
 
     fn absorb(&mut self, other: Advanced) {
@@ -372,6 +375,7 @@ impl Advanced {
         self.merges += other.merges;
         self.table_scans += other.table_scans;
         self.bytes += other.bytes;
+        self.keys += other.keys;
         self.closed.extend(other.closed);
         self.failed.extend(other.failed);
     }
@@ -420,19 +424,19 @@ impl SharedRegistry {
     }
 
     /// Remove a member; its store goes with its last member. Returns the
-    /// change in bytes held (for the `ivm.state.bytes` gauge).
-    pub fn leave(&mut self, (id, member): Slot) -> i64 {
+    /// change in bytes and in keys held (for the `ivm.state.bytes` and
+    /// `ivm.keys` gauges).
+    pub fn leave(&mut self, (id, member): Slot) -> (i64, i64) {
         let Some(store) = self.stores.get_mut(&id) else {
-            return 0;
+            return (0, 0);
         };
         if !store.leave(member) {
-            return store.settle_bytes();
+            return store.settle();
         }
         // The store goes, and everything it held leaves the account.
         self.pooled.retain(|_, pooled| *pooled != id);
-        self.stores
-            .remove(&id)
-            .map_or(0, |gone| -gone.reported_bytes)
+        let gone = self.stores.remove(&id).map_or((0, 0), |gone| gone.reported);
+        (-gone.0, -gone.1)
     }
 
     /// Resume a member after recovery: windows closing at or before
@@ -729,17 +733,19 @@ mod tests {
         let out = reg.advance(&Arc::from([tup("/a", 10)]), None, None, None);
         assert_eq!(out.delta_rows, 3, "one fold per store");
         assert!(out.bytes > 0 && out.closed.is_empty());
+        assert_eq!(out.keys, 3, "one key in each store");
         let fine = program(90 * 1_000_000, 30 * 1_000_000);
         assert_eq!(reg.grid_mismatch(&fine), Some(MINUTES));
         let ((q, _), pooled) = reg.join(&fine, true, None);
         assert!(!pooled && q != s1);
         assert_eq!(reg.len(), 4);
 
-        // A pooled store goes with its last member, and its bytes with it;
-        // the next member of that shape starts a fresh one.
-        assert_eq!(reg.leave((s1, m1)), 0);
+        // A pooled store goes with its last member, and its bytes and keys
+        // with it; the next member of that shape starts a fresh one.
+        assert_eq!(reg.leave((s1, m1)), (0, 0));
         assert_eq!(reg.len(), 4);
-        assert!(reg.leave((s1, m2)) < 0);
+        let gone = reg.leave((s1, m2));
+        assert!(gone.0 < 0 && gone.1 == -1, "{gone:?}");
         assert_eq!(reg.len(), 3);
         assert_eq!(reg.grid_mismatch(&fine), None);
         let ((s4, _), pooled) = reg.join(&fine, true, None);

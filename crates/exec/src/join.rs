@@ -44,14 +44,14 @@ pub fn extract_keys(on: &BoundExpr, left_width: usize) -> Option<JoinKeys> {
                 (Side::Left, Side::Right) => {
                     keys.left.push((**left).clone());
                     let mut r = (**right).clone();
-                    shift_down(&mut r, left_width);
+                    r.map_columns(&|i| i - left_width);
                     keys.right.push(r);
                     continue;
                 }
                 (Side::Right, Side::Left) => {
                     keys.left.push((**right).clone());
                     let mut r = (**left).clone();
-                    shift_down(&mut r, left_width);
+                    r.map_columns(&|i| i - left_width);
                     keys.right.push(r);
                     continue;
                 }
@@ -105,54 +105,6 @@ fn side_of(e: &BoundExpr, left_width: usize) -> Side {
         (true, _) => Side::Left,
         (_, true) => Side::Right,
         _ => Side::Both,
-    }
-}
-
-/// Rebase an expression bound over the concatenated row so it can run over
-/// a right row alone.
-pub fn shift_down(e: &mut BoundExpr, left_width: usize) {
-    match e {
-        BoundExpr::Column { index, .. } => *index -= left_width,
-        BoundExpr::Literal(_) | BoundExpr::CqClose => {}
-        BoundExpr::Unary { expr, .. }
-        | BoundExpr::Cast { expr, .. }
-        | BoundExpr::IsNull { expr, .. } => shift_down(expr, left_width),
-        BoundExpr::Binary { left, right, .. } => {
-            shift_down(left, left_width);
-            shift_down(right, left_width);
-        }
-        BoundExpr::Like { expr, pattern, .. } => {
-            shift_down(expr, left_width);
-            shift_down(pattern, left_width);
-        }
-        BoundExpr::InList { expr, list, .. } => {
-            shift_down(expr, left_width);
-            for i in list {
-                shift_down(i, left_width);
-            }
-        }
-        BoundExpr::Case {
-            operand,
-            whens,
-            else_expr,
-            ..
-        } => {
-            if let Some(o) = operand {
-                shift_down(o, left_width);
-            }
-            for (c, r) in whens {
-                shift_down(c, left_width);
-                shift_down(r, left_width);
-            }
-            if let Some(el) = else_expr {
-                shift_down(el, left_width);
-            }
-        }
-        BoundExpr::ScalarFunc { args, .. } => {
-            for a in args {
-                shift_down(a, left_width);
-            }
-        }
     }
 }
 

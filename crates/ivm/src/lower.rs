@@ -21,7 +21,7 @@
 //! float association order. Each fallback carries a stable reason string
 //! that `EXPLAIN CHECK` surfaces and the `ivm.fallback` counter tallies.
 
-use streamrel_exec::join::{extract_keys, flatten_and, shift_down};
+use streamrel_exec::join::{extract_keys, flatten_and};
 use streamrel_exec::Accumulator;
 use streamrel_sql::plan::{AggFunc, AggSpec, BoundExpr, JoinKind, LogicalPlan, SchemaRef};
 use streamrel_sql::WindowSpec;
@@ -631,7 +631,7 @@ fn lower_aggregate(
             if cols.iter().all(|&i| i < left_width) {
                 prefix.ops.push(RowOp::Filter(c));
             } else if cols.iter().all(|&i| i >= left_width) {
-                shift_down(&mut c, left_width);
+                c.map_columns(&|i| i - left_width);
                 table_filters.push(c);
             } else {
                 return Err(REASON_FILTER_SPANS);

@@ -11,6 +11,11 @@
 //! re-evaluates over their concatenation: N such windows buffer a tuple
 //! once.
 //!
+//! Keys by reference: the store interns each distinct key once, under a
+//! dense `u32` id, in its key dictionary; slices and window views hold ids,
+//! and a key row is built only when a window emits it. An id lives while a
+//! live slice holds it: eviction frees it, and a new key reuses it.
+//!
 //! What a close costs. A sliding member keeps its *running window view*
 //! ([`WindowView`]) and [`IvmState::close_window`] slides it: add the
 //! sealed slices that entered, emit, retract the slices that leave — work
@@ -36,12 +41,14 @@
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::collections::hash_map::Entry as Slot;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 use std::sync::Arc;
 
 use streamrel_exec::expr::{eval, eval_predicate, EvalContext};
 use streamrel_exec::{Accumulator, RelationSource};
-use streamrel_sql::plan::BoundExpr;
+use streamrel_sql::plan::{AggSpec, BoundExpr};
 use streamrel_types::{Error, Relation, Result, Row, Timestamp, Value};
 
 use crate::lower::{AggShape, IvmProgram, IvmShape, KeyOrder, RowOp};
@@ -123,45 +130,35 @@ impl MatchCounts {
     }
 }
 
-/// Accumulator partials merged by key, in first-seen key order — the one
-/// merge both a window compose (over slices) and a join aggregate whose
-/// groups span join keys (over scaled pairs) perform. Keys are borrowed
-/// from the state being merged.
-#[derive(Default)]
-struct Merged<'a> {
-    partials: HashMap<&'a [Value], Vec<Accumulator>>,
-    order: Vec<&'a [Value]>,
-}
-
 /// A key and its aggregate state at a close: owned plain partials from a
-/// merge, borrowed running state from a view.
+/// merge, borrowed from a slice or a view's running state otherwise.
 type Entry<'a> = (&'a [Value], Cow<'a, [Accumulator]>);
 
-impl<'a> Merged<'a> {
-    fn add(&mut self, key: &'a [Value], partial: Cow<'_, [Accumulator]>) -> Result<()> {
-        match self.partials.get_mut(key) {
-            Some(accs) => {
+/// Accumulator partials merged by `K`, in first-seen order — the one merge
+/// both a window compose (over slices, by key id) and a join aggregate
+/// whose groups span join keys (over scaled pairs, by group key) perform.
+/// Each entry keeps the key as its first partial spelled it.
+#[derive(Default)]
+struct Merged<'a, K> {
+    at: HashMap<K, usize>,
+    entries: Vec<Entry<'a>>,
+}
+
+impl<'a, K: Hash + Eq> Merged<'a, K> {
+    fn add(&mut self, by: K, key: &'a [Value], partial: Cow<'_, [Accumulator]>) -> Result<()> {
+        match self.at.entry(by) {
+            Slot::Occupied(at) => {
+                let accs = self.entries[*at.get()].1.to_mut();
                 for (a, p) in accs.iter_mut().zip(partial.iter()) {
                     a.merge(p)?;
                 }
             }
-            None => {
-                self.order.push(key);
-                self.partials.insert(key, partial.into_owned());
+            Slot::Vacant(at) => {
+                at.insert(self.entries.len());
+                self.entries.push((key, Cow::Owned(partial.into_owned())));
             }
         }
         Ok(())
-    }
-
-    /// Keys with their merged partials, in first-seen order.
-    fn into_entries(mut self) -> impl Iterator<Item = Entry<'a>> {
-        let order = self.order.into_iter();
-        order.map(move |key| {
-            (
-                key,
-                Cow::Owned(self.partials.remove(key).unwrap_or_default()),
-            )
-        })
     }
 }
 
@@ -198,110 +195,108 @@ fn agg_relation<'a>(
     Ok(rel)
 }
 
-/// One slice: accumulator partials by key, in first-seen key order.
+/// A store's key dictionary: each distinct key once, under a dense id.
+#[derive(Default)]
+struct Dict {
+    ids: HashMap<Arc<[Value]>, u32>,
+    /// By id: the key as first interned (`None` once freed) and how many
+    /// live slices hold it.
+    keys: Vec<(Option<Arc<[Value]>>, u32)>,
+    /// Freed ids, reused before the dictionary grows.
+    free: Vec<u32>,
+    bytes: usize,
+}
+
+impl Dict {
+    /// The id of `key`, interned — held by no slice yet — if it is new.
+    fn intern(&mut self, key: &[Value]) -> u32 {
+        if let Some(&id) = self.ids.get(key) {
+            return id;
+        }
+        let key: Arc<[Value]> = key.into();
+        self.bytes += key_bytes(&key);
+        let id = self.free.pop().unwrap_or(self.keys.len() as u32);
+        if id as usize == self.keys.len() {
+            self.keys.push((None, 0));
+        }
+        self.keys[id as usize].0 = Some(key.clone());
+        self.ids.insert(key, id);
+        id
+    }
+
+    /// The key under a live id.
+    fn key(&self, id: u32) -> &[Value] {
+        self.keys[id as usize].0.as_deref().unwrap_or_default()
+    }
+
+    /// One slice fewer holds `id`; with none left the id is freed.
+    fn release(&mut self, id: u32) {
+        let (key, held) = &mut self.keys[id as usize];
+        *held -= 1;
+        if let Some(key) = key.take_if(|_| *held == 0) {
+            self.bytes -= key_bytes(&key);
+            self.ids.remove(&key);
+            self.free.push(id);
+        }
+    }
+}
+
+/// One slice: accumulator partials by key id, in first-seen key order.
 #[derive(Default)]
 struct Slice {
     /// Approximate heap footprint (state-size accounting).
     bytes: usize,
-    /// Key → its position in `entries`.
-    index: HashMap<Arc<[Value]>, u32>,
-    /// `(key, partials)` in first-seen order.
-    entries: Vec<(Arc<[Value]>, Vec<Accumulator>)>,
+    /// Key ids in first-seen order.
+    ids: Vec<u32>,
+    /// Key id → its position in `ids`.
+    index: HashMap<u32, u32>,
+    /// The partials of `ids`, one run of the shape's aggregates each.
+    accs: Vec<Accumulator>,
+    /// `(position, key)` where this slice first saw a key spelled unlike
+    /// the dictionary: `0.0` and `-0.0` are one group, and re-evaluation
+    /// shows whichever the window saw first.
+    spelled: Vec<(u32, Arc<[Value]>)>,
     /// The raw rows, in arrival order ([`IvmShape::Rows`] stores only).
     rows: Vec<Row>,
 }
 
-/// One key of a [`WindowView`], over the live slices that hold it.
+impl Slice {
+    /// The partials of the key at `pos`.
+    fn partials(&self, pos: usize, stride: usize) -> &[Accumulator] {
+        &self.accs[pos * stride..(pos + 1) * stride]
+    }
+
+    /// How this slice spells the key at `pos`, where it differs from the
+    /// dictionary's spelling.
+    fn spelling(&self, pos: usize) -> Option<&Arc<[Value]>> {
+        let mut own = self.spelled.iter();
+        own.find(|(p, _)| *p as usize == pos).map(|(_, key)| key)
+    }
+}
+
+/// One key id of a [`WindowView`], over the live slices that hold it.
+#[derive(Default)]
 struct Live {
-    accs: Vec<Accumulator>,
-    /// How many live slices hold the key; at zero it leaves the view.
+    /// How many live slices hold the key; at zero it is not in the view.
     slices: u32,
-    /// Where a first-seen view emits the key; a ranked view needs nothing.
-    seen: Option<Seen>,
-}
-
-/// A key as the first live slice that holds it spells it — `0.0` and
-/// `-0.0` are one group, and re-evaluation shows whichever the window saw
-/// first — and its stamp there, `(slice start, position in it)`.
-type Seen = (Arc<[Value]>, (Timestamp, u32));
-
-/// A key of a ranked view: `(the member's KeyOrder columns, the key)`,
-/// compared on those columns with `Value::sort_cmp` — the order the
-/// member's `ORDER BY` gives it. The columns cover the whole key, so keys
-/// compare equal exactly when they are equal.
-#[derive(PartialEq, Eq)]
-struct Ranked(Arc<[usize]>, Arc<[Value]>);
-
-impl Ord for Ranked {
-    fn cmp(&self, other: &Ranked) -> Ordering {
-        let mut by = self.0.iter().map(|&c| self.1[c].sort_cmp(&other.1[c]));
-        by.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
-    }
-}
-
-impl PartialOrd for Ranked {
-    fn partial_cmp(&self, other: &Ranked) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// How a view indexes its live keys, which is how it emits them.
-enum Keys {
-    /// Hashed; emitted sorted by each key's first-seen stamp.
-    FirstSeen(HashMap<Arc<[Value]>, Live>),
-    /// Ordered by the member's sort; emitted by walking the index.
-    Ranked(BTreeMap<Ranked, Live>, KeyOrder),
-}
-
-impl Keys {
-    fn len(&self) -> usize {
-        match self {
-            Keys::FirstSeen(keys) => keys.len(),
-            Keys::Ranked(keys, _) => keys.len(),
-        }
-    }
-
-    /// The key's entry; a key new to the view starts from `accs`, held by
-    /// no slice yet, and — in first-seen order — at `stamp`.
-    fn entry(
-        &mut self,
-        key: &Arc<[Value]>,
-        stamp: (Timestamp, u32),
-        accs: impl FnOnce() -> Vec<Accumulator>,
-    ) -> &mut Live {
-        let fresh = |seen| Live {
-            accs: accs(),
-            slices: 0,
-            seen,
-        };
-        match self {
-            Keys::FirstSeen(keys) => {
-                (keys.entry(key.clone())).or_insert_with(|| fresh(Some((key.clone(), stamp))))
-            }
-            Keys::Ranked(keys, order) => (keys.entry(Ranked(order.columns.clone(), key.clone())))
-                .or_insert_with(|| fresh(None)),
-        }
-    }
-
-    fn get_mut(&mut self, key: &Arc<[Value]>) -> Option<&mut Live> {
-        match self {
-            Keys::FirstSeen(keys) => keys.get_mut(&**key),
-            Keys::Ranked(keys, order) => keys.get_mut(&Ranked(order.columns.clone(), key.clone())),
-        }
-    }
-
-    fn remove(&mut self, key: &Arc<[Value]>) {
-        match self {
-            Keys::FirstSeen(keys) => keys.remove(&**key),
-            Keys::Ranked(keys, order) => keys.remove(&Ranked(order.columns.clone(), key.clone())),
-        };
-    }
+    /// Where a first-seen view emits the key, `(slice start, position in
+    /// it)` of the first live slice that holds it, and that slice's own
+    /// spelling of it; a ranked view needs neither.
+    seen: (Timestamp, u32),
+    spelled: Option<Arc<[Value]>>,
 }
 
 /// A member's running window view: the merge of the slices its last
 /// window shares with its next one ([`IvmState::close_window`]).
 pub struct WindowView {
-    keys: Keys,
+    /// By key id.
+    live: Vec<Live>,
+    /// By key id, one run of the shape's running accumulators each.
+    accs: Vec<Accumulator>,
+    /// The ids in the view: in `order`, or else sorted by first-seen stamp
+    /// at each emit.
+    keys: Vec<u32>,
+    order: Option<KeyOrder>,
     /// The close the view last emitted; it carries to `closed + ADVANCE`.
     closed: Option<Timestamp>,
 }
@@ -309,17 +304,28 @@ pub struct WindowView {
 impl WindowView {
     /// An empty view that emits in `order`, or else in first-seen order.
     fn new(order: Option<&KeyOrder>) -> WindowView {
-        let keys = match order {
-            Some(order) => Keys::Ranked(BTreeMap::new(), order.clone()),
-            None => Keys::FirstSeen(HashMap::new()),
-        };
-        WindowView { keys, closed: None }
+        WindowView {
+            live: Vec::new(),
+            accs: Vec::new(),
+            keys: Vec::new(),
+            order: order.cloned(),
+            closed: None,
+        }
     }
 
     /// The close the view last emitted: every slice below it is in the
     /// view, or was, and must not change under it.
     pub fn closed(&self) -> Option<Timestamp> {
         self.closed
+    }
+
+    /// Room for every id below `ids`.
+    fn grow(&mut self, ids: usize, aggs: &[AggSpec]) {
+        self.live
+            .resize_with(ids.max(self.live.len()), Live::default);
+        while self.accs.len() < ids * aggs.len() {
+            self.accs.extend(aggs.iter().map(Accumulator::new));
+        }
     }
 }
 
@@ -343,9 +349,29 @@ fn key_bytes(vals: &[Value]) -> usize {
     24 + vals.iter().map(val_bytes).sum::<usize>()
 }
 
+/// Whether two keys of one group are spelled alike: `0.0` and `-0.0` are
+/// one group spelled two ways.
+fn spelled_alike(a: &[Value], b: &[Value]) -> bool {
+    a.iter().zip(b).all(|(x, y)| match (x, y) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        _ => std::mem::discriminant(x) == std::mem::discriminant(y),
+    })
+}
+
+/// `a` against `b` on a ranked view's order columns, as the member's
+/// `ORDER BY` compares them. The columns cover the whole key, so keys
+/// compare equal exactly when they are equal.
+fn rank(order: &KeyOrder, a: &[Value], b: &[Value]) -> Ordering {
+    let mut by = order.columns.iter().map(|&c| a[c].sort_cmp(&b[c]));
+    by.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+}
+
 /// Rough per-accumulator footprint (the DISTINCT set inside an
 /// accumulator grows beyond this; the bound is an estimate, not a ledger).
 const ACC_BYTES: usize = 64;
+
+/// Rough footprint of a key id in one slice: the id and its index slot.
+const ENTRY_BYTES: usize = 16;
 
 /// The slice store for one lowered shape. It serves the window of the
 /// program it was built from, or — through [`IvmState::compose`] and
@@ -359,6 +385,8 @@ pub struct IvmState {
     width: i64,
     visible: i64,
     slices: BTreeMap<Timestamp, Slice>,
+    dict: Dict,
+    /// Bytes held by the slices.
     bytes: usize,
     /// Bytes held by the members' views.
     view_bytes: usize,
@@ -394,6 +422,7 @@ impl IvmState {
             width: 0,
             visible: 0,
             slices: BTreeMap::new(),
+            dict: Dict::default(),
             bytes: 0,
             view_bytes: 0,
             delta_rows: 0,
@@ -417,6 +446,11 @@ impl IvmState {
         self.slices.len()
     }
 
+    /// Distinct keys the live slices hold (the `ivm.keys` gauge).
+    pub fn keys(&self) -> usize {
+        self.dict.ids.len()
+    }
+
     /// Rows folded into state so far (the `ivm.delta.rows` counter).
     pub fn delta_rows(&self) -> u64 {
         self.delta_rows
@@ -433,10 +467,11 @@ impl IvmState {
         self.table_scans
     }
 
-    /// Approximate bytes held across live slices, member views and a join
-    /// store's memoised match counts.
+    /// Approximate bytes held across the key dictionary, live slices,
+    /// member views and a join store's memoised match counts.
     pub fn state_bytes(&self) -> usize {
-        self.bytes + self.view_bytes + self.memo.as_ref().map_or(0, |m| m.bytes)
+        let memo = self.memo.as_ref().map_or(0, |m| m.bytes);
+        self.dict.bytes + self.bytes + self.view_bytes + memo
     }
 
     /// The match counts a join store's closes scale by, as `source` — the
@@ -518,7 +553,7 @@ impl IvmState {
         let Some(folded) = apply_ops(&self.shape.prefix().ops, row, &ectx)? else {
             return Ok(());
         };
-        // Built in a reused buffer: only a key new to its slice allocates.
+        // Built in a reused buffer: only a key new to the store allocates.
         let mut key = std::mem::take(&mut self.key);
         key.clear();
         for e in join_key.iter().chain(group_key) {
@@ -533,23 +568,29 @@ impl IvmState {
             return Ok(());
         }
         let aggs = self.shape.aggs();
+        let id = self.dict.intern(&key);
         let slice = self.slices.entry(slice_start).or_default();
-        let pos = match slice.index.get(&key[..]) {
+        let pos = match slice.index.get(&id) {
             Some(pos) => *pos as usize,
             None => {
-                let grew = key_bytes(&key) + ACC_BYTES * aggs.len();
+                let pos = slice.ids.len();
+                slice.index.insert(id, pos as u32);
+                slice.ids.push(id);
+                slice.accs.extend(aggs.iter().map(Accumulator::new));
+                self.dict.keys[id as usize].1 += 1;
+                let mut grew = ENTRY_BYTES + ACC_BYTES * aggs.len();
+                if !spelled_alike(self.dict.key(id), &key) {
+                    grew += key_bytes(&key);
+                    slice.spelled.push((pos as u32, key.as_slice().into()));
+                }
                 slice.bytes += grew;
                 self.bytes += grew;
-                // Shared by the slice's index, its entry and every view.
-                let key: Arc<[Value]> = key.as_slice().into();
-                slice.index.insert(key.clone(), slice.entries.len() as u32);
-                let fresh = aggs.iter().map(Accumulator::new).collect();
-                slice.entries.push((key, fresh));
-                slice.entries.len() - 1
+                pos
             }
         };
         self.key = key;
-        for (acc, spec) in slice.entries[pos].1.iter_mut().zip(aggs) {
+        let accs = &mut slice.accs[pos * aggs.len()..];
+        for (acc, spec) in accs.iter_mut().zip(aggs) {
             match &spec.arg {
                 Some(arg) => acc.update(Some(&eval(arg, &folded, &ectx)?))?,
                 None => acc.update(None)?,
@@ -557,6 +598,16 @@ impl IvmState {
         }
         self.delta_rows += 1;
         Ok(())
+    }
+
+    /// A slice's entries in its first-seen order, with their key ids: each
+    /// key as the slice spells it, and its partials.
+    fn entries<'a>(&'a self, slice: &'a Slice) -> impl Iterator<Item = (u32, Entry<'a>)> + 'a {
+        let stride = self.shape.aggs().len();
+        slice.ids.iter().enumerate().map(move |(pos, &id)| {
+            let key = slice.spelling(pos).map_or(self.dict.key(id), |k| &**k);
+            (id, (key, Cow::Borrowed(slice.partials(pos, stride))))
+        })
     }
 
     /// Compose the anchor output for this store's own window
@@ -583,13 +634,18 @@ impl IvmState {
             let rel = Relation::new(prefix.input_schema.clone(), rows);
             return Ok(WindowOutput::Ready(rel));
         }
-        let mut merged = Merged::default();
+        let covered: Vec<&Slice> = covered.collect();
+        if let [slice] = covered[..] {
+            // One slice holds each key once: nothing to merge.
+            return self.output(self.entries(slice).map(|(_, e)| e), counts);
+        }
+        let mut merged = Merged::<u32>::default();
         for slice in covered {
-            for (key, partial) in &slice.entries {
-                merged.add(key, Cow::Borrowed(partial))?;
+            for (id, (key, partial)) in self.entries(slice) {
+                merged.add(id, key, partial)?;
             }
         }
-        self.output(merged.into_entries(), counts)
+        self.output(merged.entries.into_iter(), counts)
     }
 
     /// The anchor output over `entries`, keys in first-seen order; a join
@@ -619,7 +675,7 @@ impl IvmState {
                 if (join.left_key.iter()).all(|k| agg.group_exprs.contains(k)) {
                     return Ok(WindowOutput::Ready(agg_relation(agg, matched)?));
                 }
-                let mut merged = Merged::default();
+                let mut merged = Merged::<&[Value]>::default();
                 for ((group, accs), m) in matched {
                     // Plain partials, even read out of a view's running state.
                     let mut scaled: Vec<_> = agg.aggs.iter().map(Accumulator::new).collect();
@@ -627,9 +683,10 @@ impl IvmState {
                         p.merge(a)?;
                         p.scale(m)?;
                     }
-                    merged.add(group, Cow::Owned(scaled))?;
+                    merged.add(group, group, Cow::Owned(scaled))?;
                 }
-                WindowOutput::Ready(agg_relation(agg, merged.into_entries().map(|e| (e, 1)))?)
+                let entries = merged.entries.into_iter().map(|e| (e, 1));
+                WindowOutput::Ready(agg_relation(agg, entries)?)
             }
             // A `Rows` store keeps no keys: `compose` concatenates its rows.
             IvmShape::Distinct { .. } | IvmShape::Rows { .. } => {
@@ -663,7 +720,7 @@ impl IvmState {
     ) -> Result<WindowOutput> {
         let lo = close - visible;
         if visible <= advance || !self.invertible {
-            let rebuilt = self.slices.range(lo..close).map(|(_, s)| s.entries.len());
+            let rebuilt = self.slices.range(lo..close).map(|(_, s)| s.ids.len());
             self.merges += rebuilt.sum::<usize>() as u64;
             return self.compose(lo, close, counts);
         }
@@ -676,68 +733,98 @@ impl IvmState {
             from = lo;
         }
         let aggs = self.shape.aggs();
+        let stride = aggs.len();
+        v.grow(self.dict.keys.len(), aggs);
+        let mut entered = Vec::new();
         for (&start, slice) in self.slices.range(from..close) {
-            for (pos, (key, partial)) in slice.entries.iter().enumerate() {
-                let running = || aggs.iter().map(Accumulator::running).collect();
-                let live = v.keys.entry(key, (start, pos as u32), running);
+            for (pos, &id) in slice.ids.iter().enumerate() {
+                let live = &mut v.live[id as usize];
+                let accs = &mut v.accs[id as usize * stride..][..stride];
+                if live.slices == 0 {
+                    // The key enters the view: this slice is its first.
+                    (live.seen, live.spelled) = ((start, pos as u32), slice.spelling(pos).cloned());
+                    entered.push(id);
+                    for (a, spec) in accs.iter_mut().zip(aggs) {
+                        *a = Accumulator::running(spec);
+                    }
+                }
                 live.slices += 1;
-                for (a, p) in live.accs.iter_mut().zip(partial) {
+                for (a, p) in accs.iter_mut().zip(slice.partials(pos, stride)) {
                     a.merge(p)?;
                 }
             }
-            self.merges += slice.entries.len() as u64;
+            self.merges += slice.ids.len() as u64;
         }
-        let out = match &v.keys {
-            Keys::FirstSeen(keys) => {
-                let seen = keys
-                    .values()
-                    .filter_map(|l| Some((l.seen.as_ref()?, &l.accs)));
-                let mut lives: Vec<_> = seen.collect();
-                lives.sort_unstable_by_key(|((_, stamp), _)| *stamp);
-                let entries = lives.into_iter();
-                let entries = entries.map(|((key, _), accs)| (&**key, Cow::Borrowed(&**accs)));
-                self.output(entries, counts)?
-            }
-            Keys::Ranked(keys, order) => {
-                let entries = keys.iter().map(|(r, l)| (&*r.1, Cow::Borrowed(&*l.accs)));
-                if order.desc {
-                    self.output(entries.rev(), counts)?
-                } else {
-                    self.output(entries, counts)?
+        let dict = &self.dict;
+        match &v.order {
+            Some(order) => {
+                let by = |a: &u32, b: &u32| rank(order, dict.key(*a), dict.key(*b));
+                entered.sort_unstable_by(by);
+                // Each entering key goes where the member's order puts it.
+                let (mut keys, mut rest) = (Vec::new(), &v.keys[..]);
+                for id in entered {
+                    let at = rest.partition_point(|k| by(k, &id).is_lt());
+                    keys.extend_from_slice(&rest[..at]);
+                    keys.push(id);
+                    rest = &rest[at..];
                 }
+                keys.extend_from_slice(rest);
+                v.keys = keys;
             }
+            None => {
+                v.keys.extend(entered);
+                let live = &v.live;
+                v.keys.sort_unstable_by_key(|&id| live[id as usize].seen);
+            }
+        }
+        // A ranked view has no `Float` key, so no key of its is respelled.
+        let entries = v.keys.iter().map(|&id| {
+            let spelled = v.live[id as usize].spelled.as_deref();
+            let accs = &v.accs[id as usize * stride..][..stride];
+            (spelled.unwrap_or(dict.key(id)), Cow::Borrowed(accs))
+        });
+        let out = match &v.order {
+            Some(order) if order.desc => self.output(entries.rev(), counts)?,
+            _ => self.output(entries, counts)?,
         };
         let unsealed = || Error::stream("a sealed slice changed under a window view");
+        let mut left = false;
         for (&start, slice) in self.slices.range(lo..lo + advance) {
             // Where a key's stamp moves to: mostly the very next slice.
             let mut later = self.slices.range(start + 1..close);
             let next = later.next();
-            for (key, partial) in &slice.entries {
-                let live = v.keys.get_mut(key).ok_or_else(unsealed)?;
+            for (pos, &id) in slice.ids.iter().enumerate() {
+                let live = (v.live.get_mut(id as usize))
+                    .filter(|l| l.slices > 0)
+                    .ok_or_else(unsealed)?;
                 if live.slices == 1 {
-                    v.keys.remove(key);
+                    (live.slices, live.spelled, left) = (0, None, true);
                     continue;
                 }
                 live.slices -= 1;
-                for (a, p) in live.accs.iter_mut().zip(partial) {
+                let accs = &mut v.accs[id as usize * stride..][..stride];
+                for (a, p) in accs.iter_mut().zip(slice.partials(pos, stride)) {
                     a.retract(p)?;
                 }
-                let Some(seen) = &mut live.seen else {
+                if v.order.is_some() {
                     continue;
-                };
+                }
                 // The key's first live slice left: the next one that holds
                 // it now says where — and spelled how — it was first seen.
                 // A probe per slice passed over, so one per close amortized.
-                let (next, pos, spelled) = (next.into_iter().chain(later.clone()))
+                let (next, pos, later) = (next.into_iter().chain(later.clone()))
                     .find_map(|(&s, later)| {
                         self.merges += 1;
-                        let pos = *later.index.get(&**key)?;
-                        Some((s, pos, &later.entries[pos as usize].0))
+                        Some((s, *later.index.get(&id)? as usize, later))
                     })
                     .ok_or_else(unsealed)?;
-                *seen = (spelled.clone(), (next, pos));
+                (live.seen, live.spelled) = ((next, pos as u32), later.spelling(pos).cloned());
             }
-            self.merges += slice.entries.len() as u64;
+            self.merges += slice.ids.len() as u64;
+        }
+        if left {
+            let live = &v.live;
+            v.keys.retain(|&id| live[id as usize].slices > 0);
         }
         v.closed = Some(close);
         self.view_bytes += v.keys.len() * self.live_bytes();
@@ -745,9 +832,10 @@ impl IvmState {
         Ok(out)
     }
 
-    /// Rough footprint of one view key (the key itself is the slices').
+    /// Rough footprint of one view key (the key itself is the
+    /// dictionary's).
     fn live_bytes(&self) -> usize {
-        96 + ACC_BYTES * self.shape.aggs().len()
+        48 + ACC_BYTES * self.shape.aggs().len()
     }
 
     /// A member left: its view's bytes leave the store's account.
@@ -756,13 +844,18 @@ impl IvmState {
     }
 
     /// Drop slices no future window can reach: every slice whose end is at
-    /// or before `horizon` (= the earliest next close − its visible).
+    /// or before `horizon` (= the earliest next close − its visible), and
+    /// every key id no live slice holds any more.
     pub fn evict(&mut self, horizon: Timestamp) {
         // Cost follows what is dropped, not how many slices stay.
         let first_kept = horizon.saturating_sub(self.width).saturating_add(1);
         let kept = self.slices.split_off(&first_kept);
-        let dropped = std::mem::replace(&mut self.slices, kept);
-        self.bytes -= dropped.values().map(|s| s.bytes).sum::<usize>();
+        for slice in std::mem::replace(&mut self.slices, kept).values() {
+            self.bytes -= slice.bytes;
+            for &id in &slice.ids {
+                self.dict.release(id);
+            }
+        }
     }
 }
 
@@ -942,6 +1035,45 @@ mod tests {
         s.evict(10 * MINUTES);
         assert_eq!(s.slice_count(), 0);
         assert!(s.state_bytes() < bytes);
+    }
+
+    #[test]
+    fn each_key_is_counted_once_per_store() {
+        // K keys in each of S slices: the keys once, the partials S × K.
+        let (k, slices) = (5, 7);
+        let mut s = agg_state(vec![], true, slices * MINUTES, MINUTES);
+        for slice in 0..slices {
+            for key in 0..k {
+                s.on_tuple(&tup(&format!("/k{key}"), slice * MINUTES + key + 1))
+                    .unwrap();
+            }
+        }
+        assert_eq!((s.slice_count(), s.keys()), (slices as usize, k as usize));
+        let key = key_bytes(&[Value::text("/k0")]);
+        let per_slice = k as usize * (ENTRY_BYTES + ACC_BYTES);
+        assert_eq!(
+            s.state_bytes(),
+            k as usize * key + slices as usize * per_slice
+        );
+    }
+
+    #[test]
+    fn an_evicted_store_frees_every_key_id() {
+        let mut s = join_state(true);
+        fill(&mut s, &["/a", "/b", "/a", "/c"]);
+        s.on_tuple(&tup("/b", MINUTES + 1)).unwrap();
+        let counts = s.counts_at(&Versioned(Some(1))).unwrap();
+        assert_eq!(s.keys(), 3);
+        s.evict(MINUTES);
+        assert_eq!(s.keys(), 1, "`/b` is still held");
+        s.evict(Timestamp::MAX);
+        assert_eq!(s.keys(), 0);
+        assert!(s.dict.ids.is_empty());
+        assert_eq!(s.dict.free.len(), s.dict.keys.len(), "every id is free");
+        assert_eq!(s.state_bytes(), counts.bytes());
+        // A freed id serves the next key.
+        s.on_tuple(&tup("/d", 2 * MINUTES + 1)).unwrap();
+        assert_eq!((s.keys(), s.dict.keys.len()), (1, 3));
     }
 
     #[test]

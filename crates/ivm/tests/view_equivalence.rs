@@ -181,13 +181,18 @@ fn align(ts: i64, advance: i64) -> i64 {
 /// (kind, key, v, f, gap in half seconds).
 type Event = (u8, u8, i64, u8, i64);
 
-fn drive(sql: &str, events: &[Event]) -> Result<(), String> {
+/// Drive `events` through one store of `sql`'s shape. With `fresh`, each
+/// close's merge must also equal that of a store that folded the window's
+/// tuples alone: keys spelled as the window first saw them, whatever ids
+/// and spellings the long-lived store's dictionary has been through.
+fn drive(sql: &str, events: &[Event], fresh: bool) -> Result<(), String> {
     let (shape, order) = shape(sql);
+    let mut folded: Vec<Row> = Vec::new();
     let joined = match &shape {
         IvmShape::JoinAgg { join, .. } => join.left_key.len(),
         _ => 0,
     };
-    let mut store = IvmState::for_shape(shape);
+    let mut store = IvmState::for_shape(shape.clone());
     store.reslice(SEC).unwrap();
     // Sliding (narrow, wide, coarse), tumbling, and a hopping window whose
     // ADVANCE exceeds its VISIBLE; and, for an ordered query, a sliding
@@ -252,6 +257,7 @@ fn drive(sql: &str, events: &[Event]) -> Result<(), String> {
             };
             let tuple: Row = vec![k, v, f, Value::Timestamp(ts)];
             store.on_tuple(&tuple).unwrap();
+            folded.push(tuple);
         }
         let mut horizon = Some(i64::MAX);
         for m in members.iter_mut().flatten() {
@@ -263,6 +269,22 @@ fn drive(sql: &str, events: &[Event]) -> Result<(), String> {
                 memo = if dims.stamped { counts.bytes() } else { 0 };
                 let composed = store.compose(close - m.visible, close, Some(&counts));
                 let rows = outcome(composed.unwrap());
+                if fresh {
+                    let mut alone = IvmState::for_shape(shape.clone());
+                    alone.reslice(SEC).unwrap();
+                    let window = (close - m.visible)..close;
+                    for t in folded
+                        .iter()
+                        .filter(|t| window.contains(&t[3].as_timestamp().unwrap()))
+                    {
+                        alone.on_tuple(t).unwrap();
+                    }
+                    let alone = alone.compose(close - m.visible, close, Some(&counts));
+                    prop_assert_eq!(
+                        format!("{:?}", outcome(alone.unwrap())),
+                        format!("{:?}", rows)
+                    );
+                }
                 let rows = match &m.order {
                     Some(order) => ranked(rows, order, joined),
                     None => rows,
@@ -328,7 +350,45 @@ proptest! {
         events in prop::collection::vec((0u8..10, 0u8..7, -20i64..20, 0u8..4, 0i64..6), 30..220),
     ) {
         for sql in QUERIES {
-            drive(sql, &events)?;
+            drive(sql, &events, false)?;
+        }
+    }
+}
+
+/// Key ids come and go under the views: a key's id is freed when the
+/// last slice holding it is evicted and reused by the next new key. Each
+/// list is driven through every query, view ≡ merge at every close.
+#[test]
+fn key_ids_churn_under_the_views() {
+    let fold = |key: u8, f: u8, gap: i64| (2u8, key, 1i64, f, gap);
+    let heartbeat = |gap: i64| (1u8, 1u8, 1i64, 0u8, gap);
+    let mut lists: Vec<Vec<Event>> = Vec::new();
+    // Every key leaves for longer than the widest VISIBLE, and comes back.
+    let all: Vec<Event> = (1..=6).map(|k| fold(k, k % 3, 1)).collect();
+    let mut away = all.clone();
+    away.extend((0..10).map(|_| heartbeat(5)));
+    away.extend(all.iter().chain(&all).copied());
+    away.extend((0..10).map(|_| heartbeat(5)));
+    away.extend(all.iter().chain(&all).copied());
+    lists.push(away);
+    // Keys return about when their last slice is evicted: a new key is
+    // interned in the batch whose close evicts the last slice holding
+    // some freed id, at every spacing from half a second to three.
+    for gap in 1..=6 {
+        lists.push((0..80).map(|i| fold(1 + i % 6, 2, gap)).collect());
+    }
+    // A float key leaves spelled `0.0` and returns as `-0.0`, and a
+    // window that holds both spellings loses the first.
+    let mut zeros: Vec<Event> = (0..6).map(|_| fold(1, 0, 1)).collect();
+    zeros.extend((0..8).map(|_| heartbeat(5)));
+    zeros.extend((0..6).map(|_| fold(1, 1, 1)));
+    zeros.extend((0..12).map(|i| fold(1, i % 2, 2)));
+    zeros.extend((0..8).map(|_| heartbeat(5)));
+    zeros.extend((0..6).map(|i| fold(1, (i / 3) % 2, 3)));
+    lists.push(zeros);
+    for events in &lists {
+        for sql in QUERIES {
+            drive(sql, events, true).unwrap();
         }
     }
 }

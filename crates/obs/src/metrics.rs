@@ -346,8 +346,11 @@ pub struct IvmMetrics {
     /// its close, and slices probed for where a key whose first slice left
     /// was seen next: what closes cost, in work units that repeat exactly.
     pub compose_merges: Arc<Counter>,
-    /// Approximate bytes of slice, view and match-count state, over stores.
+    /// Approximate bytes of slice, key-dictionary, view and match-count
+    /// state, over stores.
     pub state_bytes: Arc<Gauge>,
+    /// Distinct keys held: each store's dictionary, summed over stores.
+    pub keys: Arc<Gauge>,
     /// Reads of join stores' tables to count matches: memo fills, reads
     /// no stamp could memoise, and counts a pinned member froze.
     pub table_scans: Arc<Counter>,
@@ -362,6 +365,7 @@ impl IvmMetrics {
             delta_rows: registry.counter("ivm.delta.rows"),
             compose_merges: registry.counter("ivm.compose.merges"),
             state_bytes: registry.gauge("ivm.state.bytes"),
+            keys: registry.gauge("ivm.keys"),
             table_scans: registry.counter("ivm.join.table_scans"),
         }
     }

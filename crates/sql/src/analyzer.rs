@@ -271,18 +271,23 @@ impl<'a> Analyzer<'a> {
                                 None => self.bind_expr(e, &scope),
                             };
                             let b = fallback.map_err(|_| out_err)?;
-                            if query.distinct {
-                                return Err(Error::analysis(
-                                    "for SELECT DISTINCT, ORDER BY expressions must \
-                                     appear in the select list",
-                                ));
-                            }
-                            out_exprs.push(b);
-                            out_names.push(format!("__sort{}", out_exprs.len()));
-                            BoundExpr::Column {
-                                index: out_exprs.len() - 1,
-                                ty: out_exprs.last().unwrap().ty(),
-                            }
+                            // A select item named another way (`c.url`
+                            // for the output column `url`) sorts as itself.
+                            let index = match out_exprs.iter().position(|o| *o == b) {
+                                Some(index) => index,
+                                None if query.distinct => {
+                                    return Err(Error::analysis(
+                                        "for SELECT DISTINCT, ORDER BY expressions must \
+                                         appear in the select list",
+                                    ))
+                                }
+                                None => {
+                                    out_exprs.push(b.clone());
+                                    out_names.push(format!("__sort{}", out_exprs.len()));
+                                    out_exprs.len() - 1
+                                }
+                            };
+                            BoundExpr::Column { index, ty: b.ty() }
                         }
                     },
                 };

@@ -187,59 +187,13 @@ fn wrap_filter(plan: LogicalPlan, mut preds: Vec<BoundExpr>, shift: usize) -> Lo
     }
     if shift > 0 {
         for p in &mut preds {
-            shift_columns_down(p, shift);
+            p.map_columns(&|i| i - shift);
         }
     }
     let predicate = preds.into_iter().reduce(and).expect("non-empty");
     LogicalPlan::Filter {
         input: Box::new(plan),
         predicate,
-    }
-}
-
-fn shift_columns_down(e: &mut BoundExpr, shift: usize) {
-    match e {
-        BoundExpr::Column { index, .. } => *index -= shift,
-        BoundExpr::Literal(_) | BoundExpr::CqClose => {}
-        BoundExpr::Unary { expr, .. }
-        | BoundExpr::Cast { expr, .. }
-        | BoundExpr::IsNull { expr, .. } => shift_columns_down(expr, shift),
-        BoundExpr::Binary { left, right, .. } => {
-            shift_columns_down(left, shift);
-            shift_columns_down(right, shift);
-        }
-        BoundExpr::Like { expr, pattern, .. } => {
-            shift_columns_down(expr, shift);
-            shift_columns_down(pattern, shift);
-        }
-        BoundExpr::InList { expr, list, .. } => {
-            shift_columns_down(expr, shift);
-            for i in list {
-                shift_columns_down(i, shift);
-            }
-        }
-        BoundExpr::Case {
-            operand,
-            whens,
-            else_expr,
-            ..
-        } => {
-            if let Some(o) = operand {
-                shift_columns_down(o, shift);
-            }
-            for (c, r) in whens {
-                shift_columns_down(c, shift);
-                shift_columns_down(r, shift);
-            }
-            if let Some(el) = else_expr {
-                shift_columns_down(el, shift);
-            }
-        }
-        BoundExpr::ScalarFunc { args, .. } => {
-            for a in args {
-                shift_columns_down(a, shift);
-            }
-        }
     }
 }
 

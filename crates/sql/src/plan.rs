@@ -184,129 +184,77 @@ impl BoundExpr {
         }
     }
 
-    /// True if the tree contains a `cq_close(*)`.
-    pub fn uses_cq_close(&self) -> bool {
+    /// The direct sub-expressions, in evaluation order.
+    fn children(&self) -> Vec<&BoundExpr> {
         match self {
-            BoundExpr::CqClose => true,
-            BoundExpr::Literal(_) | BoundExpr::Column { .. } => false,
+            BoundExpr::Literal(_) | BoundExpr::Column { .. } | BoundExpr::CqClose => Vec::new(),
             BoundExpr::Unary { expr, .. }
             | BoundExpr::Cast { expr, .. }
-            | BoundExpr::IsNull { expr, .. } => expr.uses_cq_close(),
-            BoundExpr::Binary { left, right, .. } => left.uses_cq_close() || right.uses_cq_close(),
-            BoundExpr::Like { expr, pattern, .. } => {
-                expr.uses_cq_close() || pattern.uses_cq_close()
-            }
+            | BoundExpr::IsNull { expr, .. } => vec![&**expr],
+            BoundExpr::Binary { left, right, .. } => vec![&**left, &**right],
+            BoundExpr::Like { expr, pattern, .. } => vec![&**expr, &**pattern],
+            BoundExpr::InList { expr, list, .. } => std::iter::once(&**expr).chain(list).collect(),
+            BoundExpr::Case {
+                operand,
+                whens,
+                else_expr,
+                ..
+            } => (operand.as_deref().into_iter())
+                .chain(whens.iter().flat_map(|(c, r)| [c, r]))
+                .chain(else_expr.as_deref())
+                .collect(),
+            BoundExpr::ScalarFunc { args, .. } => args.iter().collect(),
+        }
+    }
+
+    /// [`BoundExpr::children`], mutably.
+    fn children_mut(&mut self) -> Vec<&mut BoundExpr> {
+        match self {
+            BoundExpr::Literal(_) | BoundExpr::Column { .. } | BoundExpr::CqClose => Vec::new(),
+            BoundExpr::Unary { expr, .. }
+            | BoundExpr::Cast { expr, .. }
+            | BoundExpr::IsNull { expr, .. } => vec![&mut **expr],
+            BoundExpr::Binary { left, right, .. } => vec![&mut **left, &mut **right],
+            BoundExpr::Like { expr, pattern, .. } => vec![&mut **expr, &mut **pattern],
             BoundExpr::InList { expr, list, .. } => {
-                expr.uses_cq_close() || list.iter().any(|e| e.uses_cq_close())
+                std::iter::once(&mut **expr).chain(list).collect()
             }
             BoundExpr::Case {
                 operand,
                 whens,
                 else_expr,
                 ..
-            } => {
-                operand.as_ref().is_some_and(|e| e.uses_cq_close())
-                    || whens
-                        .iter()
-                        .any(|(c, r)| c.uses_cq_close() || r.uses_cq_close())
-                    || else_expr.as_ref().is_some_and(|e| e.uses_cq_close())
-            }
-            BoundExpr::ScalarFunc { args, .. } => args.iter().any(|e| e.uses_cq_close()),
+            } => (operand.as_deref_mut().into_iter())
+                .chain(whens.iter_mut().flat_map(|(c, r)| [c, r]))
+                .chain(else_expr.as_deref_mut())
+                .collect(),
+            BoundExpr::ScalarFunc { args, .. } => args.iter_mut().collect(),
         }
+    }
+
+    /// True if the tree contains a `cq_close(*)`.
+    pub fn uses_cq_close(&self) -> bool {
+        matches!(self, BoundExpr::CqClose) || self.children().into_iter().any(Self::uses_cq_close)
     }
 
     /// Column positions referenced by this expression.
     pub fn referenced_columns(&self, out: &mut Vec<usize>) {
-        match self {
-            BoundExpr::Column { index, .. } => out.push(*index),
-            BoundExpr::Literal(_) | BoundExpr::CqClose => {}
-            BoundExpr::Unary { expr, .. }
-            | BoundExpr::Cast { expr, .. }
-            | BoundExpr::IsNull { expr, .. } => expr.referenced_columns(out),
-            BoundExpr::Binary { left, right, .. } => {
-                left.referenced_columns(out);
-                right.referenced_columns(out);
-            }
-            BoundExpr::Like { expr, pattern, .. } => {
-                expr.referenced_columns(out);
-                pattern.referenced_columns(out);
-            }
-            BoundExpr::InList { expr, list, .. } => {
-                expr.referenced_columns(out);
-                for e in list {
-                    e.referenced_columns(out);
-                }
-            }
-            BoundExpr::Case {
-                operand,
-                whens,
-                else_expr,
-                ..
-            } => {
-                if let Some(e) = operand {
-                    e.referenced_columns(out);
-                }
-                for (c, r) in whens {
-                    c.referenced_columns(out);
-                    r.referenced_columns(out);
-                }
-                if let Some(e) = else_expr {
-                    e.referenced_columns(out);
-                }
-            }
-            BoundExpr::ScalarFunc { args, .. } => {
-                for e in args {
-                    e.referenced_columns(out);
-                }
-            }
+        if let BoundExpr::Column { index, .. } = self {
+            out.push(*index);
+        }
+        for e in self.children() {
+            e.referenced_columns(out);
         }
     }
 
-    /// Shift every column index by `offset` (used when an expression bound
-    /// against a join's right side is evaluated over the concatenated row).
-    pub fn shift_columns(&mut self, offset: usize) {
-        match self {
-            BoundExpr::Column { index, .. } => *index += offset,
-            BoundExpr::Literal(_) | BoundExpr::CqClose => {}
-            BoundExpr::Unary { expr, .. }
-            | BoundExpr::Cast { expr, .. }
-            | BoundExpr::IsNull { expr, .. } => expr.shift_columns(offset),
-            BoundExpr::Binary { left, right, .. } => {
-                left.shift_columns(offset);
-                right.shift_columns(offset);
-            }
-            BoundExpr::Like { expr, pattern, .. } => {
-                expr.shift_columns(offset);
-                pattern.shift_columns(offset);
-            }
-            BoundExpr::InList { expr, list, .. } => {
-                expr.shift_columns(offset);
-                for e in list {
-                    e.shift_columns(offset);
-                }
-            }
-            BoundExpr::Case {
-                operand,
-                whens,
-                else_expr,
-                ..
-            } => {
-                if let Some(e) = operand {
-                    e.shift_columns(offset);
-                }
-                for (c, r) in whens {
-                    c.shift_columns(offset);
-                    r.shift_columns(offset);
-                }
-                if let Some(e) = else_expr {
-                    e.shift_columns(offset);
-                }
-            }
-            BoundExpr::ScalarFunc { args, .. } => {
-                for e in args {
-                    e.shift_columns(offset);
-                }
-            }
+    /// Map every column index through `f`: an expression bound over one
+    /// row layout rebased onto another (a join side's row alone, say).
+    pub fn map_columns(&mut self, f: &impl Fn(usize) -> usize) {
+        if let BoundExpr::Column { index, .. } = self {
+            *index = f(*index);
+        }
+        for e in self.children_mut() {
+            e.map_columns(f);
         }
     }
 }
@@ -536,7 +484,7 @@ mod tests {
             ty: DataType::Interval,
         };
         assert!(e.uses_cq_close());
-        e.shift_columns(3);
+        e.map_columns(&|i| i + 3);
         let mut cols = Vec::new();
         e.referenced_columns(&mut cols);
         assert_eq!(cols, vec![5]);

@@ -186,7 +186,14 @@ fn a_join_state_bound_names_its_match_counts() {
         "{joined}"
     );
     let plain = bound("SELECT url, count(*) c FROM hits <TUMBLING '1 minute'> GROUP BY url");
-    assert!(plain.contains("per-slice aggregate partials"), "{plain}");
+    assert!(
+        plain.contains("each distinct key once per store"),
+        "{plain}"
+    );
+    assert!(
+        plain.contains("per-slice aggregate partials by key id"),
+        "{plain}"
+    );
     assert!(!plain.contains("join key"), "{plain}");
 }
 

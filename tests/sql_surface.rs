@@ -125,6 +125,20 @@ fn order_by_forms() {
         "SELECT dept FROM emp GROUP BY dept ORDER BY sum(salary) DESC LIMIT 1",
     );
     assert_eq!(by_agg.rows()[0][0], Value::text("eng"));
+    // A select item named by its qualified name sorts as itself: no hidden
+    // column, so no second Project to strip one.
+    let by_alias = rows(&db, "SELECT name FROM emp ORDER BY name");
+    let qualified = rows(&db, "SELECT e.name FROM emp e ORDER BY e.name");
+    assert_eq!(qualified.rows(), by_alias.rows());
+    let plan = rows(&db, "EXPLAIN SELECT e.name FROM emp e ORDER BY e.name");
+    let projects = plan
+        .rows()
+        .iter()
+        .filter(|r| r[0].to_string().contains("Project"));
+    assert_eq!(projects.count(), 1, "{plan:?}");
+    let distinct = rows(&db, "SELECT DISTINCT e.dept FROM emp e ORDER BY e.dept");
+    let depts: Vec<_> = distinct.rows().iter().map(|r| r[0].clone()).collect();
+    assert_eq!(depts, ["eng", "mkt", "ops"].map(Value::text));
 }
 
 #[test]
