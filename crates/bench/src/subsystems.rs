@@ -967,9 +967,9 @@ pub fn check() -> SuiteResult {
     let program = place(&plans[1], true, true, None)
         .program
         .ok_or("the tumbling aggregate does not lower")?;
-    registry.join(&program, true, None);
+    registry.join(&program, true, None)?;
     let batch = Arc::from([row![Value::Timestamp(1), "/a", 10i64]]);
-    let pinned = registry.advance(&batch, None, None, None);
+    let pinned = registry.advance(&batch, None, false, None, None);
     if let Some((_, e)) = pinned.failed.into_iter().next() {
         return Err(e.into());
     }

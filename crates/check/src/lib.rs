@@ -279,8 +279,8 @@ pub fn check_plan(plan: &LogicalPlan, ctx: &CheckContext) -> CheckReport {
     });
     let path = match (&placement, ivm_fallback) {
         (None, _) => "-",
-        // Re-evaluated: over the raw rows of a slice store, or over a
-        // count window's own buffer.
+        // Re-evaluated over the raw rows of a slice store, on whichever
+        // clock its window counts.
         (_, Some(_)) => "reeval",
         (Some(p), None) => {
             if let Some((program, width)) = p.program.as_ref().zip(p.grid_mismatch) {

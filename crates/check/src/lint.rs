@@ -6,8 +6,9 @@
 //! compiler cannot see:
 //!
 //! * **`no-unwrap`** — no `.unwrap()` / `.expect(` in non-test code of the
-//!   I/O crates (`crates/storage`, `crates/net`, `crates/core`). A panic
-//!   in a storage or wire path takes down every standing CQ at once.
+//!   I/O crates (`crates/storage`, `crates/net`, `crates/core`) and of the
+//!   tick path's window code (`crates/ivm`, `crates/cq`). A panic in a
+//!   storage, wire or window path takes down every standing CQ at once.
 //! * **`lock-order`** — files declare their mutex acquisition order in a
 //!   `// lock-order: a < b < c` comment; every function's `.lock()` sites
 //!   are checked against the declaration. Out-of-order acquisition is the
@@ -57,6 +58,7 @@ const NO_UNWRAP_SCOPES: &[&str] = &[
     "crates/net/src/",
     "crates/core/src/",
     "crates/ivm/src/",
+    "crates/cq/src/",
 ];
 
 /// Files allowed to hardcode the reserved catalog prefix: its definition
@@ -550,7 +552,9 @@ mod tests {
             vec!["no-unwrap"]
         );
         assert_eq!(rules_of("crates/net/src/server.rs", src), vec!["no-unwrap"]);
+        assert_eq!(rules_of("crates/cq/src/shared.rs", src), vec!["no-unwrap"]);
         assert!(rules_of("crates/exec/src/expr.rs", src).is_empty());
+        assert!(rules_of("crates/cq/tests/prop.rs", src).is_empty());
     }
 
     #[test]

@@ -684,7 +684,7 @@ impl Db {
     fn create_view(
         &self,
         name: &str,
-        _query: &Query,
+        query: &Query,
         sql: &str,
         persist: bool,
     ) -> Result<ExecResult> {
@@ -692,13 +692,7 @@ impl Db {
         let key = name.to_ascii_lowercase();
         self.check_name_free(&catalog, &key)?;
         // Validate by analyzing now (errors surface at CREATE time).
-        {
-            let provider = self.provider(&catalog);
-            let Statement::CreateView { query, .. } = parse_statement(sql)? else {
-                return Err(Error::analysis("stored view text is not CREATE VIEW"));
-            };
-            Analyzer::new(&provider).analyze(&query)?;
-        }
+        Analyzer::new(&self.provider(&catalog)).analyze(query)?;
         catalog.views.insert(key.clone(), sql.to_string());
         if persist {
             self.persist_ddl(&mut catalog, "view", &key, sql)?;

@@ -121,8 +121,8 @@ impl Db {
     /// unmodified. This is the engine half of the federation bridge — node
     /// A serves its derived stream over this subscription and node B
     /// re-ingests the rows. Implemented as `SELECT * FROM <name> <SLICES 1
-    /// WINDOWS>`, whose pass-through semantics the slice window guarantees
-    /// (one `ClosedWindow` per upstream batch, same close, same rows). A
+    /// WINDOWS>`, whose pass-through semantics the batch clock guarantees
+    /// (one window per upstream batch, same close, same rows). A
     /// base stream has no windows to pass through — subscribe to a query
     /// over it instead — and is refused.
     pub fn subscribe_stream(&self, name: &str) -> Result<SubscriptionId> {

@@ -15,7 +15,7 @@ use parking_lot::MutexGuard;
 
 use streamrel_cq::recovery::save_watermark_txn;
 use streamrel_cq::{CqOutput, WindowTask};
-use streamrel_sql::ast::ChannelMode;
+use streamrel_sql::ast::{ChannelMode, WindowSpec};
 use streamrel_types::{Error, Result, Row, Timestamp};
 
 use super::Db;
@@ -212,12 +212,12 @@ impl Db {
     /// Take one batch through everything that reads its stream: slice
     /// stores → stage → evaluate. Returns what the stream's consumers
     /// emitted, in (CQ registration, window close) order, and the first
-    /// error — a store's, in store order, before a CQ's, in registration ×
-    /// close order. An error belongs to the CQ that raised it: a failing
-    /// store closes nothing for its members, a failing stage or plan
-    /// loses that one window, and every other window is returned. A
-    /// `replay` of archived rows at open reaches only the time windows: a
-    /// count window has no cursor to resume and would close them twice.
+    /// error — a store's, in store order, before a plan's, in registration
+    /// × close order. An error belongs to the CQ that raised it: a failing
+    /// store closes nothing for its members, a failing plan loses that one
+    /// window, and every other window is returned. A `replay` of archived
+    /// rows at open reaches only the time windows: a count window has no
+    /// cursor to resume and would close them twice.
     pub(super) fn consume(
         &self,
         state: &mut ShardState,
@@ -240,28 +240,23 @@ impl Db {
         // it, and closes every due window of every member — one pool job
         // per store.
         let phase = Instant::now();
-        let mut advanced = (rt.stores).advance(rows, bound, Some(&self.pool), Some(&self.engine));
+        let (pool, engine) = (Some(&self.pool), Some(&self.engine));
+        let mut advanced = (rt.stores).advance(rows, bound, replay, pool, engine);
         self.metrics.store_phase_us.observe_from(phase);
         advanced.count(&self.metrics.ivm);
         let mut first_err = advanced.failed.first().map(|(_, e)| e.clone());
 
-        // Per-CQ window staging, in registration × close order: a time
-        // window wraps what its store just closed, a count window buffers
-        // the rows. A CQ that fails to stage holds its error's place.
-        let mut staged: Vec<(u64, Result<WindowTask>)> = Vec::new();
+        // Per-CQ window staging, in registration × close order: each CQ
+        // wraps what its store just closed.
+        let mut staged: Vec<(u64, WindowTask)> = Vec::new();
         for &id in &rt.cq_ids {
-            let Some(entry) = cqs
-                .get_mut(&id)
-                .filter(|e| !replay || e.cq.slot().is_some())
-            else {
+            let timed = |w| matches!(w, WindowSpec::Time { .. });
+            let Some(entry) = cqs.get_mut(&id).filter(|e| !replay || timed(e.cq.window())) else {
                 continue;
             };
             let mut tasks = Vec::new();
-            let res = entry.cq.stage(rows, bound, &mut advanced, &mut tasks);
-            staged.extend(tasks.into_iter().map(|t| (id, Ok(t))));
-            if let Err(e) = res {
-                staged.push((id, Err(e)));
-            }
+            entry.cq.stage(rows, &mut advanced, &mut tasks);
+            staged.extend(tasks.into_iter().map(|t| (id, t)));
         }
 
         // `run_ordered` hands results back in submission order — exactly
@@ -269,13 +264,10 @@ impl Db {
         // produces — so downstream output is byte-identical to the
         // single-threaded engine. Each task hands its window to its plan.
         let phase = Instant::now();
-        let meta: Vec<(u64, usize)> = staged
-            .iter()
-            .map(|(id, t)| (*id, t.as_ref().map_or(0, WindowTask::input_rows)))
-            .collect();
+        let meta: Vec<(u64, usize)> = staged.iter().map(|(id, t)| (*id, t.input_rows())).collect();
         let jobs: Vec<_> = staged
             .into_iter()
-            .map(|(_, t)| move || t?.run_owned())
+            .map(|(_, t)| move || t.run_owned())
             .collect();
         let mut emitted = Vec::with_capacity(jobs.len());
         for ((id, in_rows), res) in meta.into_iter().zip(self.pool.run_ordered(jobs)) {

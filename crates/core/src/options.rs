@@ -16,7 +16,7 @@ pub struct DbOptions {
     pub sharing: bool,
     /// Keep the window state of every plan that lowers on a slice store
     /// (delta processing instead of per-window re-evaluation); off, every
-    /// CQ re-evaluates a raw window buffer — the reference path the
+    /// CQ re-evaluates over a store of raw rows — the reference path the
     /// equivalence suites and the `experiments ivm` baseline compare against.
     pub ivm: bool,
     /// Snapshot policy for table reads inside CQs (window consistency, §4).

@@ -8,6 +8,7 @@
 //! already closed).
 
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use streamrel_types::{Error, Interval, Result, Row, Timestamp, Value};
@@ -123,8 +124,8 @@ impl ReorderBuffer {
             return Vec::new();
         };
         let mut out = Vec::new();
-        while matches!(self.heap.peek(), Some(e) if e.ts <= wm) {
-            out.push(self.heap.pop().unwrap().row);
+        while let Some(ready) = self.heap.peek_mut().filter(|e| e.ts <= wm) {
+            out.push(PeekMut::pop(ready).row);
         }
         out
     }

@@ -22,7 +22,6 @@ use streamrel_types::{Error, Relation, Result, Row, Timestamp};
 
 use crate::consistency::{ConsistencyMode, SnapshotSource};
 use crate::shared::{place, Advanced, Placement, SharedRegistry, Slot};
-use crate::window::WindowBuffer;
 
 /// One window's result.
 #[derive(Debug, Clone)]
@@ -119,20 +118,16 @@ pub struct ContinuousQuery {
     /// plan and [`IVM_INPUT`].
     task_plan: Arc<LogicalPlan>,
     input: Arc<str>,
-    /// Schema of the stream scan: what a count window's relation has.
-    scan_schema: SchemaRef,
     window: WindowSpec,
     engine: Arc<StorageEngine>,
     /// Snapshot pinned at CQ start (QueryStart consistency mode only).
     start_snapshot: Option<Snapshot>,
-    /// Where the window's tuples live until close. A count window (ROWS,
-    /// SLICES) buffers its own rows; a time window has no buffer: once
-    /// [`ContinuousQuery::place`]d it is a member (`slot`) of a slice store
-    /// in its stream's [`SharedRegistry`], which takes each tuple once,
-    /// keeps the member's close cursor and window view and hands over the
-    /// window relation at each close — the anchor output of a lowered plan,
-    /// the raw rows of any other.
-    buffer: Option<WindowBuffer>,
+    /// Where the window's tuples live until close: once
+    /// [`ContinuousQuery::place`]d, the CQ is a member (`slot`) of a slice
+    /// store in its stream's [`SharedRegistry`], which takes each tuple
+    /// once, keeps the member's close cursor and window view and hands over
+    /// the window relation at each close — the anchor output of a lowered
+    /// plan, the raw rows of any other.
     slot: Option<Slot>,
     /// The one-store registry of a CQ that is driven on its own
     /// ([`ContinuousQuery::stage_tuple`]); empty inside an engine.
@@ -156,23 +151,12 @@ impl ContinuousQuery {
         }
         let mut scan = None;
         analyzed.plan.visit(&mut |p| {
-            if let LogicalPlan::StreamScan {
-                stream,
-                schema,
-                window,
-                cqtime,
-                ..
-            } = p
-            {
-                scan = Some((stream.clone(), schema.clone(), *window, *cqtime));
+            if let LogicalPlan::StreamScan { stream, window, .. } = p {
+                scan = Some((stream.clone(), *window));
             }
         });
-        let (stream, scan_schema, window, cqtime) =
+        let (stream, window) =
             scan.ok_or_else(|| Error::stream("continuous plan has no stream scan"))?;
-        let buffer = match window {
-            WindowSpec::Time { .. } => None,
-            _ => Some(WindowBuffer::new(window, cqtime)?),
-        };
         let start_snapshot = match consistency {
             ConsistencyMode::QueryStart => Some(engine.snapshot()),
             ConsistencyMode::WindowBoundary => None,
@@ -184,11 +168,9 @@ impl ContinuousQuery {
             plan,
             input: stream.as_str().into(),
             stream,
-            scan_schema,
             window,
             engine,
             start_snapshot,
-            buffer,
             slot: None,
             own: SharedRegistry::default(),
             stats: CqStats::default(),
@@ -221,17 +203,17 @@ impl ContinuousQuery {
     }
 
     /// Where this CQ's window state lives in its stream's registry, once
-    /// it is placed; a count window has none.
+    /// it is placed.
     pub fn slot(&self) -> Option<Slot> {
         self.slot
     }
 
     /// Decide where this CQ's window state lives ([`place`]) and act on
-    /// it: a time window becomes a member of a slice store in `registry`
-    /// (its stream's) — the pooled store for its shape under `sharing`,
-    /// else a private one — that keeps the partials its plan lowers to or,
-    /// when it does not lower, its raw rows; a count window keeps its own
-    /// buffer. Must be called before any tuple flows. Bumps `ivm.lowered`
+    /// it: the window becomes a member of a slice store in `registry` (its
+    /// stream's) — for a time window the pooled store for its shape under
+    /// `sharing`, else a private one — that keeps the partials its plan
+    /// lowers to or, when it does not lower, its raw rows. Must be called
+    /// before any tuple flows. Bumps `ivm.lowered`
     /// / `ivm.fallback` and records the decision (and any fallback reason)
     /// on the trace ring. A join under `QueryStart` consistency reads its
     /// match counts at the pinned snapshot here, once; failing that read
@@ -249,9 +231,14 @@ impl ContinuousQuery {
             metrics.fallback.inc();
             trace.record("cq.ivm.fallback", &self.name, reason.to_string(), 0);
         }
-        let Some(program) = program else {
-            return Ok(());
-        };
+        // Defense in depth: admission (`streamrel-check`) rejects unbounded
+        // scans before a CQ is placed.
+        let program = program.ok_or_else(|| {
+            Error::stream(
+                "stream scanned without a window bound; \
+                 the plan was not admission-checked",
+            )
+        })?;
         let pin = |s| SnapshotSource::with_snapshot(self.engine.clone(), s);
         let start = self.start_snapshot.clone().map(pin);
         let frozen = start
@@ -261,7 +248,7 @@ impl ContinuousQuery {
         metrics.table_scans.add(u64::from(frozen.is_some()));
         // A window the pooled store's grid cannot take is the one `join`
         // gives a private store.
-        let (slot, pooled) = registry.join(&program, sharing, frozen);
+        let (slot, pooled) = registry.join(&program, sharing, frozen)?;
         self.slot = Some(slot);
         if fallback.is_none() {
             metrics.lowered.inc();
@@ -281,53 +268,31 @@ impl ContinuousQuery {
     /// stream's tuples and the time `bound` close: a heartbeat's time
     /// (punctuation: event time advancing without a tuple) or the close of
     /// the upstream window a derived stream's batch is the result of.
-    /// `advanced` is what the stream's stores did with the same batch: a
-    /// time window takes its closed windows from there, and only the
-    /// post-plan is deferred to the task; a count window buffers the rows
-    /// itself. On error `tasks` holds what was staged before it.
-    pub fn stage(
-        &mut self,
-        rows: &[Row],
-        bound: Option<Timestamp>,
-        advanced: &mut Advanced,
-        tasks: &mut Vec<WindowTask>,
-    ) -> Result<()> {
+    /// `advanced` is what the stream's stores did with the same batch: the
+    /// CQ takes its closed windows from there, and only the post-plan is
+    /// deferred to the task.
+    pub fn stage(&mut self, rows: &[Row], advanced: &mut Advanced, tasks: &mut Vec<WindowTask>) {
         self.stats.tuples_in += rows.len() as u64;
-        let windows: Vec<(Timestamp, Relation)> = match (&mut self.buffer, self.slot) {
-            (Some(buffer), _) => {
-                let relation = |rows| Relation::new(self.scan_schema.clone(), rows);
-                let closed = buffer.push(rows, bound)?.into_iter();
-                closed.map(|w| (w.close, relation(w.rows))).collect()
-            }
-            (None, Some(slot)) => {
-                let closed = advanced.closed.remove(&slot).unwrap_or_default();
-                closed
-                    .into_iter()
-                    .map(|(c, w)| (c, w.into_relation()))
-                    .collect()
-            }
-            (None, None) => return Err(Error::stream("a time-window CQ is placed before it runs")),
-        };
-        let staged = windows.into_iter();
-        tasks.extend(staged.map(|(close, rel)| self.make_task(rel, close)));
-        Ok(())
+        let closed = self.slot.and_then(|slot| advanced.closed.remove(&slot));
+        let staged = closed.into_iter().flatten();
+        tasks.extend(staged.map(|(close, w)| self.make_task(w.into_relation(), close)));
     }
 
     /// [`ContinuousQuery::stage`] for a CQ driven on its own (unit tests,
-    /// the benchmark's per-layer replay): a time window that nobody placed
+    /// the benchmark's per-layer replay): a window that nobody placed
     /// joins a raw-rows store in a registry the CQ owns, and the batch is
     /// advanced through that registry and staged from it.
     fn stage_own(&mut self, rows: Arc<[Row]>, bound: Option<Timestamp>) -> Result<Vec<WindowTask>> {
         let mut own = std::mem::take(&mut self.own);
         let placed = self.place(false, false, &mut own);
-        let mut advanced = own.advance(&rows, bound, None, Some(&self.engine));
+        let mut advanced = own.advance(&rows, bound, false, None, Some(&self.engine));
         self.own = own;
         placed?;
         if let Some((_, e)) = advanced.failed.pop() {
             return Err(e);
         }
         let mut tasks = Vec::new();
-        self.stage(&rows, bound, &mut advanced, &mut tasks)?;
+        self.stage(&rows, &mut advanced, &mut tasks);
         Ok(tasks)
     }
 
@@ -357,8 +322,9 @@ impl ContinuousQuery {
     /// time window's next close is re-aligned to its advance grid —
     /// resuming at `watermark + advance` from an unaligned watermark would
     /// drift every subsequent close off the alignment invariant (breaking
-    /// slice sharing and `cq_close` equality joins); a count window has no
-    /// cursor to move. `registry` is the one this CQ was placed in.
+    /// slice sharing and `cq_close` equality joins); a count window's
+    /// ordinal cursor is not moved. `registry` is the one this CQ was
+    /// placed in.
     pub fn resume_after(&mut self, watermark: Timestamp, registry: &mut SharedRegistry) {
         let next = self
             .slot
@@ -747,10 +713,6 @@ mod tests {
         let sql = "SELECT count(*) c FROM url_stream <VISIBLE 3 ROWS ADVANCE 2 ROWS>";
         let mut cq = make_cq(&p, e.clone(), sql, ConsistencyMode::WindowBoundary);
         cq.with_own(|cq, own| cq.place(true, true, own)).unwrap();
-        assert!(
-            cq.slot().is_none() && cq.own.is_empty(),
-            "no grid to slice on"
-        );
         assert_eq!(e.metrics().counter("ivm.fallback").get(), 1);
         let mut outs = Vec::new();
         for i in 0..4 {
@@ -779,11 +741,10 @@ mod tests {
 
         // One advance of the stream's stores serves both members.
         let rows: Arc<[Row]> = Arc::new([tup("/a", 5)]);
-        let mut advanced = stores.advance(&rows, Some(MINUTES), None, None);
+        let mut advanced = stores.advance(&rows, Some(MINUTES), false, None, None);
         for cq in [&mut a, &mut b] {
             let mut tasks = Vec::new();
-            cq.stage(&rows, Some(MINUTES), &mut advanced, &mut tasks)
-                .unwrap();
+            cq.stage(&rows, &mut advanced, &mut tasks);
             assert_eq!(run(cq, tasks).unwrap().len(), 1);
         }
         assert!(a.own.is_empty(), "placed in its stream's registry");

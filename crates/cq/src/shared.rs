@@ -2,22 +2,26 @@
 //! and its refs \[4] (resource sharing in sliding-window aggregates) and
 //! \[12] (on-the-fly sharing for streamed aggregation).
 //!
-//! Every time-window CQ is a *member* of a slice store
-//! ([`streamrel_ivm::IvmState`]) — there is one place a window's tuples
-//! live, and what differs is the slice payload: the partials of the shape
-//! a plan lowers to, or, for a plan that does not lower (and for every
-//! plan with `ivm` off), the raw rows the whole plan is re-evaluated over
-//! ([`place`]). CQs whose shapes agree — same stream, prefix ops and
-//! anchor, *different windows* — pool into one store, so each arriving
-//! tuple is folded, or buffered, once regardless of how many CQs are
-//! registered (per-tuple cost O(1) in the number of queries, which
-//! experiment E3 measures). A [`SharedGroup`] is that membership:
-//! the member windows, the gcd slice width across them, the slowest
-//! member's eviction horizon, and what each member owns — its close cursor
-//! and, for a sliding window, its running window view. The slices, the
-//! per-tuple fold, the view's add/retract and the slice merge it is
-//! rebuilt with are the store's. With pooling off, or for a window a live
-//! store's grid cannot take, the pool has one member.
+//! Every CQ is a *member* of a slice store ([`streamrel_ivm::IvmState`]),
+//! whatever its window — there is one place a window's tuples live. What
+//! differs is the slice payload: the partials of the shape a plan lowers
+//! to, or, for a plan that does not lower (and for every plan with `ivm`
+//! off), the raw rows the whole plan is re-evaluated over ([`place`]); and
+//! the clock the store slices on ([`streamrel_ivm::Clock`]): event time,
+//! the tuple ordinal of a ROWS window or the batch ordinal of a SLICES
+//! window. CQs
+//! whose shapes agree — same stream, prefix ops and anchor, *different
+//! windows* — pool into one event-time store, so each arriving tuple is
+//! folded, or buffered, once regardless of how many CQs are registered
+//! (per-tuple cost O(1) in the number of queries, which experiment E3
+//! measures). A [`SharedGroup`] is that membership: the member windows,
+//! the gcd slice width across them, the slowest member's eviction horizon,
+//! and what each member owns — its close cursor and, for a sliding window,
+//! its running window view. The slices, the per-tuple fold, the view's
+//! add/retract and the slice merge it is rebuilt with are the store's.
+//! With pooling off, for a window a live store's grid cannot take, and on
+//! an ordinal clock — ordinals count from the member's own registration —
+//! the pool has one member.
 //!
 //! What a close costs: a member that holds a view pays for the keys of
 //! the slices that enter and leave its window and the rows it emits, not
@@ -51,7 +55,6 @@ use streamrel_types::{Error, Interval, Result, Row, Timestamp};
 
 use crate::consistency::SnapshotSource;
 use crate::pool::WorkerPool;
-use crate::window::align_next_close;
 
 /// Split a CQ plan into the shape a pooled store maintains plus the
 /// *post-plan* that consumes the composed anchor output — [`lower_with`]
@@ -68,11 +71,10 @@ const REASON_DISABLED: &str = "incremental view maintenance disabled by engine o
 
 /// Where a continuous plan's window state lives.
 pub struct Placement {
-    /// The slice-store membership of a time window: what the store keeps
-    /// and what runs over it at each close — the lowered program, or, with
-    /// a `fallback`, raw rows and the whole plan. A count window (ROWS,
-    /// SLICES) has no time grid to slice on and so no program: the CQ
-    /// keeps a [`crate::WindowBuffer`] of its own.
+    /// The slice-store membership of the window: what the store keeps and
+    /// what runs over it at each close — the lowered program, or, with a
+    /// `fallback`, raw rows and the whole plan. `None` only for a scan with
+    /// no window bound, which admission rejects.
     pub program: Option<Box<IvmProgram>>,
     /// Why the plan is re-evaluated rather than maintained; stable text
     /// for `EXPLAIN CHECK` and the `ivm.fallback` counter.
@@ -84,11 +86,11 @@ pub struct Placement {
 
 /// The one placement decision, shared by registration and `EXPLAIN
 /// CHECK`. [`lower_with`] judges what is *maintained*: a plan that lowers
-/// joins a store of its shape's partials. Any other time-window plan — and
-/// every one with `ivm` off — joins a store of raw rows that the plan
-/// itself re-evaluates. Either way the store is the pooled one for its
-/// shape under `sharing`, else a private one. `registry` is the live store
-/// set of the stream the plan scans.
+/// joins a store of its shape's partials. Any other plan — every count
+/// window, and every plan with `ivm` off — joins a store of raw rows that
+/// the plan itself re-evaluates. Either way an event-time store is the
+/// pooled one for its shape under `sharing`, else a private one.
+/// `registry` is the live store set of the stream the plan scans.
 pub fn place(
     plan: &LogicalPlan,
     sharing: bool,
@@ -116,14 +118,22 @@ pub fn place(
     }
 }
 
+/// Smallest multiple of `advance` strictly greater than `watermark`: the
+/// first close boundary not yet emitted when resuming after `watermark`,
+/// and the first one a window aligns to after a tuple at `watermark`.
+fn align_next_close(watermark: Timestamp, advance: i64) -> Timestamp {
+    (watermark.div_euclid(advance) + 1) * advance
+}
+
 /// Registered window requirements of one member query, and where it stands.
 struct Member {
     visible: Interval,
     advance: Interval,
-    /// The member's next close boundary — the only close cursor a time
-    /// window has. `None` until the first *tuple* after registration fixes
-    /// the alignment (a heartbeat alone never does);
-    /// [`SharedRegistry::resume_after`] re-aligns it.
+    /// The member's next close boundary on the store's clock — the only
+    /// close cursor a window has. On event time `None` until the first
+    /// *tuple* after registration fixes the alignment (a heartbeat alone
+    /// never does), and [`SharedRegistry::resume_after`] re-aligns it; an
+    /// ordinal clock fixes it at registration.
     next_close: Option<Timestamp>,
     /// What a sliding member carries from one close to the next.
     view: Option<WindowView>,
@@ -177,7 +187,7 @@ impl SharedGroup {
         self.members.push(Some(Member {
             visible,
             advance,
-            next_close: None,
+            next_close: self.store.first_close(visible, advance),
             view: None,
             order: None,
             frozen: None,
@@ -228,42 +238,41 @@ impl SharedGroup {
         &mut self,
         id: StoreId,
         rows: &[Row],
-        first: Option<Timestamp>,
-        upto: Option<Timestamp>,
+        bound: Option<Timestamp>,
         tables: Option<&dyn RelationSource>,
     ) -> Advanced {
         let mut out = Advanced::default();
-        if let Err(e) = self.fold_and_close(id, rows, first, upto, tables, &mut out) {
+        if let Err(e) = self.fold_and_close(id, rows, bound, tables, &mut out) {
             out.closed.clear();
             out.failed.push((id, e));
         }
         out
     }
 
-    /// Fold a batch of stream tuples (CQTIME order, `first` its oldest
-    /// slice time), then close every window of every member due at `upto` —
-    /// the batch's newest slice time or its bound (a heartbeat's time, a
-    /// derived batch's close), whichever is later — adding each to `out` in
-    /// close order under slot `(id, member)`; finally evict what no member
-    /// can reach. Closing after the fold is safe: a tuple at `ts >= close`
-    /// lands in a slice outside `[close - visible, close)`, and the slices
-    /// below a close are sealed (a base stream admits no tuple older than
-    /// one it has taken). A join store reads its counts through `tables`,
-    /// the window-boundary snapshot, at most once for the batch.
+    /// Fold a batch of stream tuples (CQTIME order) under its `bound` (a
+    /// heartbeat's time, a derived batch's close) onto the store's clock
+    /// ([`IvmState::take`]), then close every window of every member due by
+    /// the reading the batch reached, adding each to `out` in close order
+    /// under slot `(id, member)` with its `cq_close` stamp; finally evict
+    /// what no member can reach. Closing after the fold is safe: a tuple
+    /// at `ts >= close` lands in a slice outside `[close - visible, close)`,
+    /// and the slices below a close are sealed (a base stream admits no
+    /// tuple older than one it has taken). A join store reads its counts
+    /// through `tables`, the window-boundary snapshot, at most once for
+    /// the batch.
     fn fold_and_close(
         &mut self,
         id: StoreId,
         rows: &[Row],
-        first: Option<Timestamp>,
-        upto: Option<Timestamp>,
+        bound: Option<Timestamp>,
         tables: Option<&dyn RelationSource>,
         out: &mut Advanced,
     ) -> Result<()> {
         let s = &self.store;
         let before = (s.delta_rows(), s.merges(), s.table_scans());
-        let folded = rows.iter().try_for_each(|r| self.store.on_tuple(r));
+        let taken = self.store.take(rows, bound);
         out.delta_rows += self.store.delta_rows() - before.0;
-        folded?;
+        let (first, upto) = taken?;
         let Some(upto) = upto else {
             return Ok(());
         };
@@ -292,10 +301,8 @@ impl SharedGroup {
                 let (view, order) = (&mut m.view, m.order.as_ref());
                 let w =
                     (self.store).close_window(view, m.visible, m.advance, order, *close, counts)?;
-                out.closed
-                    .entry((id, member))
-                    .or_default()
-                    .push((*close, w));
+                let stamp = self.store.close_stamp(*close);
+                out.closed.entry((id, member)).or_default().push((stamp, w));
                 *close += m.advance;
             }
         }
@@ -394,33 +401,38 @@ pub struct SharedRegistry {
 impl SharedRegistry {
     /// Make `program`'s window a member of a store: the pooled store for
     /// its shape (created on first use) when `pooled`, else — or when that
-    /// store's grid cannot take the window — a private one. A join member
-    /// pinned to one snapshot brings the counts it read there (`frozen`).
-    /// Returns the member's slot and whether its store is the pooled one.
-    pub fn join(&mut self, program: &IvmProgram, pooled: bool, frozen: Frozen) -> (Slot, bool) {
-        if !pooled {
-            return (self.add_store(program, &frozen), false);
+    /// store's grid cannot take the window, or the window counts ordinals —
+    /// a private one. A join member pinned to one snapshot brings the
+    /// counts it read there (`frozen`). Returns the member's slot and
+    /// whether its store is the pooled one.
+    pub fn join(
+        &mut self,
+        program: &IvmProgram,
+        pooled: bool,
+        frozen: Frozen,
+    ) -> Result<(Slot, bool)> {
+        if !pooled || program.shape.prefix().clock.is_ordinal() {
+            return Ok((self.add_store(program, &frozen)?, false));
         }
         let key = program.shape.fingerprint();
         let Some(&id) = self.pooled.get(&key) else {
-            let slot = self.add_store(program, &frozen);
+            let slot = self.add_store(program, &frozen)?;
             self.pooled.insert(key, slot.0);
-            return (slot, true);
+            return Ok((slot, true));
         };
-        let store = self.stores.get_mut(&id).expect("pooled stores are live");
-        match store.admit(program, &frozen) {
-            Ok(member) => ((id, member), true),
-            Err(_) => (self.add_store(program, &frozen), false),
+        match self.stores.get_mut(&id).map(|s| s.admit(program, &frozen)) {
+            Some(Ok(member)) => Ok(((id, member), true)),
+            _ => Ok((self.add_store(program, &frozen)?, false)),
         }
     }
 
     /// A new store with `program`'s window as its first member.
-    fn add_store(&mut self, program: &IvmProgram, frozen: &Frozen) -> Slot {
+    fn add_store(&mut self, program: &IvmProgram, frozen: &Frozen) -> Result<Slot> {
         let mut store = SharedGroup::new(program.shape.clone());
-        let member = (store.admit(program, frozen)).expect("a fresh store takes any grid");
+        let member = store.admit(program, frozen)?;
         self.next_id += 1;
         self.stores.insert(self.next_id, store);
-        (self.next_id, member)
+        Ok((self.next_id, member))
     }
 
     /// Remove a member; its store goes with its last member. Returns the
@@ -441,50 +453,53 @@ impl SharedRegistry {
 
     /// Resume a member after recovery: windows closing at or before
     /// `watermark` were already emitted, so its cursor moves to the next
-    /// boundary on its advance grid. Returns that boundary.
+    /// boundary on its advance grid. Returns that boundary; `None` on an
+    /// ordinal clock, whose cursor no watermark names.
     pub fn resume_after(&mut self, (id, member): Slot, watermark: Timestamp) -> Option<Timestamp> {
-        let m = self.stores.get_mut(&id)?.members[member].as_mut()?;
+        let store = self.stores.get_mut(&id)?;
+        if store.store.clock().is_ordinal() {
+            return None;
+        }
+        let m = store.members[member].as_mut()?;
         m.next_close = Some(align_next_close(watermark, m.advance));
         m.next_close
     }
 
     /// Take one batch of the stream's tuples (CQTIME order) — or, with no
-    /// tuples and a `bound`, a heartbeat — through every store: fold,
-    /// close what is due, evict. The stores share no state, so with a
-    /// `pool` each advances as a job of its own; results come back in
-    /// store order, so what is returned is what serial execution returns.
-    /// When a join store's closes read the window boundary, one snapshot
-    /// of `engine` is pinned for the batch and every such store reads it.
+    /// tuples and a `bound`, a heartbeat — through every store: fold onto
+    /// its clock, close what is due, evict. A `replay` of archived rows at
+    /// open reaches only the event-time stores: an ordinal one has no
+    /// cursor to resume and would count the rows twice. The stores share
+    /// no state, so with a `pool` each advances as a job of its own;
+    /// results come back in store order, so what is returned is what
+    /// serial execution returns. When a join store's closes read the
+    /// window boundary, one snapshot of `engine` is pinned for the batch
+    /// and every such store reads it.
     pub fn advance(
         &mut self,
         rows: &Arc<[Row]>,
         bound: Option<Timestamp>,
+        replay: bool,
         pool: Option<&WorkerPool>,
         engine: Option<&Arc<StorageEngine>>,
     ) -> Advanced {
-        // Every store reads this one stream, in CQTIME order: the batch's
-        // oldest and newest slice times are its first and last rows'.
         let mut out = Advanced::default();
-        let Some(any) = self.stores.values().next() else {
-            return out;
-        };
-        let ts_of = |r: &Row| any.store.slice_time(r).ok();
-        let first = rows.first().and_then(ts_of);
-        let upto = rows.last().and_then(ts_of).max(bound);
-        let joins = |g: &SharedGroup| matches!(g.store.shape(), IvmShape::JoinAgg { .. });
-        let boundary = (engine.filter(|_| self.stores.values().any(joins)))
-            .map(|e| Arc::new(SnapshotSource::pin(e.clone())));
-        let parallel = pool.filter(|p| p.workers() > 0 && self.stores.len() > 1);
-        let jobs = std::mem::take(&mut self.stores)
+        let (stores, skipped): (BTreeMap<_, _>, _) = std::mem::take(&mut self.stores)
             .into_iter()
-            .map(|(id, mut store)| {
-                let (rows, boundary) = (rows.clone(), boundary.clone());
-                move || {
-                    let tables = boundary.as_deref().map(|s| s as &dyn RelationSource);
-                    let done = store.advance(id, &rows, first, upto, tables);
-                    (id, store, done)
-                }
-            });
+            .partition(|(_, g)| !replay || !g.store.clock().is_ordinal());
+        self.stores = skipped;
+        let joins = |g: &SharedGroup| matches!(g.store.shape(), IvmShape::JoinAgg { .. });
+        let boundary = (engine.filter(|_| stores.values().any(joins)))
+            .map(|e| Arc::new(SnapshotSource::pin(e.clone())));
+        let parallel = pool.filter(|p| p.workers() > 0 && stores.len() > 1);
+        let jobs = stores.into_iter().map(|(id, mut store)| {
+            let (rows, boundary) = (rows.clone(), boundary.clone());
+            move || {
+                let tables = boundary.as_deref().map(|s| s as &dyn RelationSource);
+                let done = store.advance(id, &rows, bound, tables);
+                (id, store, done)
+            }
+        });
         let done = match parallel {
             Some(pool) => pool.run_ordered(jobs.collect()),
             None => jobs.map(|job| job()).collect(),
@@ -499,7 +514,8 @@ impl SharedRegistry {
     /// Slice width of the live pooled store `program` would join, when
     /// that store's grid cannot take the program's window.
     fn grid_mismatch(&self, program: &IvmProgram) -> Option<Interval> {
-        let g = &self.stores[self.pooled.get(&program.shape.fingerprint())?];
+        let id = self.pooled.get(&program.shape.fingerprint())?;
+        let g = self.stores.get(id)?;
         let needed = g.width_with(program.visible, program.advance);
         (!g.store.can_reslice(needed)).then(|| g.store.slice_width())
     }
@@ -518,12 +534,17 @@ impl SharedRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streamrel_ivm::{AggShape, StreamPrefix};
+    use streamrel_ivm::{AggShape, Clock, StreamPrefix};
     use streamrel_sql::plan::{AggFunc, AggSpec, BoundExpr};
     use streamrel_types::time::MINUTES;
     use streamrel_types::{row, Column, DataType, Schema, Value};
 
-    fn prefix_on(stream: &str, derived: bool) -> StreamPrefix {
+    /// Event time, the stream row's CQTIME at 1.
+    fn time(derived: bool) -> Clock {
+        Clock::Time { cqtime: 1, derived }
+    }
+
+    fn prefix_on(stream: &str, clock: Clock) -> StreamPrefix {
         StreamPrefix {
             stream: stream.into(),
             input_schema: Arc::new(
@@ -533,15 +554,14 @@ mod tests {
                 ])
                 .unwrap(),
             ),
-            cqtime: 1,
-            derived,
+            clock,
             ops: vec![],
         }
     }
 
     fn shape_on(stream: &str) -> IvmShape {
         IvmShape::Agg {
-            prefix: prefix_on(stream, false),
+            prefix: prefix_on(stream, time(false)),
             agg: AggShape {
                 group_exprs: vec![BoundExpr::Column {
                     index: 0,
@@ -636,9 +656,7 @@ mod tests {
 
     /// Closes `advance` emits, as `(member, close)` in member × close order.
     fn closes(g: &mut SharedGroup, rows: &[Row], bound: Option<Timestamp>) -> Vec<(usize, i64)> {
-        let ts_of = |r: &Row| r[1].as_timestamp().unwrap();
-        let (first, last) = (rows.first().map(ts_of), rows.last().map(ts_of));
-        let out = g.advance(0, rows, first, last.max(bound), None);
+        let out = g.advance(0, rows, bound, None);
         assert!(out.failed.is_empty());
         let mut closes: Vec<_> = out
             .closed
@@ -716,27 +734,27 @@ mod tests {
     #[test]
     fn registry_pools_by_fingerprint_and_drops_a_store_with_its_last_member() {
         let mut reg = SharedRegistry::default();
-        let ((s1, m1), pooled) = reg.join(&program(2 * MINUTES, MINUTES), true, None);
+        let ((s1, m1), pooled) = join(&mut reg, &program(2 * MINUTES, MINUTES), true, None);
         assert!(pooled);
-        let ((s2, m2), _) = reg.join(&program(4 * MINUTES, 2 * MINUTES), true, None);
+        let ((s2, m2), _) = join(&mut reg, &program(4 * MINUTES, 2 * MINUTES), true, None);
         assert_eq!(s1, s2);
         let mut other = program(MINUTES, MINUTES);
         other.shape = shape_on("other_stream");
-        let ((s3, _), _) = reg.join(&other, true, None);
+        let ((s3, _), _) = join(&mut reg, &other, true, None);
         assert_ne!(s1, s3);
         assert_eq!(reg.len(), 2);
 
         // Pooling off, or a grid the live store cannot take: a private
         // store.
-        let ((p, _), pooled) = reg.join(&program(2 * MINUTES, MINUTES), false, None);
+        let ((p, _), pooled) = join(&mut reg, &program(2 * MINUTES, MINUTES), false, None);
         assert!(!pooled && p != s1);
-        let out = reg.advance(&Arc::from([tup("/a", 10)]), None, None, None);
+        let out = reg.advance(&Arc::from([tup("/a", 10)]), None, false, None, None);
         assert_eq!(out.delta_rows, 3, "one fold per store");
         assert!(out.bytes > 0 && out.closed.is_empty());
         assert_eq!(out.keys, 3, "one key in each store");
         let fine = program(90 * 1_000_000, 30 * 1_000_000);
         assert_eq!(reg.grid_mismatch(&fine), Some(MINUTES));
-        let ((q, _), pooled) = reg.join(&fine, true, None);
+        let ((q, _), pooled) = join(&mut reg, &fine, true, None);
         assert!(!pooled && q != s1);
         assert_eq!(reg.len(), 4);
 
@@ -748,14 +766,27 @@ mod tests {
         assert!(gone.0 < 0 && gone.1 == -1, "{gone:?}");
         assert_eq!(reg.len(), 3);
         assert_eq!(reg.grid_mismatch(&fine), None);
-        let ((s4, _), pooled) = reg.join(&fine, true, None);
+        let ((s4, _), pooled) = join(&mut reg, &fine, true, None);
         assert!(pooled && s4 != s1);
     }
 
-    fn rows_program(visible: Interval, advance: Interval, derived: bool) -> IvmProgram {
+    /// `<VISIBLE n ROWS ADVANCE m ROWS>` over a stream with a CQTIME.
+    const ROWS: Clock = Clock::Rows { cqtime: Some(1) };
+
+    /// [`SharedRegistry::join`], which a test expects to succeed.
+    fn join(
+        reg: &mut SharedRegistry,
+        p: &IvmProgram,
+        pooled: bool,
+        frozen: Frozen,
+    ) -> (Slot, bool) {
+        reg.join(p, pooled, frozen).unwrap()
+    }
+
+    fn rows_program(clock: Clock, visible: Interval, advance: Interval) -> IvmProgram {
         IvmProgram {
             shape: IvmShape::Rows {
-                prefix: prefix_on("url_stream", derived),
+                prefix: prefix_on("url_stream", clock),
             },
             post_plan: LogicalPlan::OneRow,
             visible,
@@ -773,8 +804,13 @@ mod tests {
 
     impl RowsWindow {
         fn over(visible: Interval, advance: Interval, derived: bool) -> RowsWindow {
+            RowsWindow::on(time(derived), visible, advance)
+        }
+
+        fn on(clock: Clock, visible: Interval, advance: Interval) -> RowsWindow {
             let mut stores = SharedRegistry::default();
-            let (slot, _) = stores.join(&rows_program(visible, advance, derived), true, None);
+            let program = rows_program(clock, visible, advance);
+            let (slot, _) = join(&mut stores, &program, true, None);
             RowsWindow { stores, slot }
         }
 
@@ -783,7 +819,7 @@ mod tests {
         }
 
         fn feed(&mut self, batch: &[Row], bound: Option<Timestamp>) -> Vec<(Timestamp, Vec<Row>)> {
-            let mut out = self.stores.advance(&batch.into(), bound, None, None);
+            let mut out = self.stores.advance(&batch.into(), bound, false, None, None);
             assert!(out.failed.is_empty());
             let closed = out.closed.remove(&self.slot).unwrap_or_default();
             closed.into_iter().map(|(c, w)| (c, rows(w))).collect()
@@ -939,13 +975,13 @@ mod tests {
     #[test]
     fn many_rows_windows_buffer_each_tuple_once() {
         let mut reg = SharedRegistry::default();
-        let program = |visible, advance| rows_program(visible, advance, false);
+        let program = |visible, advance| rows_program(time(false), visible, advance);
         let slots: Vec<Slot> = (1..=8)
-            .map(|k| reg.join(&program(k * MINUTES, MINUTES), true, None).0)
+            .map(|k| join(&mut reg, &program(k * MINUTES, MINUTES), true, None).0)
             .collect();
         assert_eq!(reg.len(), 1, "one store for every re-evaluated window");
         let batch: Arc<[Row]> = (0..10).map(|i| tup("/a", i)).collect();
-        let mut out = reg.advance(&batch, Some(MINUTES), None, None);
+        let mut out = reg.advance(&batch, Some(MINUTES), false, None, None);
         assert_eq!(out.delta_rows, 0, "buffered, not folded");
         let one_copy = out.bytes;
         for slot in &slots {
@@ -957,9 +993,9 @@ mod tests {
         // The same windows on private stores hold eight copies.
         let mut reg = SharedRegistry::default();
         for k in 1..=8 {
-            reg.join(&program(k * MINUTES, MINUTES), false, None);
+            join(&mut reg, &program(k * MINUTES, MINUTES), false, None);
         }
-        let out = reg.advance(&batch, None, None, None);
+        let out = reg.advance(&batch, None, false, None, None);
         assert_eq!(out.bytes, 8 * one_copy);
     }
 
@@ -970,15 +1006,15 @@ mod tests {
         let mut reg = SharedRegistry::default();
         let mut sliding = program(2 * MINUTES, MINUTES);
         sliding.shape = IvmShape::Agg {
-            prefix: prefix_on("per_rows", true),
+            prefix: prefix_on("per_rows", time(true)),
             agg: match shape() {
                 IvmShape::Agg { agg, .. } => agg,
                 _ => unreachable!(),
             },
         };
-        let (slot, _) = reg.join(&sliding, true, None);
+        let (slot, _) = join(&mut reg, &sliding, true, None);
         let mut closes = |rows: &[Row], bound| {
-            let mut out = reg.advance(&rows.into(), Some(bound), None, None);
+            let mut out = reg.advance(&rows.into(), Some(bound), false, None, None);
             let closed = out.closed.remove(&slot).unwrap_or_default();
             closed
                 .into_iter()
@@ -1000,5 +1036,123 @@ mod tests {
             closes(&[], 3 * MINUTES),
             vec![(3 * MINUTES, vec![row!["/a", 1i64]])]
         );
+    }
+
+    #[test]
+    fn closes_align_to_the_advance_grid_on_either_side_of_zero() {
+        assert_eq!(align_next_close(0, 60), 60);
+        assert_eq!(align_next_close(59, 60), 60);
+        assert_eq!(align_next_close(60, 60), 120);
+        assert_eq!(align_next_close(-90, 60), -60);
+        assert_eq!(align_next_close(-60, 60), 0);
+    }
+
+    #[test]
+    fn a_rows_window_closes_every_advance_rows_and_no_heartbeat_closes_it() {
+        let mut w = RowsWindow::on(ROWS, 3, 2);
+        let batch: Vec<Row> = (0..7).map(|ts| tup("x", ts)).collect();
+        let mut closed = w.feed(&batch[..3], None);
+        assert!(
+            w.feed(&[], Some(100)).is_empty(),
+            "a heartbeat moves no ordinal"
+        );
+        closed.extend(w.feed(&batch[3..], Some(6)));
+        // Closes after rows 2, 4 and 6, the first window not yet full, each
+        // stamped with the newest tuple time.
+        assert_eq!(lens(&closed), vec![(1, 2), (3, 3), (5, 3)]);
+        assert_eq!(closed[2].1, &batch[3..6]);
+        // The next window is rows 5 to 7: nothing older is kept.
+        assert_eq!(w.slices(), 2);
+    }
+
+    #[test]
+    fn a_rows_window_stamps_negative_times_as_they_are() {
+        // The newest time, not a zero default, even before the epoch.
+        let mut w = RowsWindow::on(ROWS, 2, 2);
+        let closed = w.feed(&[tup("x", -500), tup("x", -400)], None);
+        assert_eq!(lens(&closed), vec![(-400, 2)]);
+    }
+
+    #[test]
+    fn a_rows_window_with_no_cqtime_is_stamped_with_the_running_count() {
+        let mut w = RowsWindow::on(Clock::Rows { cqtime: None }, 2, 2);
+        let batch: Vec<Row> = (0..6).map(|i| tup("x", i)).collect();
+        let stamps: Vec<Timestamp> = w.feed(&batch, None).iter().map(|(c, _)| *c).collect();
+        assert_eq!(
+            stamps,
+            vec![2, 4, 6],
+            "the running row count stands in for time"
+        );
+    }
+
+    #[test]
+    fn a_slices_window_concatenates_its_last_n_batches() {
+        let mut w = RowsWindow::on(Clock::Batches, 2, 1);
+        let first = w.feed(&[tup("a", 100)], Some(100));
+        assert!(first.is_empty(), "nothing closes before the n-th batch");
+        let closed = w.feed(&[tup("b", 200), tup("c", 200)], Some(200));
+        assert_eq!(lens(&closed), vec![(200, 3)]);
+        // Rolls forward: the next batch drops the oldest.
+        let closed = w.feed(&[tup("d", 300)], Some(300));
+        let rolled = vec![tup("b", 200), tup("c", 200), tup("d", 300)];
+        assert_eq!(closed, vec![(300, rolled)]);
+        assert_eq!(w.slices(), 1);
+    }
+
+    #[test]
+    fn slices_1_passes_every_batch_through_an_empty_one_too() {
+        let mut w = RowsWindow::on(Clock::Batches, 1, 1);
+        let batch = vec![tup("a", 100)];
+        assert_eq!(w.feed(&batch, Some(100)), vec![(100, batch)]);
+        // An empty batch is still one upstream window.
+        assert_eq!(w.feed(&[], Some(200)), vec![(200, vec![])]);
+    }
+
+    #[test]
+    fn tuples_sent_into_a_slices_store_are_rejected() {
+        let mut w = RowsWindow::on(Clock::Batches, 1, 1);
+        let out = (w.stores).advance(&Arc::from([tup("a", 1)]), None, false, None, None);
+        assert_eq!(out.failed.len(), 1);
+        assert!(out.closed.is_empty());
+    }
+
+    #[test]
+    fn count_stores_are_private_skip_replays_and_keep_their_cursor() {
+        let mut reg = SharedRegistry::default();
+        let counted = rows_program(ROWS, 2, 2);
+        let (a, pooled) = join(&mut reg, &counted, true, None);
+        let (b, _) = join(&mut reg, &counted, true, None);
+        assert!(
+            !pooled && a.0 != b.0,
+            "ordinals count from each registration"
+        );
+        let (timed, _) = join(
+            &mut reg,
+            &rows_program(time(false), MINUTES, MINUTES),
+            true,
+            None,
+        );
+        assert_eq!(
+            reg.resume_after(a, 5 * MINUTES),
+            None,
+            "no cursor to resume"
+        );
+        // A replay reaches the event-time store alone ...
+        let batch: Arc<[Row]> = Arc::from([tup("/a", 10), tup("/b", 20)]);
+        let out = reg.advance(&batch, Some(MINUTES), true, None, None);
+        assert_eq!(out.closed.keys().collect::<Vec<_>>(), vec![&timed]);
+        // ... and live rows every store: each ROWS member's first window.
+        let mut out = reg.advance(&batch, None, false, None, None);
+        for slot in [a, b] {
+            let closed = out.closed.remove(&slot).unwrap();
+            assert_eq!(
+                closed
+                    .iter()
+                    .map(|(c, w)| (*c, w.len()))
+                    .collect::<Vec<_>>(),
+                vec![(20, 2)]
+            );
+        }
+        assert!(out.closed.is_empty());
     }
 }

@@ -3,10 +3,9 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use streamrel_cq::{ReorderBuffer, SharedRegistry, WindowBuffer};
-use streamrel_ivm::{IvmProgram, IvmShape, StreamPrefix, WindowOutput};
+use streamrel_cq::{ReorderBuffer, SharedRegistry};
+use streamrel_ivm::{Clock, IvmProgram, IvmShape, StreamPrefix, WindowOutput};
 use streamrel_sql::plan::LogicalPlan;
-use streamrel_sql::WindowSpec;
 use streamrel_types::{Column, DataType, Row, Schema, Value};
 
 fn tup(ts: i64) -> Row {
@@ -14,8 +13,8 @@ fn tup(ts: i64) -> Row {
 }
 
 /// A raw-rows slice store with one `<VISIBLE visible ADVANCE advance>`
-/// member: where every re-evaluated time window's tuples live.
-fn rows_store(visible: i64, advance: i64, derived: bool) -> IvmProgram {
+/// member on `clock`: where every re-evaluated window's tuples live.
+fn rows_store(clock: Clock, visible: i64, advance: i64) -> IvmProgram {
     let cols = vec![
         Column::not_null("ts", DataType::Timestamp),
         Column::new("v", DataType::Int),
@@ -25,8 +24,7 @@ fn rows_store(visible: i64, advance: i64, derived: bool) -> IvmProgram {
             prefix: StreamPrefix {
                 stream: "s".into(),
                 input_schema: Arc::new(Schema::new(cols).unwrap()),
-                cqtime: 0,
-                derived,
+                clock,
                 ops: Vec::new(),
             },
         },
@@ -76,6 +74,16 @@ impl Reference {
     }
 }
 
+/// Closed windows as `(cq_close, the timestamps of their rows)`.
+fn windows(closed: Vec<(i64, WindowOutput)>) -> Vec<(i64, Vec<i64>)> {
+    let ts = |r: &Row| r[0].as_timestamp().unwrap();
+    let rows = |w: WindowOutput| w.into_relation().rows().iter().map(ts).collect();
+    closed
+        .into_iter()
+        .map(|(close, w)| (close, rows(w)))
+        .collect()
+}
+
 proptest! {
     /// A time window over a raw-rows store emits exactly what the
     /// reference does — the same closes, each with the same rows in the
@@ -95,7 +103,8 @@ proptest! {
         events in prop::collection::vec((0i64..25, 0u8..8), 1..80),
     ) {
         let mut stores = SharedRegistry::default();
-        let (slot, _) = stores.join(&rows_store(visible, advance, derived), true, None);
+        let clock = Clock::Time { cqtime: 0, derived };
+        let (slot, _) = stores.join(&rows_store(clock, visible, advance), true, None).unwrap();
         let mut reference = Reference::default();
         if let Some(watermark) = resume {
             let next = stores.resume_after(slot, watermark);
@@ -114,44 +123,57 @@ proptest! {
             // A derived stream's batch always carries its close.
             let bound = (derived || *kind == 7).then_some(now);
             let rows: Arc<[Row]> = batch.iter().map(|ts| tup(*ts)).collect();
-            let mut advanced = stores.advance(&rows, bound, None, None);
+            let mut advanced = stores.advance(&rows, bound, false, None, None);
             prop_assert!(advanced.failed.is_empty());
-            let got: Vec<(i64, Vec<i64>)> = advanced
-                .closed
-                .remove(&slot)
-                .unwrap_or_default()
-                .into_iter()
-                .map(|(close, window)| {
-                    let WindowOutput::Ready(rel) = window else {
-                        panic!("raw rows need no table");
-                    };
-                    let ts = rel.rows().iter().map(|r| r[0].as_timestamp().unwrap());
-                    (close, ts.collect())
-                })
-                .collect();
+            let got = windows(advanced.closed.remove(&slot).unwrap_or_default());
             let want = reference.feed((visible, advance, derived), &batch, bound);
             prop_assert_eq!(got, want, "batch {:?} bound {:?}", batch, bound);
             batch.clear();
         }
     }
 
-    /// Row windows emit every `advance` rows with at most `visible` rows.
+    /// A ROWS window over its store closes at every `advance`-th tuple
+    /// with the last `visible` tuples — fewer only before `visible` have
+    /// arrived — whatever the batch cuts, and no heartbeat closes one. A
+    /// close is stamped with the newest CQTIME taken or, over a stream with
+    /// no CQTIME, the running row count.
     #[test]
     fn row_window_counts(
-        visible in 1u64..20,
-        advance in 1u64..20,
-        n in 1usize..200,
+        visible in 1i64..20,
+        advance in 1i64..20,
+        cqtime in any::<bool>(),
+        // (time step, ends its batch, a heartbeat follows), from -50.
+        events in prop::collection::vec((0i64..5, any::<bool>(), any::<bool>()), 1..200),
     ) {
-        let mut w = WindowBuffer::new(WindowSpec::Rows { visible, advance }, Some(0)).unwrap();
-        let mut emitted = 0usize;
-        for i in 0..n {
-            let closes = w.push(&[tup(i as i64)], None).unwrap();
-            for c in &closes {
-                prop_assert!(c.rows.len() as u64 <= visible);
-                emitted += 1;
+        let clock = Clock::Rows { cqtime: cqtime.then_some(0) };
+        let mut stores = SharedRegistry::default();
+        let (slot, _) = stores.join(&rows_store(clock, visible, advance), true, None).unwrap();
+        let (mut now, mut batch, mut seen) = (-50i64, Vec::new(), Vec::new());
+        for (i, (step, ends, heartbeat)) in events.iter().enumerate() {
+            now += step;
+            batch.push(now);
+            if !ends && i + 1 < events.len() {
+                continue;
+            }
+            let rows: Arc<[Row]> = batch.iter().map(|ts| tup(*ts)).collect();
+            let mut want = Vec::new();
+            for ts in batch.drain(..) {
+                seen.push(ts);
+                if seen.len() as i64 % advance == 0 {
+                    let newest = seen.iter().max().copied();
+                    let stamp = newest.filter(|_| cqtime).unwrap_or(seen.len() as i64);
+                    let from = seen.len().saturating_sub(visible as usize);
+                    want.push((stamp, seen[from..].to_vec()));
+                }
+            }
+            let mut advanced = stores.advance(&rows, None, false, None, None);
+            let got = windows(advanced.closed.remove(&slot).unwrap_or_default());
+            prop_assert_eq!(got, want);
+            if *heartbeat {
+                let advanced = stores.advance(&Arc::from([]), Some(now + 1_000), false, None, None);
+                prop_assert!(advanced.closed.is_empty(), "a heartbeat closed a ROWS window");
             }
         }
-        prop_assert_eq!(emitted, n / advance as usize);
     }
 
     /// ReorderBuffer: released output is time-sorted, and with slack ≥ max

@@ -41,7 +41,7 @@ pub mod lower;
 pub mod state;
 
 pub use lower::{
-    lower, lower_with, rows_program, AggShape, IvmProgram, IvmShape, JoinShape, KeyOrder, Lowering,
-    RowOp, StreamPrefix, IVM_INPUT,
+    lower, lower_with, rows_program, AggShape, Clock, IvmProgram, IvmShape, JoinShape, KeyOrder,
+    Lowering, RowOp, StreamPrefix, IVM_INPUT,
 };
 pub use state::{gcd, IvmState, MatchCounts, WindowOutput, WindowView};

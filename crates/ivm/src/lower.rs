@@ -1,6 +1,7 @@
 //! The IVM planner pass: lowering a bound continuous plan to an
 //! incremental program, or reporting why it must re-evaluate — on the
-//! same slice store, with the raw rows as payload ([`rows_program`]).
+//! same slice store, with the raw rows as payload ([`rows_program`]), on
+//! whichever clock its window counts ([`Clock`]).
 //!
 //! A plan lowers when it has exactly one *anchor* — an `Aggregate` or a
 //! `Distinct` — whose input is maintainable per tuple: a filter/project
@@ -40,21 +41,43 @@ pub enum RowOp {
     Project(Vec<BoundExpr>),
 }
 
-/// The stream-side pipeline below the anchor: which stream feeds it, where
-/// its CQTIME lives, and the filter/project chain applied per tuple.
+/// The clock a store slices on: what its VISIBLE, ADVANCE, slices and
+/// close cursors count ([`crate::IvmState::slice_time`] reads it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Clock {
+    /// Event time: a tuple's CQTIME, the column at `cqtime` in the *stream*
+    /// row (ops may project it away; it is read before the chain runs).
+    /// Over a `derived` stream, whose batches are stamped at their close, a
+    /// window is `(lo, close]`, which the store gets by slicing each tuple
+    /// one tick early.
+    Time { cqtime: usize, derived: bool },
+    /// The tuple ordinal (`<VISIBLE n ROWS ADVANCE m ROWS>`). A close is
+    /// stamped with the newest CQTIME taken so far, or — with no CQTIME
+    /// value seen — the running row count.
+    Rows { cqtime: Option<usize> },
+    /// The ordinal of a derived stream's batch (`<SLICES n WINDOWS>`); a
+    /// close is stamped with the bound of its newest batch.
+    Batches,
+}
+
+impl Clock {
+    /// Counts tuples or batches rather than time: ordinals start at the
+    /// store's first member, so such a store has one member and no pool.
+    pub fn is_ordinal(&self) -> bool {
+        !matches!(self, Clock::Time { .. })
+    }
+}
+
+/// The stream-side pipeline below the anchor: which stream feeds it, the
+/// clock it slices on, and the filter/project chain applied per tuple.
 #[derive(Debug, Clone)]
 pub struct StreamPrefix {
     /// Source stream name.
     pub stream: String,
     /// Stream schema (the chain's input).
     pub input_schema: SchemaRef,
-    /// CQTIME column position in the *stream* row (ops may project it
-    /// away; the timestamp is read before the chain runs).
-    pub cqtime: usize,
-    /// The stream is a derived one, whose batches are stamped at their
-    /// close: a window over it is `(lo, close]`, which the store gets by
-    /// slicing each tuple one tick early ([`crate::IvmState::slice_time`]).
-    pub derived: bool,
+    /// What the store's slices and closes count.
+    pub clock: Clock,
     /// Filter/project chain, in application order.
     pub ops: Vec<RowOp>,
 }
@@ -241,11 +264,11 @@ pub fn lower_with(plan: &LogicalPlan, pooled: bool) -> Lowering {
     }
 }
 
-/// The program of a plan that is *not* maintained: its time window's raw
-/// rows are the slice payload ([`IvmShape::Rows`]) and the post-plan is the
-/// whole plan, still bound to the stream's own name. `None` when the plan
-/// scans no time window with a CQTIME to slice on — ROWS and SLICES windows
-/// count tuples and batches, not time.
+/// The program of a plan that is *not* maintained: its window's raw rows
+/// are the slice payload ([`IvmShape::Rows`]) and the post-plan is the
+/// whole plan, still bound to the stream's own name. A time window slices
+/// on CQTIME, a ROWS window on the tuple ordinal and a SLICES window on the
+/// batch ordinal ([`Clock`]). `None` when the plan scans no bounded window.
 pub fn rows_program(plan: &LogicalPlan) -> Option<Box<IvmProgram>> {
     let mut scan = None;
     plan.visit(&mut |p| {
@@ -254,9 +277,7 @@ pub fn rows_program(plan: &LogicalPlan) -> Option<Box<IvmProgram>> {
         }
     });
     // The scan alone is a chain of no ops.
-    let (prefix, WindowSpec::Time { visible, advance }) = parse_stream_chain(scan?).ok()? else {
-        return None;
-    };
+    let (prefix, visible, advance) = scan_prefix(scan?).ok()?;
     Some(Box::new(IvmProgram {
         shape: IvmShape::Rows { prefix },
         post_plan: plan.clone(),
@@ -456,34 +477,55 @@ fn parse_stream_chain(plan: &LogicalPlan) -> Result<(StreamPrefix, WindowSpec), 
                 ops_rev.push(RowOp::Project(exprs.clone()));
                 cur = input;
             }
-            LogicalPlan::StreamScan {
-                stream,
-                schema,
-                window,
-                cqtime,
-                derived,
-            } => {
+            LogicalPlan::StreamScan { window, .. } => {
+                // Only time windows lower; a count window re-evaluates.
                 let WindowSpec::Time { .. } = window else {
                     return Err(REASON_WINDOW);
                 };
-                let Some(cqtime) = *cqtime else {
-                    return Err(REASON_NO_CQTIME);
-                };
+                let (mut prefix, ..) = scan_prefix(cur)?;
                 ops_rev.reverse();
-                return Ok((
-                    StreamPrefix {
-                        stream: stream.clone(),
-                        input_schema: schema.clone(),
-                        cqtime,
-                        derived: *derived,
-                        ops: ops_rev,
-                    },
-                    *window,
-                ));
+                prefix.ops = ops_rev;
+                return Ok((prefix, *window));
             }
             _ => return Err(REASON_BELOW_ANCHOR),
         }
     }
+}
+
+/// A stream scan as a prefix of no ops, with its window's VISIBLE and
+/// ADVANCE on the prefix's clock.
+fn scan_prefix(scan: &LogicalPlan) -> Result<(StreamPrefix, i64, i64), &'static str> {
+    let LogicalPlan::StreamScan {
+        stream,
+        schema,
+        window,
+        cqtime,
+        derived,
+    } = scan
+    else {
+        return Err(REASON_BELOW_ANCHOR);
+    };
+    let (clock, visible, advance) = match *window {
+        WindowSpec::Time { visible, advance } => {
+            let cqtime = cqtime.ok_or(REASON_NO_CQTIME)?;
+            let derived = *derived;
+            (Clock::Time { cqtime, derived }, visible, advance)
+        }
+        WindowSpec::Rows { visible, advance } => (
+            Clock::Rows { cqtime: *cqtime },
+            visible as i64,
+            advance as i64,
+        ),
+        WindowSpec::Slices { count } => (Clock::Batches, count as i64, 1),
+        WindowSpec::Unbounded => return Err(REASON_WINDOW),
+    };
+    let prefix = StreamPrefix {
+        stream: stream.clone(),
+        input_schema: schema.clone(),
+        clock,
+        ops: Vec::new(),
+    };
+    Ok((prefix, visible, advance))
 }
 
 /// Per-aggregate eligibility. Integer sums are exact, and AVG over
@@ -1013,7 +1055,11 @@ mod tests {
         let Lowering::Lowered(p) = lower(&plan) else {
             panic!("expected lowered: {:?}", fallback_reason(&plan));
         };
-        assert!(p.shape.prefix().derived);
+        let clock = Clock::Time {
+            cqtime: 1,
+            derived: true,
+        };
+        assert_eq!(p.shape.prefix().clock, clock);
     }
 
     #[test]
@@ -1027,11 +1073,20 @@ mod tests {
         assert_eq!((p.visible, p.advance), (2 * MINUTES, MINUTES));
         assert_eq!(p.post_plan.stream_scans()[0].0, "url_stream");
         assert!(p.shape.aggs().is_empty());
-        // Count windows have no time grid to slice on.
-        let rows = scan(WindowSpec::Rows {
+        // Count windows slice on an ordinal clock: a ROWS window on the
+        // tuple's, SLICES n on the batch's, one batch at a time.
+        let clocked = |window| {
+            let p = rows_program(&scan(window)).expect("a bounded window slices");
+            (p.shape.prefix().clock, p.visible, p.advance)
+        };
+        let rows = WindowSpec::Rows {
             visible: 10,
             advance: 5,
-        });
-        assert!(rows_program(&rows).is_none());
+        };
+        let cqtime = Some(1);
+        assert_eq!(clocked(rows), (Clock::Rows { cqtime }, 10, 5));
+        let slices = WindowSpec::Slices { count: 3 };
+        assert_eq!(clocked(slices), (Clock::Batches, 3, 1));
+        assert!(rows_program(&scan(WindowSpec::Unbounded)).is_none());
     }
 }

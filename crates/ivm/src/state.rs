@@ -11,6 +11,11 @@
 //! re-evaluates over their concatenation: N such windows buffer a tuple
 //! once.
 //!
+//! Every window slices, whatever it counts ([`Clock`]): a time window's
+//! grid is in event time, a ROWS window's in tuple ordinals and a SLICES
+//! window's in a derived stream's batch ordinals. An ordinal slice records
+//! the `cq_close` stamp a window ending with it emits ([`IvmState::take`]).
+//!
 //! Keys by reference: the store interns each distinct key once, under a
 //! dense `u32` id, in its key dictionary; slices and window views hold ids,
 //! and a key row is built only when a window emits it. An id lives while a
@@ -51,7 +56,7 @@ use streamrel_exec::{Accumulator, RelationSource};
 use streamrel_sql::plan::{AggSpec, BoundExpr};
 use streamrel_types::{Error, Relation, Result, Row, Timestamp, Value};
 
-use crate::lower::{AggShape, IvmProgram, IvmShape, KeyOrder, RowOp};
+use crate::lower::{AggShape, Clock, IvmProgram, IvmShape, KeyOrder, RowOp};
 
 /// Result of composing a window from slices.
 #[derive(Clone)]
@@ -258,6 +263,8 @@ struct Slice {
     spelled: Vec<(u32, Arc<[Value]>)>,
     /// The raw rows, in arrival order ([`IvmShape::Rows`] stores only).
     rows: Vec<Row>,
+    /// On an ordinal clock, the `cq_close` of a window this slice ends.
+    stamp: Timestamp,
 }
 
 impl Slice {
@@ -399,6 +406,10 @@ pub struct IvmState {
     memo: Option<Arc<MatchCounts>>,
     /// Reads of a join store's table: memo fills plus unmemoised reads.
     table_scans: u64,
+    /// On an ordinal clock, the tuples (ROWS) or batches (SLICES) taken.
+    taken: i64,
+    /// On a ROWS clock, the newest CQTIME taken, once one has been.
+    newest: Option<Timestamp>,
 }
 
 impl IvmState {
@@ -428,12 +439,19 @@ impl IvmState {
             delta_rows: 0,
             merges: 0,
             key: Vec::new(),
+            taken: 0,
+            newest: None,
         }
     }
 
     /// The shape this store maintains.
     pub fn shape(&self) -> &IvmShape {
         &self.shape
+    }
+
+    /// The clock the store slices on.
+    pub fn clock(&self) -> Clock {
+        self.shape.prefix().clock
     }
 
     /// Slice width (µs); 0 until a grid is fixed.
@@ -515,18 +533,77 @@ impl IvmState {
         Ok(())
     }
 
-    /// The time a tuple is sliced at: its CQTIME — one tick earlier over a
-    /// derived stream, whose batches are stamped *at* their close, so that
-    /// a window `(lo, close]` there is `[lo, close)` here. The only place
-    /// that convention lives: slices, close cursors and eviction are
-    /// `[lo, close)` throughout.
+    /// Where a tuple is sliced on the store's clock: its CQTIME — one tick
+    /// earlier over a derived stream, whose batches are stamped *at* their
+    /// close, so that a window `(lo, close]` there is `[lo, close)` here —
+    /// or the ordinal of the tuple (ROWS) or batch (SLICES) being taken,
+    /// so that the window closing at ordinal `c` holds the first `c`. The
+    /// only place that convention lives: slices, close cursors and
+    /// eviction are `[lo, close)` throughout.
     pub fn slice_time(&self, row: &Row) -> Result<Timestamp> {
-        let prefix = self.shape.prefix();
+        let Clock::Time { cqtime, derived } = self.clock() else {
+            return Ok(self.taken);
+        };
         let ts = row
-            .get(prefix.cqtime)
+            .get(cqtime)
             .ok_or_else(|| Error::stream("row too short for CQTIME"))?
             .as_timestamp()?;
-        Ok(ts.saturating_sub(i64::from(prefix.derived)))
+        Ok(ts.saturating_sub(i64::from(derived)))
+    }
+
+    /// Where a member that joins now first closes, when the clock fixes
+    /// it: on ROWS at its `advance`-th tuple (a partial first window still
+    /// emits), on SLICES at its `visible`-th batch. On event time the first
+    /// tuple aligns it.
+    pub fn first_close(&self, visible: i64, advance: i64) -> Option<Timestamp> {
+        match self.clock() {
+            Clock::Time { .. } => None,
+            Clock::Rows { .. } => Some(self.taken + advance),
+            Clock::Batches => Some(self.taken + visible),
+        }
+    }
+
+    /// Take one batch of the stream — its tuples in CQTIME order, or with
+    /// none and a `bound`, a heartbeat — folding each tuple once. Returns
+    /// the batch's oldest slice time and the reading every window closing
+    /// at or before is due at: on event time its newest slice time or the
+    /// bound, whichever is later; on an ordinal clock the count taken,
+    /// which a heartbeat does not move. A SLICES store takes whole result
+    /// batches, each one ordinal stamped with its bound, empty or not.
+    pub fn take(
+        &mut self,
+        rows: &[Row],
+        bound: Option<Timestamp>,
+    ) -> Result<(Option<Timestamp>, Option<Timestamp>)> {
+        let clock = self.clock();
+        if let Clock::Batches = clock {
+            let bound = bound.ok_or_else(|| {
+                Error::stream("slices windows consume whole result batches, not tuples")
+            })?;
+            // An empty batch is still one upstream window.
+            self.slices.entry(self.taken).or_default().stamp = bound;
+        }
+        let first = rows.first().map(|r| self.slice_time(r)).transpose()?;
+        let last = rows.last().map(|r| self.slice_time(r)).transpose()?;
+        rows.iter().try_for_each(|r| self.on_tuple(r))?;
+        Ok(match clock {
+            Clock::Time { .. } => (first, last.max(bound)),
+            Clock::Rows { .. } => (first, Some(self.taken)),
+            Clock::Batches => {
+                self.taken += 1;
+                (first, Some(self.taken))
+            }
+        })
+    }
+
+    /// The `cq_close` of the window closing at `close`: `close` itself on
+    /// event time, else the stamp of the newest slice the window covers.
+    pub fn close_stamp(&self, close: Timestamp) -> Timestamp {
+        if !self.clock().is_ordinal() {
+            return close;
+        }
+        let newest = self.slices.range(..close).next_back();
+        newest.map_or(close, |(_, slice)| slice.stamp)
     }
 
     /// Fold one stream tuple into its slice — once, however many windows
@@ -537,6 +614,15 @@ impl IvmState {
         let ectx = EvalContext::default();
         let ts = self.slice_time(row)?;
         let slice_start = ts.div_euclid(self.width) * self.width;
+        if let Clock::Rows { cqtime } = self.clock() {
+            // A window ending with this tuple is stamped with the newest
+            // CQTIME so far or, with none seen, the running row count.
+            let ts = cqtime.and_then(|c| row.get(c)?.as_timestamp().ok());
+            self.newest = self.newest.max(ts);
+            self.taken += 1;
+            let stamp = self.newest.unwrap_or(self.taken);
+            self.slices.entry(slice_start).or_default().stamp = stamp;
+        }
         let (join_key, group_key): (&[BoundExpr], &[BoundExpr]) = match &self.shape {
             IvmShape::Agg { agg, .. } => (&[], &agg.group_exprs),
             IvmShape::JoinAgg { join, agg, .. } => (&join.left_key, &agg.group_exprs),
@@ -928,8 +1014,10 @@ mod tests {
         StreamPrefix {
             stream: "url_stream".into(),
             input_schema: stream_schema(),
-            cqtime: 1,
-            derived: false,
+            clock: Clock::Time {
+                cqtime: 1,
+                derived: false,
+            },
             ops,
         }
     }
@@ -1095,7 +1183,7 @@ mod tests {
 
     fn rows_state(derived: bool, visible: i64, advance: i64) -> IvmState {
         let mut prefix = prefix(vec![]);
-        prefix.derived = derived;
+        prefix.clock = Clock::Time { cqtime: 1, derived };
         IvmState::new(&program(IvmShape::Rows { prefix }, visible, advance))
     }
 

@@ -134,8 +134,8 @@ pub enum WindowSpec {
     /// binds this instead of erroring so `streamrel-check` can classify
     /// the resulting unbounded-state operator (join, aggregate, bare
     /// scan) and reject it at registration with a targeted hint. It
-    /// never survives admission: the CQ runtime refuses to build a
-    /// window buffer for it.
+    /// never survives admission: the CQ runtime refuses to place it on a
+    /// slice store.
     Unbounded,
 }
 

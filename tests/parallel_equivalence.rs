@@ -57,15 +57,32 @@ fn setup(db: &Db) -> Vec<SubscriptionId> {
              FROM s{i} <TUMBLING '1 minute'>"
         ))
         .unwrap();
+        // Beside them, the count windows, each a store of its own on an
+        // ordinal clock: ROWS over `s`, ROWS over `n` — the same rows on a
+        // stream with no CQTIME — and SLICES 3 over the derived stream.
+        db.execute(&format!("CREATE STREAM n{i} (v integer, ts timestamp)"))
+            .unwrap();
         for cq in [
             "SELECT sum(t) tt, max(c) hi FROM {d} <VISIBLE '3 minutes' ADVANCE '1 minute'>",
             "SELECT t, c, w FROM {d} <VISIBLE '2 minutes' ADVANCE '1 minute'> WHERE c > 0",
+            "SELECT sum(v) t, count(*) c, cq_close(*) w FROM {s} <VISIBLE 5 ROWS ADVANCE 2 ROWS>",
+            "SELECT v, ts, cq_close(*) w FROM {n} <VISIBLE 4 ROWS ADVANCE 3 ROWS>",
+            "SELECT sum(t) tt, max(w) hi FROM {d} <SLICES 3 WINDOWS>",
         ] {
-            let cq = cq.replace("{d}", &format!("d{i}"));
+            let cq = (cq.replace("{d}", &format!("d{i}")))
+                .replace("{s}", &format!("s{i}"))
+                .replace("{n}", &format!("n{i}"));
             subs.push(db.execute(&cq).unwrap().subscription());
         }
     }
     subs
+}
+
+/// One batch into stream `i`: its CQTIME stream `s`, then `n`, which
+/// has no CQTIME.
+fn ingest(db: &Db, i: usize, rows: Vec<Vec<Value>>) {
+    db.ingest_batch(&format!("s{i}"), rows.clone()).unwrap();
+    db.ingest_batch(&format!("n{i}"), rows).unwrap();
 }
 
 /// Turn gap-encoded batches into absolute-timestamp rows.
@@ -105,7 +122,7 @@ fn serial_run(workload: &[StreamBatches]) -> Vec<Vec<(i64, Vec<u8>)>> {
     let subs = setup(&db);
     for (i, batches) in workload.iter().enumerate() {
         for rows in materialize(batches) {
-            db.ingest_batch(&format!("s{i}"), rows).unwrap();
+            ingest(&db, i, rows);
         }
     }
     for i in 0..STREAMS {
@@ -124,7 +141,7 @@ fn concurrent_run(workload: &[StreamBatches]) -> Vec<Vec<(i64, Vec<u8>)>> {
             let db = &db;
             s.spawn(move || {
                 for rows in materialize(batches) {
-                    db.ingest_batch(&format!("s{i}"), rows).unwrap();
+                    ingest(db, i, rows);
                 }
             });
         }

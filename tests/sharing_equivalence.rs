@@ -258,14 +258,25 @@ const CASCADE: &[&str] = &[
 /// A sliding, a coarser sliding and a tumbling window (VISIBLE, ADVANCE s).
 const CASCADE_WINDOWS: [(i64, i64); 3] = [(4, 1), (6, 2), (3, 3)];
 
+/// The count windows beside them, each a store of its own on an ordinal
+/// clock: ROWS over `s`, ROWS over `n` — the same rows on a stream with no
+/// CQTIME — and SLICES 3 over the derived stream.
+const COUNTED: &[&str] = &[
+    "SELECT k, v, cq_close(*) w FROM s <VISIBLE 5 ROWS ADVANCE 2 ROWS>",
+    "SELECT k, v, cq_close(*) w FROM n <VISIBLE 4 ROWS ADVANCE 3 ROWS>",
+    "SELECT k, c, t, w FROM per_sec <SLICES 3 WINDOWS> WHERE c > 0",
+];
+
 /// Run every cascade CQ under every window over `events` — `(kind, key, v,
 /// gap in quarter seconds)`: kind 0 jumps 25× as far, leaving upstream
 /// windows heartbeat-only; kind 1 is a heartbeat — plus one late copy of
 /// each (4 s, 1 s) CQ registered a third of the way in, reported from its
-/// first window that starts after it joined.
+/// first window that starts after it joined, and the [`COUNTED`] CQs.
 fn run_cascade(opts: DbOptions, events: &[(u8, u8, i64, i64)]) -> Vec<String> {
     let db = Db::in_memory(opts);
     db.execute("CREATE STREAM s (k varchar(4), v integer, ts timestamp CQTIME USER)")
+        .unwrap();
+    db.execute("CREATE STREAM n (k varchar(4), v integer, ts timestamp)")
         .unwrap();
     db.execute(
         "CREATE STREAM per_sec AS SELECT k, count(*) c, sum(v) t, cq_close(*) w \
@@ -279,6 +290,9 @@ fn run_cascade(opts: DbOptions, events: &[(u8, u8, i64, i64)]) -> Vec<String> {
     let mut subs = Vec::new();
     for cq in CASCADE {
         subs.extend(CASCADE_WINDOWS.map(|w| (subscribe(cq, w), 0)));
+    }
+    for cq in COUNTED {
+        subs.push((db.execute(cq).unwrap().subscription(), 0));
     }
     let mut ts = 0i64;
     for (i, (kind, key, v, gap)) in events.iter().enumerate() {
@@ -297,7 +311,8 @@ fn run_cascade(opts: DbOptions, events: &[(u8, u8, i64, i64)]) -> Vec<String> {
             Value::Int(*v),
             Value::Timestamp(ts),
         ];
-        db.ingest("s", row).unwrap();
+        db.ingest("s", row.clone()).unwrap();
+        db.ingest("n", row).unwrap();
     }
     db.heartbeat("s", ts + 60 * SECONDS).unwrap();
     let outs = subs.into_iter().map(|(sub, from)| {
@@ -315,7 +330,8 @@ proptest! {
     /// A stream is a stream: over a derived stream as over a base one,
     /// pooled stores, private stores and raw-rows stores (`without_ivm`,
     /// pooled and private) emit the same bytes — late joiner included,
-    /// from its first window that starts after it joined.
+    /// from its first window that starts after it joined — and so do the
+    /// count windows, whose stores run as pool jobs beside the others.
     #[test]
     fn cascades_are_identical_on_every_path(
         events in prop::collection::vec((0u8..12, 0u8..6, -9i64..10, 0i64..6), 30..180),
