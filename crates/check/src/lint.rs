@@ -6,9 +6,11 @@
 //! compiler cannot see:
 //!
 //! * **`no-unwrap`** — no `.unwrap()` / `.expect(` in non-test code of the
-//!   I/O crates (`crates/storage`, `crates/net`, `crates/core`) and of the
-//!   tick path's window code (`crates/ivm`, `crates/cq`). A panic in a
-//!   storage, wire or window path takes down every standing CQ at once.
+//!   I/O crates (`crates/storage`, `crates/net`, `crates/core`), of the
+//!   tick path's window code (`crates/ivm`, `crates/cq`) and of the SQL
+//!   front end (`crates/sql`), whose text arrives in `Query` frames. A
+//!   panic in a storage, wire, SQL or window path takes down every
+//!   standing CQ at once.
 //! * **`lock-order`** — files declare their mutex acquisition order in a
 //!   `// lock-order: a < b < c` comment; every function's `.lock()` sites
 //!   are checked against the declaration. Out-of-order acquisition is the
@@ -59,6 +61,7 @@ const NO_UNWRAP_SCOPES: &[&str] = &[
     "crates/core/src/",
     "crates/ivm/src/",
     "crates/cq/src/",
+    "crates/sql/src/",
 ];
 
 /// Files allowed to hardcode the reserved catalog prefix: its definition
@@ -553,6 +556,7 @@ mod tests {
         );
         assert_eq!(rules_of("crates/net/src/server.rs", src), vec!["no-unwrap"]);
         assert_eq!(rules_of("crates/cq/src/shared.rs", src), vec!["no-unwrap"]);
+        assert_eq!(rules_of("crates/sql/src/parser.rs", src), vec!["no-unwrap"]);
         assert!(rules_of("crates/exec/src/expr.rs", src).is_empty());
         assert!(rules_of("crates/cq/tests/prop.rs", src).is_empty());
     }

@@ -288,10 +288,10 @@ impl Db {
     }
 
     /// Propagate CQ outputs through their sinks, breadth-first: a client's
-    /// goes to its subscription queue, a derived stream's is that stream's
-    /// next batch (derived-stream composition, §3.2) and takes the same
-    /// [`Db::feed`] a base stream's tuples do — whatever it emits joins the
-    /// queue. `start` is the one timestamp taken when the triggering batch
+    /// goes to the queue of each member of its subscription, a derived
+    /// stream's is that stream's next batch (derived-stream composition,
+    /// §3.2) and takes the same [`Db::feed`] a base stream's tuples do —
+    /// whatever it emits joins the queue. `start` is the one timestamp taken when the triggering batch
     /// or heartbeat arrived; each CQ's close-latency histogram observes the
     /// elapsed time when its result is enqueued. Cascades stay inside the
     /// owning shard (a derived stream lives with its root base stream).
@@ -314,10 +314,8 @@ impl Db {
             };
             entry.close_hist.observe_from(start);
             match &entry.sink {
-                Sink::Client(_, queue) => {
-                    // The depth gauge is settled inside `offer`.
-                    let shed = queue.lock().offer(Arc::new(out));
-                    self.metrics.sub_drops.add(shed);
+                Sink::Client(_, members) => {
+                    members.lock().offer(Arc::new(out));
                     published = true;
                 }
                 Sink::Derived(name) => {

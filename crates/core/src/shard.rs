@@ -27,14 +27,14 @@ use streamrel_sql::ast::ChannelMode;
 use streamrel_types::Timestamp;
 
 use crate::provider::StreamDecl;
-use crate::subscription::{ClientQueue, SubscriptionId};
+use crate::subscription::{Group, SubscriptionId};
 
 /// Where a CQ's window results go.
 pub(crate) enum Sink {
     /// Feed the derived stream of this name, in the same shard.
     Derived(String),
-    /// The queue of the client subscription this CQ was registered for.
-    Client(SubscriptionId, ClientQueue),
+    /// The members of the client subscription this CQ was registered for.
+    Client(SubscriptionId, Group),
 }
 
 /// A running CQ plus its delivery target.

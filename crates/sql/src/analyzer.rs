@@ -616,7 +616,8 @@ impl<'a> Analyzer<'a> {
             else {
                 unreachable!("collect_aggregates only returns Function nodes");
             };
-            let func = AggFunc::from_name(name).expect("checked by collect_aggregates");
+            let func = AggFunc::from_name(name)
+                .ok_or_else(|| Error::analysis(format!("unknown aggregate {name}")))?;
             let (arg, arg_ty) = if *star {
                 if func != AggFunc::Count {
                     return Err(Error::analysis(format!("{name}(*) is not valid")));
@@ -1056,7 +1057,7 @@ fn binary_result_type(op: BinaryOp, l: &BoundExpr, r: &BoundExpr) -> Result<Data
         }
         Concat => Ok(Text),
         Add | Sub => match (lt, rt) {
-            _ if lt.is_numeric() && rt.is_numeric() => Ok(lt.common_type(rt).unwrap()),
+            _ if lt.is_numeric() && rt.is_numeric() => lt.common_type(rt).map_or_else(err, Ok),
             (Timestamp, Interval) => Ok(Timestamp),
             (Interval, Timestamp) if op == Add => Ok(Timestamp),
             (Timestamp, Timestamp) if op == Sub => Ok(Interval),
@@ -1064,13 +1065,13 @@ fn binary_result_type(op: BinaryOp, l: &BoundExpr, r: &BoundExpr) -> Result<Data
             _ => err(),
         },
         Mul => match (lt, rt) {
-            _ if lt.is_numeric() && rt.is_numeric() => Ok(lt.common_type(rt).unwrap()),
+            _ if lt.is_numeric() && rt.is_numeric() => lt.common_type(rt).map_or_else(err, Ok),
             (Interval, Int) | (Int, Interval) => Ok(Interval),
             (Interval, Float) | (Float, Interval) => Ok(Interval),
             _ => err(),
         },
         Div => match (lt, rt) {
-            _ if lt.is_numeric() && rt.is_numeric() => Ok(lt.common_type(rt).unwrap()),
+            _ if lt.is_numeric() && rt.is_numeric() => lt.common_type(rt).map_or_else(err, Ok),
             (Interval, Int) | (Interval, Float) => Ok(Interval),
             _ => err(),
         },

@@ -182,15 +182,14 @@ fn flatten_and(e: &BoundExpr, out: &mut Vec<BoundExpr>) {
 }
 
 fn wrap_filter(plan: LogicalPlan, mut preds: Vec<BoundExpr>, shift: usize) -> LogicalPlan {
-    if preds.is_empty() {
-        return plan;
-    }
     if shift > 0 {
         for p in &mut preds {
             p.map_columns(&|i| i - shift);
         }
     }
-    let predicate = preds.into_iter().reduce(and).expect("non-empty");
+    let Some(predicate) = preds.into_iter().reduce(and) else {
+        return plan;
+    };
     LogicalPlan::Filter {
         input: Box::new(plan),
         predicate,

@@ -13,10 +13,13 @@ use crate::lexer::{lex, SpannedToken, Sym, Token};
 /// Parse exactly one statement (trailing semicolon optional).
 pub fn parse_statement(sql: &str) -> Result<Statement> {
     let mut stmts = parse_statements(sql)?;
-    match stmts.len() {
-        1 => Ok(stmts.pop().unwrap()),
-        0 => Err(Error::parse("empty statement")),
-        n => Err(Error::parse(format!("expected one statement, found {n}"))),
+    match (stmts.pop(), stmts.len()) {
+        (Some(stmt), 0) => Ok(stmt),
+        (None, _) => Err(Error::parse("empty statement")),
+        (Some(_), n) => Err(Error::parse(format!(
+            "expected one statement, found {}",
+            n + 1
+        ))),
     }
 }
 

@@ -431,6 +431,27 @@ fn fat_window_rows(w: i64, rows: i64) -> Vec<Vec<Value>> {
         .collect()
 }
 
+/// Mid-stall, each of the `routed` copies is sent, shed by its member's
+/// queue or still owed there or in the write buffer — and a wire member's
+/// queue is the one that sheds: `db.sub_drops` stays 0.
+fn assert_routed_copies_accounted_mid_stall(db: &Db, routed: i64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let sent = metric(db, "net.windows_sent").unwrap_or(0);
+        let shed = metric(db, "net.outbox_drops").unwrap_or(0);
+        let owed = metric(db, "net.outbox.depth").unwrap_or(0);
+        if sent + shed + owed == routed {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "mid-stall: sent={sent} shed={shed} owed={owed}, want sum {routed}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(metric(db, "db.sub_drops"), Some(0));
+}
+
 #[test]
 fn members_overflow_on_their_own_accounts() {
     // Two members of one group behind a socket that stops reading: each
@@ -455,9 +476,8 @@ fn members_overflow_on_their_own_accounts() {
     };
     assert_eq!(reference.len(), WINDOWS as usize);
 
-    let db = Arc::new(Db::in_memory(DbOptions::default()));
+    let db = Arc::new(Db::in_memory(DbOptions::default().with_sub_queue(2)));
     let opts = ServerOptions {
-        outbox_capacity: 2,
         write_timeout: Duration::from_secs(30), // shed, don't disconnect
         ..ServerOptions::default()
     };
@@ -481,6 +501,7 @@ fn members_overflow_on_their_own_accounts() {
             .unwrap();
         admin.heartbeat("events", (w + 1) * 60_000_000).unwrap();
     }
+    assert_routed_copies_accounted_mid_stall(&db, 2 * WINDOWS);
     let frames = read_until_quiet(&mut raw, &mut decoder);
 
     let mut delivered = 0;
@@ -506,6 +527,7 @@ fn members_overflow_on_their_own_accounts() {
     );
     assert_eq!(metric(&db, "net.delivery_lost"), Some(0));
     assert_eq!(metric(&db, "net.fanout.encodes"), Some(WINDOWS));
+    assert_eq!(metric(&db, "db.sub_drops"), Some(0));
 
     drop(raw);
     admin.close().unwrap();
@@ -518,9 +540,8 @@ fn members_overflow_on_their_own_accounts() {
 /// teardown. Payloads large enough to defeat kernel socket buffering
 /// make real backpressure (and real residue) build up server-side.
 fn assert_loss_conserved_across_socket_death(windows: i64, rows_per_window: i64, members: usize) {
-    let db = Arc::new(Db::in_memory(DbOptions::default()));
+    let db = Arc::new(Db::in_memory(DbOptions::default().with_sub_queue(2)));
     let opts = ServerOptions {
-        outbox_capacity: 2,
         write_timeout: Duration::from_secs(30), // let the drop, not the stall, kill it
         ..ServerOptions::default()
     };
@@ -545,6 +566,8 @@ fn assert_loss_conserved_across_socket_death(windows: i64, rows_per_window: i64,
         admin.ingest_batch("events", &rows).unwrap();
         admin.heartbeat("events", (w + 1) * 60_000_000).unwrap();
     }
+    let routed = windows * members as i64;
+    assert_routed_copies_accounted_mid_stall(&db, routed);
 
     // Die abruptly with megabytes still in flight.
     drop(raw);
@@ -557,7 +580,6 @@ fn assert_loss_conserved_across_socket_death(windows: i64, rows_per_window: i64,
     // Conservation: sent + shed + lost == routed. And the death was
     // genuinely mid-delivery — something was lost or shed, not just
     // buffered away by the kernel.
-    let routed = windows * members as i64;
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let sent = metric(&db, "net.windows_sent").unwrap_or(0);
@@ -568,6 +590,7 @@ fn assert_loss_conserved_across_socket_death(windows: i64, rows_per_window: i64,
                 shed + lost > 0,
                 "workload too small to exercise loss accounting"
             );
+            assert_eq!(metric(&db, "db.sub_drops"), Some(0));
             break;
         }
         assert!(

@@ -213,6 +213,49 @@ fn malformed_frame_gets_error_and_server_survives() {
 }
 
 #[test]
+fn frames_sent_just_before_eof_are_handled_and_answered() {
+    let db = Arc::new(Db::in_memory(DbOptions::default()));
+    let server = Server::serve(db.clone(), "127.0.0.1:0").unwrap();
+    db.execute(DDL).unwrap();
+
+    // A producer's last batch and heartbeat in one write, then its
+    // write half closes: the server reads them and the EOF together.
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    let rows = [row(0, 0), row(0, 1), row(1, 0)];
+    let mut bytes = Vec::new();
+    Frame::new(FrameType::Ingest, wire::encode_ingest("events", &rows))
+        .write_to(&mut bytes)
+        .unwrap();
+    Frame::new(
+        FrameType::Heartbeat,
+        wire::encode_heartbeat("events", 60_000_000),
+    )
+    .write_to(&mut bytes)
+    .unwrap();
+    {
+        use std::io::Write;
+        raw.write_all(&bytes).unwrap();
+    }
+    raw.shutdown(std::net::Shutdown::Write).unwrap();
+
+    let mut replies = Vec::new();
+    while let Some(frame) = Frame::read_from(&mut raw).unwrap() {
+        replies.push(frame);
+    }
+    let types: Vec<FrameType> = replies.iter().map(|f| f.ty).collect();
+    assert_eq!(types, [FrameType::Rows, FrameType::Heartbeat]);
+    let ack = wire::decode_rows(&replies[0].payload).unwrap();
+    assert_eq!(
+        ack.rows(),
+        wire::ack_relation("ingested", "events", 3).rows()
+    );
+    let echo = wire::decode_heartbeat(&replies[1].payload).unwrap();
+    assert_eq!(echo, ("events".to_string(), 60_000_000));
+    assert_eq!(db.stats().tuples_in, rows.len() as u64);
+    server.shutdown();
+}
+
+#[test]
 fn abrupt_disconnect_reaps_subscriptions() {
     let db = Arc::new(Db::in_memory(DbOptions::default()));
     let server = Server::serve(db.clone(), "127.0.0.1:0").unwrap();
