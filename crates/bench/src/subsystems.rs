@@ -392,7 +392,7 @@ fn fanout_point(subs: usize, reference: &[(i64, Vec<u8>)]) -> Result<FanoutPoint
 /// reactor holds sockets and buffers, not threads. At every point the
 /// window body is encoded once per window, never per member; every member
 /// receives each window exactly once, byte-identical to the embedded
-/// API's; nothing is shed or lost; the outboxes drain to zero; and from
+/// API's; nothing is shed or lost; the member queues drain to zero; and from
 /// 100 members on, a socket's pending copies leave in coalesced writes.
 /// Registration stays linear in members.
 pub fn fanout() -> SuiteResult {

@@ -12,7 +12,7 @@
 //! while no request is in flight.
 //!
 //! Each subscription's client-side queue is **bounded**
-//! ([`ClientOptions`]), mirroring the server's outbox discipline: an
+//! ([`ClientOptions`]), mirroring the server's member queues: an
 //! application that stops consuming a stream sheds that stream's oldest
 //! windows (observable via [`SubscriptionStream::dropped`]) instead of
 //! growing memory without limit. The reader decodes with the resumable [`FrameDecoder`], so a
