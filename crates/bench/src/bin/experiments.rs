@@ -10,15 +10,16 @@
 //!
 //! `SCALE` (default 1) multiplies every workload size. Each suite prints
 //! its table and its claims; the claims and rates land in
-//! `BENCH_experiments.json` (`suites.<name>`), and the runner exits 1 if
-//! any claim failed.
+//! `BENCH_experiments.json` (`suites.<name>`) when every suite ran, and in
+//! `target/BENCH_experiments.subset.json` when only some did, and the
+//! runner exits 1 if any claim failed.
 
 #![deny(unsafe_code)]
 
 use std::error::Error;
 use std::time::Instant;
 
-use streamrel_bench::experiments::{record, run_suite, select, Report};
+use streamrel_bench::experiments::{record, results_path, run_suite, select, Report};
 use streamrel_bench::{scale, ResultTable};
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -27,6 +28,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         eprintln!("experiments: {e}");
         std::process::exit(2);
     });
+    let path = results_path(suites.len());
     println!(
         "experiments: {} suite(s) at SCALE={}\n",
         suites.len(),
@@ -68,8 +70,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         ("scale", scale().to_string()),
         ("secs", format!("{secs:.3}")),
     ];
-    let failed = record("BENCH_experiments.json", &head, &results)?;
-    println!("\n{failed} claim(s) failed in {secs:.2}s; recorded BENCH_experiments.json");
+    let failed = record(path, &head, &results)?;
+    println!("\n{failed} claim(s) failed in {secs:.2}s; recorded {path}");
     if failed > 0 {
         std::process::exit(1);
     }

@@ -97,6 +97,20 @@ pub fn select(names: &[String]) -> Result<Vec<(&'static str, SuiteRun)>, String>
         .collect())
 }
 
+/// The committed results file, which only a run of every suite rewrites.
+pub const RESULTS: &str = "BENCH_experiments.json";
+
+/// Where a run of `selected` suites records: [`RESULTS`] for a full run;
+/// a file under `target/` for a subset, which would otherwise replace the
+/// committed fifteen suites with its few.
+pub fn results_path(selected: usize) -> &'static str {
+    if selected == SUITES.len() {
+        RESULTS
+    } else {
+        "target/BENCH_experiments.subset.json"
+    }
+}
+
 /// Run one suite, stamping its name on every claim it returns.
 pub fn run_suite(name: &'static str, run: SuiteRun) -> SuiteResult {
     let mut report = run()?;
@@ -171,6 +185,9 @@ pub fn record(
         );
     }
     json.push_str("\n  }\n}\n");
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir)?;
+    }
     std::fs::write(path, json)?;
     Ok(failed)
 }
@@ -1313,6 +1330,15 @@ mod tests {
         assert_eq!(select(&[]).unwrap().len(), SUITES.len());
         let one = select(&["e7".to_string()]).unwrap();
         assert_eq!(one.iter().map(|(n, _)| *n).collect::<Vec<_>>(), ["e7"]);
+    }
+
+    #[test]
+    fn only_a_full_run_rewrites_the_committed_results() {
+        assert_eq!(results_path(select(&[]).unwrap().len()), RESULTS);
+        let one = select(&["fanout".to_string()]).unwrap();
+        let subset = results_path(one.len());
+        assert!(subset.starts_with("target/"), "{subset}");
+        assert_ne!(subset, RESULTS);
     }
 
     #[test]

@@ -49,6 +49,7 @@ type SubSuite = (&'static str, fn() -> Result<(), String>);
 /// sub-suite and is reported as a failure rather than aborting the sweep.
 pub fn run_seed(seed: u64) -> Outcome {
     let mut outcome = Outcome::default();
+    let was_enabled = parking_lot::witness::enabled();
     parking_lot::witness::enable();
     let suites: [SubSuite; 4] = [
         ("parallel-equivalence", parallel_equivalence),
@@ -75,7 +76,9 @@ pub fn run_seed(seed: u64) -> Outcome {
             artifact: None,
         });
     }
-    parking_lot::witness::disable();
+    if !was_enabled {
+        parking_lot::witness::disable();
+    }
     outcome
 }
 

@@ -1,91 +1,29 @@
 //! `streamrel-lint` — run the Level-2 engine-invariant source lint.
 //!
-//! Usage: `cargo run -p streamrel-check --bin streamrel-lint [-- <flags>] [<root>]`
+//! Usage: `cargo run -p streamrel-check --bin streamrel-lint [-- <root>]`
 //!
 //! Scans `crates/`, `shims/` and `src/` under the workspace root (default:
 //! the workspace containing this crate), applies the rules documented in
 //! DESIGN.md §8, honors the `lint.allow` burndown file, and exits non-zero
 //! on any violation or stale allowlist entry — CI wires this into the
-//! `lint` job. The run includes the whole-workspace lock-graph pass
-//! (DESIGN.md §14).
-//!
-//! Flags:
-//!
-//! * `--lock-graph` — print the merged workspace lock-acquisition graph
-//!   as GraphViz DOT (declared edges solid, observed edges dashed) and
-//!   exit. Exits non-zero if the graph has a cycle.
-//! * `--update-lock-graph` — regenerate
-//!   `crates/check/src/lock_graph.gen.rs` from the sources and exit.
-//!   Refuses while the graph is cyclic.
+//! `lint` job. Lock order is checked per function against
+//! `streamrel_check::lock_order`; the runtime lock witness checks it
+//! across calls (DESIGN.md §14).
 
 #![deny(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use streamrel_check::{lint, lock_graph};
+use streamrel_check::lint;
 
 fn main() -> ExitCode {
-    let mut dot = false;
-    let mut update = false;
-    let mut root: Option<PathBuf> = None;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--lock-graph" => dot = true,
-            "--update-lock-graph" => update = true,
-            other => root = Some(PathBuf::from(other)),
-        }
-    }
-    let root = root.unwrap_or_else(|| {
-        // crates/check -> workspace root.
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-    });
-
-    if dot || update {
-        let report = match lock_graph::analyze(&root) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("streamrel-lint: cannot scan {}: {e}", root.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let cyclic = report
-            .violations
-            .iter()
-            .any(|v| v.rule == "lock-cycle" || v.rule == "lock-graph-inversion");
-        // Staleness is what --update-lock-graph fixes (and --lock-graph
-        // doesn't check); only cycle/inversion violations are printed.
-        for v in report
-            .violations
-            .iter()
-            .filter(|v| v.rule != "lock-graph-stale")
-        {
-            eprintln!("{v}");
-        }
-        if dot {
-            print!("{}", report.to_dot());
-            return if cyclic {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            };
-        }
-        if cyclic {
-            eprintln!("streamrel-lint: refusing to regenerate while the graph is cyclic");
-            return ExitCode::FAILURE;
-        }
-        let path = root.join(lock_graph::GEN_PATH);
-        if let Err(e) = std::fs::write(&path, report.to_gen_source()) {
-            eprintln!("streamrel-lint: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "streamrel-lint: wrote {} ({} lock(s), {} edge(s))",
-            lock_graph::GEN_PATH,
-            report.order.len(),
-            report.graph.edges.len()
-        );
-        return ExitCode::SUCCESS;
-    }
+    let root = std::env::args()
+        .nth(1)
+        .map(PathBuf::from)
+        .unwrap_or_else(|| {
+            // crates/check -> workspace root.
+            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+        });
 
     let report = match lint::run(&root) {
         Ok(r) => r,

@@ -16,9 +16,9 @@
 //!
 //! * **Level 2 — source lint** ([`lint`]): a self-hosted, dependency-free
 //!   scanner over the workspace's own sources enforcing engine invariants
-//!   (no `unwrap()` in I/O crates, declared lock order, `Relaxed` atomics
-//!   only in `crates/obs`, the reserved `streamrel_` prefix). It runs in
-//!   CI via the `streamrel-lint` binary.
+//!   (no `unwrap()` in I/O crates, the [`lock_order`] table, `Relaxed`
+//!   atomics only in `crates/obs`, the reserved `streamrel_` prefix). It
+//!   runs in CI via the `streamrel-lint` binary.
 //!
 //! The paper's thesis is that continuous queries are long-lived shared
 //! infrastructure (§2, §4): a plan admitted today runs for weeks, so a
@@ -28,15 +28,7 @@
 #![deny(unsafe_code)]
 
 pub mod lint;
-pub mod lock_graph;
-
-/// The generated merged workspace lock-order table (see
-/// [`lock_graph`]). Lives in `lock_graph.gen.rs`, produced by
-/// `streamrel-lint --update-lock-graph` and staleness-checked by the
-/// lint; pulled in via `include!` so rustfmt leaves it alone.
-pub mod lock_graph_gen {
-    include!("lock_graph.gen.rs");
-}
+pub mod lock_order;
 
 use std::sync::Arc;
 use streamrel_cq::shared::{place, SharedRegistry};

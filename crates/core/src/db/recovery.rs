@@ -15,8 +15,6 @@
 //! replayed row. A stream with no APPEND archive, and a derived stream with
 //! no `cq_close(*)` column, are not replayed (DESIGN.md §3.5).
 
-// lock-order: catalog < state
-
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;

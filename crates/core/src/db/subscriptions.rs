@@ -7,11 +7,9 @@
 //! ([`Db::serve`]), the server's, and so is every member after it.
 //!
 //! The table lock and each subscription's lock (`core.sub_queue`) are
-//! leaves: nothing is acquired while either is held, so they add no
-//! lock-graph edges and are not declared below. `pump` takes a
-//! subscription's lock under its shard's `state`.
-
-// lock-order: catalog < state
+//! leaves: nothing is acquired while either is held, so they are not in
+//! the declared lock order. `pump` takes a subscription's lock under its
+//! shard's `state`.
 
 use std::sync::Arc;
 

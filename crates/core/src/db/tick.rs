@@ -4,8 +4,6 @@
 //! run on the worker pool and come back in submission order — (CQ, close)
 //! — so output is byte-identical to serial execution.
 
-// lock-order: catalog < state
-
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;

@@ -13,7 +13,7 @@
 //! needs a second shard's lock.
 //!
 //! This module holds only data; every lock acquisition happens in `db.rs`
-//! and its modules, each under a file-level `// lock-order:` declaration.
+//! and its modules, in the order of `streamrel_check::lock_order`.
 
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
@@ -117,7 +117,6 @@ pub(crate) struct Shard {
 impl Shard {
     pub fn new(domain: usize) -> Arc<Shard> {
         let shard = Shard {
-            // Witness name matches db.rs's `// lock-order:` declaration.
             state: Mutex::named("core.state", ShardState::default()),
         };
         shard.state.lock().domain = domain;

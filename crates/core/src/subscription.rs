@@ -315,8 +315,6 @@ impl Member {
 /// Wakes blocked pollers when any subscription receives a window result:
 /// [`ResultNotifier::wait_newer`] parks a thread on a condvar until the
 /// generation advances. (A server is woken through its [`Outlet`].)
-// lock-order: generation
-//
 // The notifier's generation lock is a leaf: `Db::pump` publishes once,
 // after its last offer, holding no queue lock.
 pub struct ResultNotifier {
@@ -335,7 +333,6 @@ impl std::fmt::Debug for ResultNotifier {
 impl Default for ResultNotifier {
     fn default() -> ResultNotifier {
         ResultNotifier {
-            // Witness name matches the `// lock-order:` declaration above.
             generation: Mutex::named("core.generation", 0),
             cv: Condvar::new(),
         }

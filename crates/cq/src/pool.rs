@@ -19,8 +19,6 @@
 //! whole batch is in, first panic in submission order — the outcome of
 //! running the batch inline — while the worker thread lives on.
 
-// lock-order: queue < results
-//
 // The job queue lock is released before a job runs; a job's completion
 // closure takes its batch's results lock, which also holds the count of
 // slots still empty. No lock is ever held while executing user work.

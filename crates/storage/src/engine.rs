@@ -122,8 +122,6 @@ impl WalShard {
     }
 }
 
-// lock-order: wal < group
-//
 // Commit paths append to the WAL, then coordinate through the
 // group-commit state (streamrel-lint enforces the order per function).
 // The group leader releases `wal` before taking `group` to publish its

@@ -136,7 +136,6 @@ fn concurrent_subscribers_see_identical_streams() {
 /// (A cascade's error used to abandon the windows queued behind it.)
 #[test]
 fn a_failing_cascade_conserves_every_subscriptions_windows() {
-    parking_lot::witness::enable();
     let db = Db::in_memory(DbOptions::default().with_sub_queue(8));
     db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
         .unwrap();
@@ -202,7 +201,6 @@ fn a_failing_cascade_conserves_every_subscriptions_windows() {
 fn store_membership_churns_under_ingest() {
     const ROUNDS: usize = 40;
     const SHAPE: &str = "SELECT k, count(*) c FROM s";
-    parking_lot::witness::enable();
     let db = Arc::new(Db::in_memory(DbOptions::default()));
     db.execute("CREATE STREAM s (k varchar(8), ts timestamp CQTIME USER)")
         .unwrap();
@@ -378,7 +376,6 @@ fn replace_table_readers_see_whole_generations() {
 /// with the lock witness validating every named-lock acquisition.
 #[test]
 fn replace_table_readers_see_whole_generations_under_chaos() {
-    parking_lot::witness::enable();
     let mut points = 0;
     for seed in 42..46 {
         streamrel_faults::chaos::arm(seed);
@@ -387,6 +384,5 @@ fn replace_table_readers_see_whole_generations_under_chaos() {
         points += streamrel_faults::chaos::ops();
         assert!(run.is_ok(), "seed {seed}: diverged under chaos");
     }
-    parking_lot::witness::disable();
     assert!(points > 0, "chaos injector never fired");
 }

@@ -262,7 +262,6 @@ fn fanout_is_byte_identical_under_chaos_schedules() {
     const WINDOWS: i64 = 2;
     let reference = embedded_reference(WINDOWS);
 
-    parking_lot::witness::enable();
     let mut points = 0;
     for seed in [0xC1D2_2009, 0xFA10_0075] {
         chaos::arm(seed);
@@ -308,7 +307,6 @@ fn fanout_is_byte_identical_under_chaos_schedules() {
             );
         }
     }
-    parking_lot::witness::disable();
     assert!(points > 0, "chaos injector never fired");
 }
 

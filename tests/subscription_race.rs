@@ -48,7 +48,8 @@ fn a_window_closed_during_registration_reaches_the_subscription() {
     db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
         .unwrap();
     witness::set_chaos_hook(park_after_catalog);
-    // Release points reach the hook only while the witness validates.
+    // Release points reach the hook only while the witness validates: on
+    // in a debug build, and turned on here for a release one.
     witness::enable();
     let subscriber = {
         let db = db.clone();
@@ -75,7 +76,6 @@ fn a_window_closed_during_registration_reaches_the_subscription() {
     db.ingest_batch("s", batch.to_vec()).unwrap();
     RESUME.store(true, SeqCst);
     let sub = subscriber.join().unwrap();
-    witness::disable();
 
     let closed = db.stats().windows_out;
     assert_eq!(closed, 1, "the ingest closed one window");
