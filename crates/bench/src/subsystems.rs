@@ -638,8 +638,9 @@ pub fn federation() -> SuiteResult {
 const INGEST_STREAMS: usize = 4;
 
 /// Feed `INGEST_STREAMS` streams from as many threads for 2.5 s against a
-/// durable database in a scratch directory; return aggregate rows/s.
-fn ingest_run(tag: &str, opts: DbOptions) -> Result<f64, Box<dyn Error>> {
+/// durable database in a scratch directory; return aggregate rows/s and
+/// `db.archive.row_clones`.
+fn ingest_run(tag: &str, opts: DbOptions) -> Result<(f64, u64), Box<dyn Error>> {
     let dir = std::env::temp_dir().join(format!("streamrel-ingest-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let db = Db::open(&dir, opts)?;
@@ -702,9 +703,10 @@ fn ingest_run(tag: &str, opts: DbOptions) -> Result<f64, Box<dyn Error>> {
             .try_for_each(|t| t.join().expect("ingester panicked"))
     })?;
     let tps = total.load(Ordering::SeqCst) as f64 / start.elapsed().as_secs_f64();
+    let clones = db.engine().metrics().counter("db.archive.row_clones").get();
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
-    Ok(tps)
+    Ok((tps, clones))
 }
 
 /// Durable ingest under the sharded core with one WAL per shard, against
@@ -714,23 +716,24 @@ fn ingest_run(tag: &str, opts: DbOptions) -> Result<f64, Box<dyn Error>> {
 /// multiply aggregate throughput — so a smaller host records the suite as
 /// skipped, with its reason, and claims only the second part.
 ///
-/// That part is the shape of Active Table upkeep: one stream, a
-/// per-second count over 100 groups into an APPEND and a REPLACE table,
-/// 20 000 windows and no `VACUUM`. What a REPLACE commit scans (a count
-/// that repeats exactly) must not grow with the history, nor what the
-/// table holds: refreshing it costs the delta, not the history.
+/// Their streams archive into one channel each, which moves the rows:
+/// none is cloned. The last part is the shape of Active Table upkeep: one
+/// stream, a per-second count over 100 groups into an APPEND and a REPLACE
+/// table, 20 000 windows and no `VACUUM`. What a REPLACE commit scans (a
+/// count that repeats exactly) must not grow with the history, nor what
+/// the table holds: refreshing it costs the delta, not the history.
 pub fn ingest() -> SuiteResult {
     println!("ingest: sharded core + per-shard WAL vs one lock and one log (durable, fsync)\n");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let durable = || DbOptions::default().with_sync(SyncMode::Fsync);
-    let baseline = ingest_run(
+    let (baseline, baseline_clones) = ingest_run(
         "baseline",
         durable()
             .with_shards(1)
             .with_wal_shards(1)
             .with_pool_workers(0),
     )?;
-    let sharded = ingest_run(
+    let (sharded, sharded_clones) = ingest_run(
         "sharded",
         durable()
             .with_shards(INGEST_STREAMS)
@@ -748,6 +751,8 @@ pub fn ingest() -> SuiteResult {
     ]);
     table.print();
     println!("\n{INGEST_STREAMS} ingesters on {cores} core(s): {speedup:.2}x\n");
+    let clones = baseline_clones + sharded_clones;
+    println!("rows cloned into single-channel archives: {clones}\n");
 
     const WINDOWS: i64 = 20_000;
     let db = Db::in_memory(DbOptions::default());
@@ -786,6 +791,7 @@ pub fn ingest() -> SuiteResult {
     );
 
     let mut claims = vec![
+        Claim::new("archive_row_clones", clones as f64, Op::Eq, 0.0),
         Claim::new("replace_scanned_at_20000", at[1] as f64, Op::Gt, 0.0),
         Claim::new(
             "replace_scan_flat",
@@ -850,14 +856,14 @@ pub fn obs() -> SuiteResult {
     // Per ingest batch the engine pays ~1 clock read, a handful of counter
     // bumps and 1 commit-latency observation; per window close, 1
     // close-latency observation plus counters. Every batch through a
-    // stream also times its store and post-plan phases (2 reads, 2
-    // observations).
+    // stream also times its store and post-plan phases, and its archive
+    // when the stream has a channel (at most 3 reads, 3 observations).
     let batches = rows.chunks(CHUNK).len() as u64 + 1; // + heartbeat
     let reg = Registry::new(1024);
     let counter = reg.counter("replay.counter");
     let gauge = reg.gauge("replay.gauge");
     let hist = reg.histogram("replay.hist_us");
-    let phases = || (0..2).for_each(|_| hist.observe_from(Instant::now()));
+    let phases = || (0..3).for_each(|_| hist.observe_from(Instant::now()));
     let (_, obs_t) = timed(|| {
         for _ in 0..REPLAY_FACTOR {
             for _ in 0..batches {

@@ -164,6 +164,10 @@ struct DbMetrics {
     store_phase_us: Arc<Histogram>,
     /// Wall time per batch of its closed windows' plans, µs.
     post_plan_us: Arc<Histogram>,
+    /// Wall time per archiving batch of its channel transaction, µs, and
+    /// the rows a channel insert cloned rather than moved.
+    archive_us: Arc<Histogram>,
+    archive_row_clones: Arc<Counter>,
     exec: ExecMetrics,
 }
 
@@ -186,6 +190,8 @@ impl DbMetrics {
             ivm: IvmMetrics::register(registry),
             store_phase_us: registry.histogram("db.store_phase_us"),
             post_plan_us: registry.histogram("db.post_plan_us"),
+            archive_us: registry.histogram("db.archive_us"),
+            archive_row_clones: registry.counter("db.archive.row_clones"),
             exec: ExecMetrics::register(registry),
         }
     }
@@ -1764,6 +1770,8 @@ mod tests {
         // tuple, the heartbeat and `urls_now`'s two windows.
         assert_eq!(find("db.store_phase_us"), 4);
         assert_eq!(find("db.post_plan_us"), 4);
+        // The archive is timed per archiving batch: `urls_now`'s windows.
+        assert_eq!(find("db.archive_us"), 2);
         db.unsubscribe(sub).unwrap();
         let rel = db
             .execute(&format!(

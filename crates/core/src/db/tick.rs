@@ -3,6 +3,8 @@
 //! downstream of it, under that stream's shard lock alone. Window plans
 //! run on the worker pool and come back in submission order — (CQ, close)
 //! — so output is byte-identical to serial execution.
+//! A batch is folded, then archived, then delivered (DESIGN.md §3.5), so
+//! its windows do not see the channel rows it archives (§3.2).
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -14,6 +16,7 @@ use parking_lot::MutexGuard;
 use streamrel_cq::recovery::save_watermark_txn;
 use streamrel_cq::{CqOutput, WindowTask};
 use streamrel_sql::ast::{ChannelMode, WindowSpec};
+use streamrel_storage::TxnId;
 use streamrel_types::{Error, Result, Row, Timestamp};
 
 use super::Db;
@@ -140,9 +143,10 @@ impl Db {
     }
 
     /// Take one batch through a stream, base or derived — the one path:
-    /// [`Db::archive`] → [`Db::consume`]. `bound` is the time the batch
-    /// carries beyond its tuples: a heartbeat's, or, for a derived stream,
-    /// the close of the upstream window the batch is the result of.
+    /// [`Db::archive_begin`] → [`Db::consume`] (the fold) → [`Db::archive`];
+    /// a batch whose archive fails returns no window to deliver. `bound` is
+    /// the time the batch carries beyond its tuples: a heartbeat's, or, for
+    /// a derived stream, the close of the upstream window it results from.
     fn feed(
         &self,
         state: &mut ShardState,
@@ -150,51 +154,92 @@ impl Db {
         rows: Arc<[Row]>,
         bound: Option<Timestamp>,
     ) -> (Vec<(u64, CqOutput)>, Option<Error>) {
-        match self.archive(state, stream, &rows, bound) {
-            Ok(()) => self.consume(state, stream, &rows, bound, false),
+        let start = Instant::now();
+        let xid = match self.archive_begin(state, stream, &rows) {
+            Ok(xid) => xid,
+            Err(e) => return (Vec::new(), Some(e)),
+        };
+        let begun = start.elapsed();
+        let (emitted, err) = self.consume(state, stream, &rows, bound, false);
+        let Some(xid) = xid else {
+            return (emitted, err);
+        };
+        let start = Instant::now();
+        let archived = self.archive(state, stream, xid, rows, bound);
+        (self.metrics.archive_us).observe((begun + start.elapsed()).as_micros() as u64);
+        match archived {
+            Ok(()) => (emitted, err),
             Err(e) => (Vec::new(), Some(e)),
         }
     }
 
-    /// Write a batch to every channel of its stream in one transaction
-    /// that, for a derived stream, also moves the resume watermark — so
-    /// recovery can never observe a watermark without its archived window
-    /// or vice versa (exactly-once archiving across crashes — the §4
-    /// recovery contract). An empty derived batch is a window all the same:
-    /// it commits its watermark and empties a REPLACE table. A base
-    /// stream's heartbeat is no tuple, and archives nothing.
-    fn archive(
+    /// Open a batch's archiving transaction and take every refusal known
+    /// before the fold: the begin, a row a channel's table does not admit,
+    /// a REPLACE channel's write-write conflict (its deletes are made
+    /// here). `None`: the batch archives nothing — a base stream's
+    /// heartbeat, or a base stream with no channel.
+    fn archive_begin(
         &self,
         state: &ShardState,
         stream: &str,
         rows: &[Row],
+    ) -> Result<Option<TxnId>> {
+        let Some(rt) = state.streams.get(stream) else {
+            return Ok(None);
+        };
+        if !rt.derived && (rows.is_empty() || rt.channels.is_empty()) {
+            return Ok(None);
+        }
+        let xid = self.engine.begin_on(state.domain)?;
+        let refused = rt.channels.iter().try_for_each(|ch| {
+            let schema = &self.engine.table_by_id(ch.table_id)?.schema;
+            rows.iter().try_for_each(|row| schema.admits(row))?;
+            match ch.mode {
+                ChannelMode::Replace => self.engine.delete_all_visible(xid, ch.table_id).map(drop),
+                ChannelMode::Append => Ok(()),
+            }
+        });
+        match refused {
+            Ok(()) => Ok(Some(xid)),
+            Err(e) => self.engine.finish(xid, Err(e)),
+        }
+    }
+
+    /// Insert the batch into its stream's channels and commit the
+    /// transaction [`Db::archive_begin`] opened, with, for a derived
+    /// stream, its resume watermark: recovery never sees a watermark
+    /// without its archived window or the reverse (§4). The last channel
+    /// moves the rows out of a batch nothing else holds; any other insert
+    /// clones them, counted on `db.archive.row_clones`.
+    fn archive(
+        &self,
+        state: &ShardState,
+        stream: &str,
+        xid: TxnId,
+        mut rows: Arc<[Row]>,
         bound: Option<Timestamp>,
     ) -> Result<()> {
         let Some(rt) = state.streams.get(stream) else {
-            return Ok(());
+            return self.engine.abort(xid);
         };
-        let archives = if rows.is_empty() && !rt.derived {
-            &[]
-        } else {
-            rt.channels.as_slice()
-        };
-        if !rt.derived && archives.is_empty() {
-            return Ok(());
-        }
-        let mut written = Vec::with_capacity(archives.len());
-        self.engine.with_txn_on(state.domain, |x| {
-            for ch in archives {
-                if ch.mode == ChannelMode::Replace {
-                    self.engine.delete_all_visible(x, ch.table_id)?;
+        let n = rows.len() as u64;
+        let inserted = rt.channels.iter().enumerate().try_for_each(|(i, ch)| {
+            let last = i + 1 == rt.channels.len();
+            let batch = match Arc::get_mut(&mut rows).filter(|_| last) {
+                Some(unique) => unique.iter_mut().map(std::mem::take).collect(),
+                None => {
+                    self.metrics.archive_row_clones.add(n);
+                    rows.to_vec()
                 }
-                written.push(self.engine.insert_many(x, ch.table_id, rows.to_vec())?);
-            }
-            match (rt.derived, bound) {
-                (true, Some(close)) => save_watermark_txn(&self.engine, x, stream, close),
-                _ => Ok(()),
-            }
-        })?;
-        for (ch, n) in archives.iter().zip(written) {
+            };
+            self.engine.insert_many(xid, ch.table_id, batch).map(drop)
+        });
+        let saved = inserted.and_then(|()| match (rt.derived, bound) {
+            (true, Some(close)) => save_watermark_txn(&self.engine, xid, stream, close),
+            _ => Ok(()),
+        });
+        self.engine.finish(xid, saved)?;
+        for ch in &rt.channels {
             // The generation a REPLACE commit replaced is dead to every
             // snapshot taken from here on; what no older pin still sees
             // goes now.

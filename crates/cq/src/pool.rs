@@ -33,7 +33,9 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex};
 use streamrel_obs::{Gauge, Registry};
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A queued job. A pool thread passes its `pool.busy_workers`, which the
+/// job takes down before it completes its slot; the helping caller `None`.
+type Job = Box<dyn FnOnce(Option<&Gauge>) + Send + 'static>;
 
 struct PoolShared {
     queue: Mutex<VecDeque<Job>>,
@@ -119,15 +121,16 @@ impl WorkerPool {
         });
         for (i, f) in tasks.into_iter().enumerate() {
             let batch = batch.clone();
-            self.shared.enqueue(Box::new(move || {
+            self.shared.enqueue(Box::new(move |busy: Option<&Gauge>| {
                 let r = catch_unwind(AssertUnwindSafe(f));
+                busy.inspect(|busy| busy.sub(1));
                 batch.complete(i, r);
             }));
         }
         // Help: run queued jobs (possibly other batches') until the queue
         // is dry, then wait for our batch to finish.
         while let Some(job) = self.shared.try_pop() {
-            job();
+            job(None);
         }
         batch.wait_results()
     }
@@ -160,8 +163,7 @@ fn worker_loop(shared: &PoolShared) {
             }
         };
         shared.busy_workers.add(1);
-        job();
-        shared.busy_workers.sub(1);
+        job(Some(&shared.busy_workers));
     }
 }
 

@@ -36,6 +36,19 @@ fn conflict(table: u32, slot: u64) -> Error {
     Error::TxnAborted(format!("write-write conflict or missing tuple at {tid:?}"))
 }
 
+/// Index every version of `meta`'s heap holding a row — visibility is
+/// checked at read time — under `columns`, and attach the index as `name`.
+fn build_index(meta: &TableMeta, name: &str, columns: &[impl AsRef<str>]) -> Result<()> {
+    let cols = columns.iter().map(|c| meta.schema.index_of(c.as_ref()));
+    let index = OrderedIndex::new(cols.collect::<Result<_>>()?);
+    meta.heap.for_each_row(|slot, row| index.insert(row, slot));
+    let name = name.to_string();
+    meta.indexes
+        .write()
+        .push(Arc::new(NamedIndex { name, index }));
+    Ok(())
+}
+
 /// Log file name for commit domain `shard` (DESIGN.md §13).
 fn wal_file(shard: usize) -> String {
     format!("wal-{shard}.log")
@@ -296,21 +309,23 @@ impl StorageEngine {
         for (shard, stamp) in needs_stamp.iter().copied().enumerate() {
             let mut wal = Wal::open_with_io(dir.join(wal_file(shard)), sync, io.clone())?;
             if stamp {
-                let lsn = engine.next_lsn.fetch_add(1, Ordering::SeqCst);
-                wal.append(
-                    lsn,
-                    &WalRecord::Epoch {
-                        epoch: ck_epoch,
-                        shard: shard as u32,
-                    },
-                )?;
-                wal.sync_commit()?;
+                engine.stamp_epoch(&mut wal, ck_epoch, shard)?;
             }
             let durable = wal.last_lsn();
             wals.push(WalShard::new(shard, wal, durable, &engine.metrics));
         }
         let engine = StorageEngine { wals, ..engine };
         Ok(engine)
+    }
+
+    /// Stamp `epoch` as the first record of commit domain `shard`'s fresh
+    /// log, durably; returns its LSN.
+    fn stamp_epoch(&self, wal: &mut Wal, epoch: u64, shard: usize) -> Result<u64> {
+        let lsn = self.next_lsn.fetch_add(1, Ordering::SeqCst);
+        let shard = shard as u32;
+        wal.append(lsn, &WalRecord::Epoch { epoch, shard })?;
+        wal.sync_commit()?;
+        Ok(lsn)
     }
 
     /// A purely in-memory engine (no WAL, no checkpoints). Used by
@@ -614,7 +629,12 @@ impl StorageEngine {
     /// streams fsync independent logs.
     pub fn with_txn_on<T>(&self, domain: usize, f: impl FnOnce(TxnId) -> Result<T>) -> Result<T> {
         let xid = self.begin_on(domain)?;
-        match f(xid) {
+        self.finish(xid, f(xid))
+    }
+
+    /// End `xid` by its work's `outcome`: commit on `Ok`, abort on `Err`.
+    pub fn finish<T>(&self, xid: TxnId, outcome: Result<T>) -> Result<T> {
+        match outcome {
             Ok(v) => {
                 self.commit(xid)?;
                 Ok(v)
@@ -693,31 +713,17 @@ impl StorageEngine {
     /// heap and maintained on every subsequent insert.
     pub fn create_index(&self, index_name: &str, table: &str, columns: &[String]) -> Result<()> {
         let meta = self.catalog.table_by_name(table)?;
-        let mut cols = Vec::with_capacity(columns.len());
-        for c in columns {
-            cols.push(meta.schema.index_of(c)?);
-        }
+        let indexes = meta.indexes.read();
+        if indexes
+            .iter()
+            .any(|i| i.name.eq_ignore_ascii_case(index_name))
         {
-            let indexes = meta.indexes.read();
-            if indexes
-                .iter()
-                .any(|i| i.name.eq_ignore_ascii_case(index_name))
-            {
-                return Err(Error::catalog(format!(
-                    "index `{index_name}` already exists"
-                )));
-            }
+            return Err(Error::catalog(format!(
+                "index `{index_name}` already exists"
+            )));
         }
-        let idx = OrderedIndex::new(cols.clone());
-        // Build from existing data: every version slot, visibility checked
-        // at read time.
-        for (slot, row) in meta.heap.rows() {
-            idx.insert(&row, slot);
-        }
-        meta.indexes.write().push(Arc::new(NamedIndex {
-            name: index_name.to_string(),
-            index: idx,
-        }));
+        drop(indexes);
+        build_index(&meta, index_name, columns)?;
         let spec = format!("{}|{}", table, columns.join(","));
         self.catalog_put(&format!("__index.{index_name}"), &spec)?;
         Ok(())
@@ -1084,11 +1090,8 @@ impl StorageEngine {
         // no transactions in flight).
         for (meta, rows) in images {
             meta.heap.truncate();
-            let indexes = meta.indexes.read();
-            for idx in indexes.iter() {
+            for idx in meta.indexes.read().iter() {
                 idx.index.clear();
-            }
-            for idx in indexes.iter() {
                 idx.index.insert_run(&rows, 0);
             }
             meta.heap
@@ -1102,20 +1105,10 @@ impl StorageEngine {
             // rather than replay already-checkpointed records over
             // renumbered slots.
             w.reset()?;
-            let lsn = self.next_lsn.fetch_add(1, Ordering::SeqCst);
-            w.append(
-                lsn,
-                &WalRecord::Epoch {
-                    epoch: new_epoch,
-                    shard: shard_idx as u32,
-                },
-            )?;
-            w.sync_commit()?;
+            let lsn = self.stamp_epoch(&mut w, new_epoch, shard_idx)?;
             drop(w);
             let mut g = shard.group.lock();
-            if lsn > g.durable_lsn {
-                g.durable_lsn = lsn;
-            }
+            g.durable_lsn = g.durable_lsn.max(lsn);
             g.pending.clear();
         }
         Ok(())
@@ -1193,8 +1186,7 @@ impl StorageEngine {
                     seen.insert(xid, TxnStatus::InProgress);
                     max_xid = max_xid.max(xid);
                 }
-                // The per-row forms (written before the batched records)
-                // replay as batches of one.
+                // The per-row form replays as a batch of one.
                 WalRecord::Insert {
                     xid,
                     table,
@@ -1211,10 +1203,6 @@ impl StorageEngine {
                     rows,
                 } => {
                     self.replay_insert(xid, table, first_slot, rows);
-                    max_xid = max_xid.max(xid);
-                }
-                WalRecord::Delete { xid, table, slot } => {
-                    self.replay_delete(xid, table, &[slot]);
                     max_xid = max_xid.max(xid);
                 }
                 WalRecord::DeleteMany { xid, table, slots } => {
@@ -1272,9 +1260,7 @@ impl StorageEngine {
 
     fn replay_insert(&self, xid: TxnId, table: u32, first_slot: u64, rows: Vec<Row>) {
         if let Ok(meta) = self.catalog.table_by_id(table) {
-            for (slot, row) in (first_slot..).zip(rows) {
-                meta.heap.insert_at(xid, slot, row);
-            }
+            meta.heap.insert_at(xid, first_slot, rows);
         }
     }
 
@@ -1286,36 +1272,16 @@ impl StorageEngine {
         }
     }
 
+    /// Build every persisted index over the recovered heaps; one naming a
+    /// table or column that no longer exists is skipped.
     fn rebuild_indexes(&self) {
-        for meta in self.catalog.all_tables() {
-            let defs: Vec<_> = self
-                .catalog
-                .kv_scan("__index.")
-                .into_iter()
-                .filter_map(|(k, v)| {
-                    let name = k.strip_prefix("__index.")?.to_string();
-                    let (tbl, cols) = v.split_once('|')?;
-                    if tbl.eq_ignore_ascii_case(&meta.name) {
-                        Some((
-                            name,
-                            cols.split(',').map(str::to_string).collect::<Vec<_>>(),
-                        ))
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            for (name, cols) in defs {
-                let positions: Option<Vec<usize>> =
-                    cols.iter().map(|c| meta.schema.index_of(c).ok()).collect();
-                let Some(positions) = positions else { continue };
-                let idx = OrderedIndex::new(positions);
-                for (slot, row) in meta.heap.rows() {
-                    idx.insert(&row, slot);
-                }
-                meta.indexes
-                    .write()
-                    .push(Arc::new(NamedIndex { name, index: idx }));
+        for (key, spec) in self.catalog.kv_scan("__index.") {
+            let Some((table, cols)) = spec.split_once('|') else {
+                continue;
+            };
+            if let Ok(meta) = self.catalog.table_by_name(table) {
+                let cols: Vec<&str> = cols.split(',').collect();
+                let _ = build_index(&meta, &key["__index.".len()..], &cols);
             }
         }
     }
@@ -1620,7 +1586,7 @@ mod tests {
     }
 
     #[test]
-    fn batches_are_one_record_and_replay_with_old_records() {
+    fn batches_are_one_record_and_replay_with_per_row_inserts() {
         let dir = tmpdir("batch");
         let t;
         {
@@ -1644,14 +1610,14 @@ mod tests {
             );
             assert_eq!((e.stats().inserts, e.stats().deletes), (4, 3));
         }
-        // A log tail in the per-row form older engines wrote.
+        // A log tail that logs its insert per row: a batch of one.
         let mut wal = Wal::open(dir.join(wal_file(0)), SyncMode::Flush).unwrap();
         let old = [
             WalRecord::Begin { xid: 50 },
-            WalRecord::Delete {
+            WalRecord::DeleteMany {
                 xid: 50,
                 table: t,
-                slot: 3,
+                slots: vec![3],
             },
             WalRecord::Insert {
                 xid: 50,

@@ -24,7 +24,8 @@ pub struct TupleId {
     pub slot: u64,
 }
 
-/// One stored version of a row.
+/// One stored version of a row; the default is a slot the log skipped.
+#[derive(Default)]
 struct TupleVersion {
     /// Inserting transaction.
     xmin: TxnId,
@@ -126,31 +127,21 @@ impl HeapTable {
         Ok(first)
     }
 
-    /// Insert at a specific slot (used only by WAL replay so replayed
-    /// TupleIds keep their original identity). Intermediate slots are
-    /// filled with dead placeholders if the log skipped them.
-    pub fn insert_at(&self, xid: TxnId, slot: u64, row: Row) {
+    /// Insert `rows` at the slots from `first_slot` on, under one lock: WAL
+    /// replay, so TupleIds keep their identity. Slots the log skipped hold
+    /// dead placeholders; a slot below the reclaimed prefix is dropped.
+    pub fn insert_at(&self, xid: TxnId, first_slot: u64, rows: Vec<Row>) {
         let mut v = self.versions.write();
-        let Some(at) = slot.checked_sub(v.base) else {
-            return; // below the reclaimed prefix
-        };
         v.wrote(xid);
-        while (v.slots.len() as u64) < at {
-            v.slots.push_back(TupleVersion {
-                xmin: 0,
-                xmax: 0,
-                row: None,
-            });
-        }
-        let tv = TupleVersion {
-            xmin: xid,
-            xmax: 0,
-            row: Some(row),
-        };
-        if (v.slots.len() as u64) == at {
-            v.slots.push_back(tv);
-        } else {
-            let old = std::mem::replace(&mut v.slots[at as usize], tv);
+        for (slot, row) in (first_slot..).zip(rows) {
+            let Some(at) = slot.checked_sub(v.base).map(|at| at as usize) else {
+                continue;
+            };
+            if v.slots.len() <= at {
+                v.slots.resize_with(at + 1, TupleVersion::default);
+            }
+            let (xmin, row) = (xid, Some(row));
+            let old = std::mem::replace(&mut v.slots[at], TupleVersion { xmin, xmax: 0, row });
             v.dead -= usize::from(old.row.is_some() && old.xmax != 0);
         }
     }
@@ -304,13 +295,16 @@ impl HeapTable {
         (reclaimed, visited)
     }
 
-    /// `(slot, row)` of every version holding a row, whatever its stamps
-    /// (index builds; visibility is re-checked at read time).
-    pub fn rows(&self) -> Vec<(u64, Row)> {
+    /// Visit `(slot, row)` of every version holding a row, whatever its
+    /// stamps, under the read lock (index builds; visibility is re-checked
+    /// at read time).
+    pub fn for_each_row(&self, mut f: impl FnMut(u64, &Row)) {
         let v = self.versions.read();
-        v.iter()
-            .filter_map(|(slot, tv)| Some((slot, tv.row.clone()?)))
-            .collect()
+        for (slot, tv) in v.iter() {
+            if let Some(row) = &tv.row {
+                f(slot, row);
+            }
+        }
     }
 
     /// Truncate: drop every version and restart slot numbering
@@ -528,9 +522,14 @@ mod tests {
     fn insert_at_replays_sparse_slots() {
         let m = TxnManager::new();
         let h = HeapTable::new(0);
-        h.insert_at(crate::txn::FROZEN_XID, 3, row![9i64]);
+        h.insert_at(crate::txn::FROZEN_XID, 3, vec![row![9i64]]);
         assert_eq!(h.version_count(), 4);
-        assert_eq!(scan_rows(&h, &m), vec![row![9i64]]);
+        h.insert_at(crate::txn::FROZEN_XID, 5, vec![row![10i64], row![11i64]]);
+        assert_eq!(h.version_count(), 7);
+        assert_eq!(
+            scan_rows(&h, &m),
+            vec![row![9i64], row![10i64], row![11i64]]
+        );
     }
 
     #[test]

@@ -14,10 +14,9 @@
 //! A batch of rows is one record ([`WalRecord::InsertMany`], one frame,
 //! one CRC), as is a batch of delete stamps ([`WalRecord::DeleteMany`]);
 //! a torn batch is a missing record, and its transaction — which then has
-//! no commit record either — replays as aborted. The per-row
-//! [`WalRecord::Insert`] / [`WalRecord::Delete`] forms are no longer
-//! written by the engine but still decode and replay, so a directory
-//! written before the batched records opens unchanged.
+//! no commit record either — replays as aborted. [`WalRecord::Insert`],
+//! which the engine no longer writes, replays as a batch of one; the
+//! per-row delete (type 3) is retired and stops replay like any unknown.
 //!
 //! Each frame carries the engine-global **log sequence number** under the
 //! CRC. With the commit domain partitioned across `wal-<shard>.log` files
@@ -58,8 +57,6 @@ pub enum WalRecord {
         slot: u64,
         row: Row,
     },
-    /// Row version at a heap slot stamped deleted.
-    Delete { xid: TxnId, table: u32, slot: u64 },
     /// A batch of rows inserted at the contiguous slots starting at
     /// `first_slot`.
     InsertMany {
@@ -116,7 +113,6 @@ pub enum WalRecord {
 
 const T_BEGIN: u8 = 1;
 const T_INSERT: u8 = 2;
-const T_DELETE: u8 = 3;
 const T_COMMIT: u8 = 4;
 const T_ABORT: u8 = 5;
 const T_CREATE: u8 = 6;
@@ -149,13 +145,6 @@ pub(crate) fn encode_insert_many(
 }
 
 impl WalRecord {
-    /// Serialize to the payload form (no framing).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(32);
-        self.encode_into(&mut b);
-        b
-    }
-
     /// Append the payload form to `b`.
     pub fn encode_into(&self, b: &mut Vec<u8>) {
         match self {
@@ -174,12 +163,6 @@ impl WalRecord {
                 put_u32(b, *table);
                 put_u64(b, *slot);
                 encode_row(b, row);
-            }
-            WalRecord::Delete { xid, table, slot } => {
-                b.push(T_DELETE);
-                put_u64(b, *xid);
-                put_u32(b, *table);
-                put_u64(b, *slot);
             }
             WalRecord::InsertMany {
                 xid,
@@ -252,11 +235,6 @@ impl WalRecord {
                 table: r.u32()?,
                 slot: r.u64()?,
                 row: decode_row(&mut r)?,
-            },
-            T_DELETE => WalRecord::Delete {
-                xid: r.u64()?,
-                table: r.u32()?,
-                slot: r.u64()?,
             },
             T_INSERT_MANY => {
                 let (xid, table, first_slot) = (r.u64()?, r.u32()?, r.u64()?);
@@ -498,39 +476,20 @@ impl Drop for Wal {
 /// records, so a torn or corrupt tail can never strand later appends
 /// behind it).
 pub fn replay_bytes(data: &[u8]) -> (Vec<(u64, WalRecord)>, u64) {
-    // A short slice reads as `None`, which ends replay exactly like a
-    // torn tail would.
-    fn le_u32(data: &[u8], pos: usize) -> Option<u32> {
-        let b: [u8; 4] = data.get(pos..pos + 4)?.try_into().ok()?;
-        Some(u32::from_le_bytes(b))
-    }
-    fn le_u64(data: &[u8], pos: usize) -> Option<u64> {
-        let b: [u8; 8] = data.get(pos..pos + 8)?.try_into().ok()?;
-        Some(u64::from_le_bytes(b))
-    }
     let mut records = Vec::new();
     let mut pos = 0usize;
-    while pos + 16 <= data.len() {
-        let (Some(len), Some(crc)) = (le_u32(data, pos), le_u32(data, pos + 4)) else {
-            break; // torn tail
+    // A frame cut short is a torn tail, a CRC or decode failure a corrupt
+    // one: either ends replay.
+    while let Some(head) = data.get(pos..pos + 16) {
+        let word = |i: usize| u32::from_le_bytes([head[i], head[i + 1], head[i + 2], head[i + 3]]);
+        let end = (pos + 16).saturating_add(word(0) as usize);
+        let Some(body) = data.get(pos + 8..end).filter(|b| crc32(b) == word(4)) else {
+            break;
         };
-        let len = len as usize;
-        let start = pos + 8; // start of [lsn][payload]
-        let end = match start.checked_add(8 + len) {
-            Some(e) if e <= data.len() => e,
-            _ => break, // torn tail
+        let Ok(rec) = WalRecord::decode(&body[8..]) else {
+            break;
         };
-        let body = &data[start..end];
-        if crc32(body) != crc {
-            break; // corrupt tail
-        }
-        let Some(lsn) = le_u64(data, start) else {
-            break; // unreachable given the length check; treat as torn
-        };
-        match WalRecord::decode(&body[8..]) {
-            Ok(rec) => records.push((lsn, rec)),
-            Err(_) => break,
-        }
+        records.push((u64::from(word(8)) | u64::from(word(12)) << 32, rec));
         pos = end;
     }
     (records, pos as u64)
@@ -574,11 +533,6 @@ mod tests {
                 table: 7,
                 slot: 0,
                 row: row!["/index", 3i64],
-            },
-            WalRecord::Delete {
-                xid: 2,
-                table: 7,
-                slot: 0,
             },
             WalRecord::InsertMany {
                 xid: 2,
@@ -632,9 +586,37 @@ mod tests {
     #[test]
     fn record_encoding_roundtrips() {
         for rec in sample_records() {
-            let enc = rec.encode();
+            let mut enc = Vec::new();
+            rec.encode_into(&mut enc);
             assert_eq!(WalRecord::decode(&enc).unwrap(), rec, "{rec:?}");
         }
+    }
+
+    /// One fixed record, framed: the bytes pin the on-disk format —
+    /// framing, record encoding and the CRC-32 (zlib's, computed apart).
+    #[test]
+    fn golden_frame() {
+        let path = tmp("golden");
+        let rec = WalRecord::InsertMany {
+            xid: 2,
+            table: 7,
+            first_slot: 1,
+            rows: vec![row!["/a", 1i64]],
+        };
+        let mut wal = Wal::open(&path, SyncMode::Flush).unwrap();
+        wal.append(5, &rec).unwrap();
+        wal.sync_commit().unwrap();
+        #[rustfmt::skip]
+        let golden: [u8; 61] = [
+            45, 0, 0, 0, 0xEF, 0x56, 0xA4, 0x1C, // payload length, CRC
+            5, 0, 0, 0, 0, 0, 0, 0, // LSN
+            13, 2, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, // InsertMany, xid, table
+            1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, // first slot, row count
+            2, 0, 0, 0, 4, 2, 0, 0, 0, b'/', b'a', // arity, text "/a"
+            2, 1, 0, 0, 0, 0, 0, 0, 0, // int 1
+        ];
+        assert_eq!(std::fs::read(&path).unwrap(), golden);
+        assert_eq!(replay(&path).unwrap().0, vec![(5, rec)]);
     }
 
     #[test]

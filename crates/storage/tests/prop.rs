@@ -217,7 +217,6 @@ proptest! {
         for rec in [
             WalRecord::Begin { xid },
             WalRecord::Insert { xid, table, slot, row: row.clone() },
-            WalRecord::Delete { xid, table, slot },
             WalRecord::InsertMany { xid, table, first_slot: slot, rows: vec![row.clone(); 3] },
             WalRecord::DeleteMany { xid, table, slots: vec![slot, slot + 2] },
             WalRecord::Commit { xid },
@@ -225,7 +224,8 @@ proptest! {
             WalRecord::CatalogPut { key: key.clone(), value: val.clone() },
             WalRecord::CatalogDel { key: key.clone() },
         ] {
-            let enc = rec.encode();
+            let mut enc = Vec::new();
+            rec.encode_into(&mut enc);
             prop_assert_eq!(WalRecord::decode(&enc).unwrap(), rec);
         }
     }

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use crate::datatype::DataType;
 use crate::error::{Error, Result};
 use crate::row::Row;
+use crate::value::Value;
 
 /// One column of a table, stream, or intermediate relation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,6 +125,22 @@ impl Schema {
     /// allowed only for nullable columns, ints silently widen to declared
     /// float columns). Returns a row coerced to the declared types.
     pub fn coerce_row(&self, mut row: Row) -> Result<Row> {
+        let mut casts = Vec::new();
+        self.check_row(&row, |i, v| casts.push((i, v)))?;
+        for (i, v) in casts {
+            row[i] = v;
+        }
+        Ok(row)
+    }
+
+    /// Whether [`Schema::coerce_row`] takes `row`, without taking it.
+    pub fn admits(&self, row: &Row) -> Result<()> {
+        self.check_row(row, |_, _| ())
+    }
+
+    /// Check `row` in one pass, handing each value that needs a cast to
+    /// `cast` as its position and the cast value.
+    fn check_row(&self, row: &Row, mut cast: impl FnMut(usize, Value)) -> Result<()> {
         if row.len() != self.columns.len() {
             return Err(Error::type_err(format!(
                 "row has {} values but schema has {} columns",
@@ -131,7 +148,7 @@ impl Schema {
                 self.columns.len()
             )));
         }
-        for (v, c) in row.iter_mut().zip(&self.columns) {
+        for (i, (v, c)) in row.iter().zip(&self.columns).enumerate() {
             if v.is_null() {
                 if !c.nullable {
                     return Err(Error::type_err(format!(
@@ -140,15 +157,12 @@ impl Schema {
                     )));
                 }
             } else if v.data_type() != Some(c.ty) {
-                *v = v.cast(c.ty).map_err(|_| {
-                    Error::type_err(format!(
-                        "value {v} has wrong type for column `{}` ({})",
-                        c.name, c.ty
-                    ))
-                })?;
+                let (name, ty) = (&c.name, c.ty);
+                let wrong = || format!("value {v} has wrong type for column `{name}` ({ty})");
+                cast(i, v.cast(ty).map_err(|_| Error::type_err(wrong()))?);
             }
         }
-        Ok(row)
+        Ok(())
     }
 }
 

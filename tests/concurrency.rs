@@ -230,6 +230,14 @@ fn store_membership_churns_under_ingest() {
     let base = subscribe(4, 2);
     db.ingest("s", tuple(0)).unwrap();
     let churned = AtomicBool::new(false);
+    /// Stops the ingester however the main thread leaves the scope — a
+    /// failed assertion included — so a panic fails the test, not hangs it.
+    struct Churned<'a>(&'a AtomicBool);
+    impl Drop for Churned<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
     let (ingested, last_round) = std::thread::scope(|scope| {
         let ingester = scope.spawn(|| {
             let mut i = 1;
@@ -239,18 +247,20 @@ fn store_membership_churns_under_ingest() {
             }
             i
         });
+        let done = Churned(&churned);
         let mut round = (subscribe(8, 4), subscribe(3, 1));
         for _ in 1..ROUNDS {
-            // Leave only after the ingester has closed a window on each.
+            // Leave only after the ingester has closed a window on each
+            // (or has ended: its join below reports why).
             for sub in [round.0, round.1] {
-                while db.poll(sub).unwrap().is_empty() {
+                while db.poll(sub).unwrap().is_empty() && !ingester.is_finished() {
                     std::thread::yield_now();
                 }
                 db.unsubscribe(sub).unwrap();
             }
             round = (subscribe(8, 4), subscribe(3, 1));
         }
-        churned.store(true, Ordering::SeqCst);
+        drop(done);
         (ingester.join().unwrap(), round)
     });
 

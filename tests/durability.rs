@@ -540,10 +540,10 @@ fn wal_sync_modes_all_recover() {
 
 #[test]
 fn per_row_log_records_open_like_their_batched_twin() {
-    // The engine writes one `InsertMany` / `DeleteMany` per batch; before
-    // that it wrote one `Insert` / `Delete` per row. Rewrite a batched log
-    // record for record into the per-row form: both directories must
-    // recover to the same tables, watermark and resume point.
+    // The engine writes one `InsertMany` per batch; `Insert`, the batch
+    // of one, still replays. Rewrite a batched log record for record with
+    // every insert in the per-row form: both directories must recover to
+    // the same tables, watermark and resume point.
     use streamrel::storage::wal::{replay_bytes, Wal, WalRecord};
     use streamrel::storage::SyncMode;
     let opts = || DbOptions::default().with_wal_shards(1);
@@ -587,20 +587,15 @@ fn per_row_log_records_open_like_their_batched_twin() {
                     });
                 }
             }
-            WalRecord::DeleteMany { xid, table, slots } => {
-                batches += 1;
-                for slot in slots {
-                    append(WalRecord::Delete { xid, table, slot });
-                }
-            }
-            WalRecord::Insert { .. } | WalRecord::Delete { .. } => {
-                panic!("the engine writes only batched DML records")
-            }
+            WalRecord::Insert { .. } => panic!("the engine writes only batched inserts"),
             other => append(other),
         }
     }
     drop(wal);
-    assert!(batches > 10, "the fixture exercises both batched forms");
+    assert_eq!(
+        batches, 10,
+        "4 raw batches, 3 windows into each of agg and cur"
+    );
     let digest = |dir: &PathBuf| -> Vec<String> {
         let db = Db::open(dir, opts()).unwrap();
         db.ingest("s", tup("a", 4 * MINUTES + 1)).unwrap();
@@ -621,4 +616,77 @@ fn per_row_log_records_open_like_their_batched_twin() {
     for dir in [batched, per_row] {
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+// ---- the tick's order: fold, then archive, then deliver --------------------
+
+#[test]
+fn a_replace_conflict_folds_nothing() {
+    // A REPLACE channel's write-write conflict is known before the fold:
+    // the refused batch reaches no consumer of its stream.
+    let db = Db::in_memory(DbOptions::default());
+    db.execute("CREATE STREAM s (k varchar(16), ts timestamp CQTIME USER)")
+        .unwrap();
+    db.execute("CREATE TABLE cur (k varchar(16), ts timestamp)")
+        .unwrap();
+    db.execute("CREATE CHANNEL cur_ch FROM s INTO cur REPLACE")
+        .unwrap();
+    let sub = db
+        .execute("SELECT count(*) c FROM s <TUMBLING '1 minute'>")
+        .unwrap()
+        .subscription();
+    db.ingest("s", tup("a", SECONDS)).unwrap();
+    // An open transaction holds a delete stamp on `cur`'s live row.
+    let engine = db.engine();
+    let table = engine.table_id("cur").unwrap();
+    let holder = engine.begin().unwrap();
+    assert_eq!(engine.delete_all_visible(holder, table).unwrap(), 1);
+    let folded = engine.metrics().counter("ivm.delta.rows").get();
+    let err = db.ingest("s", tup("b", 2 * SECONDS)).unwrap_err();
+    assert!(err.to_string().contains("conflict"), "{err}");
+    assert_eq!(
+        engine.metrics().counter("ivm.delta.rows").get(),
+        folded,
+        "a refused batch folds nothing"
+    );
+    engine.abort(holder).unwrap();
+    db.ingest("s", tup("c", MINUTES + SECONDS)).unwrap();
+    let counts: Vec<Value> = (db.poll(sub).unwrap().iter())
+        .map(|w| w.relation.rows()[0][0].clone())
+        .collect();
+    assert_eq!(
+        counts,
+        vec![Value::Int(1)],
+        "the first minute holds `a` only"
+    );
+    let cur = db.execute("SELECT k FROM cur").unwrap().rows();
+    assert_eq!(cur.rows(), &[vec![Value::text("c")]]);
+}
+
+#[test]
+fn a_close_does_not_see_the_channel_rows_of_the_batch_that_closed_it() {
+    // A batch is folded before it is archived: the windows it closes read
+    // the stream's Active Table as it stood before the batch.
+    let db = Db::in_memory(DbOptions::default());
+    setup(&db);
+    let sub = db
+        .execute(
+            "SELECT count(*) c FROM s <TUMBLING '1 minute'> h \
+             JOIN raw r ON h.k = r.k",
+        )
+        .unwrap()
+        .subscription();
+    db.ingest("s", tup("a", SECONDS)).unwrap();
+    // Closes the first minute; `raw` then holds both tuples.
+    db.ingest("s", tup("a", MINUTES + SECONDS)).unwrap();
+    let counts: Vec<Value> = (db.poll(sub).unwrap().iter())
+        .map(|w| w.relation.rows()[0][0].clone())
+        .collect();
+    assert_eq!(
+        counts,
+        vec![Value::Int(1)],
+        "`a` joins the one row archived before"
+    );
+    let raw = db.execute("SELECT count(*) FROM raw").unwrap().rows();
+    assert_eq!(raw.rows()[0][0], Value::Int(2));
 }

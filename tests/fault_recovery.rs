@@ -446,10 +446,8 @@ fn wal_replay_truncates_at_torn_tail() {
     // On-disk framing, as `Wal::append` writes it: the CRC covers the
     // LSN *and* the payload, so a flipped LSN is rejected too.
     fn frame(lsn: u64, rec: &WalRecord) -> Vec<u8> {
-        let payload = rec.encode();
-        let mut body = Vec::with_capacity(8 + payload.len());
-        body.extend(lsn.to_le_bytes());
-        body.extend(payload);
+        let mut body = lsn.to_le_bytes().to_vec();
+        rec.encode_into(&mut body);
         let mut out = Vec::with_capacity(body.len() + 8);
         out.extend(((body.len() - 8) as u32).to_le_bytes());
         out.extend(streamrel::storage::crc::crc32(&body).to_le_bytes());
@@ -574,4 +572,69 @@ fn fault_metrics_appear_and_survive_registry_restart() {
             "{n} missing after registry restart"
         );
     }
+}
+
+// ---- the tick's order: a log failure after the fold -----------------------
+
+/// A batch is folded, then archived, then delivered. A log write that
+/// fails at the archive — after the fold — poisons the commit domain and
+/// delivers no window of the batch; a reopen holds exactly the batches
+/// whose archive committed.
+#[test]
+fn a_log_failure_after_the_fold_delivers_no_window_of_the_batch() {
+    use streamrel::types::time::MINUTES;
+    let opts = || DbOptions::default().with_sync(SyncMode::Fsync);
+    let open = |io: &Arc<FaultIo>| {
+        let dynio: Arc<dyn Io> = io.clone();
+        Db::open_with_io("/sim/db", opts(), dynio).unwrap()
+    };
+    let setup = FaultIo::new(FaultPlan::none(0));
+    {
+        let db = open(&setup);
+        for ddl in [
+            "CREATE STREAM s (k integer, ts timestamp CQTIME USER)",
+            "CREATE TABLE raw (k integer, ts timestamp)",
+            "CREATE CHANNEL raw_ch FROM s INTO raw APPEND",
+        ] {
+            db.execute(ddl).unwrap();
+        }
+    }
+    // The reopen writes nothing, so the fourth append is the fourth
+    // batch's commit.
+    let io = FaultIo::from_image(&setup.image(), FaultPlan::disk_full_at(3, 3));
+    let db = open(&io);
+    let sub = db
+        .execute("SELECT count(*) c FROM s <TUMBLING '1 minute'>")
+        .unwrap()
+        .subscription();
+    let tuple = |m: i64| vec![Value::Int(m), Value::Timestamp(m * MINUTES + 1)];
+    let mut acked = Vec::new();
+    for m in 0..8 {
+        match db.ingest("s", tuple(m)) {
+            Ok(()) => {
+                let windows = db.poll(sub).unwrap().len();
+                assert_eq!(windows, usize::from(m > 0), "batch {m} closes one window");
+                acked.push(Value::Int(m));
+            }
+            Err(err) => {
+                assert!(
+                    matches!(&err, Error::Io(e) if e.contains("ENOSPC")),
+                    "{err}"
+                );
+                break;
+            }
+        }
+    }
+    assert_eq!(acked.len(), 3, "the fault lands on the fourth batch");
+    assert!(db.engine().wal_poisoned());
+    assert!(
+        db.poll(sub).unwrap().is_empty(),
+        "no window of the failed batch"
+    );
+    let image = io.image();
+    drop(db);
+    let db = open(&FaultIo::from_image(&image, FaultPlan::none(0)));
+    let raw = db.execute("SELECT k FROM raw ORDER BY k").unwrap().rows();
+    let got: Vec<Value> = raw.rows().iter().map(|r| r[0].clone()).collect();
+    assert_eq!(got, acked, "the reopen holds the committed cut");
 }
