@@ -262,8 +262,6 @@ fn drive(
         BridgeOptions {
             backoff_initial: Duration::from_millis(20),
             backoff_max: Duration::from_millis(200),
-            poll: Duration::from_millis(20),
-            ..BridgeOptions::default()
         },
     )
     .map_err(err)?;

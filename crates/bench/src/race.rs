@@ -341,7 +341,7 @@ fn group_commit_conservation() -> Result<(), String> {
     // its own Active Table through an APPEND channel, sharded WAL so
     // commits race through the per-shard group-commit path.
     let io = FaultIo::new(FaultPlan::none(0));
-    let opts = DbOptions::default().with_wal_shards(WRITERS);
+    let opts = DbOptions::default().with_shards(WRITERS);
     let db = Db::open_with_io(SIM_DIR, opts, io.clone()).map_err(|e| e.to_string())?;
     for i in 0..WRITERS {
         db.execute(&format!(
@@ -398,12 +398,8 @@ fn group_commit_conservation() -> Result<(), String> {
     drop(db);
     let image = io.image();
     let re_io = FaultIo::from_image(&image, FaultPlan::none(0));
-    let db = Db::open_with_io(
-        SIM_DIR,
-        DbOptions::default().with_wal_shards(WRITERS),
-        re_io,
-    )
-    .map_err(|e| e.to_string())?;
+    let db = Db::open_with_io(SIM_DIR, DbOptions::default().with_shards(WRITERS), re_io)
+        .map_err(|e| e.to_string())?;
     let recovered = count(&db);
     if recovered != want {
         return Err(format!("recovered count {recovered} != ingested {want}"));

@@ -726,19 +726,9 @@ pub fn ingest() -> SuiteResult {
     println!("ingest: sharded core + per-shard WAL vs one lock and one log (durable, fsync)\n");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let durable = || DbOptions::default().with_sync(SyncMode::Fsync);
-    let (baseline, baseline_clones) = ingest_run(
-        "baseline",
-        durable()
-            .with_shards(1)
-            .with_wal_shards(1)
-            .with_pool_workers(0),
-    )?;
-    let (sharded, sharded_clones) = ingest_run(
-        "sharded",
-        durable()
-            .with_shards(INGEST_STREAMS)
-            .with_wal_shards(INGEST_STREAMS),
-    )?;
+    let (baseline, baseline_clones) =
+        ingest_run("baseline", durable().with_shards(1).with_pool_workers(0))?;
+    let (sharded, sharded_clones) = ingest_run("sharded", durable().with_shards(INGEST_STREAMS))?;
     let speedup = sharded / baseline;
     let mut table = ResultTable::new(&["configuration", "aggregate rows/s"]);
     table.row(&[

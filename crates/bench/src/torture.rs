@@ -539,11 +539,10 @@ fn gen_cq_steps(seed: u64, tuples: usize) -> Vec<CqStep> {
 fn cq_options() -> DbOptions {
     // Single shard, one WAL log, no worker pool: the op sequence must be
     // identical on every run (and every host) for crash-at-op-N to be
-    // meaningful; a host-derived wal_shards would shift op indices.
+    // meaningful; a host-derived log count would shift op indices.
     DbOptions::default()
         .with_sync(SyncMode::Fsync)
         .with_shards(1)
-        .with_wal_shards(1)
         .with_pool_workers(0)
 }
 

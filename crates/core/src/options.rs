@@ -33,18 +33,13 @@ pub struct DbOptions {
     /// Number of execution shards. `0` (the default) gives every base
     /// stream its own shard, so ingest on distinct streams never contends;
     /// `N > 0` fixes N shard domains and assigns streams round-robin
-    /// (`with_shards(1)` is the single-lock ablation baseline).
+    /// (`with_shards(1)` is the single-lock ablation baseline). The WAL
+    /// commit-domain count follows it ([`DbOptions::resolved_wal_shards`]).
     pub shards: usize,
     /// Worker threads for closed-window plan evaluation. `None` (the
     /// default) sizes from the host's parallelism; `Some(0)` evaluates
     /// inline on the ingesting thread (the serial ablation baseline).
     pub pool_workers: Option<usize>,
-    /// Number of WAL commit domains (`wal-<k>.log` files with independent
-    /// fsyncs, DESIGN.md §13). `0` (the default) derives a count from
-    /// `shards` or the host's parallelism via
-    /// [`DbOptions::resolved_wal_shards`]; `1` is the single-log
-    /// ablation baseline (all shards funnel through one commit mutex).
-    pub wal_shards: usize,
     /// Cross-CQ standing-state budget in bytes. `None` (the default)
     /// admits any plan the Level-1 check accepts; `Some(cap)` admits a
     /// CQ only if its conservative byte bound fits alongside the bounds
@@ -65,7 +60,6 @@ impl Default for DbOptions {
             sub_queue_capacity: DEFAULT_SUB_CAPACITY,
             shards: 0,
             pool_workers: None,
-            wal_shards: 0,
             state_budget_bytes: None,
         }
     }
@@ -109,8 +103,9 @@ impl DbOptions {
         self
     }
 
-    /// Fix the number of execution shards (`1` = the single-lock
-    /// baseline; `0` = one shard per stream).
+    /// Fix the number of execution shards, and with it the number of WAL
+    /// logs (`1` = the single-lock, single-log baseline; `0` = one shard
+    /// per stream).
     pub fn with_shards(mut self, shards: usize) -> DbOptions {
         self.shards = shards;
         self
@@ -122,13 +117,6 @@ impl DbOptions {
         self
     }
 
-    /// Fix the number of WAL commit domains (`1` = the single-log
-    /// baseline; `0` = derive from `shards` / host parallelism).
-    pub fn with_wal_shards(mut self, wal_shards: usize) -> DbOptions {
-        self.wal_shards = wal_shards;
-        self
-    }
-
     /// Cap the summed standing-state bound of all running CQs at
     /// `bytes` (see [`DbOptions::state_budget_bytes`]).
     pub fn with_state_budget(mut self, bytes: u64) -> DbOptions {
@@ -136,14 +124,12 @@ impl DbOptions {
         self
     }
 
-    /// The effective commit-domain count: the configured count, or the
-    /// execution-shard count when fixed, or the host's parallelism —
-    /// capped at 8 (per-log fsyncs stop paying for themselves well
-    /// before the file-descriptor cost does).
+    /// The number of WAL commit domains (`wal-<k>.log` files with
+    /// independent fsyncs, DESIGN.md §13): the execution-shard count when
+    /// fixed, else the host's parallelism — capped at 8 (per-log fsyncs
+    /// stop paying for themselves well before the file-descriptor cost
+    /// does). `with_shards(1)` is the single-log baseline.
     pub fn resolved_wal_shards(&self) -> usize {
-        if self.wal_shards > 0 {
-            return self.wal_shards;
-        }
         if self.shards > 0 {
             return self.shards.min(8);
         }

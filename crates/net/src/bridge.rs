@@ -33,7 +33,7 @@ use streamrel_cq::{CqOutput, PartitionUnion};
 use streamrel_obs::{Counter, Gauge};
 use streamrel_types::{Result, Timestamp};
 
-use crate::client::{Client, ClientOptions};
+use crate::client::Client;
 
 /// Bridge tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -42,19 +42,18 @@ pub struct BridgeOptions {
     pub backoff_initial: Duration,
     /// Backoff cap (doubling stops here).
     pub backoff_max: Duration,
-    /// Receive-poll granularity; bounds shutdown and lag-gauge latency.
-    pub poll: Duration,
-    /// Options for the underlying wire client.
-    pub client: ClientOptions,
 }
+
+/// Receive-poll granularity. A closed link wakes the receive at once, so
+/// this bounds only how long a shutdown waits and how stale the idle
+/// `fed.lag` gauge gets.
+const POLL: Duration = Duration::from_millis(50);
 
 impl Default for BridgeOptions {
     fn default() -> BridgeOptions {
         BridgeOptions {
             backoff_initial: Duration::from_millis(50),
             backoff_max: Duration::from_secs(2),
-            poll: Duration::from_millis(50),
-            client: ClientOptions::default(),
         }
     }
 }
@@ -328,7 +327,7 @@ impl BridgeWorker {
             self.shared.link_up.store(true, Ordering::SeqCst);
             self.metrics.link_up.add(1);
             while !self.shutting_down() {
-                match stream.next_timeout(self.opts.poll) {
+                match stream.next_timeout(POLL) {
                     Some(out) => self.apply(out),
                     None => {
                         if stream.is_closed() {
@@ -357,7 +356,7 @@ impl BridgeWorker {
     /// close (live-only on the very first session — there is no gap to
     /// fill before anything was ever applied).
     fn connect_and_subscribe(&self) -> Option<(Client, crate::client::SubscriptionStream)> {
-        let client = Client::connect_with(&self.addr, self.opts.client).ok()?;
+        let client = Client::connect(&self.addr).ok()?;
         let from = self.shared.last_applied.load(Ordering::SeqCst);
         let stream = client.subscribe_from(&self.remote_stream, from).ok()?;
         Some((client, stream))

@@ -11,11 +11,12 @@
 //! per connection — but pushed results arrive at any time, including
 //! while no request is in flight.
 //!
-//! Each subscription's client-side queue is **bounded**
-//! ([`ClientOptions`]), mirroring the server's member queues: an
-//! application that stops consuming a stream sheds that stream's oldest
-//! windows (observable via [`SubscriptionStream::dropped`]) instead of
-//! growing memory without limit. The reader decodes with the resumable [`FrameDecoder`], so a
+//! Each subscription's client-side queue is **bounded** by
+//! [`streamrel_core::DEFAULT_SUB_CAPACITY`], the engine's own default,
+//! mirroring the server's member queues: an application that stops
+//! consuming a stream sheds that stream's oldest windows (observable via
+//! [`SubscriptionStream::dropped`]) instead of growing memory without
+//! limit. The reader decodes with the resumable [`FrameDecoder`], so a
 //! socket read timeout mid-frame never desyncs the stream.
 
 use std::collections::HashMap;
@@ -77,26 +78,10 @@ impl From<streamrel_types::Error> for NetError {
 /// Client-side result alias.
 pub type NetResult<T> = Result<T, NetError>;
 
-/// Client tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct ClientOptions {
-    /// Per-subscription bound on windows buffered client-side awaiting
-    /// consumption. Mirrors the server's queue discipline so a stalled
-    /// consumer sheds its oldest windows (counted) instead of allocating
-    /// forever.
-    pub sub_queue_capacity: usize,
-}
-
-impl Default for ClientOptions {
-    fn default() -> ClientOptions {
-        ClientOptions {
-            sub_queue_capacity: streamrel_core::DEFAULT_SUB_CAPACITY,
-        }
-    }
-}
-
 /// Bounded buffer between the reader thread and one
-/// [`SubscriptionStream`].
+/// [`SubscriptionStream`]. The bound is the engine's default queue
+/// capacity, so a stalled consumer sheds its oldest windows (counted)
+/// instead of allocating forever.
 struct SubQueue {
     q: Mutex<Subscription<CqOutput>>,
     cv: Condvar,
@@ -106,9 +91,9 @@ struct SubQueue {
 }
 
 impl SubQueue {
-    fn new(opts: ClientOptions) -> Arc<SubQueue> {
+    fn new() -> Arc<SubQueue> {
         Arc::new(SubQueue {
-            q: Mutex::new(Subscription::bounded(opts.sub_queue_capacity)),
+            q: Mutex::new(Subscription::bounded(streamrel_core::DEFAULT_SUB_CAPACITY)),
             cv: Condvar::new(),
             closed: AtomicBool::new(false),
         })
@@ -147,13 +132,8 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connect to a server with default options.
+    /// Connect to a server.
     pub fn connect(addr: impl ToSocketAddrs) -> NetResult<Client> {
-        Client::connect_with(addr, ClientOptions::default())
-    }
-
-    /// Connect with explicit options.
-    pub fn connect_with(addr: impl ToSocketAddrs, opts: ClientOptions) -> NetResult<Client> {
         let socket = TcpStream::connect(addr)?;
         socket.set_nodelay(true).ok();
         let writer = socket.try_clone()?;
@@ -161,7 +141,7 @@ impl Client {
         let (resp_tx, resp_rx) = mpsc::channel();
         let reader = std::thread::Builder::new()
             .name("streamrel-client-reader".into())
-            .spawn(move || reader_loop(read_half, resp_tx, opts))
+            .spawn(move || reader_loop(read_half, resp_tx))
             .map_err(NetError::Io)?;
         Ok(Client {
             io: Mutex::new(Io {
@@ -324,8 +304,8 @@ struct Router {
 }
 
 impl Router {
-    fn add(&mut self, id: u64, opts: ClientOptions) -> Arc<SubQueue> {
-        let queue = SubQueue::new(opts);
+    fn add(&mut self, id: u64) -> Arc<SubQueue> {
+        let queue = SubQueue::new();
         self.subs.insert(id, queue.clone());
         queue
     }
@@ -360,7 +340,7 @@ impl Router {
 /// bounded queue. On any socket or protocol error the thread exits,
 /// closing the response channel and every subscription queue, which
 /// surfaces `Disconnected`/end-of-stream to all callers.
-fn reader_loop(mut socket: TcpStream, resp: Sender<Reply>, opts: ClientOptions) {
+fn reader_loop(mut socket: TcpStream, resp: Sender<Reply>) {
     let mut router = Router::default();
     let mut decoder = FrameDecoder::new();
     loop {
@@ -388,9 +368,7 @@ fn reader_loop(mut socket: TcpStream, resp: Sender<Reply>, opts: ClientOptions) 
                 // Register the route *before* handing the queue to the
                 // caller: this thread is the only frame source, so no
                 // WindowResult for `id` can be missed.
-                Ok(id) => resp
-                    .send(Reply::Subscribed(id, router.add(id, opts)))
-                    .is_ok(),
+                Ok(id) => resp.send(Reply::Subscribed(id, router.add(id))).is_ok(),
                 Err(_) => break,
             },
             FrameType::WindowResult => match router.route(&frame.payload) {
@@ -529,12 +507,11 @@ mod tests {
     #[test]
     fn every_copy_reaches_its_own_stream_and_matches_a_plain_decode() {
         let mut router = Router::default();
-        let opts = ClientOptions::default();
         // Two groups whose bodies are byte-equal, then a third body: the
         // sequence A, B, A must not hit a stale cache entry.
         let (a, b) = (window(60, &[1, 2]), window(120, &[3]));
         let ids: Vec<u64> = (1..=1_000).collect();
-        let queues: Vec<_> = ids.iter().map(|&id| router.add(id, opts)).collect();
+        let queues: Vec<_> = ids.iter().map(|&id| router.add(id)).collect();
         let mut sent: HashMap<u64, Vec<Vec<u8>>> = HashMap::new();
         for out in [&a, &b, &a] {
             for &id in &ids {
@@ -553,9 +530,8 @@ mod tests {
     #[test]
     fn a_dropped_stream_loses_its_route_and_the_others_keep_receiving() {
         let mut router = Router::default();
-        let opts = ClientOptions::default();
-        let kept = router.add(1, opts);
-        drop(router.add(2, opts));
+        let kept = router.add(1);
+        drop(router.add(2));
         for id in [1, 2] {
             router
                 .route(&wire::encode_window_result(id, &window(60, &[7])))

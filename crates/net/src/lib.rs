@@ -21,6 +21,6 @@ pub mod server;
 pub mod wire;
 
 pub use bridge::{Bridge, BridgeOptions, UnionIngest};
-pub use client::{Client, ClientOptions, NetError, NetResult, SubscriptionStream};
+pub use client::{Client, NetError, NetResult, SubscriptionStream};
 pub use frame::{Frame, FrameDecoder, FrameType, MAX_FRAME_LEN, PROTOCOL_VERSION};
 pub use server::{Server, ServerOptions};

@@ -297,8 +297,9 @@ impl WalRecord {
 /// Durability policy for the log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncMode {
-    /// Buffer in user space; flushed on drop/checkpoint only. Fastest;
-    /// loses the tail on crash. Fine for benchmarks and derived state.
+    /// Buffer in user space; written to the OS only when the buffer passes
+    /// 1 MiB and on a clean drop, never at a commit. Fastest; loses the
+    /// unwritten tail on crash. Fine for benchmarks and derived state.
     NoSync,
     /// Flush to the OS page cache on every commit (default): survives
     /// process crash, not power loss.
@@ -309,9 +310,9 @@ pub enum SyncMode {
 }
 
 /// User-space buffer size above which appends spill to the OS even
-/// before a commit point (mirrors the `BufWriter` default the log used
-/// before the [`Io`] abstraction).
-const SPILL_BYTES: usize = 8 * 1024;
+/// before a commit point. A transaction below it reaches the OS in the
+/// one write at its commit.
+const SPILL_BYTES: usize = 1 << 20;
 
 /// Append-only WAL writer.
 pub struct Wal {

@@ -55,6 +55,19 @@ impl DataType {
         }
     }
 
+    /// Whether every value of this type casts to `to`: true where
+    /// [`crate::Value::cast`] cannot fail. `Int` casts to every type, every
+    /// type to `Text`, and `Bool`, `Timestamp` and `Interval` to `Int`.
+    /// `Float` → `Int` can overflow and `Text` can fail to parse.
+    pub fn always_casts_to(self, to: DataType) -> bool {
+        use DataType::*;
+        self == to
+            || matches!(
+                (self, to),
+                (Int, _) | (_, Text) | (Bool | Timestamp | Interval, Int)
+            )
+    }
+
     /// Parse a SQL type name (case-insensitive), ignoring any length
     /// parameter such as `varchar(1024)` (handled by the parser).
     pub fn from_sql_name(name: &str) -> Option<DataType> {

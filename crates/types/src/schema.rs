@@ -6,7 +6,6 @@ use std::sync::Arc;
 use crate::datatype::DataType;
 use crate::error::{Error, Result};
 use crate::row::Row;
-use crate::value::Value;
 
 /// One column of a table, stream, or intermediate relation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,6 +35,13 @@ impl Column {
             ty,
             nullable: false,
         }
+    }
+
+    /// Whether every value of column `from` goes into this one through
+    /// [`Schema::coerce_row`]: the cast cannot fail, and a NOT NULL
+    /// column takes only a NOT NULL one.
+    pub fn takes(&self, from: &Column) -> bool {
+        from.ty.always_casts_to(self.ty) && (self.nullable || !from.nullable)
     }
 }
 
@@ -125,22 +131,6 @@ impl Schema {
     /// allowed only for nullable columns, ints silently widen to declared
     /// float columns). Returns a row coerced to the declared types.
     pub fn coerce_row(&self, mut row: Row) -> Result<Row> {
-        let mut casts = Vec::new();
-        self.check_row(&row, |i, v| casts.push((i, v)))?;
-        for (i, v) in casts {
-            row[i] = v;
-        }
-        Ok(row)
-    }
-
-    /// Whether [`Schema::coerce_row`] takes `row`, without taking it.
-    pub fn admits(&self, row: &Row) -> Result<()> {
-        self.check_row(row, |_, _| ())
-    }
-
-    /// Check `row` in one pass, handing each value that needs a cast to
-    /// `cast` as its position and the cast value.
-    fn check_row(&self, row: &Row, mut cast: impl FnMut(usize, Value)) -> Result<()> {
         if row.len() != self.columns.len() {
             return Err(Error::type_err(format!(
                 "row has {} values but schema has {} columns",
@@ -148,7 +138,7 @@ impl Schema {
                 self.columns.len()
             )));
         }
-        for (i, (v, c)) in row.iter().zip(&self.columns).enumerate() {
+        for (v, c) in row.iter_mut().zip(&self.columns) {
             if v.is_null() {
                 if !c.nullable {
                     return Err(Error::type_err(format!(
@@ -159,8 +149,18 @@ impl Schema {
             } else if v.data_type() != Some(c.ty) {
                 let (name, ty) = (&c.name, c.ty);
                 let wrong = || format!("value {v} has wrong type for column `{name}` ({ty})");
-                cast(i, v.cast(ty).map_err(|_| Error::type_err(wrong()))?);
+                *v = v.cast(ty).map_err(|_| Error::type_err(wrong()))?;
             }
+        }
+        Ok(row)
+    }
+}
+
+impl fmt::Display for Column {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {}", self.name, self.ty)?;
+        if !self.nullable {
+            write!(f, " not null")?;
         }
         Ok(())
     }
@@ -173,10 +173,7 @@ impl fmt::Display for Schema {
             if i > 0 {
                 write!(f, ", ")?;
             }
-            write!(f, "{} {}", c.name, c.ty)?;
-            if !c.nullable {
-                write!(f, " not null")?;
-            }
+            write!(f, "{c}")?;
         }
         write!(f, ")")
     }
@@ -256,6 +253,61 @@ mod tests {
     fn coerce_row_rejects_uncastable() {
         let s = Schema::new(vec![Column::new("n", DataType::Int)]).unwrap();
         assert!(s.coerce_row(vec![Value::text("not a number")]).is_err());
+    }
+
+    /// Values of type `ty`: zero, the extremes, and for text, strings that
+    /// parse as each type and one that parses as none.
+    fn samples(ty: DataType) -> Vec<Value> {
+        match ty {
+            DataType::Bool => vec![Value::Bool(false), Value::Bool(true)],
+            DataType::Int => vec![Value::Int(0), Value::Int(i64::MIN), Value::Int(i64::MAX)],
+            DataType::Float => [0.0, f64::MIN, f64::MAX, f64::NAN, f64::INFINITY, 1e300]
+                .map(Value::Float)
+                .to_vec(),
+            DataType::Text => [
+                "0",
+                "1.5",
+                "true",
+                "2009-01-04 00:01:00",
+                "1 minute",
+                "x",
+                "",
+            ]
+            .map(Value::text)
+            .to_vec(),
+            DataType::Timestamp => [0, i64::MIN, i64::MAX].map(Value::Timestamp).to_vec(),
+            DataType::Interval => [0, i64::MIN, i64::MAX].map(Value::Interval).to_vec(),
+        }
+    }
+
+    #[test]
+    fn a_column_takes_exactly_what_coerce_row_never_refuses() {
+        use DataType::*;
+        let types = [Bool, Int, Float, Text, Timestamp, Interval];
+        let column = |ty, nullable| Column {
+            name: "c".into(),
+            ty,
+            nullable,
+        };
+        for (from_ty, from_null) in types.iter().flat_map(|&t| [(t, false), (t, true)]) {
+            let from = column(from_ty, from_null);
+            let mut values = samples(from_ty);
+            if from_null {
+                values.push(Value::Null);
+            }
+            for (to_ty, to_null) in types.iter().flat_map(|&t| [(t, false), (t, true)]) {
+                let to = column(to_ty, to_null);
+                let schema = Schema::new(vec![to.clone()]).unwrap();
+                let refused: Vec<&Value> = (values.iter())
+                    .filter(|v| schema.coerce_row(vec![(*v).clone()]).is_err())
+                    .collect();
+                if to.takes(&from) {
+                    assert!(refused.is_empty(), "{from:?} -> {to:?} refuses {refused:?}");
+                } else {
+                    assert!(!refused.is_empty(), "{from:?} -> {to:?} refuses no sample");
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,10 +10,8 @@
 # the end of its file); `tests/`, `benches/` and `examples/` are not
 # counted at all. The lock count is read from the declared order,
 # `crates/check/src/lock_order.rs`: one total order, so it also bounds
-# the pairs the lock witness checks. Options are
-# the `pub` fields of `DbOptions`, `ServerOptions`, `ClientOptions` and
-# `BridgeOptions`; a field that nests another options struct
-# (`BridgeOptions::client`) is counted through that struct.
+# the pairs the lock witness checks. Options are the `pub` fields of
+# `DbOptions`, `ServerOptions` and `BridgeOptions`.
 #
 # With file arguments, also prints each named file's non-test lines and
 # their sum, so a PR can quote "these files went from A to B".
@@ -70,7 +68,7 @@ option_fields() {
     awk -v decl="pub struct $2 {" '
         $0 == decl { on = 1; next }
         on && /^}/ { exit }
-        on && /^    pub [a-z_]+:/ && $0 !~ /Options,$/ { n++ }
+        on && /^    pub [a-z_]+:/ { n++ }
         END { print n + 0 }' "$1"
 }
 options=0
@@ -79,7 +77,6 @@ while read -r file name; do
 done <<'STRUCTS'
 crates/core/src/options.rs DbOptions
 crates/net/src/server.rs ServerOptions
-crates/net/src/client.rs ClientOptions
 crates/net/src/bridge.rs BridgeOptions
 STRUCTS
 printf '%-28s %8d\n' "settable options" "$options"

@@ -37,6 +37,9 @@ pub struct Mutex<T: ?Sized> {
 
 /// RAII guard for [`Mutex`].
 pub struct MutexGuard<'a, T: ?Sized> {
+    /// The lock's name, if it has one: the release of a named lock is a
+    /// chaos point whether or not the witness validates it.
+    name: Option<&'static str>,
     token: Option<witness::Token>,
     inner: sync::MutexGuard<'a, T>,
 }
@@ -77,6 +80,7 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         let Some(name) = self.name else {
             return MutexGuard {
+                name: None,
                 token: None,
                 inner: lock_plain(&self.inner),
             };
@@ -85,6 +89,7 @@ impl<T: ?Sized> Mutex<T> {
         witness::chaos(ChaosPoint::Acquire, Some(name));
         if !witness::enabled() {
             return MutexGuard {
+                name: Some(name),
                 token: None,
                 inner: lock_plain(&self.inner),
             };
@@ -94,6 +99,7 @@ impl<T: ?Sized> Mutex<T> {
         let inner =
             witness::acquire_with_detection(name, addr, site, || try_lock_plain(&self.inner));
         MutexGuard {
+            name: Some(name),
             token: Some(witness::acquired(name, addr, site)),
             inner,
         }
@@ -112,7 +118,11 @@ impl<T: ?Sized> Mutex<T> {
             let addr = self as *const _ as *const () as usize;
             witness::acquired(name, addr, site)
         });
-        Some(MutexGuard { token, inner })
+        Some(MutexGuard {
+            name: self.name,
+            token,
+            inner,
+        })
     }
 
     /// Mutable access without locking (requires exclusive borrow).
@@ -148,11 +158,25 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
     }
 }
 
+impl<T: ?Sized> MutexGuard<'_, T> {
+    /// Let the lock go, on a drop or a condvar wait's hand-off: a named
+    /// lock's release is a chaos point, and a witnessed guard hands its
+    /// token back. Returns the token's (name, addr) identity, which a
+    /// wait re-records once it holds the lock again.
+    fn release(&mut self) -> Option<(&'static str, usize)> {
+        if self.name.is_some() {
+            witness::chaos(ChaosPoint::Release, self.name);
+        }
+        let token = self.token.take()?;
+        let identity = (token.name(), token.addr());
+        witness::released(token);
+        Some(identity)
+    }
+}
+
 impl<T: ?Sized> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
-        if let Some(token) = self.token.take() {
-            witness::released(token);
-        }
+        self.release();
     }
 }
 
@@ -303,15 +327,8 @@ impl Condvar {
 /// held-set and owner map reflect reality while this thread sleeps.
 /// Returns the (name, addr) identity needed to re-record afterwards.
 fn release_for_wait<T: ?Sized>(guard: &mut MutexGuard<'_, T>) -> Option<(&'static str, usize)> {
-    let name = guard.token.as_ref().map(|t| t.name());
-    witness::chaos(ChaosPoint::CondvarWait, name);
-    if let Some(token) = guard.token.take() {
-        let identity = (token.name(), token.addr());
-        witness::released(token);
-        Some(identity)
-    } else {
-        None
-    }
+    witness::chaos(ChaosPoint::CondvarWait, guard.name);
+    guard.release()
 }
 
 /// Re-record the mutex the wait re-acquired (if it was witnessed).

@@ -299,7 +299,6 @@ pub(crate) fn acquired(name: &'static str, addr: usize, site: Site) -> Token {
 
 /// Record a release (guard drop or condvar wait hand-off).
 pub(crate) fn released(token: Token) {
-    chaos(ChaosPoint::Release, Some(token.name));
     HELD.with(|held| {
         let mut held = held.borrow_mut();
         // Guards may drop out of LIFO order; remove the topmost match.

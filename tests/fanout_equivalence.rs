@@ -17,11 +17,10 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use streamrel::net::{
-    wire, Client, ClientOptions, Frame, FrameDecoder, FrameType, Server, ServerOptions,
-};
+use streamrel::net::{wire, Client, Frame, FrameDecoder, FrameType, Server, ServerOptions};
 use streamrel::types::Value;
 use streamrel::{Db, DbOptions, ExecResult};
+use streamrel_core::DEFAULT_SUB_CAPACITY;
 use streamrel_faults::chaos;
 
 const DDL: &str = "CREATE STREAM events (v integer, etime timestamp CQTIME USER)";
@@ -54,17 +53,22 @@ fn embedded_reference(windows: i64) -> Vec<(i64, Vec<u8>)> {
         ExecResult::Subscribed(s) => s,
         other => panic!("expected subscription, got {other:?}"),
     };
+    // Drained after every window, so a reference longer than the
+    // subscription's queue bound loses nothing.
+    let mut out = Vec::new();
     for w in 0..windows {
         for row in window_rows(w) {
             db.ingest("events", row).unwrap();
         }
         db.heartbeat("events", (w + 1) * 60_000_000).unwrap();
+        out.extend(
+            db.poll(sub)
+                .unwrap()
+                .iter()
+                .map(|o| canonical(o.close, &o.relation)),
+        );
     }
-    db.poll(sub)
-        .unwrap()
-        .iter()
-        .map(|o| canonical(o.close, &o.relation))
-        .collect()
+    out
 }
 
 /// Read a named counter/gauge out of the engine's metrics relation.
@@ -725,9 +729,10 @@ fn a_thousand_streams_on_one_connection_each_get_every_window() {
 fn client_queue_is_bounded_with_visible_drops() {
     // Satellite of the same discipline on the other end of the wire: a
     // consumer that falls behind sheds by policy client-side instead of
-    // growing without limit, and the shed count is visible.
-    const WINDOWS: i64 = 8;
-    const KEEP: usize = 3;
+    // growing without limit, and the shed count is visible. The bound is
+    // the engine's default queue capacity.
+    const KEEP: usize = DEFAULT_SUB_CAPACITY;
+    const WINDOWS: i64 = KEEP as i64 + 5;
     let reference = embedded_reference(WINDOWS);
 
     let db = Arc::new(Db::in_memory(DbOptions::default()));
@@ -737,13 +742,7 @@ fn client_queue_is_bounded_with_visible_drops() {
     let admin = Client::connect(addr).unwrap();
     admin.execute(DDL).unwrap();
 
-    let lagger = Client::connect_with(
-        addr,
-        ClientOptions {
-            sub_queue_capacity: KEEP,
-        },
-    )
-    .unwrap();
+    let lagger = Client::connect(addr).unwrap();
     let stream = lagger.subscribe(CQ).unwrap();
 
     for w in 0..WINDOWS {

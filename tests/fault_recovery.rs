@@ -140,6 +140,36 @@ fn two_col_schema() -> Schema {
     .unwrap()
 }
 
+#[test]
+fn a_batch_commit_is_one_log_write() {
+    // A 250-row `InsertMany` is some 17 KB of log: under `Flush` the whole
+    // transaction reaches the OS in the one write at its commit, not in a
+    // spill mid-record and a second write at the commit.
+    let io = FaultIo::new(FaultPlan::none(0));
+    let dynio: Arc<dyn Io> = io.clone();
+    let e = StorageEngine::open_with_io("/sim/db", SyncMode::Flush, dynio).unwrap();
+    let t = e.create_table("t", two_col_schema()).unwrap();
+    let log_len = || io.image().files_matching("wal-")[0].1;
+    for batch in 0..3i64 {
+        let rows = (0..250)
+            .map(|i| {
+                vec![
+                    Value::text(format!("/a/long/url/{batch}/{i:0>40}")),
+                    Value::Int(i),
+                ]
+            })
+            .collect();
+        let (ops, len) = (io.ops(), log_len());
+        e.with_txn(|x| e.insert_many(x, t, rows)).unwrap();
+        assert_eq!(io.ops() - ops, 1, "batch {batch}: one write");
+        let written = log_len() - len;
+        assert!(
+            written > 16 << 10,
+            "batch {batch}: {written} bytes in one write"
+        );
+    }
+}
+
 /// A failed fsync on one commit domain's log poisons *that domain only*
 /// (DESIGN.md §13): the healthy domain keeps committing, the poisoned
 /// one rejects with a shard-scoped error until reopen, and the per-shard

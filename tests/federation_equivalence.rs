@@ -141,8 +141,6 @@ fn test_bridge_opts() -> BridgeOptions {
     BridgeOptions {
         backoff_initial: Duration::from_millis(20),
         backoff_max: Duration::from_millis(200),
-        poll: Duration::from_millis(20),
-        ..BridgeOptions::default()
     }
 }
 

@@ -507,8 +507,6 @@ fn bridge_backs_off_until_server_appears() {
     let opts = BridgeOptions {
         backoff_initial: Duration::from_millis(10),
         backoff_max: Duration::from_millis(100),
-        poll: Duration::from_millis(20),
-        ..BridgeOptions::default()
     };
     let bridge =
         Bridge::start(consumer.clone(), addr.clone(), "derived", "partials", opts).unwrap();

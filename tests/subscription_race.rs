@@ -48,9 +48,6 @@ fn a_window_closed_during_registration_reaches_the_subscription() {
     db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
         .unwrap();
     witness::set_chaos_hook(park_after_catalog);
-    // Release points reach the hook only while the witness validates: on
-    // in a debug build, and turned on here for a release one.
-    witness::enable();
     let subscriber = {
         let db = db.clone();
         std::thread::spawn(move || {
