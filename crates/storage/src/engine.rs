@@ -1802,29 +1802,34 @@ mod tests {
     }
 
     #[test]
-    fn reopening_with_fewer_domains_keeps_all_records() {
-        let dir = tmpdir("shrink");
-        {
-            let e =
-                StorageEngine::open_with_opts(&dir, SyncMode::Flush, StdIo::shared(), 3).unwrap();
-            let t = e.create_table("urls", schema()).unwrap();
-            for d in 0..3 {
-                e.with_txn_on(d, |xid| e.insert(xid, t, row![format!("/{d}"), d as i64]))
-                    .unwrap();
+    fn reopening_with_another_domain_count_keeps_all_records() {
+        let open = |dir: &PathBuf, n| {
+            StorageEngine::open_with_opts(dir, SyncMode::Flush, StdIo::shared(), n).unwrap()
+        };
+        // Written on three domains; reopened on fewer, as many and more.
+        for reopen in [1, 3, 5] {
+            let dir = tmpdir(&format!("reshard-{reopen}"));
+            {
+                let e = open(&dir, 3);
+                let t = e.create_table("urls", schema()).unwrap();
+                for d in 0..3 {
+                    e.with_txn_on(d, |xid| e.insert(xid, t, row![format!("/{d}"), d as i64]))
+                        .unwrap();
+                }
             }
+            // Every log on disk is replayed, whatever the count: records
+            // in logs beyond it stay there until a checkpoint stales them.
+            let e = open(&dir, reopen);
+            assert_eq!(e.wal_shards(), reopen);
+            assert_eq!(visible_rows(&e, "urls").len(), 3, "reopened on {reopen}");
+            e.checkpoint().unwrap();
+            drop(e);
+            // After the checkpoint the logs beyond the count carry a stale
+            // epoch; a fresh open discards them without losing state.
+            let e = open(&dir, reopen);
+            assert_eq!(visible_rows(&e, "urls").len(), 3, "reopened on {reopen}");
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        // Reopen with one domain: records in wal-1/wal-2 must still be
-        // replayed (they stay on disk until a checkpoint stales them).
-        let e = StorageEngine::open_with_opts(&dir, SyncMode::Flush, StdIo::shared(), 1).unwrap();
-        assert_eq!(e.wal_shards(), 1);
-        assert_eq!(visible_rows(&e, "urls").len(), 3);
-        e.checkpoint().unwrap();
-        drop(e);
-        // After the checkpoint the extra logs carry a stale epoch; a
-        // fresh open discards them without losing state.
-        let e = StorageEngine::open_with_opts(&dir, SyncMode::Flush, StdIo::shared(), 1).unwrap();
-        assert_eq!(visible_rows(&e, "urls").len(), 3);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
